@@ -1,4 +1,4 @@
-//! Offline kernel throughput at 1/2/4/8 workers: graph build (flat-buffer
+//! Offline kernel throughput at 1/2/4/8 workers: graph build (row-wise
 //! pair accumulation), clustering statistics (dense accumulators), and the
 //! communities⋈graph join on the persistent pool. The committed
 //! `BENCH_offline.json` is the same measurement via `esharp bench --json`.

@@ -4,8 +4,8 @@
 //! Three kernels are timed at each requested worker count, mirroring the
 //! three offline hot paths (§4, Figure 1 left half):
 //!
-//! 1. **Graph build** — inverted-index pair accumulation with flat
-//!    per-worker buffers (nodes/sec, edges/sec).
+//! 1. **Graph build** — inverted-index pair accumulation, a row of pair
+//!    sums per node (nodes/sec, edges/sec).
 //! 2. **Clustering** — the 3-step parallel algorithm with dense
 //!    community accumulators (iterations/sec).
 //! 3. **Relational exec** — the communities⋈graph broadcast join plus a
@@ -14,7 +14,7 @@
 //! All three are deterministic in their outputs at any worker count, so
 //! the samples differ only in wall clock. The report additionally times a
 //! `HashMap`-entry reference implementation of the pair accumulation —
-//! the single-thread speedup of the flat path is meaningful even on a
+//! the single-thread speedup of `build_graph` is meaningful even on a
 //! one-core host, where thread scaling is not (the JSON records
 //! `host_cpus` so readers can judge the scaling rows accordingly).
 
@@ -65,7 +65,7 @@ pub struct OfflineBenchReport {
     /// Wall seconds of the `HashMap`-entry reference accumulator
     /// (single-threaded).
     pub hashmap_reference_secs: f64,
-    /// Wall seconds of the flat-buffer accumulator at workers = 1.
+    /// Wall seconds of `build_graph` at workers = 1.
     pub flat_accumulator_secs: f64,
     /// `hashmap_reference_secs / flat_accumulator_secs` — the
     /// implementation speedup independent of thread scaling.
@@ -499,8 +499,8 @@ fn relation_inputs(multigraph: &MultiGraph) -> (Table, Table) {
 
 /// The pre-refactor pair accumulator: one shared
 /// `HashMap<(node, node), f64>` entry per candidate pair, updated in
-/// URL-id order. Kept here (bench-only) as the baseline the flat-buffer
-/// kernel is measured against; edge sets are identical and weights agree
+/// URL-id order. Kept here (bench-only) as the baseline `build_graph`
+/// is measured against; edge sets are identical and weights agree
 /// up to f64 associativity.
 pub fn hashmap_reference_graph(log: &AggregatedLog, world: &World) -> SimilarityGraph {
     use esharp_graph::ClickVector;
@@ -616,9 +616,9 @@ mod tests {
         let reference = hashmap_reference_graph(&workload.filtered, &workload.world);
         assert_eq!(flat.num_nodes(), reference.num_nodes());
         assert_eq!(flat.num_edges(), reference.num_edges());
-        // Same edge set; weights agree up to f64 associativity (the flat
-        // kernel pre-folds per chunk, so its addition tree differs from
-        // the reference's strict left-to-right order). Bit-exactness
+        // Same edge set; weights agree up to f64 associativity (the
+        // kernel sums per chunk of URL lists, so its addition tree differs
+        // from the reference's strict left-to-right order). Bit-exactness
         // across *worker counts* is asserted in esharp-graph.
         for (a, b) in flat.edges().iter().zip(reference.edges()) {
             assert_eq!((a.a, a.b), (b.a, b.b));

@@ -33,25 +33,32 @@ impl SimilarityGraph {
     /// Build a graph from node labels and undirected edges. Edge endpoints
     /// are normalized to `a < b`; self-loops are dropped; duplicate edges
     /// keep the maximum weight.
-    pub fn new(labels: Vec<Arc<str>>, edges: Vec<Edge>) -> Self {
+    pub fn new(labels: Vec<Arc<str>>, mut edges: Vec<Edge>) -> Self {
         let n = labels.len();
-        let mut dedup: HashMap<(NodeId, NodeId), f64> = HashMap::with_capacity(edges.len());
-        for e in edges {
-            if e.a == e.b {
-                continue;
+        // Edges that are already canonical (what `build_graph` hands over)
+        // need neither the dedup map nor the sort. Canonical includes a
+        // positive weight: the dedup floors weights at 0.0.
+        let canonical = edges.iter().all(|e| e.a < e.b && e.weight > 0.0)
+            && edges.windows(2).all(|w| (w[0].a, w[0].b) < (w[1].a, w[1].b));
+        if !canonical {
+            let mut dedup: HashMap<(NodeId, NodeId), f64> = HashMap::with_capacity(edges.len());
+            for e in &edges {
+                if e.a == e.b {
+                    continue;
+                }
+                let key = (e.a.min(e.b), e.a.max(e.b));
+                debug_assert!((key.1 as usize) < n, "edge endpoint out of range");
+                let w = dedup.entry(key).or_insert(0.0);
+                if e.weight > *w {
+                    *w = e.weight;
+                }
             }
-            let key = (e.a.min(e.b), e.a.max(e.b));
-            debug_assert!((key.1 as usize) < n, "edge endpoint out of range");
-            let w = dedup.entry(key).or_insert(0.0);
-            if e.weight > *w {
-                *w = e.weight;
-            }
+            edges = dedup
+                .into_iter()
+                .map(|((a, b), weight)| Edge { a, b, weight })
+                .collect();
+            edges.sort_by_key(|e| (e.a, e.b));
         }
-        let mut edges: Vec<Edge> = dedup
-            .into_iter()
-            .map(|((a, b), weight)| Edge { a, b, weight })
-            .collect();
-        edges.sort_by_key(|e| (e.a, e.b));
 
         // CSR adjacency (both directions).
         let mut degree = vec![0usize; n];
@@ -263,6 +270,50 @@ mod tests {
         );
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.edges()[0], Edge { a: 0, b: 1, weight: 0.9 });
+    }
+
+    #[test]
+    fn canonical_edges_skip_the_dedup_and_build_the_same_graph() {
+        let canonical = vec![
+            Edge { a: 0, b: 1, weight: 0.9 },
+            Edge { a: 0, b: 3, weight: 0.1 },
+            Edge { a: 1, b: 2, weight: 0.2 },
+            Edge { a: 2, b: 3, weight: 1.0 },
+        ];
+        let fast = SimilarityGraph::new(labels(4), canonical.clone());
+        assert_eq!(fast.edges(), canonical.as_slice());
+
+        // The same graph through the dedup path: unsorted, flipped
+        // endpoints, a weaker duplicate, a self-loop.
+        let reversed: Vec<Edge> = canonical.iter().rev().copied().collect();
+        let flipped: Vec<Edge> = canonical
+            .iter()
+            .map(|e| Edge { a: e.b, b: e.a, weight: e.weight })
+            .collect();
+        let mut duplicate = canonical.clone();
+        duplicate.push(Edge { a: 1, b: 0, weight: 0.5 });
+        let mut self_loop = canonical.clone();
+        self_loop.insert(2, Edge { a: 1, b: 1, weight: 0.7 });
+        for (name, edges) in [
+            ("reversed", reversed),
+            ("flipped", flipped),
+            ("duplicate", duplicate),
+            ("self-loop", self_loop),
+        ] {
+            let slow = SimilarityGraph::new(labels(4), edges);
+            assert_eq!(slow.edges(), fast.edges(), "{name}");
+            for v in 0..4 {
+                assert_eq!(slow.neighbors(v), fast.neighbors(v), "{name}: node {v}");
+            }
+        }
+
+        // Sorted but not canonical: an equal pair twice, a zero weight.
+        let twice = vec![canonical[0], Edge { weight: 0.95, ..canonical[0] }, canonical[1]];
+        let g = SimilarityGraph::new(labels(4), twice);
+        assert_eq!(g.edges(), &[Edge { weight: 0.95, ..canonical[0] }, canonical[1]]);
+        let zero = vec![Edge { a: 0, b: 1, weight: -0.0 }];
+        let g = SimilarityGraph::new(labels(2), zero);
+        assert_eq!(g.edges()[0].weight.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -19,6 +19,6 @@ pub mod io;
 pub mod relation_io;
 mod vector;
 
-pub use builder::{build_graph, build_graph_naive, BuildStats, GraphConfig};
+pub use builder::{build_graph, BuildStats, GraphConfig};
 pub use graph::{Edge, MultiGraph, NodeId, SimilarityGraph};
 pub use vector::ClickVector;

@@ -5,6 +5,8 @@
 //! "all the queries which appear less than 50 times per month, to reduce
 //! noise and save space".
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::loggen::RawEvent;
 use crate::world::{TermId, UrlId, World};
 use serde::{Deserialize, Serialize};
@@ -60,9 +62,14 @@ impl AggregatedLog {
 
     /// Drop every record whose query's *total* observation count is below
     /// `min_support` (the paper's 50-per-month rule). Returns the filtered
-    /// log plus how many distinct queries were dropped.
+    /// log plus how many distinct queries were dropped. A term beyond
+    /// `term_totals` (`from_events` keeps its records but has no total for
+    /// it) has support 0.
     pub fn filter_min_support(&self, min_support: u64) -> (AggregatedLog, usize) {
-        let keep = |term: TermId| self.term_totals[term as usize] >= min_support;
+        let keep = |term: TermId| {
+            let total = self.term_totals.get(term as usize).copied().unwrap_or(0);
+            total >= min_support
+        };
         let records: Vec<ClickRecord> = self
             .records
             .iter()
@@ -149,6 +156,19 @@ mod tests {
         assert_eq!(filtered.num_terms(), 1);
         // Raw event count is preserved for accounting.
         assert_eq!(filtered.raw_events, 4);
+    }
+
+    #[test]
+    fn term_beyond_num_terms_has_no_support() {
+        // `from_events` keeps the records of term 7 but has no total for it.
+        let events = vec![raw(0, 0), raw(0, 1), raw(7, 0), raw(7, 0), raw(7, 0)];
+        let log = AggregatedLog::from_events(events.into_iter(), 2);
+        assert!(log.records.iter().any(|r| r.term == 7 && r.clicks == 3));
+        assert_eq!(log.term_totals, vec![2, 0]);
+        let (filtered, dropped) = log.filter_min_support(2);
+        assert_eq!(dropped, 0);
+        assert!(filtered.records.iter().all(|r| r.term == 0));
+        assert_eq!(filtered.records.len(), 2);
     }
 
     #[test]

@@ -33,7 +33,8 @@
 #           plus the storage crate, the paged/planner modules, the
 #           event-loop front end (poller/conn/event_loop), and the
 #           batch planner path (corpus match, retriever, detector,
-#           online) — keep their no-panic lint gate
+#           online), and the refresh's input path (log aggregation,
+#           graph builder) — keep their no-panic lint gate
 #
 # Usage: scripts/tier1.sh   (from the repo root or anywhere inside it)
 set -euo pipefail
@@ -120,7 +121,8 @@ for f in crates/relation/src/atomic.rs crates/relation/src/binfmt.rs \
          crates/serve/src/poller.rs crates/serve/src/conn.rs \
          crates/serve/src/event_loop.rs \
          crates/microblog/src/corpus.rs crates/core/src/online.rs \
-         crates/core/src/retriever.rs crates/expert/src/detector.rs; do
+         crates/core/src/retriever.rs crates/expert/src/detector.rs \
+         crates/querylog/src/aggregate.rs crates/graph/src/builder.rs; do
   grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' "$f" || {
     echo "missing unwrap/expect deny gate in $f" >&2
     exit 1
