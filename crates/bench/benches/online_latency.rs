@@ -26,9 +26,9 @@ fn bench_online(c: &mut Criterion) {
     // postings, and the flat-scratch ranking of its match set.
     let expansion = tb.esharp.domains().expand("49ers", 25);
     group.bench_function("match_kway_union", |b| {
-        b.iter(|| black_box(tb.corpus.match_terms(&expansion)))
+        b.iter(|| black_box(tb.corpus.match_terms_with(&expansion, 1)))
     });
-    let matched = tb.corpus.match_terms(&expansion);
+    let matched = tb.corpus.match_terms_with(&expansion, 1);
     let detector = esharp_expert::Detector::new(
         &tb.corpus,
         tb.esharp.config().detector.clone(),

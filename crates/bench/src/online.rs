@@ -712,7 +712,12 @@ pub fn run_with(
     let serial_matches: HashMap<&str, Vec<TweetId>> = zipf
         .labels
         .iter()
-        .map(|q| (q.as_str(), corpus.match_terms(&expansions[q.as_str()])))
+        .map(|q| {
+            (
+                q.as_str(),
+                corpus.match_terms_with(&expansions[q.as_str()], 1),
+            )
+        })
         .collect();
 
     let shard_dir = std::env::temp_dir().join(format!("esharp_online_shards_{seed}"));
@@ -876,7 +881,7 @@ fn run_large_load(
     let probes: Vec<&str> = zipf.labels.iter().take(4).map(|q| q.as_str()).collect();
     let expected: Vec<Vec<TweetId>> = probes
         .iter()
-        .map(|q| large.match_terms(&expansions[*q]))
+        .map(|q| large.match_terms_with(&expansions[*q], 1))
         .collect();
 
     let started = Instant::now();
@@ -931,7 +936,10 @@ mod tests {
             assert_eq!(baseline.match_query(q), corpus.match_query(q), "query {q:?}");
         }
         let terms = vec!["49ers".to_string(), "diabetes".to_string()];
-        assert_eq!(baseline.match_terms(&terms), corpus.match_terms(&terms));
+        assert_eq!(
+            baseline.match_terms(&terms),
+            corpus.match_terms_with(&terms, 1)
+        );
     }
 
     #[test]

@@ -8,7 +8,8 @@ use crate::domains::DomainCollection;
 use crate::error::EsharpResult;
 use crate::retriever::ExpertiseRetriever;
 use esharp_expert::ExpertResult;
-use esharp_microblog::{BoundedSearch, Corpus, TweetId};
+use esharp_fault::Budget;
+use esharp_microblog::{BoundedSearch, Corpus};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -50,7 +51,7 @@ pub struct PartialResult {
 
 /// The result of one online search, with the per-phase timings the
 /// paper reports in Table 9 (expansion < 100 ms, detection < 1 s).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SearchOutcome {
     /// Ranked experts.
     pub experts: Vec<ExpertResult>,
@@ -203,68 +204,89 @@ impl Esharp {
         query: &str,
         retriever: &dyn ExpertiseRetriever,
     ) -> SearchOutcome {
-        let expansion_started = Instant::now();
-        let expansion = if self.config.expansion {
-            self.domains.expand(query, self.config.max_expansion_terms)
-        } else {
-            vec![query.to_lowercase()]
-        };
-        let expansion_time = expansion_started.elapsed();
-
-        let match_started = Instant::now();
-        // K-way merge over the sorted per-term match sets — single-token
-        // terms stream straight from the postings arena; the old
-        // extend + sort + dedup union re-sorted every posting on every
-        // query. With a sharded corpus and workers > 1 the per-term
-        // matches are scattered over the postings shards and merged
-        // deterministically — bit-identical to the serial union.
-        let matched: Vec<TweetId> =
-            corpus.match_terms_with(&expansion, self.config.search_workers);
-        let match_time = match_started.elapsed();
-        let rank_started = Instant::now();
-        let experts = retriever.retrieve(corpus, &matched);
-        let rank_time = rank_started.elapsed();
-        SearchOutcome {
-            experts,
-            expansion,
-            matched_tweets: matched.len(),
-            expansion_time,
-            detection_time: match_time + rank_time,
-            match_time,
-            rank_time,
-            degradation: self.degradation.clone(),
-            partial: None,
-            hedges: 0,
-            hedge_wins: 0,
-            shard_panics: 0,
-        }
+        self.execute(corpus, &[query], retriever, self.config.expansion, None)
+            .pop()
+            .unwrap_or_default()
     }
 
     /// Batched e# search: one outcome per query, in order, each
     /// **bit-identical** to [`Esharp::search`] on that query alone
     /// (property-tested). The win is amortization, not approximation:
-    /// expansion runs per query as usual, but the match phase goes
-    /// through [`Corpus::match_terms_batch_with`] — every distinct term
-    /// across the batch has its posting lists traversed once — and the
-    /// rank phase reuses one thread-local scratch checkout for the whole
-    /// batch ([`ExpertiseRetriever::retrieve_batch`]).
+    /// every distinct term across the batch has its posting lists
+    /// traversed once and the rank phase reuses one scratch checkout.
     ///
     /// Batch execution is unbounded (no deadline, hedging, or breakers):
     /// answers are always complete, which is what lets the serving layer
     /// cache them interchangeably with complete single-query answers.
-    /// Phase timings are reported **amortized** (the batch phase cost
-    /// divided evenly across queries) so latency histograms fed per
-    /// outcome still sum to the true batch cost.
     pub fn search_batch(&self, corpus: &Corpus, queries: &[&str]) -> Vec<SearchOutcome> {
-        let n = queries.len() as u32;
-        if n == 0 {
-            return Vec::new();
-        }
+        self.execute(
+            corpus,
+            queries,
+            &self.retriever,
+            self.config.expansion,
+            None,
+        )
+    }
+
+    /// [`Esharp::search`] under a request budget: shard tasks abandon
+    /// past the deadline, hedges and breakers apply when the context
+    /// enables them, and an answer missing shards carries
+    /// [`SearchOutcome::partial`] with the exact absent-shard set. When
+    /// every shard answers in time the outcome is bit-identical to
+    /// [`Esharp::search`].
+    pub fn search_bounded(
+        &self,
+        corpus: &Corpus,
+        query: &str,
+        ctx: &BoundedSearch<'_>,
+    ) -> SearchOutcome {
+        self.execute(
+            corpus,
+            &[query],
+            &self.retriever,
+            self.config.expansion,
+            Some(ctx),
+        )
+        .pop()
+        .unwrap_or_default()
+    }
+
+    /// The Pal & Counts baseline on the same corpus and detector settings
+    /// (no expansion) — the comparison arm of every experiment. It reads
+    /// no domains, so it is never marked degraded.
+    pub fn search_baseline(&self, corpus: &Corpus, query: &str) -> SearchOutcome {
+        let mut outcomes = self.execute(corpus, &[query], &self.retriever, false, None);
+        let mut outcome = outcomes.pop().unwrap_or_default();
+        outcome.degradation = None;
+        outcome
+    }
+
+    /// The online pipeline, once: expand every query (or just lower-case
+    /// it when `expand` is off), match the whole batch through
+    /// [`Corpus::match_expansions`] — under `ctx`, or under a budget that
+    /// never expires when there is none — and rank every match set
+    /// through one [`ExpertiseRetriever::retrieve_batch`] call. Every
+    /// entry point above is this with a batch of one, no context, or no
+    /// expansion.
+    ///
+    /// Phase timings are reported **amortized** (the phase cost divided
+    /// evenly across the batch) so latency histograms fed per outcome
+    /// still sum to the true cost; the shard accounting belongs to the
+    /// one fan-out and is repeated on each of its outcomes.
+    fn execute(
+        &self,
+        corpus: &Corpus,
+        queries: &[&str],
+        retriever: &dyn ExpertiseRetriever,
+        expand: bool,
+        ctx: Option<&BoundedSearch<'_>>,
+    ) -> Vec<SearchOutcome> {
+        let n = queries.len().max(1) as u32;
         let expansion_started = Instant::now();
         let expansions: Vec<Vec<String>> = queries
             .iter()
             .map(|query| {
-                if self.config.expansion {
+                if expand {
                     self.domains.expand(query, self.config.max_expansion_terms)
                 } else {
                     vec![query.to_lowercase()]
@@ -274,12 +296,23 @@ impl Esharp {
         let expansion_time = expansion_started.elapsed() / n;
 
         let match_started = Instant::now();
-        let matched = corpus.match_terms_batch_with(&expansions, self.config.search_workers);
+        let no_deadline = Budget::wall(Duration::MAX);
+        let unbounded = BoundedSearch::new(&no_deadline);
+        let terms: Vec<&[String]> = expansions.iter().map(Vec::as_slice).collect();
+        let (matched, shards) = corpus.match_expansions(
+            &terms,
+            self.config.search_workers,
+            ctx.unwrap_or(&unbounded),
+        );
         let match_time = match_started.elapsed() / n;
         let rank_started = Instant::now();
-        let experts = self.retriever.retrieve_batch(corpus, &matched);
+        let experts = retriever.retrieve_batch(corpus, &matched);
         let rank_time = rank_started.elapsed() / n;
 
+        let partial = shards.is_partial().then(|| PartialResult {
+            shards_missing: shards.shards_missing.clone(),
+            shards_skipped: shards.shards_skipped.clone(),
+        });
         expansions
             .into_iter()
             .zip(matched)
@@ -293,87 +326,12 @@ impl Esharp {
                 match_time,
                 rank_time,
                 degradation: self.degradation.clone(),
-                partial: None,
-                hedges: 0,
-                hedge_wins: 0,
-                shard_panics: 0,
+                partial: partial.clone(),
+                hedges: shards.hedges,
+                hedge_wins: shards.hedge_wins,
+                shard_panics: shards.shard_panics,
             })
             .collect()
-    }
-
-    /// [`Esharp::search`] under a request budget: the scatter-gather
-    /// fan-out runs through [`Corpus::match_terms_bounded`], so shard
-    /// tasks abandon past the deadline, hedges and breakers apply when
-    /// the context enables them, and an answer missing shards carries
-    /// [`SearchOutcome::partial`] with the exact absent-shard set. When
-    /// every shard answers in time the outcome is bit-identical to
-    /// [`Esharp::search`].
-    pub fn search_bounded(
-        &self,
-        corpus: &Corpus,
-        query: &str,
-        ctx: &BoundedSearch<'_>,
-    ) -> SearchOutcome {
-        let expansion_started = Instant::now();
-        let expansion = if self.config.expansion {
-            self.domains.expand(query, self.config.max_expansion_terms)
-        } else {
-            vec![query.to_lowercase()]
-        };
-        let expansion_time = expansion_started.elapsed();
-
-        let match_started = Instant::now();
-        let outcome = corpus.match_terms_bounded(&expansion, self.config.search_workers, ctx);
-        let match_time = match_started.elapsed();
-        let rank_started = Instant::now();
-        let experts = self.retriever.retrieve(corpus, &outcome.matched);
-        let rank_time = rank_started.elapsed();
-        let partial = outcome.is_partial().then(|| PartialResult {
-            shards_missing: outcome.shards_missing.clone(),
-            shards_skipped: outcome.shards_skipped.clone(),
-        });
-        SearchOutcome {
-            experts,
-            expansion,
-            matched_tweets: outcome.matched.len(),
-            expansion_time,
-            detection_time: match_time + rank_time,
-            match_time,
-            rank_time,
-            degradation: self.degradation.clone(),
-            partial,
-            hedges: outcome.hedges,
-            hedge_wins: outcome.hedge_wins,
-            shard_panics: outcome.shard_panics,
-        }
-    }
-
-    /// The Pal & Counts baseline on the same corpus and detector settings
-    /// (no expansion) — the comparison arm of every experiment.
-    pub fn search_baseline(&self, corpus: &Corpus, query: &str) -> SearchOutcome {
-        let match_started = Instant::now();
-        let matched = corpus.match_query(query);
-        let match_time = match_started.elapsed();
-        // The assembly-time retriever, not a per-call `Detector`: cloning
-        // the detector configuration on every baseline call was the same
-        // per-query allocation `search` shed in PR 1.
-        let rank_started = Instant::now();
-        let experts = self.retriever.retrieve(corpus, &matched);
-        let rank_time = rank_started.elapsed();
-        SearchOutcome {
-            experts,
-            expansion: vec![query.to_lowercase()],
-            matched_tweets: matched.len(),
-            expansion_time: Duration::ZERO,
-            detection_time: match_time + rank_time,
-            match_time,
-            rank_time,
-            degradation: None,
-            partial: None,
-            hedges: 0,
-            hedge_wins: 0,
-            shard_panics: 0,
-        }
     }
 }
 

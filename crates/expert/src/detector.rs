@@ -107,36 +107,35 @@ impl<'c> Detector<'c> {
 
     /// Rank the candidates induced by an explicit set of matching tweets.
     /// e#'s query expansion unions several match sets and calls this once,
-    /// so baseline and expanded searches share one scoring path. Uses the
-    /// per-thread [`CandidateScratch`]; results are bit-identical to
-    /// [`Detector::rank_candidates_reference`] (enforced by proptest).
+    /// so baseline and expanded searches share one scoring path. Results
+    /// are bit-identical to [`Detector::rank_candidates_reference`]
+    /// (enforced by proptest).
     pub fn rank_candidates(&self, matching: &[TweetId]) -> Vec<ExpertResult> {
-        SCRATCH.with(|scratch| self.rank_candidates_in(matching, &mut scratch.borrow_mut()))
+        self.rank_sets(std::iter::once(matching))
+            .pop()
+            .unwrap_or_default()
     }
 
-    /// Rank several match sets through a single thread-local scratch
-    /// checkout — the batch planner's rank seam. Each set's result is
-    /// bit-identical to calling [`Detector::rank_candidates`] on it
-    /// alone: every `collect_with` resets the scratch, so sets cannot
-    /// observe each other; the batch only amortizes the `RefCell`
-    /// borrow and keeps the buffers hot across queries.
+    /// Rank several match sets — the batch planner's rank seam. Each
+    /// set's result is bit-identical to calling
+    /// [`Detector::rank_candidates`] on it alone.
     pub fn rank_candidates_batch(&self, match_sets: &[Vec<TweetId>]) -> Vec<Vec<ExpertResult>> {
+        self.rank_sets(match_sets.iter().map(Vec::as_slice))
+    }
+
+    /// Rank every set through a single checkout of the per-thread
+    /// [`CandidateScratch`]: every `collect_with` resets the scratch, so
+    /// sets cannot observe each other; sharing it only amortizes the
+    /// `RefCell` borrow and keeps the buffers hot across queries.
+    fn rank_sets<'m>(&self, sets: impl Iterator<Item = &'m [TweetId]>) -> Vec<Vec<ExpertResult>> {
         SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
-            match_sets
-                .iter()
-                .map(|matching| self.rank_candidates_in(matching, &mut scratch))
+            sets.map(|matching| self.rank_in(matching, &mut scratch))
                 .collect()
         })
     }
 
-    /// [`Detector::rank_candidates`] with an explicit scratch, for callers
-    /// that manage their own reuse (the bench harness).
-    pub fn rank_candidates_in(
-        &self,
-        matching: &[TweetId],
-        scratch: &mut CandidateScratch,
-    ) -> Vec<ExpertResult> {
+    fn rank_in(&self, matching: &[TweetId], scratch: &mut CandidateScratch) -> Vec<ExpertResult> {
         scratch.collect_with(self.corpus, matching, self.config.rank_workers);
         if scratch.is_empty() {
             return Vec::new();
@@ -395,7 +394,7 @@ mod tests {
             let mut scratch = crate::features::CandidateScratch::new();
             for domain in &world.domains {
                 let matching = corpus.match_query(&domain.label);
-                let fast = detector.rank_candidates_in(&matching, &mut scratch);
+                let fast = detector.rank_in(&matching, &mut scratch);
                 let reference = detector.rank_candidates_reference(&matching);
                 assert_eq!(fast, reference, "divergence on {:?}", domain.label);
             }

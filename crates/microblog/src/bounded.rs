@@ -1,12 +1,18 @@
-//! Deadline-bounded scatter-gather: the tail-tolerant variant of
-//! [`Corpus::match_terms_with`].
+//! The postings-walk executor: one deadline-bounded scatter-gather that
+//! every term match in the system runs through (DESIGN.md §11).
 //!
-//! [`Corpus::match_terms_bounded`] runs the same shard-grouped fan-out,
-//! but every shard task carries the request's [`Budget`] and abandons at
-//! chunk boundaries once it expires; the gather then merges whatever
-//! answered and reports the rest in a [`ShardOutcome`] instead of
-//! blocking the whole query on the slowest shard. Three tail-tolerance
-//! mechanisms hang off it (DESIGN.md §11):
+//! [`Corpus::match_expansions`] takes a batch of ≥1 expansions (one term
+//! list per query) and plans it once: the distinct terms across the
+//! batch are grouped by home shard, each admitted shard runs as one task
+//! that walks its terms' postings under the request's [`Budget`] and
+//! abandons at term boundaries once it expires, and the gather unions,
+//! per query, the match lists of the shards that answered and reports
+//! the rest in a [`ShardOutcome`] instead of blocking on the slowest
+//! shard. The other entry points are its degenerate cases —
+//! [`Corpus::match_terms_bounded`] is a batch of one,
+//! [`Corpus::match_terms_batch_with`] runs under a budget that never
+//! expires, [`Corpus::match_terms_with`] is both, and `workers = 1` is
+//! the serial walk. Three tail-tolerance mechanisms hang off it:
 //!
 //! * **chaos seams** — each shard attempt consults the injected
 //!   [`ChaosInjector`] at `search:shard:<i>` (attempt 0 = primary,
@@ -32,9 +38,11 @@ use crate::corpus::{Corpus, TermMatch};
 use crate::index::union_sorted;
 use crate::types::TweetId;
 use esharp_fault::{Budget, ChaosFault, ChaosInjector, NoChaos, ShardBreakers, TickSource};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering::SeqCst};
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// Everything a bounded fan-out needs beyond the terms themselves.
 pub struct BoundedSearch<'a> {
@@ -92,7 +100,9 @@ impl<'a> BoundedSearch<'a> {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardOutcome {
     /// Union of the shards that answered, tombstones filtered — when
-    /// nothing is missing, bit-identical to [`Corpus::match_terms`].
+    /// nothing is missing, bit-identical at every shard and worker
+    /// count. Left empty by [`Corpus::match_expansions`], which returns
+    /// one match set per query beside the outcome.
     pub matched: Vec<TweetId>,
     /// Shards that were tried but missed the deadline, stalled, or
     /// panicked (sorted).
@@ -141,22 +151,103 @@ fn charge_wait(clock: &dyn TickSource, us: u64, release: &(dyn Fn() -> bool + Sy
 }
 
 impl Corpus {
-    /// [`Corpus::match_terms_with`] under a deadline: shard tasks that
-    /// miss the budget (or stall, or panic) are abandoned and reported
-    /// in the [`ShardOutcome`] rather than stalling the gather forever.
-    /// When every shard answers, `matched` is bit-identical to the
-    /// serial path.
+    /// Tweets matching **any** of `terms` (each term itself conjunctive,
+    /// as in [`Corpus::match_query`]): [`Corpus::match_expansions`] for
+    /// one query under a budget that never expires. The result is
+    /// **bit-identical** at every shard count and worker count — a union
+    /// over sorted deduplicated lists is a set operation, so the shard
+    /// grouping only distributes work.
+    pub fn match_terms_with(&self, terms: &[String], workers: usize) -> Vec<TweetId> {
+        self.match_unbounded(&[terms], workers)
+            .pop()
+            .unwrap_or_default()
+    }
+
+    /// Batch form of [`Corpus::match_terms_with`]: one entry of
+    /// `expansions` per query, one result per query, in order, each
+    /// **bit-identical** to `match_terms_with(&expansions[i], workers)`
+    /// (property-tested in `proptest_batch`) while every distinct term
+    /// across the batch has its postings walked once.
+    pub fn match_terms_batch_with(
+        &self,
+        expansions: &[Vec<String>],
+        workers: usize,
+    ) -> Vec<Vec<TweetId>> {
+        let expansions: Vec<&[String]> = expansions.iter().map(Vec::as_slice).collect();
+        self.match_unbounded(&expansions, workers)
+    }
+
+    /// [`Corpus::match_expansions`] with no deadline, chaos, breakers or
+    /// hedging, so every shard answers.
+    fn match_unbounded(&self, expansions: &[&[String]], workers: usize) -> Vec<Vec<TweetId>> {
+        let budget = Budget::wall(Duration::MAX);
+        let (matched, shards) =
+            self.match_expansions(expansions, workers, &BoundedSearch::new(&budget));
+        // Only a panic inside the walk can cost an unbounded match a
+        // shard; pass it on rather than return a silently short answer.
+        assert!(
+            !shards.is_partial(),
+            "postings walk panicked on shards {:?}",
+            shards.shards_missing
+        );
+        matched
+    }
+
+    /// [`Corpus::match_expansions`] for one query: shards that miss the
+    /// budget (or stall, or panic) are abandoned and reported in the
+    /// [`ShardOutcome`] rather than stalling the gather forever. When
+    /// every shard answers, `matched` is bit-identical to
+    /// [`Corpus::match_terms_with`].
     pub fn match_terms_bounded(
         &self,
         terms: &[String],
         workers: usize,
         ctx: &BoundedSearch<'_>,
     ) -> ShardOutcome {
+        let (mut matched, shards) = self.match_expansions(&[terms], workers, ctx);
+        ShardOutcome {
+            matched: matched.pop().unwrap_or_default(),
+            ..shards
+        }
+    }
+
+    /// The one postings walk. `expansions` holds one term list per
+    /// query; the result holds one match set per query, in order, and
+    /// the fan-out's shard accounting, shared by the whole batch (a
+    /// shard contributes all of its terms to every query or none).
+    ///
+    /// Plan: the distinct terms across the batch, in first-seen order,
+    /// are grouped by home shard. Execute: each shard the breakers admit
+    /// runs as one task on the shared pool — inline on the caller when
+    /// `workers <= 1` — and publishes its per-term match lists into a
+    /// first-answer-wins slot. Gather: each query's set is one k-way
+    /// union over the lists of its terms whose shard answered.
+    pub fn match_expansions(
+        &self,
+        expansions: &[&[String]],
+        workers: usize,
+        ctx: &BoundedSearch<'_>,
+    ) -> (Vec<Vec<TweetId>>, ShardOutcome) {
         let clock = ctx.budget.clock().as_ref();
-        let k = self.shard_count().max(1);
-        let mut groups: Vec<Vec<&String>> = vec![Vec::new(); k];
-        for term in terms {
-            groups[self.term_home_shard(term)].push(term);
+        let mut term_index: HashMap<&str, usize> = HashMap::new();
+        let mut distinct: Vec<&str> = Vec::new();
+        let plan: Vec<Vec<usize>> = expansions
+            .iter()
+            .map(|terms| {
+                terms
+                    .iter()
+                    .map(|term| {
+                        *term_index.entry(term.as_str()).or_insert_with(|| {
+                            distinct.push(term);
+                            distinct.len() - 1
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shard_count().max(1)];
+        for (term, text) in distinct.iter().enumerate() {
+            groups[self.term_home_shard(text)].push(term);
         }
 
         // Breaker gate: spend nothing on shards with open breakers.
@@ -166,24 +257,18 @@ impl Corpus {
             if group.is_empty() {
                 continue;
             }
-            let allowed = ctx.breakers.is_none_or(|b| b.allow(shard, clock));
-            if allowed {
+            if ctx.breakers.is_none_or(|b| b.allow(shard, clock)) {
                 admitted.push(shard);
             } else {
                 skipped.push(shard);
             }
         }
-        if admitted.is_empty() {
-            return ShardOutcome {
-                shards_skipped: skipped,
-                ..ShardOutcome::default()
-            };
-        }
 
         // First-answer-wins result slot per admitted shard.
-        let slots: Vec<Mutex<Option<Vec<TweetId>>>> =
+        let slots: Vec<Mutex<Option<Vec<TermMatch<'_>>>>> =
             admitted.iter().map(|_| Mutex::new(None)).collect();
         let done: Vec<AtomicBool> = admitted.iter().map(|_| AtomicBool::new(false)).collect();
+        let primaries_running = AtomicUsize::new(admitted.len());
         let panics = AtomicU32::new(0);
         let hedges = AtomicU32::new(0);
         let hedge_wins = AtomicU32::new(0);
@@ -216,24 +301,18 @@ impl Corpus {
             }
             let group = &groups[shard];
             let mut matches: Vec<TermMatch<'_>> = Vec::with_capacity(group.len());
-            for term in group {
+            for &term in group {
                 if ctx.budget.expired_with(charged) {
                     return;
                 }
-                matches.push(self.match_term(term));
+                matches.push(self.match_term(distinct[term]));
             }
-            let lists: Vec<&[TweetId]> = matches
-                .iter()
-                .map(TermMatch::as_slice)
-                .filter(|list| !list.is_empty())
-                .collect();
-            let merged = union_sorted(&lists);
             if ctx.budget.expired_with(charged) {
                 return;
             }
             if let Ok(mut slot) = slots[slot_idx].lock() {
                 if slot.is_none() {
-                    *slot = Some(merged);
+                    *slot = Some(matches);
                     done[slot_idx].store(true, SeqCst);
                     if attempt > 0 {
                         hedge_wins.fetch_add(1, SeqCst);
@@ -252,59 +331,84 @@ impl Corpus {
                 panics.fetch_add(1, SeqCst);
             }
         };
+        let hedger = || {
+            let all_done = || done.iter().all(|d| d.load(SeqCst)) || ctx.budget.cancelled();
+            let charged = charge_wait(clock, ctx.hedge_delay_us, &all_done);
+            // A wait the clock did not observe took no real time, and
+            // neither do the primaries' chaos waits on such a clock: let
+            // every primary return before reading the slots, so which
+            // shards get hedged follows from the chaos plan and not from
+            // which thread ran first. (The hedger is queued behind the
+            // primaries, so all of them have been picked up by now.)
+            while charged > 0 && primaries_running.load(SeqCst) > 0 {
+                std::thread::yield_now();
+            }
+            for (slot_idx, slot_done) in done.iter().enumerate() {
+                if slot_done.load(SeqCst) || ctx.budget.expired_with(charged) {
+                    continue;
+                }
+                hedges.fetch_add(1, SeqCst);
+                contained(slot_idx, 1, charged);
+            }
+        };
 
-        let contained = &contained;
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..admitted.len())
-            .map(|slot_idx| {
-                Box::new(move || contained(slot_idx, 0, 0)) as Box<dyn FnOnce() + Send + '_>
+        let (contained, hedger, primaries_running) = (&contained, &hedger, &primaries_running);
+        let primaries = admitted.len();
+        let tasks: Vec<_> = (0..primaries + usize::from(ctx.hedge))
+            .map(|task| {
+                move || {
+                    if task < primaries {
+                        contained(task, 0, 0);
+                        primaries_running.fetch_sub(1, SeqCst);
+                    } else {
+                        hedger();
+                    }
+                }
             })
             .collect();
-        if ctx.hedge {
-            let hedger = || {
-                let all_done =
-                    || done.iter().all(|d| d.load(SeqCst)) || ctx.budget.cancelled();
-                let charged = charge_wait(clock, ctx.hedge_delay_us, &all_done);
-                for (slot_idx, slot_done) in done.iter().enumerate() {
-                    if slot_done.load(SeqCst) || ctx.budget.expired_with(charged) {
-                        continue;
-                    }
-                    hedges.fetch_add(1, SeqCst);
-                    contained(slot_idx, 1, charged);
-                }
-            };
-            tasks.push(Box::new(hedger));
+        if workers <= 1 {
+            tasks.into_iter().for_each(|task| task());
+        } else {
+            esharp_par::shared_pool(workers).run(tasks);
         }
-        esharp_par::shared_pool(workers).run(tasks);
 
-        // Gather: merge what answered (slots are in ascending shard
-        // order, so the merge order is deterministic), report the rest.
-        let mut partials: Vec<Vec<TweetId>> = Vec::with_capacity(admitted.len());
+        // Gather: scatter each answering shard's lists back to their
+        // terms (slots are in ascending shard order), report the rest.
+        let mut memo: Vec<Option<TermMatch<'_>>> = distinct.iter().map(|_| None).collect();
         let mut missing: Vec<usize> = Vec::new();
-        for (slot_idx, &shard) in admitted.iter().enumerate() {
-            let answer = slots[slot_idx].lock().ok().and_then(|mut s| s.take());
-            let ok = answer.is_some();
-            if let Some(list) = answer {
-                partials.push(list);
-            } else {
-                missing.push(shard);
-            }
+        for (slot, &shard) in slots.iter().zip(&admitted) {
+            let answer = slot.lock().ok().and_then(|mut s| s.take());
             if let Some(breakers) = ctx.breakers {
-                breakers.record(shard, ok, clock);
+                breakers.record(shard, answer.is_some(), clock);
+            }
+            match answer {
+                Some(lists) => {
+                    for (&term, list) in groups[shard].iter().zip(lists) {
+                        memo[term] = Some(list);
+                    }
+                }
+                None => missing.push(shard),
             }
         }
-        let lists: Vec<&[TweetId]> = partials
+        let matched = plan
             .iter()
-            .map(Vec::as_slice)
-            .filter(|list| !list.is_empty())
+            .map(|terms| {
+                let lists: Vec<&[TweetId]> = terms
+                    .iter()
+                    .filter_map(|&term| memo[term].as_ref().map(TermMatch::as_slice))
+                    .collect();
+                self.without_tombstones(union_sorted(&lists))
+            })
             .collect();
-        ShardOutcome {
-            matched: self.without_tombstones(union_sorted(&lists)),
+        let outcome = ShardOutcome {
+            matched: Vec::new(),
             shards_missing: missing,
             shards_skipped: skipped,
             hedges: hedges.load(SeqCst),
             hedge_wins: hedge_wins.load(SeqCst),
             shard_panics: panics.load(SeqCst),
-        }
+        };
+        (matched, outcome)
     }
 }
 
@@ -354,7 +458,7 @@ mod tests {
         let budget = virtual_budget(1_000_000);
         let outcome = corpus.match_terms_bounded(&terms, 4, &BoundedSearch::new(&budget));
         assert!(!outcome.is_partial());
-        assert_eq!(outcome.matched, corpus.match_terms(&terms));
+        assert_eq!(outcome.matched, corpus.match_terms_with(&terms, 1));
         assert_eq!(outcome.hedges, 0);
         assert_eq!(outcome.shard_panics, 0);
     }
@@ -363,7 +467,7 @@ mod tests {
     fn stalled_shard_yields_partial_with_exact_missing_set() {
         let corpus = corpus_with_shards(4);
         let terms = spread_terms(&corpus, 2);
-        let full = corpus.match_terms(&terms);
+        let full = corpus.match_terms_with(&terms, 1);
         for stalled in 0..corpus.shard_count() {
             let plan = ChaosPlan::new(1).stall_at(&format!("search:shard:{stalled}"));
             let budget = virtual_budget(10_000);
@@ -382,7 +486,7 @@ mod tests {
     fn hedging_recovers_a_stalled_shard_bit_identically() {
         let corpus = corpus_with_shards(4);
         let terms = spread_terms(&corpus, 2);
-        let full = corpus.match_terms(&terms);
+        let full = corpus.match_terms_with(&terms, 1);
         for stalled in 0..corpus.shard_count() {
             let plan = ChaosPlan::new(1).stall_at(&format!("search:shard:{stalled}"));
             let budget = virtual_budget(10_000);
@@ -423,7 +527,7 @@ mod tests {
         let ctx = BoundedSearch::new(&budget).with_chaos(&plan);
         let outcome = corpus.match_terms_bounded(&terms, 4, &ctx);
         assert!(!outcome.is_partial(), "a delay under budget is invisible");
-        assert_eq!(outcome.matched, corpus.match_terms(&terms));
+        assert_eq!(outcome.matched, corpus.match_terms_with(&terms, 1));
     }
 
     #[test]
@@ -465,7 +569,7 @@ mod tests {
         let ctx = BoundedSearch::new(&budget).with_breakers(&breakers);
         let outcome = corpus.match_terms_bounded(&terms, 4, &ctx);
         assert!(!outcome.is_partial());
-        assert_eq!(outcome.matched, corpus.match_terms(&terms));
+        assert_eq!(outcome.matched, corpus.match_terms_with(&terms, 1));
         assert_eq!(breakers.recoveries(), 1);
     }
 }

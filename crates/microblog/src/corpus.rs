@@ -3,7 +3,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::arena::CorpusArena;
-use crate::index::{intersect, union_sorted, PostingsIndex};
+use crate::index::{intersect, PostingsIndex};
 use crate::intern::SymbolTable;
 use crate::tokenize::tokenize;
 use crate::types::{TokenId, Tweet, TweetId, User, UserId};
@@ -205,7 +205,7 @@ impl Corpus {
     /// The sorted **base-segment** tweet ids containing `token`. Tweets
     /// appended since the last compaction live in the delta segment and
     /// are not visible here; the query path ([`Corpus::match_query`],
-    /// [`Corpus::match_terms`]) merges both segments. Tokens first
+    /// [`Corpus::match_expansions`]) merges both segments. Tokens first
     /// interned by an append have no base list yet and return empty.
     pub fn postings(&self, token: TokenId) -> &[TweetId] {
         if token >= self.base_tokens {
@@ -332,149 +332,14 @@ impl Corpus {
         matched
     }
 
-    /// Tweets matching **any** of `terms` (each term itself conjunctive,
-    /// as in [`Corpus::match_query`]): a k-way merge over the sorted
-    /// per-term match sets. This is the expansion-union hot path —
-    /// single-token terms contribute borrowed postings slices, so the
-    /// only allocations are the intersections that actually shrink and
-    /// the final merged result.
-    pub fn match_terms(&self, terms: &[String]) -> Vec<TweetId> {
-        let matches: Vec<TermMatch<'_>> =
-            terms.iter().map(|term| self.match_term(term)).collect();
-        let lists: Vec<&[TweetId]> = matches
-            .iter()
-            .map(TermMatch::as_slice)
-            .filter(|list| !list.is_empty())
-            .collect();
-        self.without_tombstones(union_sorted(&lists))
-    }
-
-    /// [`Corpus::match_terms`] with scatter-gather over the postings
-    /// shards: terms are grouped by the shard holding their first token,
-    /// each group's postings traversal + partial union runs as one task
-    /// on the shared worker pool, and the partials are merged in shard
-    /// order at the gather. A union is a set operation over sorted
-    /// deduplicated lists, so the result is **bit-identical** to the
-    /// serial path at every shard count and worker count; the grouping
-    /// only distributes work (a multi-token term may still read postings
-    /// across shard boundaries — all shards are in-process).
-    pub fn match_terms_with(&self, terms: &[String], workers: usize) -> Vec<TweetId> {
-        let k = self.postings.shard_count();
-        if workers <= 1 || k <= 1 || terms.len() <= 1 {
-            return self.match_terms(terms);
-        }
-        let mut groups: Vec<Vec<&String>> = vec![Vec::new(); k];
-        for term in terms {
-            groups[self.term_home_shard(term)].push(term);
-        }
-        let tasks: Vec<_> = groups
-            .iter()
-            .filter(|group| !group.is_empty())
-            .map(|group| {
-                move || {
-                    let matches: Vec<TermMatch<'_>> =
-                        group.iter().map(|term| self.match_term(term)).collect();
-                    let lists: Vec<&[TweetId]> = matches
-                        .iter()
-                        .map(TermMatch::as_slice)
-                        .filter(|list| !list.is_empty())
-                        .collect();
-                    union_sorted(&lists)
-                }
-            })
-            .collect();
-        let partials = esharp_par::shared_pool(workers).run(tasks);
-        let lists: Vec<&[TweetId]> = partials
-            .iter()
-            .map(Vec::as_slice)
-            .filter(|list| !list.is_empty())
-            .collect();
-        self.without_tombstones(union_sorted(&lists))
-    }
-
-    /// Batch form of [`Corpus::match_terms_with`]: one entry of
-    /// `expansions` per query, one result per query, in order. The
-    /// planner dedups terms across the whole batch (first-seen order),
-    /// performs each distinct term's posting-list traversal **once** —
-    /// scatter-gathered over the postings shards exactly like the
-    /// single-query path — and then assembles every query's union from
-    /// the memoized per-term match sets.
-    ///
-    /// Each query's result is **bit-identical** to
-    /// `match_terms_with(&expansions[i], workers)`: a union over sorted
-    /// deduplicated lists is a set operation, so sharing the per-term
-    /// traversals across queries cannot change any query's answer
-    /// (property-tested in `proptest_batch`).
-    pub fn match_terms_batch_with(
-        &self,
-        expansions: &[Vec<String>],
-        workers: usize,
-    ) -> Vec<Vec<TweetId>> {
-        // Distinct terms across the batch, first-seen order — the
-        // cross-query sharing the Zipf query mix makes common.
-        let mut term_index: HashMap<&str, usize> = HashMap::new();
-        let mut distinct: Vec<&String> = Vec::new();
-        for terms in expansions {
-            for term in terms {
-                if !term_index.contains_key(term.as_str()) {
-                    term_index.insert(term.as_str(), distinct.len());
-                    distinct.push(term);
-                }
-            }
-        }
-        let k = self.postings.shard_count();
-        let matches: Vec<TermMatch<'_>> = if workers <= 1 || k <= 1 || distinct.len() <= 1 {
-            distinct.iter().map(|term| self.match_term(term)).collect()
-        } else {
-            // Group distinct terms by home shard and traverse each
-            // group's postings as one task on the shared pool, then
-            // scatter the per-term match sets back into memo order.
-            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
-            for (i, term) in distinct.iter().enumerate() {
-                groups[self.term_home_shard(term)].push(i);
-            }
-            let distinct_ref = &distinct;
-            let tasks: Vec<_> = groups
-                .iter()
-                .filter(|group| !group.is_empty())
-                .map(|group| {
-                    move || {
-                        group
-                            .iter()
-                            .map(|&i| (i, self.match_term(distinct_ref[i])))
-                            .collect::<Vec<_>>()
-                    }
-                })
-                .collect();
-            let mut memo: Vec<Option<TermMatch<'_>>> =
-                (0..distinct.len()).map(|_| None).collect();
-            for part in esharp_par::shared_pool(workers).run(tasks) {
-                for (i, matched) in part {
-                    memo[i] = Some(matched);
-                }
-            }
-            memo.into_iter()
-                .map(|m| m.unwrap_or(TermMatch::Owned(Vec::new())))
-                .collect()
-        };
-        expansions
-            .iter()
-            .map(|terms| {
-                let lists: Vec<&[TweetId]> = terms
-                    .iter()
-                    .map(|term| matches[term_index[term.as_str()]].as_slice())
-                    .filter(|list| !list.is_empty())
-                    .collect();
-                self.without_tombstones(union_sorted(&lists))
-            })
-            .collect()
-    }
-
     /// The shard a term's postings traversal is charged to: the shard of
     /// its first known token. Load distribution only — correctness never
     /// depends on the assignment. Public so the chaos bench can aim a
     /// stall plan at the genuine home shard of its query mix.
     pub fn term_home_shard(&self, term: &str) -> usize {
+        if self.postings.shard_count() <= 1 {
+            return 0;
+        }
         let first = term
             .split_ascii_whitespace()
             .next()
@@ -1030,19 +895,18 @@ mod tests {
     fn match_terms_unions_per_term_matches() {
         let c = corpus();
         assert_eq!(
-            c.match_terms(&["49ers draft".to_string(), "niners".to_string()]),
+            c.match_terms_with(&["49ers draft".to_string(), "niners".to_string()], 1),
             vec![0, 1, 2]
         );
         // Overlapping terms dedup; unknown terms contribute nothing.
         assert_eq!(
-            c.match_terms(&[
-                "49ers".to_string(),
-                "draft".to_string(),
-                "zzz".to_string()
-            ]),
+            c.match_terms_with(
+                &["49ers".to_string(), "draft".to_string(), "zzz".to_string()],
+                1
+            ),
             vec![0, 1]
         );
-        assert!(c.match_terms(&[]).is_empty());
+        assert!(c.match_terms_with(&[], 1).is_empty());
     }
 
     #[test]
@@ -1169,7 +1033,7 @@ mod tests {
         // Hidden from both conjunctive match and expansion union.
         assert_eq!(c.match_query("draft"), vec![0]);
         assert_eq!(
-            c.match_terms(&["draft".to_string(), "niners".to_string()]),
+            c.match_terms_with(&["draft".to_string(), "niners".to_string()], 1),
             vec![0, 2]
         );
         // Totals roll back the RT's contribution.

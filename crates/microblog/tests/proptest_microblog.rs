@@ -72,7 +72,7 @@ fn string_keyed_reference_agrees_on_fixed_corpus() {
         .collect();
     union.sort_unstable();
     union.dedup();
-    assert_eq!(corpus.match_terms(&terms), union);
+    assert_eq!(corpus.match_terms_with(&terms, 1), union);
 }
 
 fn user(id: u32, handle: &str) -> User {
@@ -173,7 +173,7 @@ proptest! {
             .collect();
         reference.sort_unstable();
         reference.dedup();
-        prop_assert_eq!(corpus.match_terms(&terms), reference);
+        prop_assert_eq!(corpus.match_terms_with(&terms, 1), reference);
     }
 
     #[test]
@@ -210,6 +210,6 @@ proptest! {
             .collect();
         union.sort_unstable();
         union.dedup();
-        prop_assert_eq!(corpus.match_terms(&terms), union);
+        prop_assert_eq!(corpus.match_terms_with(&terms, 1), union);
     }
 }

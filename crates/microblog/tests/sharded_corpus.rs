@@ -65,8 +65,12 @@ fn assert_sharded_parity(
     for mode in [LoadMode::Copy, LoadMode::ZeroCopy] {
         let loaded = segio::load_sharded(&manifest, mode).expect("load_sharded");
         for terms in term_sets {
-            let serial = corpus.match_terms(terms);
-            assert_eq!(loaded.match_terms(terms), serial, "K={k} {mode:?} serial");
+            let serial = corpus.match_terms_with(terms, 1);
+            assert_eq!(
+                loaded.match_terms_with(terms, 1),
+                serial,
+                "K={k} {mode:?} serial"
+            );
             for &w in workers {
                 assert_eq!(
                     loaded.match_terms_with(terms, w),
@@ -225,9 +229,9 @@ proptest! {
         resharded.reshard(k);
         prop_assert_eq!(resharded.shard_count(), k.min(corpus.num_tokens().max(1)));
         for terms in &term_sets {
-            let serial = corpus.match_terms(terms);
+            let serial = corpus.match_terms_with(terms, 1);
             prop_assert_eq!(resharded.match_terms_with(terms, workers), serial.clone());
-            prop_assert_eq!(resharded.match_terms(terms), serial);
+            prop_assert_eq!(resharded.match_terms_with(terms, 1), serial);
         }
 
         // Disk round trip through both load modes.

@@ -640,6 +640,9 @@ fn request_deadline(state: &State, request: &Request) -> Result<Duration, ()> {
     }
 }
 
+/// `GET /search`: [`answer_queries`] for one query, its cold execution
+/// under the request's deadline with the server's chaos seams, breakers
+/// and hedging.
 fn handle_search(state: &State, request: &Request) -> Response {
     let normalized = match request.param("q").map(|q| q.trim().to_lowercase()) {
         Some(q) if !q.is_empty() => q,
@@ -656,65 +659,118 @@ fn handle_search(state: &State, request: &Request) -> Response {
         );
     };
     state.metrics.search_requests.fetch_add(1, SeqCst);
-    // The snapshots pin (collection, domains epoch) and (corpus, corpus
-    // epoch) as consistent pairs for the whole request; a reload,
-    // ingest, or compaction landing now affects the *next* request. The
-    // corpus read guard is held across the search — reads are concurrent
-    // with each other, and an ingest waits microseconds, a compaction
-    // publish waits one search. The breakers' health epoch is the 4th
-    // key component: a trip or recovery landing now changes the key, so
-    // a cached body can never cross a breaker state change.
-    let (esharp, epoch) = state.shared.snapshot();
-    let guard = state.live.read();
-    let key: CacheKey = (normalized, epoch, guard.epoch(), state.breakers.epoch());
-    if let Some(body) = state.cache.get(&key) {
-        state.metrics.cache_hits.fetch_add(1, SeqCst);
-        return Response::json(200, (*body).clone()).with_header("x-esharp-cache", "hit");
-    }
-    state.metrics.cache_misses.fetch_add(1, SeqCst);
-    let limit_us = deadline.as_micros().min(u64::MAX as u128) as u64;
-    let budget = Budget::with_clock(Arc::clone(&state.clock), limit_us);
-    let mut ctx = BoundedSearch::new(&budget)
-        .with_chaos(state.chaos.as_ref())
-        .with_breakers(&state.breakers);
-    if state.config.hedge {
-        let delay_us = state.config.hedge_delay.as_micros().min(u64::MAX as u128) as u64;
-        ctx = ctx.hedged(delay_us);
-    }
-    let outcome = esharp.search_bounded(guard.corpus(), &key.0, &ctx);
-    record_search_phases(state, &outcome);
-    state.metrics.hedges.fetch_add(outcome.hedges as u64, SeqCst);
-    state
-        .metrics
-        .hedge_wins
-        .fetch_add(outcome.hedge_wins as u64, SeqCst);
-    state
-        .metrics
-        .shard_panics
-        .fetch_add(outcome.shard_panics as u64, SeqCst);
-    let body = Arc::new(render_search_body(
-        guard.corpus(),
-        &key.0,
-        epoch,
-        key.2,
-        &outcome,
-    ));
-    // Only complete answers are cacheable: a partial body reflects this
-    // request's luck with the deadline, not the corpus, and must not be
-    // replayed to the next caller.
-    if outcome.partial.is_none() {
-        state.cache.insert(key, Arc::clone(&body));
-    } else {
-        state.metrics.partial_responses.fetch_add(1, SeqCst);
-    }
-    Response::json(200, (*body).clone()).with_header("x-esharp-cache", "miss")
+    let answered = answer_queries(state, [normalized], |esharp, corpus, cold| {
+        let limit_us = deadline.as_micros().min(u64::MAX as u128) as u64;
+        let budget = Budget::with_clock(Arc::clone(&state.clock), limit_us);
+        let mut ctx = BoundedSearch::new(&budget)
+            .with_chaos(state.chaos.as_ref())
+            .with_breakers(&state.breakers);
+        if state.config.hedge {
+            let delay_us = state.config.hedge_delay.as_micros().min(u64::MAX as u128) as u64;
+            ctx = ctx.hedged(delay_us);
+        }
+        cold.iter()
+            .map(|query| esharp.search_bounded(corpus, query, &ctx))
+            .collect()
+    });
+    let cache = if answered.cold == 0 { "hit" } else { "miss" };
+    let body = answered.bodies.into_iter().flatten().next();
+    Response::json(200, body.map_or_else(Vec::new, |body| (*body).clone()))
+        .with_header("x-esharp-cache", cache)
 }
 
-fn record_search_phases(state: &State, outcome: &SearchOutcome) {
-    state.metrics.expansion.record(outcome.expansion_time);
-    state.metrics.detection.record(outcome.detection_time);
-    state.metrics.match_phase.record(outcome.match_time);
-    state.metrics.rank_phase.record(outcome.rank_time);
+/// What [`answer_queries`] produced: one rendered body per query, in
+/// order, and the snapshot they were rendered against.
+struct Answered {
+    /// `Some` for every query `execute` returned an outcome for.
+    bodies: Vec<Option<Arc<Vec<u8>>>>,
+    epoch: u64,
+    corpus_epoch: u64,
+    /// How many of the queries missed the cache and were executed.
+    cold: usize,
+}
+
+/// Answer normalized queries against one pinned snapshot: cache get per
+/// query, the misses executed together by `execute`, phase metrics,
+/// render, and a cache insert of every complete answer. Both search
+/// endpoints are this function; they differ only in the `execute` they
+/// pass (one outcome per cold query, in order).
+///
+/// The snapshots pin (collection, domains epoch) and (corpus, corpus
+/// epoch) as consistent pairs for the whole request; a reload, ingest,
+/// or compaction landing now affects the *next* request. The corpus read
+/// guard is held across the search — reads are concurrent with each
+/// other, and an ingest waits microseconds, a compaction publish waits
+/// one search. The breakers' health epoch is the 4th key component: a
+/// trip or recovery landing now changes the key, so a cached body can
+/// never cross a breaker state change.
+fn answer_queries(
+    state: &State,
+    queries: impl IntoIterator<Item = String>,
+    execute: impl FnOnce(&Esharp, &Corpus, &[&str]) -> Vec<SearchOutcome>,
+) -> Answered {
+    let (esharp, epoch) = state.shared.snapshot();
+    let guard = state.live.read();
+    let corpus_epoch = guard.epoch();
+    let health_epoch = state.breakers.epoch();
+    let mut keys: Vec<CacheKey> = queries
+        .into_iter()
+        .map(|query| (query, epoch, corpus_epoch, health_epoch))
+        .collect();
+    let mut bodies: Vec<Option<Arc<Vec<u8>>>> =
+        keys.iter().map(|key| state.cache.get(key)).collect();
+    let cold: Vec<usize> = (0..keys.len()).filter(|&i| bodies[i].is_none()).collect();
+    let hits = (keys.len() - cold.len()) as u64;
+    state.metrics.cache_hits.fetch_add(hits, SeqCst);
+    state
+        .metrics
+        .cache_misses
+        .fetch_add(cold.len() as u64, SeqCst);
+    if !cold.is_empty() {
+        let cold_queries: Vec<&str> = cold.iter().map(|&i| keys[i].0.as_str()).collect();
+        let outcomes = execute(&esharp, guard.corpus(), &cold_queries);
+        // The shard accounting is per fan-out, not per outcome.
+        if let Some(fanout) = outcomes.first() {
+            state.metrics.hedges.fetch_add(fanout.hedges as u64, SeqCst);
+            state
+                .metrics
+                .hedge_wins
+                .fetch_add(fanout.hedge_wins as u64, SeqCst);
+            state
+                .metrics
+                .shard_panics
+                .fetch_add(fanout.shard_panics as u64, SeqCst);
+        }
+        for (&i, outcome) in cold.iter().zip(&outcomes) {
+            state.metrics.expansion.record(outcome.expansion_time);
+            state.metrics.detection.record(outcome.detection_time);
+            state.metrics.match_phase.record(outcome.match_time);
+            state.metrics.rank_phase.record(outcome.rank_time);
+            let body = Arc::new(render_search_body(
+                guard.corpus(),
+                &keys[i].0,
+                epoch,
+                corpus_epoch,
+                outcome,
+            ));
+            // Only complete answers are cacheable: a partial body
+            // reflects this request's luck with the deadline, not the
+            // corpus, and must not be replayed to the next caller.
+            if outcome.partial.is_none() {
+                let key = std::mem::take(&mut keys[i]);
+                state.cache.insert(key, Arc::clone(&body));
+            } else {
+                state.metrics.partial_responses.fetch_add(1, SeqCst);
+            }
+            bodies[i] = Some(body);
+        }
+    }
+    Answered {
+        bodies,
+        epoch,
+        corpus_epoch,
+        cold: cold.len(),
+    }
 }
 
 /// `POST /search/batch`: the body is newline-separated queries; the
@@ -722,15 +778,14 @@ fn record_search_phases(state: &State, outcome: &SearchOutcome) {
 /// where each element of `results` is byte-identical to the
 /// `GET /search` body for that query against the same snapshot.
 ///
-/// Cached queries are answered from the result cache; the uncached rest
-/// go through the batch planner
-/// ([`Esharp::search_batch`](esharp_core::Esharp::search_batch)), which
-/// performs each distinct posting-list traversal once for the whole
-/// batch. Batch execution is *unbounded* (no deadline, hedging, or
-/// breaker routing): a batch is a throughput endpoint, its answers are
-/// complete by construction, and complete answers are exactly what the
-/// cache may hold — so batch-computed bodies are cached under the same
-/// epoch-keyed contract as singles.
+/// [`answer_queries`] with the uncached queries executed together by
+/// [`Esharp::search_batch`](esharp_core::Esharp::search_batch), which
+/// walks each distinct posting list once for the whole batch. Batch
+/// execution is *unbounded* (no deadline, hedging, or breaker routing):
+/// a batch is a throughput endpoint, its answers are complete by
+/// construction, and complete answers are exactly what the cache may
+/// hold — so batch-computed bodies are cached under the same epoch-keyed
+/// contract as singles.
 fn handle_search_batch(state: &State, request: &Request) -> Response {
     state.metrics.batch_requests.fetch_add(1, SeqCst);
     let Ok(text) = std::str::from_utf8(&request.body) else {
@@ -755,64 +810,25 @@ fn handle_search_batch(state: &State, request: &Request) -> Response {
         );
         return Response::json(400, body.into_bytes());
     }
-    state
-        .metrics
-        .batch_queries
-        .fetch_add(queries.len() as u64, SeqCst);
-    let (esharp, epoch) = state.shared.snapshot();
-    let guard = state.live.read();
-    let corpus_epoch = guard.epoch();
-    let health_epoch = state.breakers.epoch();
-    let mut bodies: Vec<Option<Arc<Vec<u8>>>> = vec![None; queries.len()];
-    let mut cold: Vec<usize> = Vec::new();
-    for (i, query) in queries.iter().enumerate() {
-        let key: CacheKey = (query.clone(), epoch, corpus_epoch, health_epoch);
-        if let Some(body) = state.cache.get(&key) {
-            state.metrics.cache_hits.fetch_add(1, SeqCst);
-            bodies[i] = Some(body);
-        } else {
-            state.metrics.cache_misses.fetch_add(1, SeqCst);
-            cold.push(i);
-        }
-    }
-    if !cold.is_empty() {
-        let cold_queries: Vec<&str> = cold.iter().map(|&i| queries[i].as_str()).collect();
-        let outcomes = esharp.search_batch(guard.corpus(), &cold_queries);
-        for (&i, outcome) in cold.iter().zip(&outcomes) {
-            record_search_phases(state, outcome);
-            let body = Arc::new(render_search_body(
-                guard.corpus(),
-                &queries[i],
-                epoch,
-                corpus_epoch,
-                outcome,
-            ));
-            state.cache.insert(
-                (queries[i].clone(), epoch, corpus_epoch, health_epoch),
-                Arc::clone(&body),
-            );
-            bodies[i] = Some(body);
-        }
-    }
-    let payload: usize = bodies
-        .iter()
-        .map(|b| b.as_ref().map_or(0, |b| b.len() + 1))
-        .sum();
+    let batch = queries.len();
+    state.metrics.batch_queries.fetch_add(batch as u64, SeqCst);
+    let answered = answer_queries(state, queries, |esharp, corpus, cold| {
+        esharp.search_batch(corpus, cold)
+    });
+    let payload: usize = answered.bodies.iter().flatten().map(|b| b.len() + 1).sum();
     let mut out = Vec::with_capacity(64 + payload);
     out.extend_from_slice(b"{\"batch\":");
-    out.extend_from_slice(queries.len().to_string().as_bytes());
+    out.extend_from_slice(batch.to_string().as_bytes());
     out.extend_from_slice(b",\"epoch\":");
-    out.extend_from_slice(epoch.to_string().as_bytes());
+    out.extend_from_slice(answered.epoch.to_string().as_bytes());
     out.extend_from_slice(b",\"corpus_epoch\":");
-    out.extend_from_slice(corpus_epoch.to_string().as_bytes());
+    out.extend_from_slice(answered.corpus_epoch.to_string().as_bytes());
     out.extend_from_slice(b",\"results\":[");
-    for (i, body) in bodies.iter().enumerate() {
+    for (i, body) in answered.bodies.iter().flatten().enumerate() {
         if i > 0 {
             out.push(b',');
         }
-        if let Some(body) = body {
-            out.extend_from_slice(body);
-        }
+        out.extend_from_slice(body);
     }
     out.extend_from_slice(b"]}");
     Response::json(200, out)
@@ -1094,9 +1110,11 @@ fn render_degradation(out: &mut String, degradation: &Degradation) {
     out.push('}');
 }
 
-/// Run a search against a pinned snapshot and render its body — the cold
-/// path as one call, shared by the server and by tests asserting the
-/// cache's byte-identical-hit property.
+/// Run an unbounded search against a pinned snapshot and render its body
+/// — the bytes a complete `GET /search` answer must equal. The server
+/// itself goes through `answer_queries`; this is the in-process reference
+/// that the cache/chaos/ingest property suites and the benchmark's
+/// `ingest_mixed` workload compare served bodies with.
 pub fn search_and_render(
     corpus: &Corpus,
     esharp: &Esharp,

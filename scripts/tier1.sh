@@ -8,6 +8,11 @@
 #           pipelined reuse, /search/batch ≡ sequential singles,
 #           request-grained shedding, degraded reload, clean shutdown)
 #   bench   all Criterion bench targets compile (not run)
+#   repo    the repo benchmark's smoke pass (benchmark/, its own package):
+#           every workload on tiny fixtures, every response checked
+#           byte-for-byte against in-process search — benchmark/ pins the
+#           match/search/rank entry points by name, so an API break or
+#           a body drift fails here and not in the bench driver
 #   online  esharp bench --online smoke: interned and string-keyed read
 #           paths return identical experts, report is well-formed
 #   ingest  streaming-ingestion smoke over real sockets: append → search
@@ -55,9 +60,14 @@ cargo test -q -p esharp-serve --test smoke
 echo "== tier-1: cargo bench --no-run"
 cargo bench --no-run
 
-echo "== tier-1: esharp bench --online smoke (interned vs string-keyed parity)"
+echo "== tier-1: repo benchmark smoke (benchmark/ builds; served bodies ≡ in-process search)"
+bench_dir="$(mktemp -d)"
 online_dir="$(mktemp -d)"
-trap 'rm -rf "$online_dir"' EXIT
+trap 'rm -rf "$bench_dir" "$online_dir"' EXIT
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --smoke --seconds 1 --out "$bench_dir" >/dev/null
+
+echo "== tier-1: esharp bench --online smoke (interned vs string-keyed parity)"
 ./target/release/esharp bench --online --scale tiny --seed 7 --queries 200 \
   --json --out "$online_dir" >/dev/null
 for key in '"bench": "online"' '"name": "interned"' '"name": "string_keyed"' \
