@@ -130,4 +130,15 @@ mod tests {
         let back: EsharpConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back.min_support, c.min_support);
     }
+
+    #[test]
+    fn configs_written_with_a_since_removed_knob_still_load() {
+        // A detector section saved while it still had a worker-count
+        // field (removed in PR 17) carries a key nothing reads any more.
+        let json = serde_json::to_string(&EsharpConfig::tiny()).unwrap();
+        let old = json.replacen("\"max_results\":", "\"retired_knob\":4,\"max_results\":", 1);
+        assert_ne!(old, json, "the detector section serializes max_results");
+        let back: EsharpConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(back.detector.max_results, 15);
+    }
 }

@@ -11,6 +11,7 @@ use esharp_expert::ExpertResult;
 use esharp_fault::Budget;
 use esharp_microblog::{BoundedSearch, Corpus};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -265,9 +266,9 @@ impl Esharp {
     /// it when `expand` is off), match the whole batch through
     /// [`Corpus::match_expansions`] — under `ctx`, or under a budget that
     /// never expires when there is none — and rank every match set
-    /// through one [`ExpertiseRetriever::retrieve_batch`] call. Every
-    /// entry point above is this with a batch of one, no context, or no
-    /// expansion.
+    /// through one [`ExpertiseRetriever::retrieve_batch`] call, both over
+    /// the batch's distinct term sets. Every entry point above is this
+    /// with a batch of one, no context, or no expansion.
     ///
     /// Phase timings are reported **amortized** (the phase cost divided
     /// evenly across the batch) so latency histograms fed per outcome
@@ -295,12 +296,29 @@ impl Esharp {
             .collect();
         let expansion_time = expansion_started.elapsed() / n;
 
+        // The members of a domain all expand to the same terms, each in
+        // its own order, and a union is a set operation: match and rank
+        // every distinct term set once and hand the result to each query
+        // that planned it.
         let match_started = Instant::now();
+        let mut plan_index: HashMap<Vec<&str>, usize> = HashMap::new();
+        let mut plans: Vec<&[String]> = Vec::new();
+        let plan_of: Vec<usize> = expansions
+            .iter()
+            .map(|terms| {
+                let mut key: Vec<&str> = terms.iter().map(String::as_str).collect();
+                key.sort_unstable();
+                key.dedup();
+                *plan_index.entry(key).or_insert_with(|| {
+                    plans.push(terms);
+                    plans.len() - 1
+                })
+            })
+            .collect();
         let no_deadline = Budget::wall(Duration::MAX);
         let unbounded = BoundedSearch::new(&no_deadline);
-        let terms: Vec<&[String]> = expansions.iter().map(Vec::as_slice).collect();
         let (matched, shards) = corpus.match_expansions(
-            &terms,
+            &plans,
             self.config.search_workers,
             ctx.unwrap_or(&unbounded),
         );
@@ -315,12 +333,11 @@ impl Esharp {
         });
         expansions
             .into_iter()
-            .zip(matched)
-            .zip(experts)
-            .map(|((expansion, matched), experts)| SearchOutcome {
-                experts,
+            .zip(plan_of)
+            .map(|(expansion, plan)| SearchOutcome {
+                experts: experts.get(plan).cloned().unwrap_or_default(),
                 expansion,
-                matched_tweets: matched.len(),
+                matched_tweets: matched.get(plan).map_or(0, Vec::len),
                 expansion_time,
                 detection_time: match_time + rank_time,
                 match_time,
@@ -456,6 +473,42 @@ mod tests {
             esharp.config().clone()
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_batch_ranks_each_distinct_term_set_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        struct Counting(AtomicUsize);
+        impl ExpertiseRetriever for Counting {
+            fn retrieve(&self, corpus: &Corpus, matched: &[u32]) -> Vec<ExpertResult> {
+                self.0.fetch_add(1, SeqCst);
+                crate::retriever::PalCountsRetriever::default().retrieve(corpus, matched)
+            }
+            fn name(&self) -> &'static str {
+                "counting"
+            }
+        }
+        let (_, corpus, esharp) = system();
+        // Every member of a domain small enough to expand whole plans
+        // the same term set, each in its own order.
+        let domain = esharp
+            .domains()
+            .domains()
+            .iter()
+            .find(|d| (2..=esharp.config().max_expansion_terms).contains(&d.len()))
+            .expect("a multi-term domain");
+        let mut queries: Vec<&str> = domain.iter().map(String::as_str).collect();
+        queries.push("completely unknown phrase");
+        let counting = Counting(AtomicUsize::new(0));
+        let batch = esharp.execute(&corpus, &queries, &counting, true, None);
+        assert_eq!(counting.0.load(SeqCst), 2, "one domain plus the unknown query");
+        for (query, got) in queries.iter().zip(&batch) {
+            let alone = esharp.search(&corpus, query);
+            assert_eq!(got.expansion, alone.expansion, "{query}: its own term order");
+            assert_eq!(got.expansion[0], *query);
+            assert_eq!(got.experts, alone.experts, "{query}");
+            assert_eq!(got.matched_tweets, alone.matched_tweets, "{query}");
+        }
     }
 
     #[test]

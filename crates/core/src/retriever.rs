@@ -83,9 +83,10 @@ impl Default for FrequencyRetriever {
 
 impl ExpertiseRetriever for FrequencyRetriever {
     fn retrieve(&self, corpus: &Corpus, matched: &[TweetId]) -> Vec<ExpertResult> {
+        let author = corpus.columns().author();
         let mut counts: HashMap<u32, u64> = HashMap::new();
         for &tid in matched {
-            *counts.entry(corpus.tweet(tid).author).or_insert(0) += 1;
+            *counts.entry(author[tid as usize]).or_insert(0) += 1;
         }
         let mut ranked: Vec<(u32, u64)> = counts.into_iter().collect();
         // Only the top `max_results` entries survive, so a full sort is

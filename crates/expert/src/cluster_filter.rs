@@ -12,20 +12,30 @@ use crate::detector::ExpertResult;
 /// Split results into two clusters by score (1-D 2-means, deterministic
 /// initialization at min/max) and keep the higher-scoring cluster.
 pub fn cluster_filter(results: Vec<ExpertResult>) -> Vec<ExpertResult> {
-    if results.len() < 4 {
-        return results;
-    }
     let scores: Vec<f64> = results.iter().map(|r| r.score).collect();
+    match cluster_cut(&scores) {
+        None => results,
+        Some(cut) => results.into_iter().filter(|r| r.score >= cut).collect(),
+    }
+}
+
+/// The score at and above which a candidate is in the higher cluster —
+/// all the filter is, once the scores are known. `None` when there is
+/// nothing to separate: fewer than four candidates, or all identical.
+pub(crate) fn cluster_cut(scores: &[f64]) -> Option<f64> {
+    if scores.len() < 4 {
+        return None;
+    }
     let mut lo = scores.iter().copied().fold(f64::INFINITY, f64::min);
     let mut hi = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     if (hi - lo).abs() < 1e-12 {
-        return results; // all identical: nothing to separate
+        return None;
     }
     // Lloyd iterations on one dimension converge in a handful of steps.
     let mut boundary = (lo + hi) / 2.0;
     for _ in 0..32 {
         let (mut sum_lo, mut n_lo, mut sum_hi, mut n_hi) = (0.0, 0usize, 0.0, 0usize);
-        for &s in &scores {
+        for &s in scores {
             if s < boundary {
                 sum_lo += s;
                 n_lo += 1;
@@ -49,8 +59,7 @@ pub fn cluster_filter(results: Vec<ExpertResult>) -> Vec<ExpertResult> {
         lo = new_lo;
         hi = new_hi;
     }
-    let cut = (lo + hi) / 2.0;
-    results.into_iter().filter(|r| r.score >= cut).collect()
+    Some((lo + hi) / 2.0)
 }
 
 #[cfg(test)]

@@ -3,10 +3,10 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::cluster_filter::cluster_filter;
+use crate::cluster_filter::{cluster_cut, cluster_filter};
 use crate::features::{collect_candidates, compute_features, CandidateScratch, Features};
 use crate::features_ext::{collect_extended, compute_extended, ExtendedWeights};
-use crate::normalize::{normalize_feature, z_scores};
+use crate::normalize::{normalize_feature, normalize_into, z_scores, z_scores_in_place};
 use esharp_microblog::{Corpus, TweetId, UserId};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -15,7 +15,12 @@ thread_local! {
     /// Per-thread candidate scratch: the serve worker pool shares one
     /// detector across threads, so the reusable buffers live here rather
     /// than behind a lock on the rank path.
-    static SCRATCH: RefCell<CandidateScratch> = RefCell::new(CandidateScratch::new());
+    static SCRATCH: RefCell<CandidateScratch> = RefCell::new(CandidateScratch::default());
+}
+
+/// The one checkout of the per-thread [`CandidateScratch`].
+fn with_scratch<R>(rank: impl FnOnce(&mut CandidateScratch) -> R) -> R {
+    SCRATCH.with(|scratch| rank(&mut scratch.borrow_mut()))
 }
 
 /// Detector configuration. Defaults follow the paper: the three features
@@ -42,17 +47,6 @@ pub struct DetectorConfig {
     /// production simplification dropped (ablation; `None` reproduces the
     /// paper's detector exactly).
     pub extended: Option<ExtendedWeights>,
-    /// Worker threads for candidate counting over large match sets
-    /// (chunk-parallel with a commutative integer merge — bit-identical
-    /// to serial at any setting; small match sets stay serial either
-    /// way). `1` keeps the rank path entirely on the caller.
-    #[serde(default = "default_rank_workers")]
-    pub rank_workers: usize,
-}
-
-/// Serde fallback for configs written before `rank_workers` existed.
-fn default_rank_workers() -> usize {
-    1
 }
 
 impl Default for DetectorConfig {
@@ -64,7 +58,6 @@ impl Default for DetectorConfig {
             log_epsilon: 1e-6,
             cluster_filter: false,
             extended: None,
-            rank_workers: default_rank_workers(),
         }
     }
 }
@@ -111,78 +104,95 @@ impl<'c> Detector<'c> {
     /// are bit-identical to [`Detector::rank_candidates_reference`]
     /// (enforced by proptest).
     pub fn rank_candidates(&self, matching: &[TweetId]) -> Vec<ExpertResult> {
-        self.rank_sets(std::iter::once(matching))
-            .pop()
-            .unwrap_or_default()
+        with_scratch(|scratch| self.rank_in(matching, scratch))
     }
 
     /// Rank several match sets — the batch planner's rank seam. Each
     /// set's result is bit-identical to calling
-    /// [`Detector::rank_candidates`] on it alone.
+    /// [`Detector::rank_candidates`] on it alone: every rank leaves the
+    /// scratch zeroed, so sets cannot observe each other; sharing one
+    /// checkout only amortizes the `RefCell` borrow.
     pub fn rank_candidates_batch(&self, match_sets: &[Vec<TweetId>]) -> Vec<Vec<ExpertResult>> {
-        self.rank_sets(match_sets.iter().map(Vec::as_slice))
-    }
-
-    /// Rank every set through a single checkout of the per-thread
-    /// [`CandidateScratch`]: every `collect_with` resets the scratch, so
-    /// sets cannot observe each other; sharing it only amortizes the
-    /// `RefCell` borrow and keeps the buffers hot across queries.
-    fn rank_sets<'m>(&self, sets: impl Iterator<Item = &'m [TweetId]>) -> Vec<Vec<ExpertResult>> {
-        SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            sets.map(|matching| self.rank_in(matching, &mut scratch))
+        with_scratch(|scratch| {
+            match_sets
+                .iter()
+                .map(|matching| self.rank_in(matching, scratch))
                 .collect()
         })
     }
 
+    /// The rank kernel: count candidates over the corpus columns, then
+    /// normalize, aggregate and select over the scratch's per-candidate
+    /// vectors. The returned `Vec` is the only allocation of a warm call.
     fn rank_in(&self, matching: &[TweetId], scratch: &mut CandidateScratch) -> Vec<ExpertResult> {
-        scratch.collect_with(self.corpus, matching, self.config.rank_workers);
-        if scratch.is_empty() {
-            return Vec::new();
-        }
-        // Candidates arrive in ascending user order — the same
-        // deterministic order the reference path sorts into.
-        let entries: Vec<(UserId, Features)> = scratch
-            .candidates()
-            .map(|(user, counts)| (user, compute_features(self.corpus, user, &counts)))
-            .collect();
-
-        let ts: Vec<f64> = entries.iter().map(|(_, f)| f.ts).collect();
-        let mi: Vec<f64> = entries.iter().map(|(_, f)| f.mi).collect();
-        let ri: Vec<f64> = entries.iter().map(|(_, f)| f.ri).collect();
-        let zts = normalize_feature(&ts, self.config.log_epsilon);
-        let zmi = normalize_feature(&mi, self.config.log_epsilon);
-        let zri = normalize_feature(&ri, self.config.log_epsilon);
-
-        // Optional extended feature tier (SS/NCS/RT/HUB).
-        let extended_contrib: Vec<f64> = match &self.config.extended {
-            None => vec![0.0; entries.len()],
+        scratch.collect(self.corpus, matching);
+        // The weighted sum, term by term in the reference's order so
+        // every score is the same f64: TS, MI, RI, then the extended tier.
+        let (w_ts, w_mi, w_ri) = self.config.weights;
+        let epsilon = self.config.log_epsilon;
+        let CandidateScratch { candidates, z, score, .. } = &mut *scratch;
+        normalize_into(candidates.iter().map(|(_, f)| f.ts), epsilon, z);
+        score.clear();
+        score.extend(z.iter().map(|z| w_ts * z));
+        normalize_into(candidates.iter().map(|(_, f)| f.mi), epsilon, z);
+        score.iter_mut().zip(&*z).for_each(|(s, z)| *s += w_mi * z);
+        normalize_into(candidates.iter().map(|(_, f)| f.ri), epsilon, z);
+        score.iter_mut().zip(&*z).for_each(|(s, z)| *s += w_ri * z);
+        match &self.config.extended {
+            // The reference adds a zero contribution, which turns a
+            // score of -0.0 into +0.0; `total_cmp` tells them apart.
+            None => score.iter_mut().for_each(|s| *s += 0.0),
             Some(weights) => {
                 scratch.collect_extended(self.corpus, matching);
-                let ext: Vec<crate::features_ext::ExtendedFeatures> = entries
-                    .iter()
-                    .map(|&(user, _)| {
-                        let counts = scratch.extended_of(user);
-                        let topic = scratch.counts_of(user);
-                        compute_extended(self.corpus, user, &counts, &topic)
-                    })
-                    .collect();
-                let zss = z_scores(&ext.iter().map(|f| f.ss).collect::<Vec<_>>());
-                let zncs = z_scores(&ext.iter().map(|f| f.ncs).collect::<Vec<_>>());
-                let zrt = z_scores(&ext.iter().map(|f| f.rt).collect::<Vec<_>>());
-                let zhub = z_scores(&ext.iter().map(|f| f.hub).collect::<Vec<_>>());
-                (0..entries.len())
-                    .map(|i| weights.combine(zss[i], zncs[i], zrt[i], zhub[i]))
-                    .collect()
+                scratch.ext.iter_mut().for_each(|column| z_scores_in_place(column));
+                let [zss, zncs, zrt, zhub] = &scratch.ext;
+                for (i, s) in scratch.score.iter_mut().enumerate() {
+                    *s += weights.combine(zss[i], zncs[i], zrt[i], zhub[i]);
+                }
             }
-        };
+        }
+        let results = self.finish(scratch);
+        scratch.reset();
+        results
+    }
 
-        self.finish(entries, zts, zmi, zri, extended_contrib)
+    /// The scoring tail: cluster cut and threshold, then the top
+    /// `max_results` by (score descending, user ascending) selected
+    /// before they are sorted, and only those materialized.
+    fn finish(&self, scratch: &mut CandidateScratch) -> Vec<ExpertResult> {
+        let CandidateScratch { candidates, score, order, .. } = scratch;
+        let score = &score[..];
+        let cut = self.config.cluster_filter.then(|| cluster_cut(score)).flatten();
+        order.clear();
+        order.extend((0..score.len() as u32).filter(|&i| {
+            let s = score[i as usize];
+            cut.is_none_or(|cut| s >= cut) && s >= self.config.min_zscore
+        }));
+        // Candidates are in ascending user order, so the index breaks ties.
+        let by_rank = |a: &u32, b: &u32| {
+            score[*b as usize].total_cmp(&score[*a as usize]).then_with(|| a.cmp(b))
+        };
+        let keep = self.config.max_results;
+        if order.len() > keep {
+            if keep > 0 {
+                order.select_nth_unstable_by(keep - 1, by_rank);
+            }
+            order.truncate(keep);
+        }
+        order.sort_unstable_by(by_rank);
+        order
+            .iter()
+            .map(|&i| {
+                let (user, features) = candidates[i as usize];
+                ExpertResult { user, score: score[i as usize], features }
+            })
+            .collect()
     }
 
     /// The pre-scratch implementation, kept verbatim as the string-keyed
-    /// era's rank path: per-query `HashMap` accumulation, then sort. The
-    /// online bench measures the scratch path against this baseline; the
+    /// era's rank path: per-query `HashMap` accumulation over `&Tweet`,
+    /// then sort — it never reads the columns the kernel ranks from. The
+    /// online bench measures the kernel against this baseline; the
     /// proptests pin both to bit-identical output.
     pub fn rank_candidates_reference(&self, matching: &[TweetId]) -> Vec<ExpertResult> {
         let candidate_counts = collect_candidates(self.corpus, matching);
@@ -211,8 +221,7 @@ impl<'c> Detector<'c> {
                     .iter()
                     .map(|&(user, _)| {
                         let counts = ext_counts.get(&user).copied().unwrap_or_default();
-                        let topic = candidate_counts.get(&user).copied().unwrap_or_default();
-                        compute_extended(self.corpus, user, &counts, &topic)
+                        compute_extended(self.corpus, user, &counts)
                     })
                     .collect();
                 let zss = z_scores(&ext.iter().map(|f| f.ss).collect::<Vec<_>>());
@@ -225,12 +234,12 @@ impl<'c> Detector<'c> {
             }
         };
 
-        self.finish(entries, zts, zmi, zri, extended_contrib)
+        self.finish_reference(entries, zts, zmi, zri, extended_contrib)
     }
 
-    /// Shared scoring tail: weighted sum, optional cluster filter,
-    /// threshold, sort, cap.
-    fn finish(
+    /// The reference's scoring tail: weighted sum, optional cluster
+    /// filter, threshold, sort, cap.
+    fn finish_reference(
         &self,
         entries: Vec<(UserId, Features)>,
         zts: Vec<f64>,
@@ -391,7 +400,7 @@ mod tests {
             },
         ] {
             let detector = Detector::new(&corpus, config);
-            let mut scratch = crate::features::CandidateScratch::new();
+            let mut scratch = crate::features::CandidateScratch::default();
             for domain in &world.domains {
                 let matching = corpus.match_query(&domain.label);
                 let fast = detector.rank_in(&matching, &mut scratch);

@@ -6,7 +6,10 @@
 //! * `RI` — retweet impact: `#retweets of user's tweets on topic /
 //!   #retweets of user's tweets`.
 
-use esharp_microblog::{Corpus, TweetId, UserId};
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::features_ext::{compute_extended, is_conversational, ExtendedCounts};
+use esharp_microblog::{Corpus, TweetId, UserId, NO_RETWEET};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -22,20 +25,17 @@ pub struct Features {
 }
 
 /// Per-candidate on-topic counts, before normalization by user totals.
+/// Tweet ids and the mention CSR are `u32`, so no count outgrows one:
+/// 12 bytes, and five users share a cache line of the dense table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TopicCounts {
     /// Matching tweets authored by the user.
-    pub tweets_on_topic: u64,
+    pub tweets_on_topic: u32,
     /// Mentions of the user inside matching tweets.
-    pub mentions_on_topic: u64,
+    pub mentions_on_topic: u32,
     /// Matching retweets of the user's content.
-    pub retweets_on_topic: u64,
+    pub retweets_on_topic: u32,
 }
-
-/// Matched-set size below which [`CandidateScratch::collect_with`] stays
-/// serial: candidate counting is an array index per event, so scattering
-/// a small match set over the pool costs more than the counting itself.
-pub const PARALLEL_COLLECT_THRESHOLD: usize = 4096;
 
 /// Candidate selection (§3): "a candidate expert is either an author of a
 /// tweet, or a person mentioned in a tweet. In both cases, the tweet must
@@ -64,189 +64,152 @@ pub fn collect_candidates(
     candidates
 }
 
-/// Reusable dense accumulators for candidate selection — the PR 1 flat
-/// accumulator pattern applied to the online rank path.
+/// Everything a rank needs besides its result, owned per thread and
+/// reused: the candidate-counting tables, indexed by user, and the
+/// per-candidate vectors of the running query.
 ///
-/// [`collect_candidates`] allocates a fresh `HashMap` per query; at
-/// serving rates that is the dominant allocation on the rank path. The
-/// scratch keeps one `Vec<TopicCounts>` sized to the corpus user table
-/// plus a touched list: accumulation is an array index per event, reset
-/// is `O(|touched|)`, and after warm-up a query allocates nothing here.
-/// Candidates come back in ascending user order — the same deterministic
-/// order the `HashMap`-then-sort path produces, so rankings are
-/// bit-identical (enforced by proptest).
+/// Counting reads the corpus's flat [`esharp_microblog::TweetColumns`]
+/// and is an array add plus a bit set per event. The bitmap's word sweep
+/// then yields the candidates in ascending user order — the order
+/// [`collect_candidates`]-then-sort produces, so every later sum adds in
+/// the same order and rankings are bit-identical (enforced by proptest)
+/// — with no sort and no per-event "first touch?" probe. Between
+/// queries every row and every bit is zero; a warm query allocates
+/// nothing here and writes nothing beyond its own candidates' rows.
 #[derive(Debug, Default)]
-pub struct CandidateScratch {
+pub(crate) struct CandidateScratch {
+    /// One row per corpus user.
     counts: Vec<TopicCounts>,
-    touched: Vec<UserId>,
-    ext_counts: Vec<crate::features_ext::ExtendedCounts>,
-    ext_touched: Vec<UserId>,
+    /// Bit `u` is set once the running query touched user `u`.
+    touched: Vec<u64>,
+    /// Extended-tier counts per candidate, when that tier is on.
+    ext_counts: Vec<ExtendedCounts>,
+    /// Set while a query is between `collect` and `reset`, so a query
+    /// that panicked half-way (a tweet id past the corpus) cannot leave
+    /// its counts to the thread's next one.
+    in_flight: bool,
+    /// The running query's candidates with their raw TS / MI / RI
+    /// ratios, in ascending user order.
+    pub(crate) candidates: Vec<(UserId, Features)>,
+    /// Their raw SS / NCS / RT / HUB, when the extended tier is on.
+    pub(crate) ext: [Vec<f64>; 4],
+    /// The feature column being normalized.
+    pub(crate) z: Vec<f64>,
+    /// Their aggregated scores.
+    pub(crate) score: Vec<f64>,
+    /// Indices into the vectors above: the candidates still in the
+    /// running, then the winners in rank order.
+    pub(crate) order: Vec<u32>,
 }
 
 impl CandidateScratch {
-    /// A fresh scratch; buffers grow to corpus size on first use.
-    pub fn new() -> CandidateScratch {
-        CandidateScratch::default()
-    }
-
-    /// Candidate selection (§3) into the dense table: same semantics as
-    /// [`collect_candidates`], reusing this scratch's buffers.
-    pub fn collect(&mut self, corpus: &Corpus, matching: &[TweetId]) {
-        for &u in &self.touched {
-            if let Some(c) = self.counts.get_mut(u as usize) {
-                *c = TopicCounts::default();
-            }
+    /// Candidate selection (§3) and the feature ratios, over the
+    /// columns: same semantics as [`collect_candidates`] +
+    /// [`compute_features`] per candidate in ascending user order.
+    pub(crate) fn collect(&mut self, corpus: &Corpus, matching: &[TweetId]) {
+        let users = corpus.users().len();
+        if self.in_flight {
+            self.counts.fill(TopicCounts::default());
+            self.touched.fill(0);
         }
-        self.touched.clear();
-        self.counts.resize(corpus.users().len(), TopicCounts::default());
+        // Grow-only, and only when the user table grew: a live corpus
+        // swap after compaction, or an `add_user`.
+        if users > self.counts.len() {
+            self.counts.resize(users, TopicCounts::default());
+            self.touched.resize(users.div_ceil(64), 0);
+        }
+        self.in_flight = true;
+
+        let columns = corpus.columns();
+        let (author, retweet_of) = (columns.author(), columns.retweet_of());
+        let (counts, touched) = (&mut self.counts[..], &mut self.touched[..]);
+        let mut touch = |user: UserId| touched[(user / 64) as usize] |= 1 << (user % 64);
         for &tid in matching {
-            let tweet = corpus.tweet(tid);
-            Self::touch(&mut self.counts, &mut self.touched, tweet.author).tweets_on_topic += 1;
-            for &mentioned in &tweet.mentions {
-                Self::touch(&mut self.counts, &mut self.touched, mentioned).mentions_on_topic +=
-                    1;
+            let t = tid as usize;
+            touch(author[t]);
+            counts[author[t] as usize].tweets_on_topic += 1;
+            for &mentioned in columns.mentions(tid) {
+                touch(mentioned);
+                counts[mentioned as usize].mentions_on_topic += 1;
             }
-            if let Some(original_author) = tweet.retweet_of {
-                Self::touch(&mut self.counts, &mut self.touched, original_author)
-                    .retweets_on_topic += 1;
-            }
-        }
-        self.touched.sort_unstable();
-    }
-
-    /// Candidate selection with optional chunk-parallel accumulation:
-    /// the matched list is split into fixed contiguous chunks, each
-    /// chunk's counts are accumulated independently on the shared pool,
-    /// and the partial counts are summed into the dense table. Counts
-    /// are integer adds (commutative) and candidates are sorted at the
-    /// end, so the result is bit-identical to [`CandidateScratch::collect`]
-    /// at any worker count. Small match sets (under
-    /// [`PARALLEL_COLLECT_THRESHOLD`]) stay serial — the scatter costs
-    /// more than the counting.
-    pub fn collect_with(&mut self, corpus: &Corpus, matching: &[TweetId], workers: usize) {
-        if workers <= 1 || matching.len() < PARALLEL_COLLECT_THRESHOLD {
-            self.collect(corpus, matching);
-        } else {
-            self.collect_parallel(corpus, matching, workers);
-        }
-    }
-
-    /// The parallel arm of [`CandidateScratch::collect_with`], split out
-    /// so tests can exercise the merge below the size threshold.
-    fn collect_parallel(&mut self, corpus: &Corpus, matching: &[TweetId], workers: usize) {
-        for &u in &self.touched {
-            if let Some(c) = self.counts.get_mut(u as usize) {
-                *c = TopicCounts::default();
+            if retweet_of[t] != NO_RETWEET {
+                touch(retweet_of[t]);
+                counts[retweet_of[t] as usize].retweets_on_topic += 1;
             }
         }
-        self.touched.clear();
-        self.counts.resize(corpus.users().len(), TopicCounts::default());
-        let chunk = matching.len().div_ceil(workers.max(1));
-        let tasks: Vec<_> = esharp_par::chunk_ranges(matching.len(), chunk)
-            .into_iter()
-            .map(|r| {
-                let slice = &matching[r];
-                move || collect_candidates(corpus, slice)
-            })
-            .collect();
-        for partial in esharp_par::shared_pool(workers).run(tasks) {
-            for (user, c) in partial {
-                let slot = Self::touch(&mut self.counts, &mut self.touched, user);
-                slot.tweets_on_topic += c.tweets_on_topic;
-                slot.mentions_on_topic += c.mentions_on_topic;
-                slot.retweets_on_topic += c.retweets_on_topic;
+
+        self.candidates.clear();
+        for (word, bits) in touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(bits);
+            while bits != 0 {
+                let user = (word * 64) as UserId + bits.trailing_zeros();
+                bits &= bits - 1;
+                let features = compute_features(corpus, user, &counts[user as usize]);
+                self.candidates.push((user, features));
             }
         }
-        self.touched.sort_unstable();
     }
 
-    /// A slot, recording the user in the touched list on first contact.
-    /// Counts only ever increment, so "still all-default" is exactly
-    /// "never touched since the last reset".
-    fn touch<'s>(
-        counts: &'s mut [TopicCounts],
-        touched: &mut Vec<UserId>,
-        user: UserId,
-    ) -> &'s mut TopicCounts {
-        let slot = &mut counts[user as usize];
-        if *slot == TopicCounts::default() {
-            touched.push(user);
-        }
-        slot
-    }
-
-    /// Candidates of the last [`CandidateScratch::collect`], in ascending
-    /// user order.
-    pub fn candidates(&self) -> impl Iterator<Item = (UserId, TopicCounts)> + '_ {
-        self.touched.iter().map(|&u| (u, self.counts[u as usize]))
-    }
-
-    /// Number of candidates collected.
-    pub fn len(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// True when the last collect produced no candidates.
-    pub fn is_empty(&self) -> bool {
-        self.touched.is_empty()
-    }
-
-    /// The counts of one candidate (all-zero for non-candidates).
-    pub fn counts_of(&self, user: UserId) -> TopicCounts {
-        self.counts.get(user as usize).copied().unwrap_or_default()
-    }
-
-    /// Extended-tier counts (authors only), dense-accumulated: same
-    /// semantics as [`crate::features_ext::collect_extended`].
-    pub fn collect_extended(&mut self, corpus: &Corpus, matching: &[TweetId]) {
-        use crate::features_ext::ExtendedCounts;
-        for &u in &self.ext_touched {
-            if let Some(c) = self.ext_counts.get_mut(u as usize) {
-                *c = ExtendedCounts::default();
-            }
-        }
-        self.ext_touched.clear();
+    /// The extended tier's raw features of every candidate, into `ext`:
+    /// same semantics as [`crate::features_ext::collect_extended`] +
+    /// [`compute_extended`] per candidate. Call after `collect`.
+    pub(crate) fn collect_extended(&mut self, corpus: &Corpus, matching: &[TweetId]) {
+        self.ext_counts.clear();
         self.ext_counts
-            .resize(corpus.users().len(), ExtendedCounts::default());
+            .resize(self.candidates.len(), ExtendedCounts::default());
+        let columns = corpus.columns();
+        let (author, retweet_of) = (columns.author(), columns.retweet_of());
         for &tid in matching {
-            let tweet = corpus.tweet(tid);
-            let slot = &mut self.ext_counts[tweet.author as usize];
-            if *slot == ExtendedCounts::default() {
-                self.ext_touched.push(tweet.author);
+            // Every author of a matched tweet is a candidate.
+            let Ok(i) = self
+                .candidates
+                .binary_search_by_key(&author[tid as usize], |&(user, _)| user)
+            else {
+                continue;
+            };
+            let row = &mut self.ext_counts[i];
+            row.tweets += 1;
+            if retweet_of[tid as usize] == NO_RETWEET {
+                row.original += 1;
             }
-            slot.tweets += 1;
-            if tweet.retweet_of.is_none() {
-                slot.original += 1;
+            if !is_conversational(corpus, tid) {
+                row.non_chat += 1;
             }
-            if !crate::features_ext::is_conversational(corpus, tid) {
-                slot.non_chat += 1;
+        }
+        self.ext.iter_mut().for_each(Vec::clear);
+        for (&(user, _), counts) in self.candidates.iter().zip(&self.ext_counts) {
+            let f = compute_extended(corpus, user, counts);
+            for (column, value) in self.ext.iter_mut().zip([f.ss, f.ncs, f.rt, f.hub]) {
+                column.push(value);
             }
         }
     }
 
-    /// Extended counts of one candidate (all-zero for non-authors).
-    pub fn extended_of(&self, user: UserId) -> crate::features_ext::ExtendedCounts {
-        self.ext_counts
-            .get(user as usize)
-            .copied()
-            .unwrap_or_default()
+    /// Zero the running query's rows (its bits went in the sweep).
+    pub(crate) fn reset(&mut self) {
+        for &(user, _) in &self.candidates {
+            self.counts[user as usize] = TopicCounts::default();
+        }
+        self.in_flight = false;
     }
 }
 
-/// Turn on-topic counts into the TS/MI/RI ratios. A zero denominator
-/// yields a zero feature (the user has no activity of that kind at all).
+/// `num / den`; a zero denominator yields a zero feature (the user has
+/// no activity of that kind at all).
+pub(crate) fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// Turn on-topic counts into the TS/MI/RI ratios.
 pub fn compute_features(corpus: &Corpus, user: UserId, counts: &TopicCounts) -> Features {
-    let ratio = |num: u64, den: u64| {
-        if den == 0 {
-            0.0
-        } else {
-            num as f64 / den as f64
-        }
-    };
     Features {
-        ts: ratio(counts.tweets_on_topic, corpus.tweets_by(user)),
-        mi: ratio(counts.mentions_on_topic, corpus.mentions_of(user)),
-        ri: ratio(counts.retweets_on_topic, corpus.retweets_of(user)),
+        ts: ratio(counts.tweets_on_topic.into(), corpus.tweets_by(user)),
+        mi: ratio(counts.mentions_on_topic.into(), corpus.mentions_of(user)),
+        ri: ratio(counts.retweets_on_topic.into(), corpus.retweets_of(user)),
     }
 }
 
@@ -329,37 +292,66 @@ mod tests {
         assert!(collect_candidates(&c, &[]).is_empty());
     }
 
+    /// What `collect` left in the scratch, as `collect_candidates` +
+    /// `compute_features` would report it.
+    fn collected(scratch: &CandidateScratch) -> Vec<(UserId, Features)> {
+        scratch.candidates.clone()
+    }
+
+    fn reference(c: &Corpus, matching: &[TweetId]) -> Vec<(UserId, Features)> {
+        let mut all: Vec<(UserId, Features)> = collect_candidates(c, matching)
+            .iter()
+            .map(|(&user, counts)| (user, compute_features(c, user, counts)))
+            .collect();
+        all.sort_by_key(|&(user, _)| user);
+        all
+    }
+
     #[test]
-    fn parallel_collect_is_bit_identical_to_serial() {
+    fn column_collect_equals_the_tweet_walk_in_ascending_user_order() {
         let c = corpus();
-        let matching = c.match_query("niners");
-        let mut serial = CandidateScratch::new();
-        serial.collect(&c, &matching);
-        let expected: Vec<(UserId, TopicCounts)> = serial.candidates().collect();
-        for workers in [2, 3, 8] {
-            let mut parallel = CandidateScratch::new();
-            // Call the parallel arm directly — the match set is far below
-            // the size threshold, which is exactly why this exercises the
-            // chunked merge.
-            parallel.collect_parallel(&c, &matching, workers);
-            let got: Vec<(UserId, TopicCounts)> = parallel.candidates().collect();
-            assert_eq!(got, expected, "divergence at workers={workers}");
+        let mut scratch = CandidateScratch::default();
+        for query in ["niners", "pasta", "today", "absent"] {
+            let matching = c.match_query(query);
+            scratch.collect(&c, &matching);
+            assert_eq!(collected(&scratch), reference(&c, &matching), "{query}");
+            scratch.reset();
+            assert!(scratch.counts.iter().all(|row| *row == TopicCounts::default()));
+            assert!(scratch.touched.iter().all(|&word| word == 0));
         }
     }
 
     #[test]
-    fn collect_with_resets_between_queries() {
+    fn tables_grow_with_the_user_table_and_never_shrink() {
+        let mut c = corpus();
+        let mut scratch = CandidateScratch::default();
+        scratch.collect(&c, &[0]);
+        scratch.reset();
+        assert_eq!((scratch.counts.len(), scratch.touched.len()), (3, 1));
+        for i in 0..70 {
+            c.add_user(&format!("u{i}"), "", "", 0, false).unwrap();
+        }
+        let id = c.append_tweet("u69", "niners with @alice").unwrap();
+        scratch.collect(&c, &[id]);
+        assert_eq!(collected(&scratch), reference(&c, &[id]));
+        scratch.reset();
+        assert_eq!((scratch.counts.len(), scratch.touched.len()), (73, 2));
+        // A smaller corpus on the same thread reuses the larger tables.
+        scratch.collect(&corpus(), &[0]);
+        assert_eq!(scratch.counts.len(), 73);
+    }
+
+    #[test]
+    fn a_query_that_panicked_leaves_nothing_to_the_next() {
         let c = corpus();
-        let niners = c.match_query("niners");
-        let pasta = c.match_query("pasta");
-        let mut scratch = CandidateScratch::new();
-        scratch.collect_parallel(&c, &niners, 2);
-        scratch.collect_parallel(&c, &pasta, 2);
-        let mut fresh = CandidateScratch::new();
-        fresh.collect(&c, &pasta);
-        assert_eq!(
-            scratch.candidates().collect::<Vec<_>>(),
-            fresh.candidates().collect::<Vec<_>>()
-        );
+        let mut scratch = CandidateScratch::default();
+        let out_of_range = [0, 2, 99];
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            scratch.collect(&c, &out_of_range)
+        }));
+        assert!(panicked.is_err(), "tweet 99 does not exist");
+        let matching = c.match_query("pasta");
+        scratch.collect(&c, &matching);
+        assert_eq!(collected(&scratch), reference(&c, &matching));
     }
 }

@@ -16,7 +16,7 @@
 //! * **HUB — network attention**: `log(1 + followers)`, the coarse
 //!   influence prior the original paper derives from the social graph.
 
-use crate::features::TopicCounts;
+use crate::features::ratio;
 use esharp_microblog::{Corpus, TweetId, UserId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -75,24 +75,10 @@ pub fn collect_extended(corpus: &Corpus, matching: &[TweetId]) -> HashMap<UserId
 }
 
 /// Turn extended counts into the feature vector.
-pub fn compute_extended(
-    corpus: &Corpus,
-    user: UserId,
-    counts: &ExtendedCounts,
-    topic: &TopicCounts,
-) -> ExtendedFeatures {
-    let ratio = |num: u64, den: u64| {
-        if den == 0 {
-            0.0
-        } else {
-            num as f64 / den as f64
-        }
-    };
+pub fn compute_extended(corpus: &Corpus, user: UserId, counts: &ExtendedCounts) -> ExtendedFeatures {
     let retweets_authored = counts.tweets.saturating_sub(counts.original);
-    // `topic.tweets_on_topic` equals `counts.tweets` for authors; the
-    // parameter keeps the signature honest for mentioned-only candidates
-    // (zero authored tweets ⇒ all ratios zero).
-    let _ = topic;
+    // Mentioned-only candidates authored nothing on topic: all-zero
+    // counts, so every ratio is zero.
     ExtendedFeatures {
         ss: ratio(counts.original, counts.tweets),
         ncs: ratio(counts.non_chat, counts.tweets),
@@ -186,9 +172,8 @@ mod tests {
         let c = corpus();
         let matching = c.match_query("niners");
         let counts = collect_extended(&c, &matching);
-        let topic = TopicCounts::default();
-        let orig = compute_extended(&c, 0, &counts[&0], &topic);
-        let amp = compute_extended(&c, 1, &counts[&1], &topic);
+        let orig = compute_extended(&c, 0, &counts[&0]);
+        let amp = compute_extended(&c, 1, &counts[&1]);
         assert!(orig.ss > amp.ss);
         assert!(amp.rt > orig.rt);
         assert!(orig.hub > amp.hub); // more followers
@@ -206,7 +191,7 @@ mod tests {
     #[test]
     fn empty_counts_are_all_zero() {
         let c = corpus();
-        let f = compute_extended(&c, 0, &ExtendedCounts::default(), &TopicCounts::default());
+        let f = compute_extended(&c, 0, &ExtendedCounts::default());
         assert_eq!(f.ss, 0.0);
         assert_eq!(f.rt, 0.0);
         assert!(f.hub > 0.0); // followers exist regardless of activity

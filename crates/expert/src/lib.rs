@@ -26,8 +26,6 @@ mod normalize;
 
 pub use cluster_filter::cluster_filter;
 pub use detector::{Detector, DetectorConfig, ExpertResult};
-pub use features::{
-    collect_candidates, compute_features, CandidateScratch, Features, TopicCounts,
-};
+pub use features::{collect_candidates, compute_features, Features, TopicCounts};
 pub use features_ext::{ExtendedFeatures, ExtendedWeights};
 pub use normalize::{log_transform, normalize_feature, z_scores};

@@ -12,24 +12,57 @@ pub fn log_transform(x: f64, epsilon: f64) -> f64 {
 /// Z-scores of a sample: `(x − µ) / σ`. When the standard deviation is 0
 /// (all candidates identical, or a single candidate), every z-score is 0.
 pub fn z_scores(values: &[f64]) -> Vec<f64> {
+    let mut out = values.to_vec();
+    z_scores_in_place(&mut out);
+    out
+}
+
+/// [`z_scores`] over the sample's own storage — the rank kernel's form,
+/// and the one place the sums are written, so the allocating and the
+/// in-place callers cannot differ in a single bit.
+pub(crate) fn z_scores_in_place(values: &mut [f64]) {
     let n = values.len();
     if n == 0 {
-        return Vec::new();
+        return;
     }
     let mean = values.iter().sum::<f64>() / n as f64;
     let variance = values.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
     let sd = variance.sqrt();
     if sd == 0.0 || !sd.is_finite() {
-        return vec![0.0; n];
+        values.fill(0.0);
+        return;
     }
-    values.iter().map(|x| (x - mean) / sd).collect()
+    for x in values {
+        *x = (*x - mean) / sd;
+    }
 }
 
 /// Apply the full paper pipeline to one feature column: log-transform then
 /// z-score.
 pub fn normalize_feature(values: &[f64], epsilon: f64) -> Vec<f64> {
-    let logged: Vec<f64> = values.iter().map(|&x| log_transform(x, epsilon)).collect();
-    z_scores(&logged)
+    let mut out = Vec::with_capacity(values.len());
+    normalize_into(values.iter().copied(), epsilon, &mut out);
+    out
+}
+
+/// [`normalize_feature`] into a reused buffer. MI and RI are zero for
+/// most candidates and `ln` is the cost of this pass, so `ln(0 + ε)` is
+/// taken once.
+pub(crate) fn normalize_into(
+    values: impl Iterator<Item = f64>,
+    epsilon: f64,
+    out: &mut Vec<f64>,
+) {
+    let ln_zero = log_transform(0.0, epsilon);
+    out.clear();
+    out.extend(values.map(|x| {
+        if x == 0.0 {
+            ln_zero
+        } else {
+            log_transform(x, epsilon)
+        }
+    }));
+    z_scores_in_place(out);
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Property-based tests of normalization and ranking invariants.
 
-use esharp_expert::{normalize_feature, z_scores, Detector, DetectorConfig};
+use esharp_expert::{
+    normalize_feature, z_scores, Detector, DetectorConfig, ExpertResult, ExtendedWeights,
+};
 use esharp_microblog::{Corpus, Tweet, User};
 use proptest::prelude::*;
 
@@ -36,21 +38,25 @@ proptest! {
     }
 }
 
-/// Build a corpus where user `i` posts `counts[i]` on-topic tweets and
-/// `off[i]` off-topic ones.
-fn corpus_from_counts(counts: &[u8], off: &[u8]) -> Corpus {
-    let users: Vec<User> = (0..counts.len() as u32)
+fn users(n: usize) -> Vec<User> {
+    (0..n as u32)
         .map(|id| User {
             id,
             handle: format!("u{id}"),
             display_name: String::new(),
             description: String::new(),
-            followers: 0,
+            followers: u64::from(id) * 7 % 5,
             verified: false,
             expert_domains: vec![],
             spam: false,
         })
-        .collect();
+        .collect()
+}
+
+/// Build a corpus where user `i` posts `counts[i]` on-topic tweets and
+/// `off[i]` off-topic ones.
+fn corpus_from_counts(counts: &[u8], off: &[u8]) -> Corpus {
+    let users = users(counts.len());
     let mut tweets = Vec::new();
     for (uid, (&on, &off_count)) in counts.iter().zip(off).enumerate() {
         for _ in 0..on {
@@ -131,4 +137,148 @@ proptest! {
             prop_assert!(pair[0].score >= pair[1].score);
         }
     }
+}
+
+/// Every detector setting the kernel branches on: the selection cap
+/// (none kept, one, the paper's 15, all), the threshold (off, the
+/// default, a strict one), and both ablation tiers on and off.
+fn config_grid() -> Vec<DetectorConfig> {
+    let mut grid = Vec::new();
+    for max_results in [0, 1, 15, usize::MAX] {
+        for min_zscore in [f64::NEG_INFINITY, 0.0, 2.0] {
+            for cluster_filter in [false, true] {
+                for extended in [None, Some(ExtendedWeights::default())] {
+                    grid.push(DetectorConfig {
+                        max_results,
+                        min_zscore,
+                        cluster_filter,
+                        extended,
+                        ..Default::default()
+                    });
+                }
+            }
+        }
+    }
+    grid
+}
+
+/// `ExpertResult: PartialEq` compares f64s with `==`, which calls -0.0
+/// and +0.0 equal; the kernel promises the same bits.
+fn bits(results: &[ExpertResult]) -> Vec<(u32, [u64; 4])> {
+    results
+        .iter()
+        .map(|r| {
+            let f = r.features;
+            (r.user, [r.score, f.ts, f.mi, f.ri].map(f64::to_bits))
+        })
+        .collect()
+}
+
+fn assert_kernel_is_the_reference(corpus: &Corpus, matching: &[u32]) {
+    for config in config_grid() {
+        let detector = Detector::new(corpus, config.clone());
+        assert_eq!(
+            bits(&detector.rank_candidates(matching)),
+            bits(&detector.rank_candidates_reference(matching)),
+            "{config:?} over {matching:?}"
+        );
+    }
+}
+
+/// A tweet by `author`: on or off topic, optionally a retweet of, a
+/// reply to, or a mention of another user.
+fn tweet_text(on_topic: bool, shape: u8, other: u32) -> String {
+    let body = if on_topic { "topic post" } else { "something else" };
+    match shape % 4 {
+        0 => body.to_string(),
+        1 => format!("rt @u{other}: {body}"),
+        2 => format!("@u{other} {body}"),
+        _ => format!("{body} with @u{other} and @u{}", other / 2),
+    }
+}
+
+proptest! {
+    #[test]
+    fn kernel_is_the_reference_over_delta_and_tombstones(
+        base in prop::collection::vec((0u32..8, prop::bool::ANY, 0u8..4, 0u32..8), 1..40),
+        appended in prop::collection::vec((0u32..8, prop::bool::ANY, 0u8..4, 0u32..8), 1..20),
+        deleted in prop::collection::vec(0usize..60, 0..12),
+        picks in prop::collection::vec(prop::bool::ANY, 60),
+    ) {
+        let tweets: Vec<Tweet> = base
+            .iter()
+            .enumerate()
+            .map(|(id, &(author, on_topic, shape, other))| {
+                Tweet::parse(id as u32, author, tweet_text(on_topic, shape, other), |h| {
+                    h.strip_prefix('u')?.parse().ok().filter(|&u: &u32| u < 8)
+                })
+            })
+            .collect();
+        let mut corpus = Corpus::new(users(8), tweets);
+        for &(author, on_topic, shape, other) in &appended {
+            corpus
+                .append_tweet(&format!("u{author}"), &tweet_text(on_topic, shape, other))
+                .unwrap();
+        }
+        for &id in &deleted {
+            // Out of range or already deleted: nothing to do.
+            let _ = corpus.delete_tweet(id as u32);
+        }
+        prop_assert!(corpus.has_delta());
+
+        // What a search hands the ranker, and any live subset of it.
+        assert_kernel_is_the_reference(&corpus, &corpus.match_query("topic"));
+        let subset: Vec<u32> = (0..corpus.tweets().len() as u32)
+            .filter(|&id| picks[id as usize] && !corpus.is_deleted(id))
+            .collect();
+        assert_kernel_is_the_reference(&corpus, &subset);
+    }
+}
+
+#[test]
+fn ties_single_candidates_and_flat_features_select_like_the_reference() {
+    let parse = |id: u32, author: u32, text: &str| {
+        Tweet::parse(id, author, text, |h| h.strip_prefix('u')?.parse().ok())
+    };
+    // Six users with the same activity: every feature column is flat, so
+    // σ = 0, every score is 0, and the cap cuts through one long tie
+    // that only the user id breaks.
+    let flat: Vec<Tweet> = (0..6)
+        .flat_map(|u| [(2 * u, u, "topic post"), (2 * u + 1, u, "something else")])
+        .map(|(id, author, text)| parse(id, author, text))
+        .collect();
+    let corpus = Corpus::new(users(6), flat);
+    let everyone = corpus.match_query("topic");
+    assert_kernel_is_the_reference(&corpus, &everyone);
+    let top: Vec<u32> = Detector::new(&corpus, DetectorConfig { max_results: 3, ..Default::default() })
+        .rank_candidates(&everyone)
+        .iter()
+        .map(|r| r.user)
+        .collect();
+    assert_eq!(top, vec![0, 1, 2], "equal scores rank by ascending user id");
+
+    // A single candidate: σ = 0 with n = 1.
+    assert_kernel_is_the_reference(&corpus, &everyone[..1]);
+    assert_kernel_is_the_reference(&corpus, &[]);
+
+    // Two score levels, σ > 0: users 1, 3, 4 tie above users 0, 2, 5 and
+    // a cap of 1 or 15 falls inside or across the upper tie.
+    let mut two_levels: Vec<Tweet> = Vec::new();
+    for user in 0..6u32 {
+        let on_topic = if [1, 3, 4].contains(&user) { 3 } else { 1 };
+        for i in 0..4 {
+            let text = if i < on_topic { "topic post" } else { "something else" };
+            two_levels.push(parse(two_levels.len() as u32, user, text));
+        }
+    }
+    let corpus = Corpus::new(users(6), two_levels);
+    let matching = corpus.match_query("topic");
+    assert_kernel_is_the_reference(&corpus, &matching);
+    let config = DetectorConfig { max_results: 2, min_zscore: f64::NEG_INFINITY, ..Default::default() };
+    let top: Vec<u32> = Detector::new(&corpus, config)
+        .rank_candidates(&matching)
+        .iter()
+        .map(|r| r.user)
+        .collect();
+    assert_eq!(top, vec![1, 3], "the cap falls inside the upper tie");
 }

@@ -3,6 +3,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::arena::CorpusArena;
+use crate::columns::TweetColumns;
 use crate::index::{intersect, PostingsIndex};
 use crate::intern::SymbolTable;
 use crate::tokenize::tokenize;
@@ -20,8 +21,10 @@ use std::collections::HashMap;
 ///   ([`Corpus::tweet_tokens`]),
 /// * a CSR token inverted index ([`PostingsIndex`]) for all-terms query
 ///   matching (§3),
-/// * per-user totals (#tweets, #mentions received, #retweets received) —
-///   the denominators of the TS / MI / RI features,
+/// * the rank-side [`TweetColumns`]: author / retweet source / mentions
+///   of every tweet as flat arrays, and per-user totals (#tweets,
+///   #mentions received, #retweets received) — the denominators of the
+///   TS / MI / RI features,
 /// * an LSM-style **delta segment** for streaming ingestion: tweets
 ///   appended after the last (re)build land in per-token delta posting
 ///   lists instead of the immutable CSR arena, deletions become
@@ -45,10 +48,9 @@ pub struct Corpus {
     postings: PostingsIndex,
     /// handle → user id.
     handle_index: HashMap<String, UserId>,
-    /// Per-user totals.
-    tweets_by_user: Vec<u64>,
-    mentions_of_user: Vec<u64>,
-    retweets_of_user: Vec<u64>,
+    /// What ranking reads of `tweets`, as flat arrays, plus the per-user
+    /// totals. Derived from `tweets` in memory, never persisted.
+    columns: TweetColumns,
     /// Tweets `[0, base_tweets)` are covered by the CSR postings; later
     /// ids live in `delta_postings`. Appended ids are always larger than
     /// every base id, so base ++ delta concatenation stays sorted.
@@ -72,25 +74,12 @@ impl Corpus {
         for u in &users {
             handle_index.insert(u.handle.clone(), u.id);
         }
-        let mut tweets_by_user = vec![0u64; users.len()];
-        let mut mentions_of_user = vec![0u64; users.len()];
-        let mut retweets_of_user = vec![0u64; users.len()];
+        let columns = TweetColumns::from_tweets(users.len(), &tweets);
         let mut symbols = SymbolTable::new();
         let mut token_offsets = Vec::with_capacity(tweets.len() + 1);
         let mut token_ids: Vec<TokenId> = Vec::new();
         token_offsets.push(0);
-        for (index, t) in tweets.iter().enumerate() {
-            debug_assert_eq!(
-                t.id as usize, index,
-                "tweet ids must equal their index for the per-user total vectors"
-            );
-            tweets_by_user[t.author as usize] += 1;
-            for &m in &t.mentions {
-                mentions_of_user[m as usize] += 1;
-            }
-            if let Some(orig) = t.retweet_of {
-                retweets_of_user[orig as usize] += 1;
-            }
+        for t in &tweets {
             for token in tokenize(&t.text) {
                 token_ids.push(symbols.intern(&token));
             }
@@ -110,9 +99,7 @@ impl Corpus {
             token_ids: CorpusArena::Owned(token_ids),
             postings,
             handle_index,
-            tweets_by_user,
-            mentions_of_user,
-            retweets_of_user,
+            columns,
             base_tweets,
             base_tokens,
             delta_postings: HashMap::new(),
@@ -122,7 +109,8 @@ impl Corpus {
 
     /// Reassemble a corpus from pre-built interned parts (the binary load
     /// path — no re-tokenization, no postings rebuild). Only the two small
-    /// hash indexes (handle → user, token text → id) are reconstructed.
+    /// hash indexes (handle → user, token text → id) and the rank-side
+    /// columns are reconstructed.
     /// The token arenas and postings may be owned or zero-copy views.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
@@ -140,6 +128,11 @@ impl Corpus {
         for u in &users {
             handle_index.insert(u.handle.clone(), u.id);
         }
+        let columns = TweetColumns::from_tweets(users.len(), &tweets).with_totals(
+            &tweets_by_user,
+            &mentions_of_user,
+            &retweets_of_user,
+        );
         let base_tweets = tweets.len() as u32;
         let base_tokens = symbols.len() as u32;
         Corpus {
@@ -150,9 +143,7 @@ impl Corpus {
             token_ids,
             postings,
             handle_index,
-            tweets_by_user,
-            mentions_of_user,
-            retweets_of_user,
+            columns,
             base_tweets,
             base_tokens,
             delta_postings: HashMap::new(),
@@ -221,17 +212,23 @@ impl Corpus {
 
     /// Total tweets authored by `user`.
     pub fn tweets_by(&self, user: UserId) -> u64 {
-        self.tweets_by_user[user as usize]
+        self.columns.totals()[user as usize].tweets
     }
 
     /// Total mentions received by `user`.
     pub fn mentions_of(&self, user: UserId) -> u64 {
-        self.mentions_of_user[user as usize]
+        self.columns.totals()[user as usize].mentions
     }
 
     /// Total retweets received by `user`.
     pub fn retweets_of(&self, user: UserId) -> u64 {
-        self.retweets_of_user[user as usize]
+        self.columns.totals()[user as usize].retweets
+    }
+
+    /// The rank-side columns: author, retweet source and mentions of
+    /// every tweet as flat arrays, and the packed per-user totals.
+    pub fn columns(&self) -> &TweetColumns {
+        &self.columns
     }
 
     /// Tweets matching a query: the tweet must contain **all** the query's
@@ -433,9 +430,7 @@ impl Corpus {
             spam: false,
         });
         self.handle_index.insert(handle.to_string(), id);
-        self.tweets_by_user.push(0);
-        self.mentions_of_user.push(0);
-        self.retweets_of_user.push(0);
+        self.columns.add_user();
         Ok(id)
     }
 
@@ -457,13 +452,7 @@ impl Corpus {
             let handles = &self.handle_index;
             Tweet::parse(id, author_id, text, |h| handles.get(h).copied())
         };
-        self.tweets_by_user[author_id as usize] += 1;
-        for &m in &tweet.mentions {
-            self.mentions_of_user[m as usize] += 1;
-        }
-        if let Some(orig) = tweet.retweet_of {
-            self.retweets_of_user[orig as usize] += 1;
-        }
+        self.columns.push(&tweet);
         for token in tokenize(&tweet.text) {
             let tok = self.symbols.intern(&token);
             self.token_ids.make_owned().push(tok);
@@ -491,20 +480,7 @@ impl Corpus {
             Ok(_) => return Err(format!("tweet {id} is already deleted")),
             Err(pos) => pos,
         };
-        let (author, retweet_of) = {
-            let t = &self.tweets[id as usize];
-            (t.author, t.retweet_of)
-        };
-        self.tweets_by_user[author as usize] =
-            self.tweets_by_user[author as usize].saturating_sub(1);
-        for i in 0..self.tweets[id as usize].mentions.len() {
-            let m = self.tweets[id as usize].mentions[i] as usize;
-            self.mentions_of_user[m] = self.mentions_of_user[m].saturating_sub(1);
-        }
-        if let Some(orig) = retweet_of {
-            self.retweets_of_user[orig as usize] =
-                self.retweets_of_user[orig as usize].saturating_sub(1);
-        }
+        self.columns.uncount(id);
         self.tombstones.insert(pos, id);
         Ok(())
     }
@@ -566,9 +542,7 @@ impl Corpus {
         let mut token_offsets: Vec<u32> = Vec::with_capacity(live + 1);
         let mut token_ids: Vec<TokenId> = Vec::new();
         token_offsets.push(0);
-        let mut tweets_by_user = vec![0u64; self.users.len()];
-        let mut mentions_of_user = vec![0u64; self.users.len()];
-        let mut retweets_of_user = vec![0u64; self.users.len()];
+        let mut columns = TweetColumns::with_capacity(self.users.len(), live);
 
         for t in &self.tweets {
             if self.tombstones.binary_search(&t.id).is_ok() {
@@ -576,13 +550,6 @@ impl Corpus {
             }
             let new_id = tweets.len() as TweetId;
             map[t.id as usize] = Some(new_id);
-            tweets_by_user[t.author as usize] += 1;
-            for &m in &t.mentions {
-                mentions_of_user[m as usize] += 1;
-            }
-            if let Some(orig) = t.retweet_of {
-                retweets_of_user[orig as usize] += 1;
-            }
             for &old_tok in self.tweet_tokens(t.id) {
                 let new_tok = if token_map[old_tok as usize] == UNMAPPED {
                     let fresh = new_texts.len() as TokenId;
@@ -597,6 +564,7 @@ impl Corpus {
             token_offsets.push(token_ids.len() as u32);
             let mut survivor = t.clone();
             survivor.id = new_id;
+            columns.push(&survivor);
             tweets.push(survivor);
         }
 
@@ -630,9 +598,7 @@ impl Corpus {
             token_ids: CorpusArena::Owned(token_ids),
             postings,
             handle_index: self.handle_index.clone(),
-            tweets_by_user,
-            mentions_of_user,
-            retweets_of_user,
+            columns,
             base_tweets,
             base_tokens,
             delta_postings: HashMap::new(),
@@ -697,9 +663,7 @@ pub(crate) struct CorpusBuilder {
     symbols: SymbolTable,
     token_offsets: Vec<u32>,
     token_ids: Vec<TokenId>,
-    tweets_by_user: Vec<u64>,
-    mentions_of_user: Vec<u64>,
-    retweets_of_user: Vec<u64>,
+    columns: TweetColumns,
 }
 
 impl CorpusBuilder {
@@ -717,9 +681,7 @@ impl CorpusBuilder {
             symbols: SymbolTable::new(),
             token_offsets: vec![0],
             token_ids: Vec::new(),
-            tweets_by_user: vec![0; n],
-            mentions_of_user: vec![0; n],
-            retweets_of_user: vec![0; n],
+            columns: TweetColumns::with_capacity(n, 0),
         }
     }
 
@@ -737,13 +699,7 @@ impl CorpusBuilder {
     /// text into the CSR arena, and retain it.
     pub(crate) fn push_tweet(&mut self, tweet: Tweet) {
         debug_assert_eq!(tweet.id, self.next_tweet_id());
-        self.tweets_by_user[tweet.author as usize] += 1;
-        for &m in &tweet.mentions {
-            self.mentions_of_user[m as usize] += 1;
-        }
-        if let Some(orig) = tweet.retweet_of {
-            self.retweets_of_user[orig as usize] += 1;
-        }
+        self.columns.push(&tweet);
         for token in tokenize(&tweet.text) {
             self.token_ids.push(self.symbols.intern(&token));
         }
@@ -769,9 +725,7 @@ impl CorpusBuilder {
             token_ids: CorpusArena::Owned(self.token_ids),
             postings,
             handle_index: self.handle_index,
-            tweets_by_user: self.tweets_by_user,
-            mentions_of_user: self.mentions_of_user,
-            retweets_of_user: self.retweets_of_user,
+            columns: self.columns,
             base_tweets,
             base_tokens,
             delta_postings: HashMap::new(),

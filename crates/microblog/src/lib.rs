@@ -9,8 +9,9 @@
 //! * [`User`], [`Tweet`] — entities, with mention/retweet parsing.
 //! * [`Corpus`] — indexed corpus: interned tokens ([`SymbolTable`]),
 //!   flat CSR postings ([`PostingsIndex`]), conjunctive all-terms query
-//!   matching (§3) with k-way expansion unions, per-user totals for the
-//!   TS/MI/RI feature denominators, JSON + checksummed binary
+//!   matching (§3) with k-way expansion unions, the rank-side
+//!   [`TweetColumns`] (flat author / retweet / mention arrays and the
+//!   per-user totals that are the TS/MI/RI denominators), JSON + checksummed binary
 //!   persistence (`corpus.bin`, zero-rebuild load).
 //! * [`generate_corpus`] — expert/regular/spam account generation with
 //!   topically concentrated experts and short posts (the recall problem
@@ -21,6 +22,7 @@
 pub mod arena;
 pub mod binio;
 pub mod bounded;
+mod columns;
 mod corpus;
 pub mod index;
 mod intern;
@@ -31,6 +33,7 @@ mod types;
 
 pub use arena::{AlignedBuf, CorpusArena};
 pub use bounded::{BoundedSearch, ShardOutcome};
+pub use columns::{TweetColumns, UserTotals, NO_RETWEET};
 pub use corpus::Corpus;
 pub use index::{PostingsIndex, PostingsShard};
 pub use intern::SymbolTable;

@@ -38,7 +38,8 @@
 #           plus the storage crate, the paged/planner modules, the
 #           event-loop front end (poller/conn/event_loop), and the
 #           batch planner path (corpus match, retriever, detector,
-#           online), and the refresh's input path (log aggregation,
+#           online), the rank kernel (tweet columns, candidate
+#           features), and the refresh's input path (log aggregation,
 #           graph builder) — keep their no-panic lint gate
 #
 # Usage: scripts/tier1.sh   (from the repo root or anywhere inside it)
@@ -132,6 +133,7 @@ for f in crates/relation/src/atomic.rs crates/relation/src/binfmt.rs \
          crates/serve/src/event_loop.rs \
          crates/microblog/src/corpus.rs crates/core/src/online.rs \
          crates/core/src/retriever.rs crates/expert/src/detector.rs \
+         crates/expert/src/features.rs crates/microblog/src/columns.rs \
          crates/querylog/src/aggregate.rs crates/graph/src/builder.rs; do
   grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' "$f" || {
     echo "missing unwrap/expect deny gate in $f" >&2
