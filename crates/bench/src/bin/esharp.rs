@@ -703,6 +703,10 @@ fn cluster(opts: &Options) {
     }
     if let Some(text) = report.explain {
         print!("{text}");
+        println!(
+            "planning (plan_sql + optimize, all iterations): {:.1?}",
+            report.plan_time
+        );
     }
 }
 

@@ -18,28 +18,31 @@
 //!              from neighbors group by comm2;
 //! ```
 //!
-//! `ModulGain` is registered as a scalar UDF closing over the current
-//! partition statistics (equations 8–9). Step 3 — "grouping and renaming
-//! … executed in one map-reduce pass" — applies the owner map to the
-//! communities table; communities absent from `partitions` (no positive
-//! neighbor) keep their name, and mutual selections collapse to the
-//! smaller id exactly as in the native implementation
+//! `ModulGain` is registered as a scalar UDF over the current partition
+//! statistics (equations 8–9), evaluated a column at a time. Step 3 —
+//! "grouping and renaming … executed in one map-reduce pass" — applies
+//! the owner map to the communities table; communities absent from
+//! `partitions` (no positive neighbor) keep their name, and mutual
+//! selections collapse to the smaller id exactly as in the native
+//! implementation
 //! ([`crate::parallel::choose_owners`]), so the two paths produce
 //! identical partitions iteration for iteration.
 
 use crate::assignment::Assignment;
-use crate::modularity::PartitionStats;
+use crate::modularity::{delta_mod, PartitionStats};
 use crate::parallel::{ClusteringOutcome, IterationStat};
 use esharp_graph::relation_io::multigraph_to_table;
 use esharp_graph::MultiGraph;
 use esharp_relation::{
-    explain_analyze, explain_physical, optimize, plan_sql, BufferPool, Catalog, Cluster, DataType,
-    ExecContext, FnUdf, JoinStrategy, PagedTable, PlanHistory, PoolStats, RelError, RelResult,
-    StatsRegistry, Value,
+    explain_analyze, explain_physical, optimize, plan_sql, BufferPool, Catalog, Cluster, Column,
+    DataType, ExecContext, JoinStrategy, PagedTable, PhysicalPlan, PlanHistory, PoolStats,
+    RelError, RelResult, ScalarUdf, StatsRegistry, Value,
 };
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Configuration of the SQL-based clustering loop.
 #[derive(Debug, Clone)]
@@ -91,6 +94,9 @@ pub struct SqlRunReport {
     pub pool: Option<PoolStats>,
     /// EXPLAIN / EXPLAIN ANALYZE text when `explain` was requested.
     pub explain: Option<String>,
+    /// Time spent turning the Figure 4 statements into physical plans
+    /// (`plan_sql` + `optimize`), summed over every iteration.
+    pub plan_time: Duration,
 }
 
 /// The Figure 4 statements (in this engine's dialect — standard `ON`
@@ -186,29 +192,31 @@ fn cluster_sql_inner(
     let mut partitions_history = PlanHistory::new();
 
     let mut assignment = Assignment::singletons(graph.num_nodes());
+    // The statistics of the current assignment: computed once per
+    // assignment, for its trace entry and for the next iteration's
+    // ModulGain.
+    let mut stats = PartitionStats::compute(graph, &assignment);
     let mut trace = Vec::with_capacity(config.max_iterations + 1);
     trace.push(IterationStat {
         iteration: 0,
         communities: graph.num_nodes(),
-        total_modularity: PartitionStats::compute(graph, &assignment).total_modularity(),
+        total_modularity: stats.total_modularity(),
         merges: 0,
     });
 
     for iteration in 1..=config.max_iterations {
         // Register the current communities table and the ModulGain UDF
-        // closing over this iteration's partition statistics.
-        let stats = PartitionStats::compute(graph, &assignment);
+        // over this iteration's partition statistics.
         ctx.catalog.register(
             "communities",
             esharp_graph::relation_io::assignment_to_table(assignment.as_slice())?,
         );
-        ctx.udfs.register(make_modulgain_udf(&stats));
+        ctx.udfs.register(Arc::new(ModulGain::new(&stats)));
 
         // Step 1 (SQL): neighborhood creation, planned with last
         // iteration's measurements.
         ctx.history = neighbors_history.clone();
-        let nplan = plan_sql(NEIGHBORS_SQL, &ctx)?;
-        let nphys = optimize(&nplan, &ctx)?;
+        let nphys = plan(NEIGHBORS_SQL, &ctx, &mut report.plan_time)?;
         if config.explain && iteration <= 2 {
             explain_text.push_str(&format!(
                 "-- iteration {iteration}: neighbors (EXPLAIN{})\n{}",
@@ -230,8 +238,7 @@ fn cluster_sql_inner(
 
         // Step 2 (SQL): neighborhood separation.
         ctx.history = partitions_history.clone();
-        let pplan = plan_sql(PARTITIONS_SQL, &ctx)?;
-        let pphys = optimize(&pplan, &ctx)?;
+        let pphys = plan(PARTITIONS_SQL, &ctx, &mut report.plan_time)?;
         let mark = registry.snapshot().len();
         let partitions = ctx.execute_physical(&pphys)?;
         let snap = registry.snapshot();
@@ -244,19 +251,15 @@ fn cluster_sql_inner(
         }
 
         // Step 3: aggregation/renaming.
+        let ints = |name: &str| {
+            partitions
+                .column_by_name(name)?
+                .as_int()
+                .ok_or_else(|| RelError::Eval(format!("non-int {name} column")))
+        };
         let mut owners: HashMap<u32, u32> = HashMap::with_capacity(partitions.num_rows());
-        let comm_col = partitions.column_by_name("comm2")?;
-        let owner_col = partitions.column_by_name("owner")?;
-        for row in 0..partitions.num_rows() {
-            let c = comm_col
-                .value(row)
-                .as_int()
-                .ok_or_else(|| RelError::Eval("non-int community".into()))? as u32;
-            let o = owner_col
-                .value(row)
-                .as_int()
-                .ok_or_else(|| RelError::Eval("non-int owner".into()))? as u32;
-            owners.insert(c, o);
+        for (&c, &o) in ints("comm2")?.iter().zip(ints("owner")?) {
+            owners.insert(c as u32, o as u32);
         }
         // Mutual selections collapse to the smaller id (same repair as the
         // native path; see `choose_owners`).
@@ -288,11 +291,11 @@ fn cluster_sql_inner(
             break;
         }
         assignment = renamed;
-        let after = PartitionStats::compute(graph, &assignment);
+        stats = PartitionStats::compute(graph, &assignment);
         trace.push(IterationStat {
             iteration,
-            communities: after.num_communities(),
-            total_modularity: after.total_modularity(),
+            communities: stats.num_communities(),
+            total_modularity: stats.total_modularity(),
             merges,
         });
     }
@@ -304,28 +307,122 @@ fn cluster_sql_inner(
     Ok((ClusteringOutcome { assignment, trace }, report))
 }
 
-/// Build the `ModulGain(comm1, comm2)` scalar UDF over a snapshot of the
-/// current partition statistics.
-fn make_modulgain_udf(stats: &PartitionStats) -> Arc<FnUdf<impl Fn(&[Value]) -> RelResult<Value> + Send + Sync>> {
-    let degree_sum: Arc<HashMap<u32, u64>> = Arc::new(stats.degree_sum.clone());
-    let between: Arc<HashMap<(u32, u32), u64>> = Arc::new(stats.between_edges.clone());
-    let m_g = stats.total_edges as f64;
-    Arc::new(FnUdf::new("ModulGain", DataType::Float, move |args| {
-        let [a, b] = args else {
-            return Err(RelError::Eval("ModulGain expects 2 arguments".into()));
-        };
-        let (Some(a), Some(b)) = (a.as_int(), b.as_int()) else {
-            return Err(RelError::Eval("ModulGain expects integer community ids".into()));
-        };
+/// Parse, bind and optimize one statement, adding the time taken to
+/// `spent`.
+fn plan(sql: &str, ctx: &ExecContext, spent: &mut Duration) -> RelResult<PhysicalPlan> {
+    let started = Instant::now();
+    let physical = optimize(&plan_sql(sql, ctx)?, ctx)?;
+    *spent += started.elapsed();
+    Ok(physical)
+}
+
+/// `ModulGain(comm1, comm2)`: the gain of merging two communities under
+/// one iteration's partition statistics (equations 8–9), evaluated as a
+/// typed `INT × INT → FLOAT` kernel over the argument columns.
+struct ModulGain {
+    /// Degree sum per community id; 0 for an id that is no community.
+    degree: Vec<u64>,
+    /// Inter-community edge counts by [`pair_key`].
+    between: HashMap<u64, u64, BuildHasherDefault<PairHasher>>,
+    /// Total unit edges `m_G`.
+    m_g: f64,
+}
+
+impl ModulGain {
+    fn new(stats: &PartitionStats) -> Self {
+        let len = stats.degree_sum.keys().max().map_or(0, |&c| c as usize + 1);
+        let mut degree = vec![0; len];
+        for (&c, &d) in &stats.degree_sum {
+            degree[c as usize] = d;
+        }
+        ModulGain {
+            degree,
+            between: stats
+                .between_edges
+                .iter()
+                .map(|(&(a, b), &m)| (pair_key(a, b), m))
+                .collect(),
+            m_g: stats.total_edges as f64,
+        }
+    }
+
+    /// [`PartitionStats::delta_mod`] of two community ids, with the same
+    /// operands in the same order.
+    fn gain(&self, a: i64, b: i64) -> f64 {
         let (a, b) = (a as u32, b as u32);
         if a == b {
-            return Ok(Value::Float(0.0));
+            return 0.0;
         }
-        let m12 = *between.get(&(a.min(b), a.max(b))).unwrap_or(&0) as f64;
-        let d1 = *degree_sum.get(&a).unwrap_or(&0) as f64;
-        let d2 = *degree_sum.get(&b).unwrap_or(&0) as f64;
-        Ok(Value::Float(crate::modularity::delta_mod(m12, d1, d2, m_g)))
-    }))
+        let m12 = self.between.get(&pair_key(a, b)).copied().unwrap_or(0) as f64;
+        let degree = |c: u32| self.degree.get(c as usize).copied().unwrap_or(0) as f64;
+        delta_mod(m12, degree(a), degree(b), self.m_g)
+    }
+}
+
+/// An unordered community pair as one integer key.
+fn pair_key(a: u32, b: u32) -> u64 {
+    (u64::from(a.min(b)) << 32) | u64::from(a.max(b))
+}
+
+/// Hashes a [`pair_key`] with one multiply, folding the well-mixed high
+/// half onto the low bits the table indexes by.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let h = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+fn modulgain_args_error() -> RelError {
+    RelError::Eval("ModulGain expects 2 integer community ids".into())
+}
+
+impl ScalarUdf for ModulGain {
+    fn name(&self) -> &str {
+        "ModulGain"
+    }
+
+    fn output_type(&self) -> DataType {
+        DataType::Float
+    }
+
+    fn invoke(&self, args: &[Value]) -> RelResult<Value> {
+        let [a, b] = args else {
+            return Err(modulgain_args_error());
+        };
+        let (Some(a), Some(b)) = (a.as_int(), b.as_int()) else {
+            return Err(modulgain_args_error());
+        };
+        Ok(Value::Float(self.gain(a, b)))
+    }
+
+    fn invoke_column(&self, args: &[&Column], rows: usize) -> RelResult<Column> {
+        if rows == 0 {
+            return Ok(Column::Float(Vec::new()));
+        }
+        let [a, b] = args else {
+            return Err(modulgain_args_error());
+        };
+        let (Some(a), Some(b)) = (a.as_int(), b.as_int()) else {
+            return Err(modulgain_args_error());
+        };
+        Ok(Column::Float(
+            a.iter().zip(b).map(|(&a, &b)| self.gain(a, b)).collect(),
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -403,6 +500,7 @@ mod tests {
         assert!(text.contains("SeqScan: graph"));
         assert!(text.contains("actual:"));
         assert!(text.contains("history-informed"));
+        assert!(report.plan_time > Duration::ZERO);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use esharp_community::{
     PartitionStats, SqlClusterConfig,
 };
 use esharp_graph::MultiGraph;
+use esharp_relation::{JoinStrategy, PAGE_SIZE};
 use proptest::prelude::*;
 
 /// Random multigraph strategy: up to `n` nodes, random weighted edges.
@@ -87,10 +88,34 @@ proptest! {
     }
 
     #[test]
-    fn sql_equals_native_on_random_graphs(g in arb_multigraph(10, 30)) {
+    fn sql_equals_native_on_random_graphs(g in arb_multigraph(60, 300)) {
         let native = cluster_parallel(&g, &ParallelConfig::default());
-        let sql = cluster_sql(&g, &SqlClusterConfig::default()).unwrap();
-        prop_assert_eq!(native.assignment, sql.assignment);
+        let configs = [
+            ("in memory", SqlClusterConfig::default()),
+            (
+                // Two pool pages and a 256 B grant: every scan pages and
+                // every join and aggregate spills.
+                "out of core",
+                SqlClusterConfig {
+                    buffer_pool_bytes: Some(2 * PAGE_SIZE),
+                    memory_grant: Some(256),
+                    ..SqlClusterConfig::default()
+                },
+            ),
+            (
+                "3 workers, co-partitioned",
+                SqlClusterConfig {
+                    workers: 3,
+                    join_strategy: JoinStrategy::CoPartitioned,
+                    ..SqlClusterConfig::default()
+                },
+            ),
+        ];
+        for (name, config) in configs {
+            let sql = cluster_sql(&g, &config).unwrap();
+            prop_assert_eq!(&native.assignment, &sql.assignment, "{}", name);
+            prop_assert_eq!(&native.trace, &sql.trace, "{}", name);
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub fn encode_table(table: &Table) -> Bytes {
         payload.put_u16_le(field.name.len() as u16);
         payload.put_slice(field.name.as_bytes());
         payload.put_u8(dtype_tag(field.dtype));
-        match column {
+        match column.as_ref() {
             Column::Bool(v) => {
                 for &b in v {
                     payload.put_u8(b as u8);

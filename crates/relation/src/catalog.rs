@@ -78,8 +78,8 @@ impl Catalog {
     }
 
     /// Fetch a table by case-insensitive name, materializing a paged
-    /// source fully. In-memory handles are cloned (column payloads are
-    /// shared `Arc`s for strings and copied vectors for numerics).
+    /// source fully. In-memory tables share their columns with the
+    /// catalog's copy.
     pub fn get(&self, name: &str) -> RelResult<Table> {
         match self.get_source(name)? {
             Source::Mem(t) => Ok(t),
@@ -91,16 +91,21 @@ impl Catalog {
     /// the physical scan operator uses this to push predicates into the
     /// page stream.
     pub fn get_source(&self, name: &str) -> RelResult<Source> {
-        self.tables
-            .read()
+        self.with_source(name, Source::clone)
+    }
+
+    /// Apply `f` to a registered source, borrowed under the read lock.
+    fn with_source<T>(&self, name: &str, f: impl FnOnce(&Source) -> T) -> RelResult<T> {
+        let tables = self.tables.read();
+        let source = tables
             .get(&name.to_lowercase())
-            .cloned()
-            .ok_or_else(|| RelError::UnknownTable(name.to_string()))
+            .ok_or_else(|| RelError::UnknownTable(name.to_string()))?;
+        Ok(f(source))
     }
 
     /// The schema of a registered table, without materializing it.
     pub fn schema_of(&self, name: &str) -> RelResult<crate::schema::SchemaRef> {
-        Ok(match self.get_source(name)? {
+        self.with_source(name, |source| match source {
             Source::Mem(t) => t.schema().clone(),
             Source::Paged { table, .. } => table.schema().clone(),
         })
@@ -109,8 +114,7 @@ impl Catalog {
     /// `(rows, bytes)` of a registered table, without materializing it.
     /// These feed the planner's cost model.
     pub fn stats_of(&self, name: &str) -> RelResult<(u64, u64)> {
-        let source = self.get_source(name)?;
-        Ok((source.num_rows(), source.byte_size()))
+        self.with_source(name, |source| (source.num_rows(), source.byte_size()))
     }
 
     /// Remove a table; returns its materialized form if present.

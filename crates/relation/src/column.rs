@@ -1,14 +1,19 @@
 //! Columnar storage: one typed vector per column.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::error::{RelError, RelResult};
-use crate::value::{DataType, Value};
+use crate::value::{canonical_f64_bits, total_f64_cmp, DataType, Value};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// A column of values, stored as a typed vector.
 ///
 /// Keeping values unboxed per type (rather than `Vec<Value>`) roughly halves
-/// the memory footprint of the similarity-graph tables and keeps scans over
-/// numeric columns allocation-free.
+/// the memory footprint of the similarity-graph tables and lets every
+/// operator run a typed loop over a slice. Tables hold their columns behind
+/// an `Arc`, so a scan or a renaming projection shares a column instead of
+/// copying it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// Boolean column.
@@ -97,15 +102,58 @@ impl Column {
         Ok(())
     }
 
+    /// A column of `rows` copies of `value`.
+    pub(crate) fn repeat(value: &Value, rows: usize) -> Column {
+        match value {
+            Value::Bool(b) => Column::Bool(vec![*b; rows]),
+            Value::Int(i) => Column::Int(vec![*i; rows]),
+            Value::Float(x) => Column::Float(vec![*x; rows]),
+            Value::Str(s) => Column::Str(vec![Arc::clone(s); rows]),
+        }
+    }
+
     /// Append the value at `idx` of `other` (same-typed columns only).
     /// Avoids the `Value` round-trip on the hot shuffle path.
-    pub fn push_from(&mut self, other: &Column, idx: usize) {
+    pub fn push_from(&mut self, other: &Column, idx: usize) -> RelResult<()> {
         match (self, other) {
             (Column::Bool(dst), Column::Bool(src)) => dst.push(src[idx]),
             (Column::Int(dst), Column::Int(src)) => dst.push(src[idx]),
             (Column::Float(dst), Column::Float(src)) => dst.push(src[idx]),
             (Column::Str(dst), Column::Str(src)) => dst.push(Arc::clone(&src[idx])),
-            _ => panic!("push_from across column types"),
+            (dst, src) => {
+                return Err(RelError::TypeMismatch {
+                    expected: dst.dtype().to_string(),
+                    actual: src.dtype().to_string(),
+                    context: "Column::push_from".to_string(),
+                })
+            }
+        }
+        Ok(())
+    }
+
+    /// `self[a]` against `other[b]` in [`Value`]'s total order, without
+    /// building either value.
+    pub(crate) fn cmp_at(&self, a: usize, other: &Column, b: usize) -> Ordering {
+        match (self, other) {
+            (Column::Bool(x), Column::Bool(y)) => x[a].cmp(&y[b]),
+            (Column::Int(x), Column::Int(y)) => x[a].cmp(&y[b]),
+            (Column::Float(x), Column::Float(y)) => total_f64_cmp(x[a], y[b]),
+            (Column::Str(x), Column::Str(y)) => x[a].cmp(&y[b]),
+            _ => self.value(a).cmp(&other.value(b)),
+        }
+    }
+
+    /// `self[a] == other[b]` under [`Value`]'s equality (floats compared
+    /// canonically: NaN equals NaN, -0.0 equals 0.0).
+    pub(crate) fn eq_at(&self, a: usize, other: &Column, b: usize) -> bool {
+        match (self, other) {
+            (Column::Bool(x), Column::Bool(y)) => x[a] == y[b],
+            (Column::Int(x), Column::Int(y)) => x[a] == y[b],
+            (Column::Float(x), Column::Float(y)) => {
+                canonical_f64_bits(x[a]) == canonical_f64_bits(y[b])
+            }
+            (Column::Str(x), Column::Str(y)) => x[a] == y[b],
+            _ => self.value(a) == other.value(b),
         }
     }
 
@@ -234,6 +282,14 @@ mod tests {
         a.extend_from(&b).unwrap();
         assert_eq!(a.len(), 2);
         assert_eq!(a.value(1), Value::str("y"));
+    }
+
+    #[test]
+    fn push_from_rejects_other_types() {
+        let mut c = Column::empty(DataType::Int);
+        c.push_from(&Column::Int(vec![7]), 0).unwrap();
+        assert!(c.push_from(&Column::Float(vec![7.0]), 0).is_err());
+        assert_eq!(c, Column::Int(vec![7]));
     }
 
     #[test]

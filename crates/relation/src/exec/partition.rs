@@ -3,9 +3,14 @@
 //! Partitioning must be stable across runs and processes (tests compare
 //! parallel and serial plans row-for-row), so the hash is a fixed-seed
 //! FxHash-style multiply hash rather than std's randomly keyed SipHash.
+//! The same per-row hashes key the hash join, aggregate and distinct
+//! tables (`ops::keys`).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::column::Column;
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{hash_bool, hash_float, hash_int, hash_str, Value};
 use std::hash::Hasher;
 
 /// A deterministic, fast, non-cryptographic hasher (FxHash construction).
@@ -48,6 +53,29 @@ pub fn hash_key(values: &[Value]) -> u64 {
     hasher.finish()
 }
 
+/// [`hash_key`] of every row's key, computed a column at a time: the
+/// hasher state of all rows advances through one key column before the
+/// next, each value fed exactly the bytes its [`Value`] would feed.
+pub(crate) fn hash_rows(keys: &[&Column], rows: usize) -> Vec<u64> {
+    fn mix<T>(states: &mut [u64], values: &[T], feed: impl Fn(&T, &mut FixedHasher)) {
+        for (state, v) in states.iter_mut().zip(values) {
+            let mut hasher = FixedHasher(*state);
+            feed(v, &mut hasher);
+            *state = hasher.0;
+        }
+    }
+    let mut states = vec![FixedHasher::default().0; rows];
+    for col in keys {
+        match col {
+            Column::Bool(v) => mix(&mut states, v, |&b, h| hash_bool(b, h)),
+            Column::Int(v) => mix(&mut states, v, |&i, h| hash_int(i, h)),
+            Column::Float(v) => mix(&mut states, v, |&x, h| hash_float(x, h)),
+            Column::Str(v) => mix(&mut states, v, |s, h| hash_str(s, h)),
+        }
+    }
+    states
+}
+
 /// Split `input` into `n` partitions by hashing the given key columns.
 /// Every row with the same key lands in the same partition.
 pub fn hash_partition(input: &Table, keys: &[usize], n: usize) -> Vec<Table> {
@@ -55,13 +83,10 @@ pub fn hash_partition(input: &Table, keys: &[usize], n: usize) -> Vec<Table> {
     if n == 1 {
         return vec![input.clone()];
     }
+    let cols: Vec<&Column> = keys.iter().map(|&k| input.column(k)).collect();
     let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut key = Vec::with_capacity(keys.len());
-    for row in 0..input.num_rows() {
-        key.clear();
-        key.extend(keys.iter().map(|&k| input.column(k).value(row)));
-        let bucket = (hash_key(&key) % n as u64) as usize;
-        buckets[bucket].push(row);
+    for (row, hash) in hash_rows(&cols, input.num_rows()).into_iter().enumerate() {
+        buckets[(hash % n as u64) as usize].push(row);
     }
     buckets.into_iter().map(|idx| input.gather(&idx)).collect()
 }

@@ -1,11 +1,16 @@
 //! Scalar expressions: a small logical expression language plus a compiled,
-//! index-resolved form evaluated row-at-a-time over columns.
+//! index-resolved form evaluated a column at a time.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::udf::UdfRegistry;
-use crate::value::{DataType, Value};
+use crate::value::{total_f64_cmp, DataType, Value};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -173,27 +178,7 @@ impl Expr {
 
     /// Infer the output type against a schema (UDFs report their own).
     pub fn output_type(&self, schema: &Schema, udfs: &UdfRegistry) -> RelResult<DataType> {
-        Ok(match self {
-            Expr::Col(name) => schema.dtype_of(name)?,
-            Expr::Lit(v) => v.data_type(),
-            Expr::Binary { op, left, right } => match op {
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    DataType::Bool
-                }
-                BinOp::And | BinOp::Or => DataType::Bool,
-                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                    let lt = left.output_type(schema, udfs)?;
-                    let rt = right.output_type(schema, udfs)?;
-                    if lt == DataType::Float || rt == DataType::Float || *op == BinOp::Div {
-                        DataType::Float
-                    } else {
-                        DataType::Int
-                    }
-                }
-            },
-            Expr::Not(_) => DataType::Bool,
-            Expr::Call { name, .. } => udfs.get(name)?.output_type(),
-        })
+        Ok(self.compile(schema, udfs)?.output_type(schema))
     }
 
     /// A display name used when a projection has no explicit alias.
@@ -241,111 +226,260 @@ pub enum CompiledExpr {
 }
 
 impl CompiledExpr {
-    /// Evaluate over row `row` of `table`.
-    pub fn eval(&self, table: &Table, row: usize) -> RelResult<Value> {
+    /// Evaluate over the rows `sel` of `table` (every row when `None`), a
+    /// column at a time: one value per selected row, in selection order.
+    ///
+    /// Fails exactly when evaluating some selected row on its own would.
+    /// AND/OR evaluate their right side only on the rows their left side
+    /// leaves undecided, so `false AND 1/0` does not divide. A UDF's
+    /// values are converted to its declared output type as
+    /// [`Column::push`] converts them.
+    pub fn eval_column(&self, table: &Table, sel: Option<&[usize]>) -> RelResult<Arc<Column>> {
+        let rows = sel.map_or(table.num_rows(), <[usize]>::len);
+        if rows == 0 {
+            return Ok(Arc::new(Column::empty(self.output_type(table.schema()))));
+        }
+        self.eval_rows(table, sel, rows)
+    }
+
+    /// The result type over `schema`: INT arithmetic stays INT except
+    /// division, comparisons and logic are BOOL, UDFs declare theirs.
+    pub(crate) fn output_type(&self, schema: &Schema) -> DataType {
         match self {
-            CompiledExpr::Col(idx) => Ok(table.column(*idx).value(row)),
-            CompiledExpr::Lit(v) => Ok(v.clone()),
-            CompiledExpr::Binary { op, left, right } => {
-                // Short-circuit logical operators before evaluating the
-                // right side.
-                if *op == BinOp::And || *op == BinOp::Or {
-                    let l = expect_bool(left.eval(table, row)?, "AND/OR")?;
-                    return match (op, l) {
-                        (BinOp::And, false) => Ok(Value::Bool(false)),
-                        (BinOp::Or, true) => Ok(Value::Bool(true)),
-                        _ => {
-                            let r = expect_bool(right.eval(table, row)?, "AND/OR")?;
-                            Ok(Value::Bool(r))
-                        }
-                    };
+            CompiledExpr::Col(idx) => schema.field(*idx).dtype,
+            CompiledExpr::Lit(v) => v.data_type(),
+            CompiledExpr::Binary { op, left, right } => match op {
+                BinOp::Add | BinOp::Sub | BinOp::Mul => {
+                    let floats = left.output_type(schema) == DataType::Float
+                        || right.output_type(schema) == DataType::Float;
+                    if floats {
+                        DataType::Float
+                    } else {
+                        DataType::Int
+                    }
                 }
-                let l = left.eval(table, row)?;
-                let r = right.eval(table, row)?;
-                eval_binary(*op, l, r)
-            }
-            CompiledExpr::Not(inner) => {
-                let v = expect_bool(inner.eval(table, row)?, "NOT")?;
-                Ok(Value::Bool(!v))
-            }
-            CompiledExpr::Call { udf, args } => {
-                let mut values = Vec::with_capacity(args.len());
-                for a in args {
-                    values.push(a.eval(table, row)?);
-                }
-                udf.invoke(&values)
-            }
+                BinOp::Div => DataType::Float,
+                _ => DataType::Bool,
+            },
+            CompiledExpr::Not(_) => DataType::Bool,
+            CompiledExpr::Call { udf, .. } => udf.output_type(),
         }
     }
 
-    /// Evaluate over every row, producing one value per row.
-    pub fn eval_all(&self, table: &Table) -> RelResult<Vec<Value>> {
-        (0..table.num_rows())
-            .map(|row| self.eval(table, row))
-            .collect()
+    /// [`CompiledExpr::eval_column`] over `rows > 0` selected rows.
+    fn eval_rows(
+        &self,
+        table: &Table,
+        sel: Option<&[usize]>,
+        rows: usize,
+    ) -> RelResult<Arc<Column>> {
+        let col = match self {
+            CompiledExpr::Col(idx) => {
+                let col = &table.columns()[*idx];
+                return Ok(match sel {
+                    None => Arc::clone(col),
+                    Some(sel) => Arc::new(col.gather(sel)),
+                });
+            }
+            CompiledExpr::Binary {
+                op: op @ (BinOp::And | BinOp::Or),
+                left,
+                right,
+            } => return logical(*op, left, right, table, sel, rows),
+            CompiledExpr::Lit(v) => Column::repeat(v, rows),
+            CompiledExpr::Binary { op, left, right } => {
+                let l = left.eval_rows(table, sel, rows)?;
+                let r = right.eval_rows(table, sel, rows)?;
+                match op {
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arithmetic(*op, &l, &r)?,
+                    _ => compare(*op, &l, &r),
+                }
+            }
+            CompiledExpr::Not(inner) => {
+                let v = inner.eval_rows(table, sel, rows)?;
+                Column::Bool(bools(&v, "NOT")?.iter().map(|b| !b).collect())
+            }
+            CompiledExpr::Call { udf, args } => {
+                let args = args
+                    .iter()
+                    .map(|a| a.eval_rows(table, sel, rows))
+                    .collect::<RelResult<Vec<_>>>()?;
+                let args: Vec<&Column> = args.iter().map(|c| c.as_ref()).collect();
+                let out = udf.invoke_column(&args, rows)?;
+                if out.len() != rows {
+                    return Err(RelError::Eval(format!(
+                        "{} returned {} values for {rows} rows",
+                        udf.name(),
+                        out.len()
+                    )));
+                }
+                out
+            }
+        };
+        Ok(Arc::new(col))
+    }
+
+    /// Every column position this expression reads, appended to `out`.
+    pub(crate) fn columns_read(&self, out: &mut Vec<usize>) {
+        match self {
+            CompiledExpr::Col(idx) => out.push(*idx),
+            CompiledExpr::Lit(_) => {}
+            CompiledExpr::Binary { left, right, .. } => {
+                left.columns_read(out);
+                right.columns_read(out);
+            }
+            CompiledExpr::Not(inner) => inner.columns_read(out),
+            CompiledExpr::Call { args, .. } => args.iter().for_each(|a| a.columns_read(out)),
+        }
+    }
+
+    /// This expression reading column `map[i]` wherever it read column
+    /// `i`.
+    pub(crate) fn remap(&self, map: &[usize]) -> CompiledExpr {
+        match self {
+            CompiledExpr::Col(idx) => CompiledExpr::Col(map[*idx]),
+            CompiledExpr::Lit(v) => CompiledExpr::Lit(v.clone()),
+            CompiledExpr::Binary { op, left, right } => CompiledExpr::Binary {
+                op: *op,
+                left: Box::new(left.remap(map)),
+                right: Box::new(right.remap(map)),
+            },
+            CompiledExpr::Not(inner) => CompiledExpr::Not(Box::new(inner.remap(map))),
+            CompiledExpr::Call { udf, args } => CompiledExpr::Call {
+                udf: Arc::clone(udf),
+                args: args.iter().map(|a| a.remap(map)).collect(),
+            },
+        }
     }
 }
 
-fn expect_bool(v: Value, context: &str) -> RelResult<bool> {
-    v.as_bool().ok_or_else(|| RelError::TypeMismatch {
-        expected: "BOOL".into(),
-        actual: v.data_type().to_string(),
-        context: context.into(),
+/// A boolean column's values, or the type error `context` reports.
+fn bools<'a>(col: &'a Column, context: &str) -> RelResult<&'a [bool]> {
+    match col {
+        Column::Bool(b) => Ok(b),
+        other => Err(RelError::TypeMismatch {
+            expected: "BOOL".into(),
+            actual: other.dtype().to_string(),
+            context: context.into(),
+        }),
+    }
+}
+
+/// AND / OR: the right side runs only on the rows the left side leaves
+/// undecided (true for AND, false for OR).
+fn logical(
+    op: BinOp,
+    left: &CompiledExpr,
+    right: &CompiledExpr,
+    table: &Table,
+    sel: Option<&[usize]>,
+    rows: usize,
+) -> RelResult<Arc<Column>> {
+    let decided = op == BinOp::Or;
+    let l = left.eval_rows(table, sel, rows)?;
+    let lv = bools(&l, "AND/OR")?;
+    let undecided: Vec<usize> = (0..rows).filter(|&i| lv[i] != decided).collect();
+    if undecided.is_empty() {
+        return Ok(l);
+    }
+    if undecided.len() == rows {
+        let r = right.eval_rows(table, sel, rows)?;
+        bools(&r, "AND/OR")?;
+        return Ok(r);
+    }
+    let sub: Vec<usize> = match sel {
+        None => undecided.clone(),
+        Some(sel) => undecided.iter().map(|&i| sel[i]).collect(),
+    };
+    let r = right.eval_rows(table, Some(&sub), sub.len())?;
+    let mut out = lv.to_vec();
+    for (&i, &b) in undecided.iter().zip(bools(&r, "AND/OR")?) {
+        out[i] = b;
+    }
+    Ok(Arc::new(Column::Bool(out)))
+}
+
+/// `f` over the paired values of two equally long slices.
+fn zip<A, B, O>(a: &[A], b: &[B], f: impl Fn(&A, &B) -> O) -> Vec<O> {
+    a.iter().zip(b).map(|(x, y)| f(x, y)).collect()
+}
+
+/// The values as floats, widening INT as `Value::as_float` does.
+fn floats(col: &Column) -> Option<Cow<'_, [f64]>> {
+    match col {
+        Column::Float(v) => Some(Cow::Borrowed(v)),
+        Column::Int(v) => Some(Cow::Owned(v.iter().map(|&i| i as f64).collect())),
+        Column::Bool(_) | Column::Str(_) => None,
+    }
+}
+
+/// A comparison in [`Value`]'s total order. Equality agrees with the
+/// order on every pair of types, so one ordering test serves `=` too.
+fn compare(op: BinOp, l: &Column, r: &Column) -> Column {
+    let test = move |ord: Ordering| match op {
+        BinOp::Eq => ord.is_eq(),
+        BinOp::Ne => ord.is_ne(),
+        BinOp::Lt => ord.is_lt(),
+        BinOp::Le => ord.is_le(),
+        BinOp::Gt => ord.is_gt(),
+        _ => ord.is_ge(),
+    };
+    Column::Bool(match (l, r) {
+        (Column::Int(a), Column::Int(b)) => zip(a, b, |x, y| test(x.cmp(y))),
+        (Column::Str(a), Column::Str(b)) => zip(a, b, |x, y| test(x.cmp(y))),
+        (Column::Bool(a), Column::Bool(b)) => zip(a, b, |x, y| test(x.cmp(y))),
+        _ => match (floats(l), floats(r)) {
+            (Some(a), Some(b)) => zip(&a, &b, |&x, &y| test(total_f64_cmp(x, y))),
+            // Otherwise the types differ and order by type tag.
+            _ => vec![test(type_tag(l.dtype()).cmp(&type_tag(r.dtype()))); l.len()],
+        },
     })
 }
 
-fn eval_binary(op: BinOp, l: Value, r: Value) -> RelResult<Value> {
-    use BinOp::*;
-    match op {
-        Eq => Ok(Value::Bool(l == r)),
-        Ne => Ok(Value::Bool(l != r)),
-        Lt => Ok(Value::Bool(l < r)),
-        Le => Ok(Value::Bool(l <= r)),
-        Gt => Ok(Value::Bool(l > r)),
-        Ge => Ok(Value::Bool(l >= r)),
-        Add | Sub | Mul | Div => eval_arith(op, l, r),
-        And | Or => unreachable!("handled with short-circuit"),
+/// [`Value`]'s cross-type order: BOOL < numbers < STR.
+fn type_tag(dtype: DataType) -> u8 {
+    match dtype {
+        DataType::Bool => 0,
+        DataType::Int | DataType::Float => 1,
+        DataType::Str => 2,
     }
 }
 
-fn eval_arith(op: BinOp, l: Value, r: Value) -> RelResult<Value> {
-    // Integer arithmetic stays integral except for division, which always
-    // produces a float (matching the modularity formulas' expectations).
-    if let (Value::Int(a), Value::Int(b)) = (&l, &r) {
+/// Arithmetic: INT op INT stays integral (wrapping) except division,
+/// which always produces a float (matching the modularity formulas'
+/// expectations); any other numeric pair computes in floats.
+fn arithmetic(op: BinOp, l: &Column, r: &Column) -> RelResult<Column> {
+    let by_zero = || RelError::Eval("division by zero".into());
+    if let (Column::Int(a), Column::Int(b)) = (l, r) {
         return Ok(match op {
-            BinOp::Add => Value::Int(a.wrapping_add(*b)),
-            BinOp::Sub => Value::Int(a.wrapping_sub(*b)),
-            BinOp::Mul => Value::Int(a.wrapping_mul(*b)),
-            BinOp::Div => {
-                if *b == 0 {
-                    return Err(RelError::Eval("division by zero".into()));
+            BinOp::Add => Column::Int(zip(a, b, |x, y| x.wrapping_add(*y))),
+            BinOp::Sub => Column::Int(zip(a, b, |x, y| x.wrapping_sub(*y))),
+            BinOp::Mul => Column::Int(zip(a, b, |x, y| x.wrapping_mul(*y))),
+            _ => {
+                if b.contains(&0) {
+                    return Err(by_zero());
                 }
-                Value::Float(*a as f64 / *b as f64)
+                Column::Float(zip(a, b, |&x, &y| x as f64 / y as f64))
             }
-            _ => unreachable!(),
         });
     }
-    let (a, b) = match (l.as_float(), r.as_float()) {
-        (Some(a), Some(b)) => (a, b),
-        _ => {
-            return Err(RelError::TypeMismatch {
-                expected: "numeric".into(),
-                actual: format!("{} {} {}", l.data_type(), op, r.data_type()),
-                context: "arithmetic".into(),
-            })
-        }
+    let (Some(a), Some(b)) = (floats(l), floats(r)) else {
+        return Err(RelError::TypeMismatch {
+            expected: "numeric".into(),
+            actual: format!("{} {} {}", l.dtype(), op, r.dtype()),
+            context: "arithmetic".into(),
+        });
     };
-    Ok(Value::Float(match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => {
-            if b == 0.0 {
-                return Err(RelError::Eval("division by zero".into()));
+    Ok(Column::Float(match op {
+        BinOp::Add => zip(&a, &b, |x, y| x + y),
+        BinOp::Sub => zip(&a, &b, |x, y| x - y),
+        BinOp::Mul => zip(&a, &b, |x, y| x * y),
+        _ => {
+            if b.contains(&0.0) {
+                return Err(by_zero());
             }
-            a / b
+            zip(&a, &b, |x, y| x / y)
         }
-        _ => unreachable!(),
     }))
 }
 
@@ -366,29 +500,31 @@ mod tests {
         .unwrap()
     }
 
-    fn compile(e: &Expr, t: &Table) -> CompiledExpr {
-        e.compile(t.schema(), &UdfRegistry::with_builtins()).unwrap()
+    /// Evaluate `e` over every row of `t`.
+    fn eval(e: &Expr, t: &Table) -> RelResult<Column> {
+        let compiled = e
+            .compile(t.schema(), &UdfRegistry::with_builtins())
+            .unwrap();
+        compiled.eval_column(t, None).map(|c| c.as_ref().clone())
     }
 
     #[test]
     fn comparison_and_arithmetic() {
         let t = table();
         let e = Expr::col("n").gt(Expr::lit(5_i64));
-        let c = compile(&e, &t);
-        assert_eq!(c.eval(&t, 0).unwrap(), Value::Bool(false));
-        assert_eq!(c.eval(&t, 1).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&e, &t).unwrap(), Column::Bool(vec![false, true]));
 
         let sum = Expr::col("n").binary(BinOp::Add, Expr::lit(1_i64));
-        assert_eq!(compile(&sum, &t).eval(&t, 0).unwrap(), Value::Int(4));
+        assert_eq!(eval(&sum, &t).unwrap(), Column::Int(vec![4, 11]));
     }
 
     #[test]
     fn division_is_float_and_checked() {
         let t = table();
         let div = Expr::col("n").binary(BinOp::Div, Expr::lit(4_i64));
-        assert_eq!(compile(&div, &t).eval(&t, 1).unwrap(), Value::Float(2.5));
+        assert_eq!(eval(&div, &t).unwrap(), Column::Float(vec![0.75, 2.5]));
         let by_zero = Expr::col("n").binary(BinOp::Div, Expr::lit(0_i64));
-        assert!(compile(&by_zero, &t).eval(&t, 0).is_err());
+        assert!(eval(&by_zero, &t).is_err());
     }
 
     #[test]
@@ -397,16 +533,41 @@ mod tests {
         // RHS would be a type error (Int where BOOL expected); AND must not
         // reach it when LHS is false.
         let e = Expr::lit(false).and(Expr::col("n"));
-        assert_eq!(compile(&e, &t).eval(&t, 0).unwrap(), Value::Bool(false));
+        assert_eq!(eval(&e, &t).unwrap(), Column::Bool(vec![false, false]));
         let e = Expr::lit(true).or(Expr::col("n"));
-        assert_eq!(compile(&e, &t).eval(&t, 0).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&e, &t).unwrap(), Column::Bool(vec![true, true]));
+        // Row-wise: the division runs only on the row `n > 5` leaves
+        // undecided, whose divisor is not zero.
+        let divisor = Expr::col("n").binary(BinOp::Sub, Expr::lit(3_i64));
+        let guarded = Expr::col("n").gt(Expr::lit(5_i64)).and(
+            Expr::lit(1_i64)
+                .binary(BinOp::Div, divisor)
+                .gt(Expr::lit(0_i64)),
+        );
+        assert_eq!(eval(&guarded, &t).unwrap(), Column::Bool(vec![false, true]));
+    }
+
+    #[test]
+    fn selection_picks_rows_in_order() {
+        let t = table();
+        let e = Expr::col("n").binary(BinOp::Mul, Expr::lit(2_i64));
+        let compiled = e
+            .compile(t.schema(), &UdfRegistry::with_builtins())
+            .unwrap();
+        let out = compiled.eval_column(&t, Some(&[1, 1, 0])).unwrap();
+        assert_eq!(*out, Column::Int(vec![20, 20, 6]));
+        let none = compiled.eval_column(&t, Some(&[])).unwrap();
+        assert_eq!(*none, Column::Int(vec![]));
     }
 
     #[test]
     fn builtin_lower_applies() {
         let t = table();
         let e = Expr::call("lower", vec![Expr::col("name")]);
-        assert_eq!(compile(&e, &t).eval(&t, 0).unwrap(), Value::str("nfl"));
+        assert_eq!(
+            eval(&e, &t).unwrap(),
+            Column::Str(vec![Arc::from("nfl"), Arc::from("49ers")])
+        );
     }
 
     #[test]

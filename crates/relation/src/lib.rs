@@ -46,6 +46,8 @@ pub mod exec;
 mod explain;
 mod expr;
 pub mod ops;
+#[cfg(any(test, feature = "test-support"))]
+pub mod oracle;
 pub mod paged;
 pub mod physical;
 mod plan;

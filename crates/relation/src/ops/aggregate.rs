@@ -5,12 +5,15 @@
 //! separation step: per group, return `value` of the row where `order` is
 //! maximal (deterministic tie-break on the smaller `value`).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
+use crate::ops::keys::{Groups, Keys};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
-use crate::value::{DataType, Value};
-use std::collections::HashMap;
+use crate::value::DataType;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Supported aggregate functions.
@@ -74,128 +77,27 @@ impl AggSpec {
         }
     }
 
-    fn output_type(&self, input: &Schema) -> RelResult<DataType> {
+    pub(crate) fn output_type(&self, input: &Schema) -> RelResult<DataType> {
         Ok(match self.func {
             AggFunc::Count => DataType::Int,
             AggFunc::Avg => DataType::Float,
             AggFunc::Sum | AggFunc::Min | AggFunc::Max | AggFunc::ArgMax => {
-                let col = self.col.ok_or_else(|| {
-                    RelError::InvalidPlan(format!("aggregate {} needs a column", self.name))
-                })?;
-                input.field(col).dtype
+                input.field(self.value_col()?).dtype
             }
         })
     }
-}
 
-/// Per-group accumulator state.
-#[derive(Debug, Clone)]
-enum AggState {
-    Count(i64),
-    SumInt(i64),
-    SumFloat(f64),
-    MinMax(Option<Value>),
-    Avg { sum: f64, n: i64 },
-    ArgMax { best: Option<(Value, Value)> },
-}
+    /// The value column (every function but `Count` reads one).
+    pub(crate) fn value_col(&self) -> RelResult<usize> {
+        self.col
+            .ok_or_else(|| RelError::InvalidPlan(format!("aggregate {} needs a column", self.name)))
+    }
 
-impl AggState {
-    fn new(spec: &AggSpec, input: &Schema) -> RelResult<Self> {
-        Ok(match spec.func {
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::Sum => match input.field(spec.col.unwrap()).dtype {
-                DataType::Int => AggState::SumInt(0),
-                DataType::Float => AggState::SumFloat(0.0),
-                other => {
-                    return Err(RelError::TypeMismatch {
-                        expected: "numeric".into(),
-                        actual: other.to_string(),
-                        context: "sum".into(),
-                    })
-                }
-            },
-            AggFunc::Min | AggFunc::Max => AggState::MinMax(None),
-            AggFunc::Avg => AggState::Avg { sum: 0.0, n: 0 },
-            AggFunc::ArgMax => AggState::ArgMax { best: None },
+    /// The ordering column of `ArgMax`.
+    pub(crate) fn order_col(&self) -> RelResult<usize> {
+        self.by.ok_or_else(|| {
+            RelError::InvalidPlan(format!("aggregate {} needs an ordering column", self.name))
         })
-    }
-
-    fn update(&mut self, spec: &AggSpec, table: &Table, row: usize) -> RelResult<()> {
-        match self {
-            AggState::Count(n) => *n += 1,
-            AggState::SumInt(acc) => {
-                let v = table.column(spec.col.unwrap()).value(row);
-                *acc += v.as_int().ok_or_else(|| type_err("sum", &v))?;
-            }
-            AggState::SumFloat(acc) => {
-                let v = table.column(spec.col.unwrap()).value(row);
-                *acc += v.as_float().ok_or_else(|| type_err("sum", &v))?;
-            }
-            AggState::MinMax(best) => {
-                let v = table.column(spec.col.unwrap()).value(row);
-                let replace = match (&*best, spec.func) {
-                    (None, _) => true,
-                    (Some(b), AggFunc::Min) => v < *b,
-                    (Some(b), AggFunc::Max) => v > *b,
-                    _ => unreachable!(),
-                };
-                if replace {
-                    *best = Some(v);
-                }
-            }
-            AggState::Avg { sum, n } => {
-                let v = table.column(spec.col.unwrap()).value(row);
-                *sum += v.as_float().ok_or_else(|| type_err("avg", &v))?;
-                *n += 1;
-            }
-            AggState::ArgMax { best } => {
-                let order = table.column(spec.by.unwrap()).value(row);
-                let value = table.column(spec.col.unwrap()).value(row);
-                let replace = match best {
-                    None => true,
-                    // Strictly greater order wins; on equal order, the
-                    // smaller value wins so results do not depend on input
-                    // order (the paper's Step 2 just says "keep the
-                    // closest"; we need determinism for the SQL-vs-native
-                    // equivalence tests).
-                    Some((bo, bv)) => order > *bo || (order == *bo && value < *bv),
-                };
-                if replace {
-                    *best = Some((order, value));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(self, spec: &AggSpec) -> RelResult<Value> {
-        Ok(match self {
-            AggState::Count(n) => Value::Int(n),
-            AggState::SumInt(acc) => Value::Int(acc),
-            AggState::SumFloat(acc) => Value::Float(acc),
-            AggState::MinMax(best) => best.ok_or_else(|| {
-                RelError::Eval(format!("{}: empty group", spec.name))
-            })?,
-            AggState::Avg { sum, n } => {
-                if n == 0 {
-                    return Err(RelError::Eval(format!("{}: empty group", spec.name)));
-                }
-                Value::Float(sum / n as f64)
-            }
-            AggState::ArgMax { best } => {
-                best.map(|(_, v)| v).ok_or_else(|| {
-                    RelError::Eval(format!("{}: empty group", spec.name))
-                })?
-            }
-        })
-    }
-}
-
-fn type_err(context: &str, v: &Value) -> RelError {
-    RelError::TypeMismatch {
-        expected: "numeric".into(),
-        actual: v.data_type().to_string(),
-        context: context.into(),
     }
 }
 
@@ -203,7 +105,10 @@ fn type_err(context: &str, v: &Value) -> RelError {
 ///
 /// Output columns are the group keys (original names) followed by one
 /// column per aggregate. Groups are emitted in ascending key order, making
-/// the operator fully deterministic.
+/// the operator fully deterministic. Rows are grouped by a typed key
+/// table, and every aggregate is one typed pass over its input column in
+/// row order, so float sums add in the same order as a row-at-a-time
+/// fold.
 pub fn aggregate(input: &Table, group_keys: &[usize], aggs: &[AggSpec]) -> RelResult<Table> {
     let in_schema = input.schema();
     let mut fields: Vec<Field> = group_keys
@@ -214,51 +119,129 @@ pub fn aggregate(input: &Table, group_keys: &[usize], aggs: &[AggSpec]) -> RelRe
         fields.push(Field::new(spec.name.clone(), spec.output_type(in_schema)?));
     }
     let out_schema = Arc::new(Schema::new(fields)?);
-
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    for row in 0..input.num_rows() {
-        let key: Vec<Value> = group_keys
-            .iter()
-            .map(|&k| input.column(k).value(row))
-            .collect();
-        let states = match groups.get_mut(&key) {
-            Some(s) => s,
-            None => {
-                let fresh = aggs
-                    .iter()
-                    .map(|spec| AggState::new(spec, in_schema))
-                    .collect::<RelResult<Vec<_>>>()?;
-                groups.entry(key.clone()).or_insert(fresh)
-            }
-        };
-        for (state, spec) in states.iter_mut().zip(aggs) {
-            state.update(spec, input, row)?;
-        }
+    if input.is_empty() {
+        return Ok(Table::empty(out_schema));
     }
 
-    // Deterministic output order.
-    let mut entries: Vec<(Vec<Value>, Vec<AggState>)> = groups.into_iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    let keys = Keys::new(input, group_keys);
+    let groups = Groups::of(&keys)?;
+    let mut order: Vec<usize> = (0..groups.firsts.len()).collect();
+    order.sort_unstable_by(|&a, &b| keys.cmp(groups.firsts[a], groups.firsts[b]));
 
-    let mut columns: Vec<Column> = out_schema
-        .fields()
+    let first_rows = in_order(&groups.firsts, &order);
+    let mut columns: Vec<Arc<Column>> = group_keys
         .iter()
-        .map(|f| Column::with_capacity(f.dtype, entries.len()))
+        .map(|&k| Arc::new(input.column(k).gather(&first_rows)))
         .collect();
-    for (key, states) in entries {
-        for (i, v) in key.into_iter().enumerate() {
-            columns[i].push(v)?;
-        }
-        for (i, (state, spec)) in states.into_iter().zip(aggs).enumerate() {
-            columns[group_keys.len() + i].push(state.finish(spec)?)?;
-        }
+    for spec in aggs {
+        columns.push(Arc::new(fold(input, spec, &groups, &order)?));
     }
-    Table::new(out_schema, columns)
+    Table::from_shared(out_schema, columns)
+}
+
+/// Per-group values listed in output order.
+fn in_order<T: Copy>(per_group: &[T], order: &[usize]) -> Vec<T> {
+    order.iter().map(|&g| per_group[g]).collect()
+}
+
+/// One aggregate over every group, listed in output order.
+fn fold(input: &Table, spec: &AggSpec, groups: &Groups, order: &[usize]) -> RelResult<Column> {
+    let n = groups.firsts.len();
+    let group_of = &groups.group_of;
+    Ok(match spec.func {
+        AggFunc::Count => {
+            let mut counts = vec![0i64; n];
+            for &g in group_of {
+                counts[g as usize] += 1;
+            }
+            Column::Int(in_order(&counts, order))
+        }
+        AggFunc::Sum => match input.column(spec.value_col()?) {
+            Column::Int(v) => {
+                let mut sums = vec![0i64; n];
+                for (&g, &x) in group_of.iter().zip(v) {
+                    sums[g as usize] = sums[g as usize].wrapping_add(x);
+                }
+                Column::Int(in_order(&sums, order))
+            }
+            Column::Float(v) => {
+                let mut sums = vec![0.0f64; n];
+                for (&g, &x) in group_of.iter().zip(v) {
+                    sums[g as usize] += x;
+                }
+                Column::Float(in_order(&sums, order))
+            }
+            other => return Err(not_numeric("sum", other)),
+        },
+        AggFunc::Avg => {
+            let mut sums = vec![0.0f64; n];
+            let mut counts = vec![0i64; n];
+            let mut add = |g: u32, x: f64| {
+                sums[g as usize] += x;
+                counts[g as usize] += 1;
+            };
+            match input.column(spec.value_col()?) {
+                Column::Int(v) => group_of.iter().zip(v).for_each(|(&g, &x)| add(g, x as f64)),
+                Column::Float(v) => group_of.iter().zip(v).for_each(|(&g, &x)| add(g, x)),
+                other => return Err(not_numeric("avg", other)),
+            }
+            Column::Float(order.iter().map(|&g| sums[g] / counts[g] as f64).collect())
+        }
+        AggFunc::Min | AggFunc::Max => {
+            let col = input.column(spec.value_col()?);
+            let wins = if spec.func == AggFunc::Min {
+                Ordering::Less
+            } else {
+                Ordering::Greater
+            };
+            // Each group starts at its first row; only a strictly better
+            // row replaces the best, so ties keep the earliest.
+            let mut best = groups.firsts.clone();
+            for (row, &g) in group_of.iter().enumerate() {
+                let b = &mut best[g as usize];
+                if col.cmp_at(row, col, *b) == wins {
+                    *b = row;
+                }
+            }
+            col.gather(&in_order(&best, order))
+        }
+        AggFunc::ArgMax => {
+            let by = input.column(spec.order_col()?);
+            let col = input.column(spec.value_col()?);
+            let mut best = groups.firsts.clone();
+            for (row, &g) in group_of.iter().enumerate() {
+                let b = &mut best[g as usize];
+                // Strictly greater order wins; on equal order, the
+                // smaller value wins so results do not depend on input
+                // order (the paper's Step 2 just says "keep the
+                // closest"; we need determinism for the SQL-vs-native
+                // equivalence tests).
+                let wins = match by.cmp_at(row, by, *b) {
+                    Ordering::Greater => true,
+                    Ordering::Equal => col.cmp_at(row, col, *b) == Ordering::Less,
+                    Ordering::Less => false,
+                };
+                if wins {
+                    *b = row;
+                }
+            }
+            col.gather(&in_order(&best, order))
+        }
+    })
+}
+
+fn not_numeric(context: &str, col: &Column) -> RelError {
+    RelError::TypeMismatch {
+        expected: "numeric".into(),
+        actual: col.dtype().to_string(),
+        context: context.into(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn input() -> Table {
         let schema = Schema::of(&[

@@ -1,9 +1,11 @@
 //! Hash equi-join.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::column::Column;
 use crate::error::{RelError, RelResult};
+use crate::ops::keys::{Keys, RowIndex};
 use crate::table::Table;
-use crate::value::Value;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which side the hash table is built on.
@@ -53,52 +55,56 @@ pub fn hash_join(
         JoinSide::BuildRight => (right, left, right_keys, left_keys, false),
     };
 
-    // Build phase: key -> row indices.
-    let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(build.num_rows());
-    for row in 0..build.num_rows() {
-        let key: Vec<Value> = build_keys
-            .iter()
-            .map(|&k| build.column(k).value(row))
-            .collect();
-        index.entry(key).or_default().push(row);
-    }
+    // Build phase: chain the build rows by key hash.
+    let build_keys = Keys::new(build, build_keys);
+    let index = RowIndex::build(&build_keys)?;
 
-    // Probe phase: collect matching (left_row, right_row) index pairs.
-    let mut left_idx = Vec::new();
-    let mut right_idx = Vec::new();
-    let mut key = Vec::with_capacity(probe_keys.len());
-    for row in 0..probe.num_rows() {
-        key.clear();
-        key.extend(probe_keys.iter().map(|&k| probe.column(k).value(row)));
-        if let Some(matches) = index.get(&key) {
-            for &b in matches {
-                if build_is_left {
-                    left_idx.push(b);
-                    right_idx.push(row);
-                } else {
-                    left_idx.push(row);
-                    right_idx.push(b);
-                }
+    // Probe phase: collect matching (probe_row, build_row) index pairs.
+    let probe_keys = Keys::new(probe, probe_keys);
+    let mut probe_idx = Vec::with_capacity(probe.num_rows());
+    let mut build_idx = Vec::with_capacity(probe.num_rows());
+    for (row, hash) in probe_keys.hashes().into_iter().enumerate() {
+        for b in index.candidates(hash) {
+            if build_keys.eq(b, &probe_keys, row) {
+                probe_idx.push(row);
+                build_idx.push(b);
             }
         }
     }
+    let (left_idx, right_idx) = if build_is_left {
+        (build_idx, probe_idx)
+    } else {
+        (probe_idx, build_idx)
+    };
 
     let out_schema = Arc::new(left.schema().join(right.schema(), "_r")?);
-    let mut columns = Vec::with_capacity(out_schema.len());
-    for col in left.columns() {
-        columns.push(col.gather(&left_idx));
-    }
-    for col in right.columns() {
-        columns.push(col.gather(&right_idx));
-    }
-    Table::new(out_schema, columns)
+    let mut columns = gather_all(left, &left_idx);
+    columns.extend(gather_all(right, &right_idx));
+    Table::from_shared(out_schema, columns)
+}
+
+/// `table`'s columns at the rows `idx`; shared, not copied, when `idx`
+/// is every row in order (a probe side whose rows each match once).
+fn gather_all(table: &Table, idx: &[usize]) -> Vec<Arc<Column>> {
+    let identity = idx.len() == table.num_rows() && idx.iter().enumerate().all(|(i, &r)| i == r);
+    table
+        .columns()
+        .iter()
+        .map(|c| {
+            if identity {
+                Arc::clone(c)
+            } else {
+                Arc::new(c.gather(idx))
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Schema;
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
 
     fn graph() -> Table {
         let schema = Schema::of(&[

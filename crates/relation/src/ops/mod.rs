@@ -8,6 +8,7 @@
 
 mod aggregate;
 mod join;
+mod keys;
 mod project;
 mod set;
 mod sort;

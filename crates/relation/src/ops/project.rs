@@ -1,4 +1,7 @@
-//! Row filtering and projection.
+//! Row filtering and projection, each one vectorised expression
+//! evaluation per predicate or output column.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
@@ -11,17 +14,17 @@ use std::sync::Arc;
 
 /// Keep only the rows for which `predicate` evaluates to `true`.
 pub fn filter(input: &Table, predicate: &CompiledExpr) -> RelResult<Table> {
-    let mut mask = Vec::with_capacity(input.num_rows());
-    for row in 0..input.num_rows() {
-        let v = predicate.eval(input, row)?;
-        let keep = v.as_bool().ok_or_else(|| RelError::TypeMismatch {
-            expected: "BOOL".into(),
-            actual: v.data_type().to_string(),
-            context: "filter predicate".into(),
-        })?;
-        mask.push(keep);
+    if input.is_empty() {
+        return Ok(input.clone());
     }
-    Ok(input.filter_rows(&mask))
+    match predicate.eval_column(input, None)?.as_ref() {
+        Column::Bool(mask) => Ok(input.filter_rows(mask)),
+        other => Err(RelError::TypeMismatch {
+            expected: "BOOL".into(),
+            actual: other.dtype().to_string(),
+            context: "filter predicate".into(),
+        }),
+    }
 }
 
 /// One output column of a projection: a compiled expression, its output
@@ -43,17 +46,19 @@ impl ProjectionSpec {
         schema: &Schema,
         udfs: &UdfRegistry,
     ) -> RelResult<Self> {
+        let compiled = expr.compile(schema, udfs)?;
         Ok(ProjectionSpec {
-            expr: expr.compile(schema, udfs)?,
+            dtype: compiled.output_type(schema),
+            expr: compiled,
             name: alias
                 .map(str::to_string)
                 .unwrap_or_else(|| expr.default_name()),
-            dtype: expr.output_type(schema, udfs)?,
         })
     }
 }
 
 /// Evaluate each projection over every input row, producing a new table.
+/// A projection that only renames a column shares it with the input.
 pub fn project(input: &Table, specs: &[ProjectionSpec]) -> RelResult<Table> {
     let schema = Arc::new(Schema::new(
         specs
@@ -61,16 +66,21 @@ pub fn project(input: &Table, specs: &[ProjectionSpec]) -> RelResult<Table> {
             .map(|s| Field::new(s.name.clone(), s.dtype))
             .collect(),
     )?);
-    let mut columns: Vec<Column> = specs
+    let columns = specs
         .iter()
-        .map(|s| Column::with_capacity(s.dtype, input.num_rows()))
-        .collect();
-    for row in 0..input.num_rows() {
-        for (spec, col) in specs.iter().zip(columns.iter_mut()) {
-            col.push(spec.expr.eval(input, row)?)?;
-        }
-    }
-    Table::new(schema, columns)
+        .map(|spec| {
+            let col = spec.expr.eval_column(input, None)?;
+            if col.dtype() != spec.dtype {
+                return Err(RelError::TypeMismatch {
+                    expected: spec.dtype.to_string(),
+                    actual: col.dtype().to_string(),
+                    context: format!("projection {}", spec.name),
+                });
+            }
+            Ok(col)
+        })
+        .collect::<RelResult<Vec<_>>>()?;
+    Table::from_shared(schema, columns)
 }
 
 #[cfg(test)]

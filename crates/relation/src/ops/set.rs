@@ -1,9 +1,8 @@
 //! Set-flavored operators: union, distinct, limit.
 
 use crate::error::{RelError, RelResult};
+use crate::ops::keys::{Groups, Keys};
 use crate::table::Table;
-use crate::value::Value;
-use std::collections::HashSet;
 
 /// Bag union: concatenate tables with identical schemas.
 pub fn union_all(parts: &[Table]) -> RelResult<Table> {
@@ -15,15 +14,9 @@ pub fn union_all(parts: &[Table]) -> RelResult<Table> {
 
 /// Remove duplicate rows, keeping the first occurrence of each.
 pub fn distinct(input: &Table) -> RelResult<Table> {
-    let mut seen: HashSet<Vec<Value>> = HashSet::with_capacity(input.num_rows());
-    let mut keep = Vec::with_capacity(input.num_rows());
-    for row in 0..input.num_rows() {
-        let values = input.row(row);
-        if seen.insert(values) {
-            keep.push(row);
-        }
-    }
-    Ok(input.gather(&keep))
+    let all: Vec<usize> = (0..input.schema().len()).collect();
+    let groups = Groups::of(&Keys::new(input, &all))?;
+    Ok(input.gather(&groups.firsts))
 }
 
 /// Keep the first `n` rows.
@@ -37,7 +30,7 @@ pub fn limit(input: &Table, n: usize) -> RelResult<Table> {
 mod tests {
     use super::*;
     use crate::schema::Schema;
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
 
     fn table(vals: &[i64]) -> Table {
         let schema = Schema::of(&[("x", DataType::Int)]);

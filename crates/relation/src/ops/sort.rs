@@ -36,7 +36,7 @@ pub fn sort(input: &Table, keys: &[SortKey]) -> RelResult<Table> {
     indices.sort_by(|&a, &b| {
         for key in keys {
             let col = input.column(key.col);
-            let ord = col.value(a).cmp(&col.value(b));
+            let ord = col.cmp_at(a, col, b);
             let ord = if key.ascending { ord } else { ord.reverse() };
             if !ord.is_eq() {
                 return ord;

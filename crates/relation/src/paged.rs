@@ -16,12 +16,13 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::binfmt;
+use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::expr::CompiledExpr;
 use crate::ops;
 use crate::schema::{Schema, SchemaRef};
-use crate::table::{Table, TableBuilder};
-use crate::value::{DataType, Value};
+use crate::table::Table;
+use crate::value::DataType;
 use bytes::Bytes;
 use esharp_storage::{BufferPool, HeapFile, Page, PAGE_SIZE};
 use std::path::Path;
@@ -32,20 +33,28 @@ use std::sync::Arc;
 fn encode_row(table: &Table, row: usize, buf: &mut Vec<u8>) {
     buf.clear();
     for col in table.columns() {
-        match col.value(row) {
-            Value::Bool(b) => buf.push(b as u8),
-            Value::Int(i) => buf.extend_from_slice(&i.to_le_bytes()),
-            Value::Float(x) => buf.extend_from_slice(&x.to_le_bytes()),
-            Value::Str(s) => {
-                buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                buf.extend_from_slice(s.as_bytes());
+        match col.as_ref() {
+            Column::Bool(v) => buf.push(v[row] as u8),
+            Column::Int(v) => buf.extend_from_slice(&v[row].to_le_bytes()),
+            Column::Float(v) => buf.extend_from_slice(&v[row].to_le_bytes()),
+            Column::Str(v) => {
+                buf.extend_from_slice(&(v[row].len() as u32).to_le_bytes());
+                buf.extend_from_slice(v[row].as_bytes());
             }
         }
     }
 }
 
-/// Decode one record produced by [`encode_row`] back into row values.
-fn decode_row(schema: &Schema, rec: &[u8]) -> RelResult<Vec<Value>> {
+/// Decode one record produced by [`encode_row`] straight into typed
+/// column builders: field `i` is appended to `builders[slot]` when
+/// `slots[i]` is `Some(slot)` and skipped unparsed otherwise. Every
+/// builder has its field's type.
+fn decode_into(
+    schema: &Schema,
+    slots: &[Option<usize>],
+    rec: &[u8],
+    builders: &mut [Column],
+) -> RelResult<()> {
     let corrupt = |what: &str| RelError::Storage(format!("paged record: {what}"));
     let mut off = 0usize;
     let mut take = |n: usize| -> RelResult<&[u8]> {
@@ -55,32 +64,32 @@ fn decode_row(schema: &Schema, rec: &[u8]) -> RelResult<Vec<Value>> {
         off += n;
         Ok(slice)
     };
-    let mut row = Vec::with_capacity(schema.len());
-    for field in schema.fields() {
-        let v = match field.dtype {
-            DataType::Bool => Value::Bool(take(1)?[0] != 0),
-            DataType::Int => {
-                let b: [u8; 8] = take(8)?.try_into().map_err(|_| corrupt("int"))?;
-                Value::Int(i64::from_le_bytes(b))
-            }
-            DataType::Float => {
-                let b: [u8; 8] = take(8)?.try_into().map_err(|_| corrupt("float"))?;
-                Value::Float(f64::from_le_bytes(b))
-            }
+    for (field, slot) in schema.fields().iter().zip(slots) {
+        let bytes = match field.dtype {
+            DataType::Bool => take(1)?,
+            DataType::Int | DataType::Float => take(8)?,
             DataType::Str => {
                 let b: [u8; 4] = take(4)?.try_into().map_err(|_| corrupt("strlen"))?;
-                let len = u32::from_le_bytes(b) as usize;
-                let s = std::str::from_utf8(take(len)?)
-                    .map_err(|_| corrupt("invalid utf-8"))?;
-                Value::str(s)
+                take(u32::from_le_bytes(b) as usize)?
             }
         };
-        row.push(v);
+        let Some(slot) = slot else { continue };
+        let word =
+            || -> RelResult<[u8; 8]> { bytes.try_into().map_err(|_| corrupt("8-byte value")) };
+        match &mut builders[*slot] {
+            Column::Bool(v) => v.push(bytes.first().is_some_and(|&b| b != 0)),
+            Column::Int(v) => v.push(i64::from_le_bytes(word()?)),
+            Column::Float(v) => v.push(f64::from_le_bytes(word()?)),
+            Column::Str(v) => {
+                let s = std::str::from_utf8(bytes).map_err(|_| corrupt("invalid utf-8"))?;
+                v.push(Arc::from(s));
+            }
+        }
     }
     if off != rec.len() {
         return Err(corrupt("trailing bytes"));
     }
-    Ok(row)
+    Ok(())
 }
 
 /// Pushed-down scan parameters. All default to "no pushdown".
@@ -190,27 +199,46 @@ impl PagedTable {
     }
 
     /// Stream every page through `pool`, applying the pushed-down
-    /// predicate, projection and limit as pages arrive.
+    /// predicate, projection and limit as pages arrive. Only the fields
+    /// the projection or the predicate reads are decoded.
     pub fn scan(&self, pool: &BufferPool, opts: &ScanOptions) -> RelResult<ScanOutcome> {
-        let out_schema: SchemaRef = match opts.projection {
-            Some(cols) => {
-                let fields = cols
-                    .iter()
-                    .map(|&i| {
-                        if i >= self.schema.len() {
-                            return Err(RelError::Storage(format!(
-                                "projection index {i} out of range"
-                            )));
-                        }
-                        Ok(self.schema.field(i).clone())
-                    })
-                    .collect::<RelResult<Vec<_>>>()?;
-                Arc::new(Schema::new(fields)?)
-            }
-            None => self.schema.clone(),
+        let width = self.schema.len();
+        let projection: Vec<usize> = match opts.projection {
+            Some(cols) => cols.to_vec(),
+            None => (0..width).collect(),
         };
+        let mut wanted = projection.clone();
+        if let Some(pred) = opts.predicate {
+            pred.columns_read(&mut wanted);
+        }
+        if let Some(&i) = wanted.iter().find(|&&i| i >= width) {
+            return Err(RelError::Storage(format!(
+                "projection index {i} out of range"
+            )));
+        }
+        // The decoded fields in schema order, and each one's position
+        // among them; the predicate and the projection read positions.
+        let decoded: Vec<usize> = (0..width).filter(|i| wanted.contains(i)).collect();
+        let mut slots: Vec<Option<usize>> = vec![None; width];
+        for (slot, &i) in decoded.iter().enumerate() {
+            slots[i] = Some(slot);
+        }
+        let position = |i: usize| slots[i].unwrap_or(0);
+        let predicate = opts
+            .predicate
+            .map(|p| p.remap(&(0..width).map(position).collect::<Vec<_>>()));
+        let out_cols: Vec<usize> = projection.iter().map(|&i| position(i)).collect();
+        let fields_of = |cols: &[usize]| {
+            Schema::new(cols.iter().map(|&i| self.schema.field(i).clone()).collect()).map(Arc::new)
+        };
+        let page_schema = fields_of(&decoded)?;
+        let out_schema = fields_of(&projection)?;
 
-        let mut parts: Vec<Table> = Vec::new();
+        let mut out: Vec<Column> = out_schema
+            .fields()
+            .iter()
+            .map(|f| Column::empty(f.dtype))
+            .collect();
         let mut rows_scanned = 0u64;
         let mut pages_read = 0u64;
         let mut taken = 0usize;
@@ -219,44 +247,40 @@ impl PagedTable {
         // so pages other consumers (or a repeat of this scan) rely on
         // stay resident.
         let hint = pool.scan_hint();
-        'pages: for no in 0..self.heap.page_count() {
+        for no in 0..self.heap.page_count() {
             let guard = pool.fetch_hinted(&self.heap, no, Some(&hint))?;
-            let mut builder = TableBuilder::new(self.schema.clone());
-            {
-                let page = guard.page();
-                for rec in page.records() {
-                    builder.push_row(decode_row(&self.schema, rec)?)?;
-                }
+            let mut builders: Vec<Column> = page_schema
+                .fields()
+                .iter()
+                .map(|f| Column::empty(f.dtype))
+                .collect();
+            for rec in guard.page().records() {
+                decode_into(&self.schema, &slots, rec, &mut builders)?;
             }
-            let mut t = builder.finish();
+            let mut t = Table::new(page_schema.clone(), builders)?;
             pages_read += 1;
             rows_scanned += t.num_rows() as u64;
-            if let Some(pred) = opts.predicate {
+            if let Some(pred) = &predicate {
                 t = ops::filter(&t, pred)?;
             }
-            if let Some(cols) = opts.projection {
-                let columns = cols.iter().map(|&i| t.column(i).clone()).collect();
-                t = Table::new(out_schema.clone(), columns)?;
-            }
+            let mut last = false;
             if let Some(limit) = opts.limit {
                 let remaining = limit - taken;
                 if t.num_rows() >= remaining {
                     t = ops::limit(&t, remaining)?;
-                    parts.push(t);
-                    break 'pages;
+                    last = true;
                 }
             }
             taken += t.num_rows();
-            parts.push(t);
+            for (dst, &src) in out.iter_mut().zip(&out_cols) {
+                dst.extend_from(t.column(src))?;
+            }
+            if last {
+                break;
+            }
         }
-
-        let table = if parts.is_empty() {
-            Table::empty(out_schema)
-        } else {
-            Table::concat(&parts)?
-        };
         Ok(ScanOutcome {
-            table,
+            table: Table::new(out_schema, out)?,
             rows_scanned,
             pages_read,
         })
@@ -279,6 +303,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::udf::UdfRegistry;
+    use crate::value::Value;
 
     fn sample(rows: i64) -> Table {
         let schema = Schema::of(&[

@@ -29,6 +29,7 @@
 
 use crate::binfmt;
 use crate::catalog::Source;
+use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::exec::{hash_partition, JoinStrategy, StageStats};
 use crate::expr::Expr;
@@ -36,7 +37,7 @@ use crate::ops::{self, AggFunc, JoinSide, ProjectionSpec, SortKey};
 use crate::paged::ScanOptions;
 use crate::plan::{equi_pair, flatten_and, lower_agg, AggCall, ExecContext, LogicalPlan};
 use crate::schema::{Field, Schema, SchemaRef};
-use crate::table::{Table, TableBuilder};
+use crate::table::Table;
 use crate::value::DataType;
 use bytes::Bytes;
 use esharp_storage::{SpillDir, SpillHandle, SpillReader, PAGE_SIZE};
@@ -1079,8 +1080,8 @@ impl ExecContext {
                         .map(|&i| out.schema().field(i).clone())
                         .collect::<Vec<_>>();
                     let schema = Arc::new(Schema::new(fields)?);
-                    let columns = cols.iter().map(|&i| out.column(i).clone()).collect();
-                    out = Table::new(schema, columns)?;
+                    let columns = cols.iter().map(|&i| Arc::clone(&out.columns()[i])).collect();
+                    out = Table::from_shared(schema, columns)?;
                 }
                 let bytes = t.byte_size() as u64;
                 Ok((out, scanned, bytes))
@@ -1378,7 +1379,7 @@ impl ExecContext {
 
         fn cmp_rows(a: &Table, ar: usize, b: &Table, br: usize, keys: &[SortKey]) -> Ordering {
             for k in keys {
-                let ord = a.column(k.col).value(ar).cmp(&b.column(k.col).value(br));
+                let ord = a.column(k.col).cmp_at(ar, b.column(k.col), br);
                 let ord = if k.ascending { ord } else { ord.reverse() };
                 if !ord.is_eq() {
                     return ord;
@@ -1393,7 +1394,12 @@ impl ExecContext {
                 cursors.push(c);
             }
         }
-        let mut out = TableBuilder::with_capacity(input.schema().clone(), rows);
+        let mut out: Vec<Column> = input
+            .schema()
+            .fields()
+            .iter()
+            .map(|f| Column::with_capacity(f.dtype, rows))
+            .collect();
         loop {
             let mut best: Option<usize> = None;
             for i in 0..cursors.len() {
@@ -1420,11 +1426,13 @@ impl ExecContext {
                 };
             }
             let Some(b) = best else { break };
-            let row = cursors[b].batch.row(cursors[b].pos);
-            out.push_row(row)?;
-            cursors[b].advance()?;
+            let cursor = &mut cursors[b];
+            for (dst, src) in out.iter_mut().zip(cursor.batch.columns()) {
+                dst.push_from(src, cursor.pos)?;
+            }
+            cursor.advance()?;
         }
-        Ok(out.finish())
+        Table::new(input.schema().clone(), out)
     }
 
     fn spill_dir(&self) -> std::path::PathBuf {

@@ -143,7 +143,7 @@ impl Binder<'_> {
                 "duplicate table alias: {alias}"
             )));
         }
-        let schema = self.catalog.get(&table.name)?.schema().clone();
+        let schema = self.catalog.schema_of(&table.name)?;
         let mut renames = Vec::with_capacity(schema.len());
         for field in schema.fields() {
             let physical = format!("{alias}.{}", field.name.to_lowercase());

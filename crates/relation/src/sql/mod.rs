@@ -321,6 +321,31 @@ mod tests {
     }
 
     #[test]
+    fn planning_reads_no_pages_of_a_paged_table() {
+        let dir = std::env::temp_dir().join(format!("esharp_plan_paged_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ctx = context();
+        let graph = ctx.catalog.get("graph").unwrap();
+        let paged = Arc::new(crate::paged::PagedTable::create(&dir.join("graph"), &graph).unwrap());
+        let pool = Arc::new(crate::BufferPool::new(2));
+        ctx.catalog.register_paged("graph", paged, pool.clone());
+        let sql = "select g.query1, c.comm_name from graph g \
+                   inner join communities c on c.query = g.query2 where g.distance > 0.25";
+        let touched = |pool: &crate::BufferPool| {
+            let stats = pool.stats();
+            stats.hits + stats.misses
+        };
+        let before = touched(&pool);
+        let plan = plan_sql(sql, &ctx).unwrap();
+        crate::physical::optimize(&plan, &ctx).unwrap();
+        assert_eq!(touched(&pool), before, "planning fetched pages");
+        // Running it does read them.
+        assert_eq!(run_sql(sql, &ctx).unwrap().num_rows(), 3);
+        assert!(touched(&pool) > before);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn distinct_deduplicates() {
         let ctx = context();
         let out = run_sql("select distinct comm_name from communities", &ctx).unwrap();

@@ -1,4 +1,6 @@
-//! In-memory tables: a schema plus one column vector per field.
+//! In-memory tables: a schema plus one shared column vector per field.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
@@ -7,16 +9,24 @@ use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
 
-/// An immutable-by-convention, in-memory relation.
+/// An immutable in-memory relation.
+///
+/// Columns are reference-counted: cloning a table, scanning it, or
+/// projecting a column under a new name copies pointers, not rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: SchemaRef,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
 }
 
 impl Table {
     /// Create a table from a schema and matching columns.
     pub fn new(schema: SchemaRef, columns: Vec<Column>) -> RelResult<Self> {
+        Self::from_shared(schema, columns.into_iter().map(Arc::new).collect())
+    }
+
+    /// Create a table from a schema and matching shared columns.
+    pub(crate) fn from_shared(schema: SchemaRef, columns: Vec<Arc<Column>>) -> RelResult<Self> {
         if schema.len() != columns.len() {
             return Err(RelError::InvalidPlan(format!(
                 "schema has {} fields but {} columns given",
@@ -53,7 +63,7 @@ impl Table {
         let columns = schema
             .fields()
             .iter()
-            .map(|f| Column::empty(f.dtype))
+            .map(|f| Arc::new(Column::empty(f.dtype)))
             .collect();
         Table { schema, columns }
     }
@@ -74,7 +84,7 @@ impl Table {
     }
 
     /// All columns in order.
-    pub fn columns(&self) -> &[Column] {
+    pub fn columns(&self) -> &[Arc<Column>] {
         &self.columns
     }
 
@@ -85,12 +95,12 @@ impl Table {
 
     /// The column named `name`.
     pub fn column_by_name(&self, name: &str) -> RelResult<&Column> {
-        Ok(&self.columns[self.schema.index_of(name)?])
+        Ok(self.column(self.schema.index_of(name)?))
     }
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
-        self.columns.first().map_or(0, Column::len)
+        self.columns.first().map_or(0, |c| c.len())
     }
 
     /// True when the table has zero rows.
@@ -113,7 +123,11 @@ impl Table {
     pub fn gather(&self, indices: &[usize]) -> Table {
         Table {
             schema: Arc::clone(&self.schema),
-            columns: self.columns.iter().map(|c| c.gather(indices)).collect(),
+            columns: self
+                .columns
+                .iter()
+                .map(|c| Arc::new(c.gather(indices)))
+                .collect(),
         }
     }
 
@@ -121,7 +135,11 @@ impl Table {
     pub fn filter_rows(&self, mask: &[bool]) -> Table {
         Table {
             schema: Arc::clone(&self.schema),
-            columns: self.columns.iter().map(|c| c.filter(mask)).collect(),
+            columns: self
+                .columns
+                .iter()
+                .map(|c| Arc::new(c.filter(mask)))
+                .collect(),
         }
     }
 
@@ -130,24 +148,30 @@ impl Table {
         let Some(first) = parts.first() else {
             return Err(RelError::InvalidPlan("concat of zero tables".into()));
         };
-        let mut out = Table::empty(Arc::clone(&first.schema));
+        let rows = parts.iter().map(Table::num_rows).sum();
+        let mut columns: Vec<Column> = first
+            .schema
+            .fields()
+            .iter()
+            .map(|f| Column::with_capacity(f.dtype, rows))
+            .collect();
         for part in parts {
             if part.schema.as_ref() != first.schema.as_ref() {
                 return Err(RelError::InvalidPlan(
                     "concat of tables with differing schemas".into(),
                 ));
             }
-            for (dst, src) in out.columns.iter_mut().zip(&part.columns) {
+            for (dst, src) in columns.iter_mut().zip(&part.columns) {
                 dst.extend_from(src)?;
             }
         }
-        Ok(out)
+        Table::new(Arc::clone(&first.schema), columns)
     }
 
     /// Approximate payload size in bytes; feeds the Table 9 style
     /// read/write accounting.
     pub fn byte_size(&self) -> usize {
-        self.columns.iter().map(Column::byte_size).sum()
+        self.columns.iter().map(|c| c.byte_size()).sum()
     }
 
     /// Rows sorted lexicographically — canonical form for order-insensitive
@@ -237,7 +261,7 @@ impl TableBuilder {
     pub fn finish(self) -> Table {
         Table {
             schema: self.schema,
-            columns: self.columns,
+            columns: self.columns.into_iter().map(Arc::new).collect(),
         }
     }
 }

@@ -117,7 +117,7 @@ impl Value {
 /// Canonicalize a float for hashing/equality: all NaNs are identified and
 /// negative zero maps to positive zero. The engine never produces NaN in
 /// pipeline queries, but property tests exercise it.
-fn canonical_f64_bits(x: f64) -> u64 {
+pub(crate) fn canonical_f64_bits(x: f64) -> u64 {
     if x.is_nan() {
         f64::NAN.to_bits()
     } else if x == 0.0 {
@@ -149,27 +149,38 @@ impl Eq for Value {}
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
-            Value::Bool(b) => {
-                state.write_u8(0);
-                b.hash(state);
-            }
-            Value::Int(i) => {
-                state.write_u8(1);
-                // Hash ints through the float canonicalization when they are
-                // representable, so Int(2) and Float(2.0) collide as equals
-                // require.
-                state.write_u64(canonical_f64_bits(*i as f64));
-            }
-            Value::Float(x) => {
-                state.write_u8(1);
-                state.write_u64(canonical_f64_bits(*x));
-            }
-            Value::Str(s) => {
-                state.write_u8(3);
-                s.hash(state);
-            }
+            Value::Bool(b) => hash_bool(*b, state),
+            Value::Int(i) => hash_int(*i, state),
+            Value::Float(x) => hash_float(*x, state),
+            Value::Str(s) => hash_str(s, state),
         }
     }
+}
+
+// The bytes each type feeds a hasher. The column-at-a-time key hashing
+// (`exec::partition`) calls these same functions, so a row hashed from
+// its columns and the same row hashed as `Value`s land in the same
+// partition.
+
+pub(crate) fn hash_bool<H: Hasher>(b: bool, state: &mut H) {
+    state.write_u8(0);
+    b.hash(state);
+}
+
+/// Ints hash through the float canonicalization, so Int(2) and
+/// Float(2.0) collide as equality requires.
+pub(crate) fn hash_int<H: Hasher>(i: i64, state: &mut H) {
+    hash_float(i as f64, state);
+}
+
+pub(crate) fn hash_float<H: Hasher>(x: f64, state: &mut H) {
+    state.write_u8(1);
+    state.write_u64(canonical_f64_bits(x));
+}
+
+pub(crate) fn hash_str<H: Hasher>(s: &str, state: &mut H) {
+    state.write_u8(3);
+    s.hash(state);
 }
 
 impl PartialOrd for Value {
@@ -203,7 +214,7 @@ impl Ord for Value {
     }
 }
 
-fn total_f64_cmp(a: f64, b: f64) -> Ordering {
+pub(crate) fn total_f64_cmp(a: f64, b: f64) -> Ordering {
     f64::from_bits(canonical_f64_bits(a)).total_cmp(&f64::from_bits(canonical_f64_bits(b)))
 }
 

@@ -39,8 +39,10 @@
 #           event-loop front end (poller/conn/event_loop), and the
 #           batch planner path (corpus match, retriever, detector,
 #           online), the rank kernel (tweet columns, candidate
-#           features), and the refresh's input path (log aggregation,
-#           graph builder) — keep their no-panic lint gate
+#           features), the refresh's input path (log aggregation,
+#           graph builder), and the relational kernels (columns, tables,
+#           vectorised expressions, UDFs, typed-key join / aggregate /
+#           project, hash partitioning) — keep their no-panic lint gate
 #
 # Usage: scripts/tier1.sh   (from the repo root or anywhere inside it)
 set -euo pipefail
@@ -134,7 +136,12 @@ for f in crates/relation/src/atomic.rs crates/relation/src/binfmt.rs \
          crates/microblog/src/corpus.rs crates/core/src/online.rs \
          crates/core/src/retriever.rs crates/expert/src/detector.rs \
          crates/expert/src/features.rs crates/microblog/src/columns.rs \
-         crates/querylog/src/aggregate.rs crates/graph/src/builder.rs; do
+         crates/querylog/src/aggregate.rs crates/graph/src/builder.rs \
+         crates/relation/src/column.rs crates/relation/src/table.rs \
+         crates/relation/src/expr.rs crates/relation/src/udf.rs \
+         crates/relation/src/ops/join.rs crates/relation/src/ops/aggregate.rs \
+         crates/relation/src/ops/project.rs crates/relation/src/ops/keys.rs \
+         crates/relation/src/exec/partition.rs; do
   grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' "$f" || {
     echo "missing unwrap/expect deny gate in $f" >&2
     exit 1
