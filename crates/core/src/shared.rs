@@ -6,7 +6,8 @@
 //! readers take an immutable snapshot (an `Arc<Esharp>` plus the epoch it
 //! belongs to) and search without holding any lock; a reload builds the
 //! next state off to the side and publishes it with a single pointer
-//! swap.
+//! swap. The write lock is held for that swap only, so a reader never
+//! waits on a reload's file read and decode.
 //!
 //! ## Epochs
 //!
@@ -25,7 +26,7 @@ use crate::error::EsharpResult;
 use crate::online::Esharp;
 use esharp_fault::{fault_error, FaultInjector, NoFaults};
 use std::path::Path;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock, TryLockError};
 
 /// Fault-injection site consulted by [`SharedEsharp::reload_with`] before
 /// touching the domains file (see `esharp-fault`'s site families).
@@ -39,6 +40,9 @@ pub struct SharedEsharp {
     /// lock. Readers only ever clone the `Arc`; searches run lock-free on
     /// the snapshot.
     inner: RwLock<(Arc<Esharp>, u64)>,
+    /// Serialises reloads: each builds from the state the previous one
+    /// published, so no reload's result is lost to a concurrent one.
+    reloading: Mutex<()>,
 }
 
 impl SharedEsharp {
@@ -46,6 +50,7 @@ impl SharedEsharp {
     pub fn new(esharp: Esharp) -> SharedEsharp {
         SharedEsharp {
             inner: RwLock::new((Arc::new(esharp), 0)),
+            reloading: Mutex::new(()),
         }
     }
 
@@ -61,6 +66,16 @@ impl SharedEsharp {
     /// The current epoch (advances on every reload attempt).
     pub fn epoch(&self) -> u64 {
         self.inner.read().unwrap_or_else(|e| e.into_inner()).1
+    }
+
+    /// The current epoch, or `None` when a reload is publishing right
+    /// now — for callers that must never wait (the serving event loop).
+    pub fn try_epoch(&self) -> Option<u64> {
+        match self.inner.try_read() {
+            Ok(guard) => Some(guard.1),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner().1),
+            Err(TryLockError::WouldBlock) => None,
+        }
     }
 
     /// Swap in a freshly persisted domain collection (the weekly refresh
@@ -85,11 +100,10 @@ impl SharedEsharp {
         injector: &dyn FaultInjector,
         attempt: u32,
     ) -> EsharpResult<u64> {
-        // Build the next state outside the read path's critical section:
-        // the write lock is only contended against other reloads and the
-        // instant of snapshot cloning.
-        let mut guard = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        let mut next = (*guard.0).clone();
+        let _reloading = self.reloading.lock().unwrap_or_else(|e| e.into_inner());
+        // Build the next state from a snapshot, outside the lock readers
+        // take: the write lock below covers the pointer swap only.
+        let mut next = (*self.snapshot().0).clone();
         let result = match injector.fault_at(RELOAD_SITE, attempt) {
             Some(fault) => {
                 let err = fault_error(fault, RELOAD_SITE);
@@ -98,6 +112,7 @@ impl SharedEsharp {
             }
             None => next.reload_domains(path),
         };
+        let mut guard = self.inner.write().unwrap_or_else(|e| e.into_inner());
         let epoch = guard.1 + 1;
         *guard = (Arc::new(next), epoch);
         result.map(|()| epoch)
@@ -111,6 +126,53 @@ mod tests {
     use crate::domains::DomainCollection;
     use crate::online::Degradation;
     use esharp_fault::{Fault, FaultPlan};
+    use std::sync::{mpsc, Condvar};
+    use std::time::Duration;
+
+    /// An injector that parks every `fault_at` caller until released,
+    /// injecting nothing: it holds a reload mid-build for as long as a
+    /// test needs.
+    #[derive(Default)]
+    struct Gate {
+        /// (callers parked so far, released)
+        state: Mutex<(usize, bool)>,
+        changed: Condvar,
+    }
+
+    impl Gate {
+        fn wait_parked(&self) {
+            let mut state = self.state.lock().unwrap();
+            while state.0 == 0 {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+
+        fn release(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.changed.notify_all();
+        }
+    }
+
+    impl FaultInjector for Gate {
+        fn fault_at(&self, _site: &str, _attempt: u32) -> Option<Fault> {
+            let mut state = self.state.lock().unwrap();
+            state.0 += 1;
+            self.changed.notify_all();
+            while !state.1 {
+                state = self.changed.wait(state).unwrap();
+            }
+            None
+        }
+    }
+
+    fn saved(dir: &str, tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{tag}.bin"));
+        collection(tag).save(&path).unwrap();
+        path
+    }
 
     fn collection(tag: &str) -> DomainCollection {
         DomainCollection::from_groups(vec![vec![tag.to_string(), format!("{tag} news")]])
@@ -196,5 +258,61 @@ mod tests {
         assert!(state.domains().lookup("gamma").is_some());
         assert!(state.degradation().is_none());
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn snapshots_do_not_wait_for_a_reload_in_progress() {
+        let path = saved("esharp_shared_reload_parked", "delta");
+        let shared = Arc::new(shared());
+        let gate = Arc::new(Gate::default());
+        let reload = {
+            let (shared, gate, path) = (Arc::clone(&shared), Arc::clone(&gate), path.clone());
+            std::thread::spawn(move || shared.reload_with(&path, gate.as_ref(), 0))
+        };
+        gate.wait_parked();
+        // The reload is parked mid-build: readers still get the
+        // published state at once.
+        let (tx, rx) = mpsc::channel();
+        {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let _ = tx.send((shared.snapshot().1, shared.try_epoch()));
+            });
+        }
+        let seen = rx.recv_timeout(Duration::from_secs(10));
+        gate.release();
+        assert_eq!(seen, Ok((0, Some(0))), "a reader waited on the reload");
+        assert_eq!(reload.join().unwrap().unwrap(), 1);
+        assert!(shared.snapshot().0.domains().lookup("delta").is_some());
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn concurrent_reloads_each_advance_the_epoch_and_the_later_one_publishes() {
+        let first = saved("esharp_shared_reload_first", "beta");
+        let second = saved("esharp_shared_reload_second", "gamma");
+        let shared = Arc::new(shared());
+        let gate = Arc::new(Gate::default());
+        let earlier = {
+            let (shared, gate, path) = (Arc::clone(&shared), Arc::clone(&gate), first.clone());
+            std::thread::spawn(move || shared.reload_with(&path, gate.as_ref(), 0))
+        };
+        gate.wait_parked();
+        let later = {
+            let (shared, path) = (Arc::clone(&shared), second.clone());
+            std::thread::spawn(move || shared.reload(&path))
+        };
+        // Give the later reload time to queue behind the parked one.
+        std::thread::sleep(Duration::from_millis(50));
+        gate.release();
+        assert_eq!(earlier.join().unwrap().unwrap(), 1);
+        assert_eq!(later.join().unwrap().unwrap(), 2);
+        let (state, epoch) = shared.snapshot();
+        assert_eq!(epoch, 2);
+        assert!(state.domains().lookup("gamma").is_some());
+        assert!(state.domains().lookup("beta").is_none());
+        for path in [first, second] {
+            let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        }
     }
 }

@@ -39,7 +39,7 @@ use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::SeqCst};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Fault site consulted once per WAL batch append (attempt axis: a
@@ -279,6 +279,17 @@ impl LiveCorpus {
     /// The current corpus epoch.
     pub fn epoch(&self) -> u64 {
         self.read_inner().epoch
+    }
+
+    /// The current corpus epoch, or `None` when a mutation holds (or
+    /// waits for) the write lock — for callers that must never wait (the
+    /// serving event loop).
+    pub fn try_epoch(&self) -> Option<u64> {
+        match self.inner.try_read() {
+            Ok(guard) => Some(guard.epoch),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner().epoch),
+            Err(TryLockError::WouldBlock) => None,
+        }
     }
 
     /// Ops applied since the persisted base (the compaction backlog).
@@ -700,6 +711,17 @@ mod tests {
             author: "alice".into(),
             text: text.into(),
         }
+    }
+
+    #[test]
+    fn try_epoch_gives_way_to_a_writer() {
+        let live = LiveCorpus::new(base_corpus());
+        live.apply(&append("niners draft steal")).unwrap();
+        assert_eq!(live.try_epoch(), Some(1));
+        let writer = live.inner.write().unwrap();
+        assert_eq!(live.try_epoch(), None, "must not wait for the writer");
+        drop(writer);
+        assert_eq!(live.try_epoch(), Some(1));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! that carry a keep-alive connection through its lifecycle: an input
 //! buffer fed by readiness events and drained by the incremental parser
 //! ([`crate::http::parse_request`]), a bounded pipeline of parsed
-//! requests waiting for a worker, an output buffer of rendered
+//! requests waiting to be answered, an output buffer of rendered
 //! responses written as the socket allows, and the close/drain
 //! bookkeeping (`Connection: close`, protocol-error poisoning, EOF)
 //! that decides when the connection ends.
@@ -45,7 +45,7 @@ pub(crate) struct Conn {
     inbuf: Vec<u8>,
     outbuf: Vec<u8>,
     outpos: usize,
-    /// Parsed requests waiting for a worker slot, oldest first. Bounded
+    /// Parsed requests waiting to be answered, oldest first. Bounded
     /// by `max_pipeline_depth`: when full, the connection stops reading
     /// and TCP backpressure does the rest.
     pub(crate) pending: VecDeque<Request>,
@@ -156,9 +156,29 @@ impl Conn {
         }
     }
 
-    /// Append rendered response bytes to the output buffer.
+    /// Append pre-rendered response bytes to the output buffer.
     pub(crate) fn queue_bytes(&mut self, bytes: &[u8]) {
         self.outbuf.extend_from_slice(bytes);
+    }
+
+    /// Render a response straight into the output buffer: the head, then
+    /// `body` (often a cached body shared with the result cache) with no
+    /// intermediate copy. A `close` response is this connection's last:
+    /// later pipelined requests are dropped and it closes once flushed.
+    pub(crate) fn queue_response(
+        &mut self,
+        status: u16,
+        headers: &[(&str, &str)],
+        body: &[u8],
+        close: bool,
+    ) {
+        crate::http::write_head(&mut self.outbuf, status, headers, body.len(), close);
+        self.outbuf.extend_from_slice(body);
+        if close {
+            self.close_after_flush = true;
+            self.pending.clear();
+            self.poison = None;
+        }
     }
 
     pub(crate) fn has_output(&self) -> bool {
@@ -281,6 +301,27 @@ mod tests {
         client.set_read_timeout(Some(std::time::Duration::from_secs(2))).unwrap();
         let n = client.read(&mut buf).unwrap();
         assert_eq!(&buf[..n], b"hello world");
+    }
+
+    #[test]
+    fn queued_responses_match_render_response_and_close_ends_the_pipeline() {
+        let (_client, server) = pair();
+        let mut conn = Conn::new(server, Instant::now());
+        conn.pending.push_back(
+            crate::http::parse_request(b"GET /healthz HTTP/1.1\r\n\r\n", &Limits::default())
+                .unwrap()
+                .unwrap()
+                .0,
+        );
+        conn.queue_response(200, &[("x-esharp-cache", "hit")], b"{}", false);
+        assert!(!conn.close_after_flush && conn.pending.len() == 1);
+        conn.queue_response(503, &[], b"{\"shed\":true}", true);
+        let mut expected =
+            crate::http::render_response(200, &[("x-esharp-cache", "hit")], b"{}", false);
+        expected.extend(crate::http::render_response(503, &[], b"{\"shed\":true}", true));
+        assert_eq!(conn.outbuf, expected);
+        assert!(conn.close_after_flush, "a close response is the last");
+        assert!(conn.pending.is_empty(), "later pipelined requests are dropped");
     }
 
     #[test]

@@ -2,17 +2,23 @@
 //!
 //! The loop owns all socket I/O. It accepts nonblocking connections,
 //! reads and incrementally parses requests into each connection's
-//! bounded pipeline, dispatches one request per connection at a time to
-//! the worker pool through the bounded admission [`Queue`], and writes
-//! rendered responses back as sockets allow. Workers never touch a
-//! socket: they return [`Completion`]s through a shared vector and wake
-//! the loop via the self-pipe ([`crate::poller::Wakeup`]).
+//! bounded pipeline, and answers them one per connection at a time, in
+//! request order. A `GET /search` the result cache can answer is
+//! answered right here ([`crate::server::answer_inline`]): the loop
+//! writes the response head and the shared cached body into the
+//! connection's output buffer without touching the queue or a worker.
+//! Every other request — a search miss carrying its cache lookup,
+//! everything else as parsed — goes to the worker pool through the
+//! bounded admission [`Queue`]. Workers never touch a socket: they
+//! return [`Completion`]s through a shared vector and wake the loop via
+//! the self-pipe ([`crate::poller::Wakeup`]).
 //!
-//! Admission control moved with the dispatch point: a queue-full
-//! rejection now sheds the *request* (inline `503` + `Retry-After`),
-//! not the connection — a persistent client keeps its connection and
+//! Admission control sits at the dispatch point: a queue-full
+//! rejection sheds the *request* (inline `503` + `Retry-After`), not
+//! the connection — a persistent client keeps its connection and
 //! retries on it, which is the whole point of `Retry-After`
-//! (ROBUSTNESS.md §6 carries over, minus the connection funeral).
+//! (ROBUSTNESS.md §6). Inline hits take no queue slot, so under
+//! overload only requests that need a worker are shed.
 //!
 //! Close semantics:
 //! * `Connection: close` (or HTTP/1.0) closes after that request's
@@ -33,7 +39,7 @@
 use crate::conn::Conn;
 use crate::http::{self, RequestError};
 use crate::poller::{PollEvent, Poller, Wakeup};
-use crate::server::{Completion, Job, Queue, State};
+use crate::server::{answer_inline, Completion, Job, Queue, State};
 use std::collections::HashMap;
 use std::io;
 use std::net::TcpListener;
@@ -218,8 +224,10 @@ impl EventLoop {
         self.settle(token);
     }
 
-    /// Dispatch the connection's next request (at most one in flight per
-    /// connection, so responses stay in request order), shedding inline
+    /// Answer or dispatch the connection's pending requests in order:
+    /// cache hits inline, anything else to the worker pool (at most one
+    /// in flight per connection, and nothing after it until it
+    /// completes, so responses stay in request order), shedding inline
     /// when the admission queue is full, and queueing the poison
     /// response once the pipeline is empty.
     fn advance(&mut self, token: u64) {
@@ -236,11 +244,21 @@ impl EventLoop {
                     self.state.metrics.keepalive_reuses.fetch_add(1, SeqCst);
                 }
                 let close = request.close;
+                let lookup = match answer_inline(&self.state, &request) {
+                    Ok(hit) => {
+                        // Closes exactly as the completion would have.
+                        let close = close || conn.eof;
+                        conn.queue_response(hit.status, hit.headers, &hit.body, close);
+                        continue;
+                    }
+                    Err(lookup) => lookup,
+                };
                 let attempt = self.state.job_attempts.fetch_add(1, SeqCst);
                 let admitted = self.queue.try_push(Job {
                     token,
                     request,
                     attempt,
+                    lookup,
                 });
                 if admitted {
                     conn.executing = Some(close);
@@ -249,21 +267,14 @@ impl EventLoop {
                 // Queue full: shed the request, keep the connection
                 // (unless the client asked to close).
                 self.state.metrics.shed_total.fetch_add(1, SeqCst);
-                let body: &[u8] = b"{\"error\":\"overloaded\",\"shed\":true}";
-                let bytes = http::render_response(
+                conn.queue_response(
                     503,
                     &[("retry-after", "1")],
-                    body,
+                    b"{\"error\":\"overloaded\",\"shed\":true}",
                     close,
                 );
-                conn.queue_bytes(&bytes);
-                if close {
-                    conn.close_after_flush = true;
-                    conn.pending.clear();
-                    return;
-                }
                 // Loop: later pipelined requests get their own
-                // shed/dispatch decision.
+                // answer/dispatch/shed decision.
             } else if let Some(poison) = conn.poison.take() {
                 conn.queue_bytes(&poison);
                 conn.close_after_flush = true;
@@ -325,7 +336,7 @@ impl EventLoop {
         }
     }
 
-    /// Apply worker completions: render and queue each response (or
+    /// Apply worker completions: write each response (or
     /// abort the connection when the worker died mid-job), then let the
     /// connection pump forward — a freed pipeline slot may parse and
     /// dispatch the next request immediately.
@@ -352,19 +363,13 @@ impl EventLoop {
                 Some(response) => {
                     let requested_close = conn.executing.take().unwrap_or(false);
                     let close = response.close || requested_close || conn.eof;
-                    let bytes = http::render_response(
+                    conn.queue_response(
                         response.status,
-                        &response.headers,
+                        response.headers,
                         &response.body,
                         close,
                     );
-                    conn.queue_bytes(&bytes);
                     conn.last_activity = Instant::now();
-                    if close {
-                        conn.close_after_flush = true;
-                        conn.pending.clear();
-                        conn.poison = None;
-                    }
                 }
             }
             self.pump(token);

@@ -333,6 +333,22 @@ pub fn render_response(
     body: &[u8],
     close: bool,
 ) -> Vec<u8> {
+    let mut out = Vec::with_capacity(128 + body.len());
+    write_head(&mut out, status, extra_headers, body.len(), close);
+    out.extend_from_slice(body);
+    out
+}
+
+/// Append a response head (status line, headers, blank line) for a body
+/// of `body_len` bytes to `out` — [`render_response`] without the body,
+/// so the event loop can write a shared body straight after it.
+pub fn write_head(
+    out: &mut Vec<u8>,
+    status: u16,
+    extra_headers: &[(&str, &str)],
+    body_len: usize,
+    close: bool,
+) {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -345,11 +361,11 @@ pub fn render_response(
         _ => "Unknown",
     };
     let connection = if close { "close" } else { "keep-alive" };
-    let mut out = format!(
-        "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {connection}\r\n",
-        body.len()
-    )
-    .into_bytes();
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\ncontent-length: {body_len}\r\nconnection: {connection}\r\n"
+    );
     for (name, value) in extra_headers {
         out.extend_from_slice(name.as_bytes());
         out.extend_from_slice(b": ");
@@ -357,8 +373,6 @@ pub fn render_response(
         out.extend_from_slice(b"\r\n");
     }
     out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(body);
-    out
 }
 
 /// Write a complete closing response and flush (the one-shot path used
@@ -638,6 +652,20 @@ mod tests {
         assert!(text.contains("x-a: 1"), "{text}");
         let close = render_response(503, &[], b"", true);
         assert!(String::from_utf8(close).unwrap().contains("connection: close"));
+    }
+
+    #[test]
+    fn render_response_bytes_are_pinned() {
+        assert_eq!(
+            render_response(200, &[("x-esharp-cache", "hit")], b"{}", false),
+            b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 2\r\nconnection: keep-alive\r\nx-esharp-cache: hit\r\n\r\n{}"
+        );
+        let mut head = b"earlier".to_vec();
+        write_head(&mut head, 503, &[], 0, true);
+        assert_eq!(
+            head,
+            b"earlierHTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
+        );
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl Histogram {
 /// All serving counters and histograms, shared by every worker.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// `GET /search` requests admitted to a worker.
+    /// Valid `GET /search` requests (answered inline or by a worker).
     pub search_requests: AtomicU64,
     /// `GET /healthz` requests.
     pub healthz_requests: AtomicU64,
@@ -150,6 +150,12 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Search responses computed cold.
     pub cache_misses: AtomicU64,
+    /// Of `cache_hits`, the `GET /search` hits the event loop answered
+    /// itself, without a worker.
+    pub inline_hits: AtomicU64,
+    /// `GET /search` lookups the event loop left to a worker because a
+    /// reload or a corpus mutation held an epoch lock.
+    pub fallback_lookups: AtomicU64,
     /// Successful reloads.
     pub reload_ok: AtomicU64,
     /// Failed reloads (now serving degraded).
@@ -162,7 +168,8 @@ pub struct Metrics {
     pub match_phase: Histogram,
     /// Candidate ranking half of detection (cache misses only).
     pub rank_phase: Histogram,
-    /// Whole-request latency, parse to flush, hits and misses alike.
+    /// Handler time of every request: a worker's whole job, or the event
+    /// loop's lookup for an inline hit.
     pub total: Histogram,
     /// Write-lock hold time of compaction publishes — the only pause
     /// serving ever observes from the streaming maintenance path.
@@ -346,6 +353,10 @@ impl Metrics {
         out.push_str(&cache_entries.to_string());
         out.push_str(",\"capacity\":");
         out.push_str(&cache_capacity.to_string());
+        out.push_str(",\"inline_hits\":");
+        out.push_str(&c(&self.inline_hits));
+        out.push_str(",\"fallback_lookups\":");
+        out.push_str(&c(&self.fallback_lookups));
         out.push_str("},\"reload\":{\"ok\":");
         out.push_str(&c(&self.reload_ok));
         out.push_str(",\"failed\":");
@@ -437,7 +448,7 @@ mod tests {
             "\"breakers\":{\"trips\":1,\"recoveries\":1,\"health_epoch\":3,\"states\":[\"closed\",\"open\"]}",
             "\"hit_rate\":0.3333",
             "\"epoch\":7",
-            "\"entries\":2",
+            "\"entries\":2,\"capacity\":512,\"inline_hits\":0,\"fallback_lookups\":0}",
             "\"ingest\":{\"requests\":0,\"ops\":5,\"corpus_epoch\":9}",
             "\"corpus\":{\"shards\":4,\"postings_bytes\":[4096,1024,1024,2048]",
             "\"skew_max_over_mean\":2",

@@ -457,7 +457,6 @@ impl Poller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
     use std::net::{TcpListener, TcpStream};
 
     fn backends() -> Vec<Poller> {

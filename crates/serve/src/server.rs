@@ -1,24 +1,40 @@
-//! The serving core: event loop → bounded admission queue → worker
-//! pool → pure endpoint handlers.
+//! The serving core: event loop → (cache hit answered inline, or)
+//! bounded admission queue → worker pool → pure endpoint handlers.
 //!
-//! Since PR 10 the front end is a nonblocking readiness event loop
+//! The front end is a nonblocking readiness event loop
 //! ([`crate::event_loop`]): one acceptor/dispatcher thread owns every
 //! socket and drives per-connection state machines with HTTP/1.1
-//! keep-alive and pipelining. Workers never touch sockets — they pop
-//! parsed requests ([`Job`]s) from the bounded queue, run the handler,
-//! and hand the rendered [`Response`] back through a completion vector
-//! plus a self-pipe wakeup. The queue's bound is still the *admission
-//! control*: when it is full the loop answers `503 Retry-After` inline
-//! — but on a keep-alive connection the shed costs one request, not the
-//! connection.
+//! keep-alive and pipelining.
 //!
-//! The PR 8 tail-tolerance contract carries over verbatim: per-request
-//! deadline budgets, partial-result degradation, hedged shard re-issue,
-//! per-shard breakers keyed into the cache, supervised workers, and the
-//! two chaos seams — `serve:worker` (guarded: a panic answers `500`
-//! `contained:true`) and `serve:conn` (unguarded: a panic kills the
-//! worker thread; the supervisor aborts the orphaned connection without
-//! a response and respawns the thread).
+//! A search is answered in two halves ([`answer_queries`]): the
+//! *lookup* (epochs, cache keys, one cache get per query) and the
+//! *cold* half (execute, phase metrics, render, cache insert). For
+//! `GET /search` the loop runs the lookup itself ([`answer_inline`]),
+//! taking the epochs without waiting: a hit is written to the socket
+//! from the loop thread — no queue, no worker wake-up, and the cached
+//! body is never copied. A miss is queued carrying its lookup, so the
+//! worker runs only the cold half. When a reload or a corpus mutation
+//! holds an epoch lock, the loop does not wait: the request is queued
+//! without a lookup and the worker does both halves.
+//!
+//! Everything else goes to a worker. Workers never touch sockets — they
+//! pop parsed requests ([`Job`]s) from the bounded queue, run the
+//! handler, and hand the [`Response`] back through a completion vector
+//! plus a self-pipe wakeup. The queue's bound is the *admission
+//! control*: when it is full the loop answers `503 Retry-After` inline
+//! — on a keep-alive connection the shed costs one request, not the
+//! connection. Hits take no queue slot, so under overload hits are
+//! still served and only misses are shed.
+//!
+//! The tail-tolerance contract: per-request deadline budgets,
+//! partial-result degradation, hedged shard re-issue, per-shard breakers
+//! keyed into the cache, supervised workers, and the two chaos seams —
+//! `serve:worker` (guarded: a panic answers `500` `contained:true`) and
+//! `serve:conn` (unguarded: a panic kills the worker thread; the
+//! supervisor aborts the orphaned connection without a response and
+//! respawns the thread). Both seams sit on the worker, so they cover
+//! every queued request but not inline hits, and a hit consumes no
+//! `attempt`: pinned-attempt chaos plans address queued jobs only.
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::http::{self, Limits, Request};
@@ -146,6 +162,9 @@ pub(crate) struct Job {
     /// Monotonic job counter — the `attempt` axis of the serve-layer
     /// chaos sites.
     pub(crate) attempt: u32,
+    /// The loop's cache lookup for a `GET /search` it could not answer
+    /// (`None`: the worker looks up itself).
+    pub(crate) lookup: Option<Lookup>,
 }
 
 /// A handler's answer, rendered to wire bytes by the event loop (which
@@ -153,26 +172,33 @@ pub(crate) struct Job {
 #[derive(Debug)]
 pub(crate) struct Response {
     pub(crate) status: u16,
-    pub(crate) headers: Vec<(&'static str, &'static str)>,
-    pub(crate) body: Vec<u8>,
+    pub(crate) headers: &'static [(&'static str, &'static str)],
+    /// Shared with the result cache for search answers.
+    pub(crate) body: Arc<Vec<u8>>,
     /// Force-close the connection after this response regardless of
     /// what the request asked for (contained panics).
     pub(crate) close: bool,
 }
 
+const CACHE_HIT: &[(&str, &str)] = &[("x-esharp-cache", "hit")];
+const CACHE_MISS: &[(&str, &str)] = &[("x-esharp-cache", "miss")];
+
 impl Response {
     fn json(status: u16, body: impl Into<Vec<u8>>) -> Response {
-        Response {
-            status,
-            headers: Vec::new(),
-            body: body.into(),
-            close: false,
-        }
+        Response::new(status, &[], Arc::new(body.into()))
     }
 
-    fn with_header(mut self, name: &'static str, value: &'static str) -> Response {
-        self.headers.push((name, value));
-        self
+    fn new(
+        status: u16,
+        headers: &'static [(&'static str, &'static str)],
+        body: Arc<Vec<u8>>,
+    ) -> Response {
+        Response {
+            status,
+            headers,
+            body,
+            close: false,
+        }
     }
 }
 
@@ -258,8 +284,41 @@ pub(crate) struct State {
     /// Request size caps (from `config.max_body_bytes`).
     pub(crate) limits: Limits,
     /// Monotonic job counter, the `attempt` axis of the serve-layer
-    /// chaos sites (one per dispatched request).
+    /// chaos sites (one per queued request).
     pub(crate) job_attempts: AtomicU32,
+}
+
+impl State {
+    fn new(
+        config: ServeConfig,
+        live: Arc<LiveCorpus>,
+        shared: Arc<SharedEsharp>,
+        injector: Arc<dyn FaultInjector>,
+        hooks: ServeHooks,
+    ) -> State {
+        let breakers = ShardBreakers::new(BreakerConfig {
+            threshold: config.breaker_threshold,
+            open_us: config.breaker_open.as_micros().min(u64::MAX as u128) as u64,
+        });
+        let limits = Limits {
+            max_head: http::DEFAULT_MAX_HEAD,
+            max_body: config.max_body_bytes,
+        };
+        State {
+            live,
+            shared,
+            cache: ResultCache::new(config.cache_capacity),
+            metrics: Arc::new(Metrics::default()),
+            config,
+            injector,
+            reload_attempts: AtomicU32::new(0),
+            clock: hooks.clock,
+            chaos: hooks.chaos,
+            breakers,
+            limits,
+            job_attempts: AtomicU32::new(0),
+        }
+    }
 }
 
 /// A running e# server. Dropping without [`Server::shutdown`] leaves the
@@ -343,7 +402,6 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let queue = Arc::new(Queue::new(config.queue_depth));
-        let cache = ResultCache::new(config.cache_capacity);
         let workers = config.workers.max(1);
         let compactor = (config.compact_threshold > 0).then(|| {
             Compactor::start(
@@ -354,28 +412,7 @@ impl Server {
                 },
             )
         });
-        let breakers = ShardBreakers::new(BreakerConfig {
-            threshold: config.breaker_threshold,
-            open_us: config.breaker_open.as_micros().min(u64::MAX as u128) as u64,
-        });
-        let limits = Limits {
-            max_head: http::DEFAULT_MAX_HEAD,
-            max_body: config.max_body_bytes,
-        };
-        let state = Arc::new(State {
-            live,
-            shared,
-            cache,
-            metrics: Arc::new(Metrics::default()),
-            config,
-            injector,
-            reload_attempts: AtomicU32::new(0),
-            clock: hooks.clock,
-            chaos: hooks.chaos,
-            breakers,
-            limits,
-            job_attempts: AtomicU32::new(0),
-        });
+        let state = Arc::new(State::new(config, live, shared, injector, hooks));
         let stop = Arc::new(AtomicBool::new(false));
         let wakeup = Arc::new(Wakeup::new()?);
         let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
@@ -535,9 +572,15 @@ fn spawn_worker(
         .name(format!("esharp-serve-{index}"))
         .spawn(move || {
             while let Some(job) = queue.pop() {
-                inflight[index].store(job.token + 1, SeqCst);
+                let Job {
+                    token,
+                    request,
+                    attempt,
+                    lookup,
+                } = job;
+                inflight[index].store(token + 1, SeqCst);
                 // Unguarded seam: a Panic here escapes the thread.
-                if let Some(fault) = state.chaos.chaos_at("serve:conn", job.attempt) {
+                if let Some(fault) = state.chaos.chaos_at("serve:conn", attempt) {
                     match fault {
                         ChaosFault::Delay { us } => {
                             state.clock.wait_us(us, &|| false);
@@ -552,17 +595,19 @@ fn spawn_worker(
                     }
                 }
                 let started = Instant::now();
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| handle_job(&state, &job.request, job.attempt)));
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    handle_job(&state, &request, lookup, attempt)
+                }));
                 let response = match outcome {
                     Ok(response) => response,
                     Err(_) => {
                         state.metrics.worker_panics.fetch_add(1, SeqCst);
                         Response {
-                            status: 500,
-                            headers: Vec::new(),
-                            body: b"{\"error\":\"internal panic\",\"contained\":true}".to_vec(),
                             close: true,
+                            ..Response::json(
+                                500,
+                                &b"{\"error\":\"internal panic\",\"contained\":true}"[..],
+                            )
                         }
                     }
                 };
@@ -572,7 +617,7 @@ fn spawn_worker(
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .push(Completion {
-                        token: job.token,
+                        token,
                         response: Some(response),
                     });
                 wakeup.notify();
@@ -582,7 +627,7 @@ fn spawn_worker(
 
 /// Execute one request: the guarded `serve:worker` chaos seam, then the
 /// route table. Runs under the worker's `catch_unwind`.
-fn handle_job(state: &State, request: &Request, attempt: u32) -> Response {
+fn handle_job(state: &State, request: &Request, lookup: Option<Lookup>, attempt: u32) -> Response {
     if let Some(fault) = state.chaos.chaos_at("serve:worker", attempt) {
         match fault {
             ChaosFault::Delay { us } => {
@@ -597,12 +642,12 @@ fn handle_job(state: &State, request: &Request, attempt: u32) -> Response {
             ChaosFault::Panic => panic!("chaos: serve:worker panic"),
         }
     }
-    route(state, request)
+    route(state, request, lookup)
 }
 
-fn route(state: &State, request: &Request) -> Response {
+fn route(state: &State, request: &Request, lookup: Option<Lookup>) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/search") => handle_search(state, request),
+        ("GET", "/search") => handle_search(state, request, lookup),
         ("POST", "/search/batch") => handle_search_batch(state, request),
         ("GET", "/healthz") => handle_healthz(state),
         ("GET", "/metrics") => handle_metrics(state),
@@ -640,26 +685,65 @@ fn request_deadline(state: &State, request: &Request) -> Result<Duration, ()> {
     }
 }
 
-/// `GET /search`: [`answer_queries`] for one query, its cold execution
-/// under the request's deadline with the server's chaos seams, breakers
-/// and hedging.
-fn handle_search(state: &State, request: &Request) -> Response {
-    let normalized = match request.param("q").map(|q| q.trim().to_lowercase()) {
+/// The normalized query and deadline of a `GET /search`, or the body of
+/// its `400`.
+fn search_params(state: &State, request: &Request) -> Result<(String, Duration), &'static [u8]> {
+    let query = match request.param("q").map(|q| q.trim().to_lowercase()) {
         Some(q) if !q.is_empty() => q,
-        _ => {
-            state.metrics.client_errors.fetch_add(1, SeqCst);
-            return Response::json(400, &b"{\"error\":\"missing query parameter q\"}"[..]);
-        }
+        _ => return Err(b"{\"error\":\"missing query parameter q\"}"),
     };
-    let Ok(deadline) = request_deadline(state, request) else {
-        state.metrics.client_errors.fetch_add(1, SeqCst);
-        return Response::json(
-            400,
-            &b"{\"error\":\"invalid x-esharp-deadline-ms header\"}"[..],
-        );
+    let deadline = request_deadline(state, request)
+        .map_err(|()| &b"{\"error\":\"invalid x-esharp-deadline-ms header\"}"[..])?;
+    Ok((query, deadline))
+}
+
+/// The event loop's half of `GET /search`: the lookup, at epochs taken
+/// without waiting. `Ok` is a cache hit, answered on the loop thread.
+/// `Err` sends the request to a worker, carrying the lookup of a miss;
+/// it carries `None` for any other request, an invalid search (the
+/// worker answers the `400`), or when a reload or a corpus mutation
+/// holds an epoch lock (counted in `fallback_lookups`).
+pub(crate) fn answer_inline(state: &State, request: &Request) -> Result<Response, Option<Lookup>> {
+    if request.method != "GET" || request.path != "/search" {
+        return Err(None);
+    }
+    let started = Instant::now();
+    let Ok((query, _)) = search_params(state, request) else {
+        return Err(None);
+    };
+    let Some(epochs) = Epochs::try_now(state) else {
+        state.metrics.fallback_lookups.fetch_add(1, SeqCst);
+        return Err(None);
+    };
+    let lookup = Lookup::new(state, [query], epochs);
+    let Some(Some(body)) = lookup.bodies.first().cloned() else {
+        return Err(Some(lookup));
     };
     state.metrics.search_requests.fetch_add(1, SeqCst);
-    let answered = answer_queries(state, [normalized], |esharp, corpus, cold| {
+    state.metrics.cache_hits.fetch_add(1, SeqCst);
+    state.metrics.inline_hits.fetch_add(1, SeqCst);
+    state.metrics.total.record(started.elapsed());
+    Ok(Response::new(200, CACHE_HIT, body))
+}
+
+/// `GET /search`: [`answer_queries`] for one query — starting from the
+/// loop's lookup when it carries one — its cold execution under the
+/// request's deadline with the server's chaos seams, breakers and
+/// hedging.
+fn handle_search(state: &State, request: &Request, prior: Option<Lookup>) -> Response {
+    let (query, deadline) = match search_params(state, request) {
+        Ok(params) => params,
+        Err(error) => {
+            state.metrics.client_errors.fetch_add(1, SeqCst);
+            return Response::json(400, error);
+        }
+    };
+    state.metrics.search_requests.fetch_add(1, SeqCst);
+    let lookup = |epochs| match prior {
+        Some(prior) => prior.at(state, epochs),
+        None => Lookup::new(state, [query], epochs),
+    };
+    let answered = answer_queries(state, lookup, |esharp, corpus, cold| {
         let limit_us = deadline.as_micros().min(u64::MAX as u128) as u64;
         let budget = Budget::with_clock(Arc::clone(&state.clock), limit_us);
         let mut ctx = BoundedSearch::new(&budget)
@@ -673,10 +757,64 @@ fn handle_search(state: &State, request: &Request) -> Response {
             .map(|query| esharp.search_bounded(corpus, query, &ctx))
             .collect()
     });
-    let cache = if answered.cold == 0 { "hit" } else { "miss" };
+    let headers = if answered.cold == 0 { CACHE_HIT } else { CACHE_MISS };
     let body = answered.bodies.into_iter().flatten().next();
-    Response::json(200, body.map_or_else(Vec::new, |body| (*body).clone()))
-        .with_header("x-esharp-cache", cache)
+    Response::new(200, headers, body.unwrap_or_default())
+}
+
+/// The epochs a cache key is taken at: domains, corpus, and breaker
+/// health.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Epochs {
+    domains: u64,
+    corpus: u64,
+    health: u64,
+}
+
+impl Epochs {
+    /// The current epochs, or `None` when taking one would wait for a
+    /// writer.
+    fn try_now(state: &State) -> Option<Epochs> {
+        Some(Epochs {
+            domains: state.shared.try_epoch()?,
+            corpus: state.live.try_epoch()?,
+            health: state.breakers.epoch(),
+        })
+    }
+}
+
+/// The lookup half of [`answer_queries`]: one cache key per query at one
+/// set of epochs, and the cached body of each key the cache holds.
+#[derive(Debug)]
+pub(crate) struct Lookup {
+    epochs: Epochs,
+    keys: Vec<CacheKey>,
+    bodies: Vec<Option<Arc<Vec<u8>>>>,
+}
+
+impl Lookup {
+    fn new(state: &State, queries: impl IntoIterator<Item = String>, epochs: Epochs) -> Lookup {
+        let keys: Vec<CacheKey> = queries
+            .into_iter()
+            .map(|query| (query, epochs.domains, epochs.corpus, epochs.health))
+            .collect();
+        let bodies = keys.iter().map(|key| state.cache.get(key)).collect();
+        Lookup {
+            epochs,
+            keys,
+            bodies,
+        }
+    }
+
+    /// This lookup if it was taken at `epochs`; otherwise its queries
+    /// looked up again at `epochs` (a reload, ingest, compaction or
+    /// breaker transition landed after the loop looked).
+    fn at(self, state: &State, epochs: Epochs) -> Lookup {
+        if self.epochs == epochs {
+            return self;
+        }
+        Lookup::new(state, self.keys.into_iter().map(|key| key.0), epochs)
+    }
 }
 
 /// What [`answer_queries`] produced: one rendered body per query, in
@@ -690,11 +828,15 @@ struct Answered {
     cold: usize,
 }
 
-/// Answer normalized queries against one pinned snapshot: cache get per
-/// query, the misses executed together by `execute`, phase metrics,
-/// render, and a cache insert of every complete answer. Both search
-/// endpoints are this function; they differ only in the `execute` they
-/// pass (one outcome per cold query, in order).
+/// Answer normalized queries against one pinned snapshot, in two halves.
+/// The *lookup* — cache keys at the snapshot's epochs and a cache get
+/// per query — is whatever `lookup` returns for those epochs (a fresh
+/// [`Lookup::new`], or the event loop's, re-taken by [`Lookup::at`] if
+/// the epochs moved). The *cold* half executes the misses together with
+/// `execute` (one outcome per cold query, in order), records phase
+/// metrics, renders, and inserts every complete answer. Hits and misses
+/// are counted here, once. Both search endpoints are this function; they
+/// differ only in their lookup and `execute`.
 ///
 /// The snapshots pin (collection, domains epoch) and (corpus, corpus
 /// epoch) as consistent pairs for the whole request; a reload, ingest,
@@ -706,19 +848,21 @@ struct Answered {
 /// never cross a breaker state change.
 fn answer_queries(
     state: &State,
-    queries: impl IntoIterator<Item = String>,
+    lookup: impl FnOnce(Epochs) -> Lookup,
     execute: impl FnOnce(&Esharp, &Corpus, &[&str]) -> Vec<SearchOutcome>,
 ) -> Answered {
     let (esharp, epoch) = state.shared.snapshot();
     let guard = state.live.read();
     let corpus_epoch = guard.epoch();
-    let health_epoch = state.breakers.epoch();
-    let mut keys: Vec<CacheKey> = queries
-        .into_iter()
-        .map(|query| (query, epoch, corpus_epoch, health_epoch))
-        .collect();
-    let mut bodies: Vec<Option<Arc<Vec<u8>>>> =
-        keys.iter().map(|key| state.cache.get(key)).collect();
+    let Lookup {
+        mut keys,
+        mut bodies,
+        ..
+    } = lookup(Epochs {
+        domains: epoch,
+        corpus: corpus_epoch,
+        health: state.breakers.epoch(),
+    });
     let cold: Vec<usize> = (0..keys.len()).filter(|&i| bodies[i].is_none()).collect();
     let hits = (keys.len() - cold.len()) as u64;
     state.metrics.cache_hits.fetch_add(hits, SeqCst);
@@ -812,9 +956,11 @@ fn handle_search_batch(state: &State, request: &Request) -> Response {
     }
     let batch = queries.len();
     state.metrics.batch_queries.fetch_add(batch as u64, SeqCst);
-    let answered = answer_queries(state, queries, |esharp, corpus, cold| {
-        esharp.search_batch(corpus, cold)
-    });
+    let answered = answer_queries(
+        state,
+        |epochs| Lookup::new(state, queries, epochs),
+        |esharp, corpus, cold| esharp.search_batch(corpus, cold),
+    );
     let payload: usize = answered.bodies.iter().flatten().map(|b| b.len() + 1).sum();
     let mut out = Vec::with_capacity(64 + payload);
     out.extend_from_slice(b"{\"batch\":");
@@ -1130,6 +1276,8 @@ pub fn search_and_render(
 mod tests {
     use super::*;
     use esharp_core::{DomainCollection, EsharpConfig};
+    use esharp_fault::{Fault, RetryPolicy};
+    use std::sync::mpsc;
 
     fn tiny_corpus() -> Corpus {
         use esharp_microblog::{Tweet, User};
@@ -1190,5 +1338,156 @@ mod tests {
             text.contains("\"degradation\":{\"kind\":\"stale_domains\",\"error\":"),
             "{text}"
         );
+    }
+
+    /// An injector that parks every `fault_at` caller until released,
+    /// injecting nothing: it holds a WAL append (under the corpus write
+    /// lock) or a reload mid-build for as long as a test needs.
+    #[derive(Default)]
+    struct Gate {
+        /// (callers parked so far, released)
+        state: Mutex<(usize, bool)>,
+        changed: Condvar,
+    }
+
+    impl Gate {
+        fn wait_parked(&self) {
+            let mut state = self.state.lock().unwrap();
+            while state.0 == 0 {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+
+        fn release(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.changed.notify_all();
+        }
+    }
+
+    impl FaultInjector for Gate {
+        fn fault_at(&self, _site: &str, _attempt: u32) -> Option<Fault> {
+            let mut state = self.state.lock().unwrap();
+            state.0 += 1;
+            self.changed.notify_all();
+            while !state.1 {
+                state = self.changed.wait(state).unwrap();
+            }
+            None
+        }
+    }
+
+    /// `answer_inline` on another thread, failing the test instead of
+    /// hanging it if the loop-side lookup waits.
+    fn answer_inline_within(state: &Arc<State>, request: &Request) -> Result<Response, Option<Lookup>> {
+        let (tx, rx) = mpsc::channel();
+        let (state, request) = (Arc::clone(state), request.clone());
+        std::thread::spawn(move || {
+            let _ = tx.send(answer_inline(&state, &request));
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("the loop-side lookup waited on a lock")
+    }
+
+    #[test]
+    fn loop_lookup_falls_back_to_the_queue_instead_of_waiting_for_a_writer() {
+        let dir = std::env::temp_dir().join("esharp_serve_inline_fallback");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let domains_path = dir.join("domains.bin");
+        let domains = DomainCollection::from_groups(vec![vec!["49ers".into(), "niners".into()]]);
+        domains.save(&domains_path).unwrap();
+        let wal_gate = Arc::new(Gate::default());
+        let live = LiveCorpus::create(tiny_corpus(), dir.join("corpus.bin"), dir.join("oplog"))
+            .unwrap()
+            .with_injector(wal_gate.clone(), RetryPolicy::default());
+        let state = Arc::new(State::new(
+            ServeConfig::default(),
+            Arc::new(live),
+            Arc::new(SharedEsharp::new(Esharp::new(domains, EsharpConfig::tiny()))),
+            Arc::new(NoFaults),
+            ServeHooks::default(),
+        ));
+        let (request, _) = http::parse_request(b"GET /search?q=49ers HTTP/1.1\r\n\r\n", &state.limits)
+            .unwrap()
+            .unwrap();
+
+        // Cold: the loop's lookup misses and travels with the job; the
+        // worker's cold half answers it and fills the cache.
+        let lookup = answer_inline(&state, &request).expect_err("cold cache");
+        assert!(lookup.is_some(), "a miss carries its lookup");
+        let cold = handle_search(&state, &request, lookup);
+        assert_eq!((cold.status, cold.headers), (200, CACHE_MISS));
+        let warm = answer_inline(&state, &request).expect("warm cache answers inline");
+        assert_eq!(warm.headers, CACHE_HIT);
+        assert_eq!(warm.body, cold.body, "the hit is the cached body");
+
+        // An ingest parked in its WAL append holds the corpus write
+        // lock: the lookup must not wait for it.
+        let ingest = {
+            let state = Arc::clone(&state);
+            std::thread::spawn(move || {
+                state.live.apply(&IngestOp::Append {
+                    author: "alice".into(),
+                    text: "49ers again".into(),
+                })
+            })
+        };
+        wal_gate.wait_parked();
+        assert!(
+            matches!(answer_inline_within(&state, &request), Err(None)),
+            "a held write lock must send the request to a worker without a lookup"
+        );
+        assert_eq!(state.metrics.fallback_lookups.load(SeqCst), 1);
+        wal_gate.release();
+        ingest.join().unwrap().unwrap();
+
+        // A reload parked mid-build holds no lock readers take: the loop
+        // keeps answering from the cache at the current epochs.
+        let warm = answer_inline(&state, &request).expect_err("the ingest moved the corpus epoch");
+        handle_search(&state, &request, warm);
+        let reload_gate = Arc::new(Gate::default());
+        let reload = {
+            let (state, gate) = (Arc::clone(&state), Arc::clone(&reload_gate));
+            std::thread::spawn(move || state.shared.reload_with(&domains_path, gate.as_ref(), 0))
+        };
+        reload_gate.wait_parked();
+        assert!(answer_inline_within(&state, &request).is_ok(), "a parked reload stalled the loop");
+        reload_gate.release();
+        assert_eq!(reload.join().unwrap().unwrap(), 1);
+        assert_eq!(state.metrics.fallback_lookups.load(SeqCst), 1);
+        assert_eq!(state.metrics.inline_hits.load(SeqCst), 2);
+        assert_eq!(state.metrics.cache_hits.load(SeqCst), 2);
+        assert_eq!(state.metrics.cache_misses.load(SeqCst), 2);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_stale_lookup_is_taken_again_at_the_workers_epochs() {
+        let domains = DomainCollection::from_groups(vec![vec!["49ers".into()]]);
+        let state = State::new(
+            ServeConfig::default(),
+            Arc::new(LiveCorpus::new(tiny_corpus())),
+            Arc::new(SharedEsharp::new(Esharp::new(domains, EsharpConfig::tiny()))),
+            Arc::new(NoFaults),
+            ServeHooks::default(),
+        );
+        let (request, _) = http::parse_request(b"GET /search?q=49ers HTTP/1.1\r\n\r\n", &state.limits)
+            .unwrap()
+            .unwrap();
+        let stale = answer_inline(&state, &request).expect_err("cold cache");
+        // The corpus moves between the loop's lookup and the worker.
+        state
+            .live
+            .apply(&IngestOp::Append {
+                author: "bob\"q\"".into(),
+                text: "49ers".into(),
+            })
+            .unwrap();
+        let response = handle_search(&state, &request, stale);
+        let body = String::from_utf8(response.body.to_vec()).unwrap();
+        assert!(body.contains("\"corpus_epoch\":1"), "{body}");
+        let hit = answer_inline(&state, &request).expect("inserted under the worker's epochs");
+        assert_eq!(hit.body, response.body);
+        assert_eq!(state.metrics.cache_misses.load(SeqCst), 1, "the miss is counted once");
     }
 }

@@ -30,9 +30,11 @@
 #           planner-equivalence property suite stay green
 #   loop    event-loop gate: pipelining torture (every byte-boundary
 #           split ≡ unsplit, under chaos stalls; malformed-behind-valid
-#           answers then closes), batch ≡ sequential property suite,
-#           and both smokes again under ESHARP_FORCE_POLL=1 so the
-#           portable poll(2) backend stays honest on Linux
+#           answers then closes), cache hits answered on the loop thread
+#           (served under overload, in order between pipelined misses,
+#           counted once), batch ≡ sequential property suite, and the
+#           smokes again under ESHARP_FORCE_POLL=1 so the portable
+#           poll(2) backend stays honest on Linux
 #   clippy  workspace lints, warnings are errors
 #   panic   persistence/checkpoint/read-path/tail-tolerance modules —
 #           plus the storage crate, the paged/planner modules, the
@@ -107,11 +109,13 @@ cargo test -q --release -p esharp-community --test out_of_core_smoke
 cargo test -q -p esharp-storage --test corruption_matrix
 cargo test -q -p esharp-relation --test planner_equiv
 
-echo "== tier-1: event-loop gate (pipelining torture, batch ≡ singles, poll(2) fallback)"
+echo "== tier-1: event-loop gate (pipelining torture, inline hits, batch ≡ singles, poll(2) fallback)"
 cargo test -q -p esharp-serve --test pipelining
+cargo test -q -p esharp-serve --test inline_hits
 cargo test -q -p esharp-serve --test proptest_batch
 ESHARP_FORCE_POLL=1 cargo test -q -p esharp-serve --test smoke
 ESHARP_FORCE_POLL=1 cargo test -q -p esharp-serve --test pipelining
+ESHARP_FORCE_POLL=1 cargo test -q -p esharp-serve --test inline_hits
 
 echo "== tier-1: cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
