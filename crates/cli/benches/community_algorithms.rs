@@ -5,7 +5,7 @@
 //! label propagation — runtime per algorithm and per graph size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use esharp_bench::planted_multigraph;
+use esharp_cli::planted_multigraph;
 use esharp_community::{
     cluster_label_propagation, cluster_louvain, cluster_newman, cluster_parallel, cluster_sql,
     LabelPropConfig, LouvainConfig, NewmanConfig, ParallelConfig, SqlClusterConfig,

@@ -20,8 +20,9 @@
 //!     Print the term's community and its k closest communities (Fig 7).
 //!
 //! esharp sql "<select …>" [--scale …] [--seed N]
-//!     Run SQL against the pipeline tables (log, graph, communities) on
-//!     the bundled engine; prints EXPLAIN and the result.
+//!     Run SQL against the pipeline tables (log, graph, communities)
+//!     through the engine's physical planner; prints the physical plan
+//!     and the result.
 //!
 //! esharp cluster [--explain] [--buffer-pool-mb N] [--workers N]
 //!                [--scale …] [--seed N]
@@ -34,32 +35,6 @@
 //!     chosen physical plans with per-operator EXPLAIN ANALYZE stats
 //!     (rows, bytes, wall, spills) plus the history-informed re-plan of
 //!     iteration 2, so the planner's cost decisions are auditable.
-//!
-//! esharp bench [--json] [--seed N] [--events N] [--out DIR]
-//!     Measure offline kernel throughput (graph build, clustering,
-//!     relational exec) at 1/2/4/8 workers; --json additionally writes
-//!     BENCH_offline.json.
-//!
-//! esharp bench --serve [--json] [--seed N] [--requests N] [--out DIR]
-//!     Closed-loop load generation against an in-process server: a steady
-//!     phase (4 workers) and an overload phase (1 worker, 2-deep queue)
-//!     replaying a Zipf query mix; --json writes BENCH_serve.json.
-//!
-//! esharp bench --online [--json] [--seed N] [--queries N] [--scale …]
-//!              [--large-load] [--out DIR]
-//!     Replay a Zipf query mix through the interned read path and the
-//!     string-keyed baseline (identical results enforced), time corpus
-//!     build vs binary load, and sweep shard counts (K=1/2/4/8) and
-//!     worker counts over the scatter-gather match path. --large-load
-//!     additionally generates a ≥1M-user/≥10M-tweet corpus streamingly
-//!     and times sharded save + both load modes on it (slow); --json
-//!     writes BENCH_online.json.
-//!
-//! esharp bench --ingest [--json] [--seed N] [--scale …] [--out DIR]
-//!     Stream a withheld quarter of the corpus back through the live
-//!     ingest path: expert recall vs ingest lag, base+delta vs base-only
-//!     read overhead, and compaction pause p50/p99; --json writes
-//!     BENCH_ingest.json.
 //!
 //! esharp ingest --replay FILE [--corpus FILE] [--oplog FILE] [--compact]
 //!               [--scale …] [--seed N]
@@ -90,12 +65,15 @@
 
 use esharp_eval::{EvalScale, Testbed};
 use esharp_graph::relation_io::{graph_to_table, log_to_table};
-use esharp_relation::{explain, plan_sql, Catalog, DataType, ExecContext, Schema, TableBuilder, Value};
+use esharp_relation::{
+    explain_physical, optimize, plan_sql, Catalog, DataType, ExecContext, Schema, TableBuilder,
+    Value,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        eprintln!("usage: esharp <build|search|inspect|sql> …  (see --help)");
+        eprintln!("usage: esharp <build|search|inspect|sql|cluster|serve|ingest> …  (see --help)");
         std::process::exit(2);
     };
     let opts = Options::parse(&args[1..]);
@@ -105,12 +83,11 @@ fn main() {
         "inspect" => inspect(&opts),
         "sql" => sql(&opts),
         "cluster" => cluster(&opts),
-        "bench" => bench(&opts),
         "serve" => serve(&opts),
         "ingest" => ingest(&opts),
         "--help" | "-h" | "help" => {
-            println!("subcommands: build, search, inspect, sql, cluster, bench, serve, ingest");
-            println!("flags: --scale tiny|small|paper, --seed N, --out DIR, --checkpoint-dir DIR, --resume, --baseline, --top K, -k N, --json, --events N, --serve, --online, --ingest, --queries N, --shards K, --large-load, --requests N, --addr HOST:PORT, --workers N, --cache-capacity N, --queue-depth N, --domains FILE, --corpus FILE, --replay FILE, --oplog FILE, --compact, --compact-threshold N, --compact-interval-ms N, --deadline-ms N, --hedge, --hedge-delay-ms N, --max-body-bytes N, --keep-alive-timeout-ms N, --max-pipeline-depth N, --batch-max-queries N, --explain, --buffer-pool-mb N");
+            println!("subcommands: build, search, inspect, sql, cluster, serve, ingest");
+            println!("flags: --scale tiny|small|paper, --seed N, --out DIR, --checkpoint-dir DIR, --resume, --baseline, --top K, -k N, --shards K, --addr HOST:PORT, --workers N, --cache-capacity N, --queue-depth N, --domains FILE, --corpus FILE, --replay FILE, --oplog FILE, --compact, --compact-threshold N, --compact-interval-ms N, --deadline-ms N, --hedge, --hedge-delay-ms N, --max-body-bytes N, --keep-alive-timeout-ms N, --max-pipeline-depth N, --batch-max-queries N, --explain, --buffer-pool-mb N");
         }
         other => fail(
             "parse arguments",
@@ -126,17 +103,9 @@ struct Options {
     checkpoint_dir: Option<String>,
     resume: bool,
     baseline: bool,
-    json: bool,
-    events: u64,
     top: usize,
     k: usize,
-    serve_bench: bool,
-    online_bench: bool,
-    ingest_bench: bool,
     shards: usize,
-    large_load: bool,
-    queries: u64,
-    requests: u64,
     corpus: Option<String>,
     addr: String,
     workers: usize,
@@ -169,17 +138,9 @@ impl Options {
             checkpoint_dir: None,
             resume: false,
             baseline: false,
-            json: false,
-            events: 100_000,
             top: 5,
             k: 3,
-            serve_bench: false,
-            online_bench: false,
-            ingest_bench: false,
             shards: 0,
-            large_load: false,
-            queries: 2_000,
-            requests: 20_000,
             corpus: None,
             addr: "127.0.0.1:8080".to_string(),
             workers: 4,
@@ -217,36 +178,25 @@ impl Options {
                     }
                 }
                 "--seed" => opts.seed = next_num(&mut iter, "--seed"),
-                "--out" => opts.out = iter.next().cloned(),
-                "--checkpoint-dir" => opts.checkpoint_dir = iter.next().cloned(),
+                "--out" => opts.out = Some(next_value(&mut iter, "--out")),
+                "--checkpoint-dir" => {
+                    opts.checkpoint_dir = Some(next_value(&mut iter, "--checkpoint-dir"))
+                }
                 "--resume" => opts.resume = true,
                 "--baseline" => opts.baseline = true,
-                "--json" => opts.json = true,
-                "--events" => opts.events = next_num(&mut iter, "--events"),
                 "--top" => opts.top = next_num(&mut iter, "--top") as usize,
                 "-k" => opts.k = next_num(&mut iter, "-k") as usize,
-                "--serve" => opts.serve_bench = true,
-                "--online" => opts.online_bench = true,
-                "--ingest" => opts.ingest_bench = true,
                 "--shards" => opts.shards = next_num(&mut iter, "--shards") as usize,
-                "--large-load" => opts.large_load = true,
-                "--queries" => opts.queries = next_num(&mut iter, "--queries"),
-                "--requests" => opts.requests = next_num(&mut iter, "--requests"),
-                "--corpus" => opts.corpus = iter.next().cloned(),
-                "--addr" => {
-                    opts.addr = iter
-                        .next()
-                        .cloned()
-                        .unwrap_or_else(|| fail("parse arguments", "--addr expects HOST:PORT"))
-                }
+                "--corpus" => opts.corpus = Some(next_value(&mut iter, "--corpus")),
+                "--addr" => opts.addr = next_value(&mut iter, "--addr"),
                 "--workers" => opts.workers = next_num(&mut iter, "--workers") as usize,
                 "--cache-capacity" => {
                     opts.cache_capacity = next_num(&mut iter, "--cache-capacity") as usize
                 }
                 "--queue-depth" => opts.queue_depth = next_num(&mut iter, "--queue-depth") as usize,
-                "--domains" => opts.domains = iter.next().cloned(),
-                "--replay" => opts.replay = iter.next().cloned(),
-                "--oplog" => opts.oplog = iter.next().cloned(),
+                "--domains" => opts.domains = Some(next_value(&mut iter, "--domains")),
+                "--replay" => opts.replay = Some(next_value(&mut iter, "--replay")),
+                "--oplog" => opts.oplog = Some(next_value(&mut iter, "--oplog")),
                 "--compact" => opts.compact = true,
                 "--compact-threshold" => {
                     opts.compact_threshold = next_num(&mut iter, "--compact-threshold") as usize
@@ -296,6 +246,19 @@ fn next_num(iter: &mut std::slice::Iter<'_, String>, flag: &str) -> u64 {
         eprintln!("{flag} expects a number");
         std::process::exit(2);
     })
+}
+
+/// The value of a flag that takes one. A missing value, or a next token
+/// that is itself a flag, is an error: `build --out --shards 4` must not
+/// write to a directory called `--shards`.
+fn next_value(iter: &mut std::slice::Iter<'_, String>, flag: &str) -> String {
+    match iter.next() {
+        Some(value) if !value.starts_with("--") => value.clone(),
+        _ => {
+            eprintln!("{flag} expects a value");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Exit with a clean message instead of a panic backtrace: the CLI's
@@ -422,81 +385,6 @@ fn inspect(opts: &Options) {
     match esharp_eval::experiments::figures::fig7(&tb, term, opts.k) {
         Some(fig) => println!("{}", fig.render()),
         None => println!("{term:?} is not a node of the similarity graph at this scale"),
-    }
-}
-
-fn bench(opts: &Options) {
-    if opts.online_bench {
-        eprintln!(
-            "measuring the online read path ({} queries, scale {:?}, seed {})…",
-            opts.queries, opts.scale, opts.seed
-        );
-        let report =
-            esharp_bench::online::run_with(opts.seed, opts.queries, opts.scale, opts.large_load)
-                .unwrap_or_else(|e| fail("online bench", e));
-        print!("{}", report.render_table());
-        if opts.json {
-            let dir = opts.out.as_deref().unwrap_or(".");
-            let path = format!("{dir}/BENCH_online.json");
-            std::fs::write(&path, report.to_json())
-                .unwrap_or_else(|e| fail("write BENCH_online.json", e));
-            println!("wrote {path}");
-        }
-        if !report.results_identical {
-            fail(
-                "online bench",
-                "interned and string-keyed paths returned different experts",
-            );
-        }
-        return;
-    }
-    if opts.ingest_bench {
-        eprintln!(
-            "measuring streaming ingestion (scale {:?}, seed {})…",
-            opts.scale, opts.seed
-        );
-        let report = esharp_bench::ingest::run(opts.seed, opts.scale)
-            .unwrap_or_else(|e| fail("ingest bench", e));
-        print!("{}", report.render_table());
-        if opts.json {
-            let dir = opts.out.as_deref().unwrap_or(".");
-            let path = format!("{dir}/BENCH_ingest.json");
-            std::fs::write(&path, report.to_json())
-                .unwrap_or_else(|e| fail("write BENCH_ingest.json", e));
-            println!("wrote {path}");
-        }
-        return;
-    }
-    if opts.serve_bench {
-        eprintln!(
-            "load-testing the serving layer ({} steady requests, seed {})…",
-            opts.requests, opts.seed
-        );
-        let report = esharp_bench::serve::run(opts.seed, opts.requests)
-            .unwrap_or_else(|e| fail("serve bench", e));
-        print!("{}", report.render_table());
-        if opts.json {
-            let dir = opts.out.as_deref().unwrap_or(".");
-            let path = format!("{dir}/BENCH_serve.json");
-            std::fs::write(&path, report.to_json())
-                .unwrap_or_else(|e| fail("write BENCH_serve.json", e));
-            println!("wrote {path}");
-        }
-        return;
-    }
-    eprintln!(
-        "measuring offline throughput ({} events, seed {})…",
-        opts.events, opts.seed
-    );
-    let workload = esharp_bench::offline::OfflineWorkload::generate(opts.events, opts.seed);
-    let report = workload.measure(&[1, 2, 4, 8]);
-    print!("{}", report.render_table());
-    if opts.json {
-        let dir = opts.out.as_deref().unwrap_or(".");
-        let path = format!("{dir}/BENCH_offline.json");
-        std::fs::write(&path, report.to_json())
-            .unwrap_or_else(|e| fail("write BENCH_offline.json", e));
-        println!("wrote {path}");
     }
 }
 
@@ -739,20 +627,12 @@ fn sql(opts: &Options) {
     catalog.register("communities", builder.finish());
 
     let ctx = ExecContext::new(catalog);
-    match plan_sql(query, &ctx) {
-        Ok(plan) => {
-            println!("-- EXPLAIN\n{}", explain(&plan));
-            match ctx.execute(&plan) {
-                Ok(table) => println!("-- {} rows\n{table}", table.num_rows()),
-                Err(e) => {
-                    eprintln!("execution error: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("plan error: {e}");
-            std::process::exit(1);
-        }
-    }
+    let physical = plan_sql(query, &ctx)
+        .and_then(|plan| optimize(&plan, &ctx))
+        .unwrap_or_else(|e| fail("plan", e));
+    println!("-- EXPLAIN\n{}", explain_physical(&physical));
+    let table = ctx
+        .execute_physical(&physical)
+        .unwrap_or_else(|e| fail("execute", e));
+    println!("-- {} rows\n{table}", table.num_rows());
 }

@@ -1,8 +1,8 @@
 //! Regenerate every table and figure of the paper's evaluation.
 //!
 //! ```sh
-//! cargo run --release -p esharp-bench --bin repro -- all --scale small
-//! cargo run --release -p esharp-bench --bin repro -- fig5 fig6 --scale paper --out results/
+//! cargo run --release -p esharp-cli --bin repro -- all --scale small
+//! cargo run --release -p esharp-cli --bin repro -- fig5 fig6 --scale paper --out results/
 //! ```
 
 use esharp_eval::experiments::{

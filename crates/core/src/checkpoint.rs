@@ -40,8 +40,6 @@
 //! entirely by seeds, with no real signals or subprocesses. The default
 //! injector is [`NoFaults`], which inlines to `None` and costs nothing.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::config::{ClusterBackend, EsharpConfig};
 use crate::domains::DomainCollection;
 use crate::error::{EsharpError, EsharpResult};

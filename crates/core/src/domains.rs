@@ -7,8 +7,6 @@
 //! query it in a few milliseconds"; here it is an in-memory hash index
 //! with the same contract.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use esharp_community::Assignment;
 use esharp_fault::{FaultInjector, NoFaults, RetryPolicy};
 use esharp_graph::SimilarityGraph;

@@ -33,9 +33,11 @@
 //! (search-log substrate), `esharp-graph` (click-similarity graph),
 //! `esharp-community` (modularity maximization incl. the Figure 4 SQL),
 //! `esharp-microblog` (corpus substrate), `esharp-expert` (Pal & Counts
-//! baseline), `esharp-eval` (experiments), `esharp-bench` (benchmarks).
+//! baseline), `esharp-eval` (experiments), `esharp-serve` (HTTP serving),
+//! `esharp-cli` (the `esharp` and `repro` binaries).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod checkpoint;
 mod config;

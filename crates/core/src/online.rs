@@ -1,8 +1,6 @@
 //! The online stage (§5 + Figure 1 right half): query matching → query
 //! expansion → expert detection over the union of per-term matches.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::config::EsharpConfig;
 use crate::domains::DomainCollection;
 use crate::error::EsharpResult;

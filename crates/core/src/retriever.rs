@@ -8,8 +8,6 @@
 //! choice; [`FrequencyRetriever`] is a deliberately naive alternative used
 //! by tests and ablations to show the seam works.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use esharp_expert::{Detector, DetectorConfig, ExpertResult, Features};
 use esharp_microblog::{Corpus, TweetId};
 use std::collections::HashMap;

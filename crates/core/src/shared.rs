@@ -20,8 +20,6 @@
 //! consistent: a cached artifact tagged with epoch *n* was produced by
 //! exactly the `Esharp` state that owned epoch *n*.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::error::EsharpResult;
 use crate::online::Esharp;
 use esharp_fault::{fault_error, FaultInjector, NoFaults};

@@ -9,7 +9,7 @@
 //! precision filter).
 //!
 //! Entry point: build a [`Testbed`] at a scale, then call the experiment
-//! functions in [`experiments`]. The `esharp-bench` crate's `repro`
+//! functions in [`experiments`]. The `esharp-cli` crate's `repro`
 //! binary drives all of them and writes EXPERIMENTS.md data.
 
 #![warn(missing_docs)]

@@ -7,21 +7,11 @@
 //! variant so the ablation benches can quantify exactly what discarding it
 //! buys and costs.
 
-use crate::detector::ExpertResult;
-
-/// Split results into two clusters by score (1-D 2-means, deterministic
-/// initialization at min/max) and keep the higher-scoring cluster.
-pub fn cluster_filter(results: Vec<ExpertResult>) -> Vec<ExpertResult> {
-    let scores: Vec<f64> = results.iter().map(|r| r.score).collect();
-    match cluster_cut(&scores) {
-        None => results,
-        Some(cut) => results.into_iter().filter(|r| r.score >= cut).collect(),
-    }
-}
-
-/// The score at and above which a candidate is in the higher cluster —
-/// all the filter is, once the scores are known. `None` when there is
-/// nothing to separate: fewer than four candidates, or all identical.
+/// Split scores into two clusters (1-D 2-means, deterministic
+/// initialization at min/max) and return the score at and above which a
+/// candidate is in the higher cluster — all the filter is, once the
+/// scores are known. `None` when there is nothing to separate: fewer than
+/// four candidates, or all identical.
 pub(crate) fn cluster_cut(scores: &[f64]) -> Option<f64> {
     if scores.len() < 4 {
         return None;
@@ -64,8 +54,9 @@ pub(crate) fn cluster_cut(scores: &[f64]) -> Option<f64> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::detector::ExpertResult;
     use crate::features::Features;
+    use crate::oracle::cluster_filter;
 
     fn result(user: u32, score: f64) -> ExpertResult {
         ExpertResult {

@@ -1,12 +1,10 @@
 //! The end-to-end baseline detector: candidate selection → features →
 //! normalization → weighted ranking → z-score threshold (§3).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
-use crate::cluster_filter::{cluster_cut, cluster_filter};
-use crate::features::{collect_candidates, compute_features, CandidateScratch, Features};
-use crate::features_ext::{collect_extended, compute_extended, ExtendedWeights};
-use crate::normalize::{normalize_feature, normalize_into, z_scores, z_scores_in_place};
+use crate::cluster_filter::cluster_cut;
+use crate::features::{CandidateScratch, Features};
+use crate::features_ext::ExtendedWeights;
+use crate::normalize::{normalize_into, z_scores_in_place};
 use esharp_microblog::{Corpus, TweetId, UserId};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -76,8 +74,8 @@ pub struct ExpertResult {
 /// The Pal & Counts detector over a fixed corpus.
 #[derive(Debug, Clone)]
 pub struct Detector<'c> {
-    corpus: &'c Corpus,
-    config: DetectorConfig,
+    pub(crate) corpus: &'c Corpus,
+    pub(crate) config: DetectorConfig,
 }
 
 impl<'c> Detector<'c> {
@@ -101,8 +99,8 @@ impl<'c> Detector<'c> {
     /// Rank the candidates induced by an explicit set of matching tweets.
     /// e#'s query expansion unions several match sets and calls this once,
     /// so baseline and expanded searches share one scoring path. Results
-    /// are bit-identical to [`Detector::rank_candidates_reference`]
-    /// (enforced by proptest).
+    /// are bit-identical to the `oracle` module's
+    /// `rank_candidates_reference` (enforced by proptest).
     pub fn rank_candidates(&self, matching: &[TweetId]) -> Vec<ExpertResult> {
         with_scratch(|scratch| self.rank_in(matching, scratch))
     }
@@ -187,85 +185,6 @@ impl<'c> Detector<'c> {
                 ExpertResult { user, score: score[i as usize], features }
             })
             .collect()
-    }
-
-    /// The pre-scratch implementation, kept verbatim as the string-keyed
-    /// era's rank path: per-query `HashMap` accumulation over `&Tweet`,
-    /// then sort — it never reads the columns the kernel ranks from. The
-    /// online bench measures the kernel against this baseline; the
-    /// proptests pin both to bit-identical output.
-    pub fn rank_candidates_reference(&self, matching: &[TweetId]) -> Vec<ExpertResult> {
-        let candidate_counts = collect_candidates(self.corpus, matching);
-        if candidate_counts.is_empty() {
-            return Vec::new();
-        }
-        // Deterministic candidate order before any numeric work.
-        let mut entries: Vec<(UserId, Features)> = candidate_counts
-            .iter()
-            .map(|(&user, counts)| (user, compute_features(self.corpus, user, counts)))
-            .collect();
-        entries.sort_by_key(|&(user, _)| user);
-
-        let ts: Vec<f64> = entries.iter().map(|(_, f)| f.ts).collect();
-        let mi: Vec<f64> = entries.iter().map(|(_, f)| f.mi).collect();
-        let ri: Vec<f64> = entries.iter().map(|(_, f)| f.ri).collect();
-        let zts = normalize_feature(&ts, self.config.log_epsilon);
-        let zmi = normalize_feature(&mi, self.config.log_epsilon);
-        let zri = normalize_feature(&ri, self.config.log_epsilon);
-
-        let extended_contrib: Vec<f64> = match &self.config.extended {
-            None => vec![0.0; entries.len()],
-            Some(weights) => {
-                let ext_counts = collect_extended(self.corpus, matching);
-                let ext: Vec<crate::features_ext::ExtendedFeatures> = entries
-                    .iter()
-                    .map(|&(user, _)| {
-                        let counts = ext_counts.get(&user).copied().unwrap_or_default();
-                        compute_extended(self.corpus, user, &counts)
-                    })
-                    .collect();
-                let zss = z_scores(&ext.iter().map(|f| f.ss).collect::<Vec<_>>());
-                let zncs = z_scores(&ext.iter().map(|f| f.ncs).collect::<Vec<_>>());
-                let zrt = z_scores(&ext.iter().map(|f| f.rt).collect::<Vec<_>>());
-                let zhub = z_scores(&ext.iter().map(|f| f.hub).collect::<Vec<_>>());
-                (0..entries.len())
-                    .map(|i| weights.combine(zss[i], zncs[i], zrt[i], zhub[i]))
-                    .collect()
-            }
-        };
-
-        self.finish_reference(entries, zts, zmi, zri, extended_contrib)
-    }
-
-    /// The reference's scoring tail: weighted sum, optional cluster
-    /// filter, threshold, sort, cap.
-    fn finish_reference(
-        &self,
-        entries: Vec<(UserId, Features)>,
-        zts: Vec<f64>,
-        zmi: Vec<f64>,
-        zri: Vec<f64>,
-        extended_contrib: Vec<f64>,
-    ) -> Vec<ExpertResult> {
-        let (w_ts, w_mi, w_ri) = self.config.weights;
-        let mut results: Vec<ExpertResult> = entries
-            .iter()
-            .enumerate()
-            .map(|(i, &(user, features))| ExpertResult {
-                user,
-                score: w_ts * zts[i] + w_mi * zmi[i] + w_ri * zri[i] + extended_contrib[i],
-                features,
-            })
-            .collect();
-
-        if self.config.cluster_filter && results.len() >= 4 {
-            results = cluster_filter(results);
-        }
-
-        results.retain(|r| r.score >= self.config.min_zscore);
-        results.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.user.cmp(&b.user)));
-        results.truncate(self.config.max_results);
-        results
     }
 }
 

@@ -6,12 +6,9 @@
 //! * `RI` — retweet impact: `#retweets of user's tweets on topic /
 //!   #retweets of user's tweets`.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::features_ext::{compute_extended, is_conversational, ExtendedCounts};
 use esharp_microblog::{Corpus, TweetId, UserId, NO_RETWEET};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The raw feature triple for one candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,45 +34,19 @@ pub struct TopicCounts {
     pub retweets_on_topic: u32,
 }
 
-/// Candidate selection (§3): "a candidate expert is either an author of a
-/// tweet, or a person mentioned in a tweet. In both cases, the tweet must
-/// match the query." Returns each candidate's on-topic counts.
-pub fn collect_candidates(
-    corpus: &Corpus,
-    matching: &[TweetId],
-) -> HashMap<UserId, TopicCounts> {
-    let mut candidates: HashMap<UserId, TopicCounts> = HashMap::new();
-    for &tid in matching {
-        let tweet = corpus.tweet(tid);
-        candidates
-            .entry(tweet.author)
-            .or_default()
-            .tweets_on_topic += 1;
-        for &mentioned in &tweet.mentions {
-            candidates.entry(mentioned).or_default().mentions_on_topic += 1;
-        }
-        if let Some(original_author) = tweet.retweet_of {
-            candidates
-                .entry(original_author)
-                .or_default()
-                .retweets_on_topic += 1;
-        }
-    }
-    candidates
-}
-
 /// Everything a rank needs besides its result, owned per thread and
 /// reused: the candidate-counting tables, indexed by user, and the
 /// per-candidate vectors of the running query.
 ///
 /// Counting reads the corpus's flat [`esharp_microblog::TweetColumns`]
 /// and is an array add plus a bit set per event. The bitmap's word sweep
-/// then yields the candidates in ascending user order — the order
-/// [`collect_candidates`]-then-sort produces, so every later sum adds in
-/// the same order and rankings are bit-identical (enforced by proptest)
-/// — with no sort and no per-event "first touch?" probe. Between
-/// queries every row and every bit is zero; a warm query allocates
-/// nothing here and writes nothing beyond its own candidates' rows.
+/// then yields the candidates in ascending user order — the order the
+/// reference's `collect_candidates`-then-sort produces, so every later
+/// sum adds in the same order and rankings are bit-identical (enforced
+/// by proptest) — with no sort and no per-event "first touch?" probe.
+/// Between queries every row and every bit is zero; a warm query
+/// allocates nothing here and writes nothing beyond its own candidates'
+/// rows.
 #[derive(Debug, Default)]
 pub(crate) struct CandidateScratch {
     /// One row per corpus user.
@@ -104,7 +75,7 @@ pub(crate) struct CandidateScratch {
 
 impl CandidateScratch {
     /// Candidate selection (§3) and the feature ratios, over the
-    /// columns: same semantics as [`collect_candidates`] +
+    /// columns: same semantics as the reference's `collect_candidates` +
     /// [`compute_features`] per candidate in ascending user order.
     pub(crate) fn collect(&mut self, corpus: &Corpus, matching: &[TweetId]) {
         let users = corpus.users().len();
@@ -151,7 +122,7 @@ impl CandidateScratch {
     }
 
     /// The extended tier's raw features of every candidate, into `ext`:
-    /// same semantics as [`crate::features_ext::collect_extended`] +
+    /// same semantics as the reference's `collect_extended` +
     /// [`compute_extended`] per candidate. Call after `collect`.
     pub(crate) fn collect_extended(&mut self, corpus: &Corpus, matching: &[TweetId]) {
         self.ext_counts.clear();
@@ -216,6 +187,7 @@ pub fn compute_features(corpus: &Corpus, user: UserId, counts: &TopicCounts) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::collect_candidates;
     use esharp_microblog::{Tweet, User};
 
     fn user(id: UserId, handle: &str) -> User {

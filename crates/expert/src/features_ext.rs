@@ -19,7 +19,6 @@
 use crate::features::ratio;
 use esharp_microblog::{Corpus, TweetId, UserId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The extended feature vector (complements [`crate::Features`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -55,23 +54,6 @@ pub fn is_conversational(corpus: &Corpus, tweet: TweetId) -> bool {
         .first()
         .map(|&t| corpus.token_text(t).starts_with('@'))
         .unwrap_or(false)
-}
-
-/// Accumulate extended counts for every author in the match set.
-pub fn collect_extended(corpus: &Corpus, matching: &[TweetId]) -> HashMap<UserId, ExtendedCounts> {
-    let mut counts: HashMap<UserId, ExtendedCounts> = HashMap::new();
-    for &tid in matching {
-        let tweet = corpus.tweet(tid);
-        let entry = counts.entry(tweet.author).or_default();
-        entry.tweets += 1;
-        if tweet.retweet_of.is_none() {
-            entry.original += 1;
-        }
-        if !is_conversational(corpus, tid) {
-            entry.non_chat += 1;
-        }
-    }
-    counts
 }
 
 /// Turn extended counts into the feature vector.
@@ -123,6 +105,7 @@ impl ExtendedWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::collect_extended;
     use esharp_microblog::{Tweet, User};
 
     fn user(id: UserId, handle: &str, followers: u64) -> User {

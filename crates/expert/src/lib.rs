@@ -17,15 +17,17 @@
 //! the paper it "can work with any Expertise Retrieval system".
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod cluster_filter;
 mod detector;
 mod features;
 pub mod features_ext;
 mod normalize;
+#[cfg(any(test, feature = "test-support"))]
+pub mod oracle;
 
-pub use cluster_filter::cluster_filter;
 pub use detector::{Detector, DetectorConfig, ExpertResult};
-pub use features::{collect_candidates, compute_features, Features, TopicCounts};
+pub use features::{compute_features, Features, TopicCounts};
 pub use features_ext::{ExtendedFeatures, ExtendedWeights};
-pub use normalize::{log_transform, normalize_feature, z_scores};
+pub use normalize::log_transform;

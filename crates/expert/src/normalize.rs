@@ -9,17 +9,10 @@ pub fn log_transform(x: f64, epsilon: f64) -> f64 {
     (x + epsilon).ln()
 }
 
-/// Z-scores of a sample: `(x − µ) / σ`. When the standard deviation is 0
-/// (all candidates identical, or a single candidate), every z-score is 0.
-pub fn z_scores(values: &[f64]) -> Vec<f64> {
-    let mut out = values.to_vec();
-    z_scores_in_place(&mut out);
-    out
-}
-
-/// [`z_scores`] over the sample's own storage — the rank kernel's form,
-/// and the one place the sums are written, so the allocating and the
-/// in-place callers cannot differ in a single bit.
+/// Z-scores of a sample, in place: `(x − µ) / σ`. When the standard
+/// deviation is 0 (all candidates identical, or a single candidate),
+/// every z-score is 0. The one place the sums are written, so the
+/// reference's allocating `z_scores` cannot differ in a single bit.
 pub(crate) fn z_scores_in_place(values: &mut [f64]) {
     let n = values.len();
     if n == 0 {
@@ -37,17 +30,10 @@ pub(crate) fn z_scores_in_place(values: &mut [f64]) {
     }
 }
 
-/// Apply the full paper pipeline to one feature column: log-transform then
-/// z-score.
-pub fn normalize_feature(values: &[f64], epsilon: f64) -> Vec<f64> {
-    let mut out = Vec::with_capacity(values.len());
-    normalize_into(values.iter().copied(), epsilon, &mut out);
-    out
-}
-
-/// [`normalize_feature`] into a reused buffer. MI and RI are zero for
-/// most candidates and `ln` is the cost of this pass, so `ln(0 + ε)` is
-/// taken once.
+/// The full paper pipeline over one feature column — log-transform then
+/// z-score — into a reused buffer. MI and RI are zero for most
+/// candidates and `ln` is the cost of this pass, so `ln(0 + ε)` is taken
+/// once.
 pub(crate) fn normalize_into(
     values: impl Iterator<Item = f64>,
     epsilon: f64,
@@ -68,6 +54,7 @@ pub(crate) fn normalize_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{normalize_feature, z_scores};
 
     #[test]
     fn z_scores_have_zero_mean_unit_sd() {

@@ -1,8 +1,7 @@
 //! Property-based tests of normalization and ranking invariants.
 
-use esharp_expert::{
-    normalize_feature, z_scores, Detector, DetectorConfig, ExpertResult, ExtendedWeights,
-};
+use esharp_expert::oracle::{normalize_feature, z_scores};
+use esharp_expert::{Detector, DetectorConfig, ExpertResult, ExtendedWeights};
 use esharp_microblog::{Corpus, Tweet, User};
 use proptest::prelude::*;
 

@@ -15,8 +15,6 @@
 //! state change — the cache-coherence guarantee is structural, not a
 //! TTL.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::clock::TickSource;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};

@@ -9,8 +9,6 @@
 //! [`crate::VirtualClock`] a stalled task deterministically exhausts its
 //! budget without any thread ever sleeping.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::clock::{TickSource, WallClock};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;

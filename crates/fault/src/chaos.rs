@@ -22,8 +22,6 @@
 //!   unwind guard (a panic here kills the thread and exercises
 //!   supervision/resurrection).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::{fnv64, splitmix64};
 use std::sync::atomic::{AtomicU32, Ordering::SeqCst};
 use std::sync::Mutex;

@@ -11,8 +11,6 @@
 //! stall × deadline × hedge combinations finishes without a single
 //! `sleep`.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};

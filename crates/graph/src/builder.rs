@@ -9,8 +9,6 @@
 //! queries (hubs) are capped — they carry little discriminative signal and
 //! would otherwise make the pair generation quadratic again.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::graph::{Edge, NodeId, SimilarityGraph};
 use crate::vector::ClickVector;
 use esharp_par::{default_chunk, shared_pool};

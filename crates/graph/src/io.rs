@@ -8,8 +8,6 @@
 //! `esharp_relation::atomic`), so a crash mid-save never shadows a good
 //! graph file; reads reject truncation, trailing bytes and bit flips.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::graph::{Edge, NodeId, SimilarityGraph};
 use esharp_fault::{FaultInjector, NoFaults, RetryPolicy};
 use esharp_relation::atomic::atomic_write_with;

@@ -12,6 +12,7 @@
 //! the Figure 4 SQL operates on.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod builder;
 mod graph;

@@ -27,8 +27,6 @@
 //! Zero-copy reinterpretation assumes the host is little-endian like the
 //! file; `segio` falls back to the copy path on big-endian targets.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::io::{self, Read};
 use std::path::Path;

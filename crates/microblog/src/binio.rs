@@ -15,8 +15,6 @@
 //! every other PR 2 artifact. Corruption surfaces as `io::Error`
 //! (`InvalidData`), never a panic.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::corpus::Corpus;
 use crate::index::PostingsIndex;
 use crate::intern::SymbolTable;

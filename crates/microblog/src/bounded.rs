@@ -32,8 +32,6 @@
 //! sets. Shard panics are caught per task; they surface as a missing
 //! shard and a counter, never as a torn-down caller.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::corpus::{Corpus, TermMatch};
 use crate::index::union_sorted;
 use crate::types::TweetId;

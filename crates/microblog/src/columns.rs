@@ -11,8 +11,6 @@
 //! [`TweetColumns::uncount`] ever change them, so they cannot drift from
 //! `Corpus::tweets()` (property-tested in `tests/proptest_columns.rs`).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::types::{Tweet, TweetId, UserId};
 
 /// `retweet_of` value of a tweet that is not a retweet.

@@ -1,7 +1,5 @@
 //! The corpus: users, tweets and the indexes the expert detector needs.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::arena::CorpusArena;
 use crate::columns::TweetColumns;
 use crate::index::{intersect, PostingsIndex};
@@ -300,8 +298,8 @@ impl Corpus {
     /// than every base id, so simple concatenation is the k-way merge.
     /// When the token genuinely has both segments the concatenation lands
     /// in a pooled per-thread scratch buffer ([`PooledBuf`]) instead of a
-    /// fresh allocation — the base+delta read overhead measured in
-    /// BENCH_ingest.json was partly this per-term, per-query `Vec`.
+    /// fresh allocation — the base+delta read overhead was partly this
+    /// per-term, per-query `Vec`.
     fn merged_postings(&self, token: TokenId) -> TermMatch<'_> {
         let base: &[TweetId] = if token < self.base_tokens {
             self.postings.postings(token)

@@ -24,8 +24,6 @@
 //! (exponential probe + binary search) through the long list, turning the
 //! `O(|a|+|b|)` scan into `O(|a| log |b|)`.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::arena::CorpusArena;
 use crate::types::{TokenId, TweetId};
 

@@ -18,6 +18,7 @@
 //!   e# exists to fix).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod arena;
 pub mod binio;

@@ -32,8 +32,6 @@
 //! global frames, or any segment, including a missing segment file —
 //! fails at open with `InvalidData`, never at query time.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::arena::{AlignedBuf, CorpusArena};
 use crate::binio::{
     checked_id, checked_len, col_bool, col_int, col_str, ends_to_offsets, totals,

@@ -5,8 +5,6 @@
 //! "all the queries which appear less than 50 times per month, to reduce
 //! noise and save space".
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::loggen::RawEvent;
 use crate::world::{TermId, UrlId, World};
 use serde::{Deserialize, Serialize};

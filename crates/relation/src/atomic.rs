@@ -4,6 +4,4 @@
 //! `esharp_relation::atomic::...` path keeps working; new code should
 //! prefer depending on `esharp-storage` directly.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 pub use esharp_storage::atomic::*;

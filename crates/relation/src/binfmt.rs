@@ -19,8 +19,6 @@
 //! plausible-but-wrong table. Version 1 frames (no checksum) remain
 //! readable for artifacts persisted by older runs.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::atomic::{atomic_write, atomic_write_with, crc32};
 use crate::column::Column;
 use esharp_fault::{FaultInjector, RetryPolicy};

@@ -1,7 +1,5 @@
 //! Named-table catalog.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::error::{RelError, RelResult};
 use crate::paged::PagedTable;
 use crate::table::Table;

@@ -1,7 +1,5 @@
 //! Columnar storage: one typed vector per column.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::error::{RelError, RelResult};
 use crate::value::{canonical_f64_bits, total_f64_cmp, DataType, Value};
 use std::cmp::Ordering;

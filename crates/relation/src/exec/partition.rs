@@ -6,8 +6,6 @@
 //! The same per-row hashes key the hash join, aggregate and distinct
 //! tables (`ops::keys`).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::column::Column;
 use crate::table::Table;
 use crate::value::{hash_bool, hash_float, hash_int, hash_str, Value};

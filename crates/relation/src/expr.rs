@@ -1,8 +1,6 @@
 //! Scalar expressions: a small logical expression language plus a compiled,
 //! index-resolved form evaluated a column at a time.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::schema::Schema;

@@ -35,6 +35,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod atomic;
 pub mod binfmt;
@@ -68,7 +69,7 @@ pub use paged::{PagedTable, ScanOptions, ScanOutcome};
 pub use physical::{optimize, Estimate, PhysicalPlan, PlanHistory};
 pub use plan::{AggCall, ExecContext, LogicalPlan};
 pub use schema::{Field, Schema, SchemaRef};
-pub use sql::{plan_sql, run_sql, run_sql_unoptimized};
+pub use sql::{plan_sql, run_sql};
 pub use table::{Table, TableBuilder};
 pub use udf::{FnUdf, ScalarUdf, UdfRegistry};
 pub use value::{DataType, Value};

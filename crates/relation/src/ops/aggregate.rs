@@ -5,8 +5,6 @@
 //! separation step: per group, return `value` of the row where `order` is
 //! maximal (deterministic tie-break on the smaller `value`).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::ops::keys::{Groups, Keys};

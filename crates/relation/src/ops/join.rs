@@ -1,7 +1,5 @@
 //! Hash equi-join.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::ops::keys::{Keys, RowIndex};

@@ -3,8 +3,6 @@
 //! aggregate and distinct operators index rows with. No per-row key is
 //! ever built.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::exec::hash_rows;

@@ -1,8 +1,6 @@
 //! Row filtering and projection, each one vectorised expression
 //! evaluation per predicate or output column.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::expr::{CompiledExpr, Expr};

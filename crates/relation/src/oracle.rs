@@ -1,18 +1,28 @@
-//! Row-at-a-time reference implementations of the column-at-a-time
-//! kernels: expression evaluation one row and one `Value` at a time, and
-//! the hash join and aggregate keyed by `Vec<Value>`. The property tests
-//! (`tests/proptest_columnar.rs`) check the kernels against them row for
-//! row. Compiled only for tests and under the `test-support` feature.
+//! Reference implementations the engine is checked against:
+//!
+//! * row-at-a-time versions of the column-at-a-time kernels — expression
+//!   evaluation one row and one `Value` at a time, and the hash join and
+//!   aggregate keyed by `Vec<Value>` (`tests/proptest_columnar.rs` checks
+//!   the kernels against them row for row);
+//! * the naive logical-plan executor ([`ExecContext::execute`],
+//!   [`run_sql_unoptimized`]), the semantics the physical planner must
+//!   reproduce (`tests/planner_equiv.rs`, `plan.rs`'s unit tests).
+//!
+//! Compiled only for tests and under the `test-support` feature.
 
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
-use crate::expr::{BinOp, CompiledExpr};
-use crate::ops::{AggFunc, AggSpec, JoinSide};
+use crate::exec::StageStats;
+use crate::expr::{BinOp, CompiledExpr, Expr};
+use crate::ops::{self, AggFunc, AggSpec, JoinSide, ProjectionSpec, SortKey};
+use crate::plan::{equi_pair, flatten_and, lower_agg, ExecContext, LogicalPlan};
 use crate::schema::{Field, Schema};
+use crate::sql::plan_sql;
 use crate::table::Table;
 use crate::value::{DataType, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 impl CompiledExpr {
     /// Reference for [`CompiledExpr::eval_column`]: evaluate over row
@@ -359,4 +369,152 @@ pub fn aggregate(input: &Table, group_keys: &[usize], aggs: &[AggSpec]) -> RelRe
         }
     }
     Table::new(out_schema, columns)
+}
+
+impl ExecContext {
+    /// The naive executor: run a logical plan operator by operator, each
+    /// input materialized, with no pushdown and no cost-based choice
+    /// (joins use the context's `join_strategy`). The reference semantics
+    /// that [`ExecContext::execute_physical`] is checked against.
+    pub fn execute(&self, plan: &LogicalPlan) -> RelResult<Table> {
+        let start = Instant::now();
+        let (result, rows_in, bytes_in) = match plan {
+            LogicalPlan::Scan { table } => {
+                let t = self.catalog.get(table)?;
+                let (r, b) = (t.num_rows() as u64, t.byte_size() as u64);
+                (t, r, b)
+            }
+            LogicalPlan::Filter { input, predicate } => {
+                let t = self.execute(input)?;
+                let compiled = predicate.compile(t.schema(), &self.udfs)?;
+                let io = (t.num_rows() as u64, t.byte_size() as u64);
+                (ops::filter(&t, &compiled)?, io.0, io.1)
+            }
+            LogicalPlan::Project { input, exprs } => {
+                let t = self.execute(input)?;
+                let specs = exprs
+                    .iter()
+                    .map(|(e, alias)| {
+                        ProjectionSpec::compile(e, alias.as_deref(), t.schema(), &self.udfs)
+                    })
+                    .collect::<RelResult<Vec<_>>>()?;
+                let io = (t.num_rows() as u64, t.byte_size() as u64);
+                (ops::project(&t, &specs)?, io.0, io.1)
+            }
+            LogicalPlan::Join { left, right, on } => {
+                let l = self.execute(left)?;
+                let r = self.execute(right)?;
+                let rows = (l.num_rows() + r.num_rows()) as u64;
+                let bytes = (l.byte_size() + r.byte_size()) as u64;
+                (self.execute_join(&l, &r, on)?, rows, bytes)
+            }
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => {
+                let t = self.execute(input)?;
+                let keys = group_by
+                    .iter()
+                    .map(|name| t.schema().index_of(name))
+                    .collect::<RelResult<Vec<_>>>()?;
+                let specs = aggs
+                    .iter()
+                    .map(|call| lower_agg(call, t.schema()))
+                    .collect::<RelResult<Vec<_>>>()?;
+                let io = (t.num_rows() as u64, t.byte_size() as u64);
+                (self.cluster.aggregate(&t, &keys, &specs)?, io.0, io.1)
+            }
+            LogicalPlan::Sort { input, keys } => {
+                let t = self.execute(input)?;
+                let sort_keys = keys
+                    .iter()
+                    .map(|(name, asc)| {
+                        Ok(SortKey {
+                            col: t.schema().index_of(name)?,
+                            ascending: *asc,
+                        })
+                    })
+                    .collect::<RelResult<Vec<_>>>()?;
+                let io = (t.num_rows() as u64, t.byte_size() as u64);
+                (ops::sort(&t, &sort_keys)?, io.0, io.1)
+            }
+            LogicalPlan::Limit { input, n } => {
+                let t = self.execute(input)?;
+                let io = (t.num_rows() as u64, t.byte_size() as u64);
+                (ops::limit(&t, *n)?, io.0, io.1)
+            }
+            LogicalPlan::Distinct { input } => {
+                let t = self.execute(input)?;
+                let io = (t.num_rows() as u64, t.byte_size() as u64);
+                (ops::distinct(&t)?, io.0, io.1)
+            }
+            LogicalPlan::UnionAll { inputs } => {
+                let tables = inputs
+                    .iter()
+                    .map(|p| self.execute(p))
+                    .collect::<RelResult<Vec<_>>>()?;
+                let rows = tables.iter().map(|t| t.num_rows() as u64).sum();
+                let bytes = tables.iter().map(|t| t.byte_size() as u64).sum();
+                (ops::union_all(&tables)?, rows, bytes)
+            }
+        };
+        if let Some(stats) = &self.stats {
+            let mut rec = StageStats::new(plan.label(), self.cluster.workers());
+            rec.wall = start.elapsed();
+            rec.rows_read = rows_in;
+            rec.bytes_read = bytes_in;
+            rec.rows_written = result.num_rows() as u64;
+            rec.bytes_written = result.byte_size() as u64;
+            stats.record(rec);
+        }
+        Ok(result)
+    }
+
+    /// Split a join condition into hash keys and a residual predicate, then
+    /// run the configured parallel join.
+    fn execute_join(&self, left: &Table, right: &Table, on: &Expr) -> RelResult<Table> {
+        let mut conjuncts = Vec::new();
+        flatten_and(on, &mut conjuncts);
+        let mut left_keys = Vec::new();
+        let mut right_keys = Vec::new();
+        let mut residual: Option<Expr> = None;
+        for c in conjuncts {
+            match equi_pair(c, left.schema(), right.schema()) {
+                Some((l, r)) => {
+                    left_keys.push(l);
+                    right_keys.push(r);
+                }
+                None => {
+                    residual = Some(match residual {
+                        Some(acc) => acc.and(c.clone()),
+                        None => c.clone(),
+                    });
+                }
+            }
+        }
+        if left_keys.is_empty() {
+            return Err(RelError::InvalidPlan(
+                "join condition contains no equi-join predicate".into(),
+            ));
+        }
+        let joined = self
+            .cluster
+            .join(left, right, &left_keys, &right_keys, self.join_strategy)?;
+        match residual {
+            Some(expr) => {
+                let compiled = expr.compile(joined.schema(), &self.udfs)?;
+                ops::filter(&joined, &compiled)
+            }
+            None => Ok(joined),
+        }
+    }
+}
+
+/// Parse, bind and execute SQL text on the naive executor
+/// ([`ExecContext::execute`]): the reference semantics for
+/// [`crate::run_sql`].
+pub fn run_sql_unoptimized(sql: &str, ctx: &ExecContext) -> RelResult<Table> {
+    let plan = plan_sql(sql, ctx)?;
+    ctx.execute(&plan)
 }

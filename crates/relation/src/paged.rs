@@ -13,8 +13,6 @@
 //! reports how many rows were actually decoded, which is what the planner
 //! benchmarks to show pushdown working.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::binfmt;
 use crate::column::Column;
 use crate::error::{RelError, RelResult};

@@ -25,8 +25,6 @@
 //! runs, and hash join/aggregate inputs are hash-partitioned to disk and
 //! processed partition-at-a-time.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::binfmt;
 use crate::catalog::Source;
 use crate::column::Column;
@@ -247,7 +245,7 @@ impl PhysicalPlan {
         }
     }
 
-    /// Short stage label, matching the logical executor's labels so the
+    /// Short stage label, matching [`LogicalPlan::label`] so the
     /// pipeline's stats rollups keep working.
     pub fn label(&self) -> &'static str {
         match self {

@@ -1,18 +1,17 @@
-//! Logical plans and their executor.
+//! Logical plans and the context they run in.
 //!
 //! Plans are built either by the SQL binder ([`crate::sql`]) or directly
-//! through the builder methods, and executed by [`ExecContext`], which owns
-//! the catalog, the UDF registry, the worker pool and the join strategy.
+//! through the builder methods, lowered by [`crate::physical::optimize`]
+//! and run by [`ExecContext::execute_physical`]; the context owns the
+//! catalog, the UDF registry, the worker pool and the join strategy.
 
 use crate::catalog::Catalog;
 use crate::error::{RelError, RelResult};
-use crate::exec::{Cluster, JoinStrategy, StageStats, StatsRegistry};
+use crate::exec::{Cluster, JoinStrategy, StatsRegistry};
 use crate::expr::{BinOp, Expr};
-use crate::ops::{self, AggFunc, AggSpec, ProjectionSpec, SortKey};
+use crate::ops::{AggFunc, AggSpec};
 use crate::schema::Schema;
-use crate::table::Table;
 use crate::udf::UdfRegistry;
-use std::time::Instant;
 
 /// An aggregate call in a logical [`LogicalPlan::Aggregate`] node.
 ///
@@ -187,8 +186,8 @@ pub struct ExecContext {
     pub udfs: UdfRegistry,
     /// Worker pool.
     pub cluster: Cluster,
-    /// Physical join strategy (§4.2.3) used by the *logical* executor and
-    /// as the planner's fallback when it has no estimates.
+    /// Physical join strategy (§4.2.3): the planner's fallback when it
+    /// has no estimates.
     pub join_strategy: JoinStrategy,
     /// Optional per-operator statistics sink.
     pub stats: Option<StatsRegistry>,
@@ -255,141 +254,6 @@ impl ExecContext {
     pub fn with_history(mut self, history: crate::physical::PlanHistory) -> Self {
         self.history = history;
         self
-    }
-
-    /// Execute a plan to a materialized table.
-    pub fn execute(&self, plan: &LogicalPlan) -> RelResult<Table> {
-        let start = Instant::now();
-        let (result, rows_in, bytes_in) = match plan {
-            LogicalPlan::Scan { table } => {
-                let t = self.catalog.get(table)?;
-                let (r, b) = (t.num_rows() as u64, t.byte_size() as u64);
-                (t, r, b)
-            }
-            LogicalPlan::Filter { input, predicate } => {
-                let t = self.execute(input)?;
-                let compiled = predicate.compile(t.schema(), &self.udfs)?;
-                let io = (t.num_rows() as u64, t.byte_size() as u64);
-                (ops::filter(&t, &compiled)?, io.0, io.1)
-            }
-            LogicalPlan::Project { input, exprs } => {
-                let t = self.execute(input)?;
-                let specs = exprs
-                    .iter()
-                    .map(|(e, alias)| {
-                        ProjectionSpec::compile(e, alias.as_deref(), t.schema(), &self.udfs)
-                    })
-                    .collect::<RelResult<Vec<_>>>()?;
-                let io = (t.num_rows() as u64, t.byte_size() as u64);
-                (ops::project(&t, &specs)?, io.0, io.1)
-            }
-            LogicalPlan::Join { left, right, on } => {
-                let l = self.execute(left)?;
-                let r = self.execute(right)?;
-                let rows = (l.num_rows() + r.num_rows()) as u64;
-                let bytes = (l.byte_size() + r.byte_size()) as u64;
-                (self.execute_join(&l, &r, on)?, rows, bytes)
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
-                let t = self.execute(input)?;
-                let keys = group_by
-                    .iter()
-                    .map(|name| t.schema().index_of(name))
-                    .collect::<RelResult<Vec<_>>>()?;
-                let specs = aggs
-                    .iter()
-                    .map(|call| lower_agg(call, t.schema()))
-                    .collect::<RelResult<Vec<_>>>()?;
-                let io = (t.num_rows() as u64, t.byte_size() as u64);
-                (self.cluster.aggregate(&t, &keys, &specs)?, io.0, io.1)
-            }
-            LogicalPlan::Sort { input, keys } => {
-                let t = self.execute(input)?;
-                let sort_keys = keys
-                    .iter()
-                    .map(|(name, asc)| {
-                        Ok(SortKey {
-                            col: t.schema().index_of(name)?,
-                            ascending: *asc,
-                        })
-                    })
-                    .collect::<RelResult<Vec<_>>>()?;
-                let io = (t.num_rows() as u64, t.byte_size() as u64);
-                (ops::sort(&t, &sort_keys)?, io.0, io.1)
-            }
-            LogicalPlan::Limit { input, n } => {
-                let t = self.execute(input)?;
-                let io = (t.num_rows() as u64, t.byte_size() as u64);
-                (ops::limit(&t, *n)?, io.0, io.1)
-            }
-            LogicalPlan::Distinct { input } => {
-                let t = self.execute(input)?;
-                let io = (t.num_rows() as u64, t.byte_size() as u64);
-                (ops::distinct(&t)?, io.0, io.1)
-            }
-            LogicalPlan::UnionAll { inputs } => {
-                let tables = inputs
-                    .iter()
-                    .map(|p| self.execute(p))
-                    .collect::<RelResult<Vec<_>>>()?;
-                let rows = tables.iter().map(|t| t.num_rows() as u64).sum();
-                let bytes = tables.iter().map(|t| t.byte_size() as u64).sum();
-                (ops::union_all(&tables)?, rows, bytes)
-            }
-        };
-        if let Some(stats) = &self.stats {
-            let mut rec = StageStats::new(plan.label(), self.cluster.workers());
-            rec.wall = start.elapsed();
-            rec.rows_read = rows_in;
-            rec.bytes_read = bytes_in;
-            rec.rows_written = result.num_rows() as u64;
-            rec.bytes_written = result.byte_size() as u64;
-            stats.record(rec);
-        }
-        Ok(result)
-    }
-
-    /// Split a join condition into hash keys and a residual predicate, then
-    /// run the configured parallel join.
-    fn execute_join(&self, left: &Table, right: &Table, on: &Expr) -> RelResult<Table> {
-        let mut conjuncts = Vec::new();
-        flatten_and(on, &mut conjuncts);
-        let mut left_keys = Vec::new();
-        let mut right_keys = Vec::new();
-        let mut residual: Option<Expr> = None;
-        for c in conjuncts {
-            match equi_pair(c, left.schema(), right.schema()) {
-                Some((l, r)) => {
-                    left_keys.push(l);
-                    right_keys.push(r);
-                }
-                None => {
-                    residual = Some(match residual {
-                        Some(acc) => acc.and(c.clone()),
-                        None => c.clone(),
-                    });
-                }
-            }
-        }
-        if left_keys.is_empty() {
-            return Err(RelError::InvalidPlan(
-                "join condition contains no equi-join predicate".into(),
-            ));
-        }
-        let joined = self
-            .cluster
-            .join(left, right, &left_keys, &right_keys, self.join_strategy)?;
-        match residual {
-            Some(expr) => {
-                let compiled = expr.compile(joined.schema(), &self.udfs)?;
-                ops::filter(&joined, &compiled)
-            }
-            None => Ok(joined),
-        }
     }
 }
 
@@ -466,6 +330,7 @@ pub(crate) fn lower_agg(call: &AggCall, schema: &Schema) -> RelResult<AggSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Table;
     use crate::value::{DataType, Value};
 
     fn context() -> ExecContext {

@@ -56,6 +56,10 @@ impl Schema {
 
     /// Build a schema from `(name, type)` pairs. Panics on duplicates; use
     /// in code paths where the names are static.
+    // The names are literals at every call site, so a duplicate is a bug
+    // in that line of code, not a runtime input; `Schema::new` is the
+    // fallible path for names that come from data.
+    #[allow(clippy::expect_used)]
     pub fn of(pairs: &[(&str, DataType)]) -> SchemaRef {
         Arc::new(
             Schema::new(

@@ -37,15 +37,6 @@ pub fn run_sql(sql: &str, ctx: &ExecContext) -> RelResult<Table> {
     ctx.execute_physical(&physical)
 }
 
-/// Parse, bind and execute SQL text on the naive logical executor, with
-/// no pushdowns or cost-based choices. The benchmark harness uses this as
-/// the baseline the optimizer is measured against, and the planner
-/// equivalence tests use it as the reference semantics.
-pub fn run_sql_unoptimized(sql: &str, ctx: &ExecContext) -> RelResult<Table> {
-    let plan = plan_sql(sql, ctx)?;
-    ctx.execute(&plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

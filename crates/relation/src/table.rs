@@ -1,7 +1,5 @@
 //! In-memory tables: a schema plus one shared column vector per field.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::schema::SchemaRef;

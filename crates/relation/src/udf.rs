@@ -10,8 +10,6 @@
 //! for one row works unchanged; a hot function (Figure 4's `ModulGain`)
 //! overrides it with a typed kernel over the argument slices.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::value::{DataType, Value};

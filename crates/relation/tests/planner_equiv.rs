@@ -9,9 +9,10 @@
 //! small enough to force external sort, partitioned hash-join spill and
 //! aggregate spill, and both serial and multi-worker clusters.
 
+use esharp_relation::oracle::run_sql_unoptimized;
 use esharp_relation::{
-    run_sql, run_sql_unoptimized, BufferPool, Catalog, Cluster, DataType, ExecContext,
-    PagedTable, Schema, Table, Value,
+    run_sql, BufferPool, Catalog, Cluster, DataType, ExecContext, PagedTable, Schema, Table,
+    Value,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -13,8 +13,6 @@
 //! these methods and makes every decision. Nothing here blocks — every
 //! socket operation stops at `WouldBlock`.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::http::{Limits, Request, RequestError};
 use crate::poller::Interest;
 use std::collections::VecDeque;

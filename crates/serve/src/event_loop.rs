@@ -34,8 +34,6 @@
 //!   `keep_alive_timeout`; so are clients that stop draining responses
 //!   (counted `shed_slow_client`).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::conn::Conn;
 use crate::http::{self, RequestError};
 use crate::poller::{PollEvent, Poller, Wakeup};

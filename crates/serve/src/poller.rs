@@ -22,8 +22,6 @@
 //! the loop never needs to drain-to-EAGAIN for correctness — only for
 //! throughput.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, FromRawFd, RawFd};

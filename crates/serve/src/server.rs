@@ -87,7 +87,7 @@ pub struct ServeConfig {
     /// `hedge_delay` of a search's budget has elapsed.
     pub hedge: bool,
     /// How long to wait before hedging stragglers (ideally the steady
-    /// per-shard p99; `esharp bench --serve` measures it).
+    /// per-shard p99).
     pub hedge_delay: Duration,
     /// Max accepted `Content-Length` on `POST` bodies; larger uploads
     /// are refused with `413` before the body is read.

@@ -16,8 +16,6 @@
 //! only; the plain entry points never consult an injector, so default
 //! builds pay nothing.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use esharp_fault::{fault_error, Fault, FaultInjector, RetryPolicy};
 use std::fs::{self, File};
 use std::io::{self, Read, Write};

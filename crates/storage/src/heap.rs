@@ -16,8 +16,6 @@
 //! the per-page CRC at read time; a data file shorter than the committed
 //! page count is rejected at open.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::atomic::{read_framed, write_framed};
 use crate::page::{Page, PAGE_SIZE};
 use esharp_fault::{fault_error, Fault, FaultInjector};

@@ -16,8 +16,6 @@
 //! decoded, so truncation, torn in-place writes and silent bit flips all
 //! surface as `InvalidData`, never as a plausible-but-wrong row.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::atomic::crc32;
 use std::io;
 

@@ -9,8 +9,6 @@
 //! [`SpillDir`] owns a unique temporary directory and deletes it (runs
 //! and all) when dropped, so an aborted query leaves nothing behind.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::atomic::crc32;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
