@@ -60,7 +60,9 @@ pub fn cluster_label_propagation(graph: &MultiGraph, config: &LabelPropConfig) -
             for &(w, k) in &adjacency[v] {
                 *weight_by_label.entry(labels[w as usize]).or_insert(0) += k;
             }
-            let max_weight = *weight_by_label.values().max().expect("non-empty");
+            let Some(&max_weight) = weight_by_label.values().max() else {
+                continue; // unreachable: `v` has at least one neighbor
+            };
             let mut maxima: Vec<u32> = weight_by_label
                 .into_iter()
                 .filter(|&(_, w)| w == max_weight)

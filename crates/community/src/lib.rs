@@ -24,6 +24,7 @@
 //! ground-truth quality metrics ([`nmi`], [`ari`]).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod assignment;
 mod labelprop;
@@ -32,6 +33,8 @@ pub mod metrics;
 pub mod modularity;
 mod neighborhood;
 mod newman;
+#[cfg(test)]
+mod oracle;
 mod parallel;
 mod sqlimpl;
 mod stats;
@@ -44,8 +47,8 @@ pub use modularity::{delta_mod, PartitionStats};
 pub use neighborhood::{neighborhood_of_term, CommunityView};
 pub use newman::{cluster_newman, NewmanConfig};
 pub use parallel::{
-    choose_owners, cluster_parallel, cluster_parallel_resumable, compute_stats,
-    ClusteringOutcome, IterationStat, ParallelConfig,
+    choose_owners, cluster_parallel, cluster_parallel_resumable, ClusteringOutcome, IterationStat,
+    ParallelConfig,
 };
 pub use sqlimpl::{
     cluster_sql, cluster_sql_report, SqlClusterConfig, SqlRunReport, NEIGHBORS_SQL, PARTITIONS_SQL,

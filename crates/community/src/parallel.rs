@@ -14,11 +14,10 @@
 //! stops when an iteration changes nothing (convergence — Figure 5 shows
 //! ~6 iterations on the paper's production graph) or after `max_iterations`.
 //!
-//! The expensive part of each iteration — accumulating per-community
-//! degree sums and inter-community edge counts — is embarrassingly
-//! parallel over edge chunks; with `workers > 1` it fans out on the
-//! process-wide persistent [`esharp_par`] pool (no per-iteration thread
-//! spawns) into dense per-worker accumulators, the same map-reduce shape
+//! The statistics of each assignment — degree sums, internal and
+//! inter-community edge counts — are dense arrays indexed by community id
+//! ([`PartitionStats`]), computed once per assignment over edge chunks on
+//! the process-wide persistent [`esharp_par`] pool, the map-reduce shape
 //! the paper targets. All merged quantities are `u64` counts, whose sums
 //! are exact and order-independent, so the clustering result is identical
 //! at any worker count.
@@ -26,9 +25,7 @@
 use crate::assignment::Assignment;
 use crate::modularity::PartitionStats;
 use esharp_graph::MultiGraph;
-use esharp_par::shared_pool;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Configuration of the parallel merge loop.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -105,69 +102,50 @@ pub fn cluster_parallel(graph: &MultiGraph, config: &ParallelConfig) -> Clusteri
 /// 4, not 0.
 ///
 /// Determinism: one iteration is a pure function of `(graph, assignment)`
-/// (the [`compute_stats`] merge order is fixed and worker-count
-/// independent), so a resumed run reproduces the uninterrupted run's
-/// assignment and trace bit for bit. A `resume` whose assignment does not
-/// match the graph's node count (stale checkpoint) is ignored and the run
-/// starts clean.
+/// (the [`PartitionStats::compute_with`] merge order is fixed and
+/// worker-count independent), so a resumed run reproduces the
+/// uninterrupted run's assignment and trace bit for bit. A `resume` that
+/// does not fit the graph (stale checkpoint) — the wrong node count, or a
+/// community id that is no node — is ignored and the run starts clean.
 pub fn cluster_parallel_resumable<E>(
     graph: &MultiGraph,
     config: &ParallelConfig,
     resume: Option<(Assignment, Vec<IterationStat>)>,
     mut on_iteration: impl FnMut(&Assignment, &[IterationStat]) -> Result<(), E>,
 ) -> Result<ClusteringOutcome, E> {
-    let resume = resume.filter(|(a, t)| a.len() == graph.num_nodes() && !t.is_empty());
-    let (mut assignment, mut trace) = match resume {
-        Some(state) => state,
-        None => {
-            let assignment = Assignment::singletons(graph.num_nodes());
-            let initial_stats = compute_stats(graph, &assignment, config.workers);
-            let trace = vec![IterationStat {
-                iteration: 0,
-                communities: graph.num_nodes(),
-                total_modularity: initial_stats.total_modularity(),
-                merges: 0,
-            }];
-            on_iteration(&assignment, &trace)?;
-            (assignment, trace)
-        }
-    };
+    let num_nodes = graph.num_nodes();
+    let (mut assignment, mut trace) = resume
+        .filter(|(a, t)| {
+            a.len() == num_nodes
+                && !t.is_empty()
+                && a.as_slice().iter().all(|&c| (c as usize) < num_nodes)
+        })
+        .unwrap_or_else(|| (Assignment::singletons(num_nodes), Vec::new()));
+    // The statistics of the current assignment: computed once per
+    // assignment, for its trace row and for the next iteration's choice.
+    let mut stats = PartitionStats::compute_with(graph, &assignment, config.workers);
+    if trace.is_empty() {
+        trace.push(IterationStat {
+            iteration: 0,
+            communities: num_nodes,
+            total_modularity: stats.total_modularity(),
+            merges: 0,
+        });
+        on_iteration(&assignment, &trace)?;
+    }
 
     let first = trace.last().map_or(0, |s| s.iteration) + 1;
     for iteration in first..=config.max_iterations {
-        let stats = compute_stats(graph, &assignment, config.workers);
-        let owners = choose_owners(&stats);
-        if owners.is_empty() {
+        let mut owners = best_owners(&stats);
+        let Some((renamed, merges)) = aggregate(&assignment, &stats, &mut owners) else {
             break;
-        }
-        // Step 3: rename every node of each re-assigned community.
-        let mut merges = 0;
-        let mut renamed = assignment.clone();
-        for node in 0..graph.num_nodes() as u32 {
-            let c = assignment.community_of(node);
-            if let Some(&owner) = owners.get(&c) {
-                if owner != c {
-                    renamed.set(node, owner);
-                }
-            }
-        }
-        for (&c, &owner) in &owners {
-            if owner != c {
-                merges += 1;
-            }
-        }
-        // Convergence check on the *partition*, not the label vector: a
-        // residual rename cycle (A→B→C→A) permutes labels without changing
-        // the partition and must terminate the loop.
-        if merges == 0 || renamed.same_partition(&assignment) {
-            break;
-        }
+        };
         assignment = renamed;
-        let after = compute_stats(graph, &assignment, config.workers);
+        stats = PartitionStats::compute_with(graph, &assignment, config.workers);
         trace.push(IterationStat {
             iteration,
-            communities: after.num_communities(),
-            total_modularity: after.total_modularity(),
+            communities: stats.num_communities(),
+            total_modularity: stats.total_modularity(),
             merges,
         });
         on_iteration(&assignment, &trace)?;
@@ -176,10 +154,11 @@ pub fn cluster_parallel_resumable<E>(
     Ok(ClusteringOutcome { assignment, trace })
 }
 
-/// Steps 1+2: for each community, the best (`argmax ΔMod`) positive-gain
-/// neighbor to merge into; absent when no neighbor has positive gain.
-/// Tie-break: the smaller owner id — matching the relational `argmax`'s
-/// deterministic tie-break so the SQL and native paths agree exactly.
+/// Steps 1+2: the owner array Step 3 applies — for each community id,
+/// the best (`argmax ΔMod`) positive-gain neighbor to merge into, or the
+/// id itself when no neighbor has positive gain. Tie-break: the smaller
+/// owner id — matching the relational `argmax`'s deterministic tie-break
+/// so the SQL and native paths agree exactly.
 ///
 /// One repair on top of the paper's pseudo-code: when two communities
 /// mutually select each other, renaming as written would merely *swap*
@@ -187,122 +166,83 @@ pub fn cluster_parallel_resumable<E>(
 /// a mutual selection becomes an actual merge. (Production systems built
 /// on the paper's Figure 4 need the same symmetry-breaking; DESIGN.md §4
 /// lists it as a documented deviation.)
-pub fn choose_owners(stats: &PartitionStats) -> HashMap<u32, u32> {
-    let mut best: HashMap<u32, (f64, u32)> = HashMap::new();
-    for &(a, b) in stats.between_edges.keys() {
-        let gain = stats.delta_mod(a, b);
+pub fn choose_owners(stats: &PartitionStats) -> Vec<u32> {
+    let mut owners = best_owners(stats);
+    resolve_mutual(&mut owners);
+    owners
+}
+
+/// Steps 1+2 before the mutual-selection repair.
+fn best_owners(stats: &PartitionStats) -> Vec<u32> {
+    let mut owners: Vec<u32> = (0..stats.id_bound() as u32).collect();
+    // A community's own id with gain 0 stands for "no neighbor yet": the
+    // first positive gain always replaces it.
+    let mut best = vec![0.0f64; owners.len()];
+    for &(a, b, m) in stats.between() {
+        let gain = stats.pair_gain(a, b, m);
         if gain <= 0.0 {
             continue;
         }
         // `b` may join `a`'s neighborhood and vice versa.
-        for (community, owner) in [(a, b), (b, a)] {
-            match best.get_mut(&community) {
-                Some((g, o)) => {
-                    if gain > *g || (gain == *g && owner < *o) {
-                        *g = gain;
-                        *o = owner;
-                    }
-                }
-                None => {
-                    best.insert(community, (gain, owner));
-                }
+        for (community, owner) in [(a as usize, b), (b as usize, a)] {
+            let (g, o) = (best[community], owners[community]);
+            if gain > g || (gain == g && owner < o) {
+                best[community] = gain;
+                owners[community] = owner;
             }
-        }
-    }
-    let mut owners: HashMap<u32, u32> = best.into_iter().map(|(c, (_, o))| (c, o)).collect();
-    // Resolve mutual selections to the smaller id.
-    let snapshot: Vec<(u32, u32)> = owners.iter().map(|(&c, &o)| (c, o)).collect();
-    for (c, o) in snapshot {
-        if owners.get(&o) == Some(&c) {
-            let target = c.min(o);
-            owners.insert(c, target);
-            owners.insert(o, target);
         }
     }
     owners
 }
 
-/// Partition statistics, optionally computed with `workers` threads over
-/// edge chunks on the persistent shared pool.
-///
-/// Community ids are node-id representatives (always `< num_nodes`), so
-/// per-worker accumulators are dense `Vec<u64>` indexed by community —
-/// no hash probes on the hot edge loop, and the fold/reduce merge is a
-/// branch-free element-wise add. Inter-community counts, whose key space
-/// is quadratic, use flat `(packed pair, count)` buffers merged by
-/// sort + fold instead. All counts are `u64` (exact, order-independent
-/// addition), so the result is identical at any worker count.
-pub fn compute_stats(graph: &MultiGraph, assignment: &Assignment, workers: usize) -> PartitionStats {
-    if workers <= 1 || graph.edges().len() < 4 * workers {
-        return PartitionStats::compute(graph, assignment);
-    }
-    let num_nodes = graph.num_nodes();
-    let pool = shared_pool(workers);
-    // One chunk per worker: chunk *count*, not edge count, bounds the
-    // transient dense-accumulator memory.
-    let chunk = graph.edges().len().div_ceil(workers);
-    let partials = pool.map_chunks(graph.edges(), chunk, |edges| {
-        let mut internal = vec![0u64; num_nodes];
-        let mut between: Vec<(u64, u64)> = Vec::new();
-        for &(a, b, k) in edges {
-            let (ca, cb) = (assignment.community_of(a), assignment.community_of(b));
-            if ca == cb {
-                internal[ca as usize] += k;
-            } else {
-                let pair = ((ca.min(cb) as u64) << 32) | ca.max(cb) as u64;
-                between.push((pair, k));
-            }
+/// Collapse every mutual selection (`c → o`, `o → c`) to the smaller id,
+/// in one ascending pass: the pair is met first at its smaller id.
+fn resolve_mutual(owners: &mut [u32]) {
+    for c in 0..owners.len() {
+        let o = owners[c] as usize;
+        if o > c && owners[o] as usize == c {
+            owners[c] = c as u32;
+            owners[o] = c as u32;
         }
-        (internal, between)
-    });
+    }
+}
 
-    let mut internal_dense = vec![0u64; num_nodes];
-    let mut between_flat: Vec<(u64, u64)> = Vec::new();
-    for (internal, between) in partials {
-        for (total, partial) in internal_dense.iter_mut().zip(internal) {
-            *total += partial;
-        }
-        between_flat.extend(between);
+/// Step 3, shared by the native and the SQL loop: repair mutual
+/// selections in `owners` (indexed by community id; an id that keeps its
+/// name maps to itself), rename every node to its community's owner and
+/// count the communities that changed owner. `None` when the iteration
+/// changes nothing: no merge, or only a rename cycle (A→B→C→A) that
+/// permutes labels without changing the partition — the rename changes
+/// the partition exactly when two communities get the same owner.
+pub(crate) fn aggregate(
+    assignment: &Assignment,
+    stats: &PartitionStats,
+    owners: &mut [u32],
+) -> Option<(Assignment, usize)> {
+    resolve_mutual(owners);
+    let mut merges = 0;
+    let mut merged = false;
+    let mut taken = vec![false; owners.len()];
+    for &c in stats.communities() {
+        let owner = owners[c as usize];
+        merges += usize::from(owner != c);
+        merged |= std::mem::replace(&mut taken[owner as usize], true);
     }
-    between_flat.sort_unstable_by_key(|&(pair, _)| pair);
-    let mut between_edges: HashMap<(u32, u32), u64> = HashMap::new();
-    for (pair, k) in between_flat {
-        *between_edges
-            .entry(((pair >> 32) as u32, pair as u32))
-            .or_insert(0) += k;
+    if !merged {
+        return None;
     }
-
-    // Degree sums and community occupancy in one dense O(n) pass. A
-    // community exists when any node maps to it (even at degree 0), which
-    // is exactly the key set the serial HashMap pass produces.
-    let mut degree_dense = vec![0u64; num_nodes];
-    let mut occupied = vec![false; num_nodes];
-    for node in 0..num_nodes {
-        let c = assignment.community_of(node as u32) as usize;
-        occupied[c] = true;
-        degree_dense[c] += graph.degree(node as u32);
-    }
-    let mut degree_sum: HashMap<u32, u64> = HashMap::new();
-    let mut internal_edges: HashMap<u32, u64> = HashMap::new();
-    for c in 0..num_nodes {
-        if occupied[c] {
-            degree_sum.insert(c as u32, degree_dense[c]);
-        }
-        if internal_dense[c] > 0 {
-            internal_edges.insert(c as u32, internal_dense[c]);
-        }
-    }
-    PartitionStats {
-        degree_sum,
-        internal_edges,
-        between_edges,
-        total_edges: graph.total_edges(),
-    }
+    let renamed = assignment
+        .as_slice()
+        .iter()
+        .map(|&c| owners[c as usize])
+        .collect();
+    Some((Assignment::from_vec(renamed), merges))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{self, HashStats};
 
     /// Two 4-cliques linked by a single edge.
     fn two_cliques() -> MultiGraph {
@@ -349,15 +289,14 @@ mod tests {
     fn parallel_stats_match_serial() {
         let g = two_cliques();
         let a = Assignment::from_vec(vec![0, 0, 1, 1, 2, 2, 3, 3]);
-        let serial = compute_stats(&g, &a, 1);
-        let par = compute_stats(&g, &a, 4);
-        assert_eq!(serial.degree_sum, par.degree_sum);
-        assert_eq!(serial.internal_edges, par.internal_edges);
-        assert_eq!(serial.between_edges, par.between_edges);
+        assert_eq!(
+            PartitionStats::compute_with(&g, &a, 1),
+            PartitionStats::compute_with(&g, &a, 4)
+        );
     }
 
-    /// A weighted graph large enough (≥ 4·workers edges) to force the
-    /// parallel dense-accumulator path rather than the serial fallback.
+    /// A weighted graph with more edges than the largest worker count has
+    /// chunks.
     fn weighted_ring_of_cliques() -> MultiGraph {
         let mut edges = Vec::new();
         for clique in 0..6u32 {
@@ -380,14 +319,10 @@ mod tests {
         // of nodes across cliques and sparse representative ids.
         let communities: Vec<u32> = (0..30u32).map(|n| (n / 7) * 7).collect();
         let a = Assignment::from_vec(communities);
-        let reference = PartitionStats::compute(&g, &a);
-        for workers in [2, 4, 8] {
-            assert!(g.edges().len() >= 4 * workers || workers == 8);
-            let dense = compute_stats(&g, &a, workers);
-            assert_eq!(dense.degree_sum, reference.degree_sum, "workers={workers}");
-            assert_eq!(dense.internal_edges, reference.internal_edges);
-            assert_eq!(dense.between_edges, reference.between_edges);
-            assert_eq!(dense.total_edges, reference.total_edges);
+        let reference = HashStats::compute(&g, &a);
+        for workers in [1, 2, 4, 8] {
+            let dense = PartitionStats::compute_with(&g, &a, workers);
+            assert_eq!(HashStats::of(&dense), reference, "workers={workers}");
             assert_eq!(
                 dense.total_modularity().to_bits(),
                 reference.total_modularity().to_bits()
@@ -396,10 +331,51 @@ mod tests {
     }
 
     #[test]
+    fn owners_and_loop_match_hashmap_reference() {
+        for g in [two_cliques(), weighted_ring_of_cliques()] {
+            let stats = PartitionStats::compute(&g, &Assignment::singletons(g.num_nodes()));
+            let expected = oracle::choose_owners(&HashStats::compute(
+                &g,
+                &Assignment::singletons(g.num_nodes()),
+            ));
+            for (c, &owner) in choose_owners(&stats).iter().enumerate() {
+                assert_eq!(
+                    owner,
+                    expected.get(&(c as u32)).copied().unwrap_or(c as u32)
+                );
+            }
+            let reference = oracle::cluster(&g, 20);
+            for workers in [1, 3] {
+                let out = cluster_parallel(
+                    &g,
+                    &ParallelConfig {
+                        workers,
+                        max_iterations: 20,
+                    },
+                );
+                assert_eq!(out.assignment, reference.assignment);
+                assert_eq!(out.trace, reference.trace);
+            }
+        }
+    }
+
+    #[test]
     fn workers_do_not_change_the_result() {
         let g = two_cliques();
-        let serial = cluster_parallel(&g, &ParallelConfig { workers: 1, ..Default::default() });
-        let par = cluster_parallel(&g, &ParallelConfig { workers: 4, ..Default::default() });
+        let serial = cluster_parallel(
+            &g,
+            &ParallelConfig {
+                workers: 1,
+                ..Default::default()
+            },
+        );
+        let par = cluster_parallel(
+            &g,
+            &ParallelConfig {
+                workers: 4,
+                ..Default::default()
+            },
+        );
         assert!(serial.assignment.same_partition(&par.assignment));
         assert_eq!(serial.trace, par.trace);
     }
@@ -428,7 +404,10 @@ mod tests {
         let g = weighted_ring_of_cliques();
         let config = ParallelConfig::default();
         let reference = cluster_parallel(&g, &config);
-        assert!(reference.iterations() >= 2, "graph converges too fast to test resume");
+        assert!(
+            reference.iterations() >= 2,
+            "graph converges too fast to test resume"
+        );
 
         // Record the state after every iteration, then restart from each
         // as if the process had died right after persisting it.
@@ -439,17 +418,19 @@ mod tests {
         })
         .unwrap();
         for (i, state) in states.into_iter().enumerate() {
-            let resumed =
-                cluster_parallel_resumable(&g, &config, Some(state), |_, _| {
-                    Ok::<(), std::convert::Infallible>(())
-                })
-                .unwrap();
+            let resumed = cluster_parallel_resumable(&g, &config, Some(state), |_, _| {
+                Ok::<(), std::convert::Infallible>(())
+            })
+            .unwrap();
             assert_eq!(
                 resumed.assignment.as_slice(),
                 reference.assignment.as_slice(),
                 "resume after callback {i} diverged"
             );
-            assert_eq!(resumed.trace, reference.trace, "trace after callback {i} diverged");
+            assert_eq!(
+                resumed.trace, reference.trace,
+                "trace after callback {i} diverged"
+            );
             for (a, b) in resumed.trace.iter().zip(&reference.trace) {
                 assert_eq!(
                     a.total_modularity.to_bits(),
@@ -464,19 +445,29 @@ mod tests {
     #[test]
     fn stale_resume_state_is_ignored() {
         let g = two_cliques();
-        let stale = (
-            Assignment::singletons(3), // wrong node count
-            vec![IterationStat { iteration: 7, communities: 3, total_modularity: 0.0, merges: 0 }],
-        );
-        let out = cluster_parallel_resumable(
-            &g,
-            &ParallelConfig::default(),
-            Some(stale),
-            |_, _| Ok::<(), std::convert::Infallible>(()),
-        )
-        .unwrap();
         let reference = cluster_parallel(&g, &ParallelConfig::default());
-        assert_eq!(out.trace, reference.trace);
+        let stale_trace = vec![IterationStat {
+            iteration: 7,
+            communities: 3,
+            total_modularity: 0.0,
+            merges: 0,
+        }];
+        for stale in [
+            Assignment::singletons(3), // wrong node count
+            // A community id that is no node: it would index past every
+            // per-community array.
+            Assignment::from_vec(vec![0, 0, 0, 0, 4, 4, 4, 8]),
+        ] {
+            let out = cluster_parallel_resumable(
+                &g,
+                &ParallelConfig::default(),
+                Some((stale, stale_trace.clone())),
+                |_, _| Ok::<(), std::convert::Infallible>(()),
+            )
+            .unwrap();
+            assert_eq!(out.trace, reference.trace);
+            assert_eq!(out.assignment, reference.assignment);
+        }
     }
 
     #[test]

@@ -20,17 +20,16 @@
 //!
 //! `ModulGain` is registered as a scalar UDF over the current partition
 //! statistics (equations 8–9), evaluated a column at a time. Step 3 —
-//! "grouping and renaming … executed in one map-reduce pass" — applies
-//! the owner map to the communities table; communities absent from
-//! `partitions` (no positive neighbor) keep their name, and mutual
-//! selections collapse to the smaller id exactly as in the native
-//! implementation
-//! ([`crate::parallel::choose_owners`]), so the two paths produce
-//! identical partitions iteration for iteration.
+//! "grouping and renaming … executed in one map-reduce pass" — loads the
+//! `partitions` rows into an owner array and hands it to the native
+//! loop's Step 3: communities absent from `partitions` (no positive
+//! neighbor) keep their name, and mutual selections collapse to the
+//! smaller id ([`crate::parallel::choose_owners`]), so the two paths
+//! produce identical partitions iteration for iteration.
 
 use crate::assignment::Assignment;
 use crate::modularity::{delta_mod, PartitionStats};
-use crate::parallel::{ClusteringOutcome, IterationStat};
+use crate::parallel::{aggregate, ClusteringOutcome, IterationStat};
 use esharp_graph::relation_io::multigraph_to_table;
 use esharp_graph::MultiGraph;
 use esharp_relation::{
@@ -195,7 +194,7 @@ fn cluster_sql_inner(
     // The statistics of the current assignment: computed once per
     // assignment, for its trace entry and for the next iteration's
     // ModulGain.
-    let mut stats = PartitionStats::compute(graph, &assignment);
+    let mut stats = PartitionStats::compute_with(graph, &assignment, config.workers);
     let mut trace = Vec::with_capacity(config.max_iterations + 1);
     trace.push(IterationStat {
         iteration: 0,
@@ -250,48 +249,23 @@ fn cluster_sql_inner(
             ));
         }
 
-        // Step 3: aggregation/renaming.
+        // Step 3: aggregation/renaming, over an owner array filled from
+        // the `partitions` rows.
         let ints = |name: &str| {
             partitions
                 .column_by_name(name)?
                 .as_int()
                 .ok_or_else(|| RelError::Eval(format!("non-int {name} column")))
         };
-        let mut owners: HashMap<u32, u32> = HashMap::with_capacity(partitions.num_rows());
+        let mut owners: Vec<u32> = (0..stats.id_bound() as u32).collect();
         for (&c, &o) in ints("comm2")?.iter().zip(ints("owner")?) {
-            owners.insert(c as u32, o as u32);
+            owners[c as usize] = o as u32;
         }
-        // Mutual selections collapse to the smaller id (same repair as the
-        // native path; see `choose_owners`).
-        let snapshot: Vec<(u32, u32)> = owners.iter().map(|(&c, &o)| (c, o)).collect();
-        for (c, o) in snapshot {
-            if owners.get(&o) == Some(&c) {
-                let target = c.min(o);
-                owners.insert(c, target);
-                owners.insert(o, target);
-            }
-        }
-
-        let mut merges = 0;
-        let mut renamed = assignment.clone();
-        for node in 0..graph.num_nodes() as u32 {
-            let c = assignment.community_of(node);
-            if let Some(&owner) = owners.get(&c) {
-                if owner != c {
-                    renamed.set(node, owner);
-                }
-            }
-        }
-        for (&c, &owner) in &owners {
-            if owner != c {
-                merges += 1;
-            }
-        }
-        if merges == 0 || renamed.same_partition(&assignment) {
+        let Some((renamed, merges)) = aggregate(&assignment, &stats, &mut owners) else {
             break;
-        }
+        };
         assignment = renamed;
-        stats = PartitionStats::compute(graph, &assignment);
+        stats = PartitionStats::compute_with(graph, &assignment, config.workers);
         trace.push(IterationStat {
             iteration,
             communities: stats.num_communities(),
@@ -330,19 +304,14 @@ struct ModulGain {
 
 impl ModulGain {
     fn new(stats: &PartitionStats) -> Self {
-        let len = stats.degree_sum.keys().max().map_or(0, |&c| c as usize + 1);
-        let mut degree = vec![0; len];
-        for (&c, &d) in &stats.degree_sum {
-            degree[c as usize] = d;
-        }
         ModulGain {
-            degree,
+            degree: stats.degrees().to_vec(),
             between: stats
-                .between_edges
+                .between()
                 .iter()
-                .map(|(&(a, b), &m)| (pair_key(a, b), m))
+                .map(|&(a, b, m)| (pair_key(a, b), m))
                 .collect(),
-            m_g: stats.total_edges as f64,
+            m_g: stats.total_edges() as f64,
         }
     }
 

@@ -2,13 +2,19 @@
 //! algorithms on random multigraphs.
 
 use esharp_community::{
-    ari, cluster_label_propagation, cluster_louvain, cluster_newman, cluster_parallel,
-    cluster_sql, nmi, Assignment, LabelPropConfig, LouvainConfig, NewmanConfig, ParallelConfig,
-    PartitionStats, SqlClusterConfig,
+    ari, choose_owners, cluster_label_propagation, cluster_louvain, cluster_newman,
+    cluster_parallel, cluster_sql, delta_mod, nmi, Assignment, ClusteringOutcome, IterationStat,
+    LabelPropConfig, LouvainConfig, NewmanConfig, ParallelConfig, PartitionStats, SqlClusterConfig,
 };
 use esharp_graph::MultiGraph;
 use esharp_relation::{JoinStrategy, PAGE_SIZE};
+use oracle::HashStats;
 use proptest::prelude::*;
+
+/// The hash-map statistics, owner choice and loop the dense kernels
+/// replaced (the crate's own test reference, shared through `#[path]`).
+#[path = "../src/oracle.rs"]
+mod oracle;
 
 /// Random multigraph strategy: up to `n` nodes, random weighted edges.
 fn arb_multigraph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = MultiGraph> {
@@ -23,8 +29,90 @@ fn arb_assignment(n: usize) -> impl Strategy<Value = Assignment> {
     prop::collection::vec(0u32..n.max(1) as u32, n).prop_map(Assignment::from_vec)
 }
 
+/// A multigraph with isolated nodes and an assignment over sparse
+/// representative ids: the edges join the first `n` nodes, `isolated` more
+/// nodes have none and each stays a community of its own (degree 0, ids
+/// above every other), and the other nodes' labels are multiples of
+/// `stride`.
+fn arb_sparse_case() -> impl Strategy<Value = (MultiGraph, Assignment)> {
+    (2usize..=30, 0usize..4, 1u32..5).prop_flat_map(|(n, isolated, stride)| {
+        (
+            prop::collection::vec((0u32..n as u32, 0u32..n as u32, 1u64..4), 0..80),
+            prop::collection::vec(0u32..n as u32, n),
+        )
+            .prop_map(move |(edges, labels)| {
+                let total = n + isolated;
+                let labels = labels
+                    .into_iter()
+                    .map(|l| l / stride * stride)
+                    .chain(n as u32..total as u32)
+                    .collect();
+                (
+                    MultiGraph::from_edges(total, edges),
+                    Assignment::from_vec(labels),
+                )
+            })
+    })
+}
+
+fn assert_same_trace(got: &ClusteringOutcome, want: &ClusteringOutcome) {
+    assert_eq!(got.assignment, want.assignment);
+    assert_eq!(got.trace, want.trace);
+    for (a, b) in got.trace.iter().zip(&want.trace) {
+        assert_eq!(a.total_modularity.to_bits(), b.total_modularity.to_bits());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn dense_stats_equal_the_hashmap_oracle((g, a) in arb_sparse_case()) {
+        let reference = HashStats::compute(&g, &a);
+        for workers in [1, 2, 3] {
+            let dense = PartitionStats::compute_with(&g, &a, workers);
+            prop_assert_eq!(&HashStats::of(&dense), &reference);
+            prop_assert_eq!(
+                dense.total_modularity().to_bits(),
+                reference.total_modularity().to_bits()
+            );
+            let communities = dense.communities();
+            for &c1 in communities {
+                prop_assert_eq!(
+                    dense.community_modularity(c1).to_bits(),
+                    reference.community_modularity(c1).to_bits()
+                );
+                // Every pair, connected or not, and an id that is no
+                // community (ids stay below 40).
+                for &c2 in communities.iter().chain([&1000]) {
+                    prop_assert_eq!(
+                        dense.delta_mod(c1, c2).to_bits(),
+                        reference.delta_mod(c1, c2).to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_owners_equal_the_hashmap_oracle((g, a) in arb_sparse_case()) {
+        let owners = choose_owners(&PartitionStats::compute(&g, &a));
+        let reference = oracle::choose_owners(&HashStats::compute(&g, &a));
+        // Every community the reference names is an id below the
+        // array's length, so this walks all of them.
+        for (c, &o) in owners.iter().enumerate() {
+            prop_assert_eq!(o, reference.get(&(c as u32)).copied().unwrap_or(c as u32));
+        }
+    }
+
+    #[test]
+    fn dense_loop_equals_the_hashmap_loop((g, _) in arb_sparse_case()) {
+        let reference = oracle::cluster(&g, 20);
+        for workers in [1, 2, 3] {
+            let config = ParallelConfig { max_iterations: 20, workers };
+            assert_same_trace(&cluster_parallel(&g, &config), &reference);
+        }
+    }
 
     #[test]
     fn whole_graph_modularity_is_zero(g in arb_multigraph(12, 40)) {

@@ -31,26 +31,35 @@ pub struct DomainCollection {
 }
 
 impl DomainCollection {
-    /// Build the collection from a clustered similarity graph.
+    /// Build the collection from a clustered similarity graph: one domain
+    /// per community, in ascending community id, each holding its terms in
+    /// node order.
     pub fn from_clustering(graph: &SimilarityGraph, assignment: &Assignment) -> Self {
-        let mut by_community: HashMap<u32, Vec<String>> = HashMap::new();
-        for node in 0..graph.num_nodes() as u32 {
-            by_community
-                .entry(assignment.community_of(node))
-                .or_default()
-                .push(graph.label(node).to_string());
+        // Counting sort of the nodes by community id: `start[c]..start[c
+        // + 1]` of `order` are community `c`'s nodes, ascending.
+        let labels = &assignment.as_slice()[..graph.num_nodes()];
+        let id_bound = labels.iter().max().map_or(0, |&c| c as usize + 1);
+        let mut start = vec![0usize; id_bound + 1];
+        for &c in labels {
+            start[c as usize + 1] += 1;
         }
-        // Deterministic domain order: by community's first (smallest-node)
-        // member via sorted community keys.
-        let mut keys: Vec<u32> = by_community.keys().copied().collect();
-        keys.sort_unstable();
-        let mut domains = Vec::with_capacity(keys.len());
-        let mut index = HashMap::new();
-        for key in keys {
-            let Some(terms) = by_community.remove(&key) else {
-                continue; // unreachable: keys come from the map itself
-            };
+        for c in 0..id_bound {
+            start[c + 1] += start[c];
+        }
+        let mut next = start.clone();
+        let mut order = vec![0u32; labels.len()];
+        for (node, &c) in labels.iter().enumerate() {
+            order[next[c as usize]] = node as u32;
+            next[c as usize] += 1;
+        }
+        let mut domains = Vec::new();
+        let mut index = HashMap::with_capacity(labels.len());
+        for bounds in start.windows(2).filter(|w| w[0] < w[1]) {
             let idx = domains.len() as DomainIdx;
+            let terms: Vec<String> = order[bounds[0]..bounds[1]]
+                .iter()
+                .map(|&node| graph.label(node).to_string())
+                .collect();
             for term in &terms {
                 index.insert(term.to_lowercase(), idx);
             }
@@ -277,6 +286,58 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.lookup("a"), c.lookup("b"));
         assert_ne!(c.lookup("a"), c.lookup("c"));
+    }
+
+    /// The former grouping through a `HashMap<u32, Vec<String>>` and a
+    /// key sort, as the reference for the counting sort.
+    fn from_clustering_reference(
+        graph: &SimilarityGraph,
+        assignment: &Assignment,
+    ) -> Vec<Vec<String>> {
+        let mut by_community: HashMap<u32, Vec<String>> = HashMap::new();
+        for node in 0..graph.num_nodes() as u32 {
+            by_community
+                .entry(assignment.community_of(node))
+                .or_default()
+                .push(graph.label(node).to_string());
+        }
+        let mut keys: Vec<u32> = by_community.keys().copied().collect();
+        keys.sort_unstable();
+        keys.into_iter()
+            .map(|key| by_community.remove(&key).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn from_clustering_matches_the_hashmap_grouping() {
+        use esharp_graph::SimilarityGraph;
+        use std::sync::Arc;
+        let labels: Vec<Arc<str>> = (0..12).map(|i| Arc::from(format!("Term {i}"))).collect();
+        let graph = SimilarityGraph::new(labels, Vec::new());
+        let dir = std::env::temp_dir().join("esharp_domains_counting_sort");
+        for communities in [
+            vec![5, 5, 0, 9, 0, 5, 11, 9, 9, 3, 3, 5],
+            vec![0; 12],
+            (0..12).collect(),
+            vec![30, 2, 30, 2, 7, 7, 7, 30, 2, 2, 30, 7],
+        ] {
+            let assignment = Assignment::from_vec(communities);
+            let c = DomainCollection::from_clustering(&graph, &assignment);
+            let expected = from_clustering_reference(&graph, &assignment);
+            assert_eq!(c.domains(), &expected[..]);
+            for (idx, terms) in expected.iter().enumerate() {
+                for term in terms {
+                    assert_eq!(c.index.get(&term.to_lowercase()), Some(&(idx as DomainIdx)));
+                }
+            }
+            // Same domains, so the same `domains.bin` bytes.
+            let path = dir.join("domains.bin");
+            c.save(&path).unwrap();
+            let reference_bytes = std::fs::read(&path).unwrap();
+            DomainCollection::from_groups(expected).save(&path).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), reference_bytes);
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

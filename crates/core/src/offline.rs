@@ -293,7 +293,7 @@ fn wrap_flat(
         },
         IterationStat {
             iteration: 1,
-            communities: assignment.num_communities(),
+            communities: after.num_communities(),
             total_modularity: after.total_modularity(),
             merges: 0,
         },
@@ -340,6 +340,37 @@ mod tests {
             .outcome
             .assignment
             .same_partition(&sql.outcome.assignment));
+    }
+
+    /// Figure 5 pinned to committed numbers, so a refactor that agrees
+    /// with a wrong oracle still fails: per trace row of the tiny
+    /// pipeline, `(iteration, communities, merges, total_modularity
+    /// bits)`, the same under the native and the SQL back-end.
+    #[test]
+    fn figure5_trace_golden() {
+        const GOLDEN: &[(usize, usize, usize, u64)] = &[
+            (0, 189, 0, 13848394953202964259),
+            (1, 71, 146, 4653463434677711467),
+            (2, 37, 44, 4657278929080560378),
+            (3, 24, 16, 4657622543062169958),
+            (4, 23, 1, 4657622741427669814),
+        ];
+        let (world, log) = inputs();
+        for backend in [ClusterBackend::Parallel, ClusterBackend::Sql] {
+            let config = EsharpConfig {
+                backend,
+                ..EsharpConfig::tiny()
+            };
+            let trace = run_offline(&log, &world, &config).unwrap().outcome.trace;
+            let rows: Vec<_> = trace
+                .iter()
+                .map(|s| {
+                    let bits = s.total_modularity.to_bits();
+                    (s.iteration, s.communities, s.merges, bits)
+                })
+                .collect();
+            assert_eq!(rows, GOLDEN, "{backend:?}");
+        }
     }
 
     #[test]

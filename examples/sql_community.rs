@@ -37,13 +37,10 @@ fn main() {
     catalog.register("communities", assignment_to_table(&singletons).unwrap());
 
     let mut ctx = ExecContext::new(catalog);
-    let stats = esharp_community::PartitionStats::compute(
+    let stats = Arc::new(esharp_community::PartitionStats::compute(
         &graph,
         &esharp_community::Assignment::singletons(6),
-    );
-    let degree_sum = Arc::new(stats.degree_sum.clone());
-    let between = Arc::new(stats.between_edges.clone());
-    let m_g = stats.total_edges as f64;
+    ));
     ctx.udfs.register(Arc::new(FnUdf::new(
         "ModulGain",
         DataType::Float,
@@ -51,11 +48,7 @@ fn main() {
             let (Some(a), Some(b)) = (args[0].as_int(), args[1].as_int()) else {
                 return Err(RelError::Eval("ModulGain expects ints".into()));
             };
-            let (a, b) = (a as u32, b as u32);
-            let m12 = *between.get(&(a.min(b), a.max(b))).unwrap_or(&0) as f64;
-            let d1 = *degree_sum.get(&a).unwrap_or(&0) as f64;
-            let d2 = *degree_sum.get(&b).unwrap_or(&0) as f64;
-            Ok(Value::Float(esharp_community::delta_mod(m12, d1, d2, m_g)))
+            Ok(Value::Float(stats.delta_mod(a as u32, b as u32)))
         },
     )));
 

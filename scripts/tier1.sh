@@ -57,13 +57,12 @@ echo "== tier-1: no-panic gate at every crate root"
 # Exempt crates, each with its reason:
 #   cli        binaries; errors exit through `fail` with a message
 #   eval       5 unwrap/expect sites in the experiment runners
-#   community  1 site (label propagation's max over a non-empty map)
 #   par        7 lock-poison sites in the thread pool
 gate='#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]'
 for lib in crates/*/src/lib.rs; do
   crate="${lib#crates/}"
   crate="${crate%%/*}"
-  case "$crate" in cli | eval | community | par) continue ;; esac
+  case "$crate" in cli | eval | par) continue ;; esac
   grep -qxF "$gate" "$lib" || {
     echo "missing the no-panic gate at the root of $lib" >&2
     exit 1
