@@ -4,10 +4,9 @@
 //! esharp build  [--scale tiny|small|paper] [--seed N] [--out DIR]
 //!               [--shards K] [--checkpoint-dir DIR] [--resume]
 //!     Run the offline pipeline, print stage stats, persist the domain
-//!     collection (domains.bin) and similarity graph (graph.bin) — both
-//!     checksummed and written atomically. With --shards K the corpus is
-//!     additionally persisted sharded (corpus.manifest + K checksummed
-//!     postings segments, zero-copy loadable). With --checkpoint-dir
+//!     collection (domains.bin), similarity graph (graph.bin) and corpus
+//!     (corpus.bin, its postings cut into --shards K shards, default 1) —
+//!     each checksummed and written atomically. With --checkpoint-dir
 //!     every stage is checkpointed; --resume additionally reuses
 //!     checkpoints left by a previous (possibly crashed) run instead of
 //!     starting fresh.
@@ -323,20 +322,11 @@ fn build(opts: &Options) {
             .unwrap_or_else(|e| fail("write domains", e));
         esharp_graph::io::save_graph(&tb.artifacts.graph, &graph_path)
             .unwrap_or_else(|e| fail("write graph", e));
+        let shards = opts.shards.max(1);
         tb.corpus
-            .save_binary(&corpus_path)
+            .save_sharded(&corpus_path, shards)
             .unwrap_or_else(|e| fail("write corpus", e));
-        println!("persisted {domains_path}, {graph_path} and {corpus_path}");
-        if opts.shards > 0 {
-            let manifest_path = format!("{dir}/corpus.manifest");
-            tb.corpus
-                .save_sharded(&manifest_path, opts.shards)
-                .unwrap_or_else(|e| fail("write sharded corpus", e));
-            println!(
-                "persisted {manifest_path} + {} shard segment(s) (K={})",
-                opts.shards, opts.shards
-            );
-        }
+        println!("persisted {domains_path}, {graph_path} and {corpus_path} (K={shards})");
     } else if opts.shards > 0 {
         fail("parse arguments", "--shards requires --out DIR");
     }

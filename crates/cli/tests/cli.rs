@@ -62,20 +62,14 @@ fn build_with_shards_writes_the_sharded_corpus() {
         "{}",
         String::from_utf8_lossy(&run.stderr)
     );
-    for file in [
-        "corpus.manifest",
-        "global.bin",
-        "tokens.seg",
-        "postings-0.seg",
-        "postings-1.seg",
-        "postings-2.seg",
-        "postings-3.seg",
-    ] {
-        let len = std::fs::metadata(out.join(file))
-            .map(|m| m.len())
-            .unwrap_or(0);
-        assert!(len > 0, "esharp build --shards 4 did not write {file}");
-    }
+    let mut files: Vec<String> = std::fs::read_dir(&out)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["corpus.bin", "domains.bin", "graph.bin"]);
+    let corpus = esharp_microblog::Corpus::load(out.join("corpus.bin")).unwrap();
+    assert_eq!(corpus.shard_count(), 4);
 }
 
 #[test]

@@ -48,7 +48,7 @@ use esharp_fault::{fault_error, FaultInjector, NoFaults, RetryPolicy};
 use esharp_graph::io::{graph_from_tables, graph_tables};
 use esharp_graph::{BuildStats, MultiGraph, SimilarityGraph};
 use esharp_querylog::{AggregatedLog, ClickRecord, World};
-use esharp_relation::atomic::atomic_write_with;
+use esharp_storage::atomic::atomic_write_with;
 use esharp_relation::binfmt::{decode_frames_exact, encode_frames};
 use esharp_relation::{DataType, Schema, Table, TableBuilder, Value};
 use std::collections::HashMap;

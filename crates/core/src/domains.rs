@@ -10,7 +10,7 @@
 use esharp_community::Assignment;
 use esharp_fault::{FaultInjector, NoFaults, RetryPolicy};
 use esharp_graph::SimilarityGraph;
-use esharp_relation::atomic::atomic_write_with;
+use esharp_storage::atomic::atomic_write_with;
 use esharp_relation::binfmt::{decode_frames_exact, encode_frames};
 use esharp_relation::{DataType, Schema, TableBuilder, Value};
 use serde::{Deserialize, Serialize};

@@ -5,12 +5,12 @@
 //! binary relations (`nodes(id, label)`, `edges(a, b, weight)`) in
 //! `esharp-relation`'s compact checksummed table format, length-prefixed
 //! in one file. Writes are atomic (write-temp-then-rename, see
-//! `esharp_relation::atomic`), so a crash mid-save never shadows a good
+//! `esharp_storage::atomic`), so a crash mid-save never shadows a good
 //! graph file; reads reject truncation, trailing bytes and bit flips.
 
 use crate::graph::{Edge, NodeId, SimilarityGraph};
 use esharp_fault::{FaultInjector, NoFaults, RetryPolicy};
-use esharp_relation::atomic::atomic_write_with;
+use esharp_storage::atomic::atomic_write_with;
 use esharp_relation::binfmt::{decode_frames_exact, encode_frames};
 use esharp_relation::{DataType, Schema, Table, TableBuilder, Value};
 use std::io;

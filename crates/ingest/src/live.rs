@@ -33,8 +33,9 @@
 
 use crate::ops::{Applied, BatchCheck, IngestOp};
 use esharp_fault::{fault_error, Fault, FaultInjector, NoFaults, RetryPolicy, TRANSIENT_KIND};
-use esharp_microblog::{binio, Corpus, TweetId};
-use esharp_relation::atomic::{atomic_write_with, crc32};
+use esharp_microblog::segio::{self, LoadMode};
+use esharp_microblog::{Corpus, TweetId};
+use esharp_storage::atomic::{atomic_write, atomic_write_with, crc32};
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -199,9 +200,9 @@ impl LiveCorpus {
     ) -> io::Result<LiveCorpus> {
         let corpus_path = corpus_path.into();
         let oplog_path = oplog_path.into();
-        let bytes = binio::encode_corpus(&corpus)?;
-        esharp_relation::atomic::atomic_write(&corpus_path, &bytes)?;
-        esharp_relation::atomic::atomic_write(&oplog_path, oplog_header(crc32(&bytes)).as_bytes())?;
+        let bytes = segio::encode(&corpus, 1)?;
+        atomic_write(&corpus_path, &bytes)?;
+        atomic_write(&oplog_path, oplog_header(crc32(&bytes)).as_bytes())?;
         let mut live = LiveCorpus::new(corpus);
         live.persistence = Some(Persistence {
             corpus_path,
@@ -244,12 +245,12 @@ impl LiveCorpus {
         }
         let _ = fs::remove_file(persistence.next_path());
 
-        let mut corpus = binio::decode_corpus(&base_bytes)?;
+        let mut corpus = segio::decode(&base_bytes, LoadMode::Copy)?;
         let tail = match fs::read(&persistence.oplog_path) {
             Ok(log_bytes) => replay_oplog(&persistence.oplog_path, &log_bytes, base_crc, &mut corpus)?,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 // A base without an oplog: start one.
-                esharp_relation::atomic::atomic_write(
+                atomic_write(
                     &persistence.oplog_path,
                     oplog_header(base_crc).as_bytes(),
                 )?;
@@ -402,7 +403,7 @@ impl LiveCorpus {
         // Phase 2 — off-lock: compact, encode, persist the new base to a
         // side file and verify it by re-decode. Queries keep flowing.
         let (compacted, id_map) = snapshot.compact_with_map();
-        let bytes = binio::encode_corpus(&compacted)?;
+        let bytes = segio::encode(&compacted, 1)?;
         let base_crc = crc32(&bytes);
         if let Some(p) = &self.persistence {
             let next = p.next_path();
@@ -411,7 +412,7 @@ impl LiveCorpus {
             // (the write "succeeds") must be caught *before* the rename
             // can shadow the last known-good base.
             let written = fs::read(&next)?;
-            if let Err(e) = binio::decode_corpus(&written) {
+            if let Err(e) = segio::decode(&written, LoadMode::Copy) {
                 let _ = fs::remove_file(&next);
                 return Err(io::Error::other(format!(
                     "compacted base failed verification, keeping previous base: {e}"

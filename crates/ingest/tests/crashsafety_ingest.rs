@@ -1,97 +1,19 @@
-//! Corruption matrix for the compaction writer.
+//! Fault matrix for the compaction writer.
 //!
-//! The base `corpus.bin` container already rejects every truncation and
-//! bit flip (see `crates/microblog/tests/binary_corpus.rs`); these tests
-//! pin the same matrix over a *compacted* base — bytes produced by the
-//! streaming path's `compact_with_map` + encode, not the offline builder
-//! — and then the live-instance half of the guarantee: when the
-//! compaction write itself is faulted (torn, erroring, silently
+//! The corpus file codec rejects every truncation and bit flip, of a
+//! built and of a streamed-then-compacted corpus alike (see
+//! `crates/microblog/tests/binary_corpus.rs`). These tests pin the
+//! live-instance half of the guarantee: the base a compaction publishes
+//! fails `LiveCorpus::open` under every truncation and bit flip, and
+//! when the compaction write itself is faulted (torn, erroring, silently
 //! bit-flipped, killed), the previous base keeps serving, on disk and in
 //! memory, with the delta still durable through the oplog.
 
 use esharp_fault::{Fault, FaultPlan, RetryPolicy};
 use esharp_ingest::{IngestOp, LiveCorpus, COMPACT_SITE, OPLOG_SITE};
-use esharp_microblog::binio::{decode_corpus, encode_corpus};
 use esharp_microblog::{Corpus, Tweet, User};
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// A corpus that has actually been through the streaming path: built,
-/// mutated through the delta segment, compacted.
-fn compacted_via_streaming() -> Corpus {
-    let users = vec![
-        User {
-            id: 0,
-            handle: "ana".into(),
-            display_name: "Ana".into(),
-            description: "knows football".into(),
-            followers: 900,
-            verified: true,
-            expert_domains: vec![1],
-            spam: false,
-        },
-        User {
-            id: 1,
-            handle: "bo".into(),
-            display_name: "Bo".into(),
-            description: String::new(),
-            followers: 14,
-            verified: false,
-            expert_domains: vec![],
-            spam: false,
-        },
-    ];
-    let tweets = vec![
-        Tweet::parse(0, 0, "niners draft niners talk", |_| None),
-        Tweet::parse(1, 1, "café ☕ about the draft", |_| None),
-    ];
-    let live = LiveCorpus::new(Corpus::new(users, tweets));
-    live.apply_batch(&[
-        IngestOp::AddUser {
-            handle: "cy".into(),
-            display_name: "Cy".into(),
-            description: "tab\there".into(),
-            followers: 3,
-            verified: false,
-        },
-        IngestOp::Append {
-            author: "cy".into(),
-            text: "fresh topic entirely".into(),
-        },
-        IngestOp::Delete { id: 1 },
-    ])
-    .unwrap();
-    live.compact().unwrap().unwrap();
-    let guard = live.read();
-    guard.corpus().clone()
-}
-
-#[test]
-fn every_truncation_of_a_compacted_base_is_rejected() {
-    let bytes = encode_corpus(&compacted_via_streaming()).unwrap();
-    for cut in 0..bytes.len() {
-        assert!(
-            decode_corpus(&bytes[..cut]).is_err(),
-            "truncation to {cut}/{} bytes was accepted",
-            bytes.len()
-        );
-    }
-}
-
-#[test]
-fn every_single_bit_flip_of_a_compacted_base_is_rejected() {
-    let bytes = encode_corpus(&compacted_via_streaming()).unwrap();
-    for byte in 0..bytes.len() {
-        for bit in 0..8 {
-            let mut corrupt = bytes.clone();
-            corrupt[byte] ^= 1 << bit;
-            assert!(
-                decode_corpus(&corrupt).is_err(),
-                "flip of byte {byte} bit {bit} was accepted"
-            );
-        }
-    }
-}
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("esharp_crashsafety_ingest_{name}"));
@@ -119,6 +41,61 @@ fn seeded(dir: &PathBuf, plan: FaultPlan) -> LiveCorpus {
     )
     .unwrap()
     .with_injector(Arc::new(plan), RetryPolicy::none())
+}
+
+/// The base file a clean compaction published, and its directory.
+fn compacted_base(name: &str) -> (PathBuf, Vec<u8>) {
+    let dir = tmpdir(name);
+    let live = seeded(&dir, FaultPlan::new(0));
+    live.apply_batch(&[
+        IngestOp::AddUser {
+            handle: "cy".into(),
+            display_name: "Cy".into(),
+            description: "tab\there".into(),
+            followers: 3,
+            verified: false,
+        },
+        IngestOp::Append {
+            author: "cy".into(),
+            text: "café ☕ fresh topic @ana".into(),
+        },
+        IngestOp::Delete { id: 0 },
+    ])
+    .unwrap();
+    live.compact().unwrap().unwrap();
+    drop(live);
+    let base = std::fs::read(dir.join("corpus.bin")).unwrap();
+    LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).expect("pristine base opens");
+    (dir, base)
+}
+
+fn assert_open_rejects(dir: &PathBuf, bytes: &[u8], what: &str) {
+    std::fs::write(dir.join("corpus.bin"), bytes).unwrap();
+    let err = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).expect_err(what);
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+}
+
+#[test]
+fn every_truncation_of_a_compacted_base_is_rejected() {
+    let (dir, base) = compacted_base("truncate");
+    for cut in 0..base.len() {
+        assert_open_rejects(&dir, &base[..cut], &format!("truncation to {cut}/{}", base.len()));
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn every_single_bit_flip_of_a_compacted_base_is_rejected() {
+    let (dir, base) = compacted_base("flip");
+    let mut corrupt = base.clone();
+    for byte in 0..base.len() {
+        for bit in 0..8 {
+            corrupt[byte] ^= 1 << bit;
+            assert_open_rejects(&dir, &corrupt, &format!("flip of byte {byte} bit {bit}"));
+            corrupt[byte] ^= 1 << bit;
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// Every fault kind at the compaction write: the cycle fails, the

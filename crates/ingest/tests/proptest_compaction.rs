@@ -8,7 +8,7 @@
 //! test.
 
 use esharp_ingest::{IngestOp, LiveCorpus};
-use esharp_microblog::binio::encode_corpus;
+use esharp_microblog::segio;
 use esharp_microblog::{Corpus, Tweet, User};
 use proptest::prelude::*;
 
@@ -132,8 +132,8 @@ proptest! {
         }
         live.compact().unwrap();
         model.compact();
-        let streamed = encode_corpus(live.read().corpus()).unwrap();
-        let rebuilt = encode_corpus(&model.rebuild()).unwrap();
+        let streamed = segio::encode(live.read().corpus(), 1).unwrap();
+        let rebuilt = segio::encode(&model.rebuild(), 1).unwrap();
         prop_assert_eq!(streamed, rebuilt);
     }
 
@@ -170,8 +170,8 @@ proptest! {
         prop_assert_eq!(reopened.read().corpus().match_query("a"), before);
         reopened.compact().unwrap();
         model.compact();
-        let streamed = encode_corpus(reopened.read().corpus()).unwrap();
-        let rebuilt = encode_corpus(&model.rebuild()).unwrap();
+        let streamed = segio::encode(reopened.read().corpus(), 1).unwrap();
+        let rebuilt = segio::encode(&model.rebuild(), 1).unwrap();
         prop_assert_eq!(streamed, rebuilt);
         drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,23 +1,21 @@
-//! Page-aligned segment buffers and the arenas that borrow from them.
+//! Page-aligned file buffers and the arenas that borrow from them.
 //!
-//! The binary corpus load used to be decode-bound: every `u32` arena
-//! (tweet tokens, postings offsets, postings) was copied out of the frame
-//! container into a fresh `Vec`. The sharded segment format (`segio`)
-//! stores those arenas as raw little-endian `u32` runs at 4-byte-aligned
-//! file offsets, so a load can instead read the whole segment into one
-//! [`AlignedBuf`], validate its checksum once, and hand out `&[u32]`
-//! views straight into the buffer — zero copies, and N serve workers
-//! holding `Arc` clones of the same corpus share one physical copy of
-//! the segment bytes.
+//! The corpus file (`segio`) stores its `u32` arenas (tweet tokens,
+//! postings offsets, postings) as raw little-endian runs that start at
+//! 4-aligned offsets and lie next to each other, so a load can read them
+//! into one [`AlignedBuf`], validate the checksums once, and hand out
+//! `&[u32]` views straight into the buffer — zero copies, and N serve
+//! workers holding `Arc` clones of the same corpus share one physical
+//! copy of the bytes.
 //!
 //! Ownership rules (see PERF.md §"Shard layout"):
 //! * [`AlignedBuf`] owns the bytes; it is allocated on a 4096-byte
-//!   (page) boundary so any in-file offset that is a multiple of 4 is
+//!   (page) boundary so any offset into it that is a multiple of 4 is
 //!   also 4-aligned in memory — the precondition for reinterpreting the
 //!   run as `[u32]`.
-//! * [`CorpusArena`] is either an owned `Vec<u32>` (the build /
-//!   decode-copy path) or an `Arc<AlignedBuf>` plus a validated range
-//!   (the zero-copy path). Both deref to `&[u32]`; clones of the shared
+//! * [`CorpusArena`] is either an owned `Vec<u32>` (the build / copy
+//!   load path) or an `Arc<AlignedBuf>` plus a validated range (the
+//!   zero-copy path). Both deref to `&[u32]`; clones of the shared
 //!   variant bump the `Arc`, not the bytes.
 //! * Mutation ([`CorpusArena::make_owned`]) copies a shared arena out of
 //!   its buffer first — copy-on-write, so streaming ingest can append to
@@ -25,24 +23,29 @@
 //!   actually touches.
 //!
 //! Zero-copy reinterpretation assumes the host is little-endian like the
-//! file; `segio` falls back to the copy path on big-endian targets.
+//! file; [`CorpusArena::shared`] decodes a copy on big-endian targets.
 
-use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::io::{self, Read};
 use std::path::Path;
 use std::ptr::NonNull;
 use std::sync::Arc;
 
 /// Alignment of every [`AlignedBuf`]: one page. Stricter than the 4
-/// bytes `[u32]` views require, but it keeps segment reads page-aligned
+/// bytes `[u32]` views require, but it keeps file reads page-aligned
 /// (the fast path for direct and buffered I/O alike) and leaves room for
 /// wider SIMD loads over the arenas.
 pub const SEGMENT_ALIGN: usize = 4096;
 
-/// An owned, immutable, page-aligned byte buffer holding one segment
-/// file. The allocation never moves, so slices handed out by
-/// [`CorpusArena`] stay valid for as long as any `Arc<AlignedBuf>`
-/// clone lives.
+/// An owned, immutable, page-aligned byte buffer. The allocation never
+/// moves, so slices handed out by [`CorpusArena`] stay valid for as long
+/// as any `Arc<AlignedBuf>` clone lives.
+///
+/// Invariant: when `len > 0`, `ptr` came from `alloc_zeroed` with
+/// `Layout::from_size_align(len, SEGMENT_ALIGN)`, which succeeded — so
+/// `ptr` is valid and initialized for `len` bytes, and `Drop` frees it
+/// with that same layout. When `len == 0`, `ptr` is dangling and never
+/// dereferenced or freed.
 pub struct AlignedBuf {
     ptr: NonNull<u8>,
     len: usize,
@@ -55,48 +58,55 @@ unsafe impl Send for AlignedBuf {}
 unsafe impl Sync for AlignedBuf {}
 
 impl AlignedBuf {
-    fn alloc_uninit(len: usize) -> AlignedBuf {
+    /// A zero-filled buffer of `len` bytes, or an error when no such
+    /// allocation can exist (`len` rounded up to the page overflows
+    /// `isize`, e.g. a > 2 GiB file on a 32-bit target) or the allocator
+    /// refuses it.
+    fn zeroed(len: usize) -> io::Result<AlignedBuf> {
         if len == 0 {
-            return AlignedBuf {
+            return Ok(AlignedBuf {
                 ptr: NonNull::<u8>::dangling(),
                 len: 0,
-            };
+            });
         }
-        // Layout error is impossible for (len, 4096) with len already
-        // bounds-checked by the callers (file sizes), but stay panic-free.
-        let layout = match Layout::from_size_align(len, SEGMENT_ALIGN) {
-            Ok(l) => l,
-            Err(_) => Layout::new::<u8>(),
-        };
-        // SAFETY: layout has non-zero size (len > 0).
-        let raw = unsafe { alloc(layout) };
-        let Some(ptr) = NonNull::new(raw) else {
-            handle_alloc_error(layout);
-        };
-        AlignedBuf { ptr, len }
+        let layout = Layout::from_size_align(len, SEGMENT_ALIGN).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("a {len}-byte buffer does not fit the address space"),
+            )
+        })?;
+        // SAFETY: `layout` has a non-zero size (len > 0).
+        let raw = unsafe { alloc_zeroed(layout) };
+        let ptr = NonNull::new(raw).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::OutOfMemory,
+                format!("cannot allocate a {len}-byte buffer"),
+            )
+        })?;
+        // The struct invariant holds: `ptr` is a live, zeroed allocation
+        // of exactly this layout.
+        Ok(AlignedBuf { ptr, len })
     }
 
-    /// Read an entire file into a fresh page-aligned buffer.
-    pub fn from_file(path: impl AsRef<Path>) -> io::Result<AlignedBuf> {
-        let mut file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len();
-        if len > usize::MAX as u64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "segment larger than the address space",
-            ));
-        }
-        let mut buf = AlignedBuf::alloc_uninit(len as usize);
-        file.read_exact(buf.as_mut_slice())?;
+    /// Read exactly `len` bytes from `reader` into a fresh buffer.
+    pub(crate) fn read_from(reader: &mut impl Read, len: usize) -> io::Result<AlignedBuf> {
+        let mut buf = AlignedBuf::zeroed(len)?;
+        reader.read_exact(buf.as_mut_slice())?;
         Ok(buf)
     }
 
-    /// Copy `bytes` into a fresh page-aligned buffer (tests and
-    /// in-memory validation paths).
-    pub fn from_bytes(bytes: &[u8]) -> AlignedBuf {
-        let mut buf = AlignedBuf::alloc_uninit(bytes.len());
-        buf.as_mut_slice().copy_from_slice(bytes);
-        buf
+    /// Read an entire file into a fresh buffer.
+    pub fn from_file(path: impl AsRef<Path>) -> io::Result<AlignedBuf> {
+        let mut file = std::fs::File::open(path)?;
+        let len = usize::try_from(file.metadata()?.len()).map_err(|_| {
+            io::Error::new(io::ErrorKind::InvalidData, "file larger than the address space")
+        })?;
+        AlignedBuf::read_from(&mut file, len)
+    }
+
+    /// Copy `bytes` into a fresh buffer.
+    pub fn from_bytes(bytes: &[u8]) -> io::Result<AlignedBuf> {
+        AlignedBuf::read_from(&mut &bytes[..], bytes.len())
     }
 
     // Only used during construction; the buffer is immutable once built.
@@ -104,7 +114,8 @@ impl AlignedBuf {
         if self.len == 0 {
             return &mut [];
         }
-        // SAFETY: ptr is valid for len bytes and uniquely borrowed.
+        // SAFETY: by the struct invariant ptr is valid and initialized
+        // for len bytes; `&mut self` makes the borrow unique.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
     }
 
@@ -113,7 +124,8 @@ impl AlignedBuf {
         if self.len == 0 {
             return &[];
         }
-        // SAFETY: ptr is valid for len bytes for the life of self.
+        // SAFETY: by the struct invariant ptr is valid and initialized
+        // for len bytes for the life of self.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 
@@ -133,8 +145,10 @@ impl Drop for AlignedBuf {
         if self.len == 0 {
             return;
         }
+        // By the struct invariant this layout was built once already, in
+        // `zeroed`, so it cannot fail here.
         if let Ok(layout) = Layout::from_size_align(self.len, SEGMENT_ALIGN) {
-            // SAFETY: allocated in alloc_uninit with this exact layout.
+            // SAFETY: ptr was allocated in `zeroed` with this exact layout.
             unsafe { dealloc(self.ptr.as_ptr(), layout) };
         }
     }
@@ -147,7 +161,7 @@ impl std::fmt::Debug for AlignedBuf {
 }
 
 /// A flat `u32` arena that is either owned outright or a validated view
-/// into a shared segment buffer. All read paths go through
+/// into a shared file buffer. All read paths go through
 /// [`CorpusArena::as_slice`] (or `Deref`); the representation is an
 /// implementation detail of how the corpus was loaded.
 #[derive(Debug, Clone)]
@@ -158,7 +172,7 @@ pub enum CorpusArena {
     /// bytes into the shared buffer. Constructed only through
     /// [`CorpusArena::shared`], which checks bounds and alignment.
     Shared {
-        /// The segment buffer this arena borrows from.
+        /// The file buffer this arena borrows from.
         buf: Arc<AlignedBuf>,
         /// Byte offset of the first element (always 4-aligned).
         byte_start: usize,
@@ -177,7 +191,7 @@ impl CorpusArena {
     /// A zero-copy view of `len` `u32`s at `byte_start` in `buf`.
     /// Fails (rather than panicking later) when the range escapes the
     /// buffer or is not 4-aligned — both are file-corruption shapes, not
-    /// programmer errors, on the segment load path.
+    /// programmer errors, on the corpus file load path.
     pub fn shared(buf: Arc<AlignedBuf>, byte_start: usize, len: usize) -> Result<CorpusArena, String> {
         if cfg!(target_endian = "big") {
             // The on-disk arenas are little-endian; reinterpreting them on
@@ -185,7 +199,7 @@ impl CorpusArena {
             let bytes = buf
                 .as_slice()
                 .get(byte_start..byte_start + len * 4)
-                .ok_or("segment arena range out of bounds")?;
+                .ok_or("arena range out of bounds")?;
             let owned = bytes
                 .chunks_exact(4)
                 .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -194,18 +208,18 @@ impl CorpusArena {
         }
         let byte_len = len
             .checked_mul(4)
-            .ok_or("segment arena length overflows")?;
+            .ok_or("arena length overflows")?;
         let end = byte_start
             .checked_add(byte_len)
-            .ok_or("segment arena range overflows")?;
+            .ok_or("arena range overflows")?;
         if end > buf.len() {
             return Err(format!(
-                "segment arena range {byte_start}..{end} exceeds buffer of {} bytes",
+                "arena range {byte_start}..{end} exceeds buffer of {} bytes",
                 buf.len()
             ));
         }
         if !byte_start.is_multiple_of(4) {
-            return Err(format!("segment arena offset {byte_start} not 4-aligned"));
+            return Err(format!("arena offset {byte_start} not 4-aligned"));
         }
         Ok(CorpusArena::Shared {
             buf,
@@ -254,7 +268,7 @@ impl CorpusArena {
         }
     }
 
-    /// True when this arena borrows a shared segment buffer.
+    /// True when this arena borrows a shared file buffer.
     pub fn is_shared(&self) -> bool {
         matches!(self, CorpusArena::Shared { .. })
     }
@@ -294,10 +308,10 @@ mod tests {
     #[test]
     fn aligned_buf_round_trips_and_is_page_aligned() {
         let data: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
-        let buf = AlignedBuf::from_bytes(&data);
+        let buf = AlignedBuf::from_bytes(&data).unwrap();
         assert_eq!(buf.as_slice(), &data[..]);
         assert_eq!(buf.as_slice().as_ptr() as usize % SEGMENT_ALIGN, 0);
-        let empty = AlignedBuf::from_bytes(&[]);
+        let empty = AlignedBuf::from_bytes(&[]).unwrap();
         assert!(empty.is_empty());
         assert_eq!(empty.as_slice(), &[] as &[u8]);
     }
@@ -309,7 +323,7 @@ mod tests {
         for v in &values {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
-        let buf = Arc::new(AlignedBuf::from_bytes(&bytes));
+        let buf = Arc::new(AlignedBuf::from_bytes(&bytes).unwrap());
         let arena = CorpusArena::shared(buf, 4, values.len()).unwrap();
         assert_eq!(arena.as_slice(), &values[..]);
         assert_eq!(arena.len(), 4);
@@ -319,7 +333,7 @@ mod tests {
 
     #[test]
     fn shared_arena_rejects_bad_ranges() {
-        let buf = Arc::new(AlignedBuf::from_bytes(&[0u8; 16]));
+        let buf = Arc::new(AlignedBuf::from_bytes(&[0u8; 16]).unwrap());
         assert!(CorpusArena::shared(buf.clone(), 0, 4).is_ok());
         assert!(CorpusArena::shared(buf.clone(), 0, 5).is_err(), "past end");
         assert!(CorpusArena::shared(buf.clone(), 2, 2).is_err(), "unaligned");
@@ -329,12 +343,19 @@ mod tests {
     #[test]
     fn make_owned_detaches_from_the_buffer() {
         let bytes: Vec<u8> = [1u32, 2, 3].iter().flat_map(|v| v.to_le_bytes()).collect();
-        let buf = Arc::new(AlignedBuf::from_bytes(&bytes));
+        let buf = Arc::new(AlignedBuf::from_bytes(&bytes).unwrap());
         let mut arena = CorpusArena::shared(buf, 0, 3).unwrap();
         assert!(arena.is_shared() || cfg!(target_endian = "big"));
         arena.make_owned().push(4);
         assert!(!arena.is_shared());
         assert_eq!(arena.as_slice(), &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn lengths_no_allocation_can_hold_are_rejected() {
+        let err = AlignedBuf::zeroed(isize::MAX as usize).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(AlignedBuf::read_from(&mut io::empty(), usize::MAX).is_err());
     }
 
     #[test]

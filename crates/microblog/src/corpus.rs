@@ -38,8 +38,8 @@ pub struct Corpus {
     symbols: SymbolTable,
     /// Tweet `t`'s tokens (in text order, duplicates kept) are
     /// `token_ids[token_offsets[t] .. token_offsets[t + 1]]`. Either
-    /// owned (build / decode-copy) or borrowed zero-copy from a loaded
-    /// segment buffer; appends materialize them copy-on-write.
+    /// owned (build / copy load) or borrowed zero-copy from a loaded
+    /// corpus file; appends materialize them copy-on-write.
     token_offsets: CorpusArena,
     token_ids: CorpusArena,
     /// token id → sorted tweet ids containing it (base segment only).
@@ -105,8 +105,8 @@ impl Corpus {
         }
     }
 
-    /// Reassemble a corpus from pre-built interned parts (the binary load
-    /// path — no re-tokenization, no postings rebuild). Only the two small
+    /// Reassemble a corpus from pre-built interned parts (the corpus file
+    /// load — no re-tokenization, no postings rebuild). Only the two small
     /// hash indexes (handle → user, token text → id) and the rank-side
     /// columns are reconstructed.
     /// The token arenas and postings may be owned or zero-copy views.
@@ -367,22 +367,21 @@ impl Corpus {
         self.postings.shards().iter().map(|s| s.byte_size()).collect()
     }
 
-    /// True when any arena borrows from a shared segment buffer (the
-    /// zero-copy load path).
+    /// True when any arena borrows from a loaded corpus file's buffer
+    /// (the zero-copy load path).
     pub fn is_zero_copy(&self) -> bool {
         self.token_offsets.is_shared()
             || self.token_ids.is_shared()
             || self.postings.is_zero_copy()
     }
 
-    /// The postings index (read-only; used by the sharded segment
-    /// writer).
+    /// The postings index (read-only; used by the corpus file writer).
     pub(crate) fn postings_index(&self) -> &PostingsIndex {
         &self.postings
     }
 
     /// The flat per-tweet token columns `(offsets, ids)` (used by the
-    /// sharded segment writer).
+    /// corpus file writer).
     pub(crate) fn token_arena_parts(&self) -> (&[u32], &[TokenId]) {
         (self.token_offsets.as_slice(), self.token_ids.as_slice())
     }
@@ -484,7 +483,7 @@ impl Corpus {
     }
 
     /// `true` once any append or delete landed since the last (re)build —
-    /// i.e. the corpus carries delta state the binary format cannot
+    /// i.e. the corpus carries delta state the corpus file cannot
     /// represent until [`Corpus::compact`] folds it in.
     pub fn has_delta(&self) -> bool {
         self.tweets.len() > self.base_tweets as usize || !self.tombstones.is_empty()
@@ -603,46 +602,6 @@ impl Corpus {
             tombstones: Vec::new(),
         };
         (compacted, map)
-    }
-
-    /// Persist the corpus to a JSON file (indexes are rebuilt on load, so
-    /// only users and tweets pay serialization cost). For the O(bytes)
-    /// binary format that skips the rebuild, see [`Corpus::save_binary`].
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        if self.has_delta() {
-            return Err(std::io::Error::other(
-                "corpus has uncompacted delta state (appends or tombstones); \
-                 call Corpus::compact() before persisting",
-            ));
-        }
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let payload = (&self.users, &self.tweets);
-        let json = serde_json::to_string(&payload).map_err(std::io::Error::other)?;
-        std::fs::write(path, json)
-    }
-
-    /// Load a corpus persisted by [`Corpus::save`] (JSON, indexes
-    /// rebuilt), [`Corpus::save_binary`] (checksummed frames, indexes
-    /// loaded as-is), or [`Corpus::save_sharded`] (a shard manifest —
-    /// loaded zero-copy, the arenas borrowed from the segment buffers).
-    /// The format is sniffed from the leading bytes: a JSON payload is a
-    /// `[users, tweets]` array, a manifest starts with its magic, and a
-    /// monolithic binary file starts with a frame length.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Corpus> {
-        let path = path.as_ref();
-        let data = std::fs::read(path)?;
-        if data.first() == Some(&b'[') {
-            let (users, tweets): (Vec<User>, Vec<Tweet>) =
-                serde_json::from_slice(&data).map_err(std::io::Error::other)?;
-            Ok(Corpus::new(users, tweets))
-        } else if data.starts_with(crate::segio::MANIFEST_MAGIC) {
-            crate::segio::load_sharded_manifest(path, &data, crate::segio::LoadMode::ZeroCopy)
-        } else {
-            crate::binio::decode_corpus(&data)
-        }
     }
 }
 
@@ -897,33 +856,15 @@ mod tests {
     fn save_load_round_trip_rebuilds_indexes() {
         let c = corpus();
         let dir = std::env::temp_dir().join("esharp_corpus_io_test");
-        let path = dir.join("corpus.json");
-        c.save(&path).unwrap();
+        let path = dir.join("corpus.bin");
+        c.save_binary(&path).unwrap();
         let back = Corpus::load(&path).unwrap();
         assert_eq!(back.users().len(), c.users().len());
         assert_eq!(back.tweets().len(), c.tweets().len());
         assert_eq!(back.match_query("49ers draft"), c.match_query("49ers draft"));
         assert_eq!(back.mentions_of(0), c.mentions_of(0));
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn legacy_json_with_tokens_field_still_loads() {
-        // Corpora saved before interning carried a redundant per-tweet
-        // `tokens` array; serde skips unknown fields, and load
-        // re-tokenizes from text.
-        let json = r#"[
-            [{"id":0,"handle":"a","display_name":"A","description":"",
-              "followers":1,"verified":false,"expert_domains":[],"spam":false}],
-            [{"id":0,"author":0,"text":"niners win","tokens":["niners","win"],
-              "mentions":[],"retweet_of":null}]
-        ]"#;
-        let dir = std::env::temp_dir().join("esharp_corpus_legacy_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.json");
-        std::fs::write(&path, json).unwrap();
-        let c = Corpus::load(&path).unwrap();
-        assert_eq!(c.match_query("niners"), vec![0]);
+        assert_eq!(back.user_by_handle("carol"), Some(2));
+        assert_eq!(back.token_id("niners"), c.token_id("niners"));
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1026,8 +967,8 @@ mod tests {
             })
             .collect();
         let rebuilt = Corpus::new(c.users().to_vec(), survivors);
-        let a = crate::binio::encode_corpus(&compacted).unwrap();
-        let b = crate::binio::encode_corpus(&rebuilt).unwrap();
+        let a = crate::segio::encode(&compacted, 1).unwrap();
+        let b = crate::segio::encode(&rebuilt, 1).unwrap();
         assert_eq!(a, b, "compacted bytes must equal a cold rebuild");
 
         // Query results survive the renumbering (delta view vs compacted).
@@ -1038,13 +979,13 @@ mod tests {
     }
 
     #[test]
-    fn delta_corpus_refuses_json_save() {
+    fn delta_corpus_refuses_save() {
         let mut c = corpus();
         c.append_tweet("alice", "ephemeral").unwrap();
         let dir = std::env::temp_dir().join("esharp_corpus_delta_save_test");
-        assert!(c.save(dir.join("c.json")).is_err());
+        assert!(c.save_binary(dir.join("c.bin")).is_err());
         let compacted = c.compact();
-        assert!(compacted.save(dir.join("c.json")).is_ok());
+        assert!(compacted.save_binary(dir.join("c.bin")).is_ok());
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -12,12 +12,12 @@
 //! ranges, each with its own (offsets, arena) pair — a
 //! [`PostingsShard`]. A freshly built index has one shard covering every
 //! token; [`PostingsIndex::resharded`] re-cuts the ranges so each shard
-//! holds roughly equal postings bytes, which is what the sharded segment
-//! format persists and the scatter-gather match path fans out over.
+//! holds roughly equal postings bytes, which is what the corpus file
+//! persists and the scatter-gather match path fans out over.
 //! Because a token's posting list is identical no matter which shard
 //! holds it, every query result is bit-identical at any shard count.
 //! Shard arenas are [`CorpusArena`]s, so a shard can either own its
-//! columns or borrow them zero-copy from a loaded segment buffer.
+//! columns or borrow them zero-copy from a loaded corpus file.
 //!
 //! Intersections pick their algorithm by skew: near-equal list lengths use
 //! the linear merge, while a rare term against a head term gallops
@@ -36,7 +36,7 @@ const GALLOP_SKEW: usize = 16;
 /// `token_start <= t < token_end`) has its sorted, deduplicated tweet
 /// ids at `arena[offsets[t - token_start] .. offsets[t - token_start + 1]]`.
 /// Offsets are shard-local (they start at 0), so a shard is
-/// self-contained — exactly what one segment file persists.
+/// self-contained — exactly what one section of the corpus file persists.
 #[derive(Debug, Clone)]
 pub struct PostingsShard {
     token_start: u32,
@@ -47,8 +47,8 @@ pub struct PostingsShard {
 
 impl PostingsShard {
     /// Assemble a shard from its columns, validating the CSR invariants:
-    /// `offsets` has one entry per token in the range plus one, starts at
-    /// 0, is monotone, and ends at the arena length.
+    /// `offsets` has one entry per token in the range plus one, and
+    /// [`check_csr`] holds.
     pub fn new(
         token_start: u32,
         token_end: u32,
@@ -68,15 +68,7 @@ impl PostingsShard {
                 range
             ));
         }
-        if offsets.first() != Some(&0) {
-            return Err("shard offsets must start at 0".to_string());
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("shard offsets must be monotone".to_string());
-        }
-        if offsets.last().copied().unwrap_or(0) as usize != arena.len() {
-            return Err("shard offsets must end at the arena length".to_string());
-        }
+        check_csr(&offsets, arena.len()).map_err(|e| format!("shard {e}"))?;
         Ok(PostingsShard {
             token_start,
             token_end,
@@ -183,23 +175,7 @@ impl PostingsIndex {
         }
     }
 
-    /// Reassemble a single-shard index from its two flat columns (the
-    /// monolithic binary corpus load). Offsets must be monotone and end
-    /// at the arena length.
-    pub fn from_parts(offsets: Vec<u32>, arena: Vec<TweetId>) -> Result<PostingsIndex, String> {
-        let num_tokens = offsets.len().saturating_sub(1) as u32;
-        let shard = PostingsShard::new(
-            0,
-            num_tokens,
-            CorpusArena::Owned(offsets),
-            CorpusArena::Owned(arena),
-        )?;
-        Ok(PostingsIndex {
-            shards: vec![shard],
-        })
-    }
-
-    /// Reassemble an index from pre-validated shards (the sharded segment
+    /// Reassemble an index from pre-validated shards (the corpus file
     /// load). Shards must tile the token space: contiguous, in order,
     /// starting at 0.
     pub fn from_shards(shards: Vec<PostingsShard>) -> Result<PostingsIndex, String> {
@@ -310,6 +286,21 @@ impl PostingsIndex {
     pub fn is_zero_copy(&self) -> bool {
         self.shards.iter().any(PostingsShard::is_zero_copy)
     }
+}
+
+/// The CSR offsets invariants: `offsets` starts at 0, is monotone, and
+/// ends at `arena_len`.
+pub(crate) fn check_csr(offsets: &[u32], arena_len: usize) -> Result<(), String> {
+    if offsets.first() != Some(&0) {
+        return Err("offsets must start at 0".to_string());
+    }
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err("offsets must be monotone".to_string());
+    }
+    if offsets.last().copied().unwrap_or(0) as usize != arena_len {
+        return Err("offsets must end at the arena length".to_string());
+    }
+    Ok(())
 }
 
 /// Intersect two sorted, deduplicated lists, galloping when skewed.
@@ -442,11 +433,12 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_validates() {
-        assert!(PostingsIndex::from_parts(vec![0, 1, 2], vec![5, 7]).is_ok());
-        assert!(PostingsIndex::from_parts(vec![1, 2], vec![5, 7]).is_err());
-        assert!(PostingsIndex::from_parts(vec![0, 2, 1], vec![5, 7]).is_err());
-        assert!(PostingsIndex::from_parts(vec![0, 1], vec![5, 7]).is_err());
+    fn csr_check_validates() {
+        assert!(check_csr(&[0, 1, 2], 2).is_ok());
+        assert!(check_csr(&[], 0).is_err());
+        assert!(check_csr(&[1, 2], 2).is_err());
+        assert!(check_csr(&[0, 2, 1], 2).is_err());
+        assert!(check_csr(&[0, 1], 2).is_err());
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   flat CSR postings ([`PostingsIndex`]), conjunctive all-terms query
 //!   matching (§3) with k-way expansion unions, the rank-side
 //!   [`TweetColumns`] (flat author / retweet / mention arrays and the
-//!   per-user totals that are the TS/MI/RI denominators), JSON + checksummed binary
-//!   persistence (`corpus.bin`, zero-rebuild load).
+//!   per-user totals that are the TS/MI/RI denominators), persisted as
+//!   one checksummed corpus file ([`segio`], `corpus.bin`, zero-rebuild
+//!   load).
 //! * [`generate_corpus`] — expert/regular/spam account generation with
 //!   topically concentrated experts and short posts (the recall problem
 //!   e# exists to fix).
@@ -21,7 +22,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod arena;
-pub mod binio;
 pub mod bounded;
 mod columns;
 mod corpus;

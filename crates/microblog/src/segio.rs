@@ -1,85 +1,92 @@
-//! Sharded corpus persistence: a manifest, a global segment, and one
-//! raw-`u32` segment per postings shard — with a zero-copy load mode.
+//! The corpus file (`corpus.bin`): the whole compacted corpus in one
+//! checksummed file, written once and atomically.
 //!
-//! The monolithic `corpus.bin` (see [`crate::binio`]) decodes every
-//! arena out of `i64` frame columns into fresh `Vec`s; at million-user
-//! scale the load is decode-bound, not I/O-bound. The sharded layout
-//! splits the corpus at exactly the decode boundary:
+//! ```text
+//! header   magic "ESCF" | version u16 | reserved u16 (0)
+//!          num_users u32 | num_tweets u32 | num_tokens u32 | shards K u32
+//!          strings_len u64 | strings_crc u32
+//!          section table, 1 + K entries:
+//!            row_start u32 | row_end u32 | arena_len u32 | crc u32
+//!          header_crc u32              (CRC32 of every header byte before it)
+//! strings  six checksummed frames: meta, users, user_domains, tweets,
+//!          tweet_mentions, symbols
+//! pad      0–3 zero bytes, so the u32 body starts 4-aligned
+//!          (strings_crc covers the frames and the pad)
+//! body     1 + K sections of raw little-endian u32s, back to back: the
+//!          token CSR (rows = tweets) and then one postings CSR per shard
+//!          (rows = the shard's token range, offsets shard-local). A
+//!          section is its row_end - row_start + 1 offsets followed by its
+//!          arena_len ids; its table entry's crc covers exactly those bytes.
+//! ```
 //!
-//! * **`corpus.manifest`** — a tiny checksummed table of contents:
-//!   corpus counts, the shard count, and per-segment (length, CRC,
-//!   token range) entries. Written last, atomically, so a partially
-//!   written directory is never openable.
-//! * **`global.bin`** — the string-heavy, inherently-owned data (users,
-//!   tweet texts, mentions, symbol texts, per-user totals) in the same
-//!   checksummed frame container as `corpus.bin`. Strings must be
-//!   re-materialized as `String`s anyway, so zero-copy buys nothing
-//!   here.
-//! * **`tokens.seg`** — the per-tweet token arena (offsets + ids) as
-//!   raw little-endian `u32` runs at 4-aligned offsets.
-//! * **`postings-<i>.seg`** — one segment per postings shard: the
-//!   shard-local CSR offsets and the postings arena, same raw layout.
+//! Every byte is covered by a checksum (the header's, the string
+//! section's or a body section's) and the header fixes the file length,
+//! so truncation, a flipped bit anywhere, or trailing bytes fail at open
+//! with `InvalidData` — never at query time and never with a panic.
+//! Structural checks then cover what a well-formed checksum cannot vouch
+//! for: CSR offsets, id ranges and posting-list sortedness.
 //!
-//! Loading reads each `.seg` into one page-aligned [`AlignedBuf`],
-//! validates its CRC **once**, checks every structural invariant
-//! (offset monotonicity, id ranges, strict posting-list sortedness) by
-//! reading the buffer in place, and then either borrows the arenas
-//! straight out of the buffer ([`LoadMode::ZeroCopy`] — the arenas in
-//! the resulting [`Corpus`] are `CorpusArena::Shared` views and N
-//! workers holding corpus clones share the segment bytes) or copies
-//! them into owned vectors ([`LoadMode::Copy`] — the honest baseline
-//! the bench compares against). Corruption of any byte — manifest,
-//! global frames, or any segment, including a missing segment file —
-//! fails at open with `InvalidData`, never at query time.
+//! The strings must be re-materialized as `String`s anyway, so the string
+//! section is read, decoded and freed on its own. The body is read into
+//! one page-aligned [`AlignedBuf`]: [`LoadMode::ZeroCopy`] borrows the
+//! arenas out of it (N workers holding corpus clones share those bytes),
+//! [`LoadMode::Copy`] copies them into owned vectors and frees it.
 
 use crate::arena::{AlignedBuf, CorpusArena};
-use crate::binio::{
-    checked_id, checked_len, col_bool, col_int, col_str, ends_to_offsets, totals,
-};
 use crate::corpus::Corpus;
-use crate::index::{PostingsIndex, PostingsShard};
+use crate::index::{check_csr, PostingsIndex, PostingsShard};
 use crate::intern::SymbolTable;
 use crate::types::{Tweet, TweetId, User, UserId};
-use esharp_relation::atomic::{atomic_write, crc32};
-use esharp_relation::binfmt::{decode_frames_exact, encode_frames};
+use esharp_relation::binfmt::{decode_frames_exact, encode_frames_into};
 use esharp_relation::{Column, DataType, Schema, Table};
-use std::io;
+use esharp_storage::atomic::{atomic_write, crc32};
+use std::borrow::Cow;
+use std::io::{self, Read};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Leading bytes of a shard manifest ([`Corpus::load`] sniffs these).
-pub const MANIFEST_MAGIC: &[u8; 4] = b"ESMF";
-/// Leading bytes of every raw segment file.
-const SEGMENT_MAGIC: &[u8; 4] = b"ESSG";
-/// Manifest / segment format revision.
-const VERSION: u16 = 1;
-/// Segment kind: the per-tweet token arena.
-const KIND_TOKENS: u16 = 1;
-/// Segment kind: one postings shard.
-const KIND_POSTINGS: u16 = 2;
-/// Frames in `global.bin`: meta, users, user_domains, tweets,
-/// tweet_mentions, symbols.
+/// Leading bytes of a corpus file.
+const MAGIC: &[u8; 4] = b"ESCF";
+/// File format revision. 1 was the eight-frame `corpus.bin` and the
+/// `corpus.manifest` directory layout; neither is readable any more.
+const VERSION: u16 = 2;
+/// Header bytes before the section table.
+const FIXED: usize = 36;
+/// Bytes per section-table entry.
+const ENTRY: usize = 16;
+/// Frames in the string section.
 const GLOBAL_FRAMES: usize = 6;
-/// Fixed-size segment header: magic, version, kind, crc, row range,
-/// offsets length, arena length.
-const SEG_HEADER: usize = 32;
-/// Fixed manifest prefix before the per-shard entries.
-const MANIFEST_HEADER: usize = 48;
-/// Bytes per manifest shard entry.
-const SHARD_ENTRY: usize = 20;
 
-/// How segment arenas enter memory.
+/// How the body's arenas enter memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadMode {
-    /// Decode segments into owned vectors (the materializing baseline).
+    /// Copy the arenas into owned vectors and free the file buffer.
     Copy,
-    /// Borrow arenas out of the page-aligned segment buffers; the
-    /// corpus holds `Arc`s to the buffers and copies nothing.
+    /// Borrow the arenas out of the page-aligned file buffer; the corpus
+    /// holds an `Arc` to it and copies nothing.
     ZeroCopy,
 }
 
 fn bad(msg: impl std::fmt::Display) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("sharded corpus: {msg}"))
+    io::Error::new(io::ErrorKind::InvalidData, format!("corpus file: {msg}"))
+}
+
+fn read_u16(b: &[u8], at: usize) -> u16 {
+    u16::from_le_bytes([b[at], b[at + 1]])
+}
+
+fn read_u32(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
+}
+
+fn read_u64(b: &[u8], at: usize) -> u64 {
+    let mut raw = [0u8; 8];
+    raw.copy_from_slice(&b[at..at + 8]);
+    u64::from_le_bytes(raw)
+}
+
+fn to_usize(v: u64) -> io::Result<usize> {
+    usize::try_from(v).map_err(|_| bad("larger than the address space"))
 }
 
 // ---------------------------------------------------------------------
@@ -87,151 +94,101 @@ fn bad(msg: impl std::fmt::Display) -> io::Error {
 // ---------------------------------------------------------------------
 
 impl Corpus {
-    /// Persist the corpus as a shard manifest plus segments in
-    /// `manifest_path`'s directory: `global.bin`, `tokens.seg`, and one
-    /// `postings-<i>.seg` per shard, re-cut to `shards` contiguous
-    /// token ranges balanced by postings bytes. Every file is written
-    /// atomically; the manifest goes last, so a crash mid-save leaves
-    /// either the old manifest or none — never a manifest naming
-    /// half-written segments. Like the monolithic format, uncompacted
-    /// delta state is refused.
-    pub fn save_sharded(
-        &self,
-        manifest_path: impl AsRef<Path>,
-        shards: usize,
-    ) -> io::Result<()> {
-        save_sharded(self, manifest_path.as_ref(), shards)
+    /// Write the corpus file at `path` with its postings re-cut to
+    /// `shards` contiguous token ranges balanced by postings bytes. One
+    /// atomic write: a crash leaves the previous file or the new one.
+    /// Uncompacted delta state is refused.
+    pub fn save_sharded(&self, path: impl AsRef<Path>, shards: usize) -> io::Result<()> {
+        atomic_write(path, &encode(self, shards)?)
+    }
+
+    /// [`Corpus::save_sharded`] with one shard.
+    pub fn save_binary(&self, path: impl AsRef<Path>) -> io::Result<()> {
+        self.save_sharded(path, 1)
+    }
+
+    /// Open a corpus file with owned arenas
+    /// (`load_sharded(path, LoadMode::Copy)`).
+    pub fn load(path: impl AsRef<Path>) -> io::Result<Corpus> {
+        load_sharded(path, LoadMode::Copy)
     }
 }
 
-fn save_sharded(corpus: &Corpus, manifest_path: &Path, shards: usize) -> io::Result<()> {
+/// The bytes of the corpus file [`Corpus::save_sharded`] writes. The
+/// encoding depends only on the logical corpus and `shards`, never on
+/// how the corpus was loaded.
+pub fn encode(corpus: &Corpus, shards: usize) -> io::Result<Vec<u8>> {
     if corpus.has_delta() {
         return Err(io::Error::other(
             "corpus has uncompacted delta state (appends or tombstones); \
              call Corpus::compact() before persisting",
         ));
     }
-    let dir = manifest_path.parent().unwrap_or_else(|| Path::new("."));
-    std::fs::create_dir_all(dir)?;
-
-    let global = encode_global(corpus)?;
-    atomic_write(dir.join("global.bin"), &global)?;
-
+    // `resharded` always copies; skip it when the layout already matches.
+    let current = corpus.postings_index();
+    let index = if current.shard_count() == shards.clamp(1, current.num_tokens().max(1)) {
+        Cow::Borrowed(current)
+    } else {
+        Cow::Owned(current.resharded(shards))
+    };
     let (token_offsets, token_ids) = corpus.token_arena_parts();
-    let tokens_seg = encode_segment(
-        KIND_TOKENS,
-        0,
-        corpus.tweets().len() as u32,
-        token_offsets,
-        token_ids,
-    );
-    let tokens_crc = segment_crc(&tokens_seg);
-    atomic_write(dir.join("tokens.seg"), &tokens_seg)?;
-
-    let sharded = corpus.postings_index().resharded(shards);
-    let mut entries = Vec::with_capacity(sharded.shard_count());
-    for (i, shard) in sharded.shards().iter().enumerate() {
+    let mut sections = vec![(0, corpus.tweets().len() as u32, token_offsets, token_ids)];
+    for shard in index.shards() {
         let (offsets, arena) = shard.parts();
-        let seg = encode_segment(
-            KIND_POSTINGS,
-            shard.token_start(),
-            shard.token_end(),
-            offsets,
-            arena,
-        );
-        entries.push(ShardEntry {
-            token_start: shard.token_start(),
-            token_end: shard.token_end(),
-            file_len: seg.len() as u64,
-            crc: segment_crc(&seg),
-        });
-        atomic_write(dir.join(format!("postings-{i}.seg")), &seg)?;
+        sections.push((shard.token_start(), shard.token_end(), offsets, arena));
     }
 
-    let manifest = encode_manifest(
-        corpus.users().len() as u32,
-        corpus.tweets().len() as u32,
-        corpus.num_tokens() as u32,
-        global.len() as u64,
-        tokens_seg.len() as u64,
-        tokens_crc,
-        &entries,
-    );
-    atomic_write(manifest_path, &manifest)
-}
-
-/// The CRC a segment's header carries (bytes `[12..]` of the file) —
-/// also recorded in the manifest to bind manifest ↔ segment identity
-/// without hashing any byte twice at open.
-fn segment_crc(seg: &[u8]) -> u32 {
-    u32::from_le_bytes([seg[8], seg[9], seg[10], seg[11]])
-}
-
-fn encode_segment(kind: u16, row_start: u32, row_end: u32, offsets: &[u32], arena: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(SEG_HEADER + (offsets.len() + arena.len()) * 4);
-    out.extend_from_slice(SEGMENT_MAGIC);
+    let head_len = FIXED + ENTRY * sections.len() + 4;
+    let mut out = Vec::with_capacity(head_len);
+    out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&[0u8; 4]); // crc placeholder
-    out.extend_from_slice(&row_start.to_le_bytes());
-    out.extend_from_slice(&row_end.to_le_bytes());
-    out.extend_from_slice(&(offsets.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(arena.len() as u64).to_le_bytes());
-    for &v in offsets {
-        out.extend_from_slice(&v.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes());
+    for count in [
+        corpus.users().len(),
+        corpus.tweets().len(),
+        corpus.num_tokens(),
+        sections.len() - 1,
+    ] {
+        out.extend_from_slice(&(count as u32).to_le_bytes());
     }
-    for &v in arena {
-        out.extend_from_slice(&v.to_le_bytes());
+    out.resize(head_len, 0); // patched below: strings_len and every crc
+    encode_global(corpus, &mut out)?;
+    let strings_len = (out.len() - head_len) as u64;
+    out[24..32].copy_from_slice(&strings_len.to_le_bytes());
+    out.resize(out.len().next_multiple_of(4), 0);
+    let strings_crc = crc32(&out[head_len..]);
+    out[32..36].copy_from_slice(&strings_crc.to_le_bytes());
+    let body_len: usize = sections.iter().map(|s| (s.2.len() + s.3.len()) * 4).sum();
+    out.reserve_exact(body_len);
+
+    for (i, &(row_start, row_end, offsets, arena)) in sections.iter().enumerate() {
+        let at = out.len();
+        put_u32s(&mut out, offsets);
+        put_u32s(&mut out, arena);
+        let crc = crc32(&out[at..]);
+        let entry = FIXED + i * ENTRY;
+        for (j, v) in [row_start, row_end, arena.len() as u32, crc].into_iter().enumerate() {
+            out[entry + 4 * j..entry + 4 * j + 4].copy_from_slice(&v.to_le_bytes());
+        }
     }
-    let crc = crc32(&out[12..]);
-    out[8..12].copy_from_slice(&crc.to_le_bytes());
-    out
+    let crc_at = head_len - 4;
+    let header_crc = crc32(&out[..crc_at]);
+    out[crc_at..head_len].copy_from_slice(&header_crc.to_le_bytes());
+    Ok(out)
 }
 
-struct ShardEntry {
-    token_start: u32,
-    token_end: u32,
-    file_len: u64,
-    crc: u32,
-}
-
-fn encode_manifest(
-    num_users: u32,
-    num_tweets: u32,
-    num_tokens: u32,
-    global_len: u64,
-    tokens_len: u64,
-    tokens_crc: u32,
-    shards: &[ShardEntry],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MANIFEST_HEADER + shards.len() * SHARD_ENTRY);
-    out.extend_from_slice(MANIFEST_MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // pad
-    out.extend_from_slice(&[0u8; 4]); // crc placeholder
-    out.extend_from_slice(&num_users.to_le_bytes());
-    out.extend_from_slice(&num_tweets.to_le_bytes());
-    out.extend_from_slice(&num_tokens.to_le_bytes());
-    out.extend_from_slice(&(shards.len() as u32).to_le_bytes());
-    out.extend_from_slice(&global_len.to_le_bytes());
-    out.extend_from_slice(&tokens_len.to_le_bytes());
-    out.extend_from_slice(&tokens_crc.to_le_bytes());
-    for s in shards {
-        out.extend_from_slice(&s.token_start.to_le_bytes());
-        out.extend_from_slice(&s.token_end.to_le_bytes());
-        out.extend_from_slice(&s.file_len.to_le_bytes());
-        out.extend_from_slice(&s.crc.to_le_bytes());
+fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    let at = out.len();
+    out.resize(at + values.len() * 4, 0);
+    for (dst, v) in out[at..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
-    let crc = crc32(&out[12..]);
-    out[8..12].copy_from_slice(&crc.to_le_bytes());
-    out
 }
 
-/// `global.bin`: the six string-heavy frames. Compared to the
-/// monolithic container this drops the `tweet_tokens` and `postings`
-/// frames (they live in raw segments) and the per-tweet `tokens_end`
-/// column (the tokens segment carries its own offsets).
-fn encode_global(corpus: &Corpus) -> io::Result<Vec<u8>> {
+/// Append the string section: the six frames that hold everything but
+/// the u32 arenas (users, tweet texts and mentions, symbol texts,
+/// per-user totals).
+fn encode_global(corpus: &Corpus, out: &mut Vec<u8>) -> io::Result<()> {
     let rel = |e: esharp_relation::RelError| io::Error::other(e.to_string());
     let meta = Table::new(
         Schema::of(&[("key", DataType::Str), ("value", DataType::Int)]),
@@ -334,299 +291,242 @@ fn encode_global(corpus: &Corpus) -> io::Result<Vec<u8>> {
     )
     .map_err(rel)?;
 
-    Ok(encode_frames(&[
-        meta,
-        users_table,
-        user_domains,
-        tweets_table,
-        tweet_mentions,
-        symbols,
-    ]))
+    encode_frames_into(
+        out,
+        &[
+            meta,
+            users_table,
+            user_domains,
+            tweets_table,
+            tweet_mentions,
+            symbols,
+        ],
+    );
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
 // Reading.
 // ---------------------------------------------------------------------
 
-/// Open a sharded corpus from its manifest file.
-pub fn load_sharded(manifest_path: impl AsRef<Path>, mode: LoadMode) -> io::Result<Corpus> {
-    let path = manifest_path.as_ref();
-    let data = std::fs::read(path)?;
-    load_sharded_manifest(path, &data, mode)
+/// Open the corpus file at `path`. The string section is read, decoded
+/// and freed before the body is read, so a zero-copy corpus keeps only
+/// the body resident.
+pub fn load_sharded(path: impl AsRef<Path>, mode: LoadMode) -> io::Result<Corpus> {
+    let mut file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    let head = read_header(&mut file, len)?;
+    let global = {
+        let mut strings = vec![0u8; head.body_at - head.head_len];
+        file.read_exact(&mut strings)?;
+        decode_strings(&strings, &head)?
+    };
+    let body = AlignedBuf::read_from(&mut file, head.body_len)?;
+    assemble(&head, global, Arc::new(body), mode)
 }
 
-/// Open a sharded corpus whose manifest bytes are already in hand (the
-/// [`Corpus::load`] sniff path).
-pub fn load_sharded_manifest(
-    manifest_path: &Path,
-    manifest: &[u8],
-    mode: LoadMode,
-) -> io::Result<Corpus> {
-    let m = decode_manifest(manifest)?;
-    let dir = manifest_path.parent().unwrap_or_else(|| Path::new("."));
+/// Decode corpus-file bytes already in memory: [`load_sharded`]'s
+/// steps over a slice.
+pub fn decode(bytes: &[u8], mode: LoadMode) -> io::Result<Corpus> {
+    let head = read_header(&mut &bytes[..], bytes.len() as u64)?;
+    let global = decode_strings(&bytes[head.head_len..head.body_at], &head)?;
+    let body = AlignedBuf::from_bytes(&bytes[head.body_at..])?;
+    assemble(&head, global, Arc::new(body), mode)
+}
 
-    // global.bin — frame container, self-checksummed per frame.
-    let global = std::fs::read(dir.join("global.bin"))
-        .map_err(|e| bad(format!("global.bin: {e}")))?;
-    if global.len() as u64 != m.global_len {
+/// One body section, as its table entry describes it.
+struct Section {
+    row_start: u32,
+    row_end: u32,
+    arena_len: u32,
+    crc: u32,
+}
+
+impl Section {
+    /// Offsets (one per row, plus one) and arena, in u32s.
+    fn words(&self) -> u64 {
+        u64::from(self.row_end - self.row_start) + 1 + u64::from(self.arena_len)
+    }
+}
+
+struct Header {
+    head_len: usize,
+    num_users: u32,
+    num_tweets: u32,
+    num_tokens: u32,
+    strings_len: usize,
+    strings_crc: u32,
+    /// The token section, then one section per postings shard.
+    sections: Vec<Section>,
+    body_at: usize,
+    body_len: usize,
+}
+
+/// Read and check the header of a `len`-byte corpus file: magic and
+/// version, checksum, that the sections tile their row spaces, and that
+/// the layout it describes is exactly `len` bytes long.
+fn read_header(src: &mut impl Read, len: u64) -> io::Result<Header> {
+    if len < (FIXED + 2 * ENTRY + 4) as u64 {
+        if len >= 4 {
+            let mut magic = [0u8; 4];
+            src.read_exact(&mut magic)?;
+            if &magic != MAGIC {
+                return Err(stale());
+            }
+        }
+        return Err(bad("truncated header"));
+    }
+    let mut head = vec![0u8; FIXED];
+    src.read_exact(&mut head)?;
+    if &head[0..4] != MAGIC || read_u16(&head, 4) != VERSION {
+        return Err(stale());
+    }
+    let shards = u64::from(read_u32(&head, 20));
+    let head_len = FIXED as u64 + (shards + 1) * ENTRY as u64 + 4;
+    if shards == 0 || head_len > len {
+        return Err(bad("truncated header or shard count out of range"));
+    }
+    head.resize(to_usize(head_len)?, 0);
+    src.read_exact(&mut head[FIXED..])?;
+    let crc_at = head.len() - 4;
+    if read_u32(&head, crc_at) != crc32(&head[..crc_at]) {
+        return Err(bad("header checksum mismatch"));
+    }
+    if read_u16(&head, 6) != 0 {
+        return Err(bad("reserved header field set"));
+    }
+
+    let num_tweets = read_u32(&head, 12);
+    let num_tokens = read_u32(&head, 16);
+    let sections: Vec<Section> = (0..=shards as usize)
+        .map(|i| {
+            let at = FIXED + i * ENTRY;
+            Section {
+                row_start: read_u32(&head, at),
+                row_end: read_u32(&head, at + 4),
+                arena_len: read_u32(&head, at + 8),
+                crc: read_u32(&head, at + 12),
+            }
+        })
+        .collect();
+    if sections[0].row_start != 0 || sections[0].row_end != num_tweets {
+        return Err(bad("token section does not cover the tweets"));
+    }
+    let mut next = 0;
+    for s in &sections[1..] {
+        if s.row_start != next || s.row_end < s.row_start {
+            return Err(bad("postings shards do not tile the token space"));
+        }
+        next = s.row_end;
+    }
+    if next != num_tokens {
+        return Err(bad("postings shards do not cover the token space"));
+    }
+
+    let strings_len = read_u64(&head, 24);
+    let body_at = (head_len + strings_len.min(len)).next_multiple_of(4);
+    let body_len = sections
+        .iter()
+        .map(|s| s.words() * 4)
+        .fold(0, u64::saturating_add);
+    let described = body_at.saturating_add(body_len);
+    if strings_len > len || described != len {
         return Err(bad(format!(
-            "global.bin is {} bytes, manifest says {}",
-            global.len(),
-            m.global_len
+            "file is {len} bytes but its header describes {described}"
         )));
     }
-    let g = decode_global(&global, &m)?;
+    Ok(Header {
+        head_len: head.len(),
+        num_users: read_u32(&head, 8),
+        num_tweets,
+        num_tokens,
+        strings_len: to_usize(strings_len)?,
+        strings_crc: read_u32(&head, 32),
+        sections,
+        body_at: to_usize(body_at)?,
+        body_len: to_usize(body_len)?,
+    })
+}
 
-    // tokens.seg — the per-tweet token arena.
-    let tokens_seg = open_segment(
-        &dir.join("tokens.seg"),
-        KIND_TOKENS,
-        m.tokens_len,
-        m.tokens_crc,
-    )?;
-    if tokens_seg.row_start != 0 || tokens_seg.row_end != m.num_tweets {
-        return Err(bad("tokens segment row range disagrees with manifest"));
+/// The error for a file of another format or revision.
+fn stale() -> io::Error {
+    bad("not a corpus file of this version (an older corpus.bin or a \
+         corpus.manifest); rebuild it with `esharp build`")
+}
+
+/// Check and decode the string section (`strings` runs through the pad).
+fn decode_strings(strings: &[u8], head: &Header) -> io::Result<Global> {
+    if crc32(strings) != head.strings_crc {
+        return Err(bad("string section checksum mismatch"));
     }
-    let (token_offsets, token_ids) = tokens_seg.arenas(mode)?;
-    validate_offsets(&token_offsets, m.num_tweets as usize, token_ids.len(), "tweet tokens")?;
-    if token_ids.iter().any(|&t| t >= m.num_tokens) {
+    decode_global(&strings[..head.strings_len], head)
+}
+
+/// Check the body's sections and assemble the corpus, borrowing the
+/// arenas out of `body` or copying them by `mode`.
+fn assemble(
+    head: &Header,
+    global: Global,
+    body: Arc<AlignedBuf>,
+    mode: LoadMode,
+) -> io::Result<Corpus> {
+    let arena = |at: usize, words: usize| -> io::Result<CorpusArena> {
+        let mut arena = CorpusArena::shared(Arc::clone(&body), at, words).map_err(bad)?;
+        if mode == LoadMode::Copy {
+            arena.make_owned();
+        }
+        Ok(arena)
+    };
+    // The sections lie back to back from the start of the body.
+    let mut at = 0;
+    let mut next_section = |s: &Section| -> io::Result<(CorpusArena, CorpusArena)> {
+        let bytes = to_usize(s.words() * 4)?;
+        if crc32(&body.as_slice()[at..at + bytes]) != s.crc {
+            return Err(bad("body section checksum mismatch"));
+        }
+        let offsets_len = (s.row_end - s.row_start) as usize + 1;
+        let section = (
+            arena(at, offsets_len)?,
+            arena(at + offsets_len * 4, s.arena_len as usize)?,
+        );
+        at += bytes;
+        Ok(section)
+    };
+    let (token_offsets, token_ids) = next_section(&head.sections[0])?;
+    check_csr(&token_offsets, token_ids.len()).map_err(|e| bad(format!("tweet tokens: {e}")))?;
+    if token_ids.iter().any(|&t| t >= head.num_tokens) {
         return Err(bad("tweet token id out of range"));
     }
 
-    // postings-<i>.seg — one per shard; must tile [0, num_tokens).
-    let mut shards = Vec::with_capacity(m.shards.len());
-    for (i, entry) in m.shards.iter().enumerate() {
-        let seg = open_segment(
-            &dir.join(format!("postings-{i}.seg")),
-            KIND_POSTINGS,
-            entry.file_len,
-            entry.crc,
-        )?;
-        if seg.row_start != entry.token_start || seg.row_end != entry.token_end {
-            return Err(bad(format!(
-                "postings-{i}.seg token range disagrees with manifest"
-            )));
+    let mut shards = Vec::with_capacity(head.sections.len() - 1);
+    for s in &head.sections[1..] {
+        let (offsets, ids) = next_section(s)?;
+        let shard = PostingsShard::new(s.row_start, s.row_end, offsets, ids).map_err(bad)?;
+        let (offsets, ids) = shard.parts();
+        if offsets
+            .windows(2)
+            .any(|w| ids[w[0] as usize..w[1] as usize].windows(2).any(|p| p[0] >= p[1]))
+        {
+            return Err(bad("posting list not strictly sorted"));
         }
-        let (offsets, arena) = seg.arenas(mode)?;
-        let range = (entry.token_end - entry.token_start) as usize;
-        validate_offsets(&offsets, range, arena.len(), "postings")?;
-        let offs = offsets.as_slice();
-        let list_arena = arena.as_slice();
-        for w in offs.windows(2) {
-            let list = &list_arena[w[0] as usize..w[1] as usize];
-            if list.windows(2).any(|p| p[0] >= p[1]) {
-                return Err(bad("posting list not strictly sorted"));
-            }
-        }
-        if list_arena.iter().any(|&t| t >= m.num_tweets) {
+        if ids.iter().any(|&t| t >= head.num_tweets) {
             return Err(bad("posting tweet id out of range"));
         }
-        shards.push(
-            PostingsShard::new(entry.token_start, entry.token_end, offsets, arena)
-                .map_err(bad)?,
-        );
-    }
-    if m.shards.last().map_or(0, |s| s.token_end) != m.num_tokens
-        || m.shards.first().map_or(0, |s| s.token_start) != 0
-    {
-        return Err(bad("postings shards do not cover the token space"));
+        shards.push(shard);
     }
     let postings = PostingsIndex::from_shards(shards).map_err(bad)?;
 
     Ok(Corpus::from_parts(
-        g.users,
-        g.tweets,
-        g.symbols,
+        global.users,
+        global.tweets,
+        global.symbols,
         token_offsets,
         token_ids,
         postings,
-        g.tweets_by_user,
-        g.mentions_of_user,
-        g.retweets_of_user,
+        global.tweets_by_user,
+        global.mentions_of_user,
+        global.retweets_of_user,
     ))
-}
-
-struct Manifest {
-    num_users: u32,
-    num_tweets: u32,
-    num_tokens: u32,
-    global_len: u64,
-    tokens_len: u64,
-    tokens_crc: u32,
-    shards: Vec<ShardEntry>,
-}
-
-fn read_u16(b: &[u8], at: usize) -> u16 {
-    u16::from_le_bytes([b[at], b[at + 1]])
-}
-
-fn read_u32(b: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
-}
-
-fn read_u64(b: &[u8], at: usize) -> u64 {
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&b[at..at + 8]);
-    u64::from_le_bytes(raw)
-}
-
-fn decode_manifest(data: &[u8]) -> io::Result<Manifest> {
-    if data.len() < MANIFEST_HEADER {
-        return Err(bad("manifest truncated"));
-    }
-    if &data[0..4] != MANIFEST_MAGIC {
-        return Err(bad("manifest magic mismatch"));
-    }
-    if read_u16(data, 4) != VERSION {
-        return Err(bad(format!("unsupported manifest version {}", read_u16(data, 4))));
-    }
-    if read_u32(data, 8) != crc32(&data[12..]) {
-        return Err(bad("manifest checksum mismatch"));
-    }
-    let num_shards = read_u32(data, 24) as usize;
-    if data.len() != MANIFEST_HEADER + num_shards * SHARD_ENTRY {
-        return Err(bad("manifest length disagrees with its shard count"));
-    }
-    let mut shards = Vec::with_capacity(num_shards);
-    for i in 0..num_shards {
-        let at = MANIFEST_HEADER + i * SHARD_ENTRY;
-        shards.push(ShardEntry {
-            token_start: read_u32(data, at),
-            token_end: read_u32(data, at + 4),
-            file_len: read_u64(data, at + 8),
-            crc: read_u32(data, at + 16),
-        });
-    }
-    Ok(Manifest {
-        num_users: read_u32(data, 12),
-        num_tweets: read_u32(data, 16),
-        num_tokens: read_u32(data, 20),
-        global_len: read_u64(data, 28),
-        tokens_len: read_u64(data, 36),
-        tokens_crc: read_u32(data, 44),
-        shards,
-    })
-}
-
-/// A validated, parsed segment: the buffer plus the byte ranges of its
-/// two arenas.
-struct Segment {
-    buf: Arc<AlignedBuf>,
-    row_start: u32,
-    row_end: u32,
-    offsets_len: usize,
-    arena_len: usize,
-}
-
-impl Segment {
-    /// The (offsets, arena) pair in the requested representation.
-    fn arenas(&self, mode: LoadMode) -> io::Result<(CorpusArena, CorpusArena)> {
-        let offsets_at = SEG_HEADER;
-        let arena_at = SEG_HEADER + self.offsets_len * 4;
-        match mode {
-            LoadMode::ZeroCopy => Ok((
-                CorpusArena::shared(self.buf.clone(), offsets_at, self.offsets_len)
-                    .map_err(bad)?,
-                CorpusArena::shared(self.buf.clone(), arena_at, self.arena_len).map_err(bad)?,
-            )),
-            LoadMode::Copy => {
-                let decode = |at: usize, len: usize| -> Vec<u32> {
-                    self.buf.as_slice()[at..at + len * 4]
-                        .chunks_exact(4)
-                        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                        .collect()
-                };
-                Ok((
-                    CorpusArena::Owned(decode(offsets_at, self.offsets_len)),
-                    CorpusArena::Owned(decode(arena_at, self.arena_len)),
-                ))
-            }
-        }
-    }
-}
-
-/// Read one segment file into a page-aligned buffer and validate its
-/// header: magic, version, kind, the CRC over the payload (computed
-/// exactly once), and that its length and CRC match what the manifest
-/// recorded for it.
-fn open_segment(path: &Path, kind: u16, want_len: u64, want_crc: u32) -> io::Result<Segment> {
-    let name = path.file_name().map_or_else(
-        || path.display().to_string(),
-        |n| n.to_string_lossy().into_owned(),
-    );
-    let buf = AlignedBuf::from_file(path).map_err(|e| bad(format!("{name}: {e}")))?;
-    let data = buf.as_slice();
-    if data.len() as u64 != want_len {
-        return Err(bad(format!(
-            "{name} is {} bytes, manifest says {want_len}",
-            data.len()
-        )));
-    }
-    if data.len() < SEG_HEADER {
-        return Err(bad(format!("{name} truncated")));
-    }
-    if &data[0..4] != SEGMENT_MAGIC {
-        return Err(bad(format!("{name}: segment magic mismatch")));
-    }
-    if read_u16(data, 4) != VERSION {
-        return Err(bad(format!("{name}: unsupported segment version")));
-    }
-    if read_u16(data, 6) != kind {
-        return Err(bad(format!("{name}: wrong segment kind")));
-    }
-    let crc = read_u32(data, 8);
-    if crc != want_crc {
-        return Err(bad(format!("{name}: segment identity disagrees with manifest")));
-    }
-    if crc != crc32(&data[12..]) {
-        return Err(bad(format!("{name}: segment checksum mismatch")));
-    }
-    let offsets_len = checked_len(read_u32(data, 20) as i64, "segment offsets length")?;
-    let arena_len64 = read_u64(data, 24);
-    if arena_len64 > u32::MAX as u64 {
-        return Err(bad(format!("{name}: segment arena length out of range")));
-    }
-    let arena_len = arena_len64 as usize;
-    let want = SEG_HEADER + (offsets_len + arena_len) * 4;
-    if data.len() != want {
-        return Err(bad(format!(
-            "{name} is {} bytes but its header describes {want}",
-            data.len()
-        )));
-    }
-    let row_start = read_u32(data, 12);
-    let row_end = read_u32(data, 16);
-    Ok(Segment {
-        buf: Arc::new(buf),
-        row_start,
-        row_end,
-        offsets_len,
-        arena_len,
-    })
-}
-
-/// CSR offsets invariants shared by both segment kinds: one entry per
-/// row plus one, starting at 0, monotone, ending at the arena length.
-fn validate_offsets(
-    offsets: &CorpusArena,
-    rows: usize,
-    arena_len: usize,
-    what: &str,
-) -> io::Result<()> {
-    let offs = offsets.as_slice();
-    if offs.len() != rows + 1 {
-        return Err(bad(format!("{what} offsets hold {} entries for {rows} rows", offs.len())));
-    }
-    if offs.first() != Some(&0) {
-        return Err(bad(format!("{what} offsets must start at 0")));
-    }
-    if offs.windows(2).any(|w| w[0] > w[1]) {
-        return Err(bad(format!("{what} offsets not monotone")));
-    }
-    if offs.last().copied().unwrap_or(0) as usize != arena_len {
-        return Err(bad(format!("{what} offsets must end at the arena length")));
-    }
-    Ok(())
 }
 
 struct Global {
@@ -638,13 +538,12 @@ struct Global {
     retweets_of_user: Vec<u64>,
 }
 
-fn decode_global(data: &[u8], m: &Manifest) -> io::Result<Global> {
-    let frames = decode_frames_exact(data, GLOBAL_FRAMES)
-        .map_err(|e| bad(format!("global.bin: {e}")))?;
+fn decode_global(data: &[u8], head: &Header) -> io::Result<Global> {
+    let frames = decode_frames_exact(data, GLOBAL_FRAMES).map_err(bad)?;
     let [meta, users_t, user_domains, tweets_t, tweet_mentions, symbols_t]: [Table;
         GLOBAL_FRAMES] = frames
         .try_into()
-        .map_err(|_| bad("global.bin: wrong frame count"))?;
+        .map_err(|_| bad("wrong frame count"))?;
 
     let keys = col_str(&meta, "key")?;
     let values = col_int(&meta, "value")?;
@@ -652,23 +551,20 @@ fn decode_global(data: &[u8], m: &Manifest) -> io::Result<Global> {
         keys.iter()
             .position(|k| &**k == key)
             .map(|i| values[i])
-            .ok_or_else(|| bad(format!("global.bin: meta key {key} missing")))
+            .ok_or_else(|| bad(format!("meta key {key} missing")))
     };
-    if meta_value("format")? != VERSION as i64 {
-        return Err(bad("global.bin: unsupported format"));
-    }
-    let num_users = checked_len(meta_value("num_users")?, "num_users")?;
-    let num_tweets = checked_len(meta_value("num_tweets")?, "num_tweets")?;
-    let num_tokens = checked_len(meta_value("num_tokens")?, "num_tokens")?;
-    if num_users != m.num_users as usize
-        || num_tweets != m.num_tweets as usize
-        || num_tokens != m.num_tokens as usize
+    if meta_value("format")? != VERSION as i64
+        || meta_value("num_users")? != i64::from(head.num_users)
+        || meta_value("num_tweets")? != i64::from(head.num_tweets)
+        || meta_value("num_tokens")? != i64::from(head.num_tokens)
     {
-        return Err(bad("global.bin counts disagree with the manifest"));
+        return Err(bad("string section disagrees with the header"));
     }
+    let num_users = head.num_users as usize;
+    let num_tweets = head.num_tweets as usize;
 
     if users_t.num_rows() != num_users {
-        return Err(bad("users frame row count disagrees with meta"));
+        return Err(bad("users frame row count disagrees with the header"));
     }
     let handles = col_str(&users_t, "handle")?;
     let display_names = col_str(&users_t, "display_name")?;
@@ -693,19 +589,24 @@ fn decode_global(data: &[u8], m: &Manifest) -> io::Result<Global> {
             handle: handles[i].to_string(),
             display_name: display_names[i].to_string(),
             description: descriptions[i].to_string(),
-            followers: u64::try_from(followers[i])
-                .map_err(|_| bad("negative followers"))?,
+            followers: checked_total(followers[i], "followers")?,
             verified: verified[i],
             expert_domains,
             spam: spam[i],
         });
     }
-    let tweets_by_user = totals(col_int(&users_t, "tweets_by")?, "tweets_by")?;
-    let mentions_of_user = totals(col_int(&users_t, "mentions_of")?, "mentions_of")?;
-    let retweets_of_user = totals(col_int(&users_t, "retweets_of")?, "retweets_of")?;
+    let totals = |name: &str| -> io::Result<Vec<u64>> {
+        col_int(&users_t, name)?
+            .iter()
+            .map(|&v| checked_total(v, name))
+            .collect()
+    };
+    let tweets_by_user = totals("tweets_by")?;
+    let mentions_of_user = totals("mentions_of")?;
+    let retweets_of_user = totals("retweets_of")?;
 
     if tweets_t.num_rows() != num_tweets {
-        return Err(bad("tweets frame row count disagrees with meta"));
+        return Err(bad("tweets frame row count disagrees with the header"));
     }
     let authors = col_int(&tweets_t, "author")?;
     let texts = col_str(&tweets_t, "text")?;
@@ -735,8 +636,8 @@ fn decode_global(data: &[u8], m: &Manifest) -> io::Result<Global> {
         });
     }
 
-    if symbols_t.num_rows() != num_tokens {
-        return Err(bad("symbols frame row count disagrees with meta"));
+    if symbols_t.num_rows() != head.num_tokens as usize {
+        return Err(bad("symbols frame row count disagrees with the header"));
     }
     let texts: Vec<Box<str>> = col_str(&symbols_t, "token")?
         .iter()
@@ -752,6 +653,60 @@ fn decode_global(data: &[u8], m: &Manifest) -> io::Result<Global> {
         mentions_of_user,
         retweets_of_user,
     })
+}
+
+fn col_int<'t>(table: &'t Table, name: &str) -> io::Result<&'t [i64]> {
+    table
+        .column_by_name(name)
+        .ok()
+        .and_then(Column::as_int)
+        .ok_or_else(|| bad(format!("int column {name} missing")))
+}
+
+fn col_str<'t>(table: &'t Table, name: &str) -> io::Result<&'t [Arc<str>]> {
+    table
+        .column_by_name(name)
+        .ok()
+        .and_then(Column::as_str)
+        .ok_or_else(|| bad(format!("str column {name} missing")))
+}
+
+fn col_bool<'t>(table: &'t Table, name: &str) -> io::Result<&'t [bool]> {
+    match table.column_by_name(name) {
+        Ok(Column::Bool(v)) => Ok(v),
+        _ => Err(bad(format!("bool column {name} missing"))),
+    }
+}
+
+/// Turn per-row end offsets into a `[0, end0, end1, …]` CSR offsets vec,
+/// rejecting non-monotone sequences and a final end that misses the
+/// arena length.
+fn ends_to_offsets(ends: &[i64], arena_len: usize, what: &str) -> io::Result<Vec<u32>> {
+    let mut offsets = Vec::with_capacity(ends.len() + 1);
+    offsets.push(0u32);
+    let mut prev = 0i64;
+    for &end in ends {
+        if end < prev || end > arena_len as i64 {
+            return Err(bad(format!("{what} offsets not monotone within the arena")));
+        }
+        prev = end;
+        offsets.push(end as u32);
+    }
+    if prev != arena_len as i64 {
+        return Err(bad(format!("{what} arena has entries no row claims")));
+    }
+    Ok(offsets)
+}
+
+fn checked_id(value: i64, bound: usize, what: &str) -> io::Result<u32> {
+    if value < 0 || value >= bound as i64 || value > u32::MAX as i64 {
+        return Err(bad(format!("{what} {value} out of range")));
+    }
+    Ok(value as u32)
+}
+
+fn checked_total(value: i64, what: &str) -> io::Result<u64> {
+    u64::try_from(value).map_err(|_| bad(format!("negative {what}")))
 }
 
 #[cfg(test)]
@@ -807,10 +762,11 @@ mod tests {
         let c = sample();
         for k in [1usize, 2, 4] {
             let d = dir(&format!("esharp_segio_round_trip_{k}"));
-            let manifest = d.join("corpus.manifest");
-            c.save_sharded(&manifest, k).unwrap();
+            let path = d.join("corpus.bin");
+            c.save_sharded(&path, k).unwrap();
             for mode in [LoadMode::Copy, LoadMode::ZeroCopy] {
-                let back = load_sharded(&manifest, mode).unwrap();
+                let back = load_sharded(&path, mode).unwrap();
+                assert_eq!(back.shard_count(), k);
                 assert_eq!(back.users().len(), c.users().len());
                 assert_eq!(back.tweets().len(), c.tweets().len());
                 assert_eq!(back.num_tokens(), c.num_tokens());
@@ -829,46 +785,50 @@ mod tests {
                     back.is_zero_copy(),
                     mode == LoadMode::ZeroCopy && cfg!(target_endian = "little")
                 );
-                // Re-encoding through the monolithic container is
-                // byte-identical regardless of shard count or load mode.
-                assert_eq!(
-                    crate::binio::encode_corpus(&back).unwrap(),
-                    crate::binio::encode_corpus(&c).unwrap()
-                );
+                // Re-encoding at one shard count is byte-identical
+                // whatever shard count and load mode the corpus came from.
+                assert_eq!(encode(&back, 1).unwrap(), encode(&c, 1).unwrap());
             }
             let _ = std::fs::remove_dir_all(d);
         }
     }
 
     #[test]
-    fn corpus_load_sniffs_the_manifest() {
+    fn corpus_load_opens_any_shard_count() {
         let c = sample();
-        let d = dir("esharp_segio_sniff");
-        let manifest = d.join("corpus.manifest");
-        c.save_sharded(&manifest, 2).unwrap();
-        let back = Corpus::load(&manifest).unwrap();
+        let d = dir("esharp_segio_load");
+        let path = d.join("corpus.bin");
+        c.save_sharded(&path, 2).unwrap();
+        let back = Corpus::load(&path).unwrap();
+        assert_eq!(back.shard_count(), 2);
+        assert!(!back.is_zero_copy(), "Corpus::load copies");
         assert_eq!(back.match_query("niners"), c.match_query("niners"));
         let _ = std::fs::remove_dir_all(d);
     }
 
     #[test]
     fn missing_segment_fails_at_open() {
+        // A file cut after its token section lacks every postings section.
         let c = sample();
-        let d = dir("esharp_segio_missing");
-        let manifest = d.join("corpus.manifest");
-        c.save_sharded(&manifest, 3).unwrap();
-        std::fs::remove_file(d.join("postings-1.seg")).unwrap();
-        assert!(load_sharded(&manifest, LoadMode::ZeroCopy).is_err());
-        let _ = std::fs::remove_dir_all(d);
+        let bytes = encode(&c, 3).unwrap();
+        let postings_words: u64 = read_header(&mut &bytes[..], bytes.len() as u64)
+            .unwrap()
+            .sections[1..]
+            .iter()
+            .map(Section::words)
+            .sum();
+        let cut = bytes.len() - postings_words as usize * 4;
+        let err = decode(&bytes[..cut], LoadMode::ZeroCopy).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn zero_copy_appends_work_via_copy_on_write() {
         let c = sample();
         let d = dir("esharp_segio_cow");
-        let manifest = d.join("corpus.manifest");
-        c.save_sharded(&manifest, 2).unwrap();
-        let mut back = load_sharded(&manifest, LoadMode::ZeroCopy).unwrap();
+        let path = d.join("corpus.bin");
+        c.save_sharded(&path, 2).unwrap();
+        let mut back = load_sharded(&path, LoadMode::ZeroCopy).unwrap();
         let id = back.append_tweet("alice", "the niners draft steal").unwrap();
         assert_eq!(back.match_query("steal"), vec![id]);
         assert_eq!(back.match_query("draft"), vec![0, 1, id]);

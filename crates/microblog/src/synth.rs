@@ -433,8 +433,8 @@ mod tests {
         assert_eq!(batch.users().len(), streamed.users().len());
         assert_eq!(batch.tweets().len(), streamed.tweets().len());
         assert_eq!(
-            crate::binio::encode_corpus(&batch).unwrap(),
-            crate::binio::encode_corpus(&streamed).unwrap()
+            crate::segio::encode(&batch, 1).unwrap(),
+            crate::segio::encode(&streamed, 1).unwrap()
         );
     }
 

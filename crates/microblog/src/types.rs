@@ -42,9 +42,7 @@ pub struct Tweet {
     pub author: UserId,
     /// Raw text (≤ 140 chars in spirit; the generator keeps posts short).
     /// Tokens are derived from it: the corpus interns them at build time
-    /// (see [`crate::Corpus::tweet_tokens`]); old serialized corpora that
-    /// carried a redundant `tokens` field still deserialize (serde ignores
-    /// unknown fields).
+    /// (see [`crate::Corpus::tweet_tokens`]).
     pub text: String,
     /// Users mentioned in the tweet.
     pub mentions: Vec<UserId>,

@@ -1,20 +1,23 @@
-//! Corruption matrix for the binary corpus container (`corpus.bin`).
+//! Corruption matrix for the corpus file (`corpus.bin`).
 //!
-//! The binary format's contract is sharp: a load either returns exactly
-//! the corpus that was saved, or it errors — it never panics and never
-//! yields a plausible-but-wrong corpus. These tests drive that contract
-//! mechanically: every truncation length, every single-bit flip, trailing
-//! garbage, and (where the serializer supports it) equivalence with the
-//! JSON persistence path through the same auto-detecting `Corpus::load`.
+//! The file's contract is sharp: a load either returns exactly the corpus
+//! that was saved, or it fails at open with `InvalidData` — it never
+//! panics and never yields a plausible-but-wrong corpus. These tests
+//! drive that contract mechanically over two corpora (a built one and one
+//! that went through appends, deletes and compaction), at one and three
+//! postings shards, in both load modes: every truncation length, every
+//! single-bit flip, trailing bytes, and files of the older formats.
 
-use esharp_microblog::binio::{decode_corpus, encode_corpus};
+use esharp_microblog::segio::{self, LoadMode};
 use esharp_microblog::{Corpus, Tweet, User};
+use std::io::ErrorKind;
+use std::path::PathBuf;
 
-/// A small corpus that still exercises every section of the container:
-/// multiple users (one tweetless), mentions, a retweet, duplicate tokens,
-/// non-ASCII text, and a token that appears in several tweets.
-fn sample() -> Corpus {
-    let mk_user = |id, handle: &str, followers, verified| User {
+const SHARDS: [usize; 2] = [1, 3];
+const MODES: [LoadMode; 2] = [LoadMode::Copy, LoadMode::ZeroCopy];
+
+fn user(id: u32, handle: &str, followers: u64, verified: bool) -> User {
+    User {
         id,
         handle: handle.into(),
         display_name: format!("User {handle}"),
@@ -23,11 +26,17 @@ fn sample() -> Corpus {
         verified,
         expert_domains: if id == 0 { vec![2, 5] } else { vec![] },
         spam: id == 2,
-    };
+    }
+}
+
+/// A small corpus that still exercises every section of the file:
+/// multiple users (one tweetless), mentions, a retweet, duplicate tokens,
+/// non-ASCII text, and a token that appears in several tweets.
+fn sample() -> Corpus {
     let users = vec![
-        mk_user(0, "ana", 900, true),
-        mk_user(1, "bo", 14, false),
-        mk_user(2, "idle", 0, false), // never tweets
+        user(0, "ana", 900, true),
+        user(1, "bo", 14, false),
+        user(2, "idle", 0, false), // never tweets
     ];
     let resolve = |h: &str| match h {
         "ana" => Some(0),
@@ -43,7 +52,49 @@ fn sample() -> Corpus {
     Corpus::new(users, tweets)
 }
 
-/// Structural equality over everything the binary format persists.
+/// A corpus that has been through the streaming path: built, mutated
+/// through the delta segment (a new user, appends, deletes of a base and
+/// of an appended tweet), then compacted.
+fn streamed_then_compacted() -> Corpus {
+    let mut corpus = Corpus::new(
+        vec![user(0, "ana", 900, true), user(1, "bo", 14, false)],
+        vec![
+            Tweet::parse(0, 0, "niners draft niners talk", |_| None),
+            Tweet::parse(1, 1, "café ☕ about the draft", |_| None),
+        ],
+    );
+    corpus.add_user("cy", "Cy", "tab\there", 3, false).unwrap();
+    corpus.append_tweet("cy", "fresh topic entirely @ana").unwrap();
+    corpus.append_tweet("bo", "RT @cy: fresh topic entirely").unwrap();
+    corpus.append_tweet("ana", "gone before compaction").unwrap();
+    corpus.delete_tweet(1).unwrap();
+    corpus.delete_tweet(4).unwrap();
+    corpus.compact()
+}
+
+fn fixtures() -> Vec<(&'static str, Corpus)> {
+    vec![("sample", sample()), ("streamed", streamed_then_compacted())]
+}
+
+/// Every (fixture, K) file, encoded.
+fn files() -> Vec<(String, Vec<u8>)> {
+    let mut out = Vec::new();
+    for (name, corpus) in fixtures() {
+        for k in SHARDS {
+            out.push((format!("{name} K={k}"), segio::encode(&corpus, k).unwrap()));
+        }
+    }
+    out
+}
+
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("esharp_corpus_file_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Structural equality over everything the corpus file persists.
 fn assert_equivalent(a: &Corpus, b: &Corpus) {
     assert_eq!(a.users().len(), b.users().len());
     for (x, y) in a.users().iter().zip(b.users()) {
@@ -74,88 +125,140 @@ fn assert_equivalent(a: &Corpus, b: &Corpus) {
     }
 }
 
+fn assert_rejected(bytes: &[u8], what: &str) {
+    for mode in MODES {
+        match segio::decode(bytes, mode) {
+            Ok(_) => panic!("{what} was accepted in {mode:?}"),
+            Err(e) => assert_eq!(e.kind(), ErrorKind::InvalidData, "{what} in {mode:?}: {e}"),
+        }
+    }
+}
+
+/// Bytes of alignment padding between the string section and the body.
+fn pad_len(bytes: &[u8]) -> usize {
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let shards = word(20);
+    let strings_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
+    let strings_end = 36 + 16 * (shards + 1) + 4 + strings_len;
+    strings_end.next_multiple_of(4) - strings_end
+}
+
 #[test]
 fn clean_bytes_round_trip() {
-    let corpus = sample();
-    let bytes = encode_corpus(&corpus).unwrap();
-    let back = decode_corpus(&bytes).unwrap();
-    assert_equivalent(&corpus, &back);
-    // The encoder is deterministic: re-encoding the loaded corpus gives
-    // byte-identical output (what the refresh pipeline's checksums rely
-    // on).
-    assert_eq!(encode_corpus(&back).unwrap(), bytes);
+    for (name, corpus) in fixtures() {
+        for k in SHARDS {
+            let bytes = segio::encode(&corpus, k).unwrap();
+            for mode in MODES {
+                let back = segio::decode(&bytes, mode).unwrap();
+                assert_equivalent(&corpus, &back);
+                assert_eq!(back.shard_count(), k, "{name} K={k} {mode:?}");
+                // Re-encoding any loaded K and mode at a fixed K gives
+                // identical bytes.
+                for fixed in SHARDS {
+                    assert_eq!(
+                        segio::encode(&back, fixed).unwrap(),
+                        segio::encode(&corpus, fixed).unwrap(),
+                        "{name} loaded at K={k} {mode:?}, re-encoded at K={fixed}"
+                    );
+                }
+            }
+        }
+    }
+    // The matrix below only tests the pad if some file has one.
+    assert!(files().iter().any(|(_, bytes)| pad_len(bytes) > 0));
 }
 
 #[test]
 fn every_truncation_length_is_rejected() {
-    let bytes = encode_corpus(&sample()).unwrap();
-    for cut in 0..bytes.len() {
-        assert!(
-            decode_corpus(&bytes[..cut]).is_err(),
-            "truncation to {cut}/{} bytes was accepted",
-            bytes.len()
-        );
+    let dir = tmpdir("truncate");
+    let path = dir.join("corpus.bin");
+    for (name, bytes) in files() {
+        for cut in 0..bytes.len() {
+            let what = format!("{name} truncated to {cut}/{}", bytes.len());
+            assert_rejected(&bytes[..cut], &what);
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            for mode in MODES {
+                let err = segio::load_sharded(&path, mode).expect_err(&what);
+                assert_eq!(err.kind(), ErrorKind::InvalidData, "{what} {mode:?} from disk");
+            }
+        }
     }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
 fn every_single_bit_flip_is_rejected() {
-    // CRC32 detects all single-bit errors inside a frame payload, and a
-    // flip in a frame header breaks framing — so every one of the
-    // 8 × len corrupted variants must fail to decode (and must not
-    // panic).
-    let bytes = encode_corpus(&sample()).unwrap();
-    for byte in 0..bytes.len() {
-        for bit in 0..8 {
-            let mut corrupt = bytes.clone();
-            corrupt[byte] ^= 1 << bit;
-            assert!(
-                decode_corpus(&corrupt).is_err(),
-                "flip of byte {byte} bit {bit} was accepted"
-            );
+    for (name, bytes) in files() {
+        let mut corrupt = bytes.clone();
+        for byte in 0..bytes.len() {
+            for bit in 0..8 {
+                corrupt[byte] ^= 1 << bit;
+                assert_rejected(&corrupt, &format!("{name}: flip of byte {byte} bit {bit}"));
+                corrupt[byte] ^= 1 << bit;
+            }
         }
     }
 }
 
 #[test]
 fn trailing_garbage_is_rejected() {
-    let bytes = encode_corpus(&sample()).unwrap();
-    for extra in [1usize, 7, 64] {
-        let mut long = bytes.clone();
-        long.extend(std::iter::repeat(0xA5).take(extra));
-        assert!(
-            decode_corpus(&long).is_err(),
-            "{extra} trailing bytes were accepted"
-        );
+    let dir = tmpdir("trailing");
+    let path = dir.join("corpus.bin");
+    for (name, bytes) in files() {
+        for extra in [1usize, 3, 4, 7, 64] {
+            let mut long = bytes.clone();
+            long.extend(std::iter::repeat(0).take(extra));
+            let what = format!("{name} with {extra} trailing bytes");
+            assert_rejected(&long, &what);
+            std::fs::write(&path, &long).unwrap();
+            for mode in MODES {
+                assert!(segio::load_sharded(&path, mode).is_err(), "{what} from disk");
+            }
+        }
     }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
-fn json_and_binary_loads_agree_through_autodetect() {
-    let corpus = sample();
-    let dir = std::env::temp_dir().join("esharp_binary_corpus_test");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let json_path = dir.join("corpus.json");
-    let bin_path = dir.join("corpus.bin");
-
-    corpus.save(&json_path).unwrap();
-    corpus.save_binary(&bin_path).unwrap();
-    let from_bin = Corpus::load(&bin_path).unwrap();
-    assert_equivalent(&corpus, &from_bin);
-
-    // The JSON side needs a round-tripping serializer; the offline dev
-    // image stubs serde_json, so probe before asserting equivalence.
-    match Corpus::load(&json_path) {
-        Ok(from_json) => {
-            assert_equivalent(&corpus, &from_json);
-            assert_eq!(
-                from_json.match_query("niners draft"),
-                from_bin.match_query("niners draft")
-            );
-        }
-        Err(e) => eprintln!("skipping JSON equivalence (serializer unavailable: {e})"),
+fn two_files_in_one_directory_reopen_to_their_own_corpus() {
+    let dir = tmpdir("two");
+    let (a, b) = (sample(), streamed_then_compacted());
+    a.save_sharded(dir.join("a.bin"), 3).unwrap();
+    b.save_sharded(dir.join("b.bin"), 3).unwrap();
+    a.save_binary(dir.join("a1.bin")).unwrap();
+    for mode in MODES {
+        assert_equivalent(&a, &segio::load_sharded(dir.join("a.bin"), mode).unwrap());
+        assert_equivalent(&b, &segio::load_sharded(dir.join("b.bin"), mode).unwrap());
+        assert_equivalent(&a, &segio::load_sharded(dir.join("a1.bin"), mode).unwrap());
     }
-
+    // Nothing but the three files (the atomic writer's temporaries are
+    // renamed away).
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3);
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn older_formats_fail_with_a_rebuild_hint() {
+    // The eight-frame corpus.bin began with a frame length; the
+    // multi-file layout's corpus.manifest with "ESMF". A current file with
+    // its version bumped stands in for any other revision.
+    let mut old_binary = 150u64.to_le_bytes().to_vec();
+    old_binary.extend_from_slice(b"ESRT");
+    old_binary.resize(200, 0);
+    let mut old_manifest = b"ESMF".to_vec();
+    old_manifest.extend_from_slice(&1u16.to_le_bytes());
+    old_manifest.resize(68, 0);
+    let mut next_version = segio::encode(&sample(), 1).unwrap();
+    next_version[4] += 1;
+    for (what, bytes) in [
+        ("eight-frame corpus.bin", old_binary),
+        ("corpus.manifest", old_manifest),
+        ("another version", next_version),
+    ] {
+        for mode in MODES {
+            let err = segio::decode(&bytes, mode).expect_err(what);
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains("esharp build"), "{what}: {err}");
+        }
+    }
 }

@@ -146,10 +146,10 @@ proptest! {
                 }
                 9 | 10 => {
                     corpus = corpus.compact();
-                    let manifest = dir.join("sharded").join("corpus.manifest");
-                    corpus.save_sharded(&manifest, 1 + b as usize % 4).unwrap();
+                    let path = dir.join("sharded.bin");
+                    corpus.save_sharded(&path, 1 + b as usize % 4).unwrap();
                     let mode = if op == 9 { LoadMode::Copy } else { LoadMode::ZeroCopy };
-                    corpus = load_sharded(&manifest, mode).unwrap();
+                    corpus = load_sharded(&path, mode).unwrap();
                     "save_sharded + load_sharded"
                 }
                 _ => {

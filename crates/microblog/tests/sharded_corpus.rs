@@ -1,9 +1,9 @@
 //! Integration tests of the sharded corpus: scatter-gather search must
 //! be bit-identical to the serial single-shard union at every shard and
-//! worker count, both load modes must reproduce the exact corpus, and
-//! any corruption of the on-disk segments — truncation at every header
-//! boundary, a single flipped bit anywhere — must fail at open with an
-//! error (never a panic, never a silently wrong corpus).
+//! worker count, both load modes must reproduce the exact corpus at
+//! every shard count, and a file missing sections fails at open. The
+//! exhaustive corruption matrix of the corpus file is in
+//! `binary_corpus.rs`.
 
 use esharp_microblog::segio;
 use esharp_microblog::{Corpus, LoadMode, Tweet, User};
@@ -60,10 +60,10 @@ fn assert_sharded_parity(
     term_sets: &[Vec<String>],
     workers: &[usize],
 ) {
-    let manifest = dir.join(format!("k{k}.manifest"));
-    corpus.save_sharded(&manifest, k).expect("save_sharded");
+    let path = dir.join(format!("k{k}.bin"));
+    corpus.save_sharded(&path, k).expect("save_sharded");
     for mode in [LoadMode::Copy, LoadMode::ZeroCopy] {
-        let loaded = segio::load_sharded(&manifest, mode).expect("load_sharded");
+        let loaded = segio::load_sharded(&path, mode).expect("load_sharded");
         for terms in term_sets {
             let serial = corpus.match_terms_with(terms, 1);
             assert_eq!(
@@ -90,10 +90,11 @@ fn sharded_loads_are_bit_identical_to_the_original() {
     corpus.save_binary(&reference).expect("save reference");
     let want = std::fs::read(&reference).expect("read reference");
     for k in [1usize, 3, 7] {
-        let manifest = dir.join(format!("k{k}.manifest"));
-        corpus.save_sharded(&manifest, k).expect("save_sharded");
+        let path = dir.join(format!("k{k}.bin"));
+        corpus.save_sharded(&path, k).expect("save_sharded");
         for mode in [LoadMode::Copy, LoadMode::ZeroCopy] {
-            let loaded = segio::load_sharded(&manifest, mode).expect("load");
+            let loaded = segio::load_sharded(&path, mode).expect("load");
+            assert_eq!(loaded.shard_count(), k);
             let out = dir.join(format!("k{k}_{mode:?}.bin"));
             loaded.save_binary(&out).expect("re-save");
             assert_eq!(
@@ -110,86 +111,29 @@ fn sharded_loads_are_bit_identical_to_the_original() {
 fn missing_files_fail_at_open_not_query_time() {
     let corpus = fixture_corpus();
     let dir = tmpdir("missing");
-    let manifest = dir.join("corpus.manifest");
-    corpus.save_sharded(&manifest, 3).expect("save_sharded");
-    for name in ["global.bin", "tokens.seg", "postings-0.seg", "postings-1.seg", "postings-2.seg"]
-    {
-        let path = dir.join(name);
-        let pristine = std::fs::read(&path).expect("read pristine");
-        std::fs::remove_file(&path).expect("remove");
-        let err = segio::load_sharded(&manifest, LoadMode::ZeroCopy)
-            .expect_err(&format!("open must fail with {name} missing"));
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}");
-        std::fs::write(&path, &pristine).expect("restore");
-    }
-    // Restored intact, the manifest opens again.
-    segio::load_sharded(&manifest, LoadMode::ZeroCopy).expect("restored corpus opens");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Truncation at every interesting boundary and a single bit flipped at
-/// spread offsets, applied to the manifest and every segment in turn:
-/// each mutation must surface as an open-time error.
-#[test]
-fn corruption_matrix_fails_at_open() {
-    let corpus = fixture_corpus();
-    let dir = tmpdir("corrupt");
-    let manifest = dir.join("corpus.manifest");
-    corpus.save_sharded(&manifest, 3).expect("save_sharded");
-
-    let files = [
-        "corpus.manifest",
-        "global.bin",
-        "tokens.seg",
-        "postings-0.seg",
-        "postings-1.seg",
-        "postings-2.seg",
-    ];
-    for name in files {
-        let path = dir.join(name);
-        let pristine = std::fs::read(&path).expect("read pristine");
-        let len = pristine.len();
-        assert!(len > 32, "{name} unexpectedly small");
-
-        // Truncations across the header/payload boundaries.
-        for cut in [0usize, 1, 4, 8, 12, 31, 32, 48, len / 2, len - 1] {
-            if cut >= len {
-                continue;
-            }
-            std::fs::write(&path, &pristine[..cut]).expect("truncate");
-            let err = segio::load_sharded(&manifest, LoadMode::ZeroCopy)
-                .expect_err(&format!("{name} truncated to {cut} must fail"));
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name} cut {cut}");
+    let path = dir.join("corpus.bin");
+    corpus.save_sharded(&path, 3).expect("save_sharded");
+    let pristine = std::fs::read(&path).expect("read pristine");
+    // A file that ends early is missing its last sections: dropping the
+    // postings shards from the last one down to all three fails at open.
+    let mut resharded = corpus.clone();
+    resharded.reshard(3);
+    let mut cut = pristine.len();
+    for (i, bytes) in resharded.shard_postings_bytes().iter().enumerate().rev() {
+        cut -= *bytes as usize;
+        std::fs::write(&path, &pristine[..cut]).expect("truncate");
+        for mode in [LoadMode::Copy, LoadMode::ZeroCopy] {
+            let err = segio::load_sharded(&path, mode)
+                .expect_err(&format!("open must fail without shards {i}.."));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "shards {i}..");
         }
-
-        // Single-bit flips: magic, version, crc field, header fields,
-        // payload start / middle / end.
-        for &(offset, mask) in &[
-            (0usize, 0x01u8),
-            (5, 0x80),
-            (9, 0x01),
-            (13, 0x40),
-            (20, 0x01),
-            (33, 0x02),
-            (len / 2, 0x10),
-            (len - 1, 0x01),
-        ] {
-            let mut flipped = pristine.clone();
-            flipped[offset] ^= mask;
-            std::fs::write(&path, &flipped).expect("write flipped");
-            let err = segio::load_sharded(&manifest, LoadMode::ZeroCopy).expect_err(&format!(
-                "{name} with bit {mask:#04x} flipped at {offset} must fail"
-            ));
-            assert_eq!(
-                err.kind(),
-                std::io::ErrorKind::InvalidData,
-                "{name} flip at {offset}"
-            );
-        }
-
-        std::fs::write(&path, &pristine).expect("restore");
     }
-    segio::load_sharded(&manifest, LoadMode::ZeroCopy).expect("pristine corpus still opens");
+    // No file at all fails at open too.
+    std::fs::remove_file(&path).expect("remove");
+    let err = segio::load_sharded(&path, LoadMode::ZeroCopy).expect_err("missing file");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    std::fs::write(&path, &pristine).expect("restore");
+    segio::load_sharded(&path, LoadMode::ZeroCopy).expect("restored corpus opens");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

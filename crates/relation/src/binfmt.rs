@@ -13,13 +13,13 @@
 //!   Str  : rows × (u32 len + utf8)
 //! ```
 //!
-//! Version 2 (current) adds a CRC32 over everything after the checksum
-//! field, so a torn write, truncation, or silent single-bit flip anywhere
-//! in the frame is detected at decode time instead of yielding a
-//! plausible-but-wrong table. Version 1 frames (no checksum) remain
-//! readable for artifacts persisted by older runs.
+//! The CRC32 covers everything after the checksum field, so a torn
+//! write, truncation, or silent single-bit flip anywhere in the frame is
+//! detected at decode time instead of yielding a plausible-but-wrong
+//! table. Version 1 frames had no checksum; they are rejected as
+//! unsupported.
 
-use crate::atomic::{atomic_write, atomic_write_with, crc32};
+use esharp_storage::atomic::{atomic_write, atomic_write_with, crc32};
 use crate::column::Column;
 use esharp_fault::{FaultInjector, RetryPolicy};
 use crate::error::{RelError, RelResult};
@@ -76,8 +76,8 @@ pub fn encode_table(table: &Table) -> Bytes {
     buf.freeze()
 }
 
-/// Deserialize a table from the binary format. Accepts the current
-/// checksummed v2 frames and legacy v1 frames (no checksum).
+/// Deserialize a table from the binary format (checksummed v2 frames
+/// only).
 ///
 /// Decoding runs over a plain byte slice with bulk per-column loops
 /// (`chunks_exact` for the fixed-width types) instead of a per-value
@@ -87,30 +87,20 @@ pub fn encode_table(table: &Table) -> Bytes {
 pub fn decode_table(data: Bytes) -> RelResult<Table> {
     let err = |msg: &str| RelError::Eval(format!("binary table decode: {msg}"));
     let buf: &[u8] = &data;
-    if buf.len() < 4 + 2 + 4 + 8 {
+    if buf.len() < 4 + 2 + 4 + 4 + 8 {
         return Err(err("truncated header"));
     }
     if &buf[..4] != MAGIC {
         return Err(err("bad magic"));
     }
     let version = u16::from_le_bytes([buf[4], buf[5]]);
-    let mut off = 6usize;
-    match version {
-        1 => {}
-        2 => {
-            if buf.len() - off < 4 + 4 + 8 {
-                return Err(err("truncated header"));
-            }
-            let expected = u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]);
-            off += 4;
-            if crc32(&buf[off..]) != expected {
-                return Err(err("checksum mismatch"));
-            }
-        }
-        other => return Err(err(&format!("unsupported version {other}"))),
+    if version != VERSION {
+        return Err(err(&format!("unsupported version {version}")));
     }
-    if buf.len() - off < 4 + 8 {
-        return Err(err("truncated header"));
+    let expected = u32::from_le_bytes([buf[6], buf[7], buf[8], buf[9]]);
+    let mut off = 10usize;
+    if crc32(&buf[off..]) != expected {
+        return Err(err("checksum mismatch"));
     }
     let columns = u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]) as usize;
     off += 4;
@@ -218,12 +208,18 @@ pub fn decode_table(data: Bytes) -> RelResult<Table> {
 /// graph file and the checkpoint artifacts use.
 pub fn encode_frames(tables: &[Table]) -> Vec<u8> {
     let mut out = Vec::new();
+    encode_frames_into(&mut out, tables);
+    out
+}
+
+/// [`encode_frames`], appending to `out` (for containers that embed the
+/// frames after a header of their own).
+pub fn encode_frames_into(out: &mut Vec<u8>, tables: &[Table]) {
     for table in tables {
         let bytes = encode_table(table);
         out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
         out.extend_from_slice(&bytes);
     }
-    out
 }
 
 /// Decode a buffer of length-prefixed frames produced by
@@ -374,16 +370,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_remain_readable() {
-        let t = sample();
-        let v2 = encode_table(&t);
+    fn v1_frames_are_rejected() {
+        let v2 = encode_table(&sample());
         // A v1 frame is the same payload without the crc field.
         let mut v1 = Vec::new();
         v1.extend_from_slice(b"ESRT");
         v1.extend_from_slice(&1u16.to_le_bytes());
         v1.extend_from_slice(&v2[10..]);
-        let decoded = decode_table(Bytes::from(v1)).unwrap();
-        assert_eq!(decoded, t);
+        let err = decode_table(Bytes::from(v1)).unwrap_err();
+        assert!(err.to_string().contains("unsupported version 1"), "{err}");
     }
 
     #[test]

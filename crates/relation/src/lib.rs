@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod atomic;
 pub mod binfmt;
 mod catalog;
 pub mod csv;

@@ -15,13 +15,13 @@ fn pipeline_artifacts_round_trip_through_disk() {
 
     // Save all four artifacts.
     tb.world.save(dir.join("world.json")).unwrap();
-    tb.corpus.save(dir.join("corpus.json")).unwrap();
+    tb.corpus.save_binary(dir.join("corpus.bin")).unwrap();
     tb.esharp.domains().save(dir.join("domains.json")).unwrap();
     esharp_graph::io::save_graph(&tb.artifacts.graph, dir.join("graph.bin")).unwrap();
 
     // Reload and reassemble the online system from disk only.
     let world = World::load(dir.join("world.json")).unwrap();
-    let corpus = Corpus::load(dir.join("corpus.json")).unwrap();
+    let corpus = Corpus::load(dir.join("corpus.bin")).unwrap();
     let domains = DomainCollection::load(dir.join("domains.json")).unwrap();
     let graph = esharp_graph::io::load_graph(dir.join("graph.bin")).unwrap();
     let esharp = Esharp::new(domains, tb.config.clone());
