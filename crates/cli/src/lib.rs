@@ -14,6 +14,7 @@
 //! Performance is measured by the repo benchmark under `benchmark/`
 //! (see `benchmark/README.md` and PERF.md), not here.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use esharp_graph::MultiGraph;

@@ -23,6 +23,7 @@
 //! Figure 6 [`SizeHistogram`], Figure 7 [`neighborhood_of_term`], and
 //! ground-truth quality metrics ([`nmi`], [`ari`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

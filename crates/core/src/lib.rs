@@ -36,6 +36,7 @@
 //! baseline), `esharp-eval` (experiments), `esharp-serve` (HTTP serving),
 //! `esharp-cli` (the `esharp` and `repro` binaries).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

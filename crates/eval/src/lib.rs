@@ -12,6 +12,7 @@
 //! functions in [`experiments`]. The `esharp-cli` crate's `repro`
 //! binary drives all of them and writes EXPERIMENTS.md data.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod crowd;

@@ -16,6 +16,7 @@
 //! e# itself (`esharp-core`) wraps this detector with query expansion; per
 //! the paper it "can work with any Expertise Retrieval system".
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

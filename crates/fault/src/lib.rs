@@ -50,6 +50,7 @@
 //! * [`breaker`] — [`ShardBreakers`], per-shard circuit breakers with a
 //!   health epoch the serve result cache keys on.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -11,6 +11,7 @@
 //! come out. [`relation_io`] converts graphs to/from the relational tables
 //! the Figure 4 SQL operates on.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -26,6 +26,7 @@
 //! streaming path can never drift from the weekly-rebuild semantics it
 //! replaces.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -33,7 +33,7 @@
 
 use crate::ops::{Applied, BatchCheck, IngestOp};
 use esharp_fault::{fault_error, Fault, FaultInjector, NoFaults, RetryPolicy, TRANSIENT_KIND};
-use esharp_microblog::segio::{self, LoadMode};
+use esharp_microblog::segio;
 use esharp_microblog::{Corpus, TweetId};
 use esharp_storage::atomic::{atomic_write, atomic_write_with, crc32};
 use std::fs::{self, OpenOptions};
@@ -245,7 +245,7 @@ impl LiveCorpus {
         }
         let _ = fs::remove_file(persistence.next_path());
 
-        let mut corpus = segio::decode(&base_bytes, LoadMode::Copy)?;
+        let mut corpus = segio::decode(&base_bytes)?;
         let tail = match fs::read(&persistence.oplog_path) {
             Ok(log_bytes) => replay_oplog(&persistence.oplog_path, &log_bytes, base_crc, &mut corpus)?,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
@@ -412,7 +412,7 @@ impl LiveCorpus {
             // (the write "succeeds") must be caught *before* the rename
             // can shadow the last known-good base.
             let written = fs::read(&next)?;
-            if let Err(e) = segio::decode(&written, LoadMode::Copy) {
+            if let Err(e) = segio::decode(&written) {
                 let _ = fs::remove_file(&next);
                 return Err(io::Error::other(format!(
                     "compacted base failed verification, keeping previous base: {e}"
@@ -701,7 +701,8 @@ mod tests {
     }
 
     fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("esharp_ingest_live_{name}"));
+        let dir =
+            std::env::temp_dir().join(format!("esharp_ingest_live_{name}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir

@@ -16,7 +16,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("esharp_crashsafety_ingest_{name}"));
+    let dir = std::env::temp_dir().join(format!(
+        "esharp_crashsafety_ingest_{name}_{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir

@@ -1,6 +1,5 @@
 //! The corpus: users, tweets and the indexes the expert detector needs.
 
-use crate::arena::CorpusArena;
 use crate::columns::TweetColumns;
 use crate::index::{intersect, PostingsIndex};
 use crate::intern::SymbolTable;
@@ -37,11 +36,9 @@ pub struct Corpus {
     /// Token text ↔ dense id.
     symbols: SymbolTable,
     /// Tweet `t`'s tokens (in text order, duplicates kept) are
-    /// `token_ids[token_offsets[t] .. token_offsets[t + 1]]`. Either
-    /// owned (build / copy load) or borrowed zero-copy from a loaded
-    /// corpus file; appends materialize them copy-on-write.
-    token_offsets: CorpusArena,
-    token_ids: CorpusArena,
+    /// `token_ids[token_offsets[t] .. token_offsets[t + 1]]`.
+    token_offsets: Vec<u32>,
+    token_ids: Vec<TokenId>,
     /// token id → sorted tweet ids containing it (base segment only).
     postings: PostingsIndex,
     /// handle → user id.
@@ -65,85 +62,41 @@ pub struct Corpus {
 
 impl Corpus {
     /// Build an indexed corpus from users and tweets. Tweet and user ids
-    /// must equal their indices. Tokenization and interning happen here —
-    /// this is the only place tweet text is ever tokenized.
+    /// must equal their indices. The same steps as the streaming
+    /// `CorpusBuilder`, over a tweet list already in memory.
     pub fn new(users: Vec<User>, tweets: Vec<Tweet>) -> Corpus {
-        let mut handle_index = HashMap::with_capacity(users.len());
-        for u in &users {
-            handle_index.insert(u.handle.clone(), u.id);
+        let mut builder = CorpusBuilder::new(users);
+        for tweet in &tweets {
+            builder.index(tweet);
         }
-        let columns = TweetColumns::from_tweets(users.len(), &tweets);
-        let mut symbols = SymbolTable::new();
-        let mut token_offsets = Vec::with_capacity(tweets.len() + 1);
-        let mut token_ids: Vec<TokenId> = Vec::new();
-        token_offsets.push(0);
-        for t in &tweets {
-            for token in tokenize(&t.text) {
-                token_ids.push(symbols.intern(&token));
-            }
-            token_offsets.push(token_ids.len() as u32);
-        }
-        let postings = PostingsIndex::build(
-            symbols.len(),
-            token_offsets.windows(2).map(|w| &token_ids[w[0] as usize..w[1] as usize]),
-        );
-        let base_tweets = tweets.len() as u32;
-        let base_tokens = symbols.len() as u32;
-        Corpus {
-            users,
-            tweets,
-            symbols,
-            token_offsets: CorpusArena::Owned(token_offsets),
-            token_ids: CorpusArena::Owned(token_ids),
-            postings,
-            handle_index,
-            columns,
-            base_tweets,
-            base_tokens,
-            delta_postings: HashMap::new(),
-            tombstones: Vec::new(),
-        }
+        builder.tweets = tweets;
+        builder.finish()
     }
 
-    /// Reassemble a corpus from pre-built interned parts (the corpus file
-    /// load — no re-tokenization, no postings rebuild). Only the two small
-    /// hash indexes (handle → user, token text → id) and the rank-side
-    /// columns are reconstructed.
-    /// The token arenas and postings may be owned or zero-copy views.
-    #[allow(clippy::too_many_arguments)]
+    /// Assemble a corpus with an empty delta from its interned parts: where
+    /// every constructor ends (the build, the corpus file load — no
+    /// re-tokenization, no postings rebuild — and compaction). Only the
+    /// handle index and the base watermarks are derived here.
     pub(crate) fn from_parts(
         users: Vec<User>,
         tweets: Vec<Tweet>,
         symbols: SymbolTable,
-        token_offsets: CorpusArena,
-        token_ids: CorpusArena,
+        token_offsets: Vec<u32>,
+        token_ids: Vec<TokenId>,
         postings: PostingsIndex,
-        tweets_by_user: Vec<u64>,
-        mentions_of_user: Vec<u64>,
-        retweets_of_user: Vec<u64>,
+        columns: TweetColumns,
     ) -> Corpus {
-        let mut handle_index = HashMap::with_capacity(users.len());
-        for u in &users {
-            handle_index.insert(u.handle.clone(), u.id);
-        }
-        let columns = TweetColumns::from_tweets(users.len(), &tweets).with_totals(
-            &tweets_by_user,
-            &mentions_of_user,
-            &retweets_of_user,
-        );
-        let base_tweets = tweets.len() as u32;
-        let base_tokens = symbols.len() as u32;
         Corpus {
+            handle_index: users.iter().map(|u| (u.handle.clone(), u.id)).collect(),
+            base_tweets: tweets.len() as u32,
+            base_tokens: symbols.len() as u32,
             users,
             tweets,
             symbols,
             token_offsets,
             token_ids,
             postings,
-            handle_index,
             columns,
-            base_tweets,
-            base_tokens,
             delta_postings: HashMap::new(),
             tombstones: Vec::new(),
         }
@@ -172,8 +125,8 @@ impl Corpus {
     /// A tweet's interned tokens, in text order (duplicates kept).
     pub fn tweet_tokens(&self, id: TweetId) -> &[TokenId] {
         let t = id as usize;
-        let offsets = self.token_offsets.as_slice();
-        &self.token_ids.as_slice()[offsets[t] as usize..offsets[t + 1] as usize]
+        let offsets = &self.token_offsets;
+        &self.token_ids[offsets[t] as usize..offsets[t + 1] as usize]
     }
 
     /// The id of a token text, if interned anywhere in the corpus.
@@ -367,14 +320,6 @@ impl Corpus {
         self.postings.shards().iter().map(|s| s.byte_size()).collect()
     }
 
-    /// True when any arena borrows from a loaded corpus file's buffer
-    /// (the zero-copy load path).
-    pub fn is_zero_copy(&self) -> bool {
-        self.token_offsets.is_shared()
-            || self.token_ids.is_shared()
-            || self.postings.is_zero_copy()
-    }
-
     /// The postings index (read-only; used by the corpus file writer).
     pub(crate) fn postings_index(&self) -> &PostingsIndex {
         &self.postings
@@ -383,7 +328,7 @@ impl Corpus {
     /// The flat per-tweet token columns `(offsets, ids)` (used by the
     /// corpus file writer).
     pub(crate) fn token_arena_parts(&self) -> (&[u32], &[TokenId]) {
-        (self.token_offsets.as_slice(), self.token_ids.as_slice())
+        (&self.token_offsets, &self.token_ids)
     }
 
     /// Approximate corpus payload size in bytes.
@@ -452,7 +397,7 @@ impl Corpus {
         self.columns.push(&tweet);
         for token in tokenize(&tweet.text) {
             let tok = self.symbols.intern(&token);
-            self.token_ids.make_owned().push(tok);
+            self.token_ids.push(tok);
             let list = self.delta_postings.entry(tok).or_default();
             // Appended ids are monotonic, so dedup needs only a last-entry
             // check and every delta list stays sorted by construction.
@@ -460,8 +405,7 @@ impl Corpus {
                 list.push(id);
             }
         }
-        let token_total = self.token_ids.len() as u32;
-        self.token_offsets.make_owned().push(token_total);
+        self.token_offsets.push(self.token_ids.len() as u32);
         self.tweets.push(tweet);
         Ok(id)
     }
@@ -576,8 +520,6 @@ impl Corpus {
             symbols.len(),
             token_offsets.windows(2).map(|w| &token_ids[w[0] as usize..w[1] as usize]),
         );
-        let base_tweets = tweets.len() as u32;
-        let base_tokens = symbols.len() as u32;
         // Compaction preserves the shard layout: the delta folds into a
         // fresh single-shard build, re-cut to the old K so a sharded
         // serving layout survives ingest churn (no-op for K = 1).
@@ -587,36 +529,29 @@ impl Corpus {
         } else {
             postings
         };
-        let compacted = Corpus {
-            users: self.users.clone(),
+        let compacted = Corpus::from_parts(
+            self.users.clone(),
             tweets,
             symbols,
-            token_offsets: CorpusArena::Owned(token_offsets),
-            token_ids: CorpusArena::Owned(token_ids),
+            token_offsets,
+            token_ids,
             postings,
-            handle_index: self.handle_index.clone(),
             columns,
-            base_tweets,
-            base_tokens,
-            delta_postings: HashMap::new(),
-            tombstones: Vec::new(),
-        };
+        );
         (compacted, map)
     }
 }
 
-/// Incremental corpus construction: [`Corpus::new`] decomposed into a
-/// push-per-tweet form so a generator can tokenize, intern and total
-/// each tweet as it is produced instead of materializing the whole
-/// tweet list first and then re-walking it. `finish` runs the same
-/// counting-sort postings build, so for the same users and tweet
-/// sequence the result is bit-identical to [`Corpus::new`] — the
-/// million-user synthetic scale is built this way with peak memory
-/// equal to the finished corpus.
+/// Incremental corpus construction, the one build path: a generator
+/// pushes each tweet as it is produced (tokenized, interned and totalled
+/// on the spot) instead of materializing the whole tweet list first and
+/// then re-walking it, and [`Corpus::new`] runs the same steps over a
+/// list already in memory, so for the same users and tweet sequence the
+/// two are bit-identical — the million-user synthetic scale is built this
+/// way with peak memory equal to the finished corpus.
 pub(crate) struct CorpusBuilder {
     users: Vec<User>,
     tweets: Vec<Tweet>,
-    handle_index: HashMap<String, UserId>,
     symbols: SymbolTable,
     token_offsets: Vec<u32>,
     token_ids: Vec<TokenId>,
@@ -626,19 +561,14 @@ pub(crate) struct CorpusBuilder {
 impl CorpusBuilder {
     /// Start a build over a fixed user table (tweets stream in after).
     pub(crate) fn new(users: Vec<User>) -> CorpusBuilder {
-        let mut handle_index = HashMap::with_capacity(users.len());
-        for u in &users {
-            handle_index.insert(u.handle.clone(), u.id);
-        }
-        let n = users.len();
+        let columns = TweetColumns::with_capacity(users.len(), 0);
         CorpusBuilder {
             users,
             tweets: Vec::new(),
-            handle_index,
             symbols: SymbolTable::new(),
             token_offsets: vec![0],
             token_ids: Vec::new(),
-            columns: TweetColumns::with_capacity(n, 0),
+            columns,
         }
     }
 
@@ -652,16 +582,21 @@ impl CorpusBuilder {
         self.tweets.len() as TweetId
     }
 
-    /// Ingest one tweet: update per-user totals, tokenize and intern its
-    /// text into the CSR arena, and retain it.
+    /// Ingest one tweet: index it and retain it.
     pub(crate) fn push_tweet(&mut self, tweet: Tweet) {
         debug_assert_eq!(tweet.id, self.next_tweet_id());
-        self.columns.push(&tweet);
+        self.index(&tweet);
+        self.tweets.push(tweet);
+    }
+
+    /// Count the next tweet into the columns and per-user totals, and
+    /// tokenize and intern its text into the CSR arena.
+    fn index(&mut self, tweet: &Tweet) {
+        self.columns.push(tweet);
         for token in tokenize(&tweet.text) {
             self.token_ids.push(self.symbols.intern(&token));
         }
         self.token_offsets.push(self.token_ids.len() as u32);
-        self.tweets.push(tweet);
     }
 
     /// Build the postings index and assemble the corpus.
@@ -672,22 +607,15 @@ impl CorpusBuilder {
                 .windows(2)
                 .map(|w| &self.token_ids[w[0] as usize..w[1] as usize]),
         );
-        let base_tweets = self.tweets.len() as u32;
-        let base_tokens = self.symbols.len() as u32;
-        Corpus {
-            users: self.users,
-            tweets: self.tweets,
-            symbols: self.symbols,
-            token_offsets: CorpusArena::Owned(self.token_offsets),
-            token_ids: CorpusArena::Owned(self.token_ids),
+        Corpus::from_parts(
+            self.users,
+            self.tweets,
+            self.symbols,
+            self.token_offsets,
+            self.token_ids,
             postings,
-            handle_index: self.handle_index,
-            columns: self.columns,
-            base_tweets,
-            base_tokens,
-            delta_postings: HashMap::new(),
-            tombstones: Vec::new(),
-        }
+            self.columns,
+        )
     }
 }
 
@@ -855,7 +783,8 @@ mod tests {
     #[test]
     fn save_load_round_trip_rebuilds_indexes() {
         let c = corpus();
-        let dir = std::env::temp_dir().join("esharp_corpus_io_test");
+        let dir =
+            std::env::temp_dir().join(format!("esharp_corpus_io_test_{}", std::process::id()));
         let path = dir.join("corpus.bin");
         c.save_binary(&path).unwrap();
         let back = Corpus::load(&path).unwrap();
@@ -982,7 +911,10 @@ mod tests {
     fn delta_corpus_refuses_save() {
         let mut c = corpus();
         c.append_tweet("alice", "ephemeral").unwrap();
-        let dir = std::env::temp_dir().join("esharp_corpus_delta_save_test");
+        let dir = std::env::temp_dir().join(format!(
+            "esharp_corpus_delta_save_test_{}",
+            std::process::id()
+        ));
         assert!(c.save_binary(dir.join("c.bin")).is_err());
         let compacted = c.compact();
         assert!(compacted.save_binary(dir.join("c.bin")).is_ok());

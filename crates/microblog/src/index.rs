@@ -16,15 +16,14 @@
 //! persists and the scatter-gather match path fans out over.
 //! Because a token's posting list is identical no matter which shard
 //! holds it, every query result is bit-identical at any shard count.
-//! Shard arenas are [`CorpusArena`]s, so a shard can either own its
-//! columns or borrow them zero-copy from a loaded corpus file.
+//! A shard owns its two columns as plain `Vec<u32>`s, whether it was
+//! built in memory or decoded from the corpus file.
 //!
 //! Intersections pick their algorithm by skew: near-equal list lengths use
 //! the linear merge, while a rare term against a head term gallops
 //! (exponential probe + binary search) through the long list, turning the
 //! `O(|a|+|b|)` scan into `O(|a| log |b|)`.
 
-use crate::arena::CorpusArena;
 use crate::types::{TokenId, TweetId};
 
 /// When the longer list is at least this many times the shorter one,
@@ -41,8 +40,8 @@ const GALLOP_SKEW: usize = 16;
 pub struct PostingsShard {
     token_start: u32,
     token_end: u32,
-    offsets: CorpusArena,
-    arena: CorpusArena,
+    offsets: Vec<u32>,
+    arena: Vec<TweetId>,
 }
 
 impl PostingsShard {
@@ -52,8 +51,8 @@ impl PostingsShard {
     pub fn new(
         token_start: u32,
         token_end: u32,
-        offsets: CorpusArena,
-        arena: CorpusArena,
+        offsets: Vec<u32>,
+        arena: Vec<TweetId>,
     ) -> Result<PostingsShard, String> {
         if token_start > token_end {
             return Err(format!(
@@ -90,24 +89,17 @@ impl PostingsShard {
     /// The sorted posting list of `token` (which must be in range).
     pub fn postings(&self, token: TokenId) -> &[TweetId] {
         let t = (token - self.token_start) as usize;
-        let offsets = self.offsets.as_slice();
-        &self.arena.as_slice()[offsets[t] as usize..offsets[t + 1] as usize]
+        &self.arena[self.offsets[t] as usize..self.offsets[t + 1] as usize]
     }
 
     /// The shard's flat columns: `(offsets, arena)`, offsets shard-local.
     pub fn parts(&self) -> (&[u32], &[TweetId]) {
-        (self.offsets.as_slice(), self.arena.as_slice())
+        (&self.offsets, &self.arena)
     }
 
     /// Payload bytes of this shard (postings arena + offsets).
     pub fn byte_size(&self) -> u64 {
         (self.arena.len() as u64 + self.offsets.len() as u64) * 4
-    }
-
-    /// True when the shard borrows its columns from a shared segment
-    /// buffer instead of owning them.
-    pub fn is_zero_copy(&self) -> bool {
-        self.arena.is_shared() || self.offsets.is_shared()
     }
 }
 
@@ -169,8 +161,8 @@ impl PostingsIndex {
             shards: vec![PostingsShard {
                 token_start: 0,
                 token_end: num_tokens as u32,
-                offsets: CorpusArena::Owned(offsets),
-                arena: CorpusArena::Owned(arena),
+                offsets,
+                arena,
             }],
         }
     }
@@ -196,7 +188,7 @@ impl PostingsIndex {
     /// balanced by postings bytes: boundaries are chosen so shard `i`
     /// ends once the running arena total crosses `i/k` of the whole.
     /// Hot-token skew is bounded by one token's list per shard — a single
-    /// token's postings are never split. Always produces owned shards.
+    /// token's postings are never split.
     pub fn resharded(&self, k: usize) -> PostingsIndex {
         let num_tokens = self.num_tokens();
         let k = k.clamp(1, num_tokens.max(1));
@@ -225,8 +217,8 @@ impl PostingsIndex {
                 shards.push(PostingsShard {
                     token_start,
                     token_end: token + 1,
-                    offsets: CorpusArena::Owned(std::mem::replace(&mut offsets, vec![0])),
-                    arena: CorpusArena::Owned(std::mem::take(&mut arena)),
+                    offsets: std::mem::replace(&mut offsets, vec![0]),
+                    arena: std::mem::take(&mut arena),
                 });
                 token_start = token + 1;
             }
@@ -234,8 +226,8 @@ impl PostingsIndex {
         shards.push(PostingsShard {
             token_start,
             token_end: num_tokens as u32,
-            offsets: CorpusArena::Owned(offsets),
-            arena: CorpusArena::Owned(arena),
+            offsets,
+            arena,
         });
         PostingsIndex { shards }
     }
@@ -280,11 +272,6 @@ impl PostingsIndex {
     /// Total postings entries across all shards.
     pub fn arena_len(&self) -> usize {
         self.shards.iter().map(|s| s.arena.len()).sum()
-    }
-
-    /// True when any shard borrows from a shared segment buffer.
-    pub fn is_zero_copy(&self) -> bool {
-        self.shards.iter().any(PostingsShard::is_zero_copy)
     }
 }
 
@@ -468,13 +455,7 @@ mod tests {
     #[test]
     fn from_shards_requires_contiguous_coverage() {
         let shard = |start: u32, end: u32| {
-            PostingsShard::new(
-                start,
-                end,
-                CorpusArena::Owned(vec![0; (end - start) as usize + 1]),
-                CorpusArena::Owned(vec![]),
-            )
-            .unwrap()
+            PostingsShard::new(start, end, vec![0; (end - start) as usize + 1], vec![]).unwrap()
         };
         assert!(PostingsIndex::from_shards(vec![shard(0, 2), shard(2, 5)]).is_ok());
         assert!(PostingsIndex::from_shards(vec![shard(1, 2)]).is_err(), "gap at 0");
@@ -490,26 +471,11 @@ mod tests {
 
     #[test]
     fn shard_validation_rejects_bad_offsets() {
-        let ok = PostingsShard::new(
-            0,
-            2,
-            CorpusArena::Owned(vec![0, 1, 2]),
-            CorpusArena::Owned(vec![5, 7]),
-        );
+        let ok = PostingsShard::new(0, 2, vec![0, 1, 2], vec![5, 7]);
         assert!(ok.is_ok());
-        let wrong_len = PostingsShard::new(
-            0,
-            2,
-            CorpusArena::Owned(vec![0, 2]),
-            CorpusArena::Owned(vec![5, 7]),
-        );
+        let wrong_len = PostingsShard::new(0, 2, vec![0, 2], vec![5, 7]);
         assert!(wrong_len.is_err());
-        let not_monotone = PostingsShard::new(
-            0,
-            2,
-            CorpusArena::Owned(vec![0, 2, 1]),
-            CorpusArena::Owned(vec![5, 7]),
-        );
+        let not_monotone = PostingsShard::new(0, 2, vec![0, 2, 1], vec![5, 7]);
         assert!(not_monotone.is_err());
     }
 

@@ -18,10 +18,10 @@
 //!   topically concentrated experts and short posts (the recall problem
 //!   e# exists to fix).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod arena;
 pub mod bounded;
 mod columns;
 mod corpus;
@@ -32,7 +32,6 @@ mod synth;
 pub mod tokenize;
 mod types;
 
-pub use arena::{AlignedBuf, CorpusArena};
 pub use bounded::{BoundedSearch, ShardOutcome};
 pub use columns::{TweetColumns, UserTotals, NO_RETWEET};
 pub use corpus::Corpus;

@@ -26,13 +26,14 @@
 //! Structural checks then cover what a well-formed checksum cannot vouch
 //! for: CSR offsets, id ranges and posting-list sortedness.
 //!
-//! The strings must be re-materialized as `String`s anyway, so the string
-//! section is read, decoded and freed on its own. The body is read into
-//! one page-aligned [`AlignedBuf`]: [`LoadMode::ZeroCopy`] borrows the
-//! arenas out of it (N workers holding corpus clones share those bytes),
-//! [`LoadMode::Copy`] copies them into owned vectors and frees it.
+//! One reader decodes the file. [`Corpus::load`] reads the string
+//! section, decodes it into `String`s and frees it, then reads the body
+//! into one byte buffer; [`decode`] takes both from a slice already in
+//! memory. Either way `assemble` checks each body section's checksum and
+//! decodes its little-endian run straight into the owned `Vec<u32>`
+//! arenas the corpus keeps.
 
-use crate::arena::{AlignedBuf, CorpusArena};
+use crate::columns::TweetColumns;
 use crate::corpus::Corpus;
 use crate::index::{check_csr, PostingsIndex, PostingsShard};
 use crate::intern::SymbolTable;
@@ -57,13 +58,17 @@ const ENTRY: usize = 16;
 /// Frames in the string section.
 const GLOBAL_FRAMES: usize = 6;
 
-/// How the body's arenas enter memory.
+/// The load mode [`load_sharded`] takes. Both variants run the same
+/// loader, [`Corpus::load`], and give the same owned arenas: borrowing
+/// the arenas out of the file buffer loaded no faster than copying them
+/// (the buffer was a heap read of the whole file either way), so that
+/// mode was removed. The names stay because the repo benchmark calls
+/// `load_sharded` with both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadMode {
-    /// Copy the arenas into owned vectors and free the file buffer.
+    /// Owned arenas.
     Copy,
-    /// Borrow the arenas out of the page-aligned file buffer; the corpus
-    /// holds an `Arc` to it and copies nothing.
+    /// The same loader as [`LoadMode::Copy`].
     ZeroCopy,
 }
 
@@ -107,10 +112,15 @@ impl Corpus {
         self.save_sharded(path, 1)
     }
 
-    /// Open a corpus file with owned arenas
-    /// (`load_sharded(path, LoadMode::Copy)`).
+    /// Open the corpus file at `path`. The string section is read,
+    /// decoded and freed before the body is read.
     pub fn load(path: impl AsRef<Path>) -> io::Result<Corpus> {
-        load_sharded(path, LoadMode::Copy)
+        let mut file = std::fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        let head = read_header(&mut file, len)?;
+        let global = decode_strings(&read_vec(&mut file, head.body_at - head.head_len)?, &head)?;
+        let body = read_vec(&mut file, head.body_len)?;
+        assemble(&head, global, &body)
     }
 }
 
@@ -309,29 +319,34 @@ fn encode_global(corpus: &Corpus, out: &mut Vec<u8>) -> io::Result<()> {
 // Reading.
 // ---------------------------------------------------------------------
 
-/// Open the corpus file at `path`. The string section is read, decoded
-/// and freed before the body is read, so a zero-copy corpus keeps only
-/// the body resident.
-pub fn load_sharded(path: impl AsRef<Path>, mode: LoadMode) -> io::Result<Corpus> {
-    let mut file = std::fs::File::open(path)?;
-    let len = file.metadata()?.len();
-    let head = read_header(&mut file, len)?;
-    let global = {
-        let mut strings = vec![0u8; head.body_at - head.head_len];
-        file.read_exact(&mut strings)?;
-        decode_strings(&strings, &head)?
-    };
-    let body = AlignedBuf::read_from(&mut file, head.body_len)?;
-    assemble(&head, global, Arc::new(body), mode)
+/// [`Corpus::load`]; `mode` changes nothing (see [`LoadMode`]).
+pub fn load_sharded(path: impl AsRef<Path>, _mode: LoadMode) -> io::Result<Corpus> {
+    Corpus::load(path)
 }
 
-/// Decode corpus-file bytes already in memory: [`load_sharded`]'s
-/// steps over a slice.
-pub fn decode(bytes: &[u8], mode: LoadMode) -> io::Result<Corpus> {
+/// Decode corpus-file bytes already in memory: [`Corpus::load`]'s steps
+/// over a slice.
+pub fn decode(bytes: &[u8]) -> io::Result<Corpus> {
     let head = read_header(&mut &bytes[..], bytes.len() as u64)?;
     let global = decode_strings(&bytes[head.head_len..head.body_at], &head)?;
-    let body = AlignedBuf::from_bytes(&bytes[head.body_at..])?;
-    assemble(&head, global, Arc::new(body), mode)
+    assemble(&head, global, &bytes[head.body_at..])
+}
+
+/// Read exactly `len` bytes into a fresh vector. A length the allocator
+/// cannot hold is an error, not an abort.
+fn read_vec(src: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    buf.try_reserve_exact(len).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::OutOfMemory,
+            format!("corpus file: {len} bytes: {e}"),
+        )
+    })?;
+    src.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() != len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(buf)
 }
 
 /// One body section, as its table entry describes it.
@@ -462,35 +477,21 @@ fn decode_strings(strings: &[u8], head: &Header) -> io::Result<Global> {
     decode_global(&strings[..head.strings_len], head)
 }
 
-/// Check the body's sections and assemble the corpus, borrowing the
-/// arenas out of `body` or copying them by `mode`.
-fn assemble(
-    head: &Header,
-    global: Global,
-    body: Arc<AlignedBuf>,
-    mode: LoadMode,
-) -> io::Result<Corpus> {
-    let arena = |at: usize, words: usize| -> io::Result<CorpusArena> {
-        let mut arena = CorpusArena::shared(Arc::clone(&body), at, words).map_err(bad)?;
-        if mode == LoadMode::Copy {
-            arena.make_owned();
-        }
-        Ok(arena)
-    };
+/// Check each body section against its checksum, decode its
+/// little-endian runs into owned arenas, and assemble the corpus.
+fn assemble(head: &Header, global: Global, body: &[u8]) -> io::Result<Corpus> {
     // The sections lie back to back from the start of the body.
-    let mut at = 0;
-    let mut next_section = |s: &Section| -> io::Result<(CorpusArena, CorpusArena)> {
-        let bytes = to_usize(s.words() * 4)?;
-        if crc32(&body.as_slice()[at..at + bytes]) != s.crc {
+    let mut rest = body;
+    let mut next_section = |s: &Section| -> io::Result<(Vec<u32>, Vec<u32>)> {
+        let (bytes, tail) = rest
+            .split_at_checked(to_usize(s.words() * 4)?)
+            .ok_or_else(|| bad("body shorter than its sections"))?;
+        rest = tail;
+        if crc32(bytes) != s.crc {
             return Err(bad("body section checksum mismatch"));
         }
-        let offsets_len = (s.row_end - s.row_start) as usize + 1;
-        let section = (
-            arena(at, offsets_len)?,
-            arena(at + offsets_len * 4, s.arena_len as usize)?,
-        );
-        at += bytes;
-        Ok(section)
+        let (offsets, ids) = bytes.split_at((s.row_end - s.row_start) as usize * 4 + 4);
+        Ok((le_u32s(offsets), le_u32s(ids)))
     };
     let (token_offsets, token_ids) = next_section(&head.sections[0])?;
     check_csr(&token_offsets, token_ids.len()).map_err(|e| bad(format!("tweet tokens: {e}")))?;
@@ -516,6 +517,12 @@ fn assemble(
     }
     let postings = PostingsIndex::from_shards(shards).map_err(bad)?;
 
+    // The persisted per-user totals stay authoritative over the counted ones.
+    let columns = TweetColumns::from_tweets(global.users.len(), &global.tweets).with_totals(
+        &global.tweets_by_user,
+        &global.mentions_of_user,
+        &global.retweets_of_user,
+    );
     Ok(Corpus::from_parts(
         global.users,
         global.tweets,
@@ -523,10 +530,15 @@ fn assemble(
         token_offsets,
         token_ids,
         postings,
-        global.tweets_by_user,
-        global.mentions_of_user,
-        global.retweets_of_user,
+        columns,
     ))
+}
+
+fn le_u32s(bytes: &[u8]) -> Vec<u32> {
+    bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect()
 }
 
 struct Global {
@@ -751,7 +763,7 @@ mod tests {
     }
 
     fn dir(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(name);
+        let d = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
@@ -764,31 +776,27 @@ mod tests {
             let d = dir(&format!("esharp_segio_round_trip_{k}"));
             let path = d.join("corpus.bin");
             c.save_sharded(&path, k).unwrap();
-            for mode in [LoadMode::Copy, LoadMode::ZeroCopy] {
-                let back = load_sharded(&path, mode).unwrap();
-                assert_eq!(back.shard_count(), k);
-                assert_eq!(back.users().len(), c.users().len());
-                assert_eq!(back.tweets().len(), c.tweets().len());
-                assert_eq!(back.num_tokens(), c.num_tokens());
-                for t in 0..c.num_tokens() as u32 {
-                    assert_eq!(back.postings(t), c.postings(t));
-                    assert_eq!(back.token_text(t), c.token_text(t));
-                }
-                for id in 0..c.tweets().len() as u32 {
-                    assert_eq!(back.tweet_tokens(id), c.tweet_tokens(id));
-                }
-                assert_eq!(
-                    back.match_query("49ers draft"),
-                    c.match_query("49ers draft")
-                );
-                assert_eq!(
-                    back.is_zero_copy(),
-                    mode == LoadMode::ZeroCopy && cfg!(target_endian = "little")
-                );
-                // Re-encoding at one shard count is byte-identical
-                // whatever shard count and load mode the corpus came from.
-                assert_eq!(encode(&back, 1).unwrap(), encode(&c, 1).unwrap());
+            let back = load_sharded(&path, LoadMode::Copy).unwrap();
+            let zero_copy = load_sharded(&path, LoadMode::ZeroCopy).unwrap();
+            assert_eq!(encode(&back, k).unwrap(), encode(&zero_copy, k).unwrap());
+            assert_eq!(back.shard_count(), k);
+            assert_eq!(back.users().len(), c.users().len());
+            assert_eq!(back.tweets().len(), c.tweets().len());
+            assert_eq!(back.num_tokens(), c.num_tokens());
+            for t in 0..c.num_tokens() as u32 {
+                assert_eq!(back.postings(t), c.postings(t));
+                assert_eq!(back.token_text(t), c.token_text(t));
             }
+            for id in 0..c.tweets().len() as u32 {
+                assert_eq!(back.tweet_tokens(id), c.tweet_tokens(id));
+            }
+            assert_eq!(
+                back.match_query("49ers draft"),
+                c.match_query("49ers draft")
+            );
+            // Re-encoding at one shard count is byte-identical whatever
+            // shard count the corpus came from.
+            assert_eq!(encode(&back, 1).unwrap(), encode(&c, 1).unwrap());
             let _ = std::fs::remove_dir_all(d);
         }
     }
@@ -801,7 +809,6 @@ mod tests {
         c.save_sharded(&path, 2).unwrap();
         let back = Corpus::load(&path).unwrap();
         assert_eq!(back.shard_count(), 2);
-        assert!(!back.is_zero_copy(), "Corpus::load copies");
         assert_eq!(back.match_query("niners"), c.match_query("niners"));
         let _ = std::fs::remove_dir_all(d);
     }
@@ -818,20 +825,31 @@ mod tests {
             .map(Section::words)
             .sum();
         let cut = bytes.len() - postings_words as usize * 4;
-        let err = decode(&bytes[..cut], LoadMode::ZeroCopy).unwrap_err();
+        let err = decode(&bytes[..cut]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
-    fn zero_copy_appends_work_via_copy_on_write() {
+    fn appends_after_a_load_are_searchable() {
         let c = sample();
-        let d = dir("esharp_segio_cow");
+        let d = dir("esharp_segio_append");
         let path = d.join("corpus.bin");
         c.save_sharded(&path, 2).unwrap();
-        let mut back = load_sharded(&path, LoadMode::ZeroCopy).unwrap();
+        let mut back = Corpus::load(&path).unwrap();
         let id = back.append_tweet("alice", "the niners draft steal").unwrap();
         assert_eq!(back.match_query("steal"), vec![id]);
         assert_eq!(back.match_query("draft"), vec![0, 1, id]);
         let _ = std::fs::remove_dir_all(d);
+    }
+
+    #[test]
+    fn lengths_no_allocation_can_hold_are_rejected() {
+        for len in [isize::MAX as usize, usize::MAX] {
+            let err = read_vec(&mut io::empty(), len).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::OutOfMemory, "{len}");
+        }
+        let err = read_vec(&mut &[1u8, 2][..], 3).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(read_vec(&mut &[1u8, 2, 3][..], 2).unwrap(), [1, 2]);
     }
 }

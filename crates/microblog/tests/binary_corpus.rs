@@ -5,8 +5,8 @@
 //! panics and never yields a plausible-but-wrong corpus. These tests
 //! drive that contract mechanically over two corpora (a built one and one
 //! that went through appends, deletes and compaction), at one and three
-//! postings shards, in both load modes: every truncation length, every
-//! single-bit flip, trailing bytes, and files of the older formats.
+//! postings shards, from memory and from disk: every truncation length,
+//! every single-bit flip, trailing bytes, and files of the older formats.
 
 use esharp_microblog::segio::{self, LoadMode};
 use esharp_microblog::{Corpus, Tweet, User};
@@ -14,7 +14,6 @@ use std::io::ErrorKind;
 use std::path::PathBuf;
 
 const SHARDS: [usize; 2] = [1, 3];
-const MODES: [LoadMode; 2] = [LoadMode::Copy, LoadMode::ZeroCopy];
 
 fn user(id: u32, handle: &str, followers: u64, verified: bool) -> User {
     User {
@@ -126,11 +125,9 @@ fn assert_equivalent(a: &Corpus, b: &Corpus) {
 }
 
 fn assert_rejected(bytes: &[u8], what: &str) {
-    for mode in MODES {
-        match segio::decode(bytes, mode) {
-            Ok(_) => panic!("{what} was accepted in {mode:?}"),
-            Err(e) => assert_eq!(e.kind(), ErrorKind::InvalidData, "{what} in {mode:?}: {e}"),
-        }
+    match segio::decode(bytes) {
+        Ok(_) => panic!("{what} was accepted"),
+        Err(e) => assert_eq!(e.kind(), ErrorKind::InvalidData, "{what}: {e}"),
     }
 }
 
@@ -148,24 +145,50 @@ fn clean_bytes_round_trip() {
     for (name, corpus) in fixtures() {
         for k in SHARDS {
             let bytes = segio::encode(&corpus, k).unwrap();
-            for mode in MODES {
-                let back = segio::decode(&bytes, mode).unwrap();
-                assert_equivalent(&corpus, &back);
-                assert_eq!(back.shard_count(), k, "{name} K={k} {mode:?}");
-                // Re-encoding any loaded K and mode at a fixed K gives
-                // identical bytes.
-                for fixed in SHARDS {
-                    assert_eq!(
-                        segio::encode(&back, fixed).unwrap(),
-                        segio::encode(&corpus, fixed).unwrap(),
-                        "{name} loaded at K={k} {mode:?}, re-encoded at K={fixed}"
-                    );
-                }
+            let back = segio::decode(&bytes).unwrap();
+            assert_equivalent(&corpus, &back);
+            assert_eq!(back.shard_count(), k, "{name} K={k}");
+            // Re-encoding any loaded K at a fixed K gives identical bytes.
+            for fixed in SHARDS {
+                assert_eq!(
+                    segio::encode(&back, fixed).unwrap(),
+                    segio::encode(&corpus, fixed).unwrap(),
+                    "{name} loaded at K={k}, re-encoded at K={fixed}"
+                );
             }
         }
     }
     // The matrix below only tests the pad if some file has one.
     assert!(files().iter().any(|(_, bytes)| pad_len(bytes) > 0));
+}
+
+#[test]
+fn decode_and_load_agree_on_every_fixture() {
+    // `decode` (bytes in memory) and the file loader are one reader; the
+    // two `LoadMode`s are one loader.
+    let dir = tmpdir("agree");
+    let path = dir.join("corpus.bin");
+    for (name, bytes) in files() {
+        std::fs::write(&path, &bytes).unwrap();
+        let from_memory = segio::decode(&bytes).unwrap();
+        let copy = segio::load_sharded(&path, LoadMode::Copy).unwrap();
+        let zero_copy = segio::load_sharded(&path, LoadMode::ZeroCopy).unwrap();
+        assert_equivalent(&from_memory, &copy);
+        for k in SHARDS {
+            let want = segio::encode(&from_memory, k).unwrap();
+            assert_eq!(
+                segio::encode(&copy, k).unwrap(),
+                want,
+                "{name}: Copy at K={k}"
+            );
+            assert_eq!(
+                segio::encode(&zero_copy, k).unwrap(),
+                want,
+                "{name}: ZeroCopy at K={k}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -177,10 +200,8 @@ fn every_truncation_length_is_rejected() {
             let what = format!("{name} truncated to {cut}/{}", bytes.len());
             assert_rejected(&bytes[..cut], &what);
             std::fs::write(&path, &bytes[..cut]).unwrap();
-            for mode in MODES {
-                let err = segio::load_sharded(&path, mode).expect_err(&what);
-                assert_eq!(err.kind(), ErrorKind::InvalidData, "{what} {mode:?} from disk");
-            }
+            let err = Corpus::load(&path).expect_err(&what);
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{what} from disk");
         }
     }
     let _ = std::fs::remove_dir_all(dir);
@@ -211,9 +232,7 @@ fn trailing_garbage_is_rejected() {
             let what = format!("{name} with {extra} trailing bytes");
             assert_rejected(&long, &what);
             std::fs::write(&path, &long).unwrap();
-            for mode in MODES {
-                assert!(segio::load_sharded(&path, mode).is_err(), "{what} from disk");
-            }
+            assert!(Corpus::load(&path).is_err(), "{what} from disk");
         }
     }
     let _ = std::fs::remove_dir_all(dir);
@@ -226,11 +245,9 @@ fn two_files_in_one_directory_reopen_to_their_own_corpus() {
     a.save_sharded(dir.join("a.bin"), 3).unwrap();
     b.save_sharded(dir.join("b.bin"), 3).unwrap();
     a.save_binary(dir.join("a1.bin")).unwrap();
-    for mode in MODES {
-        assert_equivalent(&a, &segio::load_sharded(dir.join("a.bin"), mode).unwrap());
-        assert_equivalent(&b, &segio::load_sharded(dir.join("b.bin"), mode).unwrap());
-        assert_equivalent(&a, &segio::load_sharded(dir.join("a1.bin"), mode).unwrap());
-    }
+    assert_equivalent(&a, &Corpus::load(dir.join("a.bin")).unwrap());
+    assert_equivalent(&b, &Corpus::load(dir.join("b.bin")).unwrap());
+    assert_equivalent(&a, &Corpus::load(dir.join("a1.bin")).unwrap());
     // Nothing but the three files (the atomic writer's temporaries are
     // renamed away).
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3);
@@ -255,10 +272,8 @@ fn older_formats_fail_with_a_rebuild_hint() {
         ("corpus.manifest", old_manifest),
         ("another version", next_version),
     ] {
-        for mode in MODES {
-            let err = segio::decode(&bytes, mode).expect_err(what);
-            assert_eq!(err.kind(), ErrorKind::InvalidData, "{what}");
-            assert!(err.to_string().contains("esharp build"), "{what}: {err}");
-        }
+        let err = segio::decode(&bytes).expect_err(what);
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{what}");
+        assert!(err.to_string().contains("esharp build"), "{what}: {err}");
     }
 }

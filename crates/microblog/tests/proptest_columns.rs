@@ -2,8 +2,7 @@
 //! holds, so they must equal a fresh derivation from the tweet table and
 //! the tombstones after every way a corpus can change or be rebuilt.
 
-use esharp_microblog::segio::load_sharded;
-use esharp_microblog::{Corpus, LoadMode, Tweet, User, UserTotals, NO_RETWEET};
+use esharp_microblog::{Corpus, Tweet, User, UserTotals, NO_RETWEET};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
@@ -148,9 +147,8 @@ proptest! {
                     corpus = corpus.compact();
                     let path = dir.join("sharded.bin");
                     corpus.save_sharded(&path, 1 + b as usize % 4).unwrap();
-                    let mode = if op == 9 { LoadMode::Copy } else { LoadMode::ZeroCopy };
-                    corpus = load_sharded(&path, mode).unwrap();
-                    "save_sharded + load_sharded"
+                    corpus = Corpus::load(&path).unwrap();
+                    "save_sharded + load"
                 }
                 _ => {
                     corpus.reshard(1 + b as usize % 4);

@@ -1,12 +1,11 @@
 //! Integration tests of the sharded corpus: scatter-gather search must
 //! be bit-identical to the serial single-shard union at every shard and
-//! worker count, both load modes must reproduce the exact corpus at
-//! every shard count, and a file missing sections fails at open. The
+//! worker count, a load must reproduce the exact corpus at every shard
+//! count, and a file missing sections fails at open. The
 //! exhaustive corruption matrix of the corpus file is in
 //! `binary_corpus.rs`.
 
-use esharp_microblog::segio;
-use esharp_microblog::{Corpus, LoadMode, Tweet, User};
+use esharp_microblog::{Corpus, Tweet, User};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -50,9 +49,8 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Round-trip through save_sharded at K and both load modes; every
-/// returned corpus must reproduce `serial` for every term set under
-/// every worker count given.
+/// Round-trip through save_sharded at K; the loaded corpus must
+/// reproduce `serial` for every term set under every worker count given.
 fn assert_sharded_parity(
     corpus: &Corpus,
     dir: &Path,
@@ -62,22 +60,16 @@ fn assert_sharded_parity(
 ) {
     let path = dir.join(format!("k{k}.bin"));
     corpus.save_sharded(&path, k).expect("save_sharded");
-    for mode in [LoadMode::Copy, LoadMode::ZeroCopy] {
-        let loaded = segio::load_sharded(&path, mode).expect("load_sharded");
-        for terms in term_sets {
-            let serial = corpus.match_terms_with(terms, 1);
+    let loaded = Corpus::load(&path).expect("load");
+    for terms in term_sets {
+        let serial = corpus.match_terms_with(terms, 1);
+        assert_eq!(loaded.match_terms_with(terms, 1), serial, "K={k} serial");
+        for &w in workers {
             assert_eq!(
-                loaded.match_terms_with(terms, 1),
+                loaded.match_terms_with(terms, w),
                 serial,
-                "K={k} {mode:?} serial"
+                "K={k} workers={w} terms={terms:?}"
             );
-            for &w in workers {
-                assert_eq!(
-                    loaded.match_terms_with(terms, w),
-                    serial,
-                    "K={k} {mode:?} workers={w} terms={terms:?}"
-                );
-            }
         }
     }
 }
@@ -92,17 +84,15 @@ fn sharded_loads_are_bit_identical_to_the_original() {
     for k in [1usize, 3, 7] {
         let path = dir.join(format!("k{k}.bin"));
         corpus.save_sharded(&path, k).expect("save_sharded");
-        for mode in [LoadMode::Copy, LoadMode::ZeroCopy] {
-            let loaded = segio::load_sharded(&path, mode).expect("load");
-            assert_eq!(loaded.shard_count(), k);
-            let out = dir.join(format!("k{k}_{mode:?}.bin"));
-            loaded.save_binary(&out).expect("re-save");
-            assert_eq!(
-                std::fs::read(&out).expect("read"),
-                want,
-                "binary re-encode differs at K={k} mode {mode:?}"
-            );
-        }
+        let loaded = Corpus::load(&path).expect("load");
+        assert_eq!(loaded.shard_count(), k);
+        let out = dir.join(format!("k{k}_resaved.bin"));
+        loaded.save_binary(&out).expect("re-save");
+        assert_eq!(
+            std::fs::read(&out).expect("read"),
+            want,
+            "binary re-encode differs at K={k}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -122,18 +112,15 @@ fn missing_files_fail_at_open_not_query_time() {
     for (i, bytes) in resharded.shard_postings_bytes().iter().enumerate().rev() {
         cut -= *bytes as usize;
         std::fs::write(&path, &pristine[..cut]).expect("truncate");
-        for mode in [LoadMode::Copy, LoadMode::ZeroCopy] {
-            let err = segio::load_sharded(&path, mode)
-                .expect_err(&format!("open must fail without shards {i}.."));
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "shards {i}..");
-        }
+        let err = Corpus::load(&path).expect_err(&format!("open must fail without shards {i}.."));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "shards {i}..");
     }
     // No file at all fails at open too.
     std::fs::remove_file(&path).expect("remove");
-    let err = segio::load_sharded(&path, LoadMode::ZeroCopy).expect_err("missing file");
+    let err = Corpus::load(&path).expect_err("missing file");
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
     std::fs::write(&path, &pristine).expect("restore");
-    segio::load_sharded(&path, LoadMode::ZeroCopy).expect("restored corpus opens");
+    Corpus::load(&path).expect("restored corpus opens");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -144,7 +131,7 @@ proptest! {
 
     /// Sharded scatter-gather search over a random corpus is
     /// bit-identical to the serial single-shard union for every shard
-    /// count, worker count, and load mode.
+    /// count and worker count.
     #[test]
     fn sharded_search_matches_serial_over_random_corpora(
         seed_words in prop::collection::vec(
@@ -178,7 +165,7 @@ proptest! {
             prop_assert_eq!(resharded.match_terms_with(terms, 1), serial);
         }
 
-        // Disk round trip through both load modes.
+        // Disk round trip.
         let dir = tmpdir(&format!("prop{k}w{workers}"));
         assert_sharded_parity(&corpus, &dir, k, &term_sets, &[1, workers]);
         let _ = std::fs::remove_dir_all(&dir);

@@ -35,6 +35,11 @@ pub struct AggregatedLog {
 
 impl AggregatedLog {
     /// Fold a raw event stream into aggregated records.
+    // `inline` so each caller compiles this hot loop into itself rather
+    // than depending on which codegen unit the instantiation lands in:
+    // left to partitioning, a build that placed it out of line aggregated
+    // the 8M-event refresh log ~20% slower (2-vCPU host).
+    #[inline]
     pub fn from_events(events: impl Iterator<Item = RawEvent>, num_terms: usize) -> Self {
         let mut counts: HashMap<(TermId, UrlId), u64> = HashMap::new();
         let mut term_totals = vec![0u64; num_terms];

@@ -178,14 +178,11 @@ pub struct Metrics {
 
 /// A point-in-time snapshot of the live corpus's shard layout, taken
 /// under the read guard and rendered into `/metrics` so operators can
-/// see postings balance (a skewed shard caps scatter-gather speedup)
-/// and whether the corpus is serving zero-copy out of segment buffers.
+/// see postings balance (a skewed shard caps scatter-gather speedup).
 #[derive(Debug, Clone, Default)]
 pub struct ShardStats {
     /// Postings bytes (arena + offsets) per shard, in shard order.
     pub postings_bytes: Vec<u64>,
-    /// Whether any arena is a zero-copy view of a loaded segment buffer.
-    pub zero_copy: bool,
 }
 
 impl ShardStats {
@@ -193,7 +190,6 @@ impl ShardStats {
     pub fn of(corpus: &esharp_microblog::Corpus) -> ShardStats {
         ShardStats {
             postings_bytes: corpus.shard_postings_bytes(),
-            zero_copy: corpus.is_zero_copy(),
         }
     }
 
@@ -224,8 +220,6 @@ impl ShardStats {
         }
         out.push_str("],\"skew_max_over_mean\":");
         json::push_f64(out, (self.skew() * 1e4).round() / 1e4);
-        out.push_str(",\"zero_copy\":");
-        out.push_str(if self.zero_copy { "true" } else { "false" });
         out.push('}');
     }
 }
@@ -428,7 +422,6 @@ mod tests {
         m.ingest_ops.fetch_add(5, Relaxed);
         let shards = ShardStats {
             postings_bytes: vec![4096, 1024, 1024, 2048],
-            zero_copy: true,
         };
         m.partial_responses.fetch_add(2, Relaxed);
         m.hedges.fetch_add(4, Relaxed);
@@ -451,8 +444,7 @@ mod tests {
             "\"entries\":2,\"capacity\":512,\"inline_hits\":0,\"fallback_lookups\":0}",
             "\"ingest\":{\"requests\":0,\"ops\":5,\"corpus_epoch\":9}",
             "\"corpus\":{\"shards\":4,\"postings_bytes\":[4096,1024,1024,2048]",
-            "\"skew_max_over_mean\":2",
-            "\"zero_copy\":true",
+            "\"skew_max_over_mean\":2}",
             "\"compaction\":{\"requests\":0,\"ok\":0,\"failed\":0,\"pause_us\":{\"count\":0",
             "\"latency_us\":{\"expansion\":{\"count\":0",
             "\"match\":{\"count\":0",

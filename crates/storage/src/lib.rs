@@ -27,6 +27,7 @@
 //!   data is recomputable, so it trades fsync durability for speed but
 //!   keeps per-frame CRCs: a bad disk still fails loudly.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

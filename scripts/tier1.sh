@@ -22,6 +22,9 @@
 #   panic   every crate root carries the no-panic lint gate (non-test
 #           unwrap/expect is a compile error), so a new module is gated
 #           by default; the exempt crates are named below with reasons
+#   unsafe  every crate root carries `#![forbid(unsafe_code)]`, so
+#           `unsafe` outside the two exempt crates (named below with
+#           reasons) is a compile error
 #
 # Usage: scripts/tier1.sh   (from the repo root or anywhere inside it)
 set -euo pipefail
@@ -53,20 +56,33 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
 echo "== tier-1: cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-echo "== tier-1: no-panic gate at every crate root"
-# Exempt crates, each with its reason:
+echo "== tier-1: no-panic and no-unsafe gates at every crate root"
+# Exempt from the no-panic gate, each with its reason:
 #   cli        binaries; errors exit through `fail` with a message
 #   eval       5 unwrap/expect sites in the experiment runners
 #   par        7 lock-poison sites in the thread pool
-gate='#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]'
+# Exempt from the no-unsafe gate, each with its reason:
+#   serve      the epoll / poll(2) FFI in poller.rs
+#   par        the job-lifetime transmute in the thread pool
+panic_gate='#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]'
+unsafe_gate='#![forbid(unsafe_code)]'
 for lib in crates/*/src/lib.rs; do
   crate="${lib#crates/}"
   crate="${crate%%/*}"
-  case "$crate" in cli | eval | par) continue ;; esac
-  grep -qxF "$gate" "$lib" || {
-    echo "missing the no-panic gate at the root of $lib" >&2
-    exit 1
-  }
+  case "$crate" in
+    cli | eval | par) ;;
+    *) grep -qxF "$panic_gate" "$lib" || {
+         echo "missing the no-panic gate at the root of $lib" >&2
+         exit 1
+       } ;;
+  esac
+  case "$crate" in
+    serve | par) ;;
+    *) grep -qxF "$unsafe_gate" "$lib" || {
+         echo "missing the no-unsafe gate at the root of $lib" >&2
+         exit 1
+       } ;;
+  esac
 done
 
 echo "== tier-1: OK"
