@@ -207,10 +207,10 @@ impl CheckpointDir {
     }
 
     /// Consult the injector at a non-write site (`stage:<name>`,
-    /// `iter:<k>`): a planned fault there surfaces as an [`EsharpError`],
-    /// modeling a process kill at that boundary.
+    /// `iter:<k>`): a planned I/O fault there surfaces as an
+    /// [`EsharpError`], modeling a process kill at that boundary.
     pub fn kill_point(&self, site: &str) -> EsharpResult<()> {
-        match self.injector.fault_at(site, 0) {
+        match self.injector.fault_at(site, 0).filter(|f| f.is_io()) {
             Some(fault) => Err(EsharpError::from(fault_error(fault, site))),
             None => Ok(()),
         }

@@ -49,48 +49,7 @@ pub fn run_offline(
     world: &World,
     config: &EsharpConfig,
 ) -> EsharpResult<OfflineArtifacts> {
-    let mut stages = Vec::new();
-
-    // --- Extraction: support filter + similarity graph (§4.1).
-    let started = Instant::now();
-    let (filtered, dropped_terms) = log.filter_min_support(config.min_support);
-    // The pipeline-level worker knob governs every offline stage; the
-    // nested graph config only overrides it when set explicitly.
-    let graph_config = esharp_graph::GraphConfig {
-        workers: config.graph.workers.max(config.workers),
-        ..config.graph.clone()
-    };
-    let (graph, build_stats) = build_graph(&filtered, world, &graph_config);
-    let mut extraction = StageStats::new("extraction", config.workers);
-    extraction.wall = started.elapsed();
-    extraction.rows_read = log.raw_events;
-    extraction.bytes_read = log.raw_events * RAW_EVENT_BYTES;
-    extraction.rows_written = graph.num_edges() as u64;
-    extraction.bytes_written = graph.byte_size();
-    stages.push(extraction);
-
-    // --- Clustering (§4.2).
-    let started = Instant::now();
-    let multigraph = MultiGraph::from_similarity(&graph, config.discretize_scale);
-    let outcome = run_clustering(&multigraph, config)?;
-    let domains = DomainCollection::from_clustering(&graph, &outcome.assignment);
-    let mut clustering = StageStats::new("clustering", config.workers);
-    clustering.wall = started.elapsed();
-    clustering.rows_read = graph.num_edges() as u64;
-    clustering.bytes_read = graph.byte_size();
-    clustering.rows_written = domains.len() as u64;
-    clustering.bytes_written = domains.byte_size();
-    stages.push(clustering);
-
-    Ok(OfflineArtifacts {
-        graph,
-        multigraph,
-        outcome,
-        domains,
-        build_stats,
-        dropped_terms,
-        stages,
-    })
+    offline(log, world, config, None)
 }
 
 /// Crash-safe variant of [`run_offline`]: every stage (filtered log →
@@ -115,35 +74,44 @@ pub fn run_offline_resumable(
     config: &EsharpConfig,
     ckpt: &CheckpointDir,
 ) -> EsharpResult<OfflineArtifacts> {
-    let fp = Fingerprint::new(config, log, world);
+    offline(log, world, config, Some(ckpt))
+}
+
+/// The one offline pipeline. With a checkpoint directory each stage goes
+/// through [`stage`]; without one nothing is fingerprinted, encoded or
+/// loaded, and every stage is plain computation.
+fn offline(
+    log: &AggregatedLog,
+    world: &World,
+    config: &EsharpConfig,
+    ckpt: Option<&CheckpointDir>,
+) -> EsharpResult<OfflineArtifacts> {
+    let fp = ckpt.map(|_| Fingerprint::new(config, log, world));
+    let ckpt = ckpt.zip(fp.as_ref());
     let mut stages = Vec::new();
 
-    // --- Stage 1: support filter.
+    // --- Extraction: support filter + similarity graph (§4.1).
     let started = Instant::now();
-    let (filtered, dropped_terms) = match ckpt.load_filtered(&fp) {
-        Some(cached) => cached,
-        None => {
-            let (filtered, dropped) = log.filter_min_support(config.min_support);
-            ckpt.store_filtered(&fp, &filtered, dropped)?;
-            (filtered, dropped)
-        }
-    };
-    ckpt.kill_point("stage:filtered")?;
-
-    // --- Stage 2: similarity graph.
+    let (filtered, dropped_terms) = stage(
+        ckpt,
+        "stage:filtered",
+        |dir, fp| dir.load_filtered(fp),
+        || Ok(log.filter_min_support(config.min_support)),
+        |dir, fp, (filtered, dropped)| dir.store_filtered(fp, filtered, *dropped),
+    )?;
+    // The pipeline-level worker knob governs every offline stage; the
+    // nested graph config only overrides it when set explicitly.
     let graph_config = esharp_graph::GraphConfig {
         workers: config.graph.workers.max(config.workers),
         ..config.graph.clone()
     };
-    let (graph, build_stats) = match ckpt.load_graph(&fp) {
-        Some(cached) => cached,
-        None => {
-            let (graph, stats) = build_graph(&filtered, world, &graph_config);
-            ckpt.store_graph(&fp, &graph, &stats)?;
-            (graph, stats)
-        }
-    };
-    ckpt.kill_point("stage:graph")?;
+    let (graph, build_stats) = stage(
+        ckpt,
+        "stage:graph",
+        |dir, fp| dir.load_graph(fp),
+        || Ok(build_graph(&filtered, world, &graph_config)),
+        |dir, fp, (graph, stats)| dir.store_graph(fp, graph, stats),
+    )?;
     let mut extraction = StageStats::new("extraction", config.workers);
     extraction.wall = started.elapsed();
     extraction.rows_read = log.raw_events;
@@ -152,57 +120,48 @@ pub fn run_offline_resumable(
     extraction.bytes_written = graph.byte_size();
     stages.push(extraction);
 
-    // --- Stage 3: discretized multigraph.
+    // --- Clustering (§4.2): discretized multigraph, communities, domains.
     let started = Instant::now();
-    let multigraph = match ckpt.load_multigraph(&fp) {
-        Some(cached) => cached,
-        None => {
-            let mg = MultiGraph::from_similarity(&graph, config.discretize_scale);
-            ckpt.store_multigraph(&fp, &mg)?;
-            mg
-        }
-    };
-    ckpt.kill_point("stage:multigraph")?;
-
-    // --- Stage 4: clustering. The parallel backend resumes mid-stage from
-    // its iteration trace; the others checkpoint at stage granularity.
-    let outcome = match ckpt.load_clustering_final(&fp) {
-        Some(cached) => cached,
-        None => {
-            let outcome = if config.backend == ClusterBackend::Parallel {
-                let resume = ckpt.load_clustering_progress(&fp);
+    let multigraph = stage(
+        ckpt,
+        "stage:multigraph",
+        |dir, fp| dir.load_multigraph(fp),
+        || Ok(MultiGraph::from_similarity(&graph, config.discretize_scale)),
+        |dir, fp, mg| dir.store_multigraph(fp, mg),
+    )?;
+    // A checkpointed parallel backend resumes mid-stage from its
+    // iteration trace; everything else clusters at stage granularity.
+    let outcome = stage(
+        ckpt,
+        "stage:clustering",
+        |dir, fp| dir.load_clustering_final(fp),
+        || match ckpt {
+            Some((dir, fp)) if config.backend == ClusterBackend::Parallel => {
                 cluster_parallel_resumable(
                     &multigraph,
                     &ParallelConfig {
                         max_iterations: config.max_iterations,
                         workers: config.workers,
                     },
-                    resume,
+                    dir.load_clustering_progress(fp),
                     |assignment, trace| {
-                        ckpt.store_clustering_progress(&fp, assignment, trace)?;
+                        dir.store_clustering_progress(fp, assignment, trace)?;
                         let last = trace.last().map_or(0, |s| s.iteration);
-                        ckpt.kill_point(&format!("iter:{last}"))
+                        dir.kill_point(&format!("iter:{last}"))
                     },
-                )?
-            } else {
-                run_clustering(&multigraph, config)?
-            };
-            ckpt.store_clustering_final(&fp, &outcome)?;
-            outcome
-        }
-    };
-    ckpt.kill_point("stage:clustering")?;
-
-    // --- Stage 5: domain collection.
-    let domains = match ckpt.load_domains(&fp) {
-        Some(cached) => cached,
-        None => {
-            let domains = DomainCollection::from_clustering(&graph, &outcome.assignment);
-            ckpt.store_domains(&fp, &domains)?;
-            domains
-        }
-    };
-    ckpt.kill_point("stage:domains")?;
+                )
+            }
+            _ => run_clustering(&multigraph, config),
+        },
+        |dir, fp, outcome| dir.store_clustering_final(fp, outcome),
+    )?;
+    let domains = stage(
+        ckpt,
+        "stage:domains",
+        |dir, fp| dir.load_domains(fp),
+        || Ok(DomainCollection::from_clustering(&graph, &outcome.assignment)),
+        |dir, fp, domains| dir.store_domains(fp, domains),
+    )?;
     let mut clustering = StageStats::new("clustering", config.workers);
     clustering.wall = started.elapsed();
     clustering.rows_read = graph.num_edges() as u64;
@@ -220,6 +179,31 @@ pub fn run_offline_resumable(
         dropped_terms,
         stages,
     })
+}
+
+/// One offline stage. With a checkpoint: load it when a valid one
+/// exists, otherwise compute and store it, then consult the stage's kill
+/// point `site`. Without one: compute it.
+fn stage<T>(
+    ckpt: Option<(&CheckpointDir, &Fingerprint)>,
+    site: &str,
+    load: impl FnOnce(&CheckpointDir, &Fingerprint) -> Option<T>,
+    compute: impl FnOnce() -> EsharpResult<T>,
+    store: impl FnOnce(&CheckpointDir, &Fingerprint, &T) -> EsharpResult<()>,
+) -> EsharpResult<T> {
+    let Some((dir, fp)) = ckpt else {
+        return compute();
+    };
+    let value = match load(dir, fp) {
+        Some(cached) => cached,
+        None => {
+            let value = compute()?;
+            store(dir, fp, &value)?;
+            value
+        }
+    };
+    dir.kill_point(site)?;
+    Ok(value)
 }
 
 /// Dispatch to the configured clustering backend. Non-iterative backends

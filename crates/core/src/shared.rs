@@ -89,9 +89,10 @@ impl SharedEsharp {
 
     /// [`SharedEsharp::reload`] with a fault-injection seam: the injector
     /// is consulted at [`RELOAD_SITE`] with the caller-supplied attempt
-    /// number before the file is read, and an injected fault takes the
-    /// same failure path as a real corrupt or missing file (degradation
-    /// published, epoch advanced, last known-good still serving).
+    /// number before the file is read, and an injected I/O fault takes
+    /// the same failure path as a real corrupt or missing file
+    /// (degradation published, epoch advanced, last known-good still
+    /// serving). Request-path faults are ignored here.
     pub fn reload_with(
         &self,
         path: impl AsRef<Path>,
@@ -102,7 +103,7 @@ impl SharedEsharp {
         // Build the next state from a snapshot, outside the lock readers
         // take: the write lock below covers the pointer swap only.
         let mut next = (*self.snapshot().0).clone();
-        let result = match injector.fault_at(RELOAD_SITE, attempt) {
+        let result = match injector.fault_at(RELOAD_SITE, attempt).filter(|f| f.is_io()) {
             Some(fault) => {
                 let err = fault_error(fault, RELOAD_SITE);
                 next.note_reload_failure(err.to_string());
@@ -127,17 +128,26 @@ mod tests {
     use std::sync::{mpsc, Condvar};
     use std::time::Duration;
 
-    /// An injector that parks every `fault_at` caller until released,
-    /// injecting nothing: it holds a reload mid-build for as long as a
-    /// test needs.
-    #[derive(Default)]
+    /// An injector that parks every `fault_at` caller at its one site until
+    /// released, injecting nothing: it holds a reload mid-build for as long
+    /// as a test needs.
     struct Gate {
+        /// The one site it parks; every other site passes through.
+        site: &'static str,
         /// (callers parked so far, released)
         state: Mutex<(usize, bool)>,
         changed: Condvar,
     }
 
     impl Gate {
+        fn at(site: &'static str) -> Gate {
+            Gate {
+                site,
+                state: Mutex::default(),
+                changed: Condvar::new(),
+            }
+        }
+
         fn wait_parked(&self) {
             let mut state = self.state.lock().unwrap();
             while state.0 == 0 {
@@ -152,7 +162,10 @@ mod tests {
     }
 
     impl FaultInjector for Gate {
-        fn fault_at(&self, _site: &str, _attempt: u32) -> Option<Fault> {
+        fn fault_at(&self, site: &str, _attempt: u32) -> Option<Fault> {
+            if site != self.site {
+                return None;
+            }
             let mut state = self.state.lock().unwrap();
             state.0 += 1;
             self.changed.notify_all();
@@ -262,7 +275,7 @@ mod tests {
     fn snapshots_do_not_wait_for_a_reload_in_progress() {
         let path = saved("esharp_shared_reload_parked", "delta");
         let shared = Arc::new(shared());
-        let gate = Arc::new(Gate::default());
+        let gate = Arc::new(Gate::at(RELOAD_SITE));
         let reload = {
             let (shared, gate, path) = (Arc::clone(&shared), Arc::clone(&gate), path.clone());
             std::thread::spawn(move || shared.reload_with(&path, gate.as_ref(), 0))
@@ -290,7 +303,7 @@ mod tests {
         let first = saved("esharp_shared_reload_first", "beta");
         let second = saved("esharp_shared_reload_second", "gamma");
         let shared = Arc::new(shared());
-        let gate = Arc::new(Gate::default());
+        let gate = Arc::new(Gate::at(RELOAD_SITE));
         let earlier = {
             let (shared, gate, path) = (Arc::clone(&shared), Arc::clone(&gate), first.clone());
             std::thread::spawn(move || shared.reload_with(&path, gate.as_ref(), 0))

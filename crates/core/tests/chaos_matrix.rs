@@ -13,7 +13,7 @@
 //! release waits; nothing blocks on a wall clock).
 
 use esharp_core::{DomainCollection, Esharp, EsharpConfig, SearchOutcome};
-use esharp_fault::{BreakerConfig, Budget, ChaosFault, ChaosPlan, ShardBreakers, VirtualClock};
+use esharp_fault::{BreakerConfig, Budget, Fault, FaultPlan, ShardBreakers, VirtualClock};
 use esharp_microblog::{generate_corpus, BoundedSearch, Corpus, CorpusConfig, TokenId};
 use esharp_querylog::{World, WorldConfig};
 use std::sync::Arc;
@@ -72,7 +72,7 @@ fn chaos_matrix_stall_by_shard_by_deadline_by_hedging() {
         for deadline_us in [5_000u64, 50_000, 1_000_000] {
             for hedge in [false, true] {
                 let plan =
-                    ChaosPlan::new(1).stall_at(&format!("search:shard:{stalled}"));
+                    FaultPlan::new(1).stall_at(&format!("search:shard:{stalled}"));
                 let budget =
                     Budget::with_clock(Arc::new(VirtualClock::new()), deadline_us);
                 let mut ctx = BoundedSearch::new(&budget).with_chaos(&plan);
@@ -154,7 +154,7 @@ fn breaker_arc_is_visible_in_search_outcomes() {
         open_us: 100_000,
     });
     // Shard 1 stalls exactly twice, then heals.
-    let plan = ChaosPlan::new(1).trigger_limited("search:shard:1", ChaosFault::Stall, 2);
+    let plan = FaultPlan::new(1).trigger_limited("search:shard:1", Fault::Stall, 2);
 
     // Two deadline misses trip the breaker…
     for _ in 0..2 {

@@ -1,52 +1,59 @@
 //! # esharp-fault
 //!
-//! Deterministic fault injection for the e# persistence and checkpoint
-//! paths.
+//! Deterministic fault injection for the e# persistence paths and the
+//! online request path.
 //!
 //! The paper's offline stage is a weekly job over 65 VMs and 998 GB of
 //! logs (§6, Table 9); at that scale partial failure is the normal case,
-//! not the exception. This crate provides the testing substrate the
-//! crash-safety layer (see `ROBUSTNESS.md`) is validated against:
+//! not the exception. Its online stage has a latency budget (expansion
+//! < 100 ms, detection < 1 s) that a slow or dead shard must not break.
+//! This crate provides the testing substrate both are validated against
+//! (see `ROBUSTNESS.md`):
 //!
-//! * a [`FaultInjector`] trait threaded through every persistence and
-//!   checkpoint write in the pipeline,
+//! * one [`FaultInjector`] trait threaded through every persistence
+//!   write, checkpoint boundary and request seam,
 //! * [`NoFaults`], the zero-cost production injector (every hook inlines
 //!   to `None`, so default builds pay nothing),
+//! * one [`Fault`] enum: the I/O variants (error, torn write, bit flip,
+//!   kill) and the request-path variants (delay, stall, panic),
 //! * [`FaultPlan`], a **seed-driven deterministic** plan mirroring the
 //!   `esharp-par` determinism contract: whether a fault fires at a given
-//!   `(site, attempt)` is a pure function of `(seed, site, attempt)` —
-//!   never of wall-clock time, thread interleaving or call order — so
-//!   every injected failure is replayable from its seed alone,
+//!   `(site, attempt)` is a pure function of `(seed, site, attempt)` and
+//!   the plan's triggers — never of wall-clock time or thread
+//!   interleaving — so every injected failure is replayable from its
+//!   seed alone. One plan drives every site, so one schedule can stall a
+//!   shard, panic a worker and kill a compaction in the same run,
 //! * [`RetryPolicy`], a bounded deterministic retry loop for faults
 //!   marked *transient*.
 //!
 //! ## Sites
 //!
-//! Injection points are named by string **sites**. The pipeline uses
-//! three families (documented in `ROBUSTNESS.md`):
+//! Injection points are named by string **sites**; each handles the
+//! variants it models and ignores the rest (the table is on [`Fault`]):
 //!
-//! * `write:<file>` — one atomic persistence operation (e.g.
-//!   `write:graph.bin`),
-//! * `stage:<name>` — an offline stage boundary, consulted after the
-//!   stage's checkpoint is persisted (e.g. `stage:clustering`),
-//! * `iter:<k>` — a clustering iteration boundary inside the parallel
-//!   backend (e.g. `iter:4`).
+//! * `write:<file>`, `compact:write`, `compact:oplog`, `<heap>:page<n>` —
+//!   one persistence write,
+//! * `ingest:append` — one WAL append,
+//! * `stage:<name>`, `iter:<k>` — an offline stage or clustering
+//!   iteration boundary,
+//! * `reload:domains` — one serve-side domain reload,
+//! * `search:shard:<i>` — one shard's task in the scatter-gather
+//!   fan-out (`attempt` 0 is the primary, 1 its hedge),
+//! * `serve:worker`, `serve:conn` — a serve worker inside and outside
+//!   its request guard.
 //!
 //! Plans match sites exactly, or by prefix when the trigger ends in `*`.
 //!
 //! ## Request-lifecycle hardening
 //!
-//! Beyond persistence faults, this crate carries the tail-tolerance
-//! substrate for the online path (DESIGN.md §11):
+//! Beyond injection, this crate carries the tail-tolerance substrate for
+//! the online path (DESIGN.md §11):
 //!
 //! * [`clock`] — [`TickSource`], the injectable time behind deadlines,
 //!   hedge delays and breaker windows ([`WallClock`] in production,
 //!   [`VirtualClock`] in tests: clock-free chaos runs),
 //! * [`budget`] — [`Budget`], the per-request deadline + cancellation
 //!   token threaded through the scatter-gather fan-out,
-//! * [`chaos`] — [`ChaosPlan`], seed-driven latency/stall/panic
-//!   injection at named seams (`search:shard:<i>`, `serve:worker`,
-//!   `serve:conn`),
 //! * [`breaker`] — [`ShardBreakers`], per-shard circuit breakers with a
 //!   health epoch the serve result cache keys on.
 
@@ -56,15 +63,14 @@
 
 pub mod breaker;
 pub mod budget;
-pub mod chaos;
 pub mod clock;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, ShardBreakers};
 pub use budget::Budget;
-pub use chaos::{ChaosFault, ChaosInjector, ChaosPlan, ChaosRates, NoChaos};
 pub use clock::{TickSource, VirtualClock, WallClock};
 
 use std::io;
+use std::sync::atomic::{AtomicU32, Ordering::SeqCst};
 use std::sync::Mutex;
 
 /// SplitMix64 — the same stateless mixing function the deterministic
@@ -90,8 +96,18 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One injected fault, applied to a single persistence operation or
-/// boundary.
+/// One injected fault at one site.
+///
+/// Every site handles the variants it models and ignores the rest (an
+/// ignored fault is still recorded as fired in [`FaultPlan::consulted`]):
+///
+/// | sites | handles |
+/// |---|---|
+/// | `write:*`, `compact:*`, `ingest:append`, heap pages | `IoError`, `TornWrite`, `BitFlip`, `Kill` |
+/// | `stage:*`, `iter:*`, `reload:domains` | `IoError`, `TornWrite`, `BitFlip`, `Kill` — each fails the step |
+/// | `search:shard:<i>` | `Delay`, `Stall`, `Panic` (a panic costs the shard) |
+/// | `serve:worker` | `Delay`, `Stall` (up to the request deadline), `Panic` (a `500`) |
+/// | `serve:conn` | `Delay`, `Stall` (a fixed 10 ms), `Panic` (the thread dies) |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// The operation fails with an I/O error. `transient: true` marks the
@@ -124,22 +140,43 @@ pub enum Fault {
     /// The process "dies" here: the operation returns an error without
     /// touching anything, modelling a stage-boundary or iteration kill.
     Kill,
+    /// The task is charged `us` extra ticks of latency before its work
+    /// counts — on a wall clock a real sleep, on a virtual clock a pure
+    /// budget charge.
+    Delay {
+        /// Injected latency in clock ticks (microseconds).
+        us: u64,
+    },
+    /// The task never answers within any finite budget: it waits until
+    /// cancelled or out of time and abandons. Models a wedged shard.
+    Stall,
+    /// The task panics; what that costs is the seam's contract (see the
+    /// table above).
+    Panic,
+}
+
+impl Fault {
+    /// Whether this is one of the I/O variants the persistence and
+    /// boundary sites handle (`IoError`, `TornWrite`, `BitFlip`, `Kill`).
+    pub fn is_io(self) -> bool {
+        !matches!(self, Fault::Delay { .. } | Fault::Stall | Fault::Panic)
+    }
 }
 
 /// Decides, per `(site, attempt)`, whether a fault is injected.
 ///
 /// Implementations must be deterministic: the same `(site, attempt)` must
 /// always yield the same answer for the same injector state, independent
-/// of call order (the crash-consistency matrix replays runs and compares
-/// artifacts bit-for-bit).
+/// of call order (the crash-consistency and chaos matrices replay runs
+/// and compare artifacts and response bodies bit-for-bit).
 pub trait FaultInjector: Send + Sync {
     /// The fault to inject at `site` on `attempt` (0-based), if any.
     fn fault_at(&self, site: &str, attempt: u32) -> Option<Fault>;
 }
 
 /// The production injector: never injects anything. Every hook is an
-/// inlined `None`, so threading it through the persistence paths
-/// compiles to a no-op in default builds.
+/// inlined `None`, so threading it through the persistence and request
+/// paths compiles to a no-op in default builds.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoFaults;
 
@@ -150,12 +187,13 @@ impl FaultInjector for NoFaults {
     }
 }
 
-/// Per-operation fault probabilities for the randomized layer of a
+/// Per-consultation fault probabilities for the randomized layer of a
 /// [`FaultPlan`]. Rates are in `[0.0, 1.0]` and evaluated in the order
-/// `io_error`, `torn_write`, `bit_flip` against independent seeded draws.
+/// `io_error`, `torn_write`, `bit_flip`, `delay`, `stall`, `panic`
+/// against independent seeded draws; the first that fires wins.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultRates {
-    /// Probability a write attempt fails with an I/O error.
+    /// Probability an attempt fails with an I/O error.
     pub io_error: f64,
     /// Probability an injected I/O error is transient (retryable).
     pub transient: f64,
@@ -163,30 +201,51 @@ pub struct FaultRates {
     pub torn_write: f64,
     /// Probability of a silent bit flip.
     pub bit_flip: f64,
+    /// Probability of an injected delay.
+    pub delay: f64,
+    /// Injected delays are uniform in `[1, delay_max_us]` ticks.
+    pub delay_max_us: u64,
+    /// Probability of a stall.
+    pub stall: f64,
+    /// Probability of a panic.
+    pub panic: f64,
 }
 
-/// A deterministic, seed-driven fault schedule.
+/// A deterministic, seed-driven fault schedule for every site.
 ///
 /// Two layers compose:
 ///
-/// 1. **Explicit triggers** (`trigger`, `kill_at`) — fire a given fault at
-///    an exact `(site, attempt)`; used by the kill/corruption matrix tests
-///    to place one fault precisely.
+/// 1. **Explicit triggers** (`trigger`, `trigger_limited` and the sugar
+///    `kill_at`, `stall_at`, `panic_at`) — fire a given fault at an
+///    exact `(site, attempt)`, or at every attempt up to a firing limit;
+///    used by the matrix tests to place one fault precisely.
 /// 2. **Seeded rates** (`with_rates`) — every `(site, attempt)` draws from
 ///    `splitmix64(seed ⊕ fnv64(site) ⊕ attempt)`; used for randomized
 ///    soak-style tests. The draw is stateless, so decisions do not depend
 ///    on the order sites are consulted in.
 ///
-/// Triggers are checked first; a site matches a trigger exactly, or by
-/// prefix when the trigger's site ends in `*`.
+/// Triggers are checked first, in the order they were added; a site
+/// matches a trigger exactly, or by prefix when the trigger's site ends
+/// in `*`.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     seed: u64,
-    triggers: Vec<(String, u32, Fault)>,
+    triggers: Vec<Trigger>,
     rates: FaultRates,
     /// Sites consulted so far (site, attempt, injected) — lets tests
-    /// assert *where* a resumed run actually did work.
+    /// assert *where* a run actually did work and which seams a request
+    /// crossed.
     consulted: Mutex<Vec<(String, u32, bool)>>,
+}
+
+#[derive(Debug)]
+struct Trigger {
+    site: String,
+    /// `None` fires at every attempt.
+    attempt: Option<u32>,
+    fault: Fault,
+    /// Remaining firings; `u32::MAX` means unlimited.
+    remaining: AtomicU32,
 }
 
 impl FaultPlan {
@@ -200,14 +259,42 @@ impl FaultPlan {
 
     /// Add an explicit fault at `(site, attempt)`. `site` may end in `*`
     /// for prefix matching.
-    pub fn trigger(mut self, site: &str, attempt: u32, fault: Fault) -> FaultPlan {
-        self.triggers.push((site.to_string(), attempt, fault));
-        self
+    pub fn trigger(self, site: &str, attempt: u32, fault: Fault) -> FaultPlan {
+        self.push(site, Some(attempt), fault, u32::MAX)
+    }
+
+    /// Like [`FaultPlan::trigger`] but fires at **every** attempt of the
+    /// site, at most `limit` times in total across all consultations.
+    /// The count-down is the one piece of plan state that is not pure in
+    /// `(site, attempt)`; it exists so benches and breaker tests can
+    /// model a shard that is sick for a while and then heals.
+    pub fn trigger_limited(self, site: &str, fault: Fault, limit: u32) -> FaultPlan {
+        self.push(site, None, fault, limit)
     }
 
     /// Sugar: kill the process the first time `site` is reached.
     pub fn kill_at(self, site: &str) -> FaultPlan {
         self.trigger(site, 0, Fault::Kill)
+    }
+
+    /// Sugar: stall `site`'s primary attempt.
+    pub fn stall_at(self, site: &str) -> FaultPlan {
+        self.trigger(site, 0, Fault::Stall)
+    }
+
+    /// Sugar: panic `site`'s primary attempt.
+    pub fn panic_at(self, site: &str) -> FaultPlan {
+        self.trigger(site, 0, Fault::Panic)
+    }
+
+    fn push(mut self, site: &str, attempt: Option<u32>, fault: Fault, limit: u32) -> FaultPlan {
+        self.triggers.push(Trigger {
+            site: site.to_string(),
+            attempt,
+            fault,
+            remaining: AtomicU32::new(limit),
+        });
+        self
     }
 
     /// Enable the seeded random layer with the given rates.
@@ -224,23 +311,40 @@ impl FaultPlan {
     }
 
     fn decide(&self, site: &str, attempt: u32) -> Option<Fault> {
-        for (pat, at, fault) in &self.triggers {
-            if *at != attempt {
+        for t in &self.triggers {
+            if t.attempt.is_some_and(|at| at != attempt) {
                 continue;
             }
-            let hit = match pat.strip_suffix('*') {
+            let hit = match t.site.strip_suffix('*') {
                 Some(prefix) => site.starts_with(prefix),
-                None => pat == site,
+                None => t.site == site,
             };
-            if hit {
-                return Some(*fault);
+            if !hit {
+                continue;
+            }
+            // Claim one firing; a spent limited trigger falls through.
+            let claimed = t
+                .remaining
+                .fetch_update(SeqCst, SeqCst, |n| match n {
+                    0 => None,
+                    u32::MAX => Some(u32::MAX),
+                    n => Some(n - 1),
+                })
+                .is_ok();
+            if claimed {
+                return Some(t.fault);
             }
         }
         let rates = &self.rates;
-        if rates.io_error == 0.0 && rates.torn_write == 0.0 && rates.bit_flip == 0.0 {
+        if [rates.io_error, rates.torn_write, rates.bit_flip, rates.delay, rates.stall, rates.panic]
+            .iter()
+            .all(|&rate| rate == 0.0)
+        {
             return None;
         }
-        // Independent unit draws, all pure functions of (seed, site, attempt).
+        // Independent unit draws, all pure functions of (seed, site,
+        // attempt). Salts 1–7 draw the I/O variants, 11–15 the
+        // request-path ones.
         let base = self.seed ^ fnv64(site.as_bytes()) ^ (attempt as u64).wrapping_mul(0x9e37);
         let unit = |salt: u64| -> f64 {
             (splitmix64(base ^ salt) >> 11) as f64 / (1u64 << 53) as f64
@@ -262,6 +366,17 @@ impl FaultPlan {
                 bit: (splitmix64(base ^ 7) % 8) as u8,
             });
         }
+        if unit(11) < rates.delay {
+            return Some(Fault::Delay {
+                us: splitmix64(base ^ 12) % rates.delay_max_us.max(1) + 1,
+            });
+        }
+        if unit(13) < rates.stall {
+            return Some(Fault::Stall);
+        }
+        if unit(15) < rates.panic {
+            return Some(Fault::Panic);
+        }
         None
     }
 }
@@ -281,7 +396,8 @@ impl FaultInjector for FaultPlan {
 pub const TRANSIENT_KIND: io::ErrorKind = io::ErrorKind::Interrupted;
 
 /// Convert a fault into the `io::Error` it surfaces as (for the
-/// [`Fault::IoError`] and [`Fault::Kill`] variants).
+/// [`Fault::IoError`] and [`Fault::Kill`] variants; the request-path
+/// variants never reach an I/O site's error path).
 pub fn fault_error(fault: Fault, site: &str) -> io::Error {
     match fault {
         Fault::IoError { transient: true } => io::Error::new(
@@ -297,6 +413,9 @@ pub fn fault_error(fault: Fault, site: &str) -> io::Error {
         Fault::Kill => io::Error::other(format!("injected kill at {site}")),
         Fault::BitFlip { .. } => io::Error::other(format!(
             "injected bit flip at {site} (should not surface as an error)"
+        )),
+        Fault::Delay { .. } | Fault::Stall | Fault::Panic => io::Error::other(format!(
+            "injected {fault:?} at {site} (not an i/o fault)"
         )),
     }
 }
@@ -374,6 +493,7 @@ mod tests {
             transient: 0.5,
             torn_write: 0.2,
             bit_flip: 0.2,
+            ..FaultRates::default()
         };
         let a = FaultPlan::new(42).with_rates(rates);
         let b = FaultPlan::new(42).with_rates(rates);
@@ -402,6 +522,137 @@ mod tests {
         // And a different seed disagrees somewhere (overwhelmingly likely).
         let c = FaultPlan::new(43).with_rates(rates);
         assert_ne!(forward, consult_all(&c, false));
+    }
+
+    #[test]
+    fn no_faults_is_silent_at_request_seams() {
+        assert_eq!(NoFaults.fault_at("search:shard:0", 0), None);
+        assert_eq!(NoFaults.fault_at("serve:worker", 3), None);
+    }
+
+    #[test]
+    fn request_path_triggers_match_exactly_and_by_prefix() {
+        let plan = FaultPlan::new(1)
+            .stall_at("search:shard:2")
+            .trigger("serve:*", 1, Fault::Panic);
+        assert_eq!(plan.fault_at("search:shard:2", 0), Some(Fault::Stall));
+        assert_eq!(plan.fault_at("search:shard:2", 1), None, "hedge is clean");
+        assert_eq!(plan.fault_at("search:shard:1", 0), None);
+        assert_eq!(plan.fault_at("serve:worker", 1), Some(Fault::Panic));
+        assert_eq!(plan.fault_at("serve:worker", 0), None);
+        assert_eq!(FaultPlan::new(1).panic_at("s").fault_at("s", 0), Some(Fault::Panic));
+    }
+
+    #[test]
+    fn limited_triggers_fire_exactly_limit_times_then_heal() {
+        let plan = FaultPlan::new(0).trigger_limited("search:shard:1", Fault::Delay { us: 500 }, 3);
+        let mut fired = 0;
+        for attempt in 0..8u32 {
+            if plan.fault_at("search:shard:1", attempt).is_some() {
+                fired += 1;
+            }
+        }
+        assert_eq!(fired, 3, "limited trigger must fire exactly `limit` times");
+        assert_eq!(plan.fault_at("search:shard:1", 99), None, "healed");
+    }
+
+    #[test]
+    fn limited_trigger_fires_at_any_attempt() {
+        let plan = FaultPlan::new(0).trigger_limited("s", Fault::Stall, 2);
+        assert_eq!(plan.fault_at("s", 7), Some(Fault::Stall));
+        assert_eq!(plan.fault_at("s", 0), Some(Fault::Stall));
+        assert_eq!(plan.fault_at("s", 1), None);
+    }
+
+    #[test]
+    fn seeded_request_path_rates_are_deterministic_and_order_independent() {
+        let rates = FaultRates {
+            delay: 0.3,
+            delay_max_us: 10_000,
+            stall: 0.1,
+            panic: 0.1,
+            ..FaultRates::default()
+        };
+        let sites = ["search:shard:0", "search:shard:1", "serve:worker"];
+        let consult = |plan: &FaultPlan, reversed: bool| -> Vec<Option<Fault>> {
+            let mut queries: Vec<(&str, u32)> = sites
+                .iter()
+                .flat_map(|&s| (0..6).map(move |at| (s, at)))
+                .collect();
+            if reversed {
+                queries.reverse();
+            }
+            let mut out: Vec<_> = queries
+                .into_iter()
+                .map(|(s, at)| plan.fault_at(s, at))
+                .collect();
+            if reversed {
+                out.reverse();
+            }
+            out
+        };
+        let a = FaultPlan::new(42).with_rates(rates);
+        let b = FaultPlan::new(42).with_rates(rates);
+        let forward = consult(&a, false);
+        assert_eq!(forward, consult(&b, true));
+        assert!(forward.iter().any(|f| f.is_some()), "rates must fire somewhere");
+        assert!(
+            forward
+                .iter()
+                .all(|f| f.is_none_or(|f| !f.is_io() && f != Fault::Delay { us: 0 })),
+            "request-path rates draw only non-zero request-path faults"
+        );
+        let c = FaultPlan::new(43).with_rates(rates);
+        assert_ne!(forward, consult(&c, false));
+    }
+
+    #[test]
+    fn consulted_log_records_seams_in_order() {
+        let plan = FaultPlan::new(0).stall_at("search:shard:1");
+        let _ = plan.fault_at("search:shard:0", 0);
+        let _ = plan.fault_at("search:shard:1", 0);
+        assert_eq!(
+            plan.consulted(),
+            vec![
+                ("search:shard:0".into(), 0, false),
+                ("search:shard:1".into(), 0, true)
+            ]
+        );
+    }
+
+    /// One plan makes the seeded decisions the two per-family plans it
+    /// replaced made: the digests were taken from those plans over the
+    /// same grid.
+    #[test]
+    fn seeded_decisions_of_each_family_are_pinned() {
+        let io = FaultRates {
+            io_error: 0.3,
+            transient: 0.5,
+            torn_write: 0.2,
+            bit_flip: 0.2,
+            ..FaultRates::default()
+        };
+        let request_path = FaultRates {
+            delay: 0.3,
+            delay_max_us: 10_000,
+            stall: 0.1,
+            panic: 0.1,
+            ..FaultRates::default()
+        };
+        let digest = |rates: FaultRates| {
+            let mut out = String::new();
+            for seed in 0..4u64 {
+                let plan = FaultPlan::new(seed).with_rates(rates);
+                for site in ["write:graph.bin", "stage:clustering", "search:shard:0", "serve:worker"] {
+                    for attempt in 0..16 {
+                        out += &format!("{:?};", plan.fault_at(site, attempt));
+                    }
+                }
+            }
+            fnv64(out.as_bytes())
+        };
+        assert_eq!(digest(io), 0x27c13cc37ba10ed8);
+        assert_eq!(digest(request_path), 0x5a0c865199453e51);
     }
 
     #[test]

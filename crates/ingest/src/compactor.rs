@@ -4,6 +4,7 @@
 //! continuous process that never pauses serving beyond the publish swap.
 
 use crate::live::{CompactionReport, LiveCorpus};
+use std::io;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -26,25 +27,25 @@ impl Default for CompactorConfig {
     }
 }
 
-#[derive(Default)]
-struct Shared {
-    stop: bool,
-    reports: Vec<CompactionReport>,
-    errors: u64,
-}
-
 /// Handle to the background compaction thread. Dropping without
 /// [`Compactor::stop`] detaches the thread (it exits at the next poll
 /// once the handle's shared state is gone — prefer an explicit stop).
 pub struct Compactor {
-    shared: Arc<(Mutex<Shared>, Condvar)>,
+    /// The stop flag and the condvar that wakes the loop to read it.
+    shared: Arc<(Mutex<bool>, Condvar)>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl Compactor {
-    /// Spawn the compaction loop over `live`.
-    pub fn start(live: Arc<LiveCorpus>, config: CompactorConfig) -> Compactor {
-        let shared = Arc::new((Mutex::new(Shared::default()), Condvar::new()));
+    /// Spawn the compaction loop over `live`. `on_cycle` hears every
+    /// cycle that published a new base or failed (a failed one leaves
+    /// the corpus serving on its previous base).
+    pub fn start(
+        live: Arc<LiveCorpus>,
+        config: CompactorConfig,
+        on_cycle: impl Fn(io::Result<CompactionReport>) + Send + 'static,
+    ) -> Compactor {
+        let shared = Arc::new((Mutex::new(false), Condvar::new()));
         let thread_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("esharp-compactor".to_string())
@@ -52,20 +53,17 @@ impl Compactor {
                 let (lock, cvar) = &*thread_shared;
                 let mut guard = lock.lock().unwrap_or_else(|e| e.into_inner());
                 loop {
-                    if guard.stop {
+                    if *guard {
                         return;
                     }
                     if live.pending_ops() >= config.threshold_ops.max(1) {
-                        // Compaction runs without the status lock held so
+                        // Compaction runs without the stop lock held so
                         // stop() can still be requested mid-cycle.
                         drop(guard);
-                        let outcome = live.compact();
-                        guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-                        match outcome {
-                            Ok(Some(report)) => guard.reports.push(report),
-                            Ok(None) => {}
-                            Err(_) => guard.errors += 1,
+                        if let Some(cycle) = live.compact().transpose() {
+                            on_cycle(cycle);
                         }
+                        guard = lock.lock().unwrap_or_else(|e| e.into_inner());
                     }
                     let (next, _timeout) = cvar
                         .wait_timeout(guard, config.interval)
@@ -77,27 +75,11 @@ impl Compactor {
         Compactor { shared, handle }
     }
 
-    /// Completed compaction cycles so far.
-    pub fn reports(&self) -> Vec<CompactionReport> {
-        self.shared
-            .0
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .reports
-            .clone()
-    }
-
-    /// Failed compaction cycles so far (the corpus keeps serving on its
-    /// previous base after each).
-    pub fn errors(&self) -> u64 {
-        self.shared.0.lock().unwrap_or_else(|e| e.into_inner()).errors
-    }
-
     /// Stop the loop and join the thread. Idempotent.
     pub fn stop(&mut self) {
         {
             let (lock, cvar) = &*self.shared;
-            lock.lock().unwrap_or_else(|e| e.into_inner()).stop = true;
+            *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
             cvar.notify_all();
         }
         if let Some(handle) = self.handle.take() {
@@ -134,16 +116,25 @@ mod tests {
         Corpus::new(users, tweets)
     }
 
+    /// Start a compactor over `live` that records each cycle's success.
+    fn start(live: &Arc<LiveCorpus>, threshold_ops: usize) -> (Compactor, Arc<Mutex<Vec<bool>>>) {
+        let cycles = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&cycles);
+        let compactor = Compactor::start(
+            Arc::clone(live),
+            CompactorConfig {
+                threshold_ops,
+                interval: Duration::from_millis(5),
+            },
+            move |cycle| sink.lock().unwrap().push(cycle.is_ok()),
+        );
+        (compactor, cycles)
+    }
+
     #[test]
     fn compacts_once_backlog_crosses_threshold() {
         let live = Arc::new(LiveCorpus::new(corpus()));
-        let mut compactor = Compactor::start(
-            Arc::clone(&live),
-            CompactorConfig {
-                threshold_ops: 4,
-                interval: Duration::from_millis(5),
-            },
-        );
+        let (mut compactor, cycles) = start(&live, 4);
         for i in 0..6 {
             live.apply(&IngestOp::Append {
                 author: "alice".into(),
@@ -151,31 +142,30 @@ mod tests {
             })
             .unwrap();
         }
+        // A fold is promised only once the backlog reaches the threshold:
+        // a cycle after the 4th append leaves the last 2 ops pending.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while live.read().corpus().has_delta() && Instant::now() < deadline {
+        while (cycles.lock().unwrap().is_empty() || live.pending_ops() >= 4)
+            && Instant::now() < deadline
+        {
             std::thread::sleep(Duration::from_millis(5));
         }
         compactor.stop();
-        assert!(!live.read().corpus().has_delta(), "backlog never compacted");
-        assert!(!compactor.reports().is_empty());
-        assert_eq!(compactor.errors(), 0);
+        let cycles = cycles.lock().unwrap();
+        assert!(!cycles.is_empty(), "backlog never compacted");
+        assert!(cycles.iter().all(|&ok| ok), "a cycle failed: {cycles:?}");
+        assert!(live.pending_ops() < 4);
         assert_eq!(live.read().corpus().tweets().len(), 7);
     }
 
     #[test]
     fn idle_loop_never_compacts_and_stops_cleanly() {
         let live = Arc::new(LiveCorpus::new(corpus()));
-        let mut compactor = Compactor::start(
-            Arc::clone(&live),
-            CompactorConfig {
-                threshold_ops: 1,
-                interval: Duration::from_millis(5),
-            },
-        );
+        let (mut compactor, cycles) = start(&live, 1);
         std::thread::sleep(Duration::from_millis(30));
         compactor.stop();
         compactor.stop(); // idempotent
-        assert!(compactor.reports().is_empty());
+        assert!(cycles.lock().unwrap().is_empty());
         assert_eq!(live.epoch(), 0, "idle compactor must not publish");
     }
 }

@@ -15,8 +15,9 @@
 //! the serial walk. Three tail-tolerance mechanisms hang off it:
 //!
 //! * **chaos seams** — each shard attempt consults the injected
-//!   [`ChaosInjector`] at `search:shard:<i>` (attempt 0 = primary,
-//!   1 = hedge), so stalls/delays/panics are seed-replayable,
+//!   [`FaultInjector`] at `search:shard:<i>` (attempt 0 = primary,
+//!   1 = hedge), so stalls/delays/panics are seed-replayable (the I/O
+//!   variants are ignored here),
 //! * **hedging** — one hedger task waits `hedge_delay_us`, then
 //!   re-issues every still-missing shard as attempt 1; slots are
 //!   first-answer-wins, so a straggling primary and its hedge can race
@@ -35,7 +36,7 @@
 use crate::corpus::{Corpus, TermMatch};
 use crate::index::union_sorted;
 use crate::types::TweetId;
-use esharp_fault::{Budget, ChaosFault, ChaosInjector, NoChaos, ShardBreakers, TickSource};
+use esharp_fault::{Budget, Fault, FaultInjector, NoFaults, ShardBreakers, TickSource};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering::SeqCst};
@@ -46,8 +47,9 @@ use std::time::Duration;
 pub struct BoundedSearch<'a> {
     /// The request's deadline + cancellation token.
     pub budget: &'a Budget,
-    /// Chaos seams (production passes [`NoChaos`]).
-    pub chaos: &'a dyn ChaosInjector,
+    /// Fault injector at the shard seams (production passes
+    /// [`NoFaults`]).
+    pub chaos: &'a dyn FaultInjector,
     /// Per-shard circuit breakers, if the caller runs them.
     pub breakers: Option<&'a ShardBreakers>,
     /// Whether to re-issue missing shards as hedged duplicates.
@@ -58,7 +60,7 @@ pub struct BoundedSearch<'a> {
 
 /// The production injector is a unit value, so a shared static keeps
 /// plain bounded searches allocation-free.
-static NO_CHAOS: NoChaos = NoChaos;
+static NO_FAULTS: NoFaults = NoFaults;
 
 impl<'a> BoundedSearch<'a> {
     /// A plain bounded search: deadline only, no chaos, no breakers, no
@@ -66,7 +68,7 @@ impl<'a> BoundedSearch<'a> {
     pub fn new(budget: &'a Budget) -> BoundedSearch<'a> {
         BoundedSearch {
             budget,
-            chaos: &NO_CHAOS,
+            chaos: &NO_FAULTS,
             breakers: None,
             hedge: false,
             hedge_delay_us: 0,
@@ -81,7 +83,7 @@ impl<'a> BoundedSearch<'a> {
     }
 
     /// Inject chaos at the shard seams.
-    pub fn with_chaos(mut self, chaos: &'a dyn ChaosInjector) -> BoundedSearch<'a> {
+    pub fn with_chaos(mut self, chaos: &'a dyn FaultInjector) -> BoundedSearch<'a> {
         self.chaos = chaos;
         self
     }
@@ -280,11 +282,11 @@ impl Corpus {
             let mut charged = base_charge;
             let release = || done[slot_idx].load(SeqCst) || ctx.budget.cancelled();
             let site = format!("search:shard:{shard}");
-            match ctx.chaos.chaos_at(&site, attempt) {
-                Some(ChaosFault::Delay { us }) => {
+            match ctx.chaos.fault_at(&site, attempt) {
+                Some(Fault::Delay { us }) => {
                     charged = charged.saturating_add(charge_wait(clock, us, &release));
                 }
-                Some(ChaosFault::Stall) => {
+                Some(Fault::Stall) => {
                     // Wedged: never answers. Hold the worker until the
                     // budget runs out or a hedge fills the slot, then
                     // abandon — exactly what a real stuck shard costs.
@@ -292,10 +294,10 @@ impl Corpus {
                     let _ = clock.wait_us(rest, &release);
                     return;
                 }
-                Some(ChaosFault::Panic) => {
+                Some(Fault::Panic) => {
                     panic!("injected chaos panic at {site} attempt {attempt}")
                 }
-                None => {}
+                _ => {}
             }
             let group = &groups[shard];
             let mut matches: Vec<TermMatch<'_>> = Vec::with_capacity(group.len());
@@ -415,7 +417,7 @@ mod tests {
     use super::*;
     use crate::synth::{generate_corpus, CorpusConfig};
     use crate::types::TokenId;
-    use esharp_fault::{BreakerConfig, ChaosPlan, VirtualClock};
+    use esharp_fault::{BreakerConfig, FaultPlan, VirtualClock};
     use esharp_querylog::{World, WorldConfig};
     use std::sync::Arc;
 
@@ -467,7 +469,7 @@ mod tests {
         let terms = spread_terms(&corpus, 2);
         let full = corpus.match_terms_with(&terms, 1);
         for stalled in 0..corpus.shard_count() {
-            let plan = ChaosPlan::new(1).stall_at(&format!("search:shard:{stalled}"));
+            let plan = FaultPlan::new(1).stall_at(&format!("search:shard:{stalled}"));
             let budget = virtual_budget(10_000);
             let ctx = BoundedSearch::new(&budget).with_chaos(&plan);
             let outcome = corpus.match_terms_bounded(&terms, 4, &ctx);
@@ -486,7 +488,7 @@ mod tests {
         let terms = spread_terms(&corpus, 2);
         let full = corpus.match_terms_with(&terms, 1);
         for stalled in 0..corpus.shard_count() {
-            let plan = ChaosPlan::new(1).stall_at(&format!("search:shard:{stalled}"));
+            let plan = FaultPlan::new(1).stall_at(&format!("search:shard:{stalled}"));
             let budget = virtual_budget(10_000);
             let ctx = BoundedSearch::new(&budget).with_chaos(&plan).hedged(1_000);
             let outcome = corpus.match_terms_bounded(&terms, 4, &ctx);
@@ -503,7 +505,7 @@ mod tests {
         let terms = spread_terms(&corpus, 2);
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let plan = ChaosPlan::new(1).panic_at("search:shard:2");
+        let plan = FaultPlan::new(1).panic_at("search:shard:2");
         let budget = virtual_budget(1_000_000);
         let ctx = BoundedSearch::new(&budget).with_chaos(&plan);
         let outcome = corpus.match_terms_bounded(&terms, 4, &ctx);
@@ -516,15 +518,29 @@ mod tests {
     fn injected_delay_within_budget_still_answers_in_full() {
         let corpus = corpus_with_shards(4);
         let terms = spread_terms(&corpus, 2);
-        let plan = ChaosPlan::new(1).trigger(
+        let plan = FaultPlan::new(1).trigger(
             "search:shard:1",
             0,
-            ChaosFault::Delay { us: 5_000 },
+            Fault::Delay { us: 5_000 },
         );
         let budget = virtual_budget(10_000);
         let ctx = BoundedSearch::new(&budget).with_chaos(&plan);
         let outcome = corpus.match_terms_bounded(&terms, 4, &ctx);
         assert!(!outcome.is_partial(), "a delay under budget is invisible");
+        assert_eq!(outcome.matched, corpus.match_terms_with(&terms, 1));
+    }
+
+    #[test]
+    fn io_faults_at_a_shard_seam_are_ignored() {
+        let corpus = corpus_with_shards(4);
+        let terms = spread_terms(&corpus, 2);
+        let plan = FaultPlan::new(1)
+            .kill_at("search:shard:1")
+            .trigger("search:shard:2", 0, Fault::IoError { transient: false });
+        let budget = virtual_budget(10_000);
+        let ctx = BoundedSearch::new(&budget).with_chaos(&plan);
+        let outcome = corpus.match_terms_bounded(&terms, 4, &ctx);
+        assert!(!outcome.is_partial(), "{outcome:?}");
         assert_eq!(outcome.matched, corpus.match_terms_with(&terms, 1));
     }
 
@@ -538,9 +554,9 @@ mod tests {
             open_us: 50_000,
         });
         // Shard 3 stalls twice (limited trigger), tripping its breaker.
-        let plan = ChaosPlan::new(1).trigger_limited(
+        let plan = FaultPlan::new(1).trigger_limited(
             "search:shard:3",
-            ChaosFault::Stall,
+            Fault::Stall,
             2,
         );
         for _ in 0..2 {

@@ -43,8 +43,7 @@ use crate::metrics::{BreakerStats, Metrics};
 use crate::poller::Wakeup;
 use esharp_core::{Degradation, Esharp, SearchOutcome, SharedEsharp};
 use esharp_fault::{
-    BreakerConfig, Budget, ChaosFault, ChaosInjector, FaultInjector, NoChaos, NoFaults,
-    ShardBreakers, TickSource, WallClock,
+    BreakerConfig, Budget, Fault, FaultInjector, NoFaults, ShardBreakers, TickSource, WallClock,
 };
 use esharp_ingest::{Compactor, CompactorConfig, IngestOp, LiveCorpus};
 use esharp_microblog::{BoundedSearch, Corpus};
@@ -132,23 +131,19 @@ impl Default for ServeConfig {
     }
 }
 
-/// Test seams for the serving stack: the tick source budgets and waits
-/// run on, and the chaos injector consulted at the `serve:worker` /
-/// `serve:conn` seams. Production servers use the defaults (wall clock,
-/// no chaos); the chaos harness swaps both.
+/// Test seams for the serving stack beyond the fault injector: the tick
+/// source budgets and injected waits run on. Production servers use the
+/// wall clock; the chaos harness swaps in a virtual one.
 #[derive(Clone)]
 pub struct ServeHooks {
     /// Clock behind request budgets and injected waits.
     pub clock: Arc<dyn TickSource>,
-    /// Chaos injector for the serve-layer seams.
-    pub chaos: Arc<dyn ChaosInjector>,
 }
 
 impl Default for ServeHooks {
     fn default() -> Self {
         ServeHooks {
             clock: WallClock::shared(),
-            chaos: Arc::new(NoChaos),
         }
     }
 }
@@ -271,14 +266,14 @@ pub(crate) struct State {
     cache: ResultCache,
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) config: ServeConfig,
+    /// Fault injector for every serve-side seam: `reload:domains`,
+    /// `serve:worker`, `serve:conn` and the `search:shard:<i>` fan-out.
     injector: Arc<dyn FaultInjector>,
     /// Monotonic reload-attempt counter, the `attempt` axis of the
     /// `reload:domains` fault site.
     reload_attempts: AtomicU32,
-    /// Clock behind request budgets and chaos waits.
+    /// Clock behind request budgets and injected waits.
     clock: Arc<dyn TickSource>,
-    /// Chaos injector for `serve:worker` / `serve:conn`.
-    chaos: Arc<dyn ChaosInjector>,
     /// Per-shard circuit breakers for the search scatter-gather.
     breakers: ShardBreakers,
     /// Request size caps (from `config.max_body_bytes`).
@@ -313,7 +308,6 @@ impl State {
             injector,
             reload_attempts: AtomicU32::new(0),
             clock: hooks.clock,
-            chaos: hooks.chaos,
             breakers,
             limits,
             job_attempts: AtomicU32::new(0),
@@ -340,25 +334,13 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
-    /// the event loop plus `config.workers` worker threads.
+    /// the event loop plus `config.workers` worker threads, injecting no
+    /// faults.
     pub fn start(
         addr: &str,
         config: ServeConfig,
         corpus: Arc<Corpus>,
         shared: Arc<SharedEsharp>,
-    ) -> io::Result<Server> {
-        Server::start_with_injector(addr, config, corpus, shared, Arc::new(NoFaults))
-    }
-
-    /// [`Server::start`] with a fault injector on the reload path
-    /// (consulted at site `reload:domains`; production servers pass
-    /// [`NoFaults`] via `start`).
-    pub fn start_with_injector(
-        addr: &str,
-        config: ServeConfig,
-        corpus: Arc<Corpus>,
-        shared: Arc<SharedEsharp>,
-        injector: Arc<dyn FaultInjector>,
     ) -> io::Result<Server> {
         // A plain snapshot corpus serves through an in-memory LiveCorpus
         // (ingest works, nothing is persisted). Unwrap the Arc when this
@@ -371,14 +353,15 @@ impl Server {
             config,
             Arc::new(LiveCorpus::new(corpus)),
             shared,
-            injector,
+            Arc::new(NoFaults),
         )
     }
 
     /// Start serving a [`LiveCorpus`] — the full streaming setup: `POST
     /// /ingest` absorbs ops (durably, when the live corpus has
     /// persistence), and a background [`Compactor`] folds the delta when
-    /// `config.compact_threshold > 0`.
+    /// `config.compact_threshold > 0`. `injector` is consulted at every
+    /// serve-side seam (production servers pass [`NoFaults`]).
     pub fn start_live(
         addr: &str,
         config: ServeConfig,
@@ -390,7 +373,7 @@ impl Server {
     }
 
     /// [`Server::start_live`] with explicit [`ServeHooks`] — the chaos
-    /// harness's entry point (virtual clock + seeded chaos plan).
+    /// harness's entry point (a virtual clock beside a seeded plan).
     pub fn start_live_with_hooks(
         addr: &str,
         config: ServeConfig,
@@ -403,16 +386,26 @@ impl Server {
         let local = listener.local_addr()?;
         let queue = Arc::new(Queue::new(config.queue_depth));
         let workers = config.workers.max(1);
-        let compactor = (config.compact_threshold > 0).then(|| {
+        let state = Arc::new(State::new(config, live, shared, injector, hooks));
+        let compactor = (state.config.compact_threshold > 0).then(|| {
+            let metrics = Arc::clone(&state.metrics);
             Compactor::start(
-                Arc::clone(&live),
+                Arc::clone(&state.live),
                 CompactorConfig {
-                    threshold_ops: config.compact_threshold,
-                    interval: config.compact_interval,
+                    threshold_ops: state.config.compact_threshold,
+                    interval: state.config.compact_interval,
+                },
+                move |cycle| match cycle {
+                    Ok(report) => {
+                        metrics.compact_ok.fetch_add(1, SeqCst);
+                        metrics.compaction_pause.record(report.pause);
+                    }
+                    Err(_) => {
+                        metrics.compact_failed.fetch_add(1, SeqCst);
+                    }
                 },
             )
         });
-        let state = Arc::new(State::new(config, live, shared, injector, hooks));
         let stop = Arc::new(AtomicBool::new(false));
         let wakeup = Arc::new(Wakeup::new()?);
         let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
@@ -580,19 +573,18 @@ fn spawn_worker(
                 } = job;
                 inflight[index].store(token + 1, SeqCst);
                 // Unguarded seam: a Panic here escapes the thread.
-                if let Some(fault) = state.chaos.chaos_at("serve:conn", attempt) {
-                    match fault {
-                        ChaosFault::Delay { us } => {
-                            state.clock.wait_us(us, &|| false);
-                        }
-                        // A conn-level stall is bounded by the loop's
-                        // keep-alive story, not a budget; model it as a
-                        // fixed coarse delay.
-                        ChaosFault::Stall => {
-                            state.clock.wait_us(10_000, &|| false);
-                        }
-                        ChaosFault::Panic => panic!("chaos: serve:conn panic"),
+                match state.injector.fault_at("serve:conn", attempt) {
+                    Some(Fault::Delay { us }) => {
+                        state.clock.wait_us(us, &|| false);
                     }
+                    // A conn-level stall is bounded by the loop's
+                    // keep-alive story, not a budget; model it as a
+                    // fixed coarse delay.
+                    Some(Fault::Stall) => {
+                        state.clock.wait_us(10_000, &|| false);
+                    }
+                    Some(Fault::Panic) => panic!("chaos: serve:conn panic"),
+                    _ => {}
                 }
                 let started = Instant::now();
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -628,19 +620,19 @@ fn spawn_worker(
 /// Execute one request: the guarded `serve:worker` chaos seam, then the
 /// route table. Runs under the worker's `catch_unwind`.
 fn handle_job(state: &State, request: &Request, lookup: Option<Lookup>, attempt: u32) -> Response {
-    if let Some(fault) = state.chaos.chaos_at("serve:worker", attempt) {
-        match fault {
-            ChaosFault::Delay { us } => {
-                state.clock.wait_us(us, &|| false);
-            }
-            ChaosFault::Stall => {
-                // Bounded by the request deadline, then the handler
-                // proceeds (late, likely partial — never hung).
-                let us = state.config.deadline.as_micros().min(u64::MAX as u128) as u64;
-                state.clock.wait_us(us, &|| false);
-            }
-            ChaosFault::Panic => panic!("chaos: serve:worker panic"),
+    match state.injector.fault_at("serve:worker", attempt) {
+        Some(Fault::Delay { us }) => {
+            state.clock.wait_us(us, &|| false);
         }
+        Some(Fault::Stall) => {
+            // Bounded by the request deadline, then the handler
+            // proceeds (late, likely partial — never hung).
+            let deadline = request_deadline(state, request).unwrap_or(state.config.deadline);
+            let us = deadline.as_micros().min(u64::MAX as u128) as u64;
+            state.clock.wait_us(us, &|| false);
+        }
+        Some(Fault::Panic) => panic!("chaos: serve:worker panic"),
+        _ => {}
     }
     route(state, request, lookup)
 }
@@ -747,7 +739,7 @@ fn handle_search(state: &State, request: &Request, prior: Option<Lookup>) -> Res
         let limit_us = deadline.as_micros().min(u64::MAX as u128) as u64;
         let budget = Budget::with_clock(Arc::clone(&state.clock), limit_us);
         let mut ctx = BoundedSearch::new(&budget)
-            .with_chaos(state.chaos.as_ref())
+            .with_chaos(state.injector.as_ref())
             .with_breakers(&state.breakers);
         if state.config.hedge {
             let delay_us = state.config.hedge_delay.as_micros().min(u64::MAX as u128) as u64;
@@ -1340,17 +1332,26 @@ mod tests {
         );
     }
 
-    /// An injector that parks every `fault_at` caller until released,
-    /// injecting nothing: it holds a WAL append (under the corpus write
-    /// lock) or a reload mid-build for as long as a test needs.
-    #[derive(Default)]
+    /// An injector that parks every `fault_at` caller at its one site until
+    /// released, injecting nothing: it holds a WAL append (under the corpus
+    /// write lock) or a reload mid-build for as long as a test needs.
     struct Gate {
+        /// The one site it parks; every other site passes through.
+        site: &'static str,
         /// (callers parked so far, released)
         state: Mutex<(usize, bool)>,
         changed: Condvar,
     }
 
     impl Gate {
+        fn at(site: &'static str) -> Gate {
+            Gate {
+                site,
+                state: Mutex::default(),
+                changed: Condvar::new(),
+            }
+        }
+
         fn wait_parked(&self) {
             let mut state = self.state.lock().unwrap();
             while state.0 == 0 {
@@ -1365,7 +1366,10 @@ mod tests {
     }
 
     impl FaultInjector for Gate {
-        fn fault_at(&self, _site: &str, _attempt: u32) -> Option<Fault> {
+        fn fault_at(&self, site: &str, _attempt: u32) -> Option<Fault> {
+            if site != self.site {
+                return None;
+            }
             let mut state = self.state.lock().unwrap();
             state.0 += 1;
             self.changed.notify_all();
@@ -1396,7 +1400,7 @@ mod tests {
         let domains_path = dir.join("domains.bin");
         let domains = DomainCollection::from_groups(vec![vec!["49ers".into(), "niners".into()]]);
         domains.save(&domains_path).unwrap();
-        let wal_gate = Arc::new(Gate::default());
+        let wal_gate = Arc::new(Gate::at(esharp_ingest::APPEND_SITE));
         let live = LiveCorpus::create(tiny_corpus(), dir.join("corpus.bin"), dir.join("oplog"))
             .unwrap()
             .with_injector(wal_gate.clone(), RetryPolicy::default());
@@ -1445,7 +1449,7 @@ mod tests {
         // keeps answering from the cache at the current epochs.
         let warm = answer_inline(&state, &request).expect_err("the ingest moved the corpus epoch");
         handle_search(&state, &request, warm);
-        let reload_gate = Arc::new(Gate::default());
+        let reload_gate = Arc::new(Gate::at(esharp_core::RELOAD_SITE));
         let reload = {
             let (state, gate) = (Arc::clone(&state), Arc::clone(&reload_gate));
             std::thread::spawn(move || state.shared.reload_with(&domains_path, gate.as_ref(), 0))

@@ -1,14 +1,17 @@
-//! Serve-layer chaos smoke: boot real servers with seeded chaos plans
-//! at the `search:shard:*`, `serve:worker`, and `serve:conn` seams and
-//! assert the tail-tolerance contract over actual sockets — partial
-//! answers are marked and never cached, hedging recovers stragglers,
-//! request caps answer `413`/`431` before reading the offending bytes,
-//! a handler panic answers `500` without killing the worker, and a
-//! worker death outside the guard is healed by the supervisor.
+//! Serve-layer chaos smoke: boot real servers with seeded fault plans
+//! at the `search:shard:*`, `serve:worker`, `serve:conn` and
+//! `reload:domains` seams and assert the tail-tolerance contract over
+//! actual sockets — partial answers are marked and never cached,
+//! hedging recovers stragglers, a stalled worker waits no longer than
+//! its request's deadline, request caps answer `413`/`431` before
+//! reading the offending bytes, a handler panic answers `500` without
+//! killing the worker, a worker death outside the guard is healed by
+//! the supervisor, and one plan drives the reload and shard seams in
+//! the same run.
 //! `scripts/tier1.sh` runs this as its chaos gate.
 
 use esharp_core::{DomainCollection, Esharp, EsharpConfig, SharedEsharp};
-use esharp_fault::{ChaosFault, ChaosPlan, NoFaults};
+use esharp_fault::{Fault, FaultPlan, TickSource, VirtualClock, WallClock};
 use esharp_ingest::LiveCorpus;
 use esharp_microblog::{generate_corpus, Corpus, CorpusConfig, TokenId};
 use esharp_querylog::{World, WorldConfig};
@@ -16,7 +19,7 @@ use esharp_serve::{ServeConfig, ServeHooks, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SHARDS: usize = 4;
 
@@ -67,20 +70,33 @@ fn testbed() -> (Corpus, Esharp, String) {
     (corpus, esharp, query)
 }
 
-fn boot(config: ServeConfig, plan: ChaosPlan) -> (Server, String) {
+/// Boot on the wall clock: for the tests that measure real time.
+fn boot(config: ServeConfig, plan: impl Into<Arc<FaultPlan>>) -> (Server, String) {
+    boot_on(WallClock::shared(), config, plan)
+}
+
+/// Boot on a virtual clock: injected waits charge the request's budget
+/// without sleeping and the hedger waits for every primary, so which
+/// shards answer, miss or get hedged follows from the plan alone — not
+/// from how fast the host runs the other shards.
+fn boot_virtual(config: ServeConfig, plan: impl Into<Arc<FaultPlan>>) -> (Server, String) {
+    boot_on(Arc::new(VirtualClock::new()), config, plan)
+}
+
+fn boot_on(
+    clock: Arc<dyn TickSource>,
+    config: ServeConfig,
+    plan: impl Into<Arc<FaultPlan>>,
+) -> (Server, String) {
     quiet_chaos_panics();
     let (corpus, esharp, query) = testbed();
-    let hooks = ServeHooks {
-        chaos: Arc::new(plan),
-        ..ServeHooks::default()
-    };
     let server = Server::start_live_with_hooks(
         "127.0.0.1:0",
         config,
         Arc::new(LiveCorpus::new(corpus)),
         Arc::new(SharedEsharp::new(esharp)),
-        Arc::new(NoFaults),
-        hooks,
+        plan.into(),
+        ServeHooks { clock },
     )
     .expect("bind");
     (server, query)
@@ -115,13 +131,13 @@ fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String, String) {
 
 #[test]
 fn stalled_shard_marks_partial_and_never_caches() {
-    let (server, query) = boot(
+    let (server, query) = boot_virtual(
         ServeConfig {
             deadline: Duration::from_millis(15),
             hedge: false,
             ..ServeConfig::default()
         },
-        ChaosPlan::new(1).stall_at("search:shard:1"),
+        FaultPlan::new(1).stall_at("search:shard:1"),
     );
     let addr = server.local_addr();
 
@@ -146,14 +162,14 @@ fn stalled_shard_marks_partial_and_never_caches() {
 
 #[test]
 fn hedging_recovers_a_straggler_end_to_end() {
-    let (server, query) = boot(
+    let (server, query) = boot_virtual(
         ServeConfig {
             deadline: Duration::from_millis(500),
             hedge: true,
             hedge_delay: Duration::from_millis(1),
             ..ServeConfig::default()
         },
-        ChaosPlan::new(1).stall_at("search:shard:2"),
+        FaultPlan::new(1).stall_at("search:shard:2"),
     );
     let addr = server.local_addr();
 
@@ -184,7 +200,7 @@ fn deadline_header_is_honored_and_clamped() {
             hedge: false,
             ..ServeConfig::default()
         },
-        ChaosPlan::new(1).stall_at("search:shard:0"),
+        FaultPlan::new(1).stall_at("search:shard:0"),
     );
     let addr = server.local_addr();
 
@@ -227,7 +243,7 @@ fn oversized_bodies_and_heads_are_rejected_before_reading() {
             max_body_bytes: 256,
             ..ServeConfig::default()
         },
-        ChaosPlan::new(1),
+        FaultPlan::new(1),
     );
     let addr = server.local_addr();
 
@@ -262,7 +278,7 @@ fn handler_panic_answers_500_and_the_worker_survives() {
             workers: 2,
             ..ServeConfig::default()
         },
-        ChaosPlan::new(1).trigger_limited("serve:worker", ChaosFault::Panic, 1),
+        FaultPlan::new(1).trigger_limited("serve:worker", Fault::Panic, 1),
     );
     let addr = server.local_addr();
 
@@ -289,7 +305,7 @@ fn dead_worker_is_resurrected_by_the_supervisor() {
             ..ServeConfig::default()
         },
         // Outside the request guard: this panic kills the thread.
-        ChaosPlan::new(1).trigger_limited("serve:conn", ChaosFault::Panic, 1),
+        FaultPlan::new(1).trigger_limited("serve:conn", Fault::Panic, 1),
     );
     let addr = server.local_addr();
 
@@ -316,4 +332,88 @@ fn dead_worker_is_resurrected_by_the_supervisor() {
         assert_eq!(status, 200);
     }
     server.shutdown();
+}
+
+#[test]
+fn worker_stall_is_bounded_by_the_request_deadline() {
+    let (server, query) = boot(
+        ServeConfig {
+            // The header, not this default, bounds the stall.
+            deadline: Duration::from_secs(3),
+            hedge: false,
+            ..ServeConfig::default()
+        },
+        FaultPlan::new(1).stall_at("serve:worker"),
+    );
+    let addr = server.local_addr();
+
+    let started = Instant::now();
+    let (status, _, body) = raw(
+        addr,
+        &format!(
+            "GET /search?q={query} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nX-Esharp-Deadline-Ms: 20\r\n\r\n"
+        ),
+    )
+    .expect("response");
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        started.elapsed() < Duration::from_millis(1_500),
+        "the stall waited for the config deadline: took {:?}",
+        started.elapsed()
+    );
+    server.shutdown();
+}
+
+#[test]
+fn one_plan_drives_the_reload_and_shard_seams() {
+    let dir = std::env::temp_dir().join(format!("esharp_chaos_one_plan_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let domains_path = dir.join("domains.bin");
+    DomainCollection::from_groups(vec![vec!["49ers".into()]])
+        .save(&domains_path)
+        .expect("save domains");
+    let plan = Arc::new(
+        FaultPlan::new(1)
+            .trigger("reload:domains", 0, Fault::IoError { transient: false })
+            .stall_at("search:shard:1"),
+    );
+    let (server, query) = boot_virtual(
+        ServeConfig {
+            deadline: Duration::from_millis(15),
+            hedge: false,
+            domains_path: Some(domains_path),
+            ..ServeConfig::default()
+        },
+        Arc::clone(&plan),
+    );
+    let addr = server.local_addr();
+
+    let (status, _, body) = get(addr, &format!("/search?q={query}"));
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        body.contains("\"partial\":true,\"shards_missing\":[1],"),
+        "{body}"
+    );
+    let (status, _, body) = raw(
+        addr,
+        "POST /reload HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: 0\r\n\r\n",
+    )
+    .expect("response");
+    assert_eq!(status, 500, "{body}");
+    assert!(body.contains("\"ok\":false"), "{body}");
+    assert!(body.contains("injected i/o error at reload:domains"), "{body}");
+    assert!(body.contains("\"kind\":\"stale_domains\""), "{body}");
+
+    let fired: Vec<(String, u32)> = plan
+        .consulted()
+        .into_iter()
+        .filter(|&(_, _, fired)| fired)
+        .map(|(site, attempt, _)| (site, attempt))
+        .collect();
+    assert_eq!(
+        fired,
+        vec![("search:shard:1".into(), 0), ("reload:domains".into(), 0)]
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
 }

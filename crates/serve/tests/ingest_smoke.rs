@@ -11,6 +11,7 @@ use esharp_ingest::LiveCorpus;
 use esharp_serve::{ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -191,15 +192,19 @@ fn background_compactor_folds_the_delta_without_downtime() {
         let (status, _, _) = get(addr, "/search?q=streaming");
         assert_eq!(status, 200);
     }
-    // The compactor fires on its own once the backlog crosses the
-    // threshold; wait for it, still serving.
+    // The compactor fires on its own once the backlog reaches the
+    // threshold — after the 4th ingest or the 6th — and leaves fewer
+    // than `compact_threshold` ops pending; wait for it, still serving.
+    let compacted = || {
+        server.metrics().compact_ok.load(SeqCst) >= 1 && live.pending_ops() < 4
+    };
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while live.read().corpus().has_delta() && std::time::Instant::now() < deadline {
+    while !compacted() && std::time::Instant::now() < deadline {
         let (status, _, _) = get(addr, "/search?q=streaming");
         assert_eq!(status, 200);
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(!live.read().corpus().has_delta(), "compactor never fired");
+    assert!(compacted(), "compactor never fired");
     let (status, _, body) = get(addr, "/search?q=streaming");
     assert_eq!(status, 200);
     assert!(body.contains("\"matched_tweets\":6"), "{body}");

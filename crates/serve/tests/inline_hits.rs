@@ -8,18 +8,18 @@
 //! and `ESHARP_FORCE_POLL=1`).
 
 use esharp_core::{DomainCollection, Esharp, EsharpConfig, SharedEsharp};
-use esharp_fault::{ChaosFault, ChaosPlan, NoFaults};
+use esharp_fault::{Fault, FaultPlan};
 use esharp_ingest::LiveCorpus;
 use esharp_microblog::{generate_corpus, CorpusConfig, TokenId};
 use esharp_querylog::{World, WorldConfig};
-use esharp_serve::{ServeConfig, ServeHooks, Server};
+use esharp_serve::{ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// A server over a tiny synthetic corpus, and five distinct queries.
-fn boot(config: ServeConfig, plan: Arc<ChaosPlan>) -> (Server, Vec<String>) {
+fn boot(config: ServeConfig, plan: Arc<FaultPlan>) -> (Server, Vec<String>) {
     let world = World::generate(&WorldConfig::tiny(21));
     let corpus = generate_corpus(&world, &CorpusConfig::tiny(7));
     let terms: Vec<String> = (0..5)
@@ -29,17 +29,12 @@ fn boot(config: ServeConfig, plan: Arc<ChaosPlan>) -> (Server, Vec<String>) {
         DomainCollection::from_groups(vec![terms[..2].to_vec()]),
         EsharpConfig::tiny(),
     );
-    let hooks = ServeHooks {
-        chaos: plan,
-        ..ServeHooks::default()
-    };
-    let server = Server::start_live_with_hooks(
+    let server = Server::start_live(
         "127.0.0.1:0",
         config,
         Arc::new(LiveCorpus::new(corpus)),
         Arc::new(SharedEsharp::new(esharp)),
-        Arc::new(NoFaults),
-        hooks,
+        plan,
     )
     .expect("bind");
     let queries = terms
@@ -123,7 +118,7 @@ fn metrics(addr: SocketAddr) -> String {
 }
 
 /// The `serve:*` chaos consultations so far, as (site, attempt).
-fn serve_seams(plan: &ChaosPlan) -> Vec<(String, u32)> {
+fn serve_seams(plan: &FaultPlan) -> Vec<(String, u32)> {
     plan.consulted()
         .into_iter()
         .filter(|(site, _, _)| site.starts_with("serve:"))
@@ -136,10 +131,10 @@ fn hits_are_served_while_the_pool_is_parked_and_the_queue_full() {
     const PARK: Duration = Duration::from_secs(3);
     // Attempt 0 is the warm-up miss; attempt 1, the first miss after it,
     // parks the only worker.
-    let plan = Arc::new(ChaosPlan::new(3).trigger(
+    let plan = Arc::new(FaultPlan::new(3).trigger(
         "serve:worker",
         1,
-        ChaosFault::Delay {
+        Fault::Delay {
             us: PARK.as_micros() as u64,
         },
     ));
@@ -198,7 +193,7 @@ fn hits_are_served_while_the_pool_is_parked_and_the_queue_full() {
 
 #[test]
 fn pipelined_hits_and_misses_answer_in_request_order() {
-    let (server, q) = boot(ServeConfig::default(), Arc::new(ChaosPlan::new(5)));
+    let (server, q) = boot(ServeConfig::default(), Arc::new(FaultPlan::new(5)));
     let addr = server.local_addr();
     let hit_alone = exchange(addr, &search_line(&q[0]));
 
@@ -230,7 +225,7 @@ fn pipelined_hits_and_misses_answer_in_request_order() {
 
 #[test]
 fn hits_and_misses_are_counted_once() {
-    let (server, q) = boot(ServeConfig::default(), Arc::new(ChaosPlan::new(7)));
+    let (server, q) = boot(ServeConfig::default(), Arc::new(FaultPlan::new(7)));
     let addr = server.local_addr();
     let miss = exchange(addr, &search_line(&q[0]));
     let hit = exchange(addr, &search_line(&q[0]));
@@ -256,7 +251,7 @@ fn hits_and_misses_are_counted_once() {
 fn hits_cross_no_serve_seam_and_take_no_chaos_attempt() {
     // Attempt 0 is the first miss; a hit takes no attempt, so the panic
     // pinned at attempt 1 lands on the next *queued* request.
-    let plan = Arc::new(ChaosPlan::new(9).trigger("serve:worker", 1, ChaosFault::Panic));
+    let plan = Arc::new(FaultPlan::new(9).trigger("serve:worker", 1, Fault::Panic));
     let (server, q) = boot(ServeConfig::default(), Arc::clone(&plan));
     let addr = server.local_addr();
     assert_eq!(exchange(addr, &search_line(&q[0])).status, 200);

@@ -7,17 +7,17 @@
 //! then `400`, then close cleanly.
 
 use esharp_core::{DomainCollection, Esharp, EsharpConfig, SharedEsharp};
-use esharp_fault::{ChaosFault, ChaosPlan, NoFaults};
+use esharp_fault::{Fault, FaultPlan};
 use esharp_ingest::LiveCorpus;
 use esharp_microblog::{generate_corpus, CorpusConfig, TokenId};
 use esharp_querylog::{World, WorldConfig};
-use esharp_serve::{ServeConfig, ServeHooks, Server};
+use esharp_serve::{ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn boot(plan: ChaosPlan) -> (Server, String) {
+fn boot(plan: FaultPlan) -> (Server, String) {
     let world = World::generate(&WorldConfig::tiny(21));
     let corpus = generate_corpus(&world, &CorpusConfig::tiny(7));
     let term = corpus.token_text(0 as TokenId).to_string();
@@ -26,17 +26,12 @@ fn boot(plan: ChaosPlan) -> (Server, String) {
         DomainCollection::from_groups(vec![vec![term]]),
         EsharpConfig::tiny(),
     );
-    let hooks = ServeHooks {
-        chaos: Arc::new(plan),
-        ..ServeHooks::default()
-    };
-    let server = Server::start_live_with_hooks(
+    let server = Server::start_live(
         "127.0.0.1:0",
         ServeConfig::default(),
         Arc::new(LiveCorpus::new(corpus)),
         Arc::new(SharedEsharp::new(esharp)),
-        Arc::new(NoFaults),
-        hooks,
+        Arc::new(plan),
     )
     .expect("bind");
     (server, query)
@@ -67,9 +62,9 @@ fn exchange(addr: std::net::SocketAddr, payload: &[u8], split: Option<usize>) ->
 fn pipeline_split_at_every_byte_boundary_is_invariant() {
     // Stall the first few jobs at the conn seam: the split sweep below
     // must be insensitive to worker-side scheduling jitter too.
-    let (server, query) = boot(ChaosPlan::new(5).trigger_limited(
+    let (server, query) = boot(FaultPlan::new(5).trigger_limited(
         "serve:conn",
-        ChaosFault::Stall,
+        Fault::Stall,
         5,
     ));
     let addr = server.local_addr();
@@ -112,7 +107,7 @@ fn pipeline_split_at_every_byte_boundary_is_invariant() {
 
 #[test]
 fn malformed_bytes_behind_a_pipelined_request_answer_400_then_close() {
-    let (server, _) = boot(ChaosPlan::new(5));
+    let (server, _) = boot(FaultPlan::new(5));
     let addr = server.local_addr();
 
     // A valid request with garbage pipelined behind it: the valid one is

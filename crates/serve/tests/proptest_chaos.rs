@@ -18,7 +18,7 @@
 //!    asserting them unchanged at hit time.
 
 use esharp_core::{DomainCollection, Esharp, EsharpConfig};
-use esharp_fault::{Budget, BreakerConfig, ChaosPlan, ShardBreakers, VirtualClock};
+use esharp_fault::{Budget, BreakerConfig, FaultPlan, ShardBreakers, VirtualClock};
 use esharp_ingest::{IngestOp, LiveCorpus};
 use esharp_microblog::{generate_corpus, BoundedSearch, CorpusConfig, TokenId};
 use esharp_querylog::{World, WorldConfig};
@@ -90,7 +90,7 @@ proptest! {
                     let stalled = (action < 25).then(|| (n as usize) % SHARDS);
                     let hedge = action % 2 == 0;
 
-                    let mut plan = ChaosPlan::new(n ^ 0x5eed);
+                    let mut plan = FaultPlan::new(n ^ 0x5eed);
                     if let Some(shard) = stalled {
                         plan = plan.stall_at(&format!("search:shard:{shard}"));
                     }

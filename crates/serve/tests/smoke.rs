@@ -6,9 +6,9 @@
 
 use esharp_core::SharedEsharp;
 use esharp_eval::{EvalScale, Testbed};
-use esharp_fault::{ChaosFault, ChaosPlan, NoFaults};
+use esharp_fault::{Fault, FaultPlan};
 use esharp_ingest::LiveCorpus;
-use esharp_serve::{ServeConfig, ServeHooks, Server};
+use esharp_serve::{ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -385,15 +385,7 @@ fn full_queue_sheds_with_503_and_the_connection_survives() {
     // connection — the same socket gets a `Retry-After`, waits, retries,
     // and is served.
     let testbed = Testbed::build(EvalScale::Tiny, 77);
-    let hooks = ServeHooks {
-        chaos: Arc::new(ChaosPlan::new(3).trigger_limited(
-            "serve:conn",
-            ChaosFault::Delay { us: 400_000 },
-            4,
-        )),
-        ..ServeHooks::default()
-    };
-    let server = Server::start_live_with_hooks(
+    let server = Server::start_live(
         "127.0.0.1:0",
         ServeConfig {
             workers: 1,
@@ -402,8 +394,11 @@ fn full_queue_sheds_with_503_and_the_connection_survives() {
         },
         Arc::new(LiveCorpus::new(testbed.corpus)),
         Arc::new(SharedEsharp::new(testbed.esharp)),
-        Arc::new(NoFaults),
-        hooks,
+        Arc::new(FaultPlan::new(3).trigger_limited(
+            "serve:conn",
+            Fault::Delay { us: 400_000 },
+            4,
+        )),
     )
     .expect("bind");
     let addr = server.local_addr();

@@ -329,6 +329,21 @@ mod tests {
     }
 
     #[test]
+    fn request_path_faults_at_a_write_are_ignored() {
+        let dir = tmpdir("request_path");
+        let path = dir.join("artifact.bin");
+        for fault in [Fault::Delay { us: 5_000 }, Fault::Stall, Fault::Panic] {
+            let _ = fs::remove_file(&path);
+            let plan = FaultPlan::new(0).trigger("write:artifact", 0, fault);
+            atomic_write_with(&path, b"payload", &plan, "write:artifact", &RetryPolicy::none())
+                .unwrap();
+            assert_eq!(fs::read(&path).unwrap(), b"payload", "{fault:?}");
+            assert_eq!(plan.consulted(), vec![("write:artifact".into(), 0, true)]);
+        }
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn transient_io_error_is_retried_away() {
         let dir = tmpdir("retry");
         let path = dir.join("artifact.bin");

@@ -12,6 +12,13 @@
 #           build skips)
 #   poll    the socket smokes again under ESHARP_FORCE_POLL=1, so the
 #           portable poll(2) backend stays honest on Linux
+#   flake   the flake budget: the test binaries of the virtual-clock and
+#           chaos suites (core's chaos_matrix, serve's proptest_chaos and
+#           chaos_smoke, microblog's `bounded` unit tests) run 100 times
+#           each and serve's ingest_smoke 25 times, from the build the
+#           test step left; the first failure stops the step and prints
+#           its round and output. A test that depends on thread order is
+#           a bug in the test or the code
 #   bench   the Criterion bench targets compile (not run)
 #   repo    the repo benchmark's smoke pass (benchmark/, its own package):
 #           every workload on tiny fixtures, every response checked
@@ -43,6 +50,31 @@ echo "== tier-1: poll(2) fallback (socket smokes under ESHARP_FORCE_POLL=1)"
 for suite in smoke pipelining inline_hits; do
   ESHARP_FORCE_POLL=1 cargo test -q -p esharp-serve --test "$suite"
 done
+
+echo "== tier-1: flake budget (chaos suites 100x, ingest_smoke 25x)"
+# flake <rounds> <crate dir> <cargo test target args…> [-- <test filter>]
+flake() {
+  local rounds="$1" dir="$2" bin out round
+  shift 2
+  local target=() filter=()
+  while [ $# -gt 0 ] && [ "$1" != "--" ]; do target+=("$1"); shift; done
+  [ $# -gt 0 ] && { shift; filter=("$@"); }
+  bin="$(cargo test -q --no-run --message-format=json "${target[@]}" |
+    grep -o '"executable":"[^"]*"' | tail -n 1 | cut -d'"' -f4)"
+  [ -x "$bin" ] || { echo "flake: no test binary for ${target[*]}" >&2; exit 1; }
+  for round in $(seq 1 "$rounds"); do
+    if ! out="$(cd "$dir" && "$bin" -q "${filter[@]}" 2>&1)"; then
+      echo "$out" >&2
+      echo "flake: ${target[*]} ${filter[*]} failed in round $round of $rounds" >&2
+      exit 1
+    fi
+  done
+}
+flake 100 crates/core -p esharp-core --test chaos_matrix
+flake 100 crates/serve -p esharp-serve --test proptest_chaos
+flake 100 crates/serve -p esharp-serve --test chaos_smoke
+flake 100 crates/microblog -p esharp-microblog --lib -- bounded::
+flake 25 crates/serve -p esharp-serve --test ingest_smoke
 
 echo "== tier-1: cargo bench --no-run"
 cargo bench --no-run
