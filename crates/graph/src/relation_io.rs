@@ -78,39 +78,6 @@ pub fn assignment_to_table(assignment: &[NodeId]) -> RelResult<Table> {
     Ok(builder.finish())
 }
 
-/// Read a `Communities(comm_name, query)` table back into a node→community
-/// vector of length `num_nodes`.
-pub fn table_to_assignment(table: &Table, num_nodes: usize) -> RelResult<Vec<NodeId>> {
-    let comm_col = table.column_by_name("comm_name")?;
-    let node_col = table.column_by_name("query")?;
-    let mut assignment = vec![0 as NodeId; num_nodes];
-    let mut seen = vec![false; num_nodes];
-    for row in 0..table.num_rows() {
-        let node = node_col
-            .value(row)
-            .as_int()
-            .ok_or_else(|| esharp_relation::RelError::Eval("non-int node id".into()))?
-            as usize;
-        let comm = comm_col
-            .value(row)
-            .as_int()
-            .ok_or_else(|| esharp_relation::RelError::Eval("non-int community id".into()))?;
-        if node >= num_nodes {
-            return Err(esharp_relation::RelError::Eval(format!(
-                "node id {node} out of range ({num_nodes} nodes)"
-            )));
-        }
-        assignment[node] = comm as NodeId;
-        seen[node] = true;
-    }
-    if let Some(missing) = seen.iter().position(|&s| !s) {
-        return Err(esharp_relation::RelError::Eval(format!(
-            "node {missing} missing from communities table"
-        )));
-    }
-    Ok(assignment)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,15 +108,11 @@ mod tests {
         let assignment: Vec<NodeId> = vec![0, 0, 2];
         let t = assignment_to_table(&assignment).unwrap();
         assert_eq!(t.num_rows(), 3);
-        let back = table_to_assignment(&t, 3).unwrap();
+        let mut back = vec![NodeId::MAX; assignment.len()];
+        for row in t.iter_rows() {
+            back[row[1].as_int().unwrap() as usize] = row[0].as_int().unwrap() as NodeId;
+        }
         assert_eq!(back, assignment);
-    }
-
-    #[test]
-    fn table_to_assignment_validates_coverage() {
-        let assignment: Vec<NodeId> = vec![0, 1];
-        let t = assignment_to_table(&assignment).unwrap();
-        assert!(table_to_assignment(&t, 3).is_err());
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl ClickVector {
         &self.components
     }
 
-    /// Number of non-zero dimensions.
-    pub fn nnz(&self) -> usize {
-        self.components.len()
-    }
-
     /// True if the vector is all-zero.
     pub fn is_empty(&self) -> bool {
         self.components.is_empty()

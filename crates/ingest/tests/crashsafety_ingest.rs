@@ -12,7 +12,7 @@
 use esharp_fault::{Fault, FaultPlan, RetryPolicy};
 use esharp_ingest::{IngestOp, LiveCorpus, COMPACT_SITE, OPLOG_SITE};
 use esharp_microblog::{Corpus, Tweet, User};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -25,7 +25,7 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
-fn seeded(dir: &PathBuf, plan: FaultPlan) -> LiveCorpus {
+fn seeded(dir: &Path, plan: FaultPlan) -> LiveCorpus {
     let users = vec![User {
         id: 0,
         handle: "ana".into(),
@@ -72,7 +72,7 @@ fn compacted_base(name: &str) -> (PathBuf, Vec<u8>) {
     (dir, base)
 }
 
-fn assert_open_rejects(dir: &PathBuf, bytes: &[u8], what: &str) {
+fn assert_open_rejects(dir: &Path, bytes: &[u8], what: &str) {
     std::fs::write(dir.join("corpus.bin"), bytes).unwrap();
     let err = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).expect_err(what);
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");

@@ -70,7 +70,7 @@ fn run_step(live: &LiveCorpus, model: &mut Model, step: &Step) {
                 display_name: format!("User {handle}"),
                 description: format!("about {handle}"),
                 followers: model.users.len() as u64 * 13,
-                verified: model.users.len() % 3 == 0,
+                verified: model.users.len().is_multiple_of(3),
             };
             live.apply(&op).unwrap();
             model.users.push(handle);

@@ -433,11 +433,6 @@ impl Corpus {
         self.tweets.len() > self.base_tweets as usize || !self.tombstones.is_empty()
     }
 
-    /// Tweets covered by the immutable base CSR postings.
-    pub fn base_tweet_count(&self) -> usize {
-        self.base_tweets as usize
-    }
-
     /// Tweets appended since the last compaction (tombstoned or not).
     pub fn delta_tweet_count(&self) -> usize {
         self.tweets.len() - self.base_tweets as usize

@@ -228,7 +228,7 @@ fn trailing_garbage_is_rejected() {
     for (name, bytes) in files() {
         for extra in [1usize, 3, 4, 7, 64] {
             let mut long = bytes.clone();
-            long.extend(std::iter::repeat(0).take(extra));
+            long.extend(std::iter::repeat_n(0, extra));
             let what = format!("{name} with {extra} trailing bytes");
             assert_rejected(&long, &what);
             std::fs::write(&path, &long).unwrap();

@@ -227,21 +227,6 @@ impl World {
         self.terms[term as usize].domains.first().copied()
     }
 
-    /// Ground-truth communities as term-text sets, for clustering quality
-    /// metrics (NMI/ARI) — something the paper could not compute on
-    /// proprietary data.
-    pub fn ground_truth_communities(&self) -> Vec<Vec<String>> {
-        self.domains
-            .iter()
-            .map(|d| {
-                d.terms
-                    .iter()
-                    .map(|&t| self.term_text(t).to_string())
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Domains of a category, most popular first.
     pub fn domains_in_category(&self, category: Category) -> Vec<&Domain> {
         let mut out: Vec<&Domain> = self

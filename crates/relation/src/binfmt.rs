@@ -19,9 +19,8 @@
 //! table. Version 1 frames had no checksum; they are rejected as
 //! unsupported.
 
-use esharp_storage::atomic::{atomic_write, atomic_write_with, crc32};
+use esharp_storage::atomic::{atomic_write, crc32};
 use crate::column::Column;
-use esharp_fault::{FaultInjector, RetryPolicy};
 use crate::error::{RelError, RelResult};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
@@ -267,17 +266,6 @@ pub fn decode_frames_exact(data: &[u8], expect: usize) -> RelResult<Vec<Table>> 
 /// checksummed binary format.
 pub fn save_table(table: &Table, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
     atomic_write(path, &encode_table(table))
-}
-
-/// [`save_table`] with fault injection and bounded retry.
-pub fn save_table_with(
-    table: &Table,
-    path: impl AsRef<std::path::Path>,
-    injector: &dyn FaultInjector,
-    site: &str,
-    retry: &RetryPolicy,
-) -> std::io::Result<()> {
-    atomic_write_with(path, &encode_table(table), injector, site, retry)
 }
 
 /// Load a table exported by [`save_table`]. Corruption (truncation, bit

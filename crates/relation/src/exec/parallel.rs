@@ -1,16 +1,19 @@
-//! Thread-parallel execution of relational operators.
+//! The worker pool relational operators run on, and the two join
+//! strategies of §4.2.3.
 //!
-//! Reproduces the execution strategies of §4.2.3: the expensive
-//! neighborhood join can run either as a *replicated* (broadcast) join —
-//! the small `communities` table is copied to every worker and the large
-//! `graph` table is chunked — or as a *co-partitioned* join, where both
-//! inputs are hash-partitioned on the join key and joined partition-wise.
-//! Grouping/renaming run as "one map-reduce pass": partition on the group
-//! key, aggregate each partition independently.
+//! The expensive neighborhood join runs either as a *replicated*
+//! (broadcast) join — the small `communities` table is copied to every
+//! worker and the large `graph` table is chunked — or as a
+//! *co-partitioned* join, where both inputs are hash-partitioned on the
+//! join key and joined partition-wise. The physical executor runs both
+//! (`PhysicalPlan::HashJoin`, on either build side) over
+//! [`Cluster::map_partitions`]. Grouping runs as "one map-reduce pass":
+//! partition on the group key, aggregate each partition independently
+//! ([`Cluster::aggregate`]).
 
 use crate::error::RelResult;
-use crate::exec::partition::{chunk_partition, hash_partition};
-use crate::ops::{aggregate, hash_join, AggSpec, JoinSide};
+use crate::exec::partition::hash_partition;
+use crate::ops::{aggregate, AggSpec};
 use crate::table::Table;
 use esharp_par::{shared_pool, ThreadPool};
 use std::sync::Arc;
@@ -80,44 +83,6 @@ impl Cluster {
         self.pool.run(tasks).into_iter().collect()
     }
 
-    /// Parallel inner hash equi-join.
-    pub fn join(
-        &self,
-        left: &Table,
-        right: &Table,
-        left_keys: &[usize],
-        right_keys: &[usize],
-        strategy: JoinStrategy,
-    ) -> RelResult<Table> {
-        if self.workers() == 1 {
-            return hash_join(left, right, left_keys, right_keys, JoinSide::BuildRight);
-        }
-        let parts = match strategy {
-            JoinStrategy::Broadcast => {
-                // Replicate `right` (build side); chunk `left` (probe side).
-                let chunks = chunk_partition(left, self.workers());
-                self.map_partitions(chunks, |_, chunk| {
-                    hash_join(&chunk, right, left_keys, right_keys, JoinSide::BuildRight)
-                })?
-            }
-            JoinStrategy::CoPartitioned => {
-                let left_parts = hash_partition(left, left_keys, self.workers());
-                let right_parts = hash_partition(right, right_keys, self.workers());
-                // Pair up partitions; the closure indexes the co-partition.
-                self.map_partitions(left_parts, |i, lpart| {
-                    hash_join(
-                        &lpart,
-                        &right_parts[i],
-                        left_keys,
-                        right_keys,
-                        JoinSide::BuildRight,
-                    )
-                })?
-            }
-        };
-        Table::concat(&parts)
-    }
-
     /// Parallel grouped aggregation: partition on the group keys (the "map"
     /// emitting on the key), aggregate each partition (the "reduce"), and
     /// concatenate — legal because hash partitioning co-locates groups.
@@ -139,7 +104,11 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Catalog;
+    use crate::expr::Expr;
     use crate::ops::AggFunc;
+    use crate::physical::{Estimate, PhysicalPlan};
+    use crate::plan::ExecContext;
     use crate::schema::Schema;
     use crate::value::{DataType, Value};
 
@@ -163,30 +132,57 @@ mod tests {
         .unwrap()
     }
 
+    /// `graph ⋈ nodes ON src = id` through the physical executor, with the
+    /// strategy, build side and worker count forced.
+    fn join(workers: usize, strategy: JoinStrategy, build_left: bool) -> Vec<Vec<Value>> {
+        let catalog = Catalog::new();
+        catalog.register("graph", graph(200));
+        catalog.register("nodes", nodes());
+        let ctx = ExecContext::new(catalog).with_cluster(Cluster::new(workers));
+        let est = Estimate {
+            rows: 0.0,
+            bytes: 0.0,
+            measured: false,
+        };
+        let scan = |id, table: &str| {
+            Box::new(PhysicalPlan::SeqScan {
+                id,
+                table: table.into(),
+                projection: None,
+                predicate: None,
+                limit: None,
+                est,
+            })
+        };
+        let plan = PhysicalPlan::HashJoin {
+            id: 0,
+            left: scan(1, "graph"),
+            right: scan(2, "nodes"),
+            on: Expr::col("src").eq(Expr::col("id")),
+            build_left,
+            strategy,
+            est,
+        };
+        ctx.execute_physical(&plan).unwrap().sorted_rows()
+    }
+
     #[test]
     fn broadcast_matches_serial_join() {
-        let g = graph(200);
-        let n = nodes();
-        let serial = Cluster::serial()
-            .join(&g, &n, &[0], &[0], JoinStrategy::Broadcast)
-            .unwrap();
-        let par = Cluster::new(4)
-            .join(&g, &n, &[0], &[0], JoinStrategy::Broadcast)
-            .unwrap();
-        assert_eq!(serial.sorted_rows(), par.sorted_rows());
+        for build_left in [false, true] {
+            let serial = join(1, JoinStrategy::Broadcast, build_left);
+            assert_eq!(serial.len(), 200);
+            assert_eq!(join(4, JoinStrategy::Broadcast, build_left), serial);
+        }
     }
 
     #[test]
     fn copartitioned_matches_broadcast() {
-        let g = graph(200);
-        let n = nodes();
-        let a = Cluster::new(4)
-            .join(&g, &n, &[0], &[0], JoinStrategy::Broadcast)
-            .unwrap();
-        let b = Cluster::new(4)
-            .join(&g, &n, &[0], &[0], JoinStrategy::CoPartitioned)
-            .unwrap();
-        assert_eq!(a.sorted_rows(), b.sorted_rows());
+        for build_left in [false, true] {
+            assert_eq!(
+                join(4, JoinStrategy::CoPartitioned, build_left),
+                join(4, JoinStrategy::Broadcast, build_left)
+            );
+        }
     }
 
     #[test]

@@ -110,25 +110,6 @@ impl StatsRegistry {
     pub fn clear(&self) {
         self.inner.lock().clear();
     }
-
-    /// Sum of records whose stage name starts with `prefix`, under the
-    /// given merged name. Returns `None` if nothing matched.
-    pub fn rollup(&self, prefix: &str, merged_name: &str) -> Option<StageStats> {
-        let records = self.inner.lock();
-        let mut merged: Option<StageStats> = None;
-        for r in records.iter().filter(|r| r.stage.starts_with(prefix)) {
-            let m = merged.get_or_insert_with(|| StageStats::new(merged_name, r.workers));
-            m.workers = m.workers.max(r.workers);
-            m.wall += r.wall;
-            m.rows_read += r.rows_read;
-            m.rows_written += r.rows_written;
-            m.bytes_read += r.bytes_read;
-            m.bytes_written += r.bytes_written;
-            m.spill_bytes += r.spill_bytes;
-            m.spill_parts += r.spill_parts;
-        }
-        merged
-    }
 }
 
 #[cfg(test)]
@@ -142,24 +123,5 @@ mod tests {
         let shared = reg.clone();
         shared.record(StageStats::new("clustering", 4));
         assert_eq!(reg.snapshot().len(), 2);
-    }
-
-    #[test]
-    fn rollup_merges_by_prefix() {
-        let reg = StatsRegistry::new();
-        let mut a = StageStats::new("clustering iteration 1", 2);
-        a.rows_read = 10;
-        a.wall = Duration::from_millis(5);
-        let mut b = StageStats::new("clustering iteration 2", 4);
-        b.rows_read = 7;
-        b.wall = Duration::from_millis(3);
-        reg.record(a);
-        reg.record(b);
-        reg.record(StageStats::new("extraction", 1));
-        let merged = reg.rollup("clustering", "clustering").unwrap();
-        assert_eq!(merged.rows_read, 17);
-        assert_eq!(merged.workers, 4);
-        assert_eq!(merged.wall, Duration::from_millis(8));
-        assert!(reg.rollup("nothing", "x").is_none());
     }
 }

@@ -1,90 +1,11 @@
-//! EXPLAIN-style rendering of logical and physical plans.
+//! EXPLAIN-style rendering of physical plans, with estimates or with
+//! measured statistics (EXPLAIN ANALYZE).
 
 use crate::exec::StageStats;
 use crate::expr::Expr;
 use crate::physical::PhysicalPlan;
-use crate::plan::{AggCall, LogicalPlan};
+use crate::plan::AggCall;
 use std::fmt::Write as _;
-
-/// Render a logical plan as an indented operator tree, top-down:
-///
-/// ```text
-/// Project: query1, distance
-///   Filter: distance > 0.25
-///     Scan: graph
-/// ```
-pub fn explain(plan: &LogicalPlan) -> String {
-    let mut out = String::new();
-    render(plan, 0, &mut out);
-    out
-}
-
-fn render(plan: &LogicalPlan, depth: usize, out: &mut String) {
-    let pad = "  ".repeat(depth);
-    match plan {
-        LogicalPlan::Scan { table } => {
-            let _ = writeln!(out, "{pad}Scan: {table}");
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            let _ = writeln!(out, "{pad}Filter: {}", expr_text(predicate));
-            render(input, depth + 1, out);
-        }
-        LogicalPlan::Project { input, exprs } => {
-            let cols: Vec<String> = exprs
-                .iter()
-                .map(|(e, alias)| match alias {
-                    Some(a) if *a != e.default_name() => {
-                        format!("{} AS {a}", expr_text(e))
-                    }
-                    _ => expr_text(e),
-                })
-                .collect();
-            let _ = writeln!(out, "{pad}Project: {}", cols.join(", "));
-            render(input, depth + 1, out);
-        }
-        LogicalPlan::Join { left, right, on } => {
-            let _ = writeln!(out, "{pad}Join: {}", expr_text(on));
-            render(left, depth + 1, out);
-            render(right, depth + 1, out);
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let aggs_text: Vec<String> = aggs.iter().map(agg_text).collect();
-            let _ = writeln!(
-                out,
-                "{pad}Aggregate: group by [{}], compute [{}]",
-                group_by.join(", "),
-                aggs_text.join(", ")
-            );
-            render(input, depth + 1, out);
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let keys_text: Vec<String> = keys
-                .iter()
-                .map(|(name, asc)| format!("{name} {}", if *asc { "ASC" } else { "DESC" }))
-                .collect();
-            let _ = writeln!(out, "{pad}Sort: {}", keys_text.join(", "));
-            render(input, depth + 1, out);
-        }
-        LogicalPlan::Limit { input, n } => {
-            let _ = writeln!(out, "{pad}Limit: {n}");
-            render(input, depth + 1, out);
-        }
-        LogicalPlan::Distinct { input } => {
-            let _ = writeln!(out, "{pad}Distinct");
-            render(input, depth + 1, out);
-        }
-        LogicalPlan::UnionAll { inputs } => {
-            let _ = writeln!(out, "{pad}UnionAll ({} inputs)", inputs.len());
-            for input in inputs {
-                render(input, depth + 1, out);
-            }
-        }
-    }
-}
 
 /// Render an optimized physical plan with its pushdown, build-side and
 /// strategy annotations:
@@ -260,26 +181,56 @@ fn agg_text(call: &AggCall) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Catalog;
     use crate::expr::Expr;
     use crate::ops::AggFunc;
+    use crate::physical::optimize;
+    use crate::plan::{ExecContext, LogicalPlan};
+    use crate::schema::Schema;
+    use crate::table::Table;
+    use crate::value::DataType;
+
+    fn ctx() -> ExecContext {
+        let catalog = Catalog::new();
+        let graph = Schema::of(&[
+            ("query1", DataType::Str),
+            ("query2", DataType::Str),
+            ("distance", DataType::Float),
+        ]);
+        catalog.register("graph", Table::from_rows(graph, Vec::new()).unwrap());
+        let communities = Schema::of(&[("comm_name", DataType::Int), ("query", DataType::Str)]);
+        catalog.register("communities", Table::from_rows(communities, Vec::new()).unwrap());
+        ExecContext::new(catalog)
+    }
 
     #[test]
     fn renders_nested_plans() {
+        // The filter reads an aggregate output, so it stays a Filter node
+        // instead of sinking into the scan.
         let plan = LogicalPlan::scan("graph")
+            .aggregate(
+                vec!["query1".into()],
+                vec![AggCall {
+                    func: AggFunc::Max,
+                    args: vec!["distance".into()],
+                    alias: "distance".into(),
+                }],
+            )
             .filter(Expr::col("distance").gt(Expr::lit(0.25)))
             .project(vec![(Expr::col("query1"), Some("q".into()))])
             .limit(5);
-        let text = explain(&plan);
-        assert!(text.contains("Limit: 5"));
-        assert!(text.contains("Project: query1 AS q"));
-        assert!(text.contains("Filter: distance > 0.25"));
-        assert!(text.contains("    Scan: graph"));
-        // Indentation deepens monotonically.
+        let text = explain_physical(&optimize(&plan, &ctx()).unwrap());
+        assert!(text.contains("Limit: 5"), "{text}");
+        assert!(text.contains("Project: query1 AS q"), "{text}");
+        assert!(text.contains("Filter: distance > 0.25"), "{text}");
+        assert!(text.contains("Max(distance) AS distance"), "{text}");
+        assert!(text.contains("        SeqScan: graph"), "{text}");
+        // Indentation deepens by 2 per level.
         let depths: Vec<usize> = text
             .lines()
             .map(|l| l.len() - l.trim_start().len())
             .collect();
-        assert_eq!(depths, vec![0, 2, 4, 6]);
+        assert_eq!(depths, vec![0, 2, 4, 6, 8], "{text}");
     }
 
     #[test]
@@ -297,9 +248,9 @@ mod tests {
                     alias: "owner".into(),
                 }],
             );
-        let text = explain(&plan);
-        assert!(text.contains("Aggregate: group by [comm_name]"));
-        assert!(text.contains("ArgMax(distance, query1) AS owner"));
-        assert!(text.contains("Join: query2 = query"));
+        let text = explain_physical(&optimize(&plan, &ctx()).unwrap());
+        assert!(text.contains("Aggregate: group by [comm_name]"), "{text}");
+        assert!(text.contains("ArgMax(distance, query1) AS owner"), "{text}");
+        assert!(text.contains("HashJoin: query2 = query  [build="), "{text}");
     }
 }

@@ -12,9 +12,13 @@
 //! * typed columnar [`Table`]s with [`Schema`]s and [`Value`]s,
 //! * physical operators (filter, project, hash join, hash aggregate with
 //!   the paper's `argmax`, sort, distinct, union, limit),
-//! * a thread-parallel executor with deterministic hash partitioning and
-//!   the two join strategies discussed in §4.2.3 (replicated/broadcast vs
-//!   co-partitioned),
+//! * a cost-based physical planner and executor ([`optimize`],
+//!   [`ExecContext::execute_physical`]) that runs each hash join as one of
+//!   the two strategies discussed in §4.2.3 (replicated/broadcast vs
+//!   co-partitioned), on either build side, over a worker pool with
+//!   deterministic hash partitioning ([`Cluster`]), and spills blocking
+//!   operators to disk past a memory grant,
+//! * EXPLAIN / EXPLAIN ANALYZE rendering of physical plans,
 //! * per-stage I/O statistics in the shape of the paper's Table 9,
 //! * a SQL front-end able to parse and run the Figure 4 queries, including
 //!   the pipeline-supplied `ModulGain` UDF and the `argmax` aggregate.
@@ -40,7 +44,6 @@
 
 pub mod binfmt;
 mod catalog;
-pub mod csv;
 mod column;
 mod error;
 pub mod exec;
@@ -62,7 +65,7 @@ pub use catalog::{Catalog, Source};
 pub use column::Column;
 pub use error::{RelError, RelResult};
 pub use exec::{Cluster, ExecStats, JoinStrategy, StageStats, StatsRegistry};
-pub use explain::{explain, explain_analyze, explain_physical};
+pub use explain::{explain_analyze, explain_physical};
 pub use expr::{BinOp, CompiledExpr, Expr};
 pub use esharp_storage::{BufferPool, PoolStats, PAGE_SIZE};
 pub use paged::{PagedTable, ScanOptions, ScanOutcome};

@@ -373,9 +373,9 @@ pub fn aggregate(input: &Table, group_keys: &[usize], aggs: &[AggSpec]) -> RelRe
 
 impl ExecContext {
     /// The naive executor: run a logical plan operator by operator, each
-    /// input materialized, with no pushdown and no cost-based choice
-    /// (joins use the context's `join_strategy`). The reference semantics
-    /// that [`ExecContext::execute_physical`] is checked against.
+    /// input materialized, with no pushdown and no cost-based choice. The
+    /// reference semantics that [`ExecContext::execute_physical`] is
+    /// checked against.
     pub fn execute(&self, plan: &LogicalPlan) -> RelResult<Table> {
         let start = Instant::now();
         let (result, rows_in, bytes_in) = match plan {
@@ -472,7 +472,7 @@ impl ExecContext {
     }
 
     /// Split a join condition into hash keys and a residual predicate, then
-    /// run the configured parallel join.
+    /// run a serial hash join built on the right.
     fn execute_join(&self, left: &Table, right: &Table, on: &Expr) -> RelResult<Table> {
         let mut conjuncts = Vec::new();
         flatten_and(on, &mut conjuncts);
@@ -498,9 +498,7 @@ impl ExecContext {
                 "join condition contains no equi-join predicate".into(),
             ));
         }
-        let joined = self
-            .cluster
-            .join(left, right, &left_keys, &right_keys, self.join_strategy)?;
+        let joined = ops::hash_join(left, right, &left_keys, &right_keys, JoinSide::BuildRight)?;
         match residual {
             Some(expr) => {
                 let compiled = expr.compile(joined.schema(), &self.udfs)?;

@@ -249,12 +249,6 @@ impl ExecContext {
         self.spill_root = Some(root.into());
         self
     }
-
-    /// Feed measured node statistics back into the optimizer.
-    pub fn with_history(mut self, history: crate::physical::PlanHistory) -> Self {
-        self.history = history;
-        self
-    }
 }
 
 /// Collect the AND-conjuncts of an expression tree.

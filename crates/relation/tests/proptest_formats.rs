@@ -1,9 +1,8 @@
-//! Property-based round-trip tests for the two table serialization
-//! formats (binary and CSV) over arbitrary tables.
+//! Property-based round-trip tests for the binary table format over
+//! arbitrary tables.
 
 use esharp_relation::binfmt::{decode_table, encode_table};
-use esharp_relation::csv::{from_csv_with_schema, to_csv};
-use esharp_relation::{Column, DataType, Field, Schema, Table, Value};
+use esharp_relation::{Column, DataType, Field, Schema, Table};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -68,24 +67,5 @@ proptest! {
         // Truncation must yield Err (or Ok for the full buffer) — never panic.
         let prefix = encoded.slice(0..cut);
         let _ = decode_table(prefix);
-    }
-
-    #[test]
-    fn csv_round_trip(table in arb_table()) {
-        let csv = to_csv(&table);
-        let back = from_csv_with_schema(&csv, Arc::clone(table.schema())).unwrap();
-        // CSV is text: floats must survive because Rust's Display for f64
-        // round-trips; compare cell by cell.
-        prop_assert_eq!(back.num_rows(), table.num_rows());
-        for (a, b) in back.iter_rows().zip(table.iter_rows()) {
-            for (x, y) in a.iter().zip(b.iter()) {
-                match (x, y) {
-                    (Value::Float(p), Value::Float(q)) => {
-                        prop_assert!((p - q).abs() <= f64::EPSILON * p.abs().max(1.0))
-                    }
-                    _ => prop_assert_eq!(x, y),
-                }
-            }
-        }
     }
 }

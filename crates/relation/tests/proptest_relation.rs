@@ -2,7 +2,9 @@
 
 use esharp_relation::ops::{aggregate, distinct, hash_join, limit, sort, AggFunc, AggSpec, JoinSide, SortKey};
 use esharp_relation::exec::{hash_partition, Cluster, JoinStrategy};
-use esharp_relation::{Catalog, DataType, ExecContext, Expr, Schema, Table, Value};
+use esharp_relation::{
+    Catalog, DataType, Estimate, ExecContext, Expr, PhysicalPlan, Schema, Table, Value,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -18,6 +20,56 @@ fn arb_table(max_rows: usize) -> impl Strategy<Value = Table> {
         )
         .unwrap()
     })
+}
+
+/// [`arb_table`] with its columns renamed `(k2, w)`, a join partner whose
+/// names do not collide with `(k, v)`.
+fn arb_right_table(max_rows: usize) -> impl Strategy<Value = Table> {
+    arb_table(max_rows).prop_map(|t| {
+        let schema = Schema::of(&[("k2", DataType::Int), ("w", DataType::Int)]);
+        Table::from_rows(schema, t.iter_rows().collect()).unwrap()
+    })
+}
+
+/// `left ⋈ right ON on` as the physical executor runs it, with the join
+/// strategy, build side and worker count forced instead of planned.
+fn physical_join(
+    left: &Table,
+    right: &Table,
+    on: &Expr,
+    strategy: JoinStrategy,
+    build_left: bool,
+    workers: usize,
+) -> Table {
+    let catalog = Catalog::new();
+    catalog.register("l", left.clone());
+    catalog.register("r", right.clone());
+    let ctx = ExecContext::new(catalog).with_cluster(Cluster::new(workers));
+    let est = Estimate {
+        rows: 0.0,
+        bytes: 0.0,
+        measured: false,
+    };
+    let scan = |id, table: &str| {
+        Box::new(PhysicalPlan::SeqScan {
+            id,
+            table: table.into(),
+            projection: None,
+            predicate: None,
+            limit: None,
+            est,
+        })
+    };
+    let plan = PhysicalPlan::HashJoin {
+        id: 0,
+        left: scan(1, "l"),
+        right: scan(2, "r"),
+        on: on.clone(),
+        build_left,
+        strategy,
+        est,
+    };
+    ctx.execute_physical(&plan).unwrap()
 }
 
 proptest! {
@@ -63,13 +115,37 @@ proptest! {
     #[test]
     fn parallel_join_matches_serial_for_all_strategies(
         l in arb_table(50),
-        r in arb_table(50),
-        workers in 2usize..6,
+        r in arb_right_table(50),
     ) {
-        let serial = hash_join(&l, &r, &[0], &[0], JoinSide::BuildRight).unwrap();
-        for strategy in [JoinStrategy::Broadcast, JoinStrategy::CoPartitioned] {
-            let par = Cluster::new(workers).join(&l, &r, &[0], &[0], strategy).unwrap();
-            prop_assert_eq!(serial.sorted_rows(), par.sorted_rows());
+        let equi = Expr::col("k").eq(Expr::col("k2"));
+        let with_residual = equi.clone().and(Expr::col("v").lt(Expr::col("w")));
+        for (on, residual) in [(equi, false), (with_residual, true)] {
+            // Nested-loop model of the ON clause.
+            let mut expected = Vec::new();
+            for a in l.iter_rows() {
+                for b in r.iter_rows() {
+                    if a[0] == b[0] && (!residual || a[1].as_int() < b[1].as_int()) {
+                        expected.push([a.clone(), b].concat());
+                    }
+                }
+            }
+            expected.sort();
+            for strategy in [JoinStrategy::Broadcast, JoinStrategy::CoPartitioned] {
+                for build_left in [false, true] {
+                    for workers in 1..=8 {
+                        let out = physical_join(&l, &r, &on, strategy, build_left, workers);
+                        prop_assert_eq!(
+                            &out.sorted_rows(),
+                            &expected,
+                            "{:?}, build_left {}, {} workers, residual {}",
+                            strategy,
+                            build_left,
+                            workers,
+                            residual
+                        );
+                    }
+                }
+            }
         }
     }
 

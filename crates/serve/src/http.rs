@@ -7,12 +7,9 @@
 //! and gets back either a complete request plus how many bytes it
 //! consumed, "need more", or a typed protocol error — which is what
 //! makes keep-alive and pipelined connections parse correctly no matter
-//! how the client fragments its writes. The blocking one-shot readers
-//! ([`read_request`]/[`read_request_limited`]) are thin loops over the
-//! same parser.
+//! how the client fragments its writes.
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, Write};
 
 /// Default max bytes of request head (request line + headers).
 pub const DEFAULT_MAX_HEAD: usize = 16 * 1024;
@@ -113,41 +110,6 @@ impl Request {
             .iter()
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Read and parse one request from the stream with default [`Limits`].
-/// Returns `Ok(None)` when the peer closed before sending anything (a
-/// clean no-request connection); malformed or oversized requests are
-/// `Err`.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
-    read_request_limited(stream, &Limits::default()).map_err(|e| match e {
-        RequestError::Malformed(e) | RequestError::Io(e) => e,
-        RequestError::BodyTooLarge { .. } => bad("request body too large"),
-        RequestError::HeadTooLarge { .. } => bad("request head too large"),
-    })
-}
-
-/// [`read_request`] with explicit size caps and a typed error that maps
-/// onto the exact rejection status (`400`/`413`/`431`).
-pub fn read_request_limited(
-    stream: &mut TcpStream,
-    limits: &Limits,
-) -> Result<Option<Request>, RequestError> {
-    let mut pending = Vec::with_capacity(512);
-    let mut buf = [0u8; 1024];
-    loop {
-        if let Some((request, _consumed)) = parse_request(&pending, limits)? {
-            return Ok(Some(request));
-        }
-        let n = stream.read(&mut buf).map_err(RequestError::Io)?;
-        if n == 0 {
-            if pending.is_empty() {
-                return Ok(None);
-            }
-            return Err(RequestError::Malformed(bad("connection closed mid-request")));
-        }
-        pending.extend_from_slice(&buf[..n]);
     }
 }
 
@@ -375,69 +337,6 @@ pub fn write_head(
     out.extend_from_slice(b"\r\n");
 }
 
-/// Write a complete closing response and flush (the one-shot path used
-/// by blocking callers and tests; the event loop renders and writes
-/// through its connection state machine instead).
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-) -> io::Result<()> {
-    let bytes = render_response(status, extra_headers, body, true);
-    write_bounded(stream, &bytes)?;
-    stream.flush()
-}
-
-/// Write all of `buf`, tolerating partial writes and spurious wakeups
-/// under `set_write_timeout`. A `WouldBlock`/`TimedOut` while bytes are
-/// still moving is retried; one with **zero progress since the last
-/// retry** means the client has stopped draining its receive window —
-/// the write is abandoned and the error surfaces so the caller can shed
-/// the connection (see [`is_slow_client`]).
-fn write_bounded(stream: &mut TcpStream, buf: &[u8]) -> io::Result<()> {
-    let mut written = 0usize;
-    let mut progressed = true;
-    while written < buf.len() {
-        match stream.write(&buf[written..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "client closed mid-response",
-                ))
-            }
-            Ok(n) => {
-                written += n;
-                progressed = true;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if !progressed {
-                    return Err(e);
-                }
-                progressed = false;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Whether a write failure means the *client* stalled (stopped reading,
-/// filled its window) rather than the server failing — such connections
-/// are shed and accounted as `shed_slow_client`, never as success.
-pub fn is_slow_client(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::WriteZero
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,30 +352,25 @@ mod tests {
         assert_eq!(percent_decode("%ff"), None, "lone 0xff is not UTF-8");
     }
 
+    /// Parse one complete request from `wire`, checking it consumes every
+    /// byte.
+    fn parse_all(wire: &[u8], limits: &Limits) -> Request {
+        let (req, consumed) = parse_request(wire, limits).unwrap().unwrap();
+        assert_eq!(consumed, wire.len());
+        req
+    }
+
     #[test]
-    fn requests_parse_over_a_real_socket() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = std::thread::spawn(move || {
-            let mut c = TcpStream::connect(addr).unwrap();
-            c.write_all(
-                b"GET /search?q=golden%20gate&top=3 HTTP/1.1\r\nHost: x\r\n\r\n",
-            )
-            .unwrap();
-            let mut out = String::new();
-            c.read_to_string(&mut out).unwrap();
-            out
-        });
-        let (mut stream, _) = listener.accept().unwrap();
-        let req = read_request(&mut stream).unwrap().unwrap();
+    fn get_requests_parse_path_and_query() {
+        let wire = b"GET /search?q=golden%20gate&top=3 HTTP/1.1\r\nHost: x\r\n\r\n";
+        let req = parse_all(wire, &Limits::default());
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/search");
         assert_eq!(req.param("q"), Some("golden gate"));
         assert_eq!(req.param("top"), Some("3"));
         assert_eq!(req.param("missing"), None);
-        write_response(&mut stream, 200, &[("x-test", "1")], b"{}").unwrap();
-        drop(stream);
-        let reply = client.join().unwrap();
+        let reply = render_response(200, &[("x-test", "1")], b"{}", true);
+        let reply = String::from_utf8(reply).unwrap();
         assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
         assert!(reply.contains("x-test: 1"));
         assert!(reply.ends_with("{}"));
@@ -484,97 +378,51 @@ mod tests {
 
     #[test]
     fn post_bodies_are_drained() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = std::thread::spawn(move || {
-            let mut c = TcpStream::connect(addr).unwrap();
-            c.write_all(b"POST /reload HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello")
-                .unwrap();
-            let mut out = String::new();
-            c.read_to_string(&mut out).unwrap();
-            out
-        });
-        let (mut stream, _) = listener.accept().unwrap();
-        let req = read_request(&mut stream).unwrap().unwrap();
+        let wire = b"POST /reload HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
+        let req = parse_all(wire, &Limits::default());
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/reload");
         assert_eq!(req.body, b"hello");
-        write_response(&mut stream, 200, &[], b"{}").unwrap();
-        drop(stream);
-        client.join().unwrap();
     }
 
     #[test]
     fn malformed_requests_error_cleanly() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        for payload in ["garbage\r\n\r\n", "GET /x%zz HTTP/1.1\r\n\r\n", "GET / SPDY/3\r\n\r\n"] {
-            let sent = payload.to_string();
-            let client = std::thread::spawn(move || {
-                let mut c = TcpStream::connect(addr).unwrap();
-                c.write_all(sent.as_bytes()).unwrap();
-                let mut out = Vec::new();
-                let _ = c.read_to_end(&mut out);
-            });
-            let (mut stream, _) = listener.accept().unwrap();
-            assert!(read_request(&mut stream).is_err(), "{payload:?}");
-            drop(stream);
-            client.join().unwrap();
+        let limits = Limits::default();
+        for payload in [
+            "garbage\r\n\r\n",
+            "GET /x%zz HTTP/1.1\r\n\r\n",
+            "GET / SPDY/3\r\n\r\n",
+            "POST / HTTP/1.1\r\nContent-Length: x\r\n\r\n",
+        ] {
+            let err = parse_request(payload.as_bytes(), &limits).unwrap_err();
+            assert!(matches!(err, RequestError::Malformed(_)), "{payload:?}: {err:?}");
+            assert_eq!(err.status(), 400);
         }
-        // Clean EOF before any bytes → Ok(None).
-        let client = std::thread::spawn(move || {
-            let c = TcpStream::connect(addr).unwrap();
-            drop(c);
-        });
-        let (mut stream, _) = listener.accept().unwrap();
-        client.join().unwrap();
-        assert!(matches!(read_request(&mut stream), Ok(None)));
+        // No bytes yet is not an error: the parser asks for more.
+        assert!(matches!(parse_request(b"", &limits), Ok(None)));
     }
 
     #[test]
     fn headers_are_parsed_case_insensitively() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = std::thread::spawn(move || {
-            let mut c = TcpStream::connect(addr).unwrap();
-            c.write_all(
-                b"GET /search?q=a HTTP/1.1\r\nX-Esharp-Deadline-Ms: 75\r\nHost: x\r\n\r\n",
-            )
-            .unwrap();
-            let mut out = Vec::new();
-            let _ = c.read_to_end(&mut out);
-        });
-        let (mut stream, _) = listener.accept().unwrap();
-        let req = read_request(&mut stream).unwrap().unwrap();
+        let wire = b"GET /search?q=a HTTP/1.1\r\nX-Esharp-Deadline-Ms: 75\r\nHost: x\r\n\r\n";
+        let req = parse_all(wire, &Limits::default());
         assert_eq!(req.header("x-esharp-deadline-ms"), Some("75"));
         assert_eq!(req.header("X-ESHARP-DEADLINE-MS"), Some("75"));
         assert_eq!(req.header("host"), Some("x"));
         assert_eq!(req.header("absent"), None);
-        write_response(&mut stream, 200, &[], b"{}").unwrap();
-        drop(stream);
-        client.join().unwrap();
     }
 
     #[test]
     fn oversized_body_is_rejected_before_reading_it() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = std::thread::spawn(move || {
-            let mut c = TcpStream::connect(addr).unwrap();
-            // Declare a huge body but never send it: the server must
-            // reject from the declaration alone without blocking on
-            // body bytes.
-            c.write_all(b"POST /ingest HTTP/1.1\r\nContent-Length: 999999\r\n\r\n")
-                .unwrap();
-            let mut out = Vec::new();
-            let _ = c.read_to_end(&mut out);
-        });
-        let (mut stream, _) = listener.accept().unwrap();
+        // A huge body is declared but none of it has arrived: the
+        // declaration alone is refused, so the server never waits on body
+        // bytes.
         let limits = Limits {
             max_head: 1024,
             max_body: 64,
         };
-        let err = read_request_limited(&mut stream, &limits).unwrap_err();
+        let wire = b"POST /ingest HTTP/1.1\r\nContent-Length: 999999\r\n\r\n";
+        let err = parse_request(wire, &limits).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -586,9 +434,8 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(err.status(), 413);
-        write_response(&mut stream, 413, &[], b"{}").unwrap();
-        drop(stream);
-        client.join().unwrap();
+        let reply = render_response(err.status(), &[], b"{}", true);
+        assert!(reply.starts_with(b"HTTP/1.1 413 Payload Too Large\r\n"));
     }
 
     #[test]
@@ -670,25 +517,17 @@ mod tests {
 
     #[test]
     fn oversized_head_is_rejected() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = std::thread::spawn(move || {
-            let mut c = TcpStream::connect(addr).unwrap();
-            let huge = format!("GET /x HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(4096));
-            let _ = c.write_all(huge.as_bytes());
-            let mut out = Vec::new();
-            let _ = c.read_to_end(&mut out);
-        });
-        let (mut stream, _) = listener.accept().unwrap();
         let limits = Limits {
             max_head: 512,
             max_body: 64,
         };
-        let err = read_request_limited(&mut stream, &limits).unwrap_err();
+        // A head still growing past the cap, its blank line not yet sent.
+        let head = format!("GET /x HTTP/1.1\r\nX-Pad: {}\r\n", "a".repeat(4096));
+        assert!(matches!(parse_request(&head.as_bytes()[..512], &limits), Ok(None)));
+        let err = parse_request(head.as_bytes(), &limits).unwrap_err();
         assert!(matches!(err, RequestError::HeadTooLarge { cap: 512 }), "{err:?}");
         assert_eq!(err.status(), 431);
-        write_response(&mut stream, 431, &[], b"{}").unwrap();
-        drop(stream);
-        client.join().unwrap();
+        let reply = render_response(err.status(), &[], b"{}", true);
+        assert!(reply.starts_with(b"HTTP/1.1 431 Request Header Fields Too Large\r\n"));
     }
 }

@@ -381,7 +381,8 @@ impl Poller {
         })
     }
 
-    /// The backend's name, for `/metrics` and boot logs.
+    /// The backend's name, `"epoll"` or `"poll"`. It is not reported on
+    /// `/metrics`; the poller tests label their failures with it.
     pub fn backend_name(&self) -> &'static str {
         match &self.backend {
             #[cfg(target_os = "linux")]

@@ -509,12 +509,6 @@ impl Server {
         Arc::clone(&self.state.metrics)
     }
 
-    /// A snapshot of the per-shard circuit breakers (also on `/metrics`
-    /// and `/healthz`).
-    pub fn breaker_stats(&self) -> BreakerStats {
-        BreakerStats::of(&self.state.breakers)
-    }
-
     /// Stop accepting, drain admitted requests, join every thread.
     pub fn shutdown(mut self) {
         if let Some(mut compactor) = self.compactor.take() {

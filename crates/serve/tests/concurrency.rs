@@ -29,6 +29,9 @@ const READERS: usize = 6;
 const SEARCHES_PER_READER: usize = 120;
 const RELOADS: u32 = 40;
 
+/// Rendered bodies keyed by `(query, epoch)`.
+type Bodies = HashMap<(String, u64), Vec<u8>>;
+
 fn save_good(testbed: &Testbed, path: &Path) {
     testbed.esharp.domains().save(path).expect("save domains");
 }
@@ -71,8 +74,7 @@ fn readers_never_observe_torn_or_mixed_epoch_state() {
 
     // Every body ever rendered, keyed by (query, epoch). Concurrent
     // renders of the same key must agree byte for byte.
-    let observed: Arc<Mutex<HashMap<(String, u64), Vec<u8>>>> =
-        Arc::new(Mutex::new(HashMap::new()));
+    let observed: Arc<Mutex<Bodies>> = Arc::default();
     let stop = Arc::new(AtomicBool::new(false));
 
     let readers: Vec<_> = (0..READERS)

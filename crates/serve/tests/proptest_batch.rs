@@ -73,10 +73,7 @@ fn view(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 48,
-        ..ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn batch_is_bit_identical_to_sequential_singles(

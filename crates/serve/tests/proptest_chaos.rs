@@ -87,7 +87,7 @@ proptest! {
                 // runs stall a shard at the primary attempt, some hedge.
                 0..=59 => {
                     let q = &terms[(n as usize) % terms.len()];
-                    let stalled = (action < 25).then(|| (n as usize) % SHARDS);
+                    let stalled = (action < 25).then_some((n as usize) % SHARDS);
                     let hedge = action % 2 == 0;
 
                     let mut plan = FaultPlan::new(n ^ 0x5eed);

@@ -28,7 +28,7 @@ fn user(id: u32, handle: &str) -> User {
         display_name: format!("U {handle}"),
         description: format!("about {handle}"),
         followers: 10 + u64::from(id) * 7,
-        verified: id % 2 == 0,
+        verified: id.is_multiple_of(2),
         expert_domains: vec![],
         spam: false,
     }

@@ -189,7 +189,7 @@ fn kill_during_writeback_never_publishes_a_torn_page() {
         // Reopen with the fault armed on the page-0 writeback, dirty the
         // page through the pool, and flush into the fault.
         let plan: Arc<dyn FaultInjector> =
-            Arc::new(FaultPlan::new(0).trigger("wb:page0", 0, fault.clone()));
+            Arc::new(FaultPlan::new(0).trigger("wb:page0", 0, fault));
         let heap = Arc::new(HeapFile::open(&base).unwrap().with_injector(plan, "wb"));
         let pool = BufferPool::new(2);
         {

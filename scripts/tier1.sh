@@ -25,13 +25,19 @@
 #           byte-for-byte against in-process search — benchmark/ pins the
 #           match/search/rank entry points by name, so an API break or a
 #           body drift fails here and not in a full benchmark run
-#   clippy  workspace lints, warnings are errors
+#   clippy  workspace lints over every target (libraries, binaries,
+#           tests, benches, examples), warnings are errors
 #   panic   every crate root carries the no-panic lint gate (non-test
 #           unwrap/expect is a compile error), so a new module is gated
 #           by default; the exempt crates are named below with reasons
 #   unsafe  every crate root carries `#![forbid(unsafe_code)]`, so
 #           `unsafe` outside the two exempt crates (named below with
 #           reasons) is a compile error
+#   dead    every `pub fn` / `pub(crate) fn` in crates/*/src is named
+#           somewhere other than a `fn` definition line and outside `//`
+#           comments, in crates/, benchmark/src, examples/ or tests/ —
+#           a function only its own definition names is deleted, not
+#           kept; any exemption is listed below with its reason
 #
 # Usage: scripts/tier1.sh   (from the repo root or anywhere inside it)
 set -euo pipefail
@@ -85,8 +91,8 @@ trap 'rm -rf "$bench_dir"' EXIT
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   --smoke --seconds 1 --out "$bench_dir" >/dev/null
 
-echo "== tier-1: cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "== tier-1: cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: no-panic and no-unsafe gates at every crate root"
 # Exempt from the no-panic gate, each with its reason:
@@ -116,5 +122,23 @@ for lib in crates/*/src/lib.rs; do
        } ;;
   esac
 done
+
+echo "== tier-1: dead gate (every pub and pub(crate) fn is named elsewhere)"
+# Exempt from the dead gate, one name per entry, each with its reason:
+#   (none)
+dead_exempt=()
+export LC_ALL=C
+defined="$(grep -rhoE --include='*.rs' 'pub(\(crate\))? fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src |
+  awk '{print $NF}' | sort -u)"
+named="$(find crates benchmark/src examples tests -name '*.rs' -print0 |
+  xargs -0 sed -E -e 's#//.*##' -e 's/\bfn [A-Za-z_][A-Za-z0-9_]*//g' |
+  grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)"
+dead="$(comm -23 <(echo "$defined") <(echo "$named") |
+  grep -vxF -f <(printf '%s\n' "${dead_exempt[@]}" '') || true)"
+if [ -n "$dead" ]; then
+  echo "functions no code names (delete them, or exempt them above with a reason):" >&2
+  echo "$dead" >&2
+  exit 1
+fi
 
 echo "== tier-1: OK"
