@@ -11,7 +11,7 @@
 //! everything else as parsed — goes to the worker pool through the
 //! bounded admission [`Queue`]. Workers never touch a socket: they
 //! return [`Completion`]s through a shared vector and wake the loop via
-//! the self-pipe ([`crate::poller::Wakeup`]).
+//! a socket pair ([`crate::poller::Wakeup`]).
 //!
 //! Admission control sits at the dispatch point: a queue-full
 //! rejection sheds the *request* (inline `503` + `Retry-After`), not

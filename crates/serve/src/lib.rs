@@ -11,13 +11,13 @@
 //! ## Shape
 //!
 //! A multi-threaded HTTP/1.1 server with an event-driven front end: one
-//! nonblocking readiness loop ([`poller`]: epoll on Linux, poll(2)
-//! portable fallback, selectable via `ESHARP_FORCE_POLL=1`) owns every
-//! socket, speaks keep-alive and pipelining through per-connection
-//! state machines, and fans parsed requests out to a fixed worker pool
-//! through a **bounded admission queue** (the `esharp-par` caller/worker
-//! idiom, adapted from batch to streaming; completions return over a
-//! self-pipe wakeup). Seven endpoints:
+//! nonblocking readiness loop ([`poller`]: Linux epoll, the crate's
+//! only `unsafe` code) owns every socket, speaks keep-alive and
+//! pipelining through per-connection state machines, and fans parsed
+//! requests out to a fixed worker pool through a **bounded admission
+//! queue** (the `esharp-par` caller/worker idiom, adapted from batch to
+//! streaming; completions wake the loop through a socket pair). Seven
+//! endpoints:
 //!
 //! | Endpoint             | Purpose                                          |
 //! |----------------------|--------------------------------------------------|
@@ -63,6 +63,7 @@
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(unsafe_code)]
 
 pub mod cache;
 mod conn;
@@ -70,6 +71,7 @@ mod event_loop;
 pub mod http;
 pub mod json;
 pub mod metrics;
+#[allow(unsafe_code)]
 pub mod poller;
 pub mod server;
 

@@ -11,26 +11,54 @@ use crate::json;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
-/// Power-of-two microsecond buckets: bucket *i* counts samples in
-/// `[2^i, 2^(i+1))` µs, bucket 0 additionally absorbs sub-microsecond
-/// samples. 32 buckets reach ~71 minutes — far past any request.
-pub const BUCKETS: usize = 32;
+/// Log2 of the sub-buckets each power of two is cut into.
+const SUB_BITS: u32 = 5;
+
+/// Log-linear microsecond buckets: samples below 32 µs get one bucket
+/// each, and every power of two `[2^e, 2^(e+1))` above is cut into 32
+/// equal sub-buckets of width `2^(e-5)`, so a bucket is narrower than
+/// 1/32 of any sample in it. 1920 buckets cover all of `u64`.
+pub const BUCKETS: usize = bucket_of(u64::MAX) + 1;
+
+/// The bucket holding a sample of `us` microseconds.
+const fn bucket_of(us: u64) -> usize {
+    let shift = (64 - (us >> SUB_BITS).leading_zeros()).saturating_sub(1);
+    ((shift as u64) << SUB_BITS) as usize + (us >> shift) as usize
+}
+
+/// The largest sample bucket `i` holds (inverts [`bucket_of`]).
+fn bucket_top(i: usize) -> u64 {
+    let shift = (i >> SUB_BITS).saturating_sub(1);
+    let mantissa = (i - (shift << SUB_BITS)) as u64;
+    (mantissa << shift) | ((1u64 << shift) - 1)
+}
 
 /// A fixed-bucket latency histogram with exact count/sum/max.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
+    /// `BUCKETS` counters, indexed by [`bucket_of`].
+    buckets: Box<[AtomicU64]>,
     count: AtomicU64,
     sum_us: AtomicU64,
     max_us: AtomicU64,
+}
+
+impl Default for Histogram {
+    fn default() -> Histogram {
+        Histogram {
+            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            count: AtomicU64::new(0),
+            sum_us: AtomicU64::new(0),
+            max_us: AtomicU64::new(0),
+        }
+    }
 }
 
 impl Histogram {
     /// Record one sample.
     pub fn record(&self, d: Duration) {
         let us = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-        let index = (63 - us.max(1).leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[index].fetch_add(1, Relaxed);
+        self.buckets[bucket_of(us)].fetch_add(1, Relaxed);
         self.count.fetch_add(1, Relaxed);
         self.sum_us.fetch_add(us, Relaxed);
         self.max_us.fetch_max(us, Relaxed);
@@ -55,10 +83,10 @@ impl Histogram {
         self.max_us.load(Relaxed)
     }
 
-    /// Approximate quantile `q` in `[0, 1]`, reported as the upper bound
-    /// of the bucket holding the `⌈q·count⌉`-th sample (clamped by the
-    /// exact max). Bucket bounds are powers of two, so the estimate is
-    /// within 2× — plenty for "is p99 under a second".
+    /// Quantile `q` in `[0, 1]`, reported as the largest value the
+    /// bucket holding the `⌈q·count⌉`-th sample can hold, clamped by the
+    /// exact max. It is never below that sample and exceeds it by less
+    /// than 1/32 of it; below 32 µs it is exact.
     pub fn quantile_us(&self, q: f64) -> u64 {
         let count = self.count.load(Relaxed);
         if count == 0 {
@@ -69,7 +97,7 @@ impl Histogram {
         for (i, bucket) in self.buckets.iter().enumerate() {
             seen += bucket.load(Relaxed);
             if seen >= target {
-                return (1u64 << (i + 1)).min(self.max_us());
+                return bucket_top(i).min(self.max_us());
             }
         }
         self.max_us()
@@ -391,6 +419,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn histogram_buckets_and_quantiles() {
@@ -401,15 +430,63 @@ mod tests {
         }
         assert_eq!(h.count(), 6);
         assert_eq!(h.max_us(), 100_000);
-        // p50 of {1,2,3,100,1000,100000}: the 3rd sample (3µs) lives in
-        // bucket [2,4) whose upper bound is 4.
-        assert_eq!(h.quantile_us(0.5), 4);
+        // p50 of {1,2,3,100,1000,100000}: the 3rd sample, 3 µs, which
+        // has a bucket of its own.
+        assert_eq!(h.quantile_us(0.5), 3);
         // p99 → the max sample's bucket, clamped by the exact max.
         assert_eq!(h.quantile_us(0.99), 100_000);
         assert!(h.mean_us() > 0.0);
         // Sub-microsecond samples land in bucket 0 without panicking.
         h.record(Duration::from_nanos(10));
         assert_eq!(h.count(), 7);
+    }
+
+    #[test]
+    fn buckets_tile_the_u64_range() {
+        assert_eq!(BUCKETS, 1920);
+        for i in 0..BUCKETS {
+            let top = bucket_top(i);
+            assert_eq!(bucket_of(top), i, "top of bucket {i}");
+            if i + 1 < BUCKETS {
+                assert_eq!(bucket_of(top + 1), i + 1, "after bucket {i}");
+            }
+        }
+        assert_eq!(bucket_top(BUCKETS - 1), u64::MAX);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn quantiles_are_within_a_32nd_of_the_order_statistic(
+            samples in prop::collection::vec(
+                (0u32..=33, any::<u64>())
+                    .prop_map(|(bits, r)| r & ((1u64 << bits) - 1)),
+                1..300,
+            ),
+            q in 0.0f64..=1.0,
+        ) {
+            let h = Histogram::default();
+            for &us in &samples {
+                h.record(Duration::from_micros(us));
+            }
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            let count = sorted.len() as u64;
+            for q in [q, 0.5, 0.99, 1.0] {
+                let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+                let exact = sorted[rank as usize - 1];
+                let estimate = h.quantile_us(q);
+                prop_assert!(estimate >= exact, "q={q}: {estimate} < {exact}");
+                if exact < 32 {
+                    prop_assert_eq!(estimate, exact, "q={q}");
+                } else {
+                    prop_assert!(
+                        estimate - exact < exact / 32,
+                        "q={q}: {estimate} vs {exact}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

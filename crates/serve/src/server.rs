@@ -20,7 +20,7 @@
 //! Everything else goes to a worker. Workers never touch sockets — they
 //! pop parsed requests ([`Job`]s) from the bounded queue, run the
 //! handler, and hand the [`Response`] back through a completion vector
-//! plus a self-pipe wakeup. The queue's bound is the *admission
+//! plus a socket-pair wakeup. The queue's bound is the *admission
 //! control*: when it is full the loop answers `503 Retry-After` inline
 //! — on a keep-alive connection the shed costs one request, not the
 //! connection. Hits take no queue slot, so under overload hits are

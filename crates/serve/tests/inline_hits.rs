@@ -4,8 +4,7 @@
 //! hits and misses still answer in request order with the same bytes as
 //! when sent alone; hits and misses are each counted once; and a hit
 //! consumes no `attempt`, so pinned-attempt chaos plans address queued
-//! jobs only. `scripts/tier1.sh` runs this file on both pollers (native
-//! and `ESHARP_FORCE_POLL=1`).
+//! jobs only.
 
 use esharp_core::{DomainCollection, Esharp, EsharpConfig, SharedEsharp};
 use esharp_fault::{Fault, FaultPlan};
