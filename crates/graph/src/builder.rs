@@ -10,9 +10,9 @@
 //! would otherwise make the pair generation quadratic again.
 
 use crate::graph::{Edge, NodeId, SimilarityGraph};
-use crate::vector::ClickVector;
 use esharp_par::{default_chunk, shared_pool};
 use esharp_querylog::{AggregatedLog, UrlId, World};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Graph construction parameters.
@@ -73,34 +73,13 @@ pub fn build_graph(
     world: &World,
     config: &GraphConfig,
 ) -> (SimilarityGraph, BuildStats) {
-    // 1. Dense node ids in first-appearance order (records are sorted by
-    //    term, so term-id order). The term → node table is sized from the
-    //    records themselves: `from_events` accepts term ids the world
-    //    never issued.
-    let num_terms = log.records.iter().map(|r| r.term as usize + 1).max();
-    let mut node_of_term = vec![NodeId::MAX; num_terms.unwrap_or(0)];
-    let mut labels: Vec<Arc<str>> = Vec::new();
-    let mut pairs_per_node: Vec<Vec<(UrlId, f64)>> = Vec::new();
-    for record in &log.records {
-        let node = &mut node_of_term[record.term as usize];
-        if *node == NodeId::MAX {
-            *node = labels.len() as NodeId;
-            labels.push(Arc::from(world.term_text(record.term)));
-            pairs_per_node.push(Vec::new());
-        }
-        pairs_per_node[*node as usize].push((record.url, record.clicks as f64));
-    }
-
-    // 2. Normalized click vector per node.
-    let vectors = pairs_per_node.into_iter().map(ClickVector::from_pairs);
-    let mut vectors: Vec<ClickVector> = vectors.collect();
-    vectors.iter_mut().for_each(ClickVector::normalize);
-
-    // 3. URL inverted index. 4. Pair sums, a row (node) at a time over
-    //    fixed node ranges, each task with its own accumulator; 5. the
-    //    threshold is applied as a row completes.
-    let (index, urls_skipped) = PairIndex::new(&vectors, config.max_url_fanout);
-    let nodes: Vec<NodeId> = (0..vectors.len() as NodeId).collect();
+    // 1. Normalized click vectors, one flat row per node. 2. URL inverted
+    //    index. 3. Pair sums, a row (node) at a time over fixed node
+    //    ranges, each task with its own accumulator; 4. the threshold is
+    //    applied as a row completes.
+    let (labels, rows) = ClickRows::new(log, world);
+    let (index, urls_skipped) = PairIndex::new(rows, config.max_url_fanout);
+    let nodes: Vec<NodeId> = (0..labels.len() as NodeId).collect();
     let pool = shared_pool(config.workers);
     let rows = pool.map_chunks(&nodes, default_chunk(nodes.len()), |nodes| {
         index.accumulate(nodes, config.min_similarity)
@@ -117,24 +96,102 @@ pub fn build_graph(
     (SimilarityGraph::new(labels, edges), stats)
 }
 
-/// The URL inverted index in CSR form, and each node's way into it.
-struct PairIndex {
-    /// `(node, weight)` grouped by URL id, in node order within a URL.
-    postings: Vec<(NodeId, f64)>,
-    /// Node `i`'s kept URLs, in URL-id order, are
-    /// `terms[row_start[i]..row_start[i + 1]]`.
-    terms: Vec<RowTerm>,
-    row_start: Vec<usize>,
+/// Every node's click vector in one CSR array: node `i`'s components,
+/// sorted by URL id with duplicate URLs merged and scaled to unit norm, are
+/// `components[start[i]..start[i + 1]]`.
+struct ClickRows {
+    components: Vec<(UrlId, f64)>,
+    start: Vec<usize>,
 }
 
-/// One kept URL of one node's click vector.
-struct RowTerm {
-    /// The node's normalized weight on the URL.
-    weight: f64,
-    /// Chunk label of the URL's posting list (see [`build_graph`]), from 1.
+impl ClickRows {
+    /// Node labels and rows. Nodes are numbered in first-appearance order
+    /// (records are sorted by term, so term-id order). The term → node
+    /// table is sized from the records themselves: `from_events` accepts
+    /// term ids the world never issued.
+    fn new(log: &AggregatedLog, world: &World) -> (Vec<Arc<str>>, ClickRows) {
+        let num_terms = log.records.iter().map(|r| r.term as usize + 1).max();
+        let mut node_of_term = vec![NodeId::MAX; num_terms.unwrap_or(0)];
+        let mut labels: Vec<Arc<str>> = Vec::new();
+        let mut start = vec![0];
+        for record in &log.records {
+            let node = &mut node_of_term[record.term as usize];
+            if *node == NodeId::MAX {
+                *node = labels.len() as NodeId;
+                labels.push(Arc::from(world.term_text(record.term)));
+                start.push(0);
+            }
+            start[*node as usize + 1] += 1;
+        }
+        for node in 1..start.len() {
+            start[node] += start[node - 1];
+        }
+        let mut fill = start.clone();
+        let mut components = vec![(0, 0.0); log.records.len()];
+        for record in &log.records {
+            let slot = &mut fill[node_of_term[record.term as usize] as usize];
+            components[*slot] = (record.url, record.clicks as f64);
+            *slot += 1;
+        }
+
+        // Merging duplicates only shortens rows, so each row moves left in
+        // place. The merge (stable, in record order), the norm and the
+        // division are the oracles' `ClickVector`'s, addition for addition.
+        let mut end = 0;
+        for node in 0..labels.len() {
+            let row = &mut components[start[node]..start[node + 1]];
+            if !row.is_sorted_by(|a, b| a.0 < b.0) {
+                row.sort_by_key(|&(url, _)| url);
+            }
+            let first = end;
+            for k in start[node]..start[node + 1] {
+                let (url, clicks) = components[k];
+                if end > first && components[end - 1].0 == url {
+                    components[end - 1].1 += clicks;
+                } else {
+                    components[end] = (url, clicks);
+                    end += 1;
+                }
+            }
+            start[node] = first;
+            let row = &mut components[first..end];
+            let norm = row.iter().map(|&(_, x)| x * x).sum::<f64>().sqrt();
+            if norm > 0.0 {
+                row.iter_mut().for_each(|(_, x)| *x /= norm);
+            }
+        }
+        start[labels.len()] = end;
+        components.truncate(end);
+        (labels, ClickRows { components, start })
+    }
+
+    /// Positions of node `i`'s components.
+    fn row(&self, i: NodeId) -> Range<usize> {
+        self.start[i as usize]..self.start[i as usize + 1]
+    }
+}
+
+/// The URL inverted index in CSR form, and each component's way into it.
+struct PairIndex {
+    rows: ClickRows,
+    /// The kept lists' `(node, weight)` postings as two parallel arrays,
+    /// grouped by URL id, in node order within a URL.
+    node: Vec<NodeId>,
+    weight: Vec<f64>,
+    /// Per URL id.
+    lists: Vec<UrlList>,
+    /// Per component of `rows`: the position just after its own posting,
+    /// so `after[c]..lists[url].end` are the URL's postings of later nodes.
+    after: Vec<u32>,
+}
+
+/// Where one URL's posting list ends, and which chunk it is summed in.
+#[derive(Clone, Copy)]
+struct UrlList {
+    end: u32,
+    /// Chunk label (see [`build_graph`]), from 1; 0 for a list over the
+    /// fanout cap, which is left empty.
     chunk: u32,
-    /// The URL's postings that belong to later nodes.
-    later: std::ops::Range<usize>,
 }
 
 /// Running sum of one pair `(i, j)` while row `i` is accumulated.
@@ -149,56 +206,56 @@ struct PairSum {
 }
 
 impl PairIndex {
-    /// Counting sort of every vector component by URL id. Also returns
-    /// how many URLs the fanout cap skipped.
-    fn new(vectors: &[ClickVector], max_url_fanout: usize) -> (PairIndex, usize) {
-        let components = || vectors.iter().flat_map(|v| v.components());
-        let num_urls = components().map(|&(url, _)| url as usize + 1).max();
-        let mut list_start = vec![0usize; num_urls.unwrap_or(0) + 1];
-        for &(url, _) in components() {
-            list_start[url as usize + 1] += 1;
+    /// Counting sort of every row component by URL id. Also returns how
+    /// many URLs the fanout cap skipped.
+    fn new(rows: ClickRows, max_url_fanout: usize) -> (PairIndex, usize) {
+        assert!(rows.components.len() <= u32::MAX as usize, "u32 positions");
+        let urls = || rows.components.iter().map(|&(url, _)| url as usize);
+        let mut fanout = vec![0; urls().max().map_or(0, |url| url + 1)];
+        for url in urls() {
+            fanout[url] += 1;
         }
-        // Rank the kept lists in URL-id order, from 1 (0: no list, or one
-        // over the cap). Rank over chunk size, rounded up, is a list's chunk
-        // label: 1, 2, … for kept lists and still 0 for the others.
-        let (mut kept, mut urls_skipped) = (0, 0);
-        let mut rank_of_url = vec![0usize; list_start.len() - 1];
-        for (url, rank) in rank_of_url.iter_mut().enumerate() {
-            let fanout = list_start[url + 1];
-            if fanout > max_url_fanout {
-                urls_skipped += 1;
-            } else if fanout > 0 {
-                kept += 1;
-                *rank = kept;
-            }
-            list_start[url + 1] += list_start[url];
-        }
-        let chunk_size = default_chunk(kept);
-
-        let mut fill = list_start.clone();
-        let mut postings = vec![(0 as NodeId, 0.0); fill[fill.len() - 1]];
-        let mut terms = Vec::new();
-        let mut row_start = vec![0];
-        for (node, vector) in vectors.iter().enumerate() {
-            for &(url, weight) in vector.components() {
-                let url = url as usize;
-                postings[fill[url]] = (node as NodeId, weight);
-                fill[url] += 1;
-                let chunk = rank_of_url[url].div_ceil(chunk_size) as u32;
-                if chunk > 0 {
-                    terms.push(RowTerm {
-                        weight,
-                        chunk,
-                        later: fill[url]..list_start[url + 1],
-                    });
+        // Kept lists are ranked in URL-id order from 1; rank over chunk
+        // size, rounded up, is a list's chunk label. Every list starts out
+        // with `end` at its start and is filled up to its end below.
+        let kept = fanout.iter().filter(|&&n| n > 0 && n <= max_url_fanout);
+        let chunk_size = default_chunk(kept.count());
+        let (mut rank, mut postings, mut urls_skipped) = (0usize, 0, 0);
+        let mut lists: Vec<UrlList> = fanout
+            .iter()
+            .map(|&n| {
+                let end = postings as u32;
+                if n > max_url_fanout {
+                    urls_skipped += 1;
+                    return UrlList { end, chunk: 0 };
                 }
+                rank += usize::from(n > 0);
+                postings += n;
+                let chunk = rank.div_ceil(chunk_size) as u32;
+                UrlList { end, chunk }
+            })
+            .collect();
+
+        let mut node = vec![0; postings];
+        let mut weight = vec![0.0; postings];
+        let mut after = Vec::with_capacity(rows.components.len());
+        for i in 0..rows.start.len() - 1 {
+            for &(url, w) in &rows.components[rows.row(i as NodeId)] {
+                let list = &mut lists[url as usize];
+                if list.chunk > 0 {
+                    node[list.end as usize] = i as NodeId;
+                    weight[list.end as usize] = w;
+                    list.end += 1;
+                }
+                after.push(list.end);
             }
-            row_start.push(terms.len());
         }
         let index = PairIndex {
-            postings,
-            terms,
-            row_start,
+            rows,
+            node,
+            weight,
+            lists,
+            after,
         };
         (index, urls_skipped)
     }
@@ -207,33 +264,37 @@ impl PairIndex {
     /// `(i, j > i)` at or above the threshold in `(i, j)` order, and the
     /// number of candidate pairs summed on the way.
     fn accumulate(&self, nodes: &[NodeId], min_similarity: f64) -> (Vec<Edge>, usize) {
-        let mut sums = vec![PairSum::default(); self.row_start.len() - 1];
-        let mut touched: Vec<NodeId> = Vec::new();
+        let mut sums = vec![PairSum::default(); self.rows.start.len() - 1];
+        let mut touched: Vec<NodeId> = vec![0; sums.len()];
         let mut edges: Vec<Edge> = Vec::new();
         let mut candidates = 0;
         for &i in nodes {
-            let row = self.row_start[i as usize]..self.row_start[i as usize + 1];
-            for term in &self.terms[row] {
-                for &(j, weight) in &self.postings[term.later.clone()] {
+            let mut len = 0;
+            for c in self.rows.row(i) {
+                let (url, wi) = self.rows.components[c];
+                let list = self.lists[url as usize];
+                let later = self.after[c] as usize..list.end as usize;
+                for (&j, &wj) in self.node[later.clone()].iter().zip(&self.weight[later]) {
+                    // Masks, not a branch: about half the contributions
+                    // open a new (pair, chunk) sum. `keep` is all ones
+                    // while the chunk goes on, and a masked-out partial
+                    // is +0.0. Sums are non-negative, so `total + 0.0`
+                    // keeps its bits, and so does a first partial or
+                    // contribution added to `0.0`.
                     let sum = &mut sums[j as usize];
-                    if sum.chunk != term.chunk {
-                        if sum.chunk == 0 {
-                            touched.push(j);
-                        }
-                        // Weights are non-negative, so the `0.0 +` this
-                        // puts in front of a first partial or a first
-                        // contribution leaves its bits alone.
-                        sum.total += sum.partial;
-                        sum.partial = 0.0;
-                        sum.chunk = term.chunk;
-                    }
-                    sum.partial += term.weight * weight;
+                    let keep = u64::from(sum.chunk == list.chunk).wrapping_neg();
+                    touched[len] = j;
+                    len += usize::from(sum.chunk == 0);
+                    let partial = sum.partial.to_bits();
+                    sum.total += f64::from_bits(partial & !keep);
+                    sum.partial = f64::from_bits(partial & keep) + wi * wj;
+                    sum.chunk = list.chunk;
                 }
             }
             // Threshold first, then order only the survivors.
-            candidates += touched.len();
+            candidates += len;
             let first_of_row = edges.len();
-            for b in touched.drain(..) {
+            for &b in &touched[..len] {
                 let sum = std::mem::take(&mut sums[b as usize]);
                 let weight = sum.total + sum.partial;
                 if weight >= min_similarity {
@@ -250,6 +311,7 @@ impl PairIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vector::ClickVector;
     use esharp_querylog::{ClickRecord, LogConfig, LogGenerator, TermId, TermInfo, WorldConfig};
     use std::collections::{BTreeSet, HashMap};
 
@@ -526,6 +588,80 @@ mod tests {
             config.workers = workers;
             let built = build_graph(&log, &world, &config);
             assert_bit_identical(&built, &oracle, &format!("workers={workers}"));
+        }
+    }
+
+    /// Inputs `from_events` never produces, which the rows must merge and
+    /// sort themselves as `ClickVector::from_pairs` does: one `(term, url)`
+    /// split over two or three records, zero-click records (term 0 has
+    /// nothing else), and the records shuffled. Term 1's row is long enough
+    /// for an unstable sort to reorder equal URLs, and its split clicks
+    /// (`2⁵³` and ones) sum to different f64s in different orders.
+    #[test]
+    fn split_zero_click_and_shuffled_records_match_the_oracle() {
+        let terms = (0..24)
+            .map(|i| TermInfo {
+                text: format!("t{i}"),
+                domains: Vec::new(),
+            })
+            .collect();
+        let world = World {
+            domains: Vec::new(),
+            terms,
+            urls: Vec::new(),
+            seed: 0,
+        };
+        let mut records = Vec::new();
+        let mut push = |term, url, clicks| records.push(ClickRecord { term, url, clicks });
+        for url in 0..6 {
+            push(0, url, 0);
+        }
+        for url in 0..40 {
+            let big = 1 << 53;
+            match url % 3 {
+                0 => [1, 1, big].into_iter().for_each(|c| push(1, url, c)),
+                1 => [big, 1, 1].into_iter().for_each(|c| push(1, url, c)),
+                _ => [1, big].into_iter().for_each(|c| push(1, url, c)),
+            }
+        }
+        for term in 2..24 {
+            for k in 0..5 {
+                let url = (term * 7 + k * 11) % 40;
+                push(term, url, u64::from(term + k) % 4);
+                if k % 2 == 0 {
+                    push(term, url, 1 + u64::from(k));
+                }
+            }
+        }
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for i in (1..records.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            records.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let log = AggregatedLog {
+            records,
+            term_totals: Vec::new(),
+            raw_events: 0,
+        };
+        for max_url_fanout in [3, 400] {
+            let mut config = GraphConfig {
+                min_similarity: 0.01,
+                max_url_fanout,
+                workers: 1,
+            };
+            let oracle = build_graph_sorted(&log, &world, &config);
+            assert!(oracle.1.edges_kept > 10, "{:?}", oracle.1);
+            assert_eq!(oracle.1.urls_skipped > 0, max_url_fanout == 3);
+            for workers in [1, 2, 3, 8] {
+                config.workers = workers;
+                assert_bit_identical(
+                    &build_graph(&log, &world, &config),
+                    &oracle,
+                    &format!("fanout={max_url_fanout} workers={workers}"),
+                );
+            }
         }
     }
 

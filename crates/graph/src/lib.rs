@@ -19,8 +19,8 @@ mod builder;
 mod graph;
 pub mod io;
 pub mod relation_io;
+#[cfg(test)]
 mod vector;
 
 pub use builder::{build_graph, BuildStats, GraphConfig};
 pub use graph::{Edge, MultiGraph, NodeId, SimilarityGraph};
-pub use vector::ClickVector;

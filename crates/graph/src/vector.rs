@@ -3,6 +3,9 @@
 //! "Consider a vector space where each dimension represents a URL from the
 //! query log. In this space, we associate each query to a vector. Each
 //! component of the vector represents the number of clicks on the URL."
+//!
+//! Test-only: the builder's oracles are written over this type, while
+//! `build_graph` keeps the same vectors as flat rows (`builder.rs`).
 
 use esharp_querylog::UrlId;
 
@@ -91,6 +94,40 @@ impl ClickVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn arb_vector(max_nnz: usize) -> impl Strategy<Value = ClickVector> {
+        prop::collection::vec((0u32..40, 1.0f64..50.0), 0..max_nnz)
+            .prop_map(ClickVector::from_pairs)
+    }
+
+    proptest! {
+        #[test]
+        fn cosine_is_symmetric_and_bounded(a in arb_vector(15), b in arb_vector(15)) {
+            let ab = a.cosine(&b);
+            let ba = b.cosine(&a);
+            prop_assert!((ab - ba).abs() < 1e-12);
+            prop_assert!((0.0..=1.0).contains(&ab));
+        }
+
+        #[test]
+        fn cosine_self_is_one_for_nonempty(a in arb_vector(15)) {
+            prop_assume!(!a.is_empty());
+            prop_assert!((a.cosine(&a) - 1.0).abs() < 1e-9);
+        }
+
+        #[test]
+        fn normalization_preserves_direction(a in arb_vector(15), b in arb_vector(15)) {
+            prop_assume!(!a.is_empty() && !b.is_empty());
+            let before = a.cosine(&b);
+            let mut na = a.clone();
+            let mut nb = b.clone();
+            na.normalize();
+            nb.normalize();
+            // After normalization, cosine equals the plain dot product.
+            prop_assert!((na.dot(&nb) - before).abs() < 1e-9);
+        }
+    }
 
     #[test]
     fn paper_figure2_example() {

@@ -1,15 +1,10 @@
-//! Property-based tests of click vectors, graph normalization,
-//! discretization, and the parallel builder's determinism.
+//! Property-based tests of graph normalization, discretization, and the
+//! parallel builder's determinism.
 
-use esharp_graph::{build_graph, ClickVector, Edge, GraphConfig, MultiGraph, SimilarityGraph};
+use esharp_graph::{build_graph, Edge, GraphConfig, MultiGraph, SimilarityGraph};
 use esharp_querylog::{AggregatedLog, LogConfig, LogGenerator, World, WorldConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-fn arb_vector(max_nnz: usize) -> impl Strategy<Value = ClickVector> {
-    prop::collection::vec((0u32..40, 1.0f64..50.0), 0..max_nnz)
-        .prop_map(ClickVector::from_pairs)
-}
 
 fn arb_edges(nodes: u32, max_edges: usize) -> impl Strategy<Value = Vec<Edge>> {
     prop::collection::vec(
@@ -24,32 +19,6 @@ fn arb_edges(nodes: u32, max_edges: usize) -> impl Strategy<Value = Vec<Edge>> {
 }
 
 proptest! {
-    #[test]
-    fn cosine_is_symmetric_and_bounded(a in arb_vector(15), b in arb_vector(15)) {
-        let ab = a.cosine(&b);
-        let ba = b.cosine(&a);
-        prop_assert!((ab - ba).abs() < 1e-12);
-        prop_assert!((0.0..=1.0).contains(&ab));
-    }
-
-    #[test]
-    fn cosine_self_is_one_for_nonempty(a in arb_vector(15)) {
-        prop_assume!(!a.is_empty());
-        prop_assert!((a.cosine(&a) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn normalization_preserves_direction(a in arb_vector(15), b in arb_vector(15)) {
-        prop_assume!(!a.is_empty() && !b.is_empty());
-        let before = a.cosine(&b);
-        let mut na = a.clone();
-        let mut nb = b.clone();
-        na.normalize();
-        nb.normalize();
-        // After normalization, cosine equals the plain dot product.
-        prop_assert!((na.dot(&nb) - before).abs() < 1e-9);
-    }
-
     #[test]
     fn graph_normalization_invariants(edges in arb_edges(12, 50)) {
         let labels: Vec<Arc<str>> = (0..12).map(|i| Arc::from(format!("t{i}").as_str())).collect();

@@ -29,6 +29,12 @@
 //! pool of `workers = N` uses the calling thread plus `N - 1` pool
 //! threads, so `workers = 1` is exactly the serial path (no queue, no
 //! synchronization).
+//!
+//! The crate's one `unsafe` operation is the job-lifetime transmute in
+//! [`ThreadPool::run`]; the root denies `unsafe_code` and `run` alone
+//! allows it. Its invariant is written there.
+
+#![deny(unsafe_code)]
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -99,6 +105,21 @@ impl ThreadPool {
     /// of completion order. Tasks may borrow from the caller's stack; all
     /// tasks are guaranteed to finish before `run` returns. A panicking
     /// task is resumed on the caller once the rest of the batch finishes.
+    ///
+    /// # Invariant
+    ///
+    /// Every job of the batch has run, and every borrow it captured has
+    /// been dropped, before `run` returns, on the success path and the
+    /// panic path alike. A job owns its task, its index and a sender of
+    /// the result channel. The task, with all it captured, is consumed
+    /// inside `catch_unwind`, so a panic drops it too, and only then does
+    /// the job send its result; `run` returns only once it holds every
+    /// result. What a worker may still drop after that is the job's index
+    /// and sender: they borrow nothing of the caller's, and the channel
+    /// is empty by then. That is what lets the queue hold jobs as
+    /// `'static` (checked by
+    /// `tests::tasks_and_their_captures_are_dropped_before_run_returns`).
+    #[allow(unsafe_code)]
     pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send,
@@ -121,10 +142,10 @@ impl ThreadPool {
                     let result = catch_unwind(AssertUnwindSafe(task));
                     let _ = tx.send((index, result));
                 });
-                // SAFETY: `run` blocks until every task in this batch has
-                // sent its result, and workers drop each job immediately
-                // after executing it, so no borrow in `job` outlives this
-                // call even though the queue's element type is 'static.
+                // SAFETY: the invariant above: `run` waits until every job
+                // of this batch has run and dropped all it captured, so no
+                // borrow in `job` outlives this call even though the
+                // queue's element type is 'static.
                 let job: Job = unsafe { std::mem::transmute(job) };
                 queue.push_back(job);
             }
@@ -396,6 +417,42 @@ mod tests {
         }));
         assert!(result.is_err(), "panic must propagate to the caller");
         assert_eq!(completed.load(Ordering::SeqCst), 7, "batch must finish");
+    }
+
+    /// `run`'s invariant, observed: each task captures a guard borrowing a
+    /// local counter, and right after `run` returns (or its resumed panic
+    /// is caught) every guard has been dropped. The sleep only widens the
+    /// window a `run` that stopped waiting would be caught in.
+    #[test]
+    fn tasks_and_their_captures_are_dropped_before_run_returns() {
+        struct Guard<'a>(&'a AtomicUsize);
+        impl Drop for Guard<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        for workers in [2, 4] {
+            let pool = ThreadPool::new(workers);
+            let tasks = 3 * workers + 1;
+            for panicking in [None, Some(tasks / 2)] {
+                let dropped = AtomicUsize::new(0);
+                let batch: Vec<_> = (0..tasks)
+                    .map(|i| {
+                        let guard = Guard(&dropped);
+                        move || {
+                            let _guard = guard;
+                            std::thread::sleep(std::time::Duration::from_millis(2));
+                            assert_ne!(Some(i), panicking, "task {i} panics");
+                            i
+                        }
+                    })
+                    .collect();
+                let result = catch_unwind(AssertUnwindSafe(|| pool.run(batch)));
+                let context = format!("workers={workers} panicking={panicking:?}");
+                assert_eq!(dropped.load(Ordering::SeqCst), tasks, "{context}");
+                assert_eq!(result.is_err(), panicking.is_some(), "{context}");
+            }
+        }
     }
 
     #[test]

@@ -30,9 +30,10 @@
 #           by default; the exempt crates are named below with reasons
 #   unsafe  every crate root carries `#![forbid(unsafe_code)]`, so
 #           `unsafe` outside the two exempt crates (named below with
-#           reasons) is a compile error; serve's root denies it and its
-#           one allow sits on the poller module, so serve's `unsafe`
-#           outside poller.rs is a compile error too
+#           reasons) is a compile error; their roots deny it and each
+#           has one allow, serve's on the poller module and par's on
+#           `ThreadPool::run`, so `unsafe` anywhere else in them is a
+#           compile error too
 #   dead    every `pub fn` / `pub(crate) fn` in crates/*/src is named
 #           somewhere other than a `fn` definition line and outside `//`
 #           comments, in crates/, benchmark/src, examples/ or tests/ —
@@ -95,21 +96,30 @@ echo "== tier-1: no-panic and no-unsafe gates at every crate root"
 #   eval       5 unwrap/expect sites in the experiment runners
 #   par        7 lock-poison sites in the thread pool
 # Exempt from the no-unsafe gate, each with its reason:
-#   serve      the epoll FFI in poller.rs; `forbid` cannot be allowed
-#              again on one module, so the root denies `unsafe_code` and
-#              `pub mod poller;` carries the crate's single allow
-#   par        the job-lifetime transmute in the thread pool
+# (`forbid` cannot be allowed again on one item, so each root denies
+# `unsafe_code` and the item below carries the crate's single allow):
+#   serve      the epoll FFI in poller.rs, on `pub mod poller;`; each
+#              site's invariant is in the poller module doc
+#   par        the job-lifetime transmute, on `pub fn run`; its invariant
+#              is written in `ThreadPool::run`'s doc
 panic_gate='#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]'
 unsafe_gate='#![forbid(unsafe_code)]'
-serve_allows="$(grep -rn --include='*.rs' 'allow(unsafe_code)' crates/serve/src || true)"
-if ! grep -qxF '#![deny(unsafe_code)]' crates/serve/src/lib.rs ||
-  [ "$(grep -c . <<<"$serve_allows")" != 1 ] ||
-  ! awk 'prev == "#[allow(unsafe_code)]" && $0 == "pub mod poller;" { ok = 1 }
-         { prev = $0 } END { exit !ok }' crates/serve/src/lib.rs; then
-  echo "serve must deny unsafe_code at its root and allow it once, on \`pub mod poller;\`:" >&2
-  echo "${serve_allows:-(no allow found)}" >&2
-  exit 1
-fi
+# allowed_once <crate> <the line the allow must sit on, indentation stripped>
+allowed_once() {
+  local crate="$1" item="$2" allows
+  allows="$(grep -rn --include='*.rs' 'allow(unsafe_code)' "crates/$crate/src" || true)"
+  if ! grep -qxF '#![deny(unsafe_code)]' "crates/$crate/src/lib.rs" ||
+    [ "$(grep -c . <<<"$allows")" != 1 ] ||
+    ! awk -v item="$item" '{ sub(/^[ \t]+/, "") }
+           prev == "#[allow(unsafe_code)]" && $0 == item { ok = 1 }
+           { prev = $0 } END { exit !ok }' "crates/$crate/src/lib.rs"; then
+    echo "$crate must deny unsafe_code at its root and allow it once, on \`$item\`:" >&2
+    echo "${allows:-(no allow found)}" >&2
+    exit 1
+  fi
+}
+allowed_once serve 'pub mod poller;'
+allowed_once par 'pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>'
 for lib in crates/*/src/lib.rs; do
   crate="${lib#crates/}"
   crate="${crate%%/*}"
