@@ -13,7 +13,6 @@ use esharp_graph::SimilarityGraph;
 use esharp_storage::atomic::atomic_write_with;
 use esharp_relation::binfmt::{decode_frames_exact, encode_frames};
 use esharp_relation::{DataType, Schema, TableBuilder, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of a domain inside a [`DomainCollection`].
@@ -21,7 +20,7 @@ pub type DomainIdx = u32;
 
 /// The keyword communities produced by the offline stage, indexed for
 /// exact-match lookup.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DomainCollection {
     /// Each domain's member terms. Within a domain, terms keep the graph's
     /// node order (stable across runs).
@@ -128,8 +127,8 @@ impl DomainCollection {
 
     /// Persist the collection (the paper stores its collection in SQL
     /// Server 2014; a checksummed on-disk index with millisecond lookups
-    /// is the same contract). The write is atomic and the payload is the
-    /// checksummed binary table format, so a torn write can never shadow
+    /// is the same contract). The write is atomic and the payload is two
+    /// sealed binary tables, so a torn write can never shadow
     /// a good collection and corruption is detected on load.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         self.save_with(path, &NoFaults, "write:domains", &RetryPolicy::none())
@@ -176,19 +175,12 @@ impl DomainCollection {
 
     /// Load a collection persisted by [`DomainCollection::save`].
     /// Corruption (truncation, bit flips, trailing bytes) errors — it
-    /// never yields a silently-wrong collection. Legacy JSON files from
-    /// pre-checksum runs remain readable.
+    /// never yields a silently-wrong collection.
     pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<DomainCollection> {
         let data = std::fs::read(path)?;
-        match decode_frames_exact(&data, 2) {
-            Ok(tables) => Self::decode(&tables),
-            // Legacy format: a bare JSON object from pre-v2 runs.
-            Err(_) if data.first() == Some(&b'{') => {
-                let json = std::str::from_utf8(&data).map_err(std::io::Error::other)?;
-                serde_json::from_str(json).map_err(std::io::Error::other)
-            }
-            Err(e) => Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())),
-        }
+        let tables = decode_frames_exact(&data, 2)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        Self::decode(&tables)
     }
 
     pub(crate) fn decode(tables: &[esharp_relation::Table]) -> std::io::Result<DomainCollection> {
@@ -399,32 +391,5 @@ mod tests {
         std::fs::write(&path, &extra).unwrap();
         assert!(DomainCollection::load(&path).is_err());
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn legacy_json_files_never_misparse_as_binary() {
-        // Pre-checksum runs persisted bare JSON. The loader must route
-        // those to the JSON path (readable with a real serde_json; a
-        // clean error under the offline dev stub) — never panic, never
-        // decode them as binary garbage.
-        let dir = std::env::temp_dir().join("esharp_domains_legacy");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("domains.json");
-        std::fs::write(&path, br#"{"domains":[["49ers","niners"]],"index":{"49ers":0,"niners":0}}"#)
-            .unwrap();
-        match DomainCollection::load(&path) {
-            Ok(back) => assert_eq!(back.lookup("niners").map(|d| d.len()), Some(2)),
-            Err(e) => assert!(e.to_string().contains("stub"), "unexpected error: {e}"),
-        }
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn serializes_round_trip() {
-        let c = collection();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: DomainCollection = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.lookup("niners").map(|d| d.len()), Some(3));
     }
 }

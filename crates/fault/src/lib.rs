@@ -23,6 +23,8 @@
 //!   interleaving — so every injected failure is replayable from its
 //!   seed alone. One plan drives every site, so one schedule can stall a
 //!   shard, panic a worker and kill a compaction in the same run,
+//! * [`write_with_fault`], the one place an I/O fault perturbs a
+//!   persistence write (the atomic writer, heap page writeback, the WAL),
 //! * [`RetryPolicy`], a bounded deterministic retry loop for faults
 //!   marked *transient*.
 //!
@@ -69,7 +71,8 @@ pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, ShardBreakers};
 pub use budget::Budget;
 pub use clock::{TickSource, VirtualClock, WallClock};
 
-use std::io;
+use std::fs::File;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU32, Ordering::SeqCst};
 use std::sync::Mutex;
 
@@ -420,6 +423,48 @@ pub fn fault_error(fault: Fault, site: &str) -> io::Error {
     }
 }
 
+/// Write `bytes` to `file` as one persistence write perturbed by
+/// `fault`; the one place a torn write or a bit flip is applied:
+///
+/// * `IoError`, `Kill`: nothing is written and the write fails;
+/// * `TornWrite`: the first `len · numerator / denominator` bytes reach
+///   the file and are synced (the simulated crash), and the write fails;
+/// * `BitFlip`: the bytes are written with bit `bit % 8` of byte
+///   `offset % len` flipped, and the write succeeds (only a checksum can
+///   catch it); an empty payload is written as is;
+/// * `Delay`, `Stall`, `Panic` or no fault: the bytes are written.
+///
+/// The success path does not sync: each caller keeps its own durability
+/// step.
+pub fn write_with_fault(
+    file: &mut File,
+    bytes: &[u8],
+    fault: Option<Fault>,
+    site: &str,
+) -> io::Result<()> {
+    match fault {
+        Some(f @ (Fault::IoError { .. } | Fault::Kill)) => Err(fault_error(f, site)),
+        Some(
+            f @ Fault::TornWrite {
+                numerator,
+                denominator,
+            },
+        ) => {
+            let keep = bytes.len() as u64 * u64::from(numerator.min(denominator))
+                / u64::from(denominator.max(1));
+            file.write_all(&bytes[..keep as usize])?;
+            let _ = file.sync_all();
+            Err(fault_error(f, site))
+        }
+        Some(Fault::BitFlip { offset, bit }) if !bytes.is_empty() => {
+            let mut corrupt = bytes.to_vec();
+            corrupt[(offset % bytes.len() as u64) as usize] ^= 1 << (bit % 8);
+            file.write_all(&corrupt)
+        }
+        _ => file.write_all(bytes),
+    }
+}
+
 /// Bounded deterministic retry: an operation is re-attempted only while
 /// it fails with [`TRANSIENT_KIND`], at most `max_attempts` times in
 /// total. No backoff, no clocks — attempt numbers are the only state, so
@@ -683,6 +728,73 @@ mod tests {
         });
         assert!(permanent.is_err());
         assert_eq!(calls, 1, "permanent errors must not be retried");
+    }
+
+    #[test]
+    fn write_with_fault_applies_each_variant() {
+        let dir = std::env::temp_dir().join(format!("esharp_fault_write_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("w.bin");
+        let payload: Vec<u8> = (0..97u8).collect();
+        let write = |bytes: &[u8], fault: Option<Fault>| {
+            let mut file = File::create(&path).unwrap();
+            let result = write_with_fault(&mut file, bytes, fault, "write:w");
+            drop(file);
+            (result, std::fs::read(&path).unwrap())
+        };
+        for fault in [
+            Fault::IoError { transient: false },
+            Fault::IoError { transient: true },
+            Fault::Kill,
+        ] {
+            let (result, written) = write(&payload, Some(fault));
+            assert!(result.is_err(), "{fault:?}");
+            assert!(written.is_empty(), "{fault:?} wrote bytes");
+        }
+        // ⌊97 · n / d⌋ bytes, n capped at d and d = 0 read as 1.
+        for (numerator, denominator, keep) in [
+            (0, 4, 0),
+            (1, 2, 48),
+            (3, 4, 72),
+            (4, 4, 97),
+            (9, 4, 97),
+            (1, 0, 0),
+            (96, 97, 96),
+        ] {
+            let fault = Fault::TornWrite {
+                numerator,
+                denominator,
+            };
+            let (result, written) = write(&payload, Some(fault));
+            assert!(result.is_err(), "{fault:?}");
+            assert_eq!(written, payload[..keep], "{fault:?}");
+        }
+        for (offset, bit) in [(0, 0), (5, 3), (96, 7), (97 * 3 + 4, 9), (u64::MAX, 255)] {
+            let fault = Fault::BitFlip { offset, bit };
+            let (result, written) = write(&payload, Some(fault));
+            result.unwrap();
+            assert_eq!(written.len(), payload.len(), "{fault:?}");
+            let differing: u32 = written
+                .iter()
+                .zip(&payload)
+                .map(|(a, b)| (a ^ b).count_ones())
+                .sum();
+            assert_eq!(differing, 1, "{fault:?}");
+            let (result, written) = write(&[], Some(fault));
+            result.unwrap();
+            assert!(written.is_empty(), "{fault:?} on an empty payload");
+        }
+        for fault in [
+            None,
+            Some(Fault::Delay { us: 5 }),
+            Some(Fault::Stall),
+            Some(Fault::Panic),
+        ] {
+            let (result, written) = write(&payload, fault);
+            result.unwrap();
+            assert_eq!(written, payload, "{fault:?}");
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

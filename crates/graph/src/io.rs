@@ -3,8 +3,8 @@
 //! The paper's pipeline runs weekly; the similarity graph (2.6 GB in
 //! production) is persisted between stages. Graphs are stored as two
 //! binary relations (`nodes(id, label)`, `edges(a, b, weight)`) in
-//! `esharp-relation`'s compact checksummed table format, length-prefixed
-//! in one file. Writes are atomic (write-temp-then-rename, see
+//! `esharp-relation`'s compact table format, each sealed in a frame
+//! (length and CRC32) in one file. Writes are atomic (write-temp-then-rename, see
 //! `esharp_storage::atomic`), so a crash mid-save never shadows a good
 //! graph file; reads reject truncation, trailing bytes and bit flips.
 

@@ -32,12 +32,12 @@
 //! mirroring the `SharedEsharp` domains epoch.
 
 use crate::ops::{Applied, BatchCheck, IngestOp};
-use esharp_fault::{fault_error, Fault, FaultInjector, NoFaults, RetryPolicy, TRANSIENT_KIND};
+use esharp_fault::{write_with_fault, Fault, FaultInjector, NoFaults, RetryPolicy, TRANSIENT_KIND};
 use esharp_microblog::segio;
 use esharp_microblog::{Corpus, TweetId};
 use esharp_storage::atomic::{atomic_write, atomic_write_with, crc32};
 use std::fs::{self, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, TryLockError};
@@ -517,44 +517,12 @@ impl LiveCorpus {
     }
 }
 
-/// One WAL append try, optionally perturbed by an injected fault.
+/// One WAL append try, optionally perturbed by an injected fault (a bit
+/// flip is caught by the per-line CRC at replay).
 fn wal_append_attempt(path: &Path, payload: &[u8], fault: Option<Fault>) -> io::Result<()> {
-    if let Some(f @ (Fault::IoError { .. } | Fault::Kill)) = fault {
-        return Err(fault_error(f, APPEND_SITE));
-    }
     let mut file = OpenOptions::new().append(true).open(path)?;
-    match fault {
-        Some(Fault::TornWrite {
-            numerator,
-            denominator,
-        }) => {
-            // The simulated crash: a prefix of the batch reaches the log.
-            let den = denominator.max(1) as u64;
-            let keep =
-                ((payload.len() as u64 * numerator.min(denominator) as u64) / den) as usize;
-            file.write_all(&payload[..keep.min(payload.len())])?;
-            let _ = file.sync_all();
-            Err(fault_error(
-                Fault::TornWrite {
-                    numerator,
-                    denominator,
-                },
-                APPEND_SITE,
-            ))
-        }
-        Some(Fault::BitFlip { offset, bit }) if !payload.is_empty() => {
-            // Silent corruption; the per-line CRC catches it at replay.
-            let mut corrupt = payload.to_vec();
-            let idx = (offset % corrupt.len() as u64) as usize;
-            corrupt[idx] ^= 1 << (bit % 8);
-            file.write_all(&corrupt)?;
-            file.sync_all()
-        }
-        _ => {
-            file.write_all(payload)?;
-            file.sync_all()
-        }
-    }
+    write_with_fault(&mut file, payload, fault, APPEND_SITE)?;
+    file.sync_all()
 }
 
 /// The oplog header line: names the base this log replays onto by the
@@ -680,6 +648,7 @@ mod tests {
     use super::*;
     use esharp_fault::FaultPlan;
     use esharp_microblog::{Tweet, User};
+    use std::io::Write;
 
     fn base_corpus() -> Corpus {
         let user = |id, handle: &str| User {

@@ -122,20 +122,6 @@ impl ShardOutcome {
     pub fn is_partial(&self) -> bool {
         !self.shards_missing.is_empty() || !self.shards_skipped.is_empty()
     }
-
-    /// All absent shards — missing ∪ skipped, sorted — the
-    /// `shards_missing` list a degraded response reports.
-    pub fn absent_shards(&self) -> Vec<usize> {
-        let mut all: Vec<usize> = self
-            .shards_missing
-            .iter()
-            .chain(self.shards_skipped.iter())
-            .copied()
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all
-    }
 }
 
 /// Wait on `clock`, returning only the ticks the clock did **not**
@@ -574,7 +560,6 @@ mod tests {
         let ctx = BoundedSearch::new(&budget).with_breakers(&breakers);
         let outcome = corpus.match_terms_bounded(&terms, 4, &ctx);
         assert_eq!(outcome.shards_skipped, vec![3]);
-        assert_eq!(outcome.absent_shards(), vec![3]);
 
         // After the open window, the (now healed) shard probes and the
         // breaker closes again.

@@ -433,11 +433,6 @@ impl Corpus {
         self.tweets.len() > self.base_tweets as usize || !self.tombstones.is_empty()
     }
 
-    /// Tweets appended since the last compaction (tombstoned or not).
-    pub fn delta_tweet_count(&self) -> usize {
-        self.tweets.len() - self.base_tweets as usize
-    }
-
     /// Logically deleted tweets awaiting physical removal.
     pub fn tombstone_count(&self) -> usize {
         self.tombstones.len()
@@ -806,7 +801,6 @@ mod tests {
         let id = c.append_tweet("alice", "the niners draft steal").unwrap();
         assert_eq!(id, 4);
         assert!(c.has_delta());
-        assert_eq!(c.delta_tweet_count(), 1);
         // Merged read path: base hits ++ delta hits, still sorted.
         assert_eq!(c.match_query("niners"), vec![2, 4]);
         assert_eq!(c.match_query("draft"), vec![0, 1, 4]);

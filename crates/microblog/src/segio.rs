@@ -4,14 +4,14 @@
 //! ```text
 //! header   magic "ESCF" | version u16 | reserved u16 (0)
 //!          num_users u32 | num_tweets u32 | num_tokens u32 | shards K u32
-//!          strings_len u64 | strings_crc u32
+//!          strings_len u64
 //!          section table, 1 + K entries:
 //!            row_start u32 | row_end u32 | arena_len u32 | crc u32
 //!          header_crc u32              (CRC32 of every header byte before it)
-//! strings  six checksummed frames: meta, users, user_domains, tweets,
-//!          tweet_mentions, symbols
+//! strings  six sealed frames (`len u64 | crc32 u32 | table`, see
+//!          `esharp_storage::atomic::read_frame`): meta, users,
+//!          user_domains, tweets, tweet_mentions, symbols
 //! pad      0–3 zero bytes, so the u32 body starts 4-aligned
-//!          (strings_crc covers the frames and the pad)
 //! body     1 + K sections of raw little-endian u32s, back to back: the
 //!          token CSR (rows = tweets) and then one postings CSR per shard
 //!          (rows = the shard's token range, offsets shard-local). A
@@ -19,10 +19,11 @@
 //!          arena_len ids; its table entry's crc covers exactly those bytes.
 //! ```
 //!
-//! Every byte is covered by a checksum (the header's, the string
-//! section's or a body section's) and the header fixes the file length,
-//! so truncation, a flipped bit anywhere, or trailing bytes fail at open
-//! with `InvalidData` — never at query time and never with a panic.
+//! Every byte is covered by a checksum (the header's, a string frame's or
+//! a body section's) or must be zero (the pad), and the header fixes the
+//! file length, so truncation, a flipped bit anywhere, or trailing bytes
+//! fail at open with `InvalidData` — never at query time and never with a
+//! panic.
 //! Structural checks then cover what a well-formed checksum cannot vouch
 //! for: CSR offsets, id ranges and posting-list sortedness.
 //!
@@ -49,10 +50,11 @@ use std::sync::Arc;
 /// Leading bytes of a corpus file.
 const MAGIC: &[u8; 4] = b"ESCF";
 /// File format revision. 1 was the eight-frame `corpus.bin` and the
-/// `corpus.manifest` directory layout; neither is readable any more.
-const VERSION: u16 = 2;
+/// `corpus.manifest` directory layout, 2 had a string-section CRC in the
+/// header; none is readable any more.
+const VERSION: u16 = 3;
 /// Header bytes before the section table.
-const FIXED: usize = 36;
+const FIXED: usize = 32;
 /// Bytes per section-table entry.
 const ENTRY: usize = 16;
 /// Frames in the string section.
@@ -166,8 +168,6 @@ pub fn encode(corpus: &Corpus, shards: usize) -> io::Result<Vec<u8>> {
     let strings_len = (out.len() - head_len) as u64;
     out[24..32].copy_from_slice(&strings_len.to_le_bytes());
     out.resize(out.len().next_multiple_of(4), 0);
-    let strings_crc = crc32(&out[head_len..]);
-    out[32..36].copy_from_slice(&strings_crc.to_le_bytes());
     let body_len: usize = sections.iter().map(|s| (s.2.len() + s.3.len()) * 4).sum();
     out.reserve_exact(body_len);
 
@@ -370,7 +370,6 @@ struct Header {
     num_tweets: u32,
     num_tokens: u32,
     strings_len: usize,
-    strings_crc: u32,
     /// The token section, then one section per postings shard.
     sections: Vec<Section>,
     body_at: usize,
@@ -456,7 +455,6 @@ fn read_header(src: &mut impl Read, len: u64) -> io::Result<Header> {
         num_tweets,
         num_tokens,
         strings_len: to_usize(strings_len)?,
-        strings_crc: read_u32(&head, 32),
         sections,
         body_at: to_usize(body_at)?,
         body_len: to_usize(body_len)?,
@@ -469,12 +467,16 @@ fn stale() -> io::Error {
          corpus.manifest); rebuild it with `esharp build`")
 }
 
-/// Check and decode the string section (`strings` runs through the pad).
+/// Check and decode the string section (`strings` runs through the pad,
+/// which must be zero).
 fn decode_strings(strings: &[u8], head: &Header) -> io::Result<Global> {
-    if crc32(strings) != head.strings_crc {
-        return Err(bad("string section checksum mismatch"));
+    let (frames, pad) = strings
+        .split_at_checked(head.strings_len)
+        .ok_or_else(|| bad("string section shorter than its length"))?;
+    if pad.iter().any(|&b| b != 0) {
+        return Err(bad("nonzero pad after the string section"));
     }
-    decode_global(&strings[..head.strings_len], head)
+    decode_global(frames, head)
 }
 
 /// Check each body section against its checksum, decode its

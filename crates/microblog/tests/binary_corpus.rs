@@ -136,7 +136,7 @@ fn pad_len(bytes: &[u8]) -> usize {
     let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
     let shards = word(20);
     let strings_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-    let strings_end = 36 + 16 * (shards + 1) + 4 + strings_len;
+    let strings_end = 32 + 16 * (shards + 1) + 4 + strings_len;
     strings_end.next_multiple_of(4) - strings_end
 }
 

@@ -5,7 +5,7 @@
 //! iterations); JSON is ~4× larger and slower for numeric columns. Format:
 //!
 //! ```text
-//! magic "ESRT" | version u16 | crc32 u32 (v2+) | columns u32 | rows u64
+//! magic "ESRT" | version u16 | columns u32 | rows u64
 //! per column: name (u16 len + utf8) | dtype u8 | payload
 //!   Bool : rows bytes (0/1)
 //!   Int  : rows × i64 LE
@@ -13,70 +13,65 @@
 //!   Str  : rows × (u32 len + utf8)
 //! ```
 //!
-//! The CRC32 covers everything after the checksum field, so a torn
-//! write, truncation, or silent single-bit flip anywhere in the frame is
-//! detected at decode time instead of yielding a plausible-but-wrong
-//! table. Version 1 frames had no checksum; they are rejected as
-//! unsupported.
+//! A table carries no checksum of its own: every container that persists
+//! one seals it in a frame (`esharp_storage::atomic::read_frame`) — the
+//! multi-table containers below, spill runs, heap metadata — so a torn
+//! write, truncation, or silent single-bit flip is detected before a
+//! table is decoded instead of yielding a plausible-but-wrong table.
+//! Versions 1 and 2 (2 carried a table CRC) are rejected as unsupported.
 
-use esharp_storage::atomic::{atomic_write, crc32};
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::DataType;
 use bytes::{BufMut, Bytes, BytesMut};
+use esharp_storage::atomic::{frame_header, read_frame};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"ESRT";
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 
-/// Serialize a table into the binary format (v2: checksummed).
+/// Serialize a table into the binary format.
 pub fn encode_table(table: &Table) -> Bytes {
-    // The checksum covers everything after the crc field, so the payload
-    // is built first and the header prepended once the crc is known.
-    let mut payload = BytesMut::with_capacity(table.byte_size() + 64);
-    payload.put_u32_le(table.schema().len() as u32);
-    payload.put_u64_le(table.num_rows() as u64);
+    let mut buf = BytesMut::with_capacity(table.byte_size() + 64);
+    buf.put_slice(MAGIC);
+    buf.put_u16_le(VERSION);
+    buf.put_u32_le(table.schema().len() as u32);
+    buf.put_u64_le(table.num_rows() as u64);
     for (field, column) in table.schema().fields().iter().zip(table.columns()) {
-        payload.put_u16_le(field.name.len() as u16);
-        payload.put_slice(field.name.as_bytes());
-        payload.put_u8(dtype_tag(field.dtype));
+        buf.put_u16_le(field.name.len() as u16);
+        buf.put_slice(field.name.as_bytes());
+        buf.put_u8(dtype_tag(field.dtype));
         match column.as_ref() {
             Column::Bool(v) => {
                 for &b in v {
-                    payload.put_u8(b as u8);
+                    buf.put_u8(b as u8);
                 }
             }
             Column::Int(v) => {
                 for &i in v {
-                    payload.put_i64_le(i);
+                    buf.put_i64_le(i);
                 }
             }
             Column::Float(v) => {
                 for &x in v {
-                    payload.put_f64_le(x);
+                    buf.put_f64_le(x);
                 }
             }
             Column::Str(v) => {
                 for s in v {
-                    payload.put_u32_le(s.len() as u32);
-                    payload.put_slice(s.as_bytes());
+                    buf.put_u32_le(s.len() as u32);
+                    buf.put_slice(s.as_bytes());
                 }
             }
         }
     }
-    let payload = payload.freeze();
-    let mut buf = BytesMut::with_capacity(payload.len() + 10);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u32_le(crc32(&payload));
-    buf.put_slice(&payload);
     buf.freeze()
 }
 
-/// Deserialize a table from the binary format (checksummed v2 frames
-/// only).
+/// Deserialize a table from the binary format (version 3 only). Any
+/// byte string decodes to a table or an error, never a panic.
 ///
 /// Decoding runs over a plain byte slice with bulk per-column loops
 /// (`chunks_exact` for the fixed-width types) instead of a per-value
@@ -86,7 +81,7 @@ pub fn encode_table(table: &Table) -> Bytes {
 pub fn decode_table(data: Bytes) -> RelResult<Table> {
     let err = |msg: &str| RelError::Eval(format!("binary table decode: {msg}"));
     let buf: &[u8] = &data;
-    if buf.len() < 4 + 2 + 4 + 4 + 8 {
+    if buf.len() < 4 + 2 + 4 + 8 {
         return Err(err("truncated header"));
     }
     if &buf[..4] != MAGIC {
@@ -96,11 +91,7 @@ pub fn decode_table(data: Bytes) -> RelResult<Table> {
     if version != VERSION {
         return Err(err(&format!("unsupported version {version}")));
     }
-    let expected = u32::from_le_bytes([buf[6], buf[7], buf[8], buf[9]]);
-    let mut off = 10usize;
-    if crc32(&buf[off..]) != expected {
-        return Err(err("checksum mismatch"));
-    }
+    let mut off = 6usize;
     let columns = u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]) as usize;
     off += 4;
     let rows = u64::from_le_bytes([
@@ -202,9 +193,9 @@ pub fn decode_table(data: Bytes) -> RelResult<Table> {
     Table::new(Arc::new(Schema::new(fields)?), cols)
 }
 
-/// Concatenate tables into one buffer of length-prefixed frames
-/// (`u64 LE frame length | frame` per table) — the on-disk container the
-/// graph file and the checkpoint artifacts use.
+/// Concatenate tables into one buffer of sealed frames, one per table —
+/// the on-disk container the graph file, `domains.bin`, the checkpoint
+/// artifacts and the corpus file's string section use.
 pub fn encode_frames(tables: &[Table]) -> Vec<u8> {
     let mut out = Vec::new();
     encode_frames_into(&mut out, tables);
@@ -216,64 +207,29 @@ pub fn encode_frames(tables: &[Table]) -> Vec<u8> {
 pub fn encode_frames_into(out: &mut Vec<u8>, tables: &[Table]) {
     for table in tables {
         let bytes = encode_table(table);
-        out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        out.extend_from_slice(&frame_header(&bytes));
         out.extend_from_slice(&bytes);
     }
 }
 
-/// Decode a buffer of length-prefixed frames produced by
-/// [`encode_frames`]. Strict: a truncated prefix, an overlong length, or
-/// trailing bytes after the final frame all error — extra bytes after a
-/// valid prefix are how a torn append masquerades as a good artifact.
-pub fn decode_frames(data: &[u8]) -> RelResult<Vec<Table>> {
-    let err = |msg: &str| RelError::Eval(format!("binary container decode: {msg}"));
-    let mut tables = Vec::new();
-    let mut rest = data;
-    while !rest.is_empty() {
-        if rest.len() < 8 {
-            return Err(err("trailing bytes where a frame length was expected"));
-        }
-        let (len_bytes, tail) = rest.split_at(8);
-        let len = u64::from_le_bytes(
-            len_bytes
-                .try_into()
-                .map_err(|_| err("unreadable frame length"))?,
-        ) as usize;
-        if len > tail.len() {
-            return Err(err("frame length exceeds remaining bytes"));
-        }
-        let (frame, tail) = tail.split_at(len);
-        tables.push(decode_table(Bytes::copy_from_slice(frame))?);
-        rest = tail;
-    }
-    Ok(tables)
-}
-
-/// Decode exactly `expect` frames; anything else (including trailing
-/// bytes, which [`decode_frames`] already rejects) errors.
+/// Decode a buffer of exactly `expect` sealed frames produced by
+/// [`encode_frames`]. Strict: a truncated or corrupt frame, fewer frames,
+/// and bytes after the last frame all error — a cut at a frame boundary
+/// is a valid shorter container only the count rejects, and extra bytes
+/// after a valid prefix are how a torn append masquerades as a good
+/// artifact.
 pub fn decode_frames_exact(data: &[u8], expect: usize) -> RelResult<Vec<Table>> {
-    let tables = decode_frames(data)?;
-    if tables.len() != expect {
-        return Err(RelError::Eval(format!(
-            "binary container decode: expected {expect} frames, found {}",
-            tables.len()
-        )));
+    let err = |msg: String| RelError::Eval(format!("binary container decode: {msg}"));
+    let mut rest = data;
+    let mut tables = Vec::with_capacity(expect);
+    for _ in 0..expect {
+        let frame = read_frame(&mut rest).map_err(|e| err(e.to_string()))?;
+        tables.push(decode_table(Bytes::from(frame))?);
+    }
+    if !rest.is_empty() {
+        return Err(err(format!("bytes after the last of {expect} frames")));
     }
     Ok(tables)
-}
-
-/// Export a table to `path` atomically (write-temp-then-rename) in the
-/// checksummed binary format.
-pub fn save_table(table: &Table, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-    atomic_write(path, &encode_table(table))
-}
-
-/// Load a table exported by [`save_table`]. Corruption (truncation, bit
-/// flips, trailing garbage) surfaces as an error, never a panic.
-pub fn load_table(path: impl AsRef<std::path::Path>) -> std::io::Result<Table> {
-    let data = std::fs::read(path)?;
-    decode_table(Bytes::from(data))
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
 fn dtype_tag(dtype: DataType) -> u8 {
@@ -359,25 +315,30 @@ mod tests {
 
     #[test]
     fn v1_frames_are_rejected() {
-        let v2 = encode_table(&sample());
-        // A v1 frame is the same payload without the crc field.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(b"ESRT");
-        v1.extend_from_slice(&1u16.to_le_bytes());
-        v1.extend_from_slice(&v2[10..]);
+        // Version 1 had this layout; version 2 put a CRC after the version.
+        let v3 = encode_table(&sample());
+        let mut v1 = v3.to_vec();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
         let err = decode_table(Bytes::from(v1)).unwrap_err();
         assert!(err.to_string().contains("unsupported version 1"), "{err}");
+        let mut v2 = b"ESRT".to_vec();
+        v2.extend_from_slice(&2u16.to_le_bytes());
+        v2.extend_from_slice(&[0; 4]);
+        v2.extend_from_slice(&v3[6..]);
+        let err = decode_table(Bytes::from(v2)).unwrap_err();
+        assert!(err.to_string().contains("unsupported version 2"), "{err}");
     }
 
     #[test]
     fn every_single_bit_flip_is_rejected() {
-        let encoded = encode_table(&sample());
+        // The frame seals the table: every flip in the container errors.
+        let encoded = encode_frames(&[sample()]);
         for byte in 0..encoded.len() {
             for bit in 0..8 {
-                let mut bad = encoded.to_vec();
+                let mut bad = encoded.clone();
                 bad[byte] ^= 1 << bit;
                 assert!(
-                    decode_table(Bytes::from(bad)).is_err(),
+                    decode_frames_exact(&bad, 1).is_err(),
                     "bit flip at byte {byte} bit {bit} accepted"
                 );
             }
@@ -412,27 +373,9 @@ mod tests {
         // Trailing garbage errors.
         let mut extra = buf.clone();
         extra.extend_from_slice(&[1, 2, 3]);
-        assert!(decode_frames(&extra).is_err());
+        assert!(decode_frames_exact(&extra, 2).is_err());
         // Wrong frame count errors.
         assert!(decode_frames_exact(&buf, 1).is_err());
-    }
-
-    #[test]
-    fn table_file_export_round_trips_and_detects_bit_flips() {
-        let dir = std::env::temp_dir().join("esharp_binfmt_file_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("table.tbl");
-        let t = sample();
-        save_table(&t, &path).unwrap();
-        assert_eq!(load_table(&path).unwrap(), t);
-        let good = std::fs::read(&path).unwrap();
-        for byte in 0..good.len() {
-            let mut bad = good.clone();
-            bad[byte] ^= 0x10;
-            std::fs::write(&path, &bad).unwrap();
-            assert!(load_table(&path).is_err(), "flip in byte {byte} accepted");
-        }
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -1,24 +1,30 @@
 //! Crash-safe persistence primitives shared by every writer in the
-//! pipeline: CRC32, write-temp-then-rename, and a checksummed byte-frame
-//! container.
+//! pipeline: CRC32, write-temp-then-rename, and the one sealed frame.
 //!
 //! The weekly offline job (§6, Table 9 — 65 VMs, 998 GB of logs) dies
 //! mid-write as a matter of course at production scale. Every artifact
 //! writer in the workspace (`esharp-graph::io::save_graph`,
-//! `DomainCollection::save`, table export, checkpoint manifests, heap
-//! file metadata) routes through
+//! `DomainCollection::save`, checkpoints, the corpus file, heap file
+//! metadata) routes through
 //! [`atomic_write`]: the payload goes to a unique temporary file
 //! in the destination directory, is fsynced, and only then renamed over
 //! the final path. A torn write can therefore never shadow a good
 //! artifact — the worst case is a stale `.tmp` file next to it.
 //!
-//! Fault injection (`esharp-fault`) threads through the `_with` variants
-//! only; the plain entry points never consult an injector, so default
-//! builds pay nothing.
+//! Every checksummed container seals its parts the same way, as frames of
+//! `len u64 LE | crc32 u32 LE | payload` ([`frame_header`] writes the
+//! header, [`read_frame`] checks it): the binfmt table containers (graph,
+//! domains, checkpoints, the corpus file's string section), spill runs and
+//! heap metadata. A truncation, a torn tail or a flipped bit anywhere in a
+//! frame fails its read with `InvalidData`.
+//!
+//! Fault injection (`esharp-fault`) threads through [`atomic_write_with`]
+//! only; [`atomic_write`] never consults an injector, so default builds
+//! pay nothing.
 
-use esharp_fault::{fault_error, Fault, FaultInjector, RetryPolicy};
+use esharp_fault::{write_with_fault, Fault, FaultInjector, RetryPolicy};
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -28,9 +34,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Slicing-by-16: sixteen bytes per iteration through sixteen derived
 /// tables instead of one byte through one. Checksumming runs over every
 /// persisted artifact on every load — the corpus file's string section
-/// is hashed twice, once by its section CRC and once frame by frame — and
-/// sixteen-byte steps are about twice as fast as eight-byte ones (36 vs
-/// 78 ms per 100 MiB on one core of a 2-vCPU x86-64 VM).
+/// is hashed once, frame by frame — and sixteen-byte steps are about
+/// twice as fast as eight-byte ones (36 vs 78 ms per 100 MiB on one core
+/// of a 2-vCPU x86-64 VM).
 pub fn crc32(bytes: &[u8]) -> u32 {
     static TABLES: [[u32; 256]; 16] = build_crc_tables();
     let mut crc: u32 = !0;
@@ -100,7 +106,7 @@ fn temp_path(path: &Path) -> PathBuf {
 /// file in the same directory, fsync it, then rename over `path`. Parent
 /// directories are created as needed.
 pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
-    write_attempt(path.as_ref(), bytes, None)
+    write_attempt(path.as_ref(), bytes, None, "")
 }
 
 /// [`atomic_write`] with fault injection and bounded retry. `site` names
@@ -113,15 +119,13 @@ pub fn atomic_write_with(
     retry: &RetryPolicy,
 ) -> io::Result<()> {
     let path = path.as_ref();
-    retry.run(|attempt| write_attempt(path, bytes, injector.fault_at(site, attempt).map(|f| (f, site))))
+    retry.run(|attempt| write_attempt(path, bytes, injector.fault_at(site, attempt), site))
 }
 
-/// One write attempt, optionally perturbed by an injected fault.
-fn write_attempt(path: &Path, bytes: &[u8], fault: Option<(Fault, &str)>) -> io::Result<()> {
-    if let Some((f @ (Fault::IoError { .. } | Fault::Kill), site)) = fault {
-        // Dies before touching the filesystem.
-        return Err(fault_error(f, site));
-    }
+/// One write attempt, optionally perturbed by an injected fault. A failed
+/// attempt (a torn write is the simulated crash) removes its temporary
+/// file and leaves the destination untouched.
+fn write_attempt(path: &Path, bytes: &[u8], fault: Option<Fault>, site: &str) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             fs::create_dir_all(parent)?;
@@ -130,29 +134,7 @@ fn write_attempt(path: &Path, bytes: &[u8], fault: Option<(Fault, &str)>) -> io:
     let tmp = temp_path(path);
     let result = (|| -> io::Result<()> {
         let mut file = File::create(&tmp)?;
-        match fault {
-            Some((Fault::TornWrite { numerator, denominator }, site)) => {
-                // The simulated crash: a prefix reaches the temp file, the
-                // rename never happens, the destination stays untouched.
-                let den = denominator.max(1) as u64;
-                let keep = ((bytes.len() as u64 * numerator.min(denominator) as u64) / den) as usize;
-                file.write_all(&bytes[..keep.min(bytes.len())])?;
-                let _ = file.sync_all();
-                return Err(fault_error(
-                    Fault::TornWrite { numerator, denominator },
-                    site,
-                ));
-            }
-            Some((Fault::BitFlip { offset, bit }, _)) if !bytes.is_empty() => {
-                // Silent corruption: the write "succeeds"; only a checksum
-                // can catch it downstream.
-                let mut corrupt = bytes.to_vec();
-                let idx = (offset % corrupt.len() as u64) as usize;
-                corrupt[idx] ^= 1 << (bit % 8);
-                file.write_all(&corrupt)?;
-            }
-            _ => file.write_all(bytes)?,
-        }
+        write_with_fault(&mut file, bytes, fault, site)?;
         file.sync_all()?;
         drop(file);
         fs::rename(&tmp, path)?;
@@ -170,83 +152,45 @@ fn write_attempt(path: &Path, bytes: &[u8], fault: Option<(Fault, &str)>) -> io:
     result
 }
 
-/// Magic of the checksummed byte-frame container ([`write_framed`]).
-pub const FRAME_MAGIC: &[u8; 4] = b"ESCK";
-const FRAME_VERSION: u16 = 1;
-/// magic(4) + version(2) + payload length(8) + crc32(4).
-const FRAME_HEADER: usize = 4 + 2 + 8 + 4;
+/// Bytes of a frame header: the payload length (u64 LE), then the
+/// payload's CRC32 (u32 LE).
+pub const FRAME_HEADER: usize = 12;
 
-/// Wrap `payload` in a checksummed frame
-/// (`"ESCK" | version u16 | len u64 | crc32 u32 | payload`, all LE) and
-/// write it atomically to `path`. Any torn write, truncation or single
-/// bit flip anywhere in the file is detected by [`read_framed`].
-pub fn write_framed(path: impl AsRef<Path>, payload: &[u8]) -> io::Result<()> {
-    atomic_write(path, &frame(payload))
+/// The header that seals `payload` as one frame; the payload follows it.
+pub fn frame_header(payload: &[u8]) -> [u8; FRAME_HEADER] {
+    let mut header = [0u8; FRAME_HEADER];
+    header[..8].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[8..].copy_from_slice(&crc32(payload).to_le_bytes());
+    header
 }
 
-/// [`write_framed`] with fault injection and retry.
-pub fn write_framed_with(
-    path: impl AsRef<Path>,
-    payload: &[u8],
-    injector: &dyn FaultInjector,
-    site: &str,
-    retry: &RetryPolicy,
-) -> io::Result<()> {
-    atomic_write_with(path, &frame(payload), injector, site, retry)
-}
-
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(FRAME_MAGIC);
-    out.extend_from_slice(&FRAME_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Read and verify a frame written by [`write_framed`], returning the
-/// payload. Errors (never panics) on bad magic, version, length mismatch
-/// or checksum mismatch.
-pub fn read_framed(path: impl AsRef<Path>) -> io::Result<Vec<u8>> {
-    let mut file = File::open(path.as_ref())?;
-    let mut data = Vec::new();
-    file.read_to_end(&mut data)?;
-    unframe(&data)
-}
-
-/// Verify and strip the [`write_framed`] container from an in-memory
-/// buffer.
-pub fn unframe(data: &[u8]) -> io::Result<Vec<u8>> {
-    let err = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, format!("checked frame: {msg}"));
-    if data.len() < FRAME_HEADER {
-        return Err(err("truncated header"));
+/// Read one frame from `src` and return its payload. A short header or
+/// payload, a length no allocation can hold, and a checksum mismatch are
+/// all `InvalidData` errors, never a panic or an abort. The payload is
+/// reserved up front, in one allocation.
+pub fn read_frame(src: &mut impl Read) -> io::Result<Vec<u8>> {
+    let invalid =
+        |msg: String| io::Error::new(io::ErrorKind::InvalidData, format!("sealed frame: {msg}"));
+    let mut header = [0u8; FRAME_HEADER];
+    src.read_exact(&mut header).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => invalid("truncated header".into()),
+        _ => e,
+    })?;
+    let [l0, l1, l2, l3, l4, l5, l6, l7, c0, c1, c2, c3] = header;
+    let len = u64::from_le_bytes([l0, l1, l2, l3, l4, l5, l6, l7]);
+    let mut payload = Vec::new();
+    usize::try_from(len)
+        .ok()
+        .and_then(|len| payload.try_reserve_exact(len).ok())
+        .ok_or_else(|| invalid(format!("no allocation holds a {len}-byte payload")))?;
+    src.take(len).read_to_end(&mut payload)?;
+    if payload.len() as u64 != len {
+        return Err(invalid("truncated payload".into()));
     }
-    if &data[..4] != FRAME_MAGIC {
-        return Err(err("bad magic"));
+    if crc32(&payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
+        return Err(invalid("checksum mismatch".into()));
     }
-    let version = u16::from_le_bytes([data[4], data[5]]);
-    if version != FRAME_VERSION {
-        return Err(err("unsupported version"));
-    }
-    let len = u64::from_le_bytes(
-        data[6..14]
-            .try_into()
-            .map_err(|_| err("truncated length"))?,
-    ) as usize;
-    let crc = u32::from_le_bytes(
-        data[14..18]
-            .try_into()
-            .map_err(|_| err("truncated checksum"))?,
-    );
-    let payload = &data[FRAME_HEADER..];
-    if payload.len() != len {
-        return Err(err("payload length mismatch"));
-    }
-    if crc32(payload) != crc {
-        return Err(err("checksum mismatch"));
-    }
-    Ok(payload.to_vec())
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -362,50 +306,77 @@ mod tests {
         let _ = fs::remove_dir_all(dir);
     }
 
+    /// Two frames back to back, and the reader that expects exactly them.
+    fn two_frames() -> Vec<u8> {
+        let mut buf = Vec::new();
+        for payload in [&b"the quick brown fox"[..], b"jumps over the lazy dog"] {
+            buf.extend_from_slice(&frame_header(payload));
+            buf.extend_from_slice(payload);
+        }
+        buf
+    }
+
+    fn read_two(mut buf: &[u8]) -> io::Result<(Vec<u8>, Vec<u8>)> {
+        let frames = (read_frame(&mut buf)?, read_frame(&mut buf)?);
+        match buf.is_empty() {
+            true => Ok(frames),
+            false => Err(io::Error::new(io::ErrorKind::InvalidData, "trailing bytes")),
+        }
+    }
+
     #[test]
     fn framed_round_trip_and_full_corruption_matrix() {
-        let dir = tmpdir("framed");
-        let path = dir.join("framed.bin");
-        let payload = b"the quick brown fox jumps over the lazy dog";
-        write_framed(&path, payload).unwrap();
-        assert_eq!(read_framed(&path).unwrap(), payload);
-
-        let good = fs::read(&path).unwrap();
+        let good = two_frames();
+        let (first, second) = read_two(&good).unwrap();
+        assert_eq!(first, b"the quick brown fox");
+        assert_eq!(second, b"jumps over the lazy dog");
         // Truncation at every byte boundary errors.
         for cut in 0..good.len() {
-            assert!(unframe(&good[..cut]).is_err(), "cut at {cut} accepted");
+            let err = read_two(&good[..cut]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
         }
         // Every single-bit flip errors.
         for byte in 0..good.len() {
             for bit in 0..8 {
                 let mut bad = good.clone();
                 bad[byte] ^= 1 << bit;
-                assert!(
-                    unframe(&bad).is_err(),
-                    "bit flip at byte {byte} bit {bit} accepted"
+                let err = read_two(&bad).unwrap_err();
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData,
+                    "byte {byte} bit {bit}"
                 );
             }
         }
-        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn hostile_lengths_error_without_aborting() {
+        for len in [u64::MAX, 1 << 40] {
+            let mut buf = len.to_le_bytes().to_vec();
+            buf.extend_from_slice(&crc32(b"abc").to_le_bytes());
+            buf.extend_from_slice(b"abc");
+            let err = read_frame(&mut &buf[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{len}");
+        }
     }
 
     #[test]
     fn injected_bit_flip_is_caught_by_the_frame() {
         let dir = tmpdir("bitflip");
         let path = dir.join("framed.bin");
-        let plan = FaultPlan::new(0).trigger(
-            "write:f",
-            0,
-            Fault::BitFlip { offset: 21, bit: 3 },
-        );
-        write_framed_with(&path, b"some payload bytes", &plan, "write:f", &RetryPolicy::none())
-            .unwrap();
+        let payload = b"some payload bytes";
+        let framed = [&frame_header(payload)[..], payload].concat();
+        let plan = FaultPlan::new(0).trigger("write:f", 0, Fault::BitFlip { offset: 21, bit: 3 });
+        atomic_write_with(&path, &framed, &plan, "write:f", &RetryPolicy::none()).unwrap();
         // The write itself succeeded; the read detects the corruption.
-        assert!(read_framed(&path).is_err());
+        assert!(read_frame(&mut File::open(&path).unwrap()).is_err());
         // A clean rewrite heals it.
-        write_framed_with(&path, b"some payload bytes", &NoFaults, "write:f", &RetryPolicy::none())
-            .unwrap();
-        assert_eq!(read_framed(&path).unwrap(), b"some payload bytes");
+        atomic_write_with(&path, &framed, &NoFaults, "write:f", &RetryPolicy::none()).unwrap();
+        assert_eq!(
+            read_frame(&mut File::open(&path).unwrap()).unwrap(),
+            payload
+        );
         let _ = fs::remove_dir_all(dir);
     }
 }

@@ -4,9 +4,10 @@
 //!
 //! * `<base>.heap` — a flat array of [`PAGE_SIZE`] slotted pages, each
 //!   sealed with its own CRC;
-//! * `<base>.meta` — a small checksummed metadata frame (page size,
-//!   committed page count, record count, opaque user metadata) written
-//!   **last** through [`crate::atomic::atomic_write`].
+//! * `<base>.meta` — one sealed frame ([`crate::atomic::read_frame`])
+//!   holding the metadata (page size, committed page count, record count,
+//!   opaque user metadata), written **last** through
+//!   [`crate::atomic::atomic_write`].
 //!
 //! The write discipline gives the same crash contract as the rest of the
 //! workspace: pages are appended and fsynced first, metadata is renamed
@@ -16,9 +17,9 @@
 //! the per-page CRC at read time; a data file shorter than the committed
 //! page count is rejected at open.
 
-use crate::atomic::{read_framed, write_framed};
+use crate::atomic::{atomic_write, frame_header, read_frame};
 use crate::page::{Page, PAGE_SIZE};
-use esharp_fault::{fault_error, Fault, FaultInjector};
+use esharp_fault::{write_with_fault, FaultInjector};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -96,14 +97,19 @@ impl HeapFile {
         Ok(heap)
     }
 
-    /// Open an existing heap. Rejects a missing/corrupt metadata frame
-    /// and a data file shorter than the committed page count with
-    /// `InvalidData`.
+    /// Open an existing heap. Rejects a missing/corrupt metadata frame,
+    /// bytes after it, and a data file shorter than the committed page
+    /// count with `InvalidData`.
     pub fn open(base: impl AsRef<Path>) -> io::Result<HeapFile> {
         let base = base.as_ref();
         let data_path = with_suffix(base, ".heap");
         let meta_path = with_suffix(base, ".meta");
-        let meta = read_framed(&meta_path)?;
+        let meta_file = std::fs::read(&meta_path)?;
+        let mut rest = &meta_file[..];
+        let meta = read_frame(&mut rest)?;
+        if !rest.is_empty() {
+            return Err(invalid("trailing bytes after the metadata frame"));
+        }
         let (pages, records, user_meta) = decode_meta(&meta)?;
         let file = OpenOptions::new().read(true).write(true).open(&data_path)?;
         let len = file.metadata()?.len();
@@ -196,41 +202,15 @@ impl HeapFile {
         if no >= state.pages {
             return Err(invalid("page number out of range"));
         }
-        let fault = self
-            .injector
-            .as_ref()
-            .and_then(|(inj, prefix)| {
+        let (fault, site) = match &self.injector {
+            Some((inj, prefix)) => {
                 let site = format!("{prefix}:page{no}");
-                inj.fault_at(&site, 0).map(|f| (f, site))
-            });
+                (inj.fault_at(&site, 0), site)
+            }
+            None => (None, String::new()),
+        };
         state.file.seek(SeekFrom::Start(no * PAGE_SIZE as u64))?;
-        match fault {
-            Some((f @ (Fault::IoError { .. } | Fault::Kill), site)) => {
-                // Dies before a byte reaches the file.
-                return Err(fault_error(f, &site));
-            }
-            Some((Fault::TornWrite { numerator, denominator }, site)) => {
-                let den = denominator.max(1) as u64;
-                let keep =
-                    ((PAGE_SIZE as u64 * numerator.min(denominator) as u64) / den) as usize;
-                state.file.write_all(&page.as_bytes()[..keep.min(PAGE_SIZE)])?;
-                let _ = state.file.sync_all();
-                return Err(fault_error(
-                    Fault::TornWrite { numerator, denominator },
-                    &site,
-                ));
-            }
-            Some((Fault::BitFlip { offset, bit }, _)) => {
-                // Silent corruption: the write "succeeds"; only the page
-                // CRC can catch it downstream.
-                let mut corrupt = page.as_bytes().to_vec();
-                let idx = (offset % PAGE_SIZE as u64) as usize;
-                corrupt[idx] ^= 1 << (bit % 8);
-                state.file.write_all(&corrupt)?;
-            }
-            _ => state.file.write_all(page.as_bytes())?,
-        }
-        Ok(())
+        write_with_fault(&mut state.file, page.as_bytes(), fault, &site)
     }
 
     /// Fsync the data file, then atomically publish the current page and
@@ -254,7 +234,10 @@ impl HeapFile {
         payload.extend_from_slice(&records.to_le_bytes());
         payload.extend_from_slice(&(self.user_meta.len() as u32).to_le_bytes());
         payload.extend_from_slice(&self.user_meta);
-        write_framed(&self.meta_path, &payload)
+        atomic_write(
+            &self.meta_path,
+            &[&frame_header(&payload)[..], &payload].concat(),
+        )
     }
 }
 
@@ -301,7 +284,7 @@ fn decode_meta(payload: &[u8]) -> io::Result<(u64, u64, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esharp_fault::FaultPlan;
+    use esharp_fault::{Fault, FaultPlan};
 
     fn tmpbase(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("esharp_heap_{name}"));

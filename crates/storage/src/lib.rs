@@ -7,13 +7,13 @@
 //! larger than RAM:
 //!
 //! * [`atomic`] — the crash-safe persistence primitives every writer in
-//!   the workspace routes through (CRC32, write-temp-then-rename, the
-//!   checksummed `ESCK` byte-frame container). Moved here from
-//!   `esharp-relation` so storage can sit *below* the engine.
-//! * [`page`] — fixed-size slotted pages with a per-page CRC in the same
-//!   v2 checksummed-frame discipline as the binfmt table format: a torn
-//!   or bit-flipped page is rejected at read, never decoded into a
-//!   plausible-but-wrong relation.
+//!   the workspace routes through (CRC32, write-temp-then-rename, and the
+//!   one sealed frame, `len | crc32 | payload`, that every checksummed
+//!   container seals its parts with). Moved here from `esharp-relation`
+//!   so storage can sit *below* the engine.
+//! * [`page`] — fixed-size slotted pages sealed in place by a per-page
+//!   CRC: a torn or bit-flipped page is rejected at read, never decoded
+//!   into a plausible-but-wrong relation.
 //! * [`heap`] — heap files: a flat array of slotted pages plus a small
 //!   metadata artifact written last via [`atomic::atomic_write`], so a
 //!   crash mid-build leaves either the previous heap or a consistent
@@ -25,7 +25,7 @@
 //! * [`spill`] — checksummed run files for operators that exceed their
 //!   memory grant (external merge sort, partitioned hash spill). Spill
 //!   data is recomputable, so it trades fsync durability for speed but
-//!   keeps per-frame CRCs: a bad disk still fails loudly.
+//!   keeps its sealed frames: a bad disk still fails loudly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

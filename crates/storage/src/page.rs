@@ -11,9 +11,9 @@
 //! ...    records, appended downward from PAGE_SIZE
 //! ```
 //!
-//! The same checksummed-frame discipline as the binfmt v2 table format:
-//! a page read back from disk is verified before a single record is
-//! decoded, so truncation, torn in-place writes and silent bit flips all
+//! The page is sealed in place (its CRC sits at a fixed offset, so a
+//! page is rewritten without moving): a page read back from disk is
+//! verified before a single record is decoded, so truncation, torn in-place writes and silent bit flips all
 //! surface as `InvalidData`, never as a plausible-but-wrong row.
 
 use crate::atomic::crc32;

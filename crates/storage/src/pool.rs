@@ -143,11 +143,6 @@ impl BufferPool {
         BufferPool::new(bytes / PAGE_SIZE)
     }
 
-    /// Frame capacity in pages.
-    pub fn capacity_pages(&self) -> usize {
-        self.capacity
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {

@@ -1,25 +1,21 @@
 //! Checksummed spill files for operators that exceed their memory grant.
 //!
-//! A spill file is a sequence of frames, `len u64 LE | crc32 u32 |
-//! payload`. Spilled data is recomputable from the operator's inputs, so
-//! frames are buffered-written without fsync — losing them in a crash
-//! costs a re-run, not an artifact — but every frame carries a CRC so a
-//! failing disk corrupts loudly instead of silently reordering a sort.
+//! A spill file is a sequence of sealed frames ([`crate::atomic::read_frame`]).
+//! Spilled data is recomputable from the operator's inputs, so frames are
+//! buffered-written without fsync — losing them in a crash costs a re-run,
+//! not an artifact — but every frame carries a CRC so a failing disk
+//! corrupts loudly instead of silently reordering a sort.
 //!
 //! [`SpillDir`] owns a unique temporary directory and deletes it (runs
 //! and all) when dropped, so an aborted query leaves nothing behind.
 
-use crate::atomic::crc32;
+use crate::atomic::{frame_header, read_frame, FRAME_HEADER};
 use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn invalid(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("spill frame: {msg}"))
-}
 
 /// A process-unique temporary directory for one operator's spill runs.
 /// Removed recursively on drop.
@@ -82,11 +78,10 @@ impl SpillWriter {
 
     /// Append one frame.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.file.write_all(&(payload.len() as u64).to_le_bytes())?;
-        self.file.write_all(&crc32(payload).to_le_bytes())?;
+        self.file.write_all(&frame_header(payload))?;
         self.file.write_all(payload)?;
         self.frames += 1;
-        self.bytes += 12 + payload.len() as u64;
+        self.bytes += (FRAME_HEADER + payload.len()) as u64;
         Ok(())
     }
 
@@ -136,21 +131,7 @@ impl SpillReader {
         if self.remaining == 0 {
             return Ok(None);
         }
-        let mut header = [0u8; 12];
-        self.file
-            .read_exact(&mut header)
-            .map_err(|_| invalid("truncated header"))?;
-        let len = u64::from_le_bytes([
-            header[0], header[1], header[2], header[3], header[4], header[5], header[6], header[7],
-        ]) as usize;
-        let expected = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-        let mut payload = vec![0u8; len];
-        self.file
-            .read_exact(&mut payload)
-            .map_err(|_| invalid("truncated payload"))?;
-        if crc32(&payload) != expected {
-            return Err(invalid("checksum mismatch"));
-        }
+        let payload = read_frame(&mut self.file)?;
         self.remaining -= 1;
         Ok(Some(payload))
     }

@@ -39,6 +39,10 @@
 #           comments, in crates/, benchmark/src, examples/ or tests/ —
 #           a function only its own definition names is deleted, not
 #           kept; any exemption is listed below with its reason
+#   crc     `crc32(` is called only in the files listed below, each for a
+#           format that needs a CRC at a fixed place; every other
+#           checksummed container seals its parts through
+#           `esharp_storage::atomic::{frame_header, read_frame}`
 #
 # Usage: scripts/tier1.sh   (from the repo root or anywhere inside it)
 set -euo pipefail
@@ -154,6 +158,28 @@ dead="$(comm -23 <(echo "$defined") <(echo "$named") |
 if [ -n "$dead" ]; then
   echo "functions no code names (delete them, or exempt them above with a reason):" >&2
   echo "$dead" >&2
+  exit 1
+fi
+
+echo "== tier-1: crc gate (crc32 is called only where a fixed layout needs it)"
+# Allowed to call crc32(, one file per entry, each with its reason:
+#   storage/src/atomic.rs     the sealed frame (frame_header, read_frame)
+#   storage/src/page.rs       the in-place page seal
+#   microblog/src/segio.rs    the corpus file's fixed-offset header and
+#                             body sections
+#   ingest/src/live.rs        oplog lines and the base identity
+crc_allowed=(
+  crates/storage/src/atomic.rs
+  crates/storage/src/page.rs
+  crates/microblog/src/segio.rs
+  crates/ingest/src/live.rs
+)
+crc_callers="$(grep -rlE --include='*.rs' '\bcrc32\(' crates benchmark/src examples tests |
+  grep -vxF -f <(printf '%s\n' "${crc_allowed[@]}") || true)"
+if [ -n "$crc_callers" ]; then
+  echo "crc32( called outside its allowed files (seal through frame_header /" >&2
+  echo "read_frame, or allow the file above with a reason):" >&2
+  echo "$crc_callers" >&2
   exit 1
 fi
 

@@ -104,8 +104,11 @@ fn expansion_recovers_variant_only_experts() {
 #[test]
 fn domain_collection_survives_serialization() {
     let tb = Testbed::build(EvalScale::Tiny, 107);
-    let json = serde_json::to_string(tb.esharp.domains()).unwrap();
-    let back: esharp_core::DomainCollection = serde_json::from_str(&json).unwrap();
+    let dir = std::env::temp_dir().join(format!("esharp_e2e_domains_{}", std::process::id()));
+    let path = dir.join("domains.bin");
+    tb.esharp.domains().save(&path).unwrap();
+    let back = esharp_core::DomainCollection::load(&path).unwrap();
+    let _ = std::fs::remove_dir_all(dir);
     assert_eq!(back.len(), tb.esharp.domains().len());
     assert_eq!(
         back.lookup("49ers").map(<[String]>::len),
