@@ -6,7 +6,7 @@ use crate::error::{RelError, RelResult};
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::udf::UdfRegistry;
-use crate::value::{total_f64_cmp, DataType, Value};
+use crate::value::{canonical_nan, total_f64_cmp, DataType, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
@@ -303,7 +303,10 @@ impl CompiledExpr {
                     .map(|a| a.eval_rows(table, sel, rows))
                     .collect::<RelResult<Vec<_>>>()?;
                 let args: Vec<&Column> = args.iter().map(|c| c.as_ref()).collect();
-                let out = udf.invoke_column(&args, rows)?;
+                let mut out = udf.invoke_column(&args, rows)?;
+                if let Column::Float(values) = &mut out {
+                    values.iter_mut().for_each(|x| *x = canonical_nan(*x));
+                }
                 if out.len() != rows {
                     return Err(RelError::Eval(format!(
                         "{} returned {} values for {rows} rows",
@@ -445,7 +448,8 @@ fn type_tag(dtype: DataType) -> u8 {
 
 /// Arithmetic: INT op INT stays integral (wrapping) except division,
 /// which always produces a float (matching the modularity formulas'
-/// expectations); any other numeric pair computes in floats.
+/// expectations); any other numeric pair computes in floats, and a NaN
+/// result is the canonical one ([`canonical_nan`]).
 fn arithmetic(op: BinOp, l: &Column, r: &Column) -> RelResult<Column> {
     let by_zero = || RelError::Eval("division by zero".into());
     if let (Column::Int(a), Column::Int(b)) = (l, r) {
@@ -469,14 +473,14 @@ fn arithmetic(op: BinOp, l: &Column, r: &Column) -> RelResult<Column> {
         });
     };
     Ok(Column::Float(match op {
-        BinOp::Add => zip(&a, &b, |x, y| x + y),
-        BinOp::Sub => zip(&a, &b, |x, y| x - y),
-        BinOp::Mul => zip(&a, &b, |x, y| x * y),
+        BinOp::Add => zip(&a, &b, |x, y| canonical_nan(x + y)),
+        BinOp::Sub => zip(&a, &b, |x, y| canonical_nan(x - y)),
+        BinOp::Mul => zip(&a, &b, |x, y| canonical_nan(x * y)),
         _ => {
             if b.contains(&0.0) {
                 return Err(by_zero());
             }
-            zip(&a, &b, |x, y| x / y)
+            zip(&a, &b, |x, y| canonical_nan(x / y))
         }
     }))
 }

@@ -19,7 +19,7 @@ use crate::plan::{equi_pair, flatten_and, lower_agg, ExecContext, LogicalPlan};
 use crate::schema::{Field, Schema};
 use crate::sql::plan_sql;
 use crate::table::Table;
-use crate::value::{DataType, Value};
+use crate::value::{canonical_nan, DataType, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,7 +58,10 @@ impl CompiledExpr {
                 for a in args {
                     values.push(a.eval(table, row)?);
                 }
-                udf.invoke(&values)
+                Ok(match udf.invoke(&values)? {
+                    Value::Float(x) => Value::Float(canonical_nan(x)),
+                    value => value,
+                })
             }
         }
     }
@@ -120,7 +123,7 @@ fn eval_arith(op: BinOp, l: Value, r: Value) -> RelResult<Value> {
             })
         }
     };
-    Ok(Value::Float(match op {
+    Ok(Value::Float(canonical_nan(match op {
         BinOp::Add => a + b,
         BinOp::Sub => a - b,
         BinOp::Mul => a * b,
@@ -131,7 +134,7 @@ fn eval_arith(op: BinOp, l: Value, r: Value) -> RelResult<Value> {
             a / b
         }
         _ => unreachable!(),
-    }))
+    })))
 }
 
 /// Reference for [`crate::ops::hash_join`]: build rows indexed by their

@@ -114,6 +114,22 @@ impl Value {
     }
 }
 
+/// The one NaN an expression produces. Rust does not fix the sign or
+/// payload of a NaN that arithmetic or a math function returns (it can
+/// differ between optimisation levels), so every float-producing
+/// expression operation — arithmetic and UDF results, in the column
+/// kernels and the row oracle alike — passes its result through here:
+/// a NaN result is always `f64::NAN`, the NaN [`canonical_f64_bits`]
+/// identifies every NaN with.
+#[inline]
+pub(crate) fn canonical_nan(x: f64) -> f64 {
+    if x.is_nan() {
+        f64::NAN
+    } else {
+        x
+    }
+}
+
 /// Canonicalize a float for hashing/equality: all NaNs are identified and
 /// negative zero maps to positive zero. The engine never produces NaN in
 /// pipeline queries, but property tests exercise it.

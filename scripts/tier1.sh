@@ -10,6 +10,10 @@
 #           SQL with a 4 MiB buffer pool over a larger-than-pool heap file
 #           is bit-identical to the in-memory run (at the size the debug
 #           build skips)
+#   columnar the relation engine's column kernels against the row oracle
+#           (proptest_columnar) in release mode, so a result that depends
+#           on the optimisation level (a NaN's sign bit, say) fails here
+#           and not only in a release run
 #   flake   the flake budget: the test binaries of the virtual-clock and
 #           chaos suites (core's chaos_matrix, serve's proptest_chaos and
 #           chaos_smoke, microblog's `bounded` unit tests) run 100 times
@@ -56,6 +60,9 @@ cargo test -q
 
 echo "== tier-1: out-of-core smoke, release (4 MiB pool clustering SQL ≡ in-memory)"
 cargo test -q --release -p esharp-community --test out_of_core_smoke
+
+echo "== tier-1: column kernels ≡ row oracle, release (bit for bit in every profile)"
+cargo test -q --release -p esharp-relation --test proptest_columnar
 
 echo "== tier-1: flake budget (chaos suites 100x, ingest_smoke 25x)"
 # flake <rounds> <crate dir> <cargo test target args…> [-- <test filter>]
