@@ -35,7 +35,7 @@
 
 use crate::corpus::{Corpus, TermMatch};
 use crate::index::union_sorted;
-use crate::types::TweetId;
+use crate::types::{TokenId, TweetId};
 use esharp_fault::{Budget, Fault, FaultInjector, NoFaults, ShardBreakers, TickSource};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -203,11 +203,14 @@ impl Corpus {
     /// shard contributes all of its terms to every query or none).
     ///
     /// Plan: the distinct terms across the batch, in first-seen order,
-    /// are grouped by home shard. Execute: each shard the breakers admit
-    /// runs as one task on the shared pool — inline on the caller when
-    /// `workers <= 1` — and publishes its per-term match lists into a
-    /// first-answer-wins slot. Gather: each query's set is one k-way
-    /// union over the lists of its terms whose shard answered.
+    /// are resolved once each to a token set ([`Corpus::term_tokens`])
+    /// and a home shard, and each query keeps only the terms no other of
+    /// its terms subsumes ([`subsume`]). The distinct terms some query
+    /// keeps are grouped by home shard. Execute: each shard the breakers
+    /// admit runs as one task on the shared pool — inline on the caller
+    /// when `workers <= 1` — and publishes its per-term match lists into
+    /// a first-answer-wins slot. Gather: each query's set is one k-way
+    /// union over the lists of its kept terms whose shard answered.
     pub fn match_expansions(
         &self,
         expansions: &[&[String]],
@@ -231,16 +234,29 @@ impl Corpus {
                     .collect()
             })
             .collect();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shard_count().max(1)];
-        for (term, text) in distinct.iter().enumerate() {
-            groups[self.term_home_shard(text)].push(term);
+        let tokens: Vec<Option<Vec<TokenId>>> =
+            distinct.iter().map(|term| self.term_tokens(term)).collect();
+        let home: Vec<usize> = distinct.iter().map(|term| self.term_home_shard(term)).collect();
+        let kept: Vec<Vec<usize>> = plan.iter().map(|terms| subsume(terms, &tokens, &home)).collect();
+        let mut walked = vec![false; distinct.len()];
+        kept.iter().flatten().for_each(|&term| walked[term] = true);
+        // A shard is tried when any term of the batch lives there, walked
+        // or not, so which shards answer — and the outcome — is the same
+        // as if every term were walked.
+        let mut homed = vec![false; self.shard_count().max(1)];
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); homed.len()];
+        for (term, &shard) in home.iter().enumerate() {
+            homed[shard] = true;
+            if walked[term] {
+                groups[shard].push(term);
+            }
         }
 
         // Breaker gate: spend nothing on shards with open breakers.
         let mut admitted: Vec<usize> = Vec::new();
         let mut skipped: Vec<usize> = Vec::new();
-        for (shard, group) in groups.iter().enumerate() {
-            if group.is_empty() {
+        for (shard, &homed) in homed.iter().enumerate() {
+            if !homed {
                 continue;
             }
             if ctx.breakers.is_none_or(|b| b.allow(shard, clock)) {
@@ -291,7 +307,7 @@ impl Corpus {
                 if ctx.budget.expired_with(charged) {
                     return;
                 }
-                matches.push(self.match_term(distinct[term]));
+                matches.push(self.match_tokens(tokens[term].as_deref().unwrap_or_default()));
             }
             if ctx.budget.expired_with(charged) {
                 return;
@@ -376,7 +392,7 @@ impl Corpus {
                 None => missing.push(shard),
             }
         }
-        let matched = plan
+        let matched = kept
             .iter()
             .map(|terms| {
                 let lists: Vec<&[TweetId]> = terms
@@ -398,11 +414,48 @@ impl Corpus {
     }
 }
 
+/// The terms of one query (indices into the batch's distinct terms) that
+/// its union needs: visited by token-set size, smallest first (a stable
+/// sort, so of two equal sets the first listed stays), a term is dropped
+/// when a term already kept has a subset of its tokens and the same home
+/// shard. A conjunctive match over more tokens is a subset of the match
+/// over fewer — in base and delta postings alike, and before the
+/// tombstone filter — so the union is unchanged. The same-shard rule
+/// keeps a partial answer exact too: a dropped term's matches are
+/// covered only by a term whose shard answers exactly when its own does.
+/// A term with an unknown token or no tokens matches nothing and is
+/// dropped outright, so an empty set never subsumes anything.
+fn subsume(terms: &[usize], tokens: &[Option<Vec<TokenId>>], home: &[usize]) -> Vec<usize> {
+    let mut by_size: Vec<(usize, &[TokenId])> = terms
+        .iter()
+        .filter_map(|&term| match tokens[term].as_deref() {
+            Some(set) if !set.is_empty() => Some((term, set)),
+            _ => None,
+        })
+        .collect();
+    by_size.sort_by_key(|(_, set)| set.len());
+    let mut kept: Vec<(usize, &[TokenId])> = Vec::with_capacity(by_size.len());
+    for (term, set) in by_size {
+        let covered = kept
+            .iter()
+            .any(|&(k, sub)| home[k] == home[term] && is_subset(sub, set));
+        if !covered {
+            kept.push((term, set));
+        }
+    }
+    kept.into_iter().map(|(term, _)| term).collect()
+}
+
+/// Whether every id of `sub` is in `set` (both sorted, deduplicated).
+fn is_subset(sub: &[TokenId], set: &[TokenId]) -> bool {
+    let mut rest = set.iter();
+    sub.iter().all(|id| rest.any(|x| x == id))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth::{generate_corpus, CorpusConfig};
-    use crate::types::TokenId;
     use esharp_fault::{BreakerConfig, FaultPlan, VirtualClock};
     use esharp_querylog::{World, WorldConfig};
     use std::sync::Arc;
@@ -465,6 +518,65 @@ mod tests {
                 outcome.matched.iter().all(|id| full.contains(id)),
                 "a partial answer must be a subset of the full answer"
             );
+        }
+    }
+
+    /// Terms whose matches overlap across shards: every single-token
+    /// term of `spread_terms`, and for token pairs that co-occur in a
+    /// tweet with their home shards apart, the pair in both orders (each
+    /// homed on its first token's shard, each a superset of a single
+    /// whose home may be another shard), the pair again (a repeat) and a
+    /// superset with an unknown word.
+    fn overlapping_terms(corpus: &Corpus) -> Vec<String> {
+        let mut terms = spread_terms(corpus, 2);
+        let plain = |text: &str| text.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit());
+        let mut pairs_per_shard = vec![0; corpus.shard_count()];
+        for tweet in corpus.tweets() {
+            let tokens: Vec<&str> = corpus
+                .tweet_tokens(tweet.id)
+                .iter()
+                .map(|&id| corpus.token_text(id))
+                .filter(|text| plain(text))
+                .collect();
+            for pair in tokens.windows(2) {
+                let (first, second) = (pair[0], pair[1]);
+                let (a, b) = (corpus.term_home_shard(first), corpus.term_home_shard(second));
+                if a == b || pairs_per_shard[a] >= 2 {
+                    continue;
+                }
+                pairs_per_shard[a] += 1;
+                terms.push(first.to_string());
+                terms.push(format!("{second} {first}"));
+                terms.push(format!("{first} {second}"));
+                terms.push(format!("{second} {first}"));
+                terms.push(format!("{first} {second} zzqq"));
+            }
+        }
+        assert!(
+            pairs_per_shard.iter().all(|&n| n > 0),
+            "every shard must home a cross-shard pair: {pairs_per_shard:?}"
+        );
+        terms
+    }
+
+    #[test]
+    fn stalled_shard_drops_exactly_the_terms_it_homes() {
+        let corpus = corpus_with_shards(4);
+        let terms = overlapping_terms(&corpus);
+        for stalled in 0..corpus.shard_count() {
+            let mut expected: Vec<TweetId> = terms
+                .iter()
+                .filter(|term| corpus.term_home_shard(term) != stalled)
+                .flat_map(|term| corpus.match_query(term))
+                .collect();
+            expected.sort_unstable();
+            expected.dedup();
+            let plan = FaultPlan::new(1).stall_at(&format!("search:shard:{stalled}"));
+            let budget = virtual_budget(10_000);
+            let ctx = BoundedSearch::new(&budget).with_chaos(&plan);
+            let outcome = corpus.match_terms_bounded(&terms, 4, &ctx);
+            assert_eq!(outcome.shards_missing, vec![stalled]);
+            assert_eq!(outcome.matched, expected, "shard {stalled} stalled");
         }
     }
 

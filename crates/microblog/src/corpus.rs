@@ -187,7 +187,10 @@ impl Corpus {
     /// starting from the rarest token; a single-token query borrows its
     /// posting list and copies it only once, at the end.
     pub fn match_query(&self, query: &str) -> Vec<TweetId> {
-        let matched = match self.match_term(query) {
+        let Some(tokens) = self.term_tokens(query) else {
+            return Vec::new();
+        };
+        let matched = match self.match_tokens(&tokens) {
             TermMatch::Borrowed(list) => list.to_vec(),
             TermMatch::Owned(list) => list,
             TermMatch::Pooled(buf) => buf.take(),
@@ -195,10 +198,13 @@ impl Corpus {
         self.without_tombstones(matched)
     }
 
-    /// Like [`Corpus::match_query`], borrowing the posting list outright
-    /// when no intersection shrinks it (single-token queries — the common
-    /// case for expansion terms).
-    pub(crate) fn match_term(&self, term: &str) -> TermMatch<'_> {
+    /// A term's conjunctive token set, sorted and deduplicated: the ids
+    /// of the tokens a matching tweet must contain, or `None` when one of
+    /// them is not interned anywhere (the term matches nothing). An empty
+    /// set (`""`, `"!!"`) also matches nothing. The one place a term's
+    /// text is resolved: [`Corpus::match_query`] and the postings walk's
+    /// plan both come through here.
+    pub(crate) fn term_tokens(&self, term: &str) -> Option<Vec<TokenId>> {
         // Fast path: a term already in normalized form — space-separated
         // ASCII lowercase alphanumeric words, which `tokenize` maps to
         // themselves — feeds the symbol table directly. Expansion terms
@@ -209,25 +215,29 @@ impl Corpus {
         let normalized = term
             .bytes()
             .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b' ');
-        let mut lists: Vec<TermMatch<'_>>;
-        if normalized {
-            lists = Vec::new();
-            for word in term.split_ascii_whitespace() {
-                match self.symbols.get(word) {
-                    Some(id) => lists.push(self.merged_postings(id)),
-                    None => return TermMatch::Owned(Vec::new()),
-                }
-            }
+        let mut ids: Vec<TokenId> = if normalized {
+            term.split_ascii_whitespace()
+                .map(|word| self.symbols.get(word))
+                .collect::<Option<_>>()?
         } else {
-            let tokens = tokenize(term);
-            lists = Vec::with_capacity(tokens.len());
-            for token in &tokens {
-                match self.symbols.get(token) {
-                    Some(id) => lists.push(self.merged_postings(id)),
-                    None => return TermMatch::Owned(Vec::new()),
-                }
-            }
-        }
+            tokenize(term)
+                .iter()
+                .map(|token| self.symbols.get(token))
+                .collect::<Option<_>>()?
+        };
+        ids.sort_unstable();
+        ids.dedup();
+        Some(ids)
+    }
+
+    /// Tweets containing every token of `tokens` (a [`Corpus::term_tokens`]
+    /// set), tombstones not yet filtered: the posting list borrowed
+    /// outright when no intersection shrinks it (single-token terms — the
+    /// common case for expansion terms), else intersected from the rarest
+    /// list up.
+    pub(crate) fn match_tokens(&self, tokens: &[TokenId]) -> TermMatch<'_> {
+        let mut lists: Vec<TermMatch<'_>> =
+            tokens.iter().map(|&id| self.merged_postings(id)).collect();
         match lists.len() {
             0 => TermMatch::Owned(Vec::new()),
             1 => lists.remove(0),

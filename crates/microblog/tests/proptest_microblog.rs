@@ -75,6 +75,41 @@ fn string_keyed_reference_agrees_on_fixed_corpus() {
     assert_eq!(corpus.match_terms_with(&terms, 1), union);
 }
 
+/// Expansion-style term lists: `terms`, plus one variant per pick of the
+/// term at `at` (modulo the list) inserted at `at`, so the postings
+/// walk's subsumption sees every shape of overlap — a repeat, a
+/// permutation, an upper-cased copy (the tokenizer fallback), strict
+/// supersets, a sibling sharing one word, a word pair from the tweets, a
+/// superset with an unknown word, an unknown word alone, and the empty
+/// and punctuation-only terms that have no tokens at all. New words come
+/// from `words` (the tweets' words in order), so the variants match.
+fn with_variants(mut terms: Vec<String>, picks: &[(u8, usize)], words: &[String]) -> Vec<String> {
+    let word = |i: usize| words[i % words.len()].as_str();
+    for &(kind, at) in picks {
+        let base = match terms.len() {
+            0 => word(at).to_string(),
+            n => terms[at % n].clone(),
+        };
+        let first = base.split(' ').next().unwrap_or_default().to_string();
+        let variant = match kind {
+            0 => base,
+            1 => base.split(' ').rev().collect::<Vec<_>>().join(" "),
+            2 => base.to_uppercase(),
+            3 => format!("{base} {}", word(at)),
+            4 => format!("{} {base}", word(at + 1)),
+            5 => format!("{first} {}", word(at + 2)),
+            6 => format!("{} {}", word(at), word(at + 1)),
+            7 => format!("{base} zz"),
+            8 => "zz".to_string(),
+            9 => String::new(),
+            10 => "!!".to_string(),
+            _ => "#".to_string(),
+        };
+        terms.insert(at % (terms.len() + 1), variant);
+    }
+    terms
+}
+
 fn user(id: u32, handle: &str) -> User {
     User {
         id,
@@ -158,6 +193,7 @@ proptest! {
             prop::collection::vec("[a-d]{1,2}", 1..6), 1..20),
         terms in prop::collection::vec(
             prop::collection::vec("[a-d]{1,2}", 1..3), 0..4),
+        picks in prop::collection::vec((0u8..12, 0usize..64), 0..8),
     ) {
         let users = vec![user(0, "u0")];
         let tweets: Vec<Tweet> = tweet_words
@@ -166,7 +202,8 @@ proptest! {
             .map(|(i, words)| Tweet::parse(i as u32, 0, words.join(" "), |_| None))
             .collect();
         let corpus = Corpus::new(users, tweets);
-        let terms: Vec<String> = terms.iter().map(|w| w.join(" ")).collect();
+        let words: Vec<String> = tweet_words.concat();
+        let terms = with_variants(terms.iter().map(|w| w.join(" ")).collect(), &picks, &words);
         let mut reference: Vec<u32> = terms
             .iter()
             .flat_map(|t| corpus.match_query(t))
@@ -182,6 +219,7 @@ proptest! {
             prop::collection::vec("[a-d]{1,2}", 1..6), 1..24),
         terms in prop::collection::vec(
             prop::collection::vec("[a-dA-D]{1,2}", 1..3), 0..5),
+        picks in prop::collection::vec((0u8..12, 0usize..64), 0..8),
     ) {
         let users = vec![user(0, "u0")];
         let tweets: Vec<Tweet> = tweet_words
@@ -191,7 +229,8 @@ proptest! {
             .collect();
         let postings = string_keyed_postings(&tweets);
         let corpus = Corpus::new(users, tweets);
-        let terms: Vec<String> = terms.iter().map(|w| w.join(" ")).collect();
+        let words: Vec<String> = tweet_words.concat();
+        let terms = with_variants(terms.iter().map(|w| w.join(" ")).collect(), &picks, &words);
 
         // Per-term conjunctive matches agree (mixed-case terms exercise
         // both the normalized fast path and the tokenizer fallback) …
