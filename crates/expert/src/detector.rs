@@ -128,13 +128,13 @@ impl<'c> Detector<'c> {
         // every score is the same f64: TS, MI, RI, then the extended tier.
         let (w_ts, w_mi, w_ri) = self.config.weights;
         let epsilon = self.config.log_epsilon;
-        let CandidateScratch { candidates, z, score, .. } = &mut *scratch;
-        normalize_into(candidates.iter().map(|(_, f)| f.ts), epsilon, z);
+        let CandidateScratch { candidates, z, score, ln, .. } = &mut *scratch;
+        normalize_into(candidates.iter().map(|(_, f)| f.ts), epsilon, ln, z);
         score.clear();
         score.extend(z.iter().map(|z| w_ts * z));
-        normalize_into(candidates.iter().map(|(_, f)| f.mi), epsilon, z);
+        normalize_into(candidates.iter().map(|(_, f)| f.mi), epsilon, ln, z);
         score.iter_mut().zip(&*z).for_each(|(s, z)| *s += w_mi * z);
-        normalize_into(candidates.iter().map(|(_, f)| f.ri), epsilon, z);
+        normalize_into(candidates.iter().map(|(_, f)| f.ri), epsilon, ln, z);
         score.iter_mut().zip(&*z).for_each(|(s, z)| *s += w_ri * z);
         match &self.config.extended {
             // The reference adds a zero contribution, which turns a
@@ -155,27 +155,40 @@ impl<'c> Detector<'c> {
     }
 
     /// The scoring tail: cluster cut and threshold, then the top
-    /// `max_results` by (score descending, user ascending) selected
-    /// before they are sorted, and only those materialized.
+    /// `max_results` by (score descending, user ascending), kept in one
+    /// pass as a bounded heap whose root is the worst kept candidate —
+    /// O(n log k) for every k — and only those sorted and materialized.
     fn finish(&self, scratch: &mut CandidateScratch) -> Vec<ExpertResult> {
         let CandidateScratch { candidates, score, order, .. } = scratch;
         let score = &score[..];
         let cut = self.config.cluster_filter.then(|| cluster_cut(score)).flatten();
-        order.clear();
-        order.extend((0..score.len() as u32).filter(|&i| {
-            let s = score[i as usize];
-            cut.is_none_or(|cut| s >= cut) && s >= self.config.min_zscore
-        }));
         // Candidates are in ascending user order, so the index breaks ties.
         let by_rank = |a: &u32, b: &u32| {
             score[*b as usize].total_cmp(&score[*a as usize]).then_with(|| a.cmp(b))
         };
-        let keep = self.config.max_results;
-        if order.len() > keep {
-            if keep > 0 {
-                order.select_nth_unstable_by(keep - 1, by_rank);
+        let outranks = |a: u32, b: u32| by_rank(&a, &b).is_lt();
+        let (keep, min) = (self.config.max_results, self.config.min_zscore);
+        order.clear();
+        // The root's score. Candidates arrive in ascending index order, so
+        // one that ties the root ranks below it: beating the root is
+        // beating this score.
+        let mut floor = f64::NEG_INFINITY;
+        if keep > 0 {
+            for (i, &s) in score.iter().enumerate() {
+                if !(s >= min && cut.is_none_or(|cut| s >= cut)) {
+                    continue;
+                }
+                if order.len() < keep {
+                    order.push(i as u32);
+                    sift_up(order, outranks);
+                } else if s.total_cmp(&floor).is_gt() {
+                    order[0] = i as u32;
+                    sift_down(order, outranks);
+                } else {
+                    continue;
+                }
+                floor = score[order[0] as usize];
             }
-            order.truncate(keep);
         }
         order.sort_unstable_by(by_rank);
         order
@@ -185,6 +198,43 @@ impl<'c> Detector<'c> {
                 ExpertResult { user, score: score[i as usize], features }
             })
             .collect()
+    }
+}
+
+/// Restore the heap order after a push: every parent is outranked by its
+/// children, so the root is the worst kept candidate.
+fn sift_up(heap: &mut [u32], outranks: impl Fn(u32, u32) -> bool) {
+    let mut child = heap.len().saturating_sub(1);
+    while child > 0 {
+        let parent = (child - 1) / 2;
+        if !outranks(heap[parent], heap[child]) {
+            break;
+        }
+        heap.swap(parent, child);
+        child = parent;
+    }
+}
+
+/// Restore the heap order after the root was replaced by a better
+/// candidate.
+fn sift_down(heap: &mut [u32], outranks: impl Fn(u32, u32) -> bool) {
+    let mut parent = 0;
+    loop {
+        let left = 2 * parent + 1;
+        if left >= heap.len() {
+            break;
+        }
+        let right = left + 1;
+        let worse = if right < heap.len() && outranks(heap[left], heap[right]) {
+            right
+        } else {
+            left
+        };
+        if !outranks(heap[parent], heap[worse]) {
+            break;
+        }
+        heap.swap(parent, worse);
+        parent = worse;
     }
 }
 
@@ -304,6 +354,29 @@ mod tests {
     #[test]
     fn scratch_path_is_bit_identical_to_reference() {
         let (world, corpus) = build();
+        // Two detectors with different ε share one thread's scratch, so
+        // their ranks interleave through the `ln` memo and every switch
+        // flushes it; each must still equal the reference.
+        let coarse = Detector::new(
+            &corpus,
+            DetectorConfig { log_epsilon: 1e-3, ..Default::default() },
+        );
+        let fine = Detector::new(&corpus, DetectorConfig::default());
+        let mut scratch = crate::features::CandidateScratch::default();
+        for domain in &world.domains {
+            let matching = corpus.match_query(&domain.label);
+            for detector in [&coarse, &fine, &fine, &coarse] {
+                let fast = detector.rank_in(&matching, &mut scratch);
+                let reference = detector.rank_candidates_reference(&matching);
+                assert_eq!(
+                    fast,
+                    reference,
+                    "divergence on {:?} at ε {}",
+                    domain.label,
+                    detector.config.log_epsilon
+                );
+            }
+        }
         for config in [
             DetectorConfig::default(),
             DetectorConfig {

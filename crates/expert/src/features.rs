@@ -7,7 +7,8 @@
 //!   #retweets of user's tweets`.
 
 use crate::features_ext::{compute_extended, is_conversational, ExtendedCounts};
-use esharp_microblog::{Corpus, TweetId, UserId, NO_RETWEET};
+use crate::normalize::LnMemo;
+use esharp_microblog::{Corpus, TweetId, UserId, UserTotals, NO_RETWEET};
 use serde::{Deserialize, Serialize};
 
 /// The raw feature triple for one candidate.
@@ -44,9 +45,10 @@ pub struct TopicCounts {
 /// reference's `collect_candidates`-then-sort produces, so every later
 /// sum adds in the same order and rankings are bit-identical (enforced
 /// by proptest) — with no sort and no per-event "first touch?" probe.
-/// Between queries every row and every bit is zero; a warm query
-/// allocates nothing here and writes nothing beyond its own candidates'
-/// rows.
+/// The sweep takes each candidate's row as it reads it, so between
+/// queries every row and every bit is zero with no second pass; a warm
+/// query allocates nothing here and writes nothing beyond its own
+/// candidates' rows.
 #[derive(Debug, Default)]
 pub(crate) struct CandidateScratch {
     /// One row per corpus user.
@@ -59,6 +61,8 @@ pub(crate) struct CandidateScratch {
     /// that panicked half-way (a tweet id past the corpus) cannot leave
     /// its counts to the thread's next one.
     in_flight: bool,
+    /// `ln(x + ε)` of the ratios this thread has normalized.
+    pub(crate) ln: LnMemo,
     /// The running query's candidates with their raw TS / MI / RI
     /// ratios, in ascending user order.
     pub(crate) candidates: Vec<(UserId, Features)>,
@@ -109,14 +113,17 @@ impl CandidateScratch {
             }
         }
 
+        // The sweep: each touched user's bit and count row are taken
+        // (left zero for the next query) and its totals row read once.
+        let totals = columns.totals();
         self.candidates.clear();
         for (word, bits) in touched.iter_mut().enumerate() {
             let mut bits = std::mem::take(bits);
             while bits != 0 {
                 let user = (word * 64) as UserId + bits.trailing_zeros();
                 bits &= bits - 1;
-                let features = compute_features(corpus, user, &counts[user as usize]);
-                self.candidates.push((user, features));
+                let row = std::mem::take(&mut counts[user as usize]);
+                self.candidates.push((user, ratios(&row, &totals[user as usize])));
             }
         }
     }
@@ -156,11 +163,8 @@ impl CandidateScratch {
         }
     }
 
-    /// Zero the running query's rows (its bits went in the sweep).
+    /// End the running query: its rows and bits went in the sweep.
     pub(crate) fn reset(&mut self) {
-        for &(user, _) in &self.candidates {
-            self.counts[user as usize] = TopicCounts::default();
-        }
         self.in_flight = false;
     }
 }
@@ -181,6 +185,16 @@ pub fn compute_features(corpus: &Corpus, user: UserId, counts: &TopicCounts) -> 
         ts: ratio(counts.tweets_on_topic.into(), corpus.tweets_by(user)),
         mi: ratio(counts.mentions_on_topic.into(), corpus.mentions_of(user)),
         ri: ratio(counts.retweets_on_topic.into(), corpus.retweets_of(user)),
+    }
+}
+
+/// [`compute_features`] over the user's totals row, read once: the
+/// kernel's form (the reference keeps the per-total corpus calls).
+fn ratios(counts: &TopicCounts, totals: &UserTotals) -> Features {
+    Features {
+        ts: ratio(counts.tweets_on_topic.into(), totals.tweets),
+        mi: ratio(counts.mentions_on_topic.into(), totals.mentions),
+        ri: ratio(counts.retweets_on_topic.into(), totals.retweets),
     }
 }
 

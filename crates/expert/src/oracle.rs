@@ -11,7 +11,7 @@ use crate::cluster_filter::cluster_cut;
 use crate::detector::{Detector, ExpertResult};
 use crate::features::{compute_features, Features, TopicCounts};
 use crate::features_ext::{compute_extended, is_conversational, ExtendedCounts, ExtendedFeatures};
-use crate::normalize::{normalize_into, z_scores_in_place};
+use crate::normalize::{log_transform, z_scores_in_place};
 use esharp_microblog::{Corpus, TweetId, UserId};
 use std::collections::HashMap;
 
@@ -70,10 +70,22 @@ pub fn z_scores(values: &[f64]) -> Vec<f64> {
 }
 
 /// Apply the full paper pipeline to one feature column: log-transform then
-/// z-score.
+/// z-score, every `ln` taken afresh — the reference for the kernel's
+/// memoized `normalize_into`. MI and RI are zero for most candidates, so
+/// `ln(0 + ε)` is taken once.
 pub fn normalize_feature(values: &[f64], epsilon: f64) -> Vec<f64> {
-    let mut out = Vec::with_capacity(values.len());
-    normalize_into(values.iter().copied(), epsilon, &mut out);
+    let ln_zero = log_transform(0.0, epsilon);
+    let mut out: Vec<f64> = values
+        .iter()
+        .map(|&x| {
+            if x == 0.0 {
+                ln_zero
+            } else {
+                log_transform(x, epsilon)
+            }
+        })
+        .collect();
+    z_scores_in_place(&mut out);
     out
 }
 

@@ -66,20 +66,27 @@ fn a_warm_rank_allocates_only_its_result() {
             ..Default::default()
         },
     ] {
-        let detector = Detector::new(&corpus, config);
+        let detector = Detector::new(&corpus, config.clone());
+        // The same detector with another ε: alternating the two flushes
+        // the thread's `ln` memo on every rank, which must refill it in
+        // place.
+        let coarse = Detector::new(&corpus, DetectorConfig { log_epsilon: 1e-3, ..config });
         assert!(
             !detector.rank_candidates(&everything).is_empty(),
             "warm-up ranks"
         );
 
         for matching in match_sets.iter().chain([&everything]) {
-            let (allocations, experts) = allocations_of(|| detector.rank_candidates(matching));
-            assert!(
-                allocations <= 1,
-                "{allocations} allocations ranking {} tweets",
-                matching.len()
-            );
-            assert_eq!(experts, detector.rank_candidates_reference(matching));
+            for detector in [&detector, &coarse] {
+                let (allocations, experts) =
+                    allocations_of(|| detector.rank_candidates(matching));
+                assert!(
+                    allocations <= 1,
+                    "{allocations} allocations ranking {} tweets",
+                    matching.len()
+                );
+                assert_eq!(experts, detector.rank_candidates_reference(matching));
+            }
         }
 
         let (allocations, batch) = allocations_of(|| detector.rank_candidates_batch(&match_sets));
