@@ -80,7 +80,7 @@ pub(crate) struct CandidateScratch {
 impl CandidateScratch {
     /// Candidate selection (§3) and the feature ratios, over the
     /// columns: same semantics as the reference's `collect_candidates` +
-    /// [`compute_features`] per candidate in ascending user order.
+    /// `compute_features` per candidate in ascending user order.
     pub(crate) fn collect(&mut self, corpus: &Corpus, matching: &[TweetId]) {
         let users = corpus.users().len();
         if self.in_flight {
@@ -179,17 +179,9 @@ pub(crate) fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Turn on-topic counts into the TS/MI/RI ratios.
-pub fn compute_features(corpus: &Corpus, user: UserId, counts: &TopicCounts) -> Features {
-    Features {
-        ts: ratio(counts.tweets_on_topic.into(), corpus.tweets_by(user)),
-        mi: ratio(counts.mentions_on_topic.into(), corpus.mentions_of(user)),
-        ri: ratio(counts.retweets_on_topic.into(), corpus.retweets_of(user)),
-    }
-}
-
-/// [`compute_features`] over the user's totals row, read once: the
-/// kernel's form (the reference keeps the per-total corpus calls).
+/// Turn on-topic counts into the TS/MI/RI ratios over the user's totals
+/// row, read once. (The reference's `compute_features` reads the three
+/// totals through the corpus.)
 fn ratios(counts: &TopicCounts, totals: &UserTotals) -> Features {
     Features {
         ts: ratio(counts.tweets_on_topic.into(), totals.tweets),
@@ -201,7 +193,7 @@ fn ratios(counts: &TopicCounts, totals: &UserTotals) -> Features {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::collect_candidates;
+    use crate::oracle::{collect_candidates, compute_features};
     use esharp_microblog::{Tweet, User};
 
     fn user(id: UserId, handle: &str) -> User {

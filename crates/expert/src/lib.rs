@@ -29,6 +29,6 @@ mod normalize;
 pub mod oracle;
 
 pub use detector::{Detector, DetectorConfig, ExpertResult};
-pub use features::{compute_features, Features, TopicCounts};
+pub use features::{Features, TopicCounts};
 pub use features_ext::{ExtendedFeatures, ExtendedWeights};
 pub use normalize::log_transform;

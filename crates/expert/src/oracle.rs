@@ -9,7 +9,7 @@
 
 use crate::cluster_filter::cluster_cut;
 use crate::detector::{Detector, ExpertResult};
-use crate::features::{compute_features, Features, TopicCounts};
+use crate::features::{ratio, Features, TopicCounts};
 use crate::features_ext::{compute_extended, is_conversational, ExtendedCounts, ExtendedFeatures};
 use crate::normalize::{log_transform, z_scores_in_place};
 use esharp_microblog::{Corpus, TweetId, UserId};
@@ -40,6 +40,16 @@ pub fn collect_candidates(
         }
     }
     candidates
+}
+
+/// Turn on-topic counts into the TS/MI/RI ratios, each total read
+/// through the corpus (the kernel reads the user's totals row once).
+pub fn compute_features(corpus: &Corpus, user: UserId, counts: &TopicCounts) -> Features {
+    Features {
+        ts: ratio(counts.tweets_on_topic.into(), corpus.tweets_by(user)),
+        mi: ratio(counts.mentions_on_topic.into(), corpus.mentions_of(user)),
+        ri: ratio(counts.retweets_on_topic.into(), corpus.retweets_of(user)),
+    }
 }
 
 /// Accumulate extended counts for every author in the match set.
