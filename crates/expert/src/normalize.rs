@@ -33,6 +33,9 @@ pub(crate) fn z_scores_in_place(values: &mut [f64]) {
 /// Slots of the per-thread `ln` memo: a power of two, 64 KiB of pairs.
 const LN_MEMO_SLOTS: usize = 4096;
 
+/// A slot is the top `log2(LN_MEMO_SLOTS)` bits of the key's hash.
+const SLOT_SHIFT: u32 = 64 - LN_MEMO_SLOTS.ilog2();
+
 /// The key of a slot no ratio has filled yet. Its value is computed like
 /// any other (`ln` of a NaN), so even a probe with these exact bits gets
 /// what a miss would return.
@@ -73,7 +76,7 @@ impl LnMemo {
         let bits = x.to_bits();
         // Fibonacci hashing: the top bits of the product mix every bit of
         // the mantissa, where nearby ratios differ.
-        let slot = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52) as usize;
+        let slot = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> SLOT_SHIFT) as usize;
         let entry = &mut self.slots[slot];
         if entry.0 != bits {
             *entry = (bits, log_transform(x, self.epsilon));

@@ -237,7 +237,8 @@ impl Corpus {
         let tokens: Vec<Option<Vec<TokenId>>> =
             distinct.iter().map(|term| self.term_tokens(term)).collect();
         let home: Vec<usize> = distinct.iter().map(|term| self.term_home_shard(term)).collect();
-        let kept: Vec<Vec<usize>> = plan.iter().map(|terms| subsume(terms, &tokens, &home)).collect();
+        let kept: Vec<Vec<usize>> =
+            plan.iter().map(|terms| subsume(terms, &tokens, &home)).collect();
         let mut walked = vec![false; distinct.len()];
         kept.iter().flatten().for_each(|&term| walked[term] = true);
         // A shard is tried when any term of the batch lives there, walked
