@@ -34,7 +34,7 @@ use esharp_graph::relation_io::multigraph_to_table;
 use esharp_graph::MultiGraph;
 use esharp_relation::{
     explain_analyze, explain_physical, optimize, plan_sql, BufferPool, Catalog, Cluster, Column,
-    DataType, ExecContext, JoinStrategy, PagedTable, PhysicalPlan, PlanHistory, PoolStats,
+    DataType, ExecContext, PagedTable, PhysicalPlan, PlanHistory, PoolStats,
     RelError, RelResult, ScalarUdf, StatsRegistry, Value,
 };
 use std::collections::HashMap;
@@ -50,10 +50,6 @@ pub struct SqlClusterConfig {
     pub max_iterations: usize,
     /// Worker threads for the parallel joins/aggregations.
     pub workers: usize,
-    /// Join strategy for the graph ⋈ communities joins (§4.2.3) — the
-    /// planner's fallback; with statistics or history available the
-    /// optimizer picks per join.
-    pub join_strategy: JoinStrategy,
     /// Optional per-operator statistics sink (Table 9 accounting).
     pub stats: Option<StatsRegistry>,
     /// When set, the graph table is written to an on-disk paged heap
@@ -76,7 +72,6 @@ impl Default for SqlClusterConfig {
         SqlClusterConfig {
             max_iterations: 20,
             workers: 1,
-            join_strategy: JoinStrategy::Broadcast,
             stats: None,
             buffer_pool_bytes: None,
             memory_grant: None,
@@ -160,7 +155,6 @@ pub fn cluster_sql_report(
     let registry = config.stats.clone().unwrap_or_default();
     let mut ctx = ExecContext::new(catalog)
         .with_cluster(Cluster::new(config.workers))
-        .with_join_strategy(config.join_strategy)
         .with_stats(registry.clone());
     if let Some(grant) = config.memory_grant {
         ctx = ctx.with_memory_grant(grant);
@@ -430,17 +424,9 @@ mod tests {
     }
 
     #[test]
-    fn sql_matches_native_under_parallel_copartitioned_execution() {
+    fn sql_matches_native_on_four_workers() {
         let g = two_cliques();
-        let sql = cluster_sql(
-            &g,
-            &SqlClusterConfig {
-                workers: 4,
-                join_strategy: JoinStrategy::CoPartitioned,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let sql = cluster_sql(&g, &SqlClusterConfig { workers: 4, ..Default::default() }).unwrap();
         let native = cluster_parallel(&g, &ParallelConfig::default());
         assert_eq!(sql.assignment, native.assignment);
     }

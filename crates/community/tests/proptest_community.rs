@@ -7,7 +7,7 @@ use esharp_community::{
     LabelPropConfig, LouvainConfig, NewmanConfig, ParallelConfig, PartitionStats, SqlClusterConfig,
 };
 use esharp_graph::MultiGraph;
-use esharp_relation::{JoinStrategy, PAGE_SIZE};
+use esharp_relation::PAGE_SIZE;
 use oracle::HashStats;
 use proptest::prelude::*;
 
@@ -190,14 +190,7 @@ proptest! {
                     ..SqlClusterConfig::default()
                 },
             ),
-            (
-                "3 workers, co-partitioned",
-                SqlClusterConfig {
-                    workers: 3,
-                    join_strategy: JoinStrategy::CoPartitioned,
-                    ..SqlClusterConfig::default()
-                },
-            ),
+            ("3 workers", SqlClusterConfig { workers: 3, ..SqlClusterConfig::default() }),
         ];
         for (name, config) in configs {
             let sql = cluster_sql(&g, &config).unwrap();

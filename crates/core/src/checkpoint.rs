@@ -12,11 +12,12 @@
 //! ## File format
 //!
 //! One file per stage, all frames in `esharp-relation`'s checksummed
-//! binary table container ([`encode_frames`]): frame 0 is the manifest
-//! relation `manifest(key, value)`, the remaining frames are the stage
-//! payload. Embedding the manifest in the artifact file (rather than a
-//! sidecar) keeps validation atomic: the temp-file-then-rename write
-//! publishes artifact and manifest together or not at all.
+//! binary table container ([`encode_frames`]): frame 0 is the manifest,
+//! the `meta(key, value)` relation `domains.bin` also opens with, and
+//! the remaining frames are the stage payload. Embedding the manifest
+//! in the artifact file (rather than a sidecar) keeps validation
+//! atomic: the temp-file-then-rename write publishes artifact and
+//! manifest together or not at all.
 //!
 //! ## Validation and staleness
 //!
@@ -41,7 +42,7 @@
 //! injector is [`NoFaults`], which inlines to `None` and costs nothing.
 
 use crate::config::{ClusterBackend, EsharpConfig};
-use crate::domains::DomainCollection;
+use crate::domains::{meta_table, read_meta, DomainCollection};
 use crate::error::{EsharpError, EsharpResult};
 use esharp_community::{Assignment, ClusteringOutcome, IterationStat};
 use esharp_fault::{fault_error, FaultInjector, NoFaults, RetryPolicy};
@@ -498,18 +499,10 @@ fn table_err(e: esharp_relation::RelError) -> EsharpError {
 }
 
 fn manifest_table(fp: &Fingerprint, extras: &[(&str, i64)]) -> EsharpResult<Table> {
-    let schema = Schema::of(&[("key", DataType::Str), ("value", DataType::Int)]);
-    let mut t = TableBuilder::with_capacity(schema, 3 + extras.len());
-    let mut push = |key: &str, value: i64| {
-        t.push_row(vec![Value::str(key), Value::Int(value)]).map_err(table_err)
-    };
-    push("format", FORMAT)?;
-    push("config", fp.config as i64)?;
-    push("input", fp.input as i64)?;
-    for &(key, value) in extras {
-        push(key, value)?;
-    }
-    Ok(t.finish())
+    let (config, input) = (fp.config as i64, fp.input as i64);
+    let mut entries = vec![("format", FORMAT), ("config", config), ("input", input)];
+    entries.extend_from_slice(extras);
+    Ok(meta_table(&entries)?)
 }
 
 struct Manifest {
@@ -521,20 +514,12 @@ struct Manifest {
 
 impl Manifest {
     fn from_table(t: &Table) -> Option<Manifest> {
-        let key_col = t.column_by_name("key").ok()?;
-        let value_col = t.column_by_name("value").ok()?;
-        let mut entries = HashMap::with_capacity(t.num_rows());
-        for row in 0..t.num_rows() {
-            let Value::Str(key) = key_col.value(row) else {
-                return None;
-            };
-            entries.insert(key.to_string(), value_col.value(row).as_int()?);
-        }
+        let mut extras = read_meta(t).ok()?;
         Some(Manifest {
-            format: entries.remove("format")?,
-            config: entries.remove("config")? as u64,
-            input: entries.remove("input")? as u64,
-            extras: entries,
+            format: extras.remove("format")?,
+            config: extras.remove("config")? as u64,
+            input: extras.remove("input")? as u64,
+            extras,
         })
     }
 
@@ -546,6 +531,7 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esharp_fault::corrupt::assert_rejects_every_damage;
     use esharp_querylog::{LogConfig, LogGenerator, WorldConfig};
 
     fn inputs() -> (World, AggregatedLog, EsharpConfig) {
@@ -615,20 +601,24 @@ mod tests {
 
     #[test]
     fn corrupt_checkpoints_fall_back_to_recompute() {
-        let (world, log, config) = inputs();
-        let fp = Fingerprint::new(&config, &log, &world);
+        // Every stage file is this container: a manifest frame, then the
+        // payload frames.
+        let fp = Fingerprint { config: 1, input: 2 };
         let ckpt = temp_ckpt("esharp_ckpt_corrupt");
-        ckpt.store_filtered(&fp, &log, 0).unwrap();
+        let record = |term, clicks| ClickRecord { term, url: 7, clicks };
+        let log = AggregatedLog {
+            records: vec![record(0, 3), record(1, 5)],
+            term_totals: vec![3, 5],
+            raw_events: 9,
+        };
+        ckpt.store_filtered(&fp, &log, 1).unwrap();
         let path = ckpt.root().join(FILTERED_FILE);
         let good = std::fs::read(&path).unwrap();
-        for cut in [0, 1, good.len() / 2, good.len() - 1] {
-            std::fs::write(&path, &good[..cut]).unwrap();
-            assert!(ckpt.load_filtered(&fp).is_none(), "cut at {cut} accepted");
-        }
-        let mut flipped = good.clone();
-        flipped[good.len() / 3] ^= 0x10;
-        std::fs::write(&path, &flipped).unwrap();
-        assert!(ckpt.load_filtered(&fp).is_none());
+        assert_rejects_every_damage("checkpoint stage file", &good, |image| {
+            std::fs::write(&path, image)?;
+            let rejected = std::io::Error::new(std::io::ErrorKind::InvalidData, "recompute");
+            ckpt.load_filtered(&fp).ok_or(rejected)
+        });
         let _ = std::fs::remove_dir_all(ckpt.root());
     }
 

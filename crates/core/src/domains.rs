@@ -12,8 +12,10 @@ use esharp_fault::{FaultInjector, NoFaults, RetryPolicy};
 use esharp_graph::SimilarityGraph;
 use esharp_storage::atomic::atomic_write_with;
 use esharp_relation::binfmt::{decode_frames_exact, encode_frames};
-use esharp_relation::{DataType, Schema, TableBuilder, Value};
+use esharp_relation::{Column, DataType, Schema, Table, TableBuilder, Value};
 use std::collections::HashMap;
+use std::io;
+use std::sync::Arc;
 
 /// Identifier of a domain inside a [`DomainCollection`].
 pub type DomainIdx = u32;
@@ -153,13 +155,10 @@ impl DomainCollection {
 
     /// The collection's on-disk relation pair, reused by the checkpointed
     /// pipeline to embed collections in multi-frame checkpoint files.
-    pub(crate) fn tables(&self) -> std::io::Result<(esharp_relation::Table, esharp_relation::Table)> {
-        // meta(key, value) carries the domain count so empty domains
-        // survive the round trip; members(domain, term) carries the rest.
-        let meta_schema = Schema::of(&[("key", DataType::Str), ("value", DataType::Int)]);
-        let mut meta = TableBuilder::new(meta_schema);
-        meta.push_row(vec![Value::str("num_domains"), Value::Int(self.domains.len() as i64)])
-            .map_err(std::io::Error::other)?;
+    pub(crate) fn tables(&self) -> io::Result<(Table, Table)> {
+        // meta carries the domain count so empty domains survive the
+        // round trip; members(domain, term) carries the rest.
+        let meta = meta_table(&[("num_domains", self.domains.len() as i64)])?;
         let members_schema = Schema::of(&[("domain", DataType::Int), ("term", DataType::Str)]);
         let total: usize = self.domains.iter().map(|d| d.len()).sum();
         let mut members = TableBuilder::with_capacity(members_schema, total);
@@ -167,51 +166,40 @@ impl DomainCollection {
             for term in terms {
                 members
                     .push_row(vec![Value::Int(idx as i64), Value::str(term.as_str())])
-                    .map_err(std::io::Error::other)?;
+                    .map_err(io::Error::other)?;
             }
         }
-        Ok((meta.finish(), members.finish()))
+        Ok((meta, members.finish()))
     }
 
     /// Load a collection persisted by [`DomainCollection::save`].
-    /// Corruption (truncation, bit flips, trailing bytes) errors — it
-    /// never yields a silently-wrong collection.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<DomainCollection> {
+    /// Corruption (truncation, bit flips, trailing bytes) fails with
+    /// `InvalidData` — it never yields a silently-wrong collection.
+    pub fn load(path: impl AsRef<std::path::Path>) -> io::Result<DomainCollection> {
         let data = std::fs::read(path)?;
-        let tables = decode_frames_exact(&data, 2)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let tables = decode_frames_exact(&data, 2).map_err(invalid)?;
         Self::decode(&tables)
     }
 
-    pub(crate) fn decode(tables: &[esharp_relation::Table]) -> std::io::Result<DomainCollection> {
-        let err = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
+    pub(crate) fn decode(tables: &[Table]) -> io::Result<DomainCollection> {
         let (meta, members) = (&tables[0], &tables[1]);
-        let key_col = meta.column_by_name("key").map_err(std::io::Error::other)?;
-        let value_col = meta.column_by_name("value").map_err(std::io::Error::other)?;
-        let mut num_domains: Option<usize> = None;
-        for row in 0..meta.num_rows() {
-            if let (Value::Str(key), Value::Int(value)) = (key_col.value(row), value_col.value(row))
-            {
-                if &*key == "num_domains" {
-                    num_domains =
-                        Some(usize::try_from(value).map_err(|_| err("negative domain count"))?);
-                }
-            }
-        }
-        let num_domains = num_domains.ok_or_else(|| err("missing num_domains"))?;
+        let num_domains = *read_meta(meta)?
+            .get("num_domains")
+            .ok_or_else(|| invalid("missing num_domains"))?;
+        let num_domains = usize::try_from(num_domains).map_err(|_| invalid("negative domain count"))?;
         let mut groups: Vec<Vec<String>> = vec![Vec::new(); num_domains];
-        let domain_col = members.column_by_name("domain").map_err(std::io::Error::other)?;
-        let term_col = members.column_by_name("term").map_err(std::io::Error::other)?;
+        let domain_col = members.column_by_name("domain").map_err(invalid)?;
+        let term_col = members.column_by_name("term").map_err(invalid)?;
         for row in 0..members.num_rows() {
             let idx = domain_col
                 .value(row)
                 .as_int()
-                .ok_or_else(|| err("non-int domain id"))? as usize;
+                .ok_or_else(|| invalid("non-int domain id"))? as usize;
             if idx >= num_domains {
-                return Err(err("domain id out of range"));
+                return Err(invalid("domain id out of range"));
             }
             let Value::Str(term) = term_col.value(row) else {
-                return Err(err("non-string term"));
+                return Err(invalid("non-string term"));
             };
             groups[idx].push(term.to_string());
         }
@@ -228,9 +216,37 @@ impl DomainCollection {
     }
 }
 
+const META: [(&str, DataType); 2] = [("key", DataType::Str), ("value", DataType::Int)];
+
+/// The `meta(key, value)` relation that opens `domains.bin` and every
+/// checkpoint stage file: one row per named integer, in order.
+pub(crate) fn meta_table(entries: &[(&str, i64)]) -> io::Result<Table> {
+    let keys = entries.iter().map(|&(key, _)| Arc::from(key)).collect();
+    let values = entries.iter().map(|&(_, value)| value).collect();
+    Table::new(Schema::of(&META), vec![Column::Str(keys), Column::Int(values)])
+        .map_err(io::Error::other)
+}
+
+/// The entries of a [`meta_table`], a repeated key keeping its last
+/// value. A table of any other shape fails with `InvalidData`.
+pub(crate) fn read_meta(table: &Table) -> io::Result<HashMap<String, i64>> {
+    let shaped = table.schema().fields() == Schema::of(&META).fields();
+    match shaped.then(|| (table.column(0), table.column(1))) {
+        Some((Column::Str(keys), Column::Int(values))) => {
+            Ok(keys.iter().map(|k| k.to_string()).zip(values.iter().copied()).collect())
+        }
+        _ => Err(invalid("meta table: not (key Str, value Int)")),
+    }
+}
+
+fn invalid(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esharp_fault::corrupt::assert_rejects_every_damage;
 
     fn collection() -> DomainCollection {
         DomainCollection::from_groups(vec![
@@ -363,33 +379,28 @@ mod tests {
 
     #[test]
     fn corruption_always_errors_never_misparses() {
-        let c = collection();
         let dir = std::env::temp_dir().join("esharp_domains_corrupt");
         let path = dir.join("domains.bin");
-        c.save(&path).unwrap();
+        collection().save(&path).unwrap();
         let good = std::fs::read(&path).unwrap();
-        // Truncation at every byte boundary.
-        for cut in 0..good.len() {
-            std::fs::write(&path, &good[..cut]).unwrap();
-            assert!(DomainCollection::load(&path).is_err(), "cut at {cut} accepted");
-        }
-        // Every single-bit flip.
-        for byte in 0..good.len() {
-            for bit in 0..8 {
-                let mut bad = good.clone();
-                bad[byte] ^= 1 << bit;
-                std::fs::write(&path, &bad).unwrap();
-                assert!(
-                    DomainCollection::load(&path).is_err(),
-                    "bit flip at byte {byte} bit {bit} accepted"
-                );
-            }
-        }
-        // Trailing bytes.
-        let mut extra = good.clone();
-        extra.extend_from_slice(&[9, 9, 9]);
-        std::fs::write(&path, &extra).unwrap();
-        assert!(DomainCollection::load(&path).is_err());
+        assert_rejects_every_damage("domains.bin", &good, |image| {
+            std::fs::write(&path, image)?;
+            DomainCollection::load(&path)
+        });
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_meta_table_of_another_shape_is_invalid_data() {
+        let meta = meta_table(&[("format", 1), ("format", 2), ("n", -3)]).unwrap();
+        let entries = read_meta(&meta).unwrap();
+        assert_eq!(entries, HashMap::from([("format".to_string(), 2), ("n".to_string(), -3)]));
+        let swapped = Table::new(
+            Schema::of(&[("value", DataType::Int), ("key", DataType::Str)]),
+            vec![Column::Int(vec![1]), Column::Str(vec![Arc::from("format")])],
+        )
+        .unwrap();
+        let err = read_meta(&swapped).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

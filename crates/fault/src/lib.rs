@@ -26,7 +26,10 @@
 //! * [`write_with_fault`], the one place an I/O fault perturbs a
 //!   persistence write (the atomic writer, heap page writeback, the WAL),
 //! * [`RetryPolicy`], a bounded deterministic retry loop for faults
-//!   marked *transient*.
+//!   marked *transient*,
+//! * [`corrupt`], the one corruption matrix every persisted format's
+//!   tests register with: every truncation, bit flip and trailing byte
+//!   count of a good image.
 //!
 //! ## Sites
 //!
@@ -66,6 +69,7 @@
 pub mod breaker;
 pub mod budget;
 pub mod clock;
+pub mod corrupt;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, ShardBreakers};
 pub use budget::Budget;

@@ -551,33 +551,33 @@ fn parse_oplog_line(line: &str) -> Result<&str, String> {
 }
 
 /// Parse just the header of an oplog byte buffer, returning the base CRC
-/// it names.
+/// it names. `atomic_write` writes the header whole, so it must be one
+/// complete UTF-8 line.
 fn parse_oplog_header(bytes: &[u8]) -> io::Result<u32> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "oplog is not UTF-8"))?;
-    let first = text
-        .lines()
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let first = bytes
+        .split_inclusive(|&b| b == b'\n')
         .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "oplog is empty"))?;
-    let payload = parse_oplog_line(first)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("oplog header: {e}")))?;
+        .filter(|line| line.ends_with(b"\n"))
+        .ok_or_else(|| invalid("oplog header: missing or incomplete".to_string()))?;
+    let first = std::str::from_utf8(first)
+        .map_err(|_| invalid("oplog header is not UTF-8".to_string()))?;
+    let payload = parse_oplog_line(first.trim_end_matches('\n').trim_end_matches('\r'))
+        .map_err(|e| invalid(format!("oplog header: {e}")))?;
     let mut words = payload.split(' ');
     match (words.next(), words.next(), words.next(), words.next()) {
         (Some("esharp-oplog"), Some(OPLOG_VERSION), Some("base"), Some(hex)) => {
-            u32::from_str_radix(hex, 16).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, "oplog header: bad base crc")
-            })
+            u32::from_str_radix(hex, 16).map_err(|_| invalid("oplog header: bad base crc".into()))
         }
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("oplog header: unrecognized {payload:?}"),
-        )),
+        _ => Err(invalid(format!("oplog header: unrecognized {payload:?}"))),
     }
 }
 
-/// Replay an oplog onto `corpus`, returning the replayed tail. A torn
-/// final line (crash mid-append) is truncated away; anything corrupt
-/// before that is a hard error — acked history must not silently shrink.
+/// Replay an oplog onto `corpus`, returning the replayed tail. An
+/// incomplete final line (crash mid-append) is torn, whatever its bytes,
+/// and truncated away; a complete line that is not UTF-8, fails its CRC
+/// or does not parse is a hard error — acked history must not silently
+/// shrink.
 fn replay_oplog(
     path: &Path,
     bytes: &[u8],
@@ -591,54 +591,30 @@ fn replay_oplog(
             "oplog does not belong to this base (checksum mismatch)",
         ));
     }
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "oplog is not UTF-8"))?;
     let mut tail = Vec::new();
     let mut good_len = 0usize;
-    let mut torn = false;
-    for (index, line) in text.split_inclusive('\n').enumerate() {
-        let complete = line.ends_with('\n');
-        let trimmed = line.trim_end_matches('\n').trim_end_matches('\r');
-        let parsed = if complete {
-            parse_oplog_line(trimmed).and_then(|p| {
-                if index == 0 {
-                    Ok(None) // header, already verified
-                } else {
-                    IngestOp::parse(p).map(Some)
-                }
-            })
-        } else {
-            Err("incomplete final line".to_string())
-        };
-        match parsed {
-            Ok(None) => good_len += line.len(),
-            Ok(Some(op)) => {
-                op.apply(corpus).map_err(|e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("oplog line {}: logged op no longer applies: {e}", index + 1),
-                    )
-                })?;
-                tail.push(op);
-                good_len += line.len();
-            }
-            Err(reason) => {
-                if complete {
-                    // Mid-file corruption: history is damaged, refuse.
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("oplog line {}: {reason}", index + 1),
-                    ));
-                }
-                torn = true; // torn tail: the crash window, drop it
-                break;
-            }
+    for (index, line) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+        if !line.ends_with(b"\n") {
+            // The torn tail: the crash window, drop it.
+            let file = OpenOptions::new().write(true).open(path)?;
+            file.set_len(good_len as u64)?;
+            file.sync_all()?;
+            break;
         }
-    }
-    if torn {
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(good_len as u64)?;
-        file.sync_all()?;
+        let invalid = |reason: String| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("oplog line {}: {reason}", index + 1))
+        };
+        let text = std::str::from_utf8(line).map_err(|_| invalid("not UTF-8".into()))?;
+        let payload = parse_oplog_line(text.trim_end_matches('\n').trim_end_matches('\r'))
+            .map_err(invalid)?;
+        if index > 0 {
+            // Line 0 is the header, already verified.
+            let op = IngestOp::parse(payload).map_err(invalid)?;
+            op.apply(corpus)
+                .map_err(|e| invalid(format!("logged op no longer applies: {e}")))?;
+            tail.push(op);
+        }
+        good_len += line.len();
     }
     Ok(tail)
 }
@@ -646,6 +622,7 @@ fn replay_oplog(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esharp_fault::corrupt::{for_each_damage, Damage};
     use esharp_fault::FaultPlan;
     use esharp_microblog::{Tweet, User};
     use std::io::Write;
@@ -874,20 +851,48 @@ mod tests {
     }
 
     #[test]
-    fn mid_log_corruption_is_a_hard_error() {
-        let dir = tmpdir("midlog");
-        let live = LiveCorpus::create(base_corpus(), dir.join("corpus.bin"), dir.join("oplog"))
-            .unwrap();
-        live.apply(&append("first")).unwrap();
-        live.apply(&append("second")).unwrap();
+    fn every_oplog_damage_fails_or_reopens_to_a_prefix() {
+        // A tear is the crash window: it reopens to the ops before it,
+        // even inside a multi-byte character. A flip before the last line
+        // never costs history; on the last line a flipped terminator reads
+        // as a tear. (A hex letter's case does not change its CRC.)
+        let dir = tmpdir("oplog_damage");
+        let (corpus, oplog) = (dir.join("corpus.bin"), dir.join("oplog"));
+        let texts = ["first", "café ☕ last"];
+        let live = LiveCorpus::create(base_corpus(), &corpus, &oplog).unwrap();
+        for text in texts {
+            live.apply(&append(text)).unwrap();
+        }
         drop(live);
-        // Flip one bit in the middle of the log (first op line).
-        let mut bytes = fs::read(dir.join("oplog")).unwrap();
-        let header_end = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
-        bytes[header_end + 12] ^= 0x01;
-        fs::write(dir.join("oplog"), &bytes).unwrap();
-        let err = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let good = fs::read(&oplog).unwrap();
+        let header_end = good.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let last_line = good[..good.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+        for_each_damage(&good, |damage, image| {
+            fs::write(&oplog, image).unwrap();
+            let replayed = match LiveCorpus::open(&corpus, &oplog) {
+                Ok(live) => {
+                    let guard = live.read();
+                    let got: Vec<&str> =
+                        guard.corpus().tweets()[2..].iter().map(|t| t.text.as_str()).collect();
+                    assert_eq!(got, texts[..got.len()], "{damage:?}");
+                    assert_eq!(guard.pending_ops(), got.len(), "{damage:?}");
+                    Some(got.len())
+                }
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{damage:?}: {e}");
+                    None
+                }
+            };
+            match damage {
+                Damage::Truncated(cut) if cut >= header_end => {
+                    assert!(replayed.is_some(), "{damage:?} did not reopen")
+                }
+                Damage::Flipped { byte, .. } if byte < last_line => {
+                    assert!(matches!(replayed, None | Some(2)), "{damage:?} lost history")
+                }
+                _ => {}
+            }
+        });
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -1,13 +1,14 @@
 //! Fault matrix for the compaction writer.
 //!
-//! The corpus file codec rejects every truncation and bit flip, of a
-//! built and of a streamed-then-compacted corpus alike (see
+//! The corpus file codec rejects every damage of the one corruption
+//! matrix, of a built and of a streamed-then-compacted corpus alike (see
 //! `crates/microblog/tests/binary_corpus.rs`). These tests pin the
-//! live-instance half of the guarantee: the base a compaction publishes
-//! fails `LiveCorpus::open` under every truncation and bit flip, and
-//! when the compaction write itself is faulted (torn, erroring, silently
-//! bit-flipped, killed), the previous base keeps serving, on disk and in
-//! memory, with the delta still durable through the oplog.
+//! live-instance half of the guarantee: `LiveCorpus::open` reads the
+//! base a compaction publishes through that codec, so a flipped bit
+//! fails it, and when the compaction write itself is faulted (torn,
+//! erroring, silently bit-flipped, killed), the previous base keeps
+//! serving, on disk and in memory, with the delta still durable through
+//! the oplog.
 
 use esharp_fault::{Fault, FaultPlan, RetryPolicy};
 use esharp_ingest::{IngestOp, LiveCorpus, COMPACT_SITE, OPLOG_SITE};
@@ -72,32 +73,14 @@ fn compacted_base(name: &str) -> (PathBuf, Vec<u8>) {
     (dir, base)
 }
 
-fn assert_open_rejects(dir: &Path, bytes: &[u8], what: &str) {
-    std::fs::write(dir.join("corpus.bin"), bytes).unwrap();
-    let err = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).expect_err(what);
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
-}
-
 #[test]
-fn every_truncation_of_a_compacted_base_is_rejected() {
-    let (dir, base) = compacted_base("truncate");
-    for cut in 0..base.len() {
-        assert_open_rejects(&dir, &base[..cut], &format!("truncation to {cut}/{}", base.len()));
-    }
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn every_single_bit_flip_of_a_compacted_base_is_rejected() {
-    let (dir, base) = compacted_base("flip");
-    let mut corrupt = base.clone();
-    for byte in 0..base.len() {
-        for bit in 0..8 {
-            corrupt[byte] ^= 1 << bit;
-            assert_open_rejects(&dir, &corrupt, &format!("flip of byte {byte} bit {bit}"));
-            corrupt[byte] ^= 1 << bit;
-        }
-    }
+fn a_flipped_bit_in_a_compacted_base_fails_the_open() {
+    let (dir, mut base) = compacted_base("flip");
+    let mid = base.len() / 2;
+    base[mid] ^= 0x10;
+    std::fs::write(dir.join("corpus.bin"), &base).unwrap();
+    let err = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     let _ = std::fs::remove_dir_all(dir);
 }
 

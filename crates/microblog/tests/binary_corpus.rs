@@ -5,9 +5,11 @@
 //! panics and never yields a plausible-but-wrong corpus. These tests
 //! drive that contract mechanically over two corpora (a built one and one
 //! that went through appends, deletes and compaction), at one and three
-//! postings shards, from memory and from disk: every truncation length,
-//! every single-bit flip, trailing bytes, and files of the older formats.
+//! postings shards, from memory and from disk: every damage of the one
+//! corruption matrix (`esharp_fault::corrupt`), and files of the older
+//! formats.
 
+use esharp_fault::corrupt::{assert_rejects_every_damage, for_each_damage, Damage};
 use esharp_microblog::segio::{self, LoadMode};
 use esharp_microblog::{Corpus, Tweet, User};
 use std::io::ErrorKind;
@@ -124,13 +126,6 @@ fn assert_equivalent(a: &Corpus, b: &Corpus) {
     }
 }
 
-fn assert_rejected(bytes: &[u8], what: &str) {
-    match segio::decode(bytes) {
-        Ok(_) => panic!("{what} was accepted"),
-        Err(e) => assert_eq!(e.kind(), ErrorKind::InvalidData, "{what}: {e}"),
-    }
-}
-
 /// Bytes of alignment padding between the string section and the body.
 fn pad_len(bytes: &[u8]) -> usize {
     let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
@@ -192,48 +187,21 @@ fn decode_and_load_agree_on_every_fixture() {
 }
 
 #[test]
-fn every_truncation_length_is_rejected() {
-    let dir = tmpdir("truncate");
+fn every_damage_is_rejected() {
+    // From memory every damage; from disk every damage but the flips,
+    // which go through the same checks as in memory.
+    let dir = tmpdir("damage");
     let path = dir.join("corpus.bin");
     for (name, bytes) in files() {
-        for cut in 0..bytes.len() {
-            let what = format!("{name} truncated to {cut}/{}", bytes.len());
-            assert_rejected(&bytes[..cut], &what);
-            std::fs::write(&path, &bytes[..cut]).unwrap();
-            let err = Corpus::load(&path).expect_err(&what);
-            assert_eq!(err.kind(), ErrorKind::InvalidData, "{what} from disk");
-        }
-    }
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn every_single_bit_flip_is_rejected() {
-    for (name, bytes) in files() {
-        let mut corrupt = bytes.clone();
-        for byte in 0..bytes.len() {
-            for bit in 0..8 {
-                corrupt[byte] ^= 1 << bit;
-                assert_rejected(&corrupt, &format!("{name}: flip of byte {byte} bit {bit}"));
-                corrupt[byte] ^= 1 << bit;
+        assert_rejects_every_damage(&name, &bytes, segio::decode);
+        for_each_damage(&bytes, |damage, image| {
+            if let Damage::Flipped { .. } = damage {
+                return;
             }
-        }
-    }
-}
-
-#[test]
-fn trailing_garbage_is_rejected() {
-    let dir = tmpdir("trailing");
-    let path = dir.join("corpus.bin");
-    for (name, bytes) in files() {
-        for extra in [1usize, 3, 4, 7, 64] {
-            let mut long = bytes.clone();
-            long.extend(std::iter::repeat_n(0, extra));
-            let what = format!("{name} with {extra} trailing bytes");
-            assert_rejected(&long, &what);
-            std::fs::write(&path, &long).unwrap();
-            assert!(Corpus::load(&path).is_err(), "{what} from disk");
-        }
+            std::fs::write(&path, image).unwrap();
+            let err = Corpus::load(&path).expect_err(&format!("{name}: {damage:?}"));
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{name}: {damage:?} from disk");
+        });
     }
     let _ = std::fs::remove_dir_all(dir);
 }

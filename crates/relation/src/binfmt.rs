@@ -254,6 +254,7 @@ fn tag_dtype(tag: u8) -> Option<DataType> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esharp_fault::corrupt::{assert_rejects_every_damage, for_each_damage, Damage};
     use crate::value::Value;
 
     fn sample() -> Table {
@@ -298,19 +299,17 @@ mod tests {
         assert_eq!(decoded, t);
     }
 
+    /// A bare table has no frame and so no checksum: every truncation,
+    /// trailing byte count and flip of the magic or version fails to
+    /// decode; any other flip is the sealing frame's to catch.
     #[test]
     fn rejects_corruption() {
-        let t = sample();
-        let encoded = encode_table(&t);
-        // Bad magic.
-        let mut bad = encoded.to_vec();
-        bad[0] = b'X';
-        assert!(decode_table(Bytes::from(bad)).is_err());
-        // Truncation at every prefix must error, never panic.
-        for cut in [0, 4, 7, 10, 20, encoded.len() - 1] {
-            let prefix = Bytes::copy_from_slice(&encoded[..cut]);
-            assert!(decode_table(prefix).is_err(), "cut at {cut} accepted");
-        }
+        let encoded = encode_table(&sample());
+        for_each_damage(&encoded, |damage, image| {
+            let unsealed = matches!(damage, Damage::Flipped { byte, .. } if byte >= 6);
+            let res = decode_table(Bytes::copy_from_slice(image));
+            assert!(unsealed || res.is_err(), "{damage:?} accepted");
+        });
     }
 
     #[test]
@@ -330,29 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn every_single_bit_flip_is_rejected() {
-        // The frame seals the table: every flip in the container errors.
-        let encoded = encode_frames(&[sample()]);
-        for byte in 0..encoded.len() {
-            for bit in 0..8 {
-                let mut bad = encoded.clone();
-                bad[byte] ^= 1 << bit;
-                assert!(
-                    decode_frames_exact(&bad, 1).is_err(),
-                    "bit flip at byte {byte} bit {bit} accepted"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut bytes = encode_table(&sample()).to_vec();
-        bytes.push(0);
-        assert!(decode_table(Bytes::from(bytes)).is_err());
-    }
-
-    #[test]
     fn frame_container_round_trips_and_rejects_corruption() {
         let a = sample();
         let b = Table::empty(Schema::of(&[("x", DataType::Int)]));
@@ -360,22 +336,14 @@ mod tests {
         let back = decode_frames_exact(&buf, 2).unwrap();
         assert_eq!(back[0], a);
         assert_eq!(back[1], b);
-        // Truncation at every byte boundary errors under the expected
-        // frame count (a cut exactly at a frame boundary is a *valid
-        // shorter* container, which only the count check can reject —
-        // that is why every consumer states its frame count).
-        for cut in 0..buf.len() {
-            assert!(
-                decode_frames_exact(&buf[..cut], 2).is_err(),
-                "cut at {cut} accepted"
-            );
-        }
-        // Trailing garbage errors.
-        let mut extra = buf.clone();
-        extra.extend_from_slice(&[1, 2, 3]);
-        assert!(decode_frames_exact(&extra, 2).is_err());
-        // Wrong frame count errors.
+        // A cut exactly at a frame boundary is a valid shorter container
+        // only the count rejects: that is why every consumer states its
+        // frame count.
         assert!(decode_frames_exact(&buf, 1).is_err());
+        assert_rejects_every_damage("table frames", &buf, |image| {
+            decode_frames_exact(image, 2)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+        });
     }
 
     #[test]

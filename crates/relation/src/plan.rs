@@ -7,7 +7,7 @@
 
 use crate::catalog::Catalog;
 use crate::error::{RelError, RelResult};
-use crate::exec::{Cluster, JoinStrategy, StatsRegistry};
+use crate::exec::{Cluster, StatsRegistry};
 use crate::expr::{BinOp, Expr};
 use crate::ops::{AggFunc, AggSpec};
 use crate::schema::Schema;
@@ -186,9 +186,6 @@ pub struct ExecContext {
     pub udfs: UdfRegistry,
     /// Worker pool.
     pub cluster: Cluster,
-    /// Physical join strategy (§4.2.3): the planner's fallback when it
-    /// has no estimates.
-    pub join_strategy: JoinStrategy,
     /// Optional per-operator statistics sink.
     pub stats: Option<StatsRegistry>,
     /// Memory grant in bytes for blocking operators (sort, hash join,
@@ -211,7 +208,6 @@ impl ExecContext {
             catalog,
             udfs: UdfRegistry::with_builtins(),
             cluster: Cluster::serial(),
-            join_strategy: JoinStrategy::Broadcast,
             stats: None,
             memory_grant: None,
             spill_root: None,
@@ -222,12 +218,6 @@ impl ExecContext {
     /// Set the worker pool.
     pub fn with_cluster(mut self, cluster: Cluster) -> Self {
         self.cluster = cluster;
-        self
-    }
-
-    /// Set the join strategy.
-    pub fn with_join_strategy(mut self, strategy: JoinStrategy) -> Self {
-        self.join_strategy = strategy;
         self
     }
 

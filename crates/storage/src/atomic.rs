@@ -196,6 +196,7 @@ pub fn read_frame(src: &mut impl Read) -> io::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esharp_fault::corrupt::assert_rejects_every_damage;
     use esharp_fault::{FaultPlan, NoFaults};
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -330,24 +331,7 @@ mod tests {
         let (first, second) = read_two(&good).unwrap();
         assert_eq!(first, b"the quick brown fox");
         assert_eq!(second, b"jumps over the lazy dog");
-        // Truncation at every byte boundary errors.
-        for cut in 0..good.len() {
-            let err = read_two(&good[..cut]).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
-        }
-        // Every single-bit flip errors.
-        for byte in 0..good.len() {
-            for bit in 0..8 {
-                let mut bad = good.clone();
-                bad[byte] ^= 1 << bit;
-                let err = read_two(&bad).unwrap_err();
-                assert_eq!(
-                    err.kind(),
-                    io::ErrorKind::InvalidData,
-                    "byte {byte} bit {bit}"
-                );
-            }
-        }
+        assert_rejects_every_damage("sealed frames", &good, read_two);
     }
 
     #[test]

@@ -332,21 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_data_file_is_rejected_at_open() {
-        let base = tmpbase("truncated");
-        let heap = HeapFile::create(&base, b"").unwrap();
-        heap.allocate_page().unwrap();
-        heap.allocate_page().unwrap();
-        heap.sync().unwrap();
-        let data = with_suffix(&base, ".heap");
-        drop(heap);
-        let good = std::fs::read(&data).unwrap();
-        std::fs::write(&data, &good[..good.len() - 1]).unwrap();
-        let err = HeapFile::open(&base).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
     fn torn_page_writeback_is_caught_by_the_page_crc() {
         let base = tmpbase("torn");
         let plan: Arc<dyn FaultInjector> = Arc::new(FaultPlan::new(0).trigger(

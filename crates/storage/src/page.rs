@@ -204,39 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn every_single_bit_flip_is_rejected() {
-        let mut p = Page::empty();
-        p.insert(b"some record data");
-        p.insert(b"another one");
-        p.seal();
-        let good = p.as_bytes().to_vec();
-        // Flipping any bit of the used region must fail the CRC. (The
-        // whole page is covered, including the free space — sweep a
-        // sample of it rather than all 64 Kbit for test speed.)
-        for byte in (0..good.len()).step_by(97).chain([0, 1, 5, 7, good.len() - 1]) {
-            for bit in 0..8 {
-                let mut bad = good.clone();
-                bad[byte] ^= 1 << bit;
-                assert!(
-                    Page::from_bytes(&bad).is_err(),
-                    "bit flip at byte {byte} bit {bit} accepted"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn wrong_length_is_rejected() {
-        let mut p = Page::empty();
-        p.seal();
-        let good = p.as_bytes();
-        assert!(Page::from_bytes(&good[..PAGE_SIZE - 1]).is_err());
-        let mut long = good.to_vec();
-        long.push(0);
-        assert!(Page::from_bytes(&long).is_err());
-    }
-
-    #[test]
     fn resealed_corrupt_directory_is_structurally_rejected() {
         // A writer bug that seals a bad slot directory passes the CRC;
         // the structural check must still refuse it.

@@ -108,10 +108,18 @@ pub struct SpillHandle {
 }
 
 impl SpillHandle {
-    /// Open the run for sequential reading.
+    /// Open the run for sequential reading. A file whose length is not
+    /// the bytes written fails with `InvalidData`.
     pub fn reader(&self) -> io::Result<SpillReader> {
+        let file = File::open(&self.path)?;
+        if file.metadata()?.len() != self.bytes {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "spill run: file length differs from the bytes written",
+            ));
+        }
         Ok(SpillReader {
-            file: BufReader::new(File::open(&self.path)?),
+            file: BufReader::new(file),
             remaining: self.frames,
         })
     }
@@ -140,6 +148,7 @@ impl SpillReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esharp_fault::corrupt::assert_rejects_every_damage;
 
     #[test]
     fn frames_round_trip_in_order() {
@@ -162,14 +171,15 @@ mod tests {
         let dir = SpillDir::new(&std::env::temp_dir(), "corrupt").unwrap();
         let mut w = dir.writer("run-0").unwrap();
         w.append(b"sort run payload").unwrap();
+        w.append(b"").unwrap();
         let handle = w.finish().unwrap();
-        let mut bytes = fs::read(&handle.path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x40;
-        fs::write(&handle.path, &bytes).unwrap();
-        let mut r = handle.reader().unwrap();
-        let err = r.next_frame().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let good = fs::read(&handle.path).unwrap();
+        assert_rejects_every_damage("spill run", &good, |image| {
+            fs::write(&handle.path, image)?;
+            let mut r = handle.reader()?;
+            while r.next_frame()?.is_some() {}
+            Ok(())
+        });
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! The heap's contract mirrors the binary-corpus container's: a read
 //! either returns exactly the committed pages or it errors with
 //! `InvalidData` — never a plausible-but-wrong page, never a panic. The
-//! matrix drives that mechanically: every truncation boundary of both
-//! files, every single-bit flip of every page image, a strided sweep of
-//! bit flips through the real open/read path, and every fault the
-//! injector can land mid-writeback (kill, I/O error, torn prefixes) —
-//! none of which may ever publish a torn page as valid data.
+//! page images and the metadata file register with the one corruption
+//! matrix (`esharp_fault::corrupt`); the data file's truncations fail at
+//! open, a strided sweep of its bit flips goes through the real
+//! open/read path, and every fault the injector can land mid-writeback
+//! (kill, I/O error, torn prefixes) must never publish a torn page as
+//! valid data.
 
+use esharp_fault::corrupt::{assert_rejects_every_damage, for_each_damage, Damage};
 use esharp_fault::{Fault, FaultInjector, FaultPlan};
 use esharp_storage::{BufferPool, HeapFile, Page, PAGE_SIZE};
 use std::io::ErrorKind;
@@ -46,64 +48,56 @@ fn sample_heap(name: &str) -> (PathBuf, PathBuf) {
 }
 
 #[test]
+fn every_damage_of_every_page_image_is_rejected() {
+    // The page CRC covers bytes 4.., and a flip inside bytes 0..4 changes
+    // the stored CRC itself, so every flip of each page fails; so does
+    // every other length. The in-memory image goes through the same
+    // `Page::from_bytes` every file read does.
+    let (dir, base) = sample_heap("page_image");
+    let good = std::fs::read(base.with_extension("heap")).unwrap();
+    for image in good.chunks(PAGE_SIZE) {
+        assert_rejects_every_damage("page image", image, Page::from_bytes);
+    }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn every_damage_of_the_metadata_file_is_rejected() {
+    let (dir, base) = sample_heap("meta");
+    let meta_path = base.with_extension("meta");
+    let good = std::fs::read(&meta_path).unwrap();
+    assert_rejects_every_damage("heap metadata", &good, |image| {
+        std::fs::write(&meta_path, image)?;
+        HeapFile::open(&base)
+    });
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
 fn every_truncation_of_the_data_file_is_rejected_at_open() {
+    // Bytes after the committed pages are pages allocated but never
+    // synced: they open, and the committed pages still read clean.
     let (dir, base) = sample_heap("trunc_data");
     let data_path = base.with_extension("heap");
     let good = std::fs::read(&data_path).unwrap();
     assert_eq!(good.len(), 2 * PAGE_SIZE);
-    for cut in 0..good.len() {
-        std::fs::write(&data_path, &good[..cut]).unwrap();
-        let err = HeapFile::open(&base).unwrap_err();
-        assert_eq!(
-            err.kind(),
-            ErrorKind::InvalidData,
-            "truncation to {cut}/{} bytes was accepted",
-            good.len()
-        );
-    }
-    std::fs::remove_dir_all(dir).unwrap();
-}
-
-#[test]
-fn every_truncation_of_the_metadata_file_is_rejected_at_open() {
-    let (dir, base) = sample_heap("trunc_meta");
-    let meta_path = base.with_extension("meta");
-    let good = std::fs::read(&meta_path).unwrap();
-    for cut in 0..good.len() {
-        std::fs::write(&meta_path, &good[..cut]).unwrap();
-        assert!(
-            HeapFile::open(&base).is_err(),
-            "metadata truncation to {cut}/{} bytes was accepted",
-            good.len()
-        );
-    }
-    std::fs::remove_dir_all(dir).unwrap();
-}
-
-#[test]
-fn every_single_bit_flip_in_every_page_image_is_rejected() {
-    // The page CRC covers bytes 4.., and a flip inside bytes 0..4 changes
-    // the stored CRC itself — so all 8 × PAGE_SIZE variants of each page
-    // must fail verification. Exhaustive over the in-memory image (the
-    // same `Page::from_bytes` every file read goes through).
-    let (dir, base) = sample_heap("flip_page");
-    let good = std::fs::read(base.with_extension("heap")).unwrap();
-    for pageno in 0..good.len() / PAGE_SIZE {
-        let image = &good[pageno * PAGE_SIZE..(pageno + 1) * PAGE_SIZE];
-        let mut corrupt = image.to_vec();
-        for byte in 0..PAGE_SIZE {
-            for bit in 0..8u8 {
-                corrupt[byte] ^= 1 << bit;
-                let res = Page::from_bytes(&corrupt);
-                corrupt[byte] ^= 1 << bit; // restore for the next flip
-                let err = match res {
-                    Err(e) => e,
-                    Ok(_) => panic!("page {pageno}: flip of byte {byte} bit {bit} was accepted"),
-                };
-                assert_eq!(err.kind(), ErrorKind::InvalidData);
-            }
+    for_each_damage(&good, |damage, image| {
+        if let Damage::Flipped { .. } = damage {
+            return;
         }
-    }
+        std::fs::write(&data_path, image).unwrap();
+        match (damage, HeapFile::open(&base)) {
+            (Damage::Truncated(_), Err(err)) => {
+                assert_eq!(err.kind(), ErrorKind::InvalidData, "{damage:?}")
+            }
+            (Damage::Trailing(_), Ok(heap)) => {
+                for no in 0..2 {
+                    assert_eq!(heap.read_page(no).unwrap().slot_count(), 5, "{damage:?}");
+                }
+            }
+            (_, res) => panic!("{damage:?}: {:?}", res.map(|heap| heap.page_count())),
+        }
+    });
     std::fs::remove_dir_all(dir).unwrap();
 }
 
@@ -117,44 +111,21 @@ fn strided_bit_flips_through_the_file_read_path_are_rejected() {
     let (dir, base) = sample_heap("flip_file");
     let data_path = base.with_extension("heap");
     let good = std::fs::read(&data_path).unwrap();
-    let total_bits = good.len() * 8;
-    for flip in (0..total_bits).step_by(131) {
-        let (byte, bit) = (flip / 8, (flip % 8) as u8);
-        let mut corrupt = good.clone();
-        corrupt[byte] ^= 1 << bit;
-        std::fs::write(&data_path, &corrupt).unwrap();
+    for_each_damage(&good, |damage, image| {
+        let Damage::Flipped { byte, bit } = damage else {
+            return;
+        };
+        if !(byte * 8 + bit as usize).is_multiple_of(131) {
+            return;
+        }
+        std::fs::write(&data_path, image).unwrap();
         let heap = HeapFile::open(&base).unwrap();
         let hit = (byte / PAGE_SIZE) as u64;
         let err = heap.read_page(hit).unwrap_err();
-        assert_eq!(
-            err.kind(),
-            ErrorKind::InvalidData,
-            "flip of byte {byte} bit {bit} was accepted by read_page({hit})"
-        );
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{damage:?} accepted by read_page({hit})");
         // The sibling page is untouched and still reads clean.
-        let other = 1 - hit;
-        let page = heap.read_page(other).unwrap();
-        assert_eq!(page.slot_count(), 5);
-    }
-    std::fs::remove_dir_all(dir).unwrap();
-}
-
-#[test]
-fn every_single_bit_flip_in_the_metadata_file_is_rejected() {
-    let (dir, base) = sample_heap("flip_meta");
-    let meta_path = base.with_extension("meta");
-    let good = std::fs::read(&meta_path).unwrap();
-    for byte in 0..good.len() {
-        for bit in 0..8u8 {
-            let mut corrupt = good.clone();
-            corrupt[byte] ^= 1 << bit;
-            std::fs::write(&meta_path, &corrupt).unwrap();
-            assert!(
-                HeapFile::open(&base).is_err(),
-                "metadata flip of byte {byte} bit {bit} was accepted"
-            );
-        }
-    }
+        assert_eq!(heap.read_page(1 - hit).unwrap().slot_count(), 5);
+    });
     std::fs::remove_dir_all(dir).unwrap();
 }
 
