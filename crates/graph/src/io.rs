@@ -124,7 +124,7 @@ pub fn graph_from_tables(nodes: &Table, edges: &Table) -> io::Result<SimilarityG
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esharp_fault::corrupt::assert_rejects_every_damage;
+    use esharp_fault::corrupt::{assert_rejects_damage_where, Damage};
 
     fn sample() -> SimilarityGraph {
         SimilarityGraph::new(
@@ -157,17 +157,33 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 
-    #[test]
-    fn every_damage_is_invalid_data() {
-        let dir = std::env::temp_dir().join("esharp_graph_io_damage");
+    /// The graph file's part of the corruption matrix that `which`
+    /// selects: each damaged file fails to load with `InvalidData`.
+    fn assert_graph_rejects(name: &str, which: impl Fn(Damage) -> bool) {
+        let dir = std::env::temp_dir().join(format!("esharp_graph_io_{name}"));
         let path = dir.join("graph.bin");
         save_graph(&sample(), &path).unwrap();
         let good = std::fs::read(&path).unwrap();
-        assert_rejects_every_damage("graph file", &good, |image| {
+        assert_rejects_damage_where("graph file", &good, which, |image| {
             std::fs::write(&path, image)?;
             load_graph(&path)
         });
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn truncation_at_every_boundary_errors() {
+        assert_graph_rejects("trunc", |damage| matches!(damage, Damage::Truncated(_)));
+    }
+
+    #[test]
+    fn trailing_bytes_after_edges_table_error() {
+        assert_graph_rejects("trailing", |damage| matches!(damage, Damage::Trailing(_)));
+    }
+
+    #[test]
+    fn every_single_bit_flip_errors() {
+        assert_graph_rejects("bitflip", |damage| matches!(damage, Damage::Flipped { .. }));
     }
 
     #[test]

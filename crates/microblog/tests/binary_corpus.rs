@@ -9,7 +9,7 @@
 //! corruption matrix (`esharp_fault::corrupt`), and files of the older
 //! formats.
 
-use esharp_fault::corrupt::{assert_rejects_every_damage, for_each_damage, Damage};
+use esharp_fault::corrupt::{assert_rejects_damage_where, for_each_damage, Damage};
 use esharp_microblog::segio::{self, LoadMode};
 use esharp_microblog::{Corpus, Tweet, User};
 use std::io::ErrorKind;
@@ -186,16 +186,19 @@ fn decode_and_load_agree_on_every_fixture() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-#[test]
-fn every_damage_is_rejected() {
-    // From memory every damage; from disk every damage but the flips,
-    // which go through the same checks as in memory.
-    let dir = tmpdir("damage");
+/// The part of the corruption matrix `which` selects, for every fixture:
+/// from memory, and from disk too unless `from_disk` is false (the flips
+/// go through the same checks either way).
+fn assert_rejected_where(tag: &str, from_disk: bool, which: impl Fn(Damage) -> bool) {
+    let dir = tmpdir(tag);
     let path = dir.join("corpus.bin");
     for (name, bytes) in files() {
-        assert_rejects_every_damage(&name, &bytes, segio::decode);
+        assert_rejects_damage_where(&name, &bytes, &which, segio::decode);
+        if !from_disk {
+            continue;
+        }
         for_each_damage(&bytes, |damage, image| {
-            if let Damage::Flipped { .. } = damage {
+            if !which(damage) {
                 return;
             }
             std::fs::write(&path, image).unwrap();
@@ -204,6 +207,21 @@ fn every_damage_is_rejected() {
         });
     }
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn every_truncation_length_is_rejected() {
+    assert_rejected_where("truncate", true, |damage| matches!(damage, Damage::Truncated(_)));
+}
+
+#[test]
+fn every_single_bit_flip_is_rejected() {
+    assert_rejected_where("flip", false, |damage| matches!(damage, Damage::Flipped { .. }));
+}
+
+#[test]
+fn trailing_garbage_is_rejected() {
+    assert_rejected_where("trailing", true, |damage| matches!(damage, Damage::Trailing(_)));
 }
 
 #[test]

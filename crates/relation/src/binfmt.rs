@@ -254,7 +254,7 @@ fn tag_dtype(tag: u8) -> Option<DataType> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esharp_fault::corrupt::{assert_rejects_every_damage, for_each_damage, Damage};
+    use esharp_fault::corrupt::{assert_rejects_damage_where, for_each_damage, Damage};
     use crate::value::Value;
 
     fn sample() -> Table {
@@ -299,17 +299,34 @@ mod tests {
         assert_eq!(decoded, t);
     }
 
-    /// A bare table has no frame and so no checksum: every truncation,
-    /// trailing byte count and flip of the magic or version fails to
-    /// decode; any other flip is the sealing frame's to catch.
+    /// A bare table has no frame and so no checksum: every truncation
+    /// and flip of the magic or version fails to decode; any other flip
+    /// is the sealing frame's to catch.
     #[test]
     fn rejects_corruption() {
         let encoded = encode_table(&sample());
         for_each_damage(&encoded, |damage, image| {
-            let unsealed = matches!(damage, Damage::Flipped { byte, .. } if byte >= 6);
+            let checked = match damage {
+                Damage::Truncated(_) => true,
+                Damage::Flipped { byte, .. } => byte < 6,
+                Damage::Trailing(_) => return,
+            };
             let res = decode_table(Bytes::copy_from_slice(image));
-            assert!(unsealed || res.is_err(), "{damage:?} accepted");
+            assert!(!checked || res.is_err(), "{damage:?} accepted");
         });
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let encoded = encode_table(&sample());
+        for_each_damage(&encoded, |damage, image| {
+            if let Damage::Trailing(_) = damage {
+                let res = decode_table(Bytes::copy_from_slice(image));
+                assert!(res.is_err(), "bare table: {damage:?} accepted");
+            }
+        });
+        let trailing = |damage| matches!(damage, Damage::Trailing(_));
+        assert_rejects_damage_where("table frames", &two_frames(), trailing, open_two_frames);
     }
 
     #[test]
@@ -328,22 +345,36 @@ mod tests {
         assert!(err.to_string().contains("unsupported version 2"), "{err}");
     }
 
+    /// The sample table and an empty one, framed.
+    fn two_frames() -> Vec<u8> {
+        encode_frames(&[sample(), Table::empty(Schema::of(&[("x", DataType::Int)]))])
+    }
+
+    /// The frame container's opener in the corruption matrix.
+    fn open_two_frames(image: &[u8]) -> std::io::Result<Vec<Table>> {
+        decode_frames_exact(image, 2)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    }
+
     #[test]
     fn frame_container_round_trips_and_rejects_corruption() {
-        let a = sample();
-        let b = Table::empty(Schema::of(&[("x", DataType::Int)]));
-        let buf = encode_frames(&[a.clone(), b.clone()]);
+        let buf = two_frames();
         let back = decode_frames_exact(&buf, 2).unwrap();
-        assert_eq!(back[0], a);
-        assert_eq!(back[1], b);
+        assert_eq!(back[0], sample());
+        assert_eq!(back[1], Table::empty(Schema::of(&[("x", DataType::Int)])));
         // A cut exactly at a frame boundary is a valid shorter container
         // only the count rejects: that is why every consumer states its
         // frame count.
         assert!(decode_frames_exact(&buf, 1).is_err());
-        assert_rejects_every_damage("table frames", &buf, |image| {
-            decode_frames_exact(image, 2)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-        });
+        let truncated = |damage| matches!(damage, Damage::Truncated(_));
+        assert_rejects_damage_where("table frames", &buf, truncated, open_two_frames);
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_rejected() {
+        // The frame seals the table: every flip in the container errors.
+        let flipped = |damage| matches!(damage, Damage::Flipped { .. });
+        assert_rejects_damage_where("table frames", &two_frames(), flipped, open_two_frames);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! (kill, I/O error, torn prefixes) must never publish a torn page as
 //! valid data.
 
-use esharp_fault::corrupt::{assert_rejects_every_damage, for_each_damage, Damage};
+use esharp_fault::corrupt::{
+    assert_rejects_damage_where, assert_rejects_every_damage, for_each_damage, Damage,
+};
 use esharp_fault::{Fault, FaultInjector, FaultPlan};
 use esharp_storage::{BufferPool, HeapFile, Page, PAGE_SIZE};
 use std::io::ErrorKind;
@@ -61,16 +63,28 @@ fn every_damage_of_every_page_image_is_rejected() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
-#[test]
-fn every_damage_of_the_metadata_file_is_rejected() {
-    let (dir, base) = sample_heap("meta");
+/// The heap metadata's part of the corruption matrix that `which`
+/// selects: each damaged metadata file fails `HeapFile::open`.
+fn assert_metadata_rejects(name: &str, which: impl Fn(Damage) -> bool) {
+    let (dir, base) = sample_heap(name);
     let meta_path = base.with_extension("meta");
     let good = std::fs::read(&meta_path).unwrap();
-    assert_rejects_every_damage("heap metadata", &good, |image| {
+    assert_rejects_damage_where("heap metadata", &good, which, |image| {
         std::fs::write(&meta_path, image)?;
         HeapFile::open(&base)
     });
     std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn every_truncation_of_the_metadata_file_is_rejected_at_open() {
+    // Every wrong length: each truncation and each trailing byte count.
+    assert_metadata_rejects("meta_len", |damage| !matches!(damage, Damage::Flipped { .. }));
+}
+
+#[test]
+fn every_single_bit_flip_in_the_metadata_file_is_rejected() {
+    assert_metadata_rejects("meta_flip", |damage| matches!(damage, Damage::Flipped { .. }));
 }
 
 #[test]
