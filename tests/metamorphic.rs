@@ -1,0 +1,153 @@
+//! Metamorphic relations: answers that must not move, checked without a
+//! model. Each relation rebuilds or re-cuts a corpus in a way the
+//! paper's design says cannot change an answer (candidates are counted
+//! with integers and swept in user order, and shards are token ranges),
+//! then demands the same expansion, match count, top-k users and score
+//! bits for every query, expanded (e#) and plain (Pal & Counts):
+//!
+//! * **tweet-id permutation** — rebuilding the corpus from a seeded
+//!   shuffle of the same tweets;
+//! * **shard count** — `reshard(k)` for k ∈ {1, 2, 3, 5}.
+//!
+//! Both run over the Tiny testbed and over corpora generated from its
+//! world at proptest-chosen seeds. The queries are every term of the
+//! world, so every mined domain is expanded. `scripts/tier1.sh` runs
+//! this suite in release as well as in the debug test pass.
+
+use esharp_core::{Esharp, SearchOutcome};
+use esharp_eval::{EvalScale, Testbed};
+use esharp_microblog::{generate_corpus, Corpus, CorpusConfig, TweetId, UserId};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use std::sync::OnceLock;
+
+/// The shard counts the shard relation cuts every corpus into.
+const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 5];
+
+/// The Tiny testbed at the `repro` binary's default seed, built once.
+fn testbed() -> &'static Testbed {
+    static TB: OnceLock<Testbed> = OnceLock::new();
+    TB.get_or_init(|| Testbed::build(EvalScale::Tiny, 2016))
+}
+
+/// The testbed's online system, fanning out over two workers so that a
+/// sharded corpus is matched shard by shard in parallel.
+fn esharp() -> &'static Esharp {
+    static ES: OnceLock<Esharp> = OnceLock::new();
+    ES.get_or_init(|| {
+        let tb = testbed();
+        let mut config = tb.config.clone();
+        config.search_workers = 2;
+        Esharp::new(tb.esharp.domains().clone(), config)
+    })
+}
+
+/// Every term of the testbed world, in term order.
+fn queries() -> Vec<&'static str> {
+    let world = &testbed().world;
+    (0..world.terms.len())
+        .map(|t| world.term_text(t as _))
+        .collect()
+}
+
+/// What a relation must keep: expansion, match count, and the ranked
+/// users with their score bits.
+type Answer = (Vec<String>, usize, Vec<(UserId, u64)>);
+
+fn answer(outcome: SearchOutcome) -> Answer {
+    let experts = outcome
+        .experts
+        .iter()
+        .map(|e| (e.user, e.score.to_bits()))
+        .collect();
+    (outcome.expansion, outcome.matched_tweets, experts)
+}
+
+/// The e# and the plain answer of every query on `corpus`.
+fn answers(corpus: &Corpus) -> Vec<(Answer, Answer)> {
+    let esharp = esharp();
+    queries()
+        .into_iter()
+        .map(|q| {
+            (
+                answer(esharp.search(corpus, q)),
+                answer(esharp.search_baseline(corpus, q)),
+            )
+        })
+        .collect()
+}
+
+/// The same users and tweets, rebuilt from the tweets in a seeded
+/// random order (ids renumbered to the new positions).
+fn shuffled(corpus: &Corpus, seed: u64) -> Corpus {
+    let mut tweets = corpus.tweets().to_vec();
+    tweets.shuffle(&mut StdRng::seed_from_u64(seed));
+    for (id, tweet) in tweets.iter_mut().enumerate() {
+        tweet.id = id as TweetId;
+    }
+    Corpus::new(corpus.users().to_vec(), tweets)
+}
+
+fn resharded(corpus: &Corpus, k: usize) -> Corpus {
+    let mut corpus = corpus.clone();
+    corpus.reshard(k);
+    corpus
+}
+
+/// Assert both relations on `corpus`, shuffling with `shuffle_seed`.
+fn assert_relations(corpus: &Corpus, shuffle_seed: u64) {
+    let expected = answers(corpus);
+    let ranked = expected.iter().filter(|(e, _)| !e.2.is_empty()).count();
+    assert!(
+        ranked * 4 >= expected.len(),
+        "only {ranked} of {} queries rank anyone: the relations would be vacuous",
+        expected.len()
+    );
+
+    let permuted = shuffled(corpus, shuffle_seed);
+    assert!(
+        permuted
+            .tweets()
+            .iter()
+            .zip(corpus.tweets())
+            .any(|(a, b)| a.text != b.text),
+        "the shuffle left every tweet in place"
+    );
+    compare(&expected, &answers(&permuted), "tweet-id permutation");
+
+    for k in SHARD_COUNTS {
+        let cut = resharded(corpus, k);
+        compare(&expected, &answers(&cut), &format!("reshard({k})"));
+    }
+}
+
+fn compare(expected: &[(Answer, Answer)], actual: &[(Answer, Answer)], relation: &str) {
+    assert_eq!(expected.len(), actual.len());
+    for (query, (want, got)) in queries().iter().zip(expected.iter().zip(actual)) {
+        assert_eq!(want.0, got.0, "{relation}: e# answer to {query:?} moved");
+        assert_eq!(want.1, got.1, "{relation}: plain answer to {query:?} moved");
+    }
+}
+
+#[test]
+fn tiny_testbed_answers_survive_permutation_and_resharding() {
+    let tb = testbed();
+    for shuffle_seed in [1, 2] {
+        assert_relations(&tb.corpus, shuffle_seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn generated_corpus_answers_survive_permutation_and_resharding(
+        corpus_seed in any::<u64>(),
+        shuffle_seed in any::<u64>(),
+    ) {
+        let corpus = generate_corpus(&testbed().world, &CorpusConfig::tiny(corpus_seed));
+        assert_relations(&corpus, shuffle_seed);
+    }
+}
