@@ -231,7 +231,15 @@ mod tests {
     fn candidates_include_authors_mentioned_and_retweeted() {
         let c = corpus();
         let matching = c.match_query("niners");
-        assert_eq!(matching, vec![0, 2, 3, 4]);
+        assert_eq!(
+            matching,
+            c.ids_of_texts(&[
+                "niners win today",
+                "rt @alice: niners win today",
+                "watching the niners with @alice",
+                "niners niners niners",
+            ])
+        );
         let candidates = collect_candidates(&c, &matching);
         // Authors 0,1,2 plus alice via mention/retweet.
         assert_eq!(candidates.len(), 3);

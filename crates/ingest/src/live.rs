@@ -640,10 +640,20 @@ mod tests {
         };
         let users = vec![user(0, "alice"), user(1, "bob")];
         let tweets = vec![
-            Tweet::parse(0, 0, "the 49ers draft was exciting", |_| None),
-            Tweet::parse(1, 1, "niners game today", |_| None),
+            Tweet::parse(0, 0, DRAFT, |_| None),
+            Tweet::parse(1, 1, GAME, |_| None),
         ];
         Corpus::new(users, tweets)
+    }
+
+    const DRAFT: &str = "the 49ers draft was exciting";
+    const GAME: &str = "niners game today";
+
+    /// The id of the one tweet with this text in the live corpus now.
+    fn id_of(live: &LiveCorpus, text: &str) -> TweetId {
+        let ids = live.read().corpus().ids_of_texts(&[text]);
+        assert_eq!(ids.len(), 1, "{text:?} names {} tweets", ids.len());
+        ids[0]
     }
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -679,7 +689,10 @@ mod tests {
         live.apply(&append("niners draft steal")).unwrap();
         assert_eq!(live.epoch(), 1);
         let guard = live.read();
-        assert_eq!(guard.corpus().match_query("niners"), vec![1, 2]);
+        assert_eq!(
+            guard.corpus().match_query("niners"),
+            guard.corpus().ids_of_texts(&[GAME, "niners draft steal"])
+        );
         assert_eq!(guard.pending_ops(), 1);
         drop(guard);
         // Validation failures apply nothing and do not bump the epoch.
@@ -723,14 +736,18 @@ mod tests {
             },
         ])
         .unwrap();
-        live.apply(&IngestOp::Delete { id: 0 }).unwrap();
+        let draft = id_of(&live, DRAFT);
+        live.apply(&IngestOp::Delete { id: draft }).unwrap();
         drop(live);
 
         let back = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).unwrap();
         let guard = back.read();
         assert_eq!(guard.corpus().tweets().len(), 3);
-        assert!(guard.corpus().is_deleted(0));
-        assert_eq!(guard.corpus().match_query("pasta"), vec![2]);
+        assert!(guard.corpus().is_deleted(draft));
+        assert_eq!(
+            guard.corpus().match_query("pasta"),
+            guard.corpus().ids_of_texts(&["pasta \t tab and \n newline"])
+        );
         assert_eq!(guard.pending_ops(), 3, "acked ops replay");
         let _ = fs::remove_dir_all(dir);
     }
@@ -741,7 +758,10 @@ mod tests {
         let live = LiveCorpus::create(base_corpus(), dir.join("corpus.bin"), dir.join("oplog"))
             .unwrap();
         live.apply(&append("niners deep dive")).unwrap();
-        live.apply(&IngestOp::Delete { id: 1 }).unwrap();
+        live.apply(&IngestOp::Delete {
+            id: id_of(&live, GAME),
+        })
+        .unwrap();
         let report = live.compact().unwrap().unwrap();
         assert_eq!(report.before_tweets, 3);
         assert_eq!(report.before_tombstones, 1);
@@ -758,7 +778,10 @@ mod tests {
         let guard = back.read();
         assert_eq!(guard.corpus().tweets().len(), 2);
         assert_eq!(guard.pending_ops(), 0, "oplog was reset by compaction");
-        assert_eq!(guard.corpus().match_query("niners"), vec![1]);
+        assert_eq!(
+            guard.corpus().match_query("niners"),
+            guard.corpus().ids_of_texts(&["niners deep dive"])
+        );
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -773,13 +796,16 @@ mod tests {
         // pin the remap arithmetic via compact_with_map semantics.
         let live = LiveCorpus::new(base_corpus());
         live.apply(&append("one")).unwrap(); // id 2
-        live.apply(&IngestOp::Delete { id: 0 }).unwrap();
+        live.apply(&IngestOp::Delete {
+            id: id_of(&live, DRAFT),
+        })
+        .unwrap();
         let report = live.compact().unwrap().unwrap();
         assert_eq!(report.after_tweets, 2);
         let guard = live.read();
-        // Survivors renumbered densely: old 1 → 0, old 2 → 1.
-        assert_eq!(guard.corpus().match_query("niners"), vec![0]);
-        assert_eq!(guard.corpus().match_query("one"), vec![1]);
+        // Survivors renumbered densely, in topic order.
+        assert_eq!(guard.corpus().match_query("niners"), guard.corpus().ids_of_texts(&[GAME]));
+        assert_eq!(guard.corpus().match_query("one"), guard.corpus().ids_of_texts(&["one"]));
     }
 
     #[test]
@@ -948,7 +974,11 @@ mod tests {
         assert!(live.compact().is_err());
         // Serving continues on base + delta; the persisted pair is the
         // pre-compaction one, still consistent.
-        assert_eq!(live.read().corpus().match_query("delta"), vec![2]);
+        {
+            let guard = live.read();
+            let corpus = guard.corpus();
+            assert_eq!(corpus.match_query("delta"), corpus.ids_of_texts(&["delta tweet"]));
+        }
         assert_eq!(fs::read(dir.join("corpus.bin")).unwrap(), base_bytes);
         drop(live);
         let back = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).unwrap();
@@ -983,7 +1013,10 @@ mod tests {
         // The delta is still durable through the oplog.
         drop(live);
         let back = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).unwrap();
-        assert_eq!(back.read().corpus().match_query("delta"), vec![2]);
+        let guard = back.read();
+        let corpus = guard.corpus();
+        assert_eq!(corpus.match_query("delta"), corpus.ids_of_texts(&["delta tweet"]));
+        drop(guard);
         let _ = fs::remove_dir_all(dir);
     }
 }

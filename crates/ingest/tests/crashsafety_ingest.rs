@@ -12,7 +12,7 @@
 
 use esharp_fault::{Fault, FaultPlan, RetryPolicy};
 use esharp_ingest::{IngestOp, LiveCorpus, COMPACT_SITE, OPLOG_SITE};
-use esharp_microblog::{Corpus, Tweet, User};
+use esharp_microblog::{Corpus, Tweet, TweetId, User};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ fn seeded(dir: &Path, plan: FaultPlan) -> LiveCorpus {
         expert_domains: vec![],
         spam: false,
     }];
-    let tweets = vec![Tweet::parse(0, 0, "base tweet about niners", |_| None)];
+    let tweets = vec![Tweet::parse(0, 0, BASE, |_| None)];
     LiveCorpus::create(
         Corpus::new(users, tweets),
         dir.join("corpus.bin"),
@@ -47,10 +47,24 @@ fn seeded(dir: &Path, plan: FaultPlan) -> LiveCorpus {
     .with_injector(Arc::new(plan), RetryPolicy::none())
 }
 
+const BASE: &str = "base tweet about niners";
+
+/// The ids of the tweets with these texts, as the live corpus numbers
+/// them now.
+fn ids_of(live: &LiveCorpus, texts: &[&str]) -> Vec<TweetId> {
+    live.read().corpus().ids_of_texts(texts)
+}
+
+/// The tweets matching `query` in the live corpus now.
+fn matches(live: &LiveCorpus, query: &str) -> Vec<TweetId> {
+    live.read().corpus().match_query(query)
+}
+
 /// The base file a clean compaction published, and its directory.
 fn compacted_base(name: &str) -> (PathBuf, Vec<u8>) {
     let dir = tmpdir(name);
     let live = seeded(&dir, FaultPlan::new(0));
+    let base_tweet = ids_of(&live, &[BASE])[0];
     live.apply_batch(&[
         IngestOp::AddUser {
             handle: "cy".into(),
@@ -63,7 +77,7 @@ fn compacted_base(name: &str) -> (PathBuf, Vec<u8>) {
             author: "cy".into(),
             text: "café ☕ fresh topic @ana".into(),
         },
-        IngestOp::Delete { id: 0 },
+        IngestOp::Delete { id: base_tweet },
     ])
     .unwrap();
     live.compact().unwrap().unwrap();
@@ -125,12 +139,13 @@ fn faulted_compaction_write_leaves_last_known_good_serving() {
             "{name}: leftover .next candidate"
         );
         // In-memory serving continues on base + delta.
-        assert_eq!(live.read().corpus().match_query("delta"), vec![1]);
-        assert_eq!(live.read().corpus().match_query("niners"), vec![0]);
+        let delta = ids_of(&live, &["delta delta delta"]);
+        assert_eq!(matches(&live, "delta"), delta);
+        assert_eq!(matches(&live, "niners"), ids_of(&live, &[BASE]));
         drop(live);
         // And the delta was never only in memory: a reopen replays it.
         let back = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).unwrap();
-        assert_eq!(back.read().corpus().match_query("delta"), vec![1]);
+        assert_eq!(matches(&back, "delta"), ids_of(&back, &["delta delta delta"]));
         let _ = std::fs::remove_dir_all(dir);
     }
 }
@@ -175,10 +190,10 @@ fn faulted_oplog_commit_leaves_last_known_good_serving() {
         );
         assert!(!dir.join("corpus.bin.next").exists(), "{name}");
         assert!(!dir.join("oplog.pending").exists(), "{name}");
-        assert_eq!(live.read().corpus().match_query("payload"), vec![1]);
+        assert_eq!(matches(&live, "payload"), ids_of(&live, &["delta payload"]));
         drop(live);
         let back = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).unwrap();
-        assert_eq!(back.read().corpus().match_query("payload"), vec![1]);
+        assert_eq!(matches(&back, "payload"), ids_of(&back, &["delta payload"]));
         let _ = std::fs::remove_dir_all(dir);
     }
 }
@@ -209,7 +224,7 @@ fn transient_compaction_fault_retries_to_success() {
     assert_eq!(report.after_tweets, 2);
     drop(live);
     let back = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).unwrap();
-    assert_eq!(back.read().corpus().match_query("eventually"), vec![1]);
+    assert_eq!(matches(&back, "eventually"), ids_of(&back, &["eventually durable"]));
     assert_eq!(back.read().pending_ops(), 0, "compaction committed");
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -3,13 +3,13 @@
 //! yields a corpus **bit-identical** (under the binary encoding) to a
 //! from-scratch `Corpus::new` rebuild of the same users and live tweets.
 //! The reference model is a slot list mirroring the tweet array — `None`
-//! for tombstones, densely renumbered at each compaction — so delete
-//! targets and id remaps are computed independently of the code under
-//! test.
+//! for tombstones, densely renumbered in topic order at each compaction
+//! by the string-keyed reference order — so delete targets and id remaps
+//! are computed independently of the code under test.
 
 use esharp_ingest::{IngestOp, LiveCorpus};
 use esharp_microblog::segio;
-use esharp_microblog::{Corpus, Tweet, User};
+use esharp_microblog::{topic_order_reference, Corpus, Tweet, User};
 use proptest::prelude::*;
 
 /// One scripted step: (action selector, target selector, tweet text).
@@ -24,8 +24,16 @@ struct Model {
 }
 
 impl Model {
+    /// Drop the tombstones and renumber the survivors densely, in the
+    /// topic order a build assigns ids in (computed by the plain
+    /// string-keyed reference, not by the code under test).
     fn compact(&mut self) {
-        self.slots = self.slots.drain(..).flatten().map(Some).collect();
+        let live: Vec<(u32, String)> = self.slots.drain(..).flatten().collect();
+        let keyed: Vec<(u32, &str)> = live.iter().map(|(a, t)| (*a, t.as_str())).collect();
+        self.slots = topic_order_reference(&keyed)
+            .into_iter()
+            .map(|i| Some(live[i].clone()))
+            .collect();
     }
 
     /// The cold rebuild: `Corpus::new` over the current live state, as

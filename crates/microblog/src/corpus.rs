@@ -3,6 +3,7 @@
 use crate::columns::TweetColumns;
 use crate::index::{intersect, PostingsIndex};
 use crate::intern::SymbolTable;
+use crate::order::{permute, topic_order};
 use crate::tokenize::tokenize;
 use crate::types::{TokenId, Tweet, TweetId, User, UserId};
 use std::cell::RefCell;
@@ -22,6 +23,9 @@ use std::collections::HashMap;
 ///   of every tweet as flat arrays, and per-user totals (#tweets,
 ///   #mentions received, #retweets received) — the denominators of the
 ///   TS / MI / RI features,
+/// * tweet ids in **topic order**, assigned by the build: tweets sharing
+///   their rarest token are one run of adjacent ids, so a query's
+///   matches and the columns ranking reads for them are contiguous,
 /// * an LSM-style **delta segment** for streaming ingestion: tweets
 ///   appended after the last (re)build land in per-token delta posting
 ///   lists instead of the immutable CSR arena, deletions become
@@ -61,8 +65,15 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    /// Build an indexed corpus from users and tweets. Tweet and user ids
-    /// must equal their indices. The same steps as the streaming
+    /// Build an indexed corpus from users and tweets. On input, tweet and
+    /// user ids must equal their indices. User ids are kept; tweet ids are
+    /// not: the corpus assigns its own, in topic order (tweets sharing a
+    /// rare token get adjacent ids, see DESIGN.md "Tweet-id order"), and
+    /// rewrites [`Tweet::id`] to match, so `tweets()[i].id == i` holds
+    /// afterwards but the input tweet at index `i` may now have another
+    /// id. A tweet id is stable only within one corpus epoch: until the
+    /// next build or [`Corpus::compact`]. Rebuilding from a corpus's own
+    /// `tweets()` gives the same corpus. The same steps as the streaming
     /// `CorpusBuilder`, over a tweet list already in memory.
     pub fn new(users: Vec<User>, tweets: Vec<Tweet>) -> Corpus {
         let mut builder = CorpusBuilder::new(users);
@@ -120,6 +131,18 @@ impl Corpus {
     /// One tweet.
     pub fn tweet(&self, id: TweetId) -> &Tweet {
         &self.tweets[id as usize]
+    }
+
+    /// The ids of the tweets whose text is one of `texts`, ascending (the
+    /// order of a match set). The corpus assigns tweet ids itself, so
+    /// code that knows tweets by content names them through this. A
+    /// linear scan.
+    pub fn ids_of_texts(&self, texts: &[&str]) -> Vec<TweetId> {
+        self.tweets
+            .iter()
+            .filter(|t| texts.contains(&t.text.as_str()))
+            .map(|t| t.id)
+            .collect()
     }
 
     /// A tweet's interned tokens, in text order (duplicates kept).
@@ -458,11 +481,12 @@ impl Corpus {
         self.tombstones.binary_search(&id).is_ok()
     }
 
-    /// Fold the delta segment into a fresh base: drop tombstoned tweets,
-    /// renumber survivors densely, and rebuild the CSR postings — without
-    /// re-tokenizing (the interned arenas are remapped in first-appearance
-    /// order, which makes the result bit-identical to
-    /// `Corpus::new(users, surviving_tweets)`).
+    /// Fold the delta segment into a fresh base: drop tombstoned tweets
+    /// and lay the survivors out anew in topic order, as a build does —
+    /// without re-tokenizing (the interned arenas are carried over). The
+    /// result is bit-identical to `Corpus::new(users, surviving_tweets)`;
+    /// every surviving tweet gets a new id, which is why an id is stable
+    /// only between two compactions.
     pub fn compact(&self) -> Corpus {
         self.compact_with_map().0
     }
@@ -471,104 +495,72 @@ impl Corpus {
     /// tombstoned tweets) so callers holding ids minted before the
     /// compaction — e.g. queued deletes — can remap them.
     pub fn compact_with_map(&self) -> (Corpus, Vec<Option<TweetId>>) {
-        let mut map: Vec<Option<TweetId>> = vec![None; self.tweets.len()];
-        // Token remap table, filled in first-appearance order over the
-        // surviving tweets — exactly the order `Corpus::new` would intern.
-        const UNMAPPED: TokenId = u32::MAX;
-        let mut token_map: Vec<TokenId> = vec![UNMAPPED; self.symbols.len()];
-        let mut new_texts: Vec<Box<str>> = Vec::new();
-
         let live = self.live_tweet_count();
-        let mut tweets: Vec<Tweet> = Vec::with_capacity(live);
+        let mut survivors: Vec<Tweet> = Vec::with_capacity(live);
         let mut token_offsets: Vec<u32> = Vec::with_capacity(live + 1);
         let mut token_ids: Vec<TokenId> = Vec::new();
         token_offsets.push(0);
-        let mut columns = TweetColumns::with_capacity(self.users.len(), live);
-
         for t in &self.tweets {
-            if self.tombstones.binary_search(&t.id).is_ok() {
+            if self.is_deleted(t.id) {
                 continue;
             }
-            let new_id = tweets.len() as TweetId;
-            map[t.id as usize] = Some(new_id);
-            for &old_tok in self.tweet_tokens(t.id) {
-                let new_tok = if token_map[old_tok as usize] == UNMAPPED {
-                    let fresh = new_texts.len() as TokenId;
-                    new_texts.push(self.symbols.text(old_tok).into());
-                    token_map[old_tok as usize] = fresh;
-                    fresh
-                } else {
-                    token_map[old_tok as usize]
-                };
-                token_ids.push(new_tok);
-            }
+            token_ids.extend_from_slice(self.tweet_tokens(t.id));
             token_offsets.push(token_ids.len() as u32);
-            let mut survivor = t.clone();
-            survivor.id = new_id;
-            columns.push(&survivor);
-            tweets.push(survivor);
+            survivors.push(t.clone());
         }
-
-        // token_map pushes each surviving text exactly once, so interning
-        // assigns the same sequential ids `from_texts` would — without a
-        // fallible constructor on this panic-free path.
-        let mut symbols = SymbolTable::with_capacity(new_texts.len());
-        for text in &new_texts {
-            symbols.intern(text);
-        }
-        let postings = PostingsIndex::build(
-            symbols.len(),
-            token_offsets.windows(2).map(|w| &token_ids[w[0] as usize..w[1] as usize]),
+        let old_ids: Vec<TweetId> = survivors.iter().map(|t| t.id).collect();
+        let (mut compacted, order) = lay_out(
+            self.users.clone(),
+            survivors,
+            self.symbols.texts(),
+            &token_offsets,
+            &token_ids,
         );
+        let mut map: Vec<Option<TweetId>> = vec![None; self.tweets.len()];
+        for (new_id, &survivor) in order.iter().enumerate() {
+            map[old_ids[survivor as usize] as usize] = Some(new_id as TweetId);
+        }
         // Compaction preserves the shard layout: the delta folds into a
         // fresh single-shard build, re-cut to the old K so a sharded
-        // serving layout survives ingest churn (no-op for K = 1).
+        // serving layout survives ingest churn.
         let shard_count = self.postings.shard_count();
-        let postings = if shard_count > 1 {
-            postings.resharded(shard_count)
-        } else {
-            postings
-        };
-        let compacted = Corpus::from_parts(
-            self.users.clone(),
-            tweets,
-            symbols,
-            token_offsets,
-            token_ids,
-            postings,
-            columns,
-        );
+        if shard_count > 1 {
+            compacted.reshard(shard_count);
+        }
         (compacted, map)
     }
 }
 
 /// Incremental corpus construction, the one build path: a generator
-/// pushes each tweet as it is produced (tokenized, interned and totalled
-/// on the spot) instead of materializing the whole tweet list first and
-/// then re-walking it, and [`Corpus::new`] runs the same steps over a
-/// list already in memory, so for the same users and tweet sequence the
-/// two are bit-identical — the million-user synthetic scale is built this
+/// pushes each tweet as it is produced (tokenized and interned on the
+/// spot) instead of materializing the whole tweet list first and then
+/// re-walking it, and [`Corpus::new`] runs the same steps over a list
+/// already in memory, so for the same users and tweet sequence the two
+/// are bit-identical — the million-user synthetic scale is built this
 /// way with peak memory equal to the finished corpus.
+///
+/// Pushed tweets carry their input position as id (input ids equal their
+/// indices). [`CorpusBuilder::finish`] then assigns the corpus's own ids,
+/// in topic order (see [`lay_out`]), and lays every per-tweet structure
+/// out in that order. Those ids hold for one corpus epoch: the next
+/// build or compaction assigns them anew.
 pub(crate) struct CorpusBuilder {
     users: Vec<User>,
     tweets: Vec<Tweet>,
     symbols: SymbolTable,
     token_offsets: Vec<u32>,
     token_ids: Vec<TokenId>,
-    columns: TweetColumns,
 }
 
 impl CorpusBuilder {
     /// Start a build over a fixed user table (tweets stream in after).
     pub(crate) fn new(users: Vec<User>) -> CorpusBuilder {
-        let columns = TweetColumns::with_capacity(users.len(), 0);
         CorpusBuilder {
             users,
             tweets: Vec::new(),
             symbols: SymbolTable::new(),
             token_offsets: vec![0],
             token_ids: Vec::new(),
-            columns,
         }
     }
 
@@ -577,7 +569,7 @@ impl CorpusBuilder {
         &self.users
     }
 
-    /// The id the next pushed tweet must carry.
+    /// The id the next pushed tweet must carry: its input position.
     pub(crate) fn next_tweet_id(&self) -> TweetId {
         self.tweets.len() as TweetId
     }
@@ -589,34 +581,80 @@ impl CorpusBuilder {
         self.tweets.push(tweet);
     }
 
-    /// Count the next tweet into the columns and per-user totals, and
-    /// tokenize and intern its text into the CSR arena.
+    /// Tokenize and intern the next tweet's text into the CSR arena.
     fn index(&mut self, tweet: &Tweet) {
-        self.columns.push(tweet);
         for token in tokenize(&tweet.text) {
             self.token_ids.push(self.symbols.intern(&token));
         }
         self.token_offsets.push(self.token_ids.len() as u32);
     }
 
-    /// Build the postings index and assemble the corpus.
+    /// Assign ids in topic order and assemble the corpus.
     pub(crate) fn finish(self) -> Corpus {
-        let postings = PostingsIndex::build(
-            self.symbols.len(),
-            self.token_offsets
-                .windows(2)
-                .map(|w| &self.token_ids[w[0] as usize..w[1] as usize]),
-        );
-        Corpus::from_parts(
+        let texts = self.symbols.texts();
+        lay_out(
             self.users,
             self.tweets,
-            self.symbols,
-            self.token_offsets,
-            self.token_ids,
-            postings,
-            self.columns,
+            texts,
+            &self.token_offsets,
+            &self.token_ids,
         )
+        .0
     }
+}
+
+/// Lay a tweet sequence out in topic order and assemble the corpus: the
+/// one place tweet ids are assigned ([`CorpusBuilder::finish`] and
+/// [`Corpus::compact_with_map`] both end here). Input tweet `i` has the
+/// tokens `token_ids[token_offsets[i] .. token_offsets[i + 1]]`, and
+/// input token `t` has the text `texts[t]`.
+///
+/// New id `j` is input tweet [`topic_order`]`[j]`. Tokens are interned
+/// afresh in first appearance over the new order, and the token arena,
+/// the tweet table, the columns and the postings are laid out in it. How
+/// the input numbered its tokens never shows: every byte of the result is
+/// a function of the input tweets alone, in input order. A
+/// corpus's own tweet list is therefore a fixed point (rebuilding from
+/// `tweets()` gives the same bytes), and compaction equals a cold rebuild
+/// of the survivors. Returns the corpus and the order.
+fn lay_out(
+    users: Vec<User>,
+    mut tweets: Vec<Tweet>,
+    texts: &[Box<str>],
+    token_offsets: &[u32],
+    token_ids: &[TokenId],
+) -> (Corpus, Vec<u32>) {
+    let tokens_of = |i: usize| &token_ids[token_offsets[i] as usize..token_offsets[i + 1] as usize];
+    let order = topic_order(&tweets, texts, token_offsets, token_ids);
+
+    const UNMAPPED: TokenId = TokenId::MAX;
+    let mut token_map = vec![UNMAPPED; texts.len()];
+    let mut symbols = SymbolTable::with_capacity(texts.len());
+    let mut offsets = Vec::with_capacity(order.len() + 1);
+    let mut ids = Vec::with_capacity(token_ids.len());
+    offsets.push(0);
+    for &input in &order {
+        for &old in tokens_of(input as usize) {
+            let new = &mut token_map[old as usize];
+            if *new == UNMAPPED {
+                *new = symbols.intern(&texts[old as usize]);
+            }
+            ids.push(*new);
+        }
+        offsets.push(ids.len() as u32);
+    }
+
+    permute(&mut tweets, &order);
+    for (id, tweet) in tweets.iter_mut().enumerate() {
+        tweet.id = id as TweetId;
+    }
+    let columns = TweetColumns::from_tweets(users.len(), &tweets);
+    let postings = PostingsIndex::build(
+        symbols.len(),
+        offsets.windows(2).map(|w| &ids[w[0] as usize..w[1] as usize]),
+    );
+    let corpus = Corpus::from_parts(users, tweets, symbols, offsets, ids, postings, columns);
+    (corpus, order)
 }
 
 /// A per-term match set: borrowed straight from the postings arena when
@@ -689,6 +727,14 @@ impl Drop for PooledBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segio::encode;
+    use crate::synth::{generate_corpus, CorpusConfig};
+    use esharp_querylog::{World, WorldConfig};
+
+    const DRAFT: &str = "the 49ers draft was exciting";
+    const DRAFT_RT: &str = "RT @alice: the 49ers draft was exciting";
+    const NINERS: &str = "niners game today with @carol";
+    const PASTA: &str = "cooking pasta tonight";
 
     fn user(id: UserId, handle: &str) -> User {
         User {
@@ -712,20 +758,54 @@ mod tests {
             _ => None,
         };
         let tweets = vec![
-            Tweet::parse(0, 0, "the 49ers draft was exciting", resolve),
-            Tweet::parse(1, 1, "RT @alice: the 49ers draft was exciting", resolve),
-            Tweet::parse(2, 1, "niners game today with @carol", resolve),
-            Tweet::parse(3, 2, "cooking pasta tonight", resolve),
+            Tweet::parse(0, 0, DRAFT, resolve),
+            Tweet::parse(1, 1, DRAFT_RT, resolve),
+            Tweet::parse(2, 1, NINERS, resolve),
+            Tweet::parse(3, 2, PASTA, resolve),
         ];
         Corpus::new(users, tweets)
+    }
+
+    /// The one id of the tweet with this text.
+    fn id_of(c: &Corpus, text: &str) -> TweetId {
+        let ids = c.ids_of_texts(&[text]);
+        assert_eq!(ids.len(), 1, "{text:?} names {} tweets", ids.len());
+        ids[0]
+    }
+
+    /// A generated corpus large enough for the topic order to move
+    /// nearly every tweet.
+    fn generated(seed: u64) -> Corpus {
+        generate_corpus(&World::generate(&WorldConfig::tiny(21)), &CorpusConfig::tiny(seed))
+    }
+
+    /// A key token as (missing, df, text): a missing token sorts last.
+    type KeyToken<'c> = (bool, usize, &'c str);
+
+    /// The key of every tweet, recomputed from the public API: its rarest
+    /// and second-rarest distinct tokens by (document frequency, text).
+    fn keys(c: &Corpus) -> Vec<(KeyToken<'_>, KeyToken<'_>)> {
+        (0..c.tweets().len() as TweetId)
+            .map(|id| {
+                let mut ranked: Vec<KeyToken<'_>> = c
+                    .tweet_tokens(id)
+                    .iter()
+                    .map(|&t| (false, c.postings(t).len(), c.token_text(t)))
+                    .collect();
+                ranked.sort_unstable();
+                ranked.dedup();
+                let at = |k: usize| ranked.get(k).copied().unwrap_or((true, 0, ""));
+                (at(0), at(1))
+            })
+            .collect()
     }
 
     #[test]
     fn match_query_is_conjunctive_and_case_insensitive() {
         let c = corpus();
-        assert_eq!(c.match_query("49ers DRAFT"), vec![0, 1]);
+        assert_eq!(c.match_query("49ers DRAFT"), c.ids_of_texts(&[DRAFT, DRAFT_RT]));
         assert_eq!(c.match_query("49ers pasta"), Vec::<TweetId>::new());
-        assert_eq!(c.match_query("niners"), vec![2]);
+        assert_eq!(c.match_query("niners"), c.ids_of_texts(&[NINERS]));
         assert!(c.match_query("").is_empty());
         assert!(c.match_query("unknowntoken").is_empty());
     }
@@ -735,7 +815,7 @@ mod tests {
         let c = corpus();
         assert_eq!(
             c.match_terms_with(&["49ers draft".to_string(), "niners".to_string()], 1),
-            vec![0, 1, 2]
+            c.ids_of_texts(&[DRAFT, DRAFT_RT, NINERS])
         );
         // Overlapping terms dedup; unknown terms contribute nothing.
         assert_eq!(
@@ -743,7 +823,7 @@ mod tests {
                 &["49ers".to_string(), "draft".to_string(), "zzz".to_string()],
                 1
             ),
-            vec![0, 1]
+            c.ids_of_texts(&[DRAFT, DRAFT_RT])
         );
         assert!(c.match_terms_with(&[], 1).is_empty());
     }
@@ -761,14 +841,16 @@ mod tests {
     #[test]
     fn duplicate_tokens_index_once() {
         let users = vec![user(0, "a")];
-        let tweets = vec![Tweet::parse(0, 0, "go go go niners", |_| None)];
+        let text = "go go go niners";
+        let tweets = vec![Tweet::parse(0, 0, text, |_| None)];
         let c = Corpus::new(users, tweets);
-        assert_eq!(c.match_query("go"), vec![0]);
+        let id = id_of(&c, text);
+        assert_eq!(c.match_query("go"), vec![id]);
         // The per-tweet token list keeps text order and duplicates …
         let go = c.token_id("go").unwrap();
-        assert_eq!(c.tweet_tokens(0).iter().filter(|&&t| t == go).count(), 3);
+        assert_eq!(c.tweet_tokens(id).iter().filter(|&&t| t == go).count(), 3);
         // … but the posting list holds the tweet once.
-        assert_eq!(c.postings(go), &[0]);
+        assert_eq!(c.postings(go), &[id]);
     }
 
     #[test]
@@ -808,16 +890,19 @@ mod tests {
     fn appended_tweets_are_searchable_immediately() {
         let mut c = corpus();
         assert!(!c.has_delta());
-        let id = c.append_tweet("alice", "the niners draft steal").unwrap();
+        let steal = "the niners draft steal";
+        let id = c.append_tweet("alice", steal).unwrap();
+        // The delta keeps arrival order: an appended id follows every base id.
         assert_eq!(id, 4);
+        assert_eq!(c.ids_of_texts(&[steal]), vec![id]);
         assert!(c.has_delta());
         // Merged read path: base hits ++ delta hits, still sorted.
-        assert_eq!(c.match_query("niners"), vec![2, 4]);
-        assert_eq!(c.match_query("draft"), vec![0, 1, 4]);
+        assert_eq!(c.match_query("niners"), c.ids_of_texts(&[NINERS, steal]));
+        assert_eq!(c.match_query("draft"), c.ids_of_texts(&[DRAFT, DRAFT_RT, steal]));
         // A brand-new token exists only in the delta segment.
-        let steal = c.token_id("steal").unwrap();
-        assert_eq!(c.postings(steal), &[] as &[TweetId]);
-        assert_eq!(c.match_query("steal"), vec![4]);
+        let steal_token = c.token_id("steal").unwrap();
+        assert_eq!(c.postings(steal_token), &[] as &[TweetId]);
+        assert_eq!(c.match_query("steal"), vec![id]);
         // Totals updated in place.
         assert_eq!(c.tweets_by(0), 2);
     }
@@ -838,49 +923,43 @@ mod tests {
         let dave = c.add_user("dave", "Dave", "bio", 42, true).unwrap();
         assert_eq!(c.user_by_handle("dave"), Some(dave));
         assert!(c.add_user("dave", "", "", 0, false).is_err(), "dup handle");
-        let t = c.append_tweet("dave", "pasta recipes by @dave").unwrap();
+        let recipes = "pasta recipes by @dave";
+        let t = c.append_tweet("dave", recipes).unwrap();
         assert_eq!(c.tweets_by(dave), 1);
         assert_eq!(c.mentions_of(dave), 1);
-        assert_eq!(c.match_query("pasta"), vec![3, t]);
+        assert_eq!(c.ids_of_texts(&[recipes]), vec![t]);
+        assert_eq!(c.match_query("pasta"), c.ids_of_texts(&[PASTA, recipes]));
     }
 
     #[test]
     fn tombstones_hide_tweets_and_reverse_totals() {
         let mut c = corpus();
-        c.delete_tweet(1).unwrap();
-        assert!(c.is_deleted(1));
+        let rt = id_of(&c, DRAFT_RT);
+        c.delete_tweet(rt).unwrap();
+        assert!(c.is_deleted(rt));
         assert!(c.has_delta());
         assert_eq!(c.live_tweet_count(), 3);
         // Hidden from both conjunctive match and expansion union.
-        assert_eq!(c.match_query("draft"), vec![0]);
+        assert_eq!(c.match_query("draft"), c.ids_of_texts(&[DRAFT]));
         assert_eq!(
             c.match_terms_with(&["draft".to_string(), "niners".to_string()], 1),
-            vec![0, 2]
+            c.ids_of_texts(&[DRAFT, NINERS])
         );
         // Totals roll back the RT's contribution.
         assert_eq!(c.tweets_by(1), 1);
         assert_eq!(c.mentions_of(0), 0);
         assert_eq!(c.retweets_of(0), 0);
         // Double delete and out-of-range are errors.
-        assert!(c.delete_tweet(1).is_err());
+        assert!(c.delete_tweet(rt).is_err());
         assert!(c.delete_tweet(99).is_err());
     }
 
-    #[test]
-    fn compaction_is_bit_identical_to_rebuild() {
-        let mut c = corpus();
-        c.add_user("dave", "Dave", "", 5, false).unwrap();
-        c.append_tweet("dave", "niners niners go").unwrap();
-        c.delete_tweet(1).unwrap();
-        c.append_tweet("alice", "draft day pasta").unwrap();
-        c.delete_tweet(4).unwrap(); // delete a delta tweet too
-
+    /// Compact `c` and check the result byte for byte against a cold
+    /// rebuild of the surviving tweets, and every match set against the
+    /// delta view through the returned map.
+    fn assert_compaction_matches_rebuild(c: &Corpus, query: &str) -> (Corpus, Vec<Option<TweetId>>) {
         let (compacted, map) = c.compact_with_map();
         assert!(!compacted.has_delta());
-        assert_eq!(map[0], Some(0));
-        assert_eq!(map[1], None);
-        assert_eq!(map[4], None);
-        assert_eq!(map[5], Some(3));
 
         // The reference: a from-scratch rebuild of the surviving tweets.
         let survivors: Vec<Tweet> = c
@@ -895,15 +974,96 @@ mod tests {
             })
             .collect();
         let rebuilt = Corpus::new(c.users().to_vec(), survivors);
-        let a = crate::segio::encode(&compacted, 1).unwrap();
-        let b = crate::segio::encode(&rebuilt, 1).unwrap();
+        let a = encode(&compacted, 1).unwrap();
+        let b = encode(&rebuilt, 1).unwrap();
         assert_eq!(a, b, "compacted bytes must equal a cold rebuild");
 
         // Query results survive the renumbering (delta view vs compacted).
-        let live: Vec<TweetId> = c.match_query("niners");
-        let remapped: Vec<TweetId> =
+        let live: Vec<TweetId> = c.match_query(query);
+        assert!(!live.is_empty(), "{query:?} must match something");
+        let mut remapped: Vec<TweetId> =
             live.iter().map(|&id| map[id as usize].unwrap()).collect();
-        assert_eq!(compacted.match_query("niners"), remapped);
+        remapped.sort_unstable();
+        assert_eq!(compacted.match_query(query), remapped);
+        (compacted, map)
+    }
+
+    #[test]
+    fn compaction_is_bit_identical_to_rebuild() {
+        let mut c = corpus();
+        c.add_user("dave", "Dave", "", 5, false).unwrap();
+        let go = c.append_tweet("dave", "niners niners go").unwrap();
+        c.delete_tweet(id_of(&c, DRAFT_RT)).unwrap();
+        let day = "draft day pasta";
+        let day_id = c.append_tweet("alice", day).unwrap();
+        c.delete_tweet(go).unwrap(); // delete a delta tweet too
+
+        let (compacted, map) = assert_compaction_matches_rebuild(&c, "niners");
+        assert_eq!(map[id_of(&c, DRAFT) as usize], Some(id_of(&compacted, DRAFT)));
+        assert_eq!(map[id_of(&c, DRAFT_RT) as usize], None);
+        assert_eq!(map[go as usize], None);
+        assert_eq!(map[day_id as usize], Some(id_of(&compacted, day)));
+
+        // A generated corpus, where the topic order really moves the ids:
+        // delete every seventh base tweet, append copies of a few tweets
+        // by other authors, and delete one of the appended tweets.
+        let mut c = generated(3);
+        let base = c.tweets().len() as TweetId;
+        for id in (0..base).step_by(7) {
+            c.delete_tweet(id).unwrap();
+        }
+        for id in (1..base).step_by(97) {
+            let (author, text) = {
+                let t = c.tweet(id);
+                let author = (t.author + 1) % c.users().len() as UserId;
+                (c.user(author).handle.clone(), t.text.clone())
+            };
+            c.append_tweet(&author, &text).unwrap();
+        }
+        c.delete_tweet(base + 1).unwrap();
+        let (_, map) = assert_compaction_matches_rebuild(&c, "the");
+        let new_ids: Vec<TweetId> = map.iter().flatten().copied().collect();
+        assert!(
+            new_ids.windows(2).any(|w| w[0] > w[1]),
+            "the topic order left the survivors in arrival order"
+        );
+        // An appended tweet may now sit before base tweets.
+        assert!(map[base as usize + 2..].iter().flatten().any(|&id| id < base / 2));
+    }
+
+    #[test]
+    fn a_corpus_is_a_fixed_point_of_its_own_rebuild() {
+        let c = generated(5);
+        let bytes = encode(&c, 1).unwrap();
+        let rebuilt = Corpus::new(c.users().to_vec(), c.tweets().to_vec());
+        assert_eq!(encode(&rebuilt, 1).unwrap(), bytes, "rebuild from tweets()");
+        assert_eq!(encode(&c.compact(), 1).unwrap(), bytes, "delta-free compaction");
+    }
+
+    #[test]
+    fn tweets_sharing_a_key_token_form_one_id_run() {
+        let c = generated(5);
+        let keys = keys(&c);
+        // Ids ascend with the key…
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]), "tweets are not in key order");
+        // …so the tweets sharing a leading token are one run of adjacent
+        // ids…
+        let mut runs: HashMap<KeyToken<'_>, (usize, usize, usize)> = HashMap::new();
+        for (id, (leading, _)) in keys.iter().enumerate() {
+            let run = runs.entry(*leading).or_insert((id, id, 0));
+            run.1 = id;
+            run.2 += 1;
+        }
+        for (token, (first, last, count)) in &runs {
+            assert_eq!(last - first + 1, *count, "the tweets led by {token:?} are split");
+        }
+        assert!(runs.len() > 10, "only {} runs", runs.len());
+        // …and the authors ascend among tweets with the same key.
+        for (id, pair) in c.tweets().windows(2).enumerate() {
+            if keys[id] == keys[id + 1] {
+                assert!(pair[0].author <= pair[1].author, "authors at {id}");
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@ mod columns;
 mod corpus;
 pub mod index;
 mod intern;
+mod order;
 pub mod segio;
 mod synth;
 pub mod tokenize;
@@ -37,6 +38,7 @@ pub use columns::{TweetColumns, UserTotals, NO_RETWEET};
 pub use corpus::Corpus;
 pub use index::{PostingsIndex, PostingsShard};
 pub use intern::SymbolTable;
+pub use order::topic_order_reference;
 pub use segio::LoadMode;
 pub use synth::{generate_corpus, generate_corpus_streaming, CorpusConfig};
 pub use types::{TokenId, Tweet, TweetId, User, UserId};

@@ -36,7 +36,12 @@ pub struct User {
 /// A single micropost.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Tweet {
-    /// Identifier (index into the corpus tweet table).
+    /// Identifier (index into the corpus tweet table). A tweet handed to
+    /// a corpus build carries its input position; the corpus then assigns
+    /// its own ids, in topic order, and rewrites this field. An id is
+    /// stable only within one corpus epoch: a rebuild or a compaction
+    /// renumbers every tweet (appends take the next free id and keep it
+    /// until then).
     pub id: TweetId,
     /// Author user id.
     pub author: UserId,

@@ -1,7 +1,7 @@
 //! Property-based tests of tokenization and query matching.
 
 use esharp_microblog::tokenize::{matches_all, mentions, retweeted_handle, tokenize};
-use esharp_microblog::{Corpus, Tweet, User};
+use esharp_microblog::{topic_order_reference, Corpus, Tweet, User};
 use proptest::prelude::*;
 
 /// The pre-interning index semantics: `String`-keyed posting lists built
@@ -56,8 +56,8 @@ fn string_keyed_reference_agrees_on_fixed_corpus() {
         .enumerate()
         .map(|(i, t)| Tweet::parse(i as u32, 0, t.to_string(), |_| None))
         .collect();
-    let postings = string_keyed_postings(&tweets);
     let corpus = Corpus::new(users, tweets);
+    let postings = string_keyed_postings(corpus.tweets());
     for term in ["aa", "bb cc", "AA", "zz", "", "aa zz"] {
         assert_eq!(
             corpus.match_query(term),
@@ -175,11 +175,13 @@ proptest! {
             .enumerate()
             .map(|(i, words)| Tweet::parse(i as u32, 0, words.join(" "), |_| None))
             .collect();
-        let corpus = Corpus::new(users, tweets.clone());
+        let corpus = Corpus::new(users, tweets);
         let query = query_words.join(" ");
         let via_index = corpus.match_query(&query);
         let query_tokens = tokenize(&query);
-        let via_scan: Vec<u32> = tweets
+        // The scan reads the corpus's own tweet table: it assigns the ids.
+        let via_scan: Vec<u32> = corpus
+            .tweets()
             .iter()
             .filter(|t| matches_all(&tokenize(&t.text), &query_tokens))
             .map(|t| t.id)
@@ -227,8 +229,10 @@ proptest! {
             .enumerate()
             .map(|(i, words)| Tweet::parse(i as u32, 0, words.join(" "), |_| None))
             .collect();
-        let postings = string_keyed_postings(&tweets);
         let corpus = Corpus::new(users, tweets);
+        // The reference indexes the corpus's own tweet table: it assigns
+        // the ids.
+        let postings = string_keyed_postings(corpus.tweets());
         let words: Vec<String> = tweet_words.concat();
         let terms = with_variants(terms.iter().map(|w| w.join(" ")).collect(), &picks, &words);
 
@@ -250,5 +254,36 @@ proptest! {
         union.sort_unstable();
         union.dedup();
         prop_assert_eq!(corpus.match_terms_with(&terms, 1), union);
+    }
+
+    #[test]
+    fn build_assigns_ids_in_the_reference_topic_order(
+        tweet_words in prop::collection::vec(
+            prop::collection::vec("[a-d]{1,2}", 0..5), 1..24),
+        authors in prop::collection::vec(0u32..3, 24),
+    ) {
+        let users = vec![user(0, "u0"), user(1, "u1"), user(2, "u2")];
+        let input: Vec<(u32, String)> = tweet_words
+            .iter()
+            .zip(&authors)
+            .map(|(words, &author)| (author, words.join(" ")))
+            .collect();
+        let tweets: Vec<Tweet> = input
+            .iter()
+            .enumerate()
+            .map(|(i, (author, text))| Tweet::parse(i as u32, *author, text.clone(), |_| None))
+            .collect();
+        let corpus = Corpus::new(users, tweets);
+        let keyed: Vec<(u32, &str)> = input.iter().map(|(a, t)| (*a, t.as_str())).collect();
+        let expected: Vec<(u32, &str)> = topic_order_reference(&keyed)
+            .into_iter()
+            .map(|i| keyed[i])
+            .collect();
+        let built: Vec<(u32, &str)> = corpus
+            .tweets()
+            .iter()
+            .map(|t| (t.author, t.text.as_str()))
+            .collect();
+        prop_assert_eq!(built, expected);
     }
 }

@@ -13,7 +13,7 @@
 
 use esharp_core::{DomainCollection, Esharp, EsharpConfig};
 use esharp_ingest::{IngestOp, LiveCorpus};
-use esharp_microblog::{Corpus, Tweet, User};
+use esharp_microblog::{topic_order_reference, Corpus, Tweet, User};
 use esharp_serve::cache::CacheKey;
 use esharp_serve::{search_and_render, ResultCache};
 use proptest::prelude::*;
@@ -35,7 +35,8 @@ fn user(id: u32, handle: &str) -> User {
 }
 
 /// Mirror of the live corpus content: user handles in id order, tweet
-/// slots in id order (`None` = tombstoned). Compaction densely renumbers.
+/// slots in id order (`None` = tombstoned). Compaction densely renumbers,
+/// in topic order.
 struct Model {
     users: Vec<String>,
     slots: Vec<Option<(u32, String)>>,
@@ -43,13 +44,14 @@ struct Model {
 
 impl Model {
     fn seed() -> (Model, Corpus) {
-        let model = Model {
+        let mut model = Model {
             users: vec!["alice".into(), "bob".into()],
             slots: vec![
                 Some((0, "alpha beta news".into())),
                 Some((1, "gamma delta chat".into())),
             ],
         };
+        model.compact(); // the base build assigns ids in topic order too
         let base = model.rebuild();
         (model, base)
     }
@@ -71,8 +73,15 @@ impl Model {
         Corpus::new(users, tweets)
     }
 
+    /// Drop the tombstones and renumber the survivors densely, in the
+    /// topic order a build assigns ids in (the string-keyed reference).
     fn compact(&mut self) {
-        self.slots.retain(Option::is_some);
+        let live: Vec<(u32, String)> = self.slots.drain(..).flatten().collect();
+        let keyed: Vec<(u32, &str)> = live.iter().map(|(a, t)| (*a, t.as_str())).collect();
+        self.slots = topic_order_reference(&keyed)
+            .into_iter()
+            .map(|i| Some(live[i].clone()))
+            .collect();
     }
 }
 
