@@ -537,7 +537,8 @@ impl Corpus {
 /// re-walking it, and [`Corpus::new`] runs the same steps over a list
 /// already in memory, so for the same users and tweet sequence the two
 /// are bit-identical — the million-user synthetic scale is built this
-/// way with peak memory equal to the finished corpus.
+/// way, with peak memory the finished corpus plus what the layout holds
+/// while it runs (the input token arena and one 16-byte key per tweet).
 ///
 /// Pushed tweets carry their input position as id (input ids equal their
 /// indices). [`CorpusBuilder::finish`] then assigns the corpus's own ids,

@@ -31,7 +31,8 @@ pub(crate) fn topic_order(
     token_ids: &[TokenId],
 ) -> Vec<u32> {
     let tokens_of = |i: usize| &token_ids[token_offsets[i] as usize..token_offsets[i + 1] as usize];
-    // Document frequency, each tweet counted once per token.
+    // Document frequency, each tweet counted once per token: until the
+    // tokens are ranked, `rank[t]` holds the last tweet that counted `t`.
     let mut df = vec![0u32; texts.len()];
     let mut rank = vec![u32::MAX; texts.len()];
     for i in 0..tweets.len() {

@@ -79,8 +79,9 @@ impl CorpusConfig {
     /// Load-test configuration: ≥1M accounts producing ≥10M tweets
     /// (regular-volume mean ≈ e^(2.1+0.7²/2) ≈ 10.4 posts/account).
     /// Build it with [`generate_corpus_streaming`] — the batch generator
-    /// works too, but the streaming build's peak memory is the finished
-    /// corpus and nothing more.
+    /// works too, but the streaming build never holds a second tweet
+    /// list: its peak memory is the finished corpus plus the layout's
+    /// input token arena and sort keys.
     pub fn large(seed: u64) -> Self {
         CorpusConfig {
             experts_per_domain: (8, 16),
@@ -168,7 +169,8 @@ pub fn generate_corpus(world: &World, config: &CorpusConfig) -> Corpus {
 /// Generate an indexed corpus from a world, tokenizing and interning
 /// each tweet as it is produced instead of materializing the full tweet
 /// list and re-walking it. Bit-identical to [`generate_corpus`] for the
-/// same world and config; peak memory is the finished corpus. This is
+/// same world and config; peak memory is the finished corpus plus the
+/// layout's input token arena and sort keys. This is
 /// how the [`CorpusConfig::large`] scale (1M users, 10M tweets) is
 /// built.
 pub fn generate_corpus_streaming(world: &World, config: &CorpusConfig) -> Corpus {
