@@ -31,9 +31,10 @@
 //!     through an N-MiB buffer pool, with blocking operators spilling
 //!     under the same cap (out-of-core execution); pool hit rate and
 //!     spill counters are printed at the end. --explain prints the
-//!     chosen physical plans with per-operator EXPLAIN ANALYZE stats
-//!     (rows, bytes, wall, spills) plus the history-informed re-plan of
-//!     iteration 2, so the planner's cost decisions are auditable.
+//!     chosen physical plans and, for every iteration, per-operator
+//!     EXPLAIN ANALYZE stats (rows, bytes, wall and self time, spills)
+//!     plus the history-informed re-plan of iteration 2, so the
+//!     planner's cost decisions and each operator's time are auditable.
 //!
 //! esharp ingest --replay FILE [--corpus FILE] [--oplog FILE] [--compact]
 //!               [--scale …] [--seed N]

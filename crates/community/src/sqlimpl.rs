@@ -61,9 +61,11 @@ pub struct SqlClusterConfig {
     /// hash aggregate): an operator whose working set exceeds the grant
     /// spills to disk instead of growing. `None` = never spill.
     pub memory_grant: Option<usize>,
-    /// Capture EXPLAIN / EXPLAIN ANALYZE text for the Figure 4
-    /// statements (first iteration, plus the history-informed re-plan of
-    /// the second), returned in [`SqlRunReport::explain`].
+    /// Capture EXPLAIN text for the Figure 4 statements (the first
+    /// iteration's plan and the history-informed re-plan of the second)
+    /// and EXPLAIN ANALYZE text for both statements of every iteration,
+    /// with each operator's self time, returned in
+    /// [`SqlRunReport::explain`].
     pub explain: bool,
 }
 
@@ -221,9 +223,9 @@ fn cluster_sql_inner(
         let neighbors = ctx.execute_physical(&nphys)?;
         let snap = registry.snapshot();
         neighbors_history = PlanHistory::from_stats(&snap[mark..]);
-        if config.explain && iteration == 1 {
+        if config.explain {
             explain_text.push_str(&format!(
-                "-- iteration 1: neighbors (EXPLAIN ANALYZE)\n{}",
+                "-- iteration {iteration}: neighbors (EXPLAIN ANALYZE)\n{}",
                 explain_analyze(&nphys, &snap[mark..])
             ));
         }
@@ -236,9 +238,9 @@ fn cluster_sql_inner(
         let partitions = ctx.execute_physical(&pphys)?;
         let snap = registry.snapshot();
         partitions_history = PlanHistory::from_stats(&snap[mark..]);
-        if config.explain && iteration == 1 {
+        if config.explain {
             explain_text.push_str(&format!(
-                "-- iteration 1: partitions (EXPLAIN ANALYZE)\n{}",
+                "-- iteration {iteration}: partitions (EXPLAIN ANALYZE)\n{}",
                 explain_analyze(&pphys, &snap[mark..])
             ));
         }

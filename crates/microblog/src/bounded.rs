@@ -27,10 +27,10 @@
 //!
 //! Determinism: on a [`esharp_fault::VirtualClock`] an injected wait
 //! charges ticks to the waiting task *without advancing shared time*
-//! (see [`charge_wait`]'s accounting), so whether a shard answers is a
-//! pure function of the chaos plan and the budget — never of thread
-//! interleaving — and the chaos matrix can assert exact missing-shard
-//! sets. Shard panics are caught per task; they surface as a missing
+//! (the wait becomes a task-local charge against the budget), so
+//! whether a shard answers is a pure function of the chaos plan and the
+//! budget — never of thread interleaving — and the chaos matrix can
+//! assert exact missing-shard sets. Shard panics are caught per task; they surface as a missing
 //! shard and a counter, never as a torn-down caller.
 
 use crate::corpus::{Corpus, TermMatch};
@@ -203,10 +203,12 @@ impl Corpus {
     /// shard contributes all of its terms to every query or none).
     ///
     /// Plan: the distinct terms across the batch, in first-seen order,
-    /// are resolved once each to a token set ([`Corpus::term_tokens`])
-    /// and a home shard, and each query keeps only the terms no other of
-    /// its terms subsumes ([`subsume`]). The distinct terms some query
-    /// keeps are grouped by home shard. Execute: each shard the breakers
+    /// are resolved once each to a token set (the normalized fast path
+    /// or the tokenizer) and a home shard, and each query keeps only the
+    /// terms no other of its terms subsumes (a term is dropped when a
+    /// kept term on the same home shard has a subset of its tokens, so
+    /// its matches are already in the union). The distinct terms some
+    /// query keeps are grouped by home shard. Execute: each shard the breakers
     /// admit runs as one task on the shared pool — inline on the caller
     /// when `workers <= 1` — and publishes its per-term match lists into
     /// a first-answer-wins slot. Gather: each query's set is one k-way

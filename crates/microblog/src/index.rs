@@ -46,8 +46,8 @@ pub struct PostingsShard {
 
 impl PostingsShard {
     /// Assemble a shard from its columns, validating the CSR invariants:
-    /// `offsets` has one entry per token in the range plus one, and
-    /// [`check_csr`] holds.
+    /// `offsets` has one entry per token in the range plus one, starts
+    /// at 0, is monotone and ends at the arena's length.
     pub fn new(
         token_start: u32,
         token_end: u32,

@@ -6,6 +6,7 @@ use crate::expr::Expr;
 use crate::physical::PhysicalPlan;
 use crate::plan::AggCall;
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// Render an optimized physical plan with its pushdown, build-side and
 /// strategy annotations:
@@ -23,9 +24,16 @@ pub fn explain_physical(plan: &PhysicalPlan) -> String {
 }
 
 /// Render a physical plan annotated with *measured* per-node statistics
-/// (EXPLAIN ANALYZE): actual rows, bytes and spill activity from a
-/// [`StageStats`] snapshot recorded by `execute_physical`, matched to
-/// nodes by id.
+/// (EXPLAIN ANALYZE): actual rows, bytes, wall time and spill activity
+/// from a [`StageStats`] snapshot recorded by `execute_physical`, matched
+/// to nodes by id. Each line shows the node's inclusive wall time and its
+/// `self` time: the wall minus its direct inputs' walls, so the self
+/// times of a plan add up to its root's wall.
+///
+/// ```text
+/// Filter: c1.comm_name <> c2.comm_name AND ModulGain(c1.comm_name, c2.comm_name) > 0  (actual: 976 rows in, 976 rows out, 46848 B out, 115.622µs, self 24.761µs)
+///   HashJoin: c2.query = graph.node2  [build=right, Broadcast]  (actual: 1152 rows in, 976 rows out, 46848 B out, 90.861µs, self 42.107µs)
+/// ```
 pub fn explain_analyze(plan: &PhysicalPlan, stats: &[StageStats]) -> String {
     let mut out = String::new();
     render_physical(plan, 0, Some(stats), &mut out);
@@ -35,6 +43,19 @@ pub fn explain_analyze(plan: &PhysicalPlan, stats: &[StageStats]) -> String {
 fn node_stats(stats: &[StageStats], id: usize) -> Option<&StageStats> {
     // Later records win: the snapshot may hold several runs of the plan.
     stats.iter().rev().find(|s| s.node == Some(id))
+}
+
+/// `plan`'s own wall time: its inclusive wall less its direct inputs'.
+/// The inputs run one after another inside the node's own timer, so the
+/// difference never goes below zero on a monotonic clock.
+fn self_wall(plan: &PhysicalPlan, stats: &[StageStats]) -> Option<Duration> {
+    let inputs: Duration = plan
+        .inputs()
+        .into_iter()
+        .filter_map(|input| node_stats(stats, input.id()))
+        .map(|s| s.wall)
+        .sum();
+    node_stats(stats, plan.id()).map(|s| s.wall.saturating_sub(inputs))
 }
 
 fn render_physical(
@@ -118,8 +139,12 @@ fn render_physical(
             Some(s) => {
                 let _ = write!(
                     out,
-                    "  (actual: {} rows in, {} rows out, {} B out, {:?}",
-                    s.rows_read, s.rows_written, s.bytes_written, s.wall
+                    "  (actual: {} rows in, {} rows out, {} B out, {:?}, self {:?}",
+                    s.rows_read,
+                    s.rows_written,
+                    s.bytes_written,
+                    s.wall,
+                    self_wall(plan, snapshot).unwrap_or_default()
                 );
                 if s.spill_bytes > 0 {
                     let _ = write!(
@@ -143,25 +168,8 @@ fn render_physical(
         }
     }
     out.push('\n');
-    match plan {
-        PhysicalPlan::SeqScan { .. } => {}
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::Aggregate { input, .. }
-        | PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Limit { input, .. }
-        | PhysicalPlan::Distinct { input, .. } => {
-            render_physical(input, depth + 1, stats, out);
-        }
-        PhysicalPlan::HashJoin { left, right, .. } => {
-            render_physical(left, depth + 1, stats, out);
-            render_physical(right, depth + 1, stats, out);
-        }
-        PhysicalPlan::UnionAll { inputs, .. } => {
-            for input in inputs {
-                render_physical(input, depth + 1, stats, out);
-            }
-        }
+    for input in plan.inputs() {
+        render_physical(input, depth + 1, stats, out);
     }
 }
 
@@ -252,5 +260,53 @@ mod tests {
         assert!(text.contains("Aggregate: group by [comm_name]"), "{text}");
         assert!(text.contains("ArgMax(distance, query1) AS owner"), "{text}");
         assert!(text.contains("HashJoin: query2 = query  [build="), "{text}");
+    }
+
+    #[test]
+    fn self_times_add_up_to_the_root_wall() {
+        use crate::exec::StatsRegistry;
+        use crate::value::Value;
+        let catalog = Catalog::new();
+        let graph = Schema::of(&[("node1", DataType::Int), ("node2", DataType::Int)]);
+        let rows = (0..400i64)
+            .map(|i| vec![Value::Int(i % 37), Value::Int(i % 53)])
+            .collect();
+        catalog.register("graph", Table::from_rows(graph, rows).unwrap());
+        let communities = Schema::of(&[("comm_name", DataType::Int), ("query", DataType::Int)]);
+        let rows = (0..53i64)
+            .map(|i| vec![Value::Int(i / 4), Value::Int(i)])
+            .collect();
+        catalog.register("communities", Table::from_rows(communities, rows).unwrap());
+        let registry = StatsRegistry::new();
+        let ctx = ExecContext::new(catalog).with_stats(registry.clone());
+        let plan = LogicalPlan::scan("graph")
+            .join(
+                LogicalPlan::scan("communities"),
+                Expr::col("node2").eq(Expr::col("query")),
+            )
+            .filter(Expr::col("node1").gt(Expr::col("comm_name")))
+            .aggregate(
+                vec!["comm_name".into()],
+                vec![AggCall {
+                    func: AggFunc::ArgMax,
+                    args: vec!["node2".into(), "node1".into()],
+                    alias: "owner".into(),
+                }],
+            );
+        let physical = optimize(&plan, &ctx).unwrap();
+        ctx.execute_physical(&physical).unwrap();
+        let stats = registry.snapshot();
+
+        fn self_sum(plan: &PhysicalPlan, stats: &[StageStats]) -> Duration {
+            let own = self_wall(plan, stats).expect("every node ran");
+            let inputs = plan.inputs().into_iter();
+            own + inputs.map(|p| self_sum(p, stats)).sum::<Duration>()
+        }
+        let root = node_stats(&stats, physical.id()).unwrap().wall;
+        assert!(physical.inputs().len() == 1 && root > Duration::ZERO);
+        assert_eq!(self_sum(&physical, &stats), root);
+        let text = explain_analyze(&physical, &stats);
+        let lines = text.lines().count();
+        assert_eq!(text.matches(", self ").count(), lines, "{text}");
     }
 }

@@ -104,7 +104,10 @@ impl AggSpec {
 /// Output columns are the group keys (original names) followed by one
 /// column per aggregate. Groups are emitted in ascending key order, making
 /// the operator fully deterministic. Rows are grouped by a typed key
-/// table, and every aggregate is one typed pass over its input column in
+/// table (`ops::keys`): one dense `Int` group key is addressed by `key −
+/// min`, which also lists the groups in key order without a sort, and
+/// every other key is hashed; groups are numbered by first appearance
+/// either way. Every aggregate is one typed pass over its input column in
 /// row order, so float sums add in the same order as a row-at-a-time
 /// fold.
 pub fn aggregate(input: &Table, group_keys: &[usize], aggs: &[AggSpec]) -> RelResult<Table> {
@@ -123,8 +126,7 @@ pub fn aggregate(input: &Table, group_keys: &[usize], aggs: &[AggSpec]) -> RelRe
 
     let keys = Keys::new(input, group_keys);
     let groups = Groups::of(&keys)?;
-    let mut order: Vec<usize> = (0..groups.firsts.len()).collect();
-    order.sort_unstable_by(|&a, &b| keys.cmp(groups.firsts[a], groups.firsts[b]));
+    let order = groups.in_key_order(&keys);
 
     let first_rows = in_order(&groups.firsts, &order);
     let mut columns: Vec<Arc<Column>> = group_keys

@@ -20,8 +20,17 @@ pub enum JoinSide {
 ///
 /// Output schema is `left ++ right` with colliding right-side names suffixed
 /// by `_r` (the SQL binder projects/aliases on top of this). Output row
-/// order follows the probe side, which makes the operator deterministic for
-/// a given build side.
+/// order follows the probe side, and a probe row's matches come in
+/// build-row order, which makes the operator deterministic for a given
+/// build side.
+///
+/// The build rows are chained in a key index (`ops::keys`). One `Int` key
+/// column whose span `max − min + 1` is no larger than the hashed index
+/// would allocate is addressed directly, by `key − min`: nothing is
+/// hashed, a probe key outside `[min, max]` matches nothing, and a match
+/// needs no key compare. Every other key is hashed. Both list a chain's
+/// rows in ascending order, so the output does not depend on which the
+/// build keys chose.
 pub fn hash_join(
     left: &Table,
     right: &Table,
@@ -53,22 +62,12 @@ pub fn hash_join(
         JoinSide::BuildRight => (right, left, right_keys, left_keys, false),
     };
 
-    // Build phase: chain the build rows by key hash.
+    // Build phase: chain the build rows by key (see `ops::keys`).
     let build_keys = Keys::new(build, build_keys);
     let index = RowIndex::build(&build_keys)?;
 
     // Probe phase: collect matching (probe_row, build_row) index pairs.
-    let probe_keys = Keys::new(probe, probe_keys);
-    let mut probe_idx = Vec::with_capacity(probe.num_rows());
-    let mut build_idx = Vec::with_capacity(probe.num_rows());
-    for (row, hash) in probe_keys.hashes().into_iter().enumerate() {
-        for b in index.candidates(hash) {
-            if build_keys.eq(b, &probe_keys, row) {
-                probe_idx.push(row);
-                build_idx.push(b);
-            }
-        }
-    }
+    let (probe_idx, build_idx) = index.matches(&build_keys, &Keys::new(probe, probe_keys));
     let (left_idx, right_idx) = if build_is_left {
         (build_idx, probe_idx)
     } else {

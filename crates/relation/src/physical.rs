@@ -261,6 +261,21 @@ impl PhysicalPlan {
         }
     }
 
+    /// The node's inputs, left to right.
+    pub(crate) fn inputs(&self) -> Vec<&PhysicalPlan> {
+        match self {
+            PhysicalPlan::SeqScan { .. } => Vec::new(),
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::Aggregate { input, .. }
+            | PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::Limit { input, .. }
+            | PhysicalPlan::Distinct { input, .. } => vec![input],
+            PhysicalPlan::HashJoin { left, right, .. } => vec![left, right],
+            PhysicalPlan::UnionAll { inputs, .. } => inputs.iter().collect(),
+        }
+    }
+
     /// The optimizer's output estimate for this node.
     pub fn estimate(&self) -> Estimate {
         match self {

@@ -1,15 +1,15 @@
 //! The serving core: event loop → (cache hit answered inline, or)
 //! bounded admission queue → worker pool → pure endpoint handlers.
 //!
-//! The front end is a nonblocking readiness event loop
-//! ([`crate::event_loop`]): one acceptor/dispatcher thread owns every
+//! The front end is a nonblocking readiness event loop (the crate's
+//! `event_loop` module): one acceptor/dispatcher thread owns every
 //! socket and drives per-connection state machines with HTTP/1.1
 //! keep-alive and pipelining.
 //!
-//! A search is answered in two halves ([`answer_queries`]): the
+//! A search is answered in two halves (`answer_queries`): the
 //! *lookup* (epochs, cache keys, one cache get per query) and the
 //! *cold* half (execute, phase metrics, render, cache insert). For
-//! `GET /search` the loop runs the lookup itself ([`answer_inline`]),
+//! `GET /search` the loop runs the lookup itself (`answer_inline`),
 //! taking the epochs without waiting: a hit is written to the socket
 //! from the loop thread — no queue, no worker wake-up, and the cached
 //! body is never copied. A miss is queued carrying its lookup, so the
@@ -18,8 +18,8 @@
 //! without a lookup and the worker does both halves.
 //!
 //! Everything else goes to a worker. Workers never touch sockets — they
-//! pop parsed requests ([`Job`]s) from the bounded queue, run the
-//! handler, and hand the [`Response`] back through a completion vector
+//! pop parsed requests (`Job`s) from the bounded queue, run the
+//! handler, and hand the `Response` back through a completion vector
 //! plus a socket-pair wakeup. The queue's bound is the *admission
 //! control*: when it is full the loop answers `503 Retry-After` inline
 //! — on a keep-alive connection the shed costs one request, not the

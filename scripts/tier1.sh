@@ -16,9 +16,9 @@
 #           and not only in a release run
 #   metamorphic the answer-preserving relations (tests/metamorphic.rs) in
 #           release mode over the Tiny testbed and `CorpusConfig::tiny`
-#           corpora: rebuilding from shuffled tweets and re-cutting into
-#           1, 2, 3 or 5 shards give every query the same top-k users
-#           and score bits
+#           corpora: rebuilding from shuffled tweets, re-cutting into
+#           1, 2, 3 or 5 shards and appending tweets irrelevant to a
+#           query give every query the same top-k users and score bits
 #   flake   the flake budget: the test binaries of the virtual-clock and
 #           chaos suites (core's chaos_matrix, serve's proptest_chaos and
 #           chaos_smoke, microblog's `bounded` unit tests) run 100 times
@@ -34,6 +34,9 @@
 #           body drift fails here and not in a full benchmark run
 #   clippy  workspace lints over every target (libraries, binaries,
 #           tests, benches, examples), warnings are errors
+#   doc     the workspace's rustdoc builds with warnings as errors, so a
+#           broken intra-doc link, or public docs linking a private
+#           item, fails here
 #   panic   every crate root carries the no-panic lint gate (non-test
 #           unwrap/expect is a compile error), so a new module is gated
 #           by default; the exempt crates are named below with reasons
@@ -69,7 +72,7 @@ cargo test -q --release -p esharp-community --test out_of_core_smoke
 echo "== tier-1: column kernels ≡ row oracle, release (bit for bit in every profile)"
 cargo test -q --release -p esharp-relation --test proptest_columnar
 
-echo "== tier-1: metamorphic relations, release (shuffled tweets, any shard count ≡ same answers)"
+echo "== tier-1: metamorphic relations, release (shuffled tweets, any shard count, irrelevant growth ≡ same answers)"
 cargo test -q --release -p esharp-eval --test metamorphic
 
 echo "== tier-1: flake budget (chaos suites 100x, ingest_smoke 25x)"
@@ -108,6 +111,9 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
 
 echo "== tier-1: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== tier-1: rustdoc, warnings are errors"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== tier-1: no-panic and no-unsafe gates at every crate root"
 # Exempt from the no-panic gate, each with its reason:

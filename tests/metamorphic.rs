@@ -7,20 +7,25 @@
 //!
 //! * **tweet-id permutation** — rebuilding the corpus from a seeded
 //!   shuffle of the same tweets;
-//! * **shard count** — `reshard(k)` for k ∈ {1, 2, 3, 5}.
+//! * **shard count** — `reshard(k)` for k ∈ {1, 2, 3, 5};
+//! * **irrelevant growth** — appending, for one query, tweets that no
+//!   term of its expansion matches, written by users who are not
+//!   candidates for it and naming (mentioning, retweeting) only such
+//!   users, so no candidate's counts or totals can move.
 //!
-//! Both run over the Tiny testbed and over corpora generated from its
+//! All three run over the Tiny testbed and over corpora generated from its
 //! world at proptest-chosen seeds. The queries are every term of the
 //! world, so every mined domain is expanded. `scripts/tier1.sh` runs
 //! this suite in release as well as in the debug test pass.
 
 use esharp_core::{Esharp, SearchOutcome};
 use esharp_eval::{EvalScale, Testbed};
-use esharp_microblog::{generate_corpus, Corpus, CorpusConfig, TweetId, UserId};
+use esharp_microblog::{generate_corpus, Corpus, CorpusConfig, Tweet, TweetId, UserId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// The shard counts the shard relation cuts every corpus into.
@@ -96,7 +101,88 @@ fn resharded(corpus: &Corpus, k: usize) -> Corpus {
     corpus
 }
 
-/// Assert both relations on `corpus`, shuffling with `shuffle_seed`.
+/// `corpus` grown by tweets irrelevant to a query whose e# and plain
+/// expansions together are `terms`: every user that no tweet matching
+/// one of `terms` names (as author, mention or retweeted author) writes
+/// one tweet of words no query uses, mentioning the next such user and,
+/// every other tweet, retweeting the one after. `None` when fewer than
+/// three users are outside the candidates.
+fn grown(corpus: &Corpus, terms: &[&String]) -> Option<Corpus> {
+    let users = corpus.users();
+    let mut candidate = vec![false; users.len()];
+    for term in terms {
+        for id in corpus.match_query(term) {
+            let tweet = corpus.tweet(id);
+            let named = tweet.mentions.iter().chain(&tweet.retweet_of);
+            for &user in std::iter::once(&tweet.author).chain(named) {
+                candidate[user as usize] = true;
+            }
+        }
+    }
+    let outsiders: Vec<&str> = users
+        .iter()
+        .filter(|u| !candidate[u.id as usize])
+        .map(|u| u.handle.as_str())
+        .collect();
+    if outsiders.len() < 3 {
+        return None;
+    }
+    let by_handle: HashMap<&str, UserId> =
+        users.iter().map(|u| (u.handle.as_str(), u.id)).collect();
+    let mut tweets = corpus.tweets().to_vec();
+    for (i, &author) in outsiders.iter().enumerate() {
+        let named = outsiders[(i + 1) % outsiders.len()];
+        let retweeted = outsiders[(i + 2) % outsiders.len()];
+        let text = if i % 2 == 0 {
+            format!("rt @{retweeted} unrelatedgrowth{i} quux @{named}")
+        } else {
+            format!("unrelatedgrowth{i} quux @{named}")
+        };
+        let id = tweets.len() as TweetId;
+        let tweet = Tweet::parse(id, by_handle[author], text, |h| by_handle.get(h).copied());
+        tweets.push(tweet);
+    }
+    Some(Corpus::new(users.to_vec(), tweets))
+}
+
+/// The irrelevant-growth relation: each query's answers on `corpus`
+/// grown for it are its answers on `corpus`.
+fn assert_growth_relation(corpus: &Corpus) {
+    let esharp = esharp();
+    let expected = answers(corpus);
+    let mut grown_queries = 0;
+    for (query, want) in queries().into_iter().zip(&expected) {
+        let terms: Vec<&String> = want.0 .0.iter().chain(&want.1 .0).collect();
+        let Some(bigger) = grown(corpus, &terms) else {
+            continue;
+        };
+        // The relation's premise, checked apart from the answers: no
+        // term of either expansion matches a grown tweet.
+        for term in &terms {
+            assert_eq!(
+                bigger.match_query(term).len(),
+                corpus.match_query(term).len(),
+                "irrelevant growth for {query:?}: a grown tweet matches {term:?}"
+            );
+        }
+        let got = (
+            answer(esharp.search(&bigger, query)),
+            answer(esharp.search_baseline(&bigger, query)),
+        );
+        let moved = |kind| format!("irrelevant growth: {kind} answer to {query:?} moved");
+        assert_eq!(want.0, got.0, "{}", moved("e#"));
+        assert_eq!(want.1, got.1, "{}", moved("plain"));
+        grown_queries += 1;
+    }
+    assert!(
+        grown_queries * 2 >= expected.len(),
+        "only {grown_queries} of {} queries leave users outside their candidates",
+        expected.len()
+    );
+}
+
+/// Assert the permutation and shard relations on `corpus`, shuffling
+/// with `shuffle_seed`.
 fn assert_relations(corpus: &Corpus, shuffle_seed: u64) {
     let expected = answers(corpus);
     let ranked = expected.iter().filter(|(e, _)| !e.2.is_empty()).count();
@@ -139,6 +225,11 @@ fn tiny_testbed_answers_survive_permutation_and_resharding() {
     }
 }
 
+#[test]
+fn tiny_testbed_answers_survive_irrelevant_growth() {
+    assert_growth_relation(&testbed().corpus);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -149,5 +240,11 @@ proptest! {
     ) {
         let corpus = generate_corpus(&testbed().world, &CorpusConfig::tiny(corpus_seed));
         assert_relations(&corpus, shuffle_seed);
+    }
+
+    #[test]
+    fn generated_corpus_answers_survive_irrelevant_growth(corpus_seed in any::<u64>()) {
+        let corpus = generate_corpus(&testbed().world, &CorpusConfig::tiny(corpus_seed));
+        assert_growth_relation(&corpus);
     }
 }
