@@ -34,7 +34,7 @@ use esharp_graph::relation_io::multigraph_to_table;
 use esharp_graph::MultiGraph;
 use esharp_relation::{
     explain_analyze, explain_physical, optimize, plan_sql, BufferPool, Catalog, Cluster, Column,
-    DataType, ExecContext, PagedTable, PhysicalPlan, PlanHistory, PoolStats,
+    DataType, ExecContext, OperatorTimes, PagedTable, PhysicalPlan, PlanHistory, PoolStats,
     RelError, RelResult, ScalarUdf, StatsRegistry, Value,
 };
 use std::collections::HashMap;
@@ -64,7 +64,8 @@ pub struct SqlClusterConfig {
     /// Capture EXPLAIN text for the Figure 4 statements (the first
     /// iteration's plan and the history-informed re-plan of the second)
     /// and EXPLAIN ANALYZE text for both statements of every iteration,
-    /// with each operator's self time, returned in
+    /// with each operator's self time, ending with each operator kind's
+    /// self time summed over all iterations, returned in
     /// [`SqlRunReport::explain`].
     pub explain: bool,
 }
@@ -180,6 +181,7 @@ fn cluster_sql_inner(
 ) -> RelResult<(ClusteringOutcome, SqlRunReport)> {
     let mut report = SqlRunReport::default();
     let mut explain_text = String::new();
+    let mut operator_times = OperatorTimes::default();
     // Per-statement measured feedback: the two Figure 4 statements keep
     // their plan shape across iterations, so node ids line up and the
     // optimizer can replace its static guesses with measured rows/bytes.
@@ -228,6 +230,7 @@ fn cluster_sql_inner(
                 "-- iteration {iteration}: neighbors (EXPLAIN ANALYZE)\n{}",
                 explain_analyze(&nphys, &snap[mark..])
             ));
+            operator_times.add(&nphys, &snap[mark..]);
         }
         ctx.catalog.register("neighbors", neighbors);
 
@@ -243,6 +246,7 @@ fn cluster_sql_inner(
                 "-- iteration {iteration}: partitions (EXPLAIN ANALYZE)\n{}",
                 explain_analyze(&pphys, &snap[mark..])
             ));
+            operator_times.add(&pphys, &snap[mark..]);
         }
 
         // Step 3: aggregation/renaming, over an owner array filled from
@@ -272,6 +276,9 @@ fn cluster_sql_inner(
 
     report.pool = pool.map(|p| p.stats());
     if config.explain {
+        explain_text.push_str(&format!(
+            "-- self time by operator, all iterations\n{operator_times}"
+        ));
         report.explain = Some(explain_text);
     }
     Ok((ClusteringOutcome { assignment, trace }, report))
@@ -457,6 +464,9 @@ mod tests {
         assert!(text.contains("SeqScan: graph"));
         assert!(text.contains("actual:"));
         assert!(text.contains("history-informed"));
+        assert!(text.contains(" pages ("), "paged scans print their pool traffic");
+        assert!(text.contains("-- self time by operator, all iterations"));
+        assert!(text.contains("scan (paged)"));
         assert!(report.plan_time > Duration::ZERO);
     }
 

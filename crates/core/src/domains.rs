@@ -69,18 +69,25 @@ impl DomainCollection {
         DomainCollection { domains, index }
     }
 
-    /// Build directly from term groups (tests, fixtures).
+    /// Build directly from term groups (tests, fixtures, `load`). A
+    /// member listed twice in one group, as written or in another case,
+    /// is kept once, in its first spelling: a domain is a set of terms,
+    /// so a repeat can neither take a slot under the expansion cap nor
+    /// change any answer.
     pub fn from_groups(groups: Vec<Vec<String>>) -> Self {
         let mut index = HashMap::new();
-        for (i, group) in groups.iter().enumerate() {
-            for term in group {
-                index.insert(term.to_lowercase(), i as DomainIdx);
-            }
-        }
-        DomainCollection {
-            domains: groups,
-            index,
-        }
+        let domains = groups
+            .into_iter()
+            .enumerate()
+            .map(|(i, group)| {
+                let i = i as DomainIdx;
+                group
+                    .into_iter()
+                    .filter(|term| index.insert(term.to_lowercase(), i) != Some(i))
+                    .collect()
+            })
+            .collect();
+        DomainCollection { domains, index }
     }
 
     /// Number of domains.
@@ -273,6 +280,32 @@ mod tests {
         assert_eq!(terms.len(), 3);
         let capped = c.expand("niners", 2);
         assert_eq!(capped.len(), 2);
+    }
+
+    #[test]
+    fn a_member_repeated_in_any_case_is_kept_once() {
+        let plain = DomainCollection::from_groups(vec![vec!["a".into(), "b".into(), "c".into()]]);
+        let repeated = DomainCollection::from_groups(vec![vec![
+            "a".into(),
+            "A".into(),
+            "b".into(),
+            "b".into(),
+            "B".into(),
+            "c".into(),
+        ]]);
+        assert_eq!(repeated.domains(), plain.domains());
+        for cap in 1..5 {
+            assert_eq!(repeated.expand("a", cap), plain.expand("a", cap), "cap {cap}");
+            assert_eq!(repeated.expand("B", cap), plain.expand("B", cap), "cap {cap}");
+        }
+        // The first spelling stays; a term in two domains is still looked
+        // up in the later one.
+        let accented = DomainCollection::from_groups(vec![
+            vec!["x".into()],
+            vec!["É".into(), "é".into(), "x".into()],
+        ]);
+        assert_eq!(accented.domains()[1], vec!["É", "x"]);
+        assert_eq!(accented.expand("x", 5), vec!["x", "É"]);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Compact binary serialization of tables.
-//!
-//! The offline pipeline ships its intermediate relations between runs (the
-//! paper persists the graph and the domain collection between weekly
-//! iterations); JSON is ~4× larger and slower for numeric columns. Format:
+//! Compact binary serialization of tables: the one table codec. Files
+//! seal one table per frame (the multi-table containers below), spill
+//! runs write one partition or sorted batch per frame, and a paged
+//! table stores one chunk of consecutive rows per heap page
+//! (`crate::paged`). The paper persists the graph and the domain
+//! collection between weekly iterations; JSON is ~4× larger and slower
+//! for numeric columns. Format:
 //!
 //! ```text
 //! magic "ESRT" | version u16 | columns u32 | rows u64
@@ -13,183 +15,283 @@
 //!   Str  : rows × (u32 len + utf8)
 //! ```
 //!
+//! Both directions run a column at a time: the encoder writes a
+//! fixed-width column into a pre-sized buffer in one loop, and the
+//! decoder ([`decode_table`], and the page scan through the same
+//! column-appending cursor) appends a column's values straight from the
+//! byte slice to a typed column, skipping the columns nobody asked for.
+//!
 //! A table carries no checksum of its own: every container that persists
-//! one seals it in a frame (`esharp_storage::atomic::read_frame`) — the
-//! multi-table containers below, spill runs, heap metadata — so a torn
-//! write, truncation, or silent single-bit flip is detected before a
-//! table is decoded instead of yielding a plausible-but-wrong table.
-//! Versions 1 and 2 (2 carried a table CRC) are rejected as unsupported.
+//! one seals it in a frame (`esharp_storage::atomic::read_frame`) or a
+//! page CRC — the multi-table containers below, spill runs, heap pages
+//! and heap metadata — so a torn write, truncation, or silent single-bit
+//! flip is detected before a table is decoded instead of yielding a
+//! plausible-but-wrong table. Versions 1 and 2 (2 carried a table CRC)
+//! are rejected as unsupported.
 
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::DataType;
-use bytes::{BufMut, Bytes, BytesMut};
 use esharp_storage::atomic::{frame_header, read_frame};
+use std::ops::Range;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"ESRT";
 const VERSION: u16 = 3;
+/// Magic, version, column count and row count.
+const HEADER: usize = 4 + 2 + 4 + 8;
 
 /// Serialize a table into the binary format.
-pub fn encode_table(table: &Table) -> Bytes {
-    let mut buf = BytesMut::with_capacity(table.byte_size() + 64);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u32_le(table.schema().len() as u32);
-    buf.put_u64_le(table.num_rows() as u64);
-    for (field, column) in table.schema().fields().iter().zip(table.columns()) {
-        buf.put_u16_le(field.name.len() as u16);
-        buf.put_slice(field.name.as_bytes());
-        buf.put_u8(dtype_tag(field.dtype));
+pub fn encode_table(table: &Table) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_rows_into(table, 0..table.num_rows(), &mut out);
+    out
+}
+
+/// Append the encoding of rows `rows` of `table` to `out`: the bytes
+/// [`encode_table`] writes for a table of just those rows.
+pub(crate) fn encode_rows_into(table: &Table, rows: Range<usize>, out: &mut Vec<u8>) {
+    let fields = table.schema().fields();
+    let names: usize = fields.iter().map(|f| 2 + f.name.len() + 1).sum();
+    let payload: usize = table
+        .columns()
+        .iter()
+        .map(|column| match column.as_ref() {
+            Column::Bool(_) => rows.len(),
+            Column::Int(_) | Column::Float(_) => rows.len() * 8,
+            Column::Str(v) => v[rows.clone()].iter().map(|s| 4 + s.len()).sum(),
+        })
+        .sum();
+    out.reserve(HEADER + names + payload);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&(fields.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+    for (field, column) in fields.iter().zip(table.columns()) {
+        out.extend_from_slice(&(field.name.len() as u16).to_le_bytes());
+        out.extend_from_slice(field.name.as_bytes());
+        out.push(dtype_tag(field.dtype));
         match column.as_ref() {
-            Column::Bool(v) => {
-                for &b in v {
-                    buf.put_u8(b as u8);
-                }
-            }
-            Column::Int(v) => {
-                for &i in v {
-                    buf.put_i64_le(i);
-                }
-            }
-            Column::Float(v) => {
-                for &x in v {
-                    buf.put_f64_le(x);
-                }
-            }
+            Column::Bool(v) => out.extend(v[rows.clone()].iter().map(|&b| b as u8)),
+            Column::Int(v) => put_words(out, &v[rows.clone()], i64::to_le_bytes),
+            Column::Float(v) => put_words(out, &v[rows.clone()], f64::to_le_bytes),
             Column::Str(v) => {
-                for s in v {
-                    buf.put_u32_le(s.len() as u32);
-                    buf.put_slice(s.as_bytes());
+                for s in &v[rows.clone()] {
+                    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                    out.extend_from_slice(s.as_bytes());
                 }
             }
         }
     }
-    buf.freeze()
+}
+
+/// Write `values` as 8-byte little-endian words: the buffer grows once
+/// and one loop fills it.
+fn put_words<T: Copy>(out: &mut Vec<u8>, values: &[T], le: fn(T) -> [u8; 8]) {
+    let start = out.len();
+    out.resize(start + values.len() * 8, 0);
+    for (dst, &x) in out[start..].chunks_exact_mut(8).zip(values) {
+        dst.copy_from_slice(&le(x));
+    }
+}
+
+/// The payload bytes each row of `table` adds to an encoding; a chunk
+/// of rows is its header (the encoding of the empty table) plus its
+/// rows' lengths.
+pub(crate) fn row_lens(table: &Table) -> Vec<usize> {
+    let fixed: usize = table
+        .columns()
+        .iter()
+        .map(|column| match column.as_ref() {
+            Column::Bool(_) => 1,
+            Column::Int(_) | Column::Float(_) => 8,
+            Column::Str(_) => 4,
+        })
+        .sum();
+    let mut lens = vec![fixed; table.num_rows()];
+    for column in table.columns() {
+        if let Column::Str(v) = column.as_ref() {
+            for (len, s) in lens.iter_mut().zip(v) {
+                *len += s.len();
+            }
+        }
+    }
+    lens
+}
+
+fn decode_err(msg: &str) -> RelError {
+    RelError::Eval(format!("binary table decode: {msg}"))
+}
+
+/// A cursor over one encoded table, read a column at a time:
+/// [`Chunk::open`] reads the header, then each column in order gives
+/// its name and type ([`Chunk::field`]) and its values
+/// ([`Chunk::values`]), and [`Chunk::finish`] demands that every byte
+/// was read. Any byte string reads to values or an error, never a
+/// panic.
+pub(crate) struct Chunk<'a> {
+    buf: &'a [u8],
+    off: usize,
+    rows: usize,
+    columns: usize,
+}
+
+impl<'a> Chunk<'a> {
+    /// Read the header of the table encoded in `buf` (version 3 only).
+    pub(crate) fn open(buf: &'a [u8]) -> RelResult<Chunk<'a>> {
+        if buf.len() < HEADER {
+            return Err(decode_err("truncated header"));
+        }
+        if &buf[..4] != MAGIC {
+            return Err(decode_err("bad magic"));
+        }
+        let version = u16::from_le_bytes([buf[4], buf[5]]);
+        if version != VERSION {
+            return Err(decode_err(&format!("unsupported version {version}")));
+        }
+        let columns = u32::from_le_bytes([buf[6], buf[7], buf[8], buf[9]]) as usize;
+        let mut rows = [0u8; 8];
+        rows.copy_from_slice(&buf[10..HEADER]);
+        let rows = usize::try_from(u64::from_le_bytes(rows))
+            .map_err(|_| decode_err("row count overflows usize"))?;
+        Ok(Chunk {
+            buf,
+            off: HEADER,
+            rows,
+            columns,
+        })
+    }
+
+    /// Rows of every column.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub(crate) fn columns(&self) -> usize {
+        self.columns
+    }
+
+    /// The next `n` bytes, or `what` as the error.
+    fn bytes(&mut self, n: usize, what: &str) -> RelResult<&'a [u8]> {
+        let buf: &'a [u8] = self.buf;
+        let end = self
+            .off
+            .checked_add(n)
+            .filter(|&end| end <= buf.len())
+            .ok_or_else(|| decode_err(what))?;
+        let bytes = &buf[self.off..end];
+        self.off = end;
+        Ok(bytes)
+    }
+
+    /// The next column's name and type; its values follow.
+    pub(crate) fn field(&mut self) -> RelResult<(&'a str, DataType)> {
+        let len = self.bytes(2, "truncated column name length")?;
+        let len = u16::from_le_bytes([len[0], len[1]]) as usize;
+        let name = self.bytes(len, "truncated column name")?;
+        let name = std::str::from_utf8(name).map_err(|_| decode_err("column name not UTF-8"))?;
+        let tag = self.bytes(1, "truncated column type")?[0];
+        let dtype = tag_dtype(tag).ok_or_else(|| decode_err("unknown dtype tag"))?;
+        Ok((name, dtype))
+    }
+
+    /// Read the values of the column whose [`Chunk::field`] was just
+    /// read, of type `dtype`: append the first `take` of them to `into`
+    /// (a column of that type) when it is given, and step over the
+    /// rest.
+    pub(crate) fn values(
+        &mut self,
+        dtype: DataType,
+        take: usize,
+        into: Option<&mut Column>,
+    ) -> RelResult<()> {
+        if into.as_ref().is_some_and(|col| col.dtype() != dtype) {
+            return Err(decode_err("column type differs from its builder"));
+        }
+        let rows = self.rows;
+        let take = take.min(rows);
+        match dtype {
+            DataType::Bool => {
+                let bytes = self.bytes(rows, "truncated bool column")?;
+                if let Some(Column::Bool(v)) = into {
+                    v.extend(bytes[..take].iter().map(|&b| b != 0));
+                }
+            }
+            DataType::Int | DataType::Float => {
+                let len = rows
+                    .checked_mul(8)
+                    .ok_or_else(|| decode_err("column overflows"))?;
+                let words = self.bytes(len, "truncated fixed-width column")?[..take * 8]
+                    .chunks_exact(8)
+                    .map(word);
+                match into {
+                    Some(Column::Int(v)) => v.extend(words.map(i64::from_le_bytes)),
+                    Some(Column::Float(v)) => v.extend(words.map(f64::from_le_bytes)),
+                    _ => {}
+                }
+            }
+            DataType::Str => {
+                let mut into = match into {
+                    Some(Column::Str(v)) => {
+                        // Clamped by what the payload could hold (4
+                        // length bytes per row), so a corrupt row count
+                        // cannot force a huge allocation.
+                        v.reserve(take.min((self.buf.len() - self.off) / 4));
+                        Some(v)
+                    }
+                    _ => None,
+                };
+                for row in 0..rows {
+                    let len = self.bytes(4, "truncated string length")?;
+                    let len = u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize;
+                    let bytes = self.bytes(len, "truncated string payload")?;
+                    if let Some(v) = into.as_mut().filter(|_| row < take) {
+                        let s = std::str::from_utf8(bytes)
+                            .map_err(|_| decode_err("string not UTF-8"))?;
+                        v.push(Arc::from(s));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Errors unless every byte has been read.
+    pub(crate) fn finish(&self) -> RelResult<()> {
+        if self.off != self.buf.len() {
+            return Err(decode_err("trailing bytes after the last column"));
+        }
+        Ok(())
+    }
+}
+
+/// An 8-byte chunk of a fixed-width column as a word.
+fn word(bytes: &[u8]) -> [u8; 8] {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(bytes);
+    w
 }
 
 /// Deserialize a table from the binary format (version 3 only). Any
-/// byte string decodes to a table or an error, never a panic.
-///
-/// Decoding runs over a plain byte slice with bulk per-column loops
-/// (`chunks_exact` for the fixed-width types) instead of a per-value
-/// cursor — column payloads are contiguous, so this is the difference
-/// between a vectorizable copy and hundreds of thousands of bounds
-/// checks on the corpus-sized frames of the online read path.
-pub fn decode_table(data: Bytes) -> RelResult<Table> {
-    let err = |msg: &str| RelError::Eval(format!("binary table decode: {msg}"));
-    let buf: &[u8] = &data;
-    if buf.len() < 4 + 2 + 4 + 8 {
-        return Err(err("truncated header"));
-    }
-    if &buf[..4] != MAGIC {
-        return Err(err("bad magic"));
-    }
-    let version = u16::from_le_bytes([buf[4], buf[5]]);
-    if version != VERSION {
-        return Err(err(&format!("unsupported version {version}")));
-    }
-    let mut off = 6usize;
-    let columns = u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]) as usize;
-    off += 4;
-    let rows = u64::from_le_bytes([
-        buf[off],
-        buf[off + 1],
-        buf[off + 2],
-        buf[off + 3],
-        buf[off + 4],
-        buf[off + 5],
-        buf[off + 6],
-        buf[off + 7],
-    ]);
-    off += 8;
-    let rows = usize::try_from(rows).map_err(|_| err("row count overflows usize"))?;
-
-    let mut fields = Vec::with_capacity(columns.min(1024));
-    let mut cols = Vec::with_capacity(columns.min(1024));
-    for _ in 0..columns {
-        if buf.len() - off < 2 {
-            return Err(err("truncated column name length"));
-        }
-        let name_len = u16::from_le_bytes([buf[off], buf[off + 1]]) as usize;
-        off += 2;
-        if buf.len() - off < name_len + 1 {
-            return Err(err("truncated column name"));
-        }
-        let name = std::str::from_utf8(&buf[off..off + name_len])
-            .map_err(|_| err("column name not UTF-8"))?
-            .to_string();
-        off += name_len;
-        let dtype = tag_dtype(buf[off]).ok_or_else(|| err("unknown dtype tag"))?;
-        off += 1;
-        let column = match dtype {
-            DataType::Bool => {
-                if buf.len() - off < rows {
-                    return Err(err("truncated bool column"));
-                }
-                let v = buf[off..off + rows].iter().map(|&b| b != 0).collect();
-                off += rows;
-                Column::Bool(v)
-            }
-            DataType::Int => {
-                let bytes = rows.checked_mul(8).ok_or_else(|| err("int column overflows"))?;
-                if buf.len() - off < bytes {
-                    return Err(err("truncated int column"));
-                }
-                let v = buf[off..off + bytes]
-                    .chunks_exact(8)
-                    .map(|c| i64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-                    .collect();
-                off += bytes;
-                Column::Int(v)
-            }
-            DataType::Float => {
-                let bytes = rows
-                    .checked_mul(8)
-                    .ok_or_else(|| err("float column overflows"))?;
-                if buf.len() - off < bytes {
-                    return Err(err("truncated float column"));
-                }
-                let v = buf[off..off + bytes]
-                    .chunks_exact(8)
-                    .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-                    .collect();
-                off += bytes;
-                Column::Float(v)
-            }
-            DataType::Str => {
-                // Capacity is clamped by what the payload could possibly
-                // hold (4 length bytes per row) so a corrupt row count
-                // cannot force a huge allocation before the first row
-                // fails to parse.
-                let mut v: Vec<Arc<str>> = Vec::with_capacity(rows.min((buf.len() - off) / 4));
-                for _ in 0..rows {
-                    if buf.len() - off < 4 {
-                        return Err(err("truncated string length"));
-                    }
-                    let len =
-                        u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
-                            as usize;
-                    off += 4;
-                    if buf.len() - off < len {
-                        return Err(err("truncated string payload"));
-                    }
-                    let s = std::str::from_utf8(&buf[off..off + len])
-                        .map_err(|_| err("string not UTF-8"))?;
-                    off += len;
-                    v.push(Arc::from(s));
-                }
-                Column::Str(v)
-            }
-        };
+/// byte string decodes to a table or an error, never a panic. Every
+/// column is appended from the slice in one loop (`Chunk::values`):
+/// column payloads are contiguous, so this is a vectorizable copy and
+/// not a bounds check per value.
+pub fn decode_table(buf: &[u8]) -> RelResult<Table> {
+    let mut chunk = Chunk::open(buf)?;
+    let mut fields = Vec::with_capacity(chunk.columns().min(1024));
+    let mut cols = Vec::with_capacity(chunk.columns().min(1024));
+    for _ in 0..chunk.columns() {
+        let (name, dtype) = chunk.field()?;
+        let mut column = Column::empty(dtype);
+        chunk.values(dtype, usize::MAX, Some(&mut column))?;
         fields.push(Field::new(name, dtype));
         cols.push(column);
     }
-    if off != buf.len() {
-        return Err(err("trailing bytes after the last column"));
-    }
+    chunk.finish()?;
     Table::new(Arc::new(Schema::new(fields)?), cols)
 }
 
@@ -224,7 +326,7 @@ pub fn decode_frames_exact(data: &[u8], expect: usize) -> RelResult<Vec<Table>> 
     let mut tables = Vec::with_capacity(expect);
     for _ in 0..expect {
         let frame = read_frame(&mut rest).map_err(|e| err(e.to_string()))?;
-        tables.push(decode_table(Bytes::from(frame))?);
+        tables.push(decode_table(&frame)?);
     }
     if !rest.is_empty() {
         return Err(err(format!("bytes after the last of {expect} frames")));
@@ -288,14 +390,14 @@ mod tests {
     fn round_trip_preserves_everything() {
         let t = sample();
         let encoded = encode_table(&t);
-        let decoded = decode_table(encoded).unwrap();
+        let decoded = decode_table(&encoded).unwrap();
         assert_eq!(decoded, t);
     }
 
     #[test]
     fn empty_table_round_trips() {
         let t = Table::empty(Schema::of(&[("x", DataType::Int)]));
-        let decoded = decode_table(encode_table(&t)).unwrap();
+        let decoded = decode_table(&encode_table(&t)).unwrap();
         assert_eq!(decoded, t);
     }
 
@@ -311,7 +413,7 @@ mod tests {
                 Damage::Flipped { byte, .. } => byte < 6,
                 Damage::Trailing(_) => return,
             };
-            let res = decode_table(Bytes::copy_from_slice(image));
+            let res = decode_table(image);
             assert!(!checked || res.is_err(), "{damage:?} accepted");
         });
     }
@@ -321,7 +423,7 @@ mod tests {
         let encoded = encode_table(&sample());
         for_each_damage(&encoded, |damage, image| {
             if let Damage::Trailing(_) = damage {
-                let res = decode_table(Bytes::copy_from_slice(image));
+                let res = decode_table(image);
                 assert!(res.is_err(), "bare table: {damage:?} accepted");
             }
         });
@@ -333,15 +435,15 @@ mod tests {
     fn v1_frames_are_rejected() {
         // Version 1 had this layout; version 2 put a CRC after the version.
         let v3 = encode_table(&sample());
-        let mut v1 = v3.to_vec();
+        let mut v1 = v3.clone();
         v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let err = decode_table(Bytes::from(v1)).unwrap_err();
+        let err = decode_table(&v1).unwrap_err();
         assert!(err.to_string().contains("unsupported version 1"), "{err}");
         let mut v2 = b"ESRT".to_vec();
         v2.extend_from_slice(&2u16.to_le_bytes());
         v2.extend_from_slice(&[0; 4]);
         v2.extend_from_slice(&v3[6..]);
-        let err = decode_table(Bytes::from(v2)).unwrap_err();
+        let err = decode_table(&v2).unwrap_err();
         assert!(err.to_string().contains("unsupported version 2"), "{err}");
     }
 

@@ -89,6 +89,25 @@ pub fn hash_partition(input: &Table, keys: &[usize], n: usize) -> Vec<Table> {
     buckets.into_iter().map(|idx| input.gather(&idx)).collect()
 }
 
+/// Split `input` into `n` partitions by key range when its key is one
+/// dense `Int` column (`ops::dense_range`): partition `p` holds the keys
+/// `min + p·w ..= min + (p+1)·w − 1` for `w = ⌈span / n⌉`, so the
+/// partitions are in ascending key order and each key lands in exactly
+/// one. Rows keep their input order within a partition. `None` for
+/// every other key.
+pub(crate) fn key_range_partition(input: &Table, keys: &[usize], n: usize) -> Option<Vec<Table>> {
+    let (min, max) = crate::ops::dense_range(input, keys)?;
+    let ints = input.column(keys[0]).as_int()?;
+    // Dense keys span at most a few times the row count, so `span` and
+    // every key's offset fit a `usize`.
+    let width = (max.wrapping_sub(min) as u64 as usize + 1).div_ceil(n.max(1));
+    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n.max(1)];
+    for (row, &key) in ints.iter().enumerate() {
+        buckets[key.wrapping_sub(min) as u64 as usize / width].push(row);
+    }
+    Some(buckets.into_iter().map(|idx| input.gather(&idx)).collect())
+}
+
 /// Split `input` into `n` contiguous chunks of near-equal size (for
 /// broadcast joins, where the probe side needs no co-location).
 pub fn chunk_partition(input: &Table, n: usize) -> Vec<Table> {

@@ -28,6 +28,15 @@ pub struct StageStats {
     pub spill_bytes: u64,
     /// Number of spill partitions / sorted runs written.
     pub spill_parts: u64,
+    /// Pages a paged scan fetched through its buffer pool (0 for every
+    /// other operator).
+    pub pages: u64,
+    /// Of those fetches, the ones a resident frame served: the scan's
+    /// delta of `PoolStats::hits`.
+    pub pool_hits: u64,
+    /// Of those fetches, the ones read from disk: the scan's delta of
+    /// `PoolStats::misses`.
+    pub pool_misses: u64,
     /// Physical plan node id this record belongs to, when the record was
     /// produced by [`crate::physical`] execution. Lets EXPLAIN ANALYZE
     /// correlate measurements with plan nodes; `None` for pipeline-level
@@ -52,6 +61,9 @@ impl StageStats {
             bytes_written: 0,
             spill_bytes: 0,
             spill_parts: 0,
+            pages: 0,
+            pool_hits: 0,
+            pool_misses: 0,
             node: None,
         }
     }

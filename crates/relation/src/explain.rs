@@ -146,6 +146,13 @@ fn render_physical(
                     s.wall,
                     self_wall(plan, snapshot).unwrap_or_default()
                 );
+                if s.pages > 0 {
+                    let _ = write!(
+                        out,
+                        ", {} pages ({} hits, {} misses)",
+                        s.pages, s.pool_hits, s.pool_misses
+                    );
+                }
                 if s.spill_bytes > 0 {
                     let _ = write!(
                         out,
@@ -170,6 +177,57 @@ fn render_physical(
     out.push('\n');
     for input in plan.inputs() {
         render_physical(input, depth + 1, stats, out);
+    }
+}
+
+/// Self time per operator kind, summed over any number of executed
+/// plans: the per-operator cost table of a whole run. A scan that
+/// fetched pages counts as `scan (paged)` and an operator that spilled
+/// as `<kind> (spilled)`, so the cost of the memory bound stands apart.
+#[derive(Debug, Default, Clone)]
+pub struct OperatorTimes {
+    /// `(kind, runs, summed self time)` in first-seen order.
+    kinds: Vec<(String, u64, Duration)>,
+}
+
+impl OperatorTimes {
+    /// Add every node of `plan` that `stats` (an EXPLAIN ANALYZE
+    /// snapshot of its run) measured.
+    pub fn add(&mut self, plan: &PhysicalPlan, stats: &[StageStats]) {
+        if let (Some(s), Some(own)) = (node_stats(stats, plan.id()), self_wall(plan, stats)) {
+            let kind = if s.pages > 0 {
+                format!("{} (paged)", plan.label())
+            } else if s.spill_bytes > 0 {
+                format!("{} (spilled)", plan.label())
+            } else {
+                plan.label().to_string()
+            };
+            match self.kinds.iter_mut().find(|(k, ..)| *k == kind) {
+                Some((_, runs, total)) => {
+                    *runs += 1;
+                    *total += own;
+                }
+                None => self.kinds.push((kind, 1, own)),
+            }
+        }
+        for input in plan.inputs() {
+            self.add(input, stats);
+        }
+    }
+}
+
+impl std::fmt::Display for OperatorTimes {
+    /// One line per kind, the most expensive first, then the total.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut rows = self.kinds.clone();
+        rows.sort_by_key(|row| std::cmp::Reverse(row.2));
+        writeln!(f, "{:<20} {:>6} {:>12}", "operator", "runs", "self ms")?;
+        for (kind, runs, total) in &rows {
+            writeln!(f, "{kind:<20} {runs:>6} {:>12.3}", total.as_secs_f64() * 1e3)?;
+        }
+        let total: Duration = rows.iter().map(|r| r.2).sum();
+        let runs: u64 = rows.iter().map(|r| r.1).sum();
+        writeln!(f, "{:<20} {runs:>6} {:>12.3}", "total", total.as_secs_f64() * 1e3)
     }
 }
 
@@ -308,5 +366,54 @@ mod tests {
         let text = explain_analyze(&physical, &stats);
         let lines = text.lines().count();
         assert_eq!(text.matches(", self ").count(), lines, "{text}");
+        let mut times = OperatorTimes::default();
+        times.add(&physical, &stats);
+        let table = times.to_string();
+        for kind in ["aggregate", "filter", "join", "scan", "total"] {
+            assert!(table.lines().any(|l| l.starts_with(kind)), "{table}");
+        }
+    }
+
+    /// The number before `label` in `line`, as in `… 12 pages (…`.
+    fn count_before(line: &str, label: &str) -> u64 {
+        let head = &line[..line.find(label).unwrap_or_else(|| panic!("{label}: {line}"))];
+        head.rsplit([' ', '(']).next().unwrap().parse().unwrap()
+    }
+
+    #[test]
+    fn paged_scans_print_their_pool_traffic() {
+        use crate::exec::StatsRegistry;
+        use crate::paged::PagedTable;
+        use crate::value::Value;
+        use esharp_storage::BufferPool;
+        use std::sync::Arc;
+        let schema = Schema::of(&[("id", DataType::Int), ("name", DataType::Str)]);
+        let rows = (0..3000i64)
+            .map(|i| vec![Value::Int(i), Value::str(format!("name-{i}"))])
+            .collect();
+        let table = Table::from_rows(schema, rows).unwrap();
+        let dir = std::env::temp_dir().join(format!("esharp_explain_pages_{}", std::process::id()));
+        let paged = Arc::new(PagedTable::create(&dir.join("t"), &table).unwrap());
+        assert!(paged.page_count() > 4);
+        let catalog = Catalog::new();
+        // Three frames: the scan turns its small ring over, and the
+        // second run of the plan finds the ring's pages resident.
+        catalog.register_paged("t", Arc::clone(&paged), Arc::new(BufferPool::new(3)));
+        let registry = StatsRegistry::new();
+        let ctx = ExecContext::new(catalog).with_stats(registry.clone());
+        let physical = optimize(&LogicalPlan::scan("t"), &ctx).unwrap();
+        let mut hits = 0;
+        for _ in 0..2 {
+            let mark = registry.snapshot().len();
+            ctx.execute_physical(&physical).unwrap();
+            let text = explain_analyze(&physical, &registry.snapshot()[mark..]);
+            let line = text.lines().find(|l| l.contains("SeqScan: t")).unwrap();
+            assert_eq!(count_before(line, " pages ("), paged.page_count(), "{line}");
+            let (h, m) = (count_before(line, " hits"), count_before(line, " misses"));
+            assert_eq!(h + m, paged.page_count(), "{line}");
+            hits += h;
+        }
+        assert!(hits > 0, "the second scan finds pages resident");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

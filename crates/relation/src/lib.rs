@@ -65,7 +65,7 @@ pub use catalog::{Catalog, Source};
 pub use column::Column;
 pub use error::{RelError, RelResult};
 pub use exec::{Cluster, ExecStats, JoinStrategy, StageStats, StatsRegistry};
-pub use explain::{explain_analyze, explain_physical};
+pub use explain::{explain_analyze, explain_physical, OperatorTimes};
 pub use expr::{BinOp, CompiledExpr, Expr};
 pub use esharp_storage::{BufferPool, PoolStats, PAGE_SIZE};
 pub use paged::{PagedTable, ScanOptions, ScanOutcome};

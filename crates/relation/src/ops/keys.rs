@@ -53,6 +53,16 @@ impl<'a> Keys<'a> {
         )
     }
 
+    /// The smallest and the largest key when the key is one `Int`
+    /// column whose span `max − min + 1` is at most [`direct_limit`]:
+    /// the keys an index addresses directly.
+    fn dense_range(&self) -> Option<(i64, i64)> {
+        let (min, max) = self.int_range()?;
+        // `abs_diff` is `span − 1` and cannot overflow, even for a key
+        // column spanning `i64::MIN..=i64::MAX`.
+        (max.abs_diff(min) < direct_limit(self.rows) as u64).then_some((min, max))
+    }
+
     /// Every row's key hash: `exec::hash_key` of its key values.
     fn hashes(&self) -> Vec<u64> {
         hash_rows(&self.cols, self.rows)
@@ -115,15 +125,10 @@ impl Bucket {
                 "{rows} rows exceed one hash table's capacity"
             )));
         }
-        if let Some((min, max)) = keys.int_range() {
-            // `abs_diff` is `span − 1` and cannot overflow, even for a
-            // key column spanning `i64::MIN..=i64::MAX`.
-            let gap = max.abs_diff(min);
-            if gap < direct_limit(rows) as u64 {
-                return Ok((Bucket::Direct { min, max }, gap as usize + 1));
-            }
-        }
-        Ok(Bucket::hashed(keys))
+        Ok(match keys.dense_range() {
+            Some((min, max)) => (Bucket::Direct { min, max }, offset(max, min) + 1),
+            None => Bucket::hashed(keys),
+        })
     }
 
     /// The hashed bucket function for `keys` and its bucket count.
@@ -151,6 +156,13 @@ impl Bucket {
             Bucket::Hashed { hashes, .. } => hashes[a] == hashes[b] && keys.eq(a, keys, b),
         }
     }
+}
+
+/// The smallest and the largest key of `keys` of `table` when they are
+/// one `Int` column dense enough to address directly (the rule every
+/// join and group index applies); `None` for every other key.
+pub(crate) fn dense_range(table: &Table, keys: &[usize]) -> Option<(i64, i64)> {
+    Keys::new(table, keys).dense_range()
 }
 
 /// `key − min` for a key in `[min, max]`: below the span, so it fits a

@@ -14,6 +14,7 @@ mod set;
 mod sort;
 
 pub use aggregate::{aggregate, AggFunc, AggSpec};
+pub(crate) use keys::dense_range;
 pub use join::{hash_join, JoinSide};
 pub use project::{filter, project, ProjectionSpec};
 pub use set::{distinct, limit, union_all};

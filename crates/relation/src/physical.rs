@@ -29,7 +29,7 @@ use crate::binfmt;
 use crate::catalog::Source;
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
-use crate::exec::{hash_partition, JoinStrategy, StageStats};
+use crate::exec::{hash_partition, key_range_partition, JoinStrategy, StageStats};
 use crate::expr::Expr;
 use crate::ops::{self, AggFunc, JoinSide, ProjectionSpec, SortKey};
 use crate::paged::ScanOptions;
@@ -37,7 +37,6 @@ use crate::plan::{equi_pair, flatten_and, lower_agg, AggCall, ExecContext, Logic
 use crate::schema::{Field, Schema, SchemaRef};
 use crate::table::Table;
 use crate::value::DataType;
-use bytes::Bytes;
 use esharp_storage::{SpillDir, SpillHandle, SpillReader, PAGE_SIZE};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -934,6 +933,15 @@ struct SpillIo {
     parts: u64,
 }
 
+/// Buffer-pool accounting a paged scan reports into its [`StageStats`]:
+/// pages fetched, and the pool's hit and miss counters over the scan.
+#[derive(Default, Clone, Copy)]
+struct PageIo {
+    pages: u64,
+    hits: u64,
+    misses: u64,
+}
+
 impl ExecContext {
     /// Execute a physical plan to a materialized table, recording one
     /// [`StageStats`] per node (tagged with its node id) into the
@@ -941,6 +949,7 @@ impl ExecContext {
     pub fn execute_physical(&self, plan: &PhysicalPlan) -> RelResult<Table> {
         let start = Instant::now();
         let mut spill = SpillIo::default();
+        let mut page_io = PageIo::default();
         let (result, rows_in, bytes_in) = match plan {
             PhysicalPlan::SeqScan {
                 table,
@@ -948,7 +957,13 @@ impl ExecContext {
                 predicate,
                 limit,
                 ..
-            } => self.run_scan(table, projection.as_deref(), predicate.as_ref(), *limit)?,
+            } => self.run_scan(
+                table,
+                projection.as_deref(),
+                predicate.as_ref(),
+                *limit,
+                &mut page_io,
+            )?,
             PhysicalPlan::Filter {
                 input, predicate, ..
             } => {
@@ -1037,24 +1052,30 @@ impl ExecContext {
             rec.bytes_written = result.byte_size() as u64;
             rec.spill_bytes = spill.bytes;
             rec.spill_parts = spill.parts;
+            rec.pages = page_io.pages;
+            rec.pool_hits = page_io.hits;
+            rec.pool_misses = page_io.misses;
             stats.record(rec);
         }
         Ok(result)
     }
 
-    /// Scan with pushdown. Returns `(table, rows_scanned, bytes_scanned)`.
+    /// Scan with pushdown. Returns `(table, rows_scanned, bytes_scanned)`;
+    /// a paged scan also reports its pool traffic into `page_io`.
     fn run_scan(
         &self,
         table: &str,
         projection: Option<&[usize]>,
         predicate: Option<&Expr>,
         limit: Option<usize>,
+        page_io: &mut PageIo,
     ) -> RelResult<(Table, u64, u64)> {
         match self.catalog.get_source(table)? {
             Source::Paged { table, pool } => {
                 let compiled = predicate
                     .map(|p| p.compile(table.schema(), &self.udfs))
                     .transpose()?;
+                let before = pool.stats();
                 let outcome = table.scan(
                     &pool,
                     &ScanOptions {
@@ -1063,6 +1084,12 @@ impl ExecContext {
                         limit,
                     },
                 )?;
+                let after = pool.stats();
+                *page_io = PageIo {
+                    pages: outcome.pages_read,
+                    hits: after.hits - before.hits,
+                    misses: after.misses - before.misses,
+                };
                 Ok((
                     outcome.table,
                     outcome.rows_scanned,
@@ -1252,17 +1279,20 @@ impl ExecContext {
         let mut rr = rh.reader()?;
         let mut outputs = Vec::with_capacity(parts);
         while let (Some(lbuf), Some(rbuf)) = (lr.next_frame()?, rr.next_frame()?) {
-            let lpart = binfmt::decode_table(Bytes::from(lbuf))?;
-            let rpart = binfmt::decode_table(Bytes::from(rbuf))?;
+            let lpart = binfmt::decode_table(&lbuf)?;
+            let rpart = binfmt::decode_table(&rbuf)?;
             outputs.push(ops::hash_join(&lpart, &rpart, lk, rk, side)?);
         }
         Table::concat(&outputs)
     }
 
-    /// Aggregate, hash-partitioning the input to disk first when it
-    /// exceeds the grant. The spilled path re-sorts its output by the
-    /// group keys so it is bit-identical to the in-memory operator (which
-    /// emits groups in ascending key order).
+    /// Aggregate, partitioning the input to disk first when it exceeds
+    /// the grant. The in-memory operator emits groups in ascending key
+    /// order, and so does the spilled path: one dense `Int` key is cut
+    /// into key ranges, whose outputs concatenate in key order; every
+    /// other key is hash-partitioned and the output re-sorted. Either
+    /// way a group's rows reach its partition in input order, so every
+    /// aggregate is bit-identical to the in-memory one.
     fn run_aggregate(
         &self,
         input: &Table,
@@ -1282,9 +1312,11 @@ impl ExecContext {
             Some(grant) if input.byte_size() > grant && !keys.is_empty() => {
                 let parts = (input.byte_size() / grant.max(1) + 1).clamp(2, MAX_SPILL_PARTS);
                 let dir = SpillDir::new(&self.spill_dir(), "agg")?;
+                let ranges = key_range_partition(input, &keys, parts);
+                let key_ordered = ranges.is_some();
                 let handle = {
                     let mut w = dir.writer("parts")?;
-                    for part in hash_partition(input, &keys, parts) {
+                    for part in ranges.unwrap_or_else(|| hash_partition(input, &keys, parts)) {
                         w.append(&binfmt::encode_table(&part))?;
                     }
                     w.finish()?
@@ -1294,10 +1326,13 @@ impl ExecContext {
                 let mut reader = handle.reader()?;
                 let mut outputs = Vec::with_capacity(parts);
                 while let Some(buf) = reader.next_frame()? {
-                    let part = binfmt::decode_table(Bytes::from(buf))?;
+                    let part = binfmt::decode_table(&buf)?;
                     outputs.push(ops::aggregate(&part, &keys, &specs)?);
                 }
                 let merged = Table::concat(&outputs)?;
+                if key_ordered {
+                    return Ok(merged);
+                }
                 // Restore the global ascending-key order of the in-memory
                 // operator (group keys are columns 0..keys.len() of the
                 // output).
@@ -1343,11 +1378,13 @@ impl ExecContext {
             let indices: Vec<usize> = (start..end).collect();
             let run = ops::sort(&input.gather(&indices), keys)?;
             let mut w = dir.writer(&format!("run-{run_no}"))?;
+            let mut batch = Vec::new();
             let mut off = 0usize;
             while off < run.num_rows() {
                 let batch_end = (off + SPILL_BATCH_ROWS).min(run.num_rows());
-                let batch_idx: Vec<usize> = (off..batch_end).collect();
-                w.append(&binfmt::encode_table(&run.gather(&batch_idx)))?;
+                batch.clear();
+                binfmt::encode_rows_into(&run, off..batch_end, &mut batch);
+                w.append(&batch)?;
                 off = batch_end;
             }
             let h = w.finish()?;
@@ -1369,7 +1406,7 @@ impl ExecContext {
                 match reader.next_frame()? {
                     Some(buf) => Ok(Some(RunCursor {
                         reader,
-                        batch: binfmt::decode_table(Bytes::from(buf))?,
+                        batch: binfmt::decode_table(&buf)?,
                         pos: 0,
                     })),
                     None => Ok(None),
@@ -1382,7 +1419,7 @@ impl ExecContext {
                 self.pos += 1;
                 if self.pos >= self.batch.num_rows() {
                     if let Some(buf) = self.reader.next_frame()? {
-                        self.batch = binfmt::decode_table(Bytes::from(buf))?;
+                        self.batch = binfmt::decode_table(&buf)?;
                         self.pos = 0;
                     }
                 }

@@ -8,7 +8,8 @@
 use esharp_relation::ops::{aggregate, distinct, hash_join, limit, sort, AggFunc, AggSpec, JoinSide, SortKey};
 use esharp_relation::exec::{hash_partition, Cluster, JoinStrategy};
 use esharp_relation::{
-    Catalog, DataType, Estimate, ExecContext, Expr, PhysicalPlan, Schema, Table, Value,
+    AggCall, Catalog, DataType, Estimate, ExecContext, Expr, PhysicalPlan, Schema, StatsRegistry,
+    Table, Value,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -191,7 +192,103 @@ fn answers_in(space: KeySpace, l: &Table, r: &Table) -> Vec<Vec<Vec<String>>> {
     out
 }
 
+/// `t` (`k, v`) with a third column `x = v / 7 + 0.1`, whose float sums
+/// and averages depend on the order their rows are added in.
+fn with_floats(t: &Table) -> Table {
+    let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int), ("x", DataType::Float)]);
+    let rows = t
+        .iter_rows()
+        .map(|mut row| {
+            let x = row[1].as_int().unwrap() as f64 / 7.0 + 0.1;
+            row.push(Value::Float(x));
+            row
+        })
+        .collect();
+    Table::from_rows(schema, rows).unwrap()
+}
+
+/// An aggregate of every function over `t` (`k, v, x`) grouped by `k`,
+/// as the physical executor runs it under a `grant`-byte memory grant,
+/// with the spilled bytes and parts its stats record.
+fn physical_aggregate(t: &Table, grant: usize) -> (Table, u64, u64) {
+    let catalog = Catalog::new();
+    catalog.register("t", t.clone());
+    let registry = StatsRegistry::new();
+    let ctx = ExecContext::new(catalog)
+        .with_memory_grant(grant)
+        .with_spill_root(std::env::temp_dir())
+        .with_stats(registry.clone());
+    let est = Estimate {
+        rows: 0.0,
+        bytes: 0.0,
+        measured: false,
+    };
+    let call = |func, args: &[&str], alias: &str| AggCall {
+        func,
+        args: args.iter().map(|a| a.to_string()).collect(),
+        alias: alias.into(),
+    };
+    let plan = PhysicalPlan::Aggregate {
+        id: 0,
+        input: Box::new(PhysicalPlan::SeqScan {
+            id: 1,
+            table: "t".into(),
+            projection: None,
+            predicate: None,
+            limit: None,
+            est,
+        }),
+        group_by: vec!["k".into()],
+        aggs: vec![
+            call(AggFunc::Count, &[], "n"),
+            call(AggFunc::Sum, &["x"], "s"),
+            call(AggFunc::Avg, &["x"], "a"),
+            call(AggFunc::Min, &["v"], "mn"),
+            call(AggFunc::Max, &["x"], "mx"),
+            call(AggFunc::ArgMax, &["x", "v"], "am"),
+        ],
+        est,
+    };
+    let out = ctx.execute_physical(&plan).unwrap();
+    let stats = registry.snapshot();
+    let spilled = stats.iter().map(|s| s.spill_bytes).sum();
+    let parts = stats.iter().map(|s| s.spill_parts).sum();
+    (out, spilled, parts)
+}
+
 proptest! {
+    /// The spilled aggregate at a 64-byte grant equals the in-memory
+    /// operator row for row and bit for bit, over dense keys (cut into
+    /// key ranges) and spread keys (hash-partitioned) alike; both spill
+    /// the same bytes in the same number of parts.
+    #[test]
+    fn spilled_aggregate_matches_in_memory_bit_for_bit(t in arb_table(120)) {
+        let t = with_floats(&t);
+        let specs = [
+            AggSpec::count("n"),
+            AggSpec::on(AggFunc::Sum, 2, "s"),
+            AggSpec::on(AggFunc::Avg, 2, "a"),
+            AggSpec::on(AggFunc::Min, 1, "mn"),
+            AggSpec::on(AggFunc::Max, 2, "mx"),
+            AggSpec::argmax(2, 1, "am"),
+        ];
+        let mut spills = Vec::new();
+        for space in KeySpace::BOTH {
+            let t = space.table(&t);
+            let in_memory = aggregate(&t, &[0], &specs).unwrap();
+            let (spilled, bytes, parts) = physical_aggregate(&t, 64);
+            prop_assert_eq!(
+                space.dense_bits(&spilled, &[0]),
+                space.dense_bits(&in_memory, &[0]),
+                "{:?}",
+                space
+            );
+            prop_assert_eq!(bytes > 0, t.byte_size() > 64, "{:?}", space);
+            spills.push((bytes, parts));
+        }
+        prop_assert_eq!(spills[0], spills[1]);
+    }
+
     #[test]
     fn filter_returns_subset_and_matches_model(t in arb_table(60), threshold in -100i64..100) {
         let ctx = ExecContext::new(Catalog::new());

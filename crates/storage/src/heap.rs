@@ -165,10 +165,16 @@ impl HeapFile {
 
     /// Append a fresh empty (sealed) page; returns its page number.
     pub fn allocate_page(&self) -> io::Result<u64> {
+        self.append_page(&mut Page::empty())
+    }
+
+    /// Seal `page` and write it once, as a new page after the last;
+    /// returns its page number. Like every page past the committed
+    /// metadata, it stays invisible to a reopen until [`HeapFile::sync`].
+    pub fn append_page(&self, page: &mut Page) -> io::Result<u64> {
+        page.seal();
         let mut state = self.state.lock();
         let no = state.pages;
-        let mut page = Page::empty();
-        page.seal();
         state.file.seek(SeekFrom::Start(no * PAGE_SIZE as u64))?;
         state.file.write_all(page.as_bytes())?;
         state.pages = no + 1;
@@ -329,6 +335,30 @@ mod tests {
         let back = HeapFile::open(&base).unwrap();
         assert_eq!(back.page_count(), 1, "uncommitted page leaked into metadata");
         assert_eq!(back.record_count(), 5);
+    }
+
+    #[test]
+    fn appended_pages_are_written_once_and_stay_invisible_until_sync() {
+        let base = tmpbase("append");
+        let heap = HeapFile::create(&base, b"").unwrap();
+        let mut page = Page::empty();
+        page.insert(b"first").unwrap();
+        assert_eq!(heap.append_page(&mut page).unwrap(), 0);
+        heap.add_records(1);
+        heap.sync().unwrap();
+        let mut page = Page::empty();
+        page.insert(b"second").unwrap();
+        assert_eq!(heap.append_page(&mut page).unwrap(), 1);
+        // The appended page is sealed and on disk: a read verifies it.
+        assert_eq!(heap.read_page(1).unwrap().record(0).unwrap(), b"second");
+        let len = std::fs::metadata(heap.data_path()).unwrap().len();
+        assert_eq!(len, 2 * PAGE_SIZE as u64);
+        drop(heap);
+        // Not synced: a reopen sees the committed first page only.
+        let back = HeapFile::open(&base).unwrap();
+        assert_eq!((back.page_count(), back.record_count()), (1, 1));
+        assert_eq!(back.read_page(0).unwrap().record(0).unwrap(), b"first");
+        assert!(back.read_page(1).is_err());
     }
 
     #[test]

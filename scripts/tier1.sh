@@ -17,8 +17,10 @@
 #   metamorphic the answer-preserving relations (tests/metamorphic.rs) in
 #           release mode over the Tiny testbed and `CorpusConfig::tiny`
 #           corpora: rebuilding from shuffled tweets, re-cutting into
-#           1, 2, 3 or 5 shards and appending tweets irrelevant to a
-#           query give every query the same top-k users and score bits
+#           1, 2, 3 or 5 shards, appending tweets irrelevant to a
+#           query and repeating a member of every domain (as written or
+#           in upper case) give every query the same top-k users and
+#           score bits
 #   flake   the flake budget: the test binaries of the virtual-clock and
 #           chaos suites (core's chaos_matrix, serve's proptest_chaos and
 #           chaos_smoke, microblog's `bounded` unit tests) run 100 times
@@ -72,7 +74,7 @@ cargo test -q --release -p esharp-community --test out_of_core_smoke
 echo "== tier-1: column kernels ≡ row oracle, release (bit for bit in every profile)"
 cargo test -q --release -p esharp-relation --test proptest_columnar
 
-echo "== tier-1: metamorphic relations, release (shuffled tweets, any shard count, irrelevant growth ≡ same answers)"
+echo "== tier-1: metamorphic relations, release (shuffled tweets, any shard count, irrelevant growth, duplicate domain members ≡ same answers)"
 cargo test -q --release -p esharp-eval --test metamorphic
 
 echo "== tier-1: flake budget (chaos suites 100x, ingest_smoke 25x)"

@@ -11,14 +11,18 @@
 //! * **irrelevant growth** — appending, for one query, tweets that no
 //!   term of its expansion matches, written by users who are not
 //!   candidates for it and naming (mentioning, retweeting) only such
-//!   users, so no candidate's counts or totals can move.
+//!   users, so no candidate's counts or totals can move;
+//! * **duplicate domain member** — every mined domain repeating one of
+//!   its members right after it, as written or in upper case, so the
+//!   expansion a query gets (its terms and their order, under the cap)
+//!   cannot change.
 //!
-//! All three run over the Tiny testbed and over corpora generated from its
+//! All four run over the Tiny testbed and over corpora generated from its
 //! world at proptest-chosen seeds. The queries are every term of the
 //! world, so every mined domain is expanded. `scripts/tier1.sh` runs
 //! this suite in release as well as in the debug test pass.
 
-use esharp_core::{Esharp, SearchOutcome};
+use esharp_core::{DomainCollection, Esharp, SearchOutcome};
 use esharp_eval::{EvalScale, Testbed};
 use esharp_microblog::{generate_corpus, Corpus, CorpusConfig, Tweet, TweetId, UserId};
 use proptest::prelude::*;
@@ -72,7 +76,11 @@ fn answer(outcome: SearchOutcome) -> Answer {
 
 /// The e# and the plain answer of every query on `corpus`.
 fn answers(corpus: &Corpus) -> Vec<(Answer, Answer)> {
-    let esharp = esharp();
+    answers_of(esharp(), corpus)
+}
+
+/// [`answers`] from `esharp`.
+fn answers_of(esharp: &Esharp, corpus: &Corpus) -> Vec<(Answer, Answer)> {
     queries()
         .into_iter()
         .map(|q| {
@@ -209,6 +217,45 @@ fn assert_relations(corpus: &Corpus, shuffle_seed: u64) {
     }
 }
 
+/// The testbed's online system over its domains with one member of
+/// every domain repeated right after itself: domain `d` repeats its
+/// member `d mod len`, in upper case for odd `d`.
+fn esharp_with_duplicates() -> &'static Esharp {
+    static ES: OnceLock<Esharp> = OnceLock::new();
+    ES.get_or_init(|| {
+        let base = esharp();
+        let groups: Vec<Vec<String>> = base
+            .domains()
+            .domains()
+            .iter()
+            .enumerate()
+            .map(|(d, members)| {
+                let mut members = members.clone();
+                let j = d % members.len();
+                let repeat = if d % 2 == 1 {
+                    members[j].to_uppercase()
+                } else {
+                    members[j].clone()
+                };
+                members.insert(j + 1, repeat);
+                members
+            })
+            .collect();
+        // The premise: every domain repeats a member, some in another case.
+        let upper = |t: &String| *t != t.to_lowercase();
+        assert!(groups.iter().any(|g| g.iter().any(upper)));
+        Esharp::new(DomainCollection::from_groups(groups), base.config().clone())
+    })
+}
+
+/// The duplicate-member relation: every query's answers on `corpus` are
+/// the same with every domain repeating a member.
+fn assert_duplicate_member_relation(corpus: &Corpus) {
+    let with_duplicates = esharp_with_duplicates();
+    let expected = answers(corpus);
+    compare(&expected, &answers_of(with_duplicates, corpus), "duplicate domain member");
+}
+
 fn compare(expected: &[(Answer, Answer)], actual: &[(Answer, Answer)], relation: &str) {
     assert_eq!(expected.len(), actual.len());
     for (query, (want, got)) in queries().iter().zip(expected.iter().zip(actual)) {
@@ -230,8 +277,19 @@ fn tiny_testbed_answers_survive_irrelevant_growth() {
     assert_growth_relation(&testbed().corpus);
 }
 
+#[test]
+fn tiny_testbed_answers_survive_duplicate_domain_members() {
+    assert_duplicate_member_relation(&testbed().corpus);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn generated_corpus_answers_survive_duplicate_domain_members(corpus_seed in any::<u64>()) {
+        let corpus = generate_corpus(&testbed().world, &CorpusConfig::tiny(corpus_seed));
+        assert_duplicate_member_relation(&corpus);
+    }
 
     #[test]
     fn generated_corpus_answers_survive_permutation_and_resharding(
