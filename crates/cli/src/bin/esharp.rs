@@ -582,10 +582,6 @@ fn cluster(opts: &Options) {
     }
     if let Some(text) = report.explain {
         print!("{text}");
-        println!(
-            "planning (plan_sql + optimize, all iterations): {:.1?}",
-            report.plan_time
-        );
     }
 }
 

@@ -35,13 +35,13 @@ use esharp_graph::MultiGraph;
 use esharp_relation::{
     explain_analyze, explain_physical, optimize, plan_sql, BufferPool, Catalog, Cluster, Column,
     DataType, ExecContext, OperatorTimes, PagedTable, PhysicalPlan, PlanHistory, PoolStats,
-    RelError, RelResult, ScalarUdf, StatsRegistry, Value,
+    RelError, RelResult, ScalarUdf, StageStats, StatsRegistry, Table, Value,
 };
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Configuration of the SQL-based clustering loop.
 #[derive(Debug, Clone)]
@@ -91,9 +91,6 @@ pub struct SqlRunReport {
     pub pool: Option<PoolStats>,
     /// EXPLAIN / EXPLAIN ANALYZE text when `explain` was requested.
     pub explain: Option<String>,
-    /// Time spent turning the Figure 4 statements into physical plans
-    /// (`plan_sql` + `optimize`), summed over every iteration.
-    pub plan_time: Duration,
 }
 
 /// The Figure 4 statements (in this engine's dialect — standard `ON`
@@ -179,9 +176,11 @@ fn cluster_sql_inner(
     registry: &StatsRegistry,
     pool: Option<&BufferPool>,
 ) -> RelResult<(ClusteringOutcome, SqlRunReport)> {
+    let started = Instant::now();
     let mut report = SqlRunReport::default();
     let mut explain_text = String::new();
-    let mut operator_times = OperatorTimes::default();
+    // Operator self times and the loop's own phases around them.
+    let mut times = OperatorTimes::default();
     // Per-statement measured feedback: the two Figure 4 statements keep
     // their plan shape across iterations, so node ids line up and the
     // optimizer can replace its static guesses with measured rows/bytes.
@@ -192,7 +191,9 @@ fn cluster_sql_inner(
     // The statistics of the current assignment: computed once per
     // assignment, for its trace entry and for the next iteration's
     // ModulGain.
-    let mut stats = PartitionStats::compute_with(graph, &assignment, config.workers);
+    let mut stats = timed(&mut times, PARTITION_STATS, || {
+        PartitionStats::compute_with(graph, &assignment, config.workers)
+    });
     let mut trace = Vec::with_capacity(config.max_iterations + 1);
     trace.push(IterationStat {
         iteration: 0,
@@ -204,68 +205,81 @@ fn cluster_sql_inner(
     for iteration in 1..=config.max_iterations {
         // Register the current communities table and the ModulGain UDF
         // over this iteration's partition statistics.
-        ctx.catalog.register(
-            "communities",
-            esharp_graph::relation_io::assignment_to_table(assignment.as_slice())?,
-        );
-        ctx.udfs.register(Arc::new(ModulGain::new(&stats)));
+        let communities = timed(&mut times, "communities table", || {
+            esharp_graph::relation_io::assignment_to_table(assignment.as_slice())
+        })?;
+        ctx.catalog.register("communities", communities);
+        timed(&mut times, "ModulGain build", || {
+            ctx.udfs.register(Arc::new(ModulGain::new(&stats)))
+        });
 
         // Step 1 (SQL): neighborhood creation, planned with last
         // iteration's measurements.
-        ctx.history = neighbors_history.clone();
-        let nphys = plan(NEIGHBORS_SQL, &ctx, &mut report.plan_time)?;
-        if config.explain && iteration <= 2 {
-            explain_text.push_str(&format!(
-                "-- iteration {iteration}: neighbors (EXPLAIN{})\n{}",
-                if iteration == 2 { ", history-informed" } else { "" },
-                explain_physical(&nphys)
-            ));
-        }
-        let mark = registry.snapshot().len();
-        let neighbors = ctx.execute_physical(&nphys)?;
-        let snap = registry.snapshot();
-        neighbors_history = PlanHistory::from_stats(&snap[mark..]);
+        let (neighbors, nphys, run) = run_statement(
+            &mut ctx,
+            registry,
+            NEIGHBORS_SQL,
+            &mut neighbors_history,
+            &mut times,
+        )?;
         if config.explain {
+            if iteration <= 2 {
+                explain_text.push_str(&format!(
+                    "-- iteration {iteration}: neighbors (EXPLAIN{})\n{}",
+                    if iteration == 2 {
+                        ", history-informed"
+                    } else {
+                        ""
+                    },
+                    explain_physical(&nphys)
+                ));
+            }
             explain_text.push_str(&format!(
                 "-- iteration {iteration}: neighbors (EXPLAIN ANALYZE)\n{}",
-                explain_analyze(&nphys, &snap[mark..])
+                explain_analyze(&nphys, &run)
             ));
-            operator_times.add(&nphys, &snap[mark..]);
+            times.add(&nphys, &run);
         }
         ctx.catalog.register("neighbors", neighbors);
 
         // Step 2 (SQL): neighborhood separation.
-        ctx.history = partitions_history.clone();
-        let pphys = plan(PARTITIONS_SQL, &ctx, &mut report.plan_time)?;
-        let mark = registry.snapshot().len();
-        let partitions = ctx.execute_physical(&pphys)?;
-        let snap = registry.snapshot();
-        partitions_history = PlanHistory::from_stats(&snap[mark..]);
+        let (partitions, pphys, run) = run_statement(
+            &mut ctx,
+            registry,
+            PARTITIONS_SQL,
+            &mut partitions_history,
+            &mut times,
+        )?;
         if config.explain {
             explain_text.push_str(&format!(
                 "-- iteration {iteration}: partitions (EXPLAIN ANALYZE)\n{}",
-                explain_analyze(&pphys, &snap[mark..])
+                explain_analyze(&pphys, &run)
             ));
-            operator_times.add(&pphys, &snap[mark..]);
+            times.add(&pphys, &run);
         }
 
         // Step 3: aggregation/renaming, over an owner array filled from
         // the `partitions` rows.
-        let ints = |name: &str| {
-            partitions
-                .column_by_name(name)?
-                .as_int()
-                .ok_or_else(|| RelError::Eval(format!("non-int {name} column")))
-        };
-        let mut owners: Vec<u32> = (0..stats.id_bound() as u32).collect();
-        for (&c, &o) in ints("comm2")?.iter().zip(ints("owner")?) {
-            owners[c as usize] = o as u32;
-        }
-        let Some((renamed, merges)) = aggregate(&assignment, &stats, &mut owners) else {
+        let merged = timed(&mut times, "step 3", || -> RelResult<_> {
+            let ints = |name: &str| {
+                partitions
+                    .column_by_name(name)?
+                    .as_int()
+                    .ok_or_else(|| RelError::Eval(format!("non-int {name} column")))
+            };
+            let mut owners: Vec<u32> = (0..stats.id_bound() as u32).collect();
+            for (&c, &o) in ints("comm2")?.iter().zip(ints("owner")?) {
+                owners[c as usize] = o as u32;
+            }
+            Ok(aggregate(&assignment, &stats, &mut owners))
+        })?;
+        let Some((renamed, merges)) = merged else {
             break;
         };
         assignment = renamed;
-        stats = PartitionStats::compute_with(graph, &assignment, config.workers);
+        stats = timed(&mut times, PARTITION_STATS, || {
+            PartitionStats::compute_with(graph, &assignment, config.workers)
+        });
         trace.push(IterationStat {
             iteration,
             communities: stats.num_communities(),
@@ -273,24 +287,51 @@ fn cluster_sql_inner(
             merges,
         });
     }
+    times.set_wall(started.elapsed());
 
     report.pool = pool.map(|p| p.stats());
     if config.explain {
         explain_text.push_str(&format!(
-            "-- self time by operator, all iterations\n{operator_times}"
+            "-- self time by operator, all iterations\n{times}"
         ));
         report.explain = Some(explain_text);
     }
     Ok((ClusteringOutcome { assignment, trace }, report))
 }
 
-/// Parse, bind and optimize one statement, adding the time taken to
-/// `spent`.
-fn plan(sql: &str, ctx: &ExecContext, spent: &mut Duration) -> RelResult<PhysicalPlan> {
+/// The loop phase [`PartitionStats::compute_with`] runs in, before the
+/// loop and in every iteration.
+const PARTITION_STATS: &str = "partition statistics";
+
+/// Run `f`, adding its wall time to `times` as one run of `phase`.
+fn timed<T>(times: &mut OperatorTimes, phase: &str, f: impl FnOnce() -> T) -> T {
     let started = Instant::now();
-    let physical = optimize(&plan_sql(sql, ctx)?, ctx)?;
-    *spent += started.elapsed();
-    Ok(physical)
+    let out = f();
+    times.add_phase(phase, started.elapsed());
+    out
+}
+
+/// Plan one Figure 4 statement with the measurements of its previous run
+/// in `history`, run it, and leave the measurements of this run in
+/// `history` for the next. Returns the result, the plan and the stats of
+/// this run; planning and the history bookkeeping are phases of `times`.
+fn run_statement(
+    ctx: &mut ExecContext,
+    registry: &StatsRegistry,
+    sql: &str,
+    history: &mut PlanHistory,
+    times: &mut OperatorTimes,
+) -> RelResult<(Table, PhysicalPlan, Vec<StageStats>)> {
+    ctx.history = std::mem::take(history);
+    let plan = timed(times, "planning", || optimize(&plan_sql(sql, ctx)?, ctx))?;
+    let mark = timed(times, "plan history", || registry.snapshot().len());
+    let result = ctx.execute_physical(&plan)?;
+    let run = timed(times, "plan history", || {
+        let run = registry.snapshot().split_off(mark);
+        *history = PlanHistory::from_stats(&run);
+        run
+    });
+    Ok((result, plan, run))
 }
 
 /// `ModulGain(comm1, comm2)`: the gain of merging two communities under
@@ -467,7 +508,39 @@ mod tests {
         assert!(text.contains(" pages ("), "paged scans print their pool traffic");
         assert!(text.contains("-- self time by operator, all iterations"));
         assert!(text.contains("scan (paged)"));
-        assert!(report.plan_time > Duration::ZERO);
+        assert!(text.lines().any(|l| l.starts_with("planning")));
+    }
+
+    #[test]
+    fn explain_names_the_loop_outside_the_operators() {
+        let (_, report) = cluster_sql_report(
+            &two_cliques(),
+            &SqlClusterConfig {
+                explain: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let text = report.explain.expect("explain was requested");
+        let table = &text[text.find("-- self time by operator").unwrap()..];
+        let ms = |row: &str| -> f64 {
+            let line = table.lines().find(|l| l.starts_with(row));
+            let line = line.unwrap_or_else(|| panic!("no {row} row:\n{table}"));
+            line.rsplit(' ').next().unwrap().parse().unwrap()
+        };
+        for row in [
+            "communities table",
+            "ModulGain build",
+            "partition statistics",
+            "planning",
+            "plan history",
+            "step 3",
+        ] {
+            assert!(ms(row) >= 0.0, "{table}");
+        }
+        // The operators and the named phases fit inside the loop wall.
+        assert!(ms("unattributed") >= 0.0, "{table}");
+        assert!(ms("loop") >= ms("total"), "{table}");
     }
 
     #[test]

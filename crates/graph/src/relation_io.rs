@@ -3,7 +3,7 @@
 
 use crate::graph::{MultiGraph, NodeId, SimilarityGraph};
 use esharp_querylog::{AggregatedLog, World};
-use esharp_relation::{DataType, RelResult, Schema, Table, TableBuilder, Value};
+use esharp_relation::{Column, DataType, RelResult, Schema, Table, TableBuilder, Value};
 
 /// The aggregated log as a `log(query, url, clicks)` table — the relational
 /// starting point of the offline pipeline (998 GB in the paper's Table 9).
@@ -44,38 +44,44 @@ pub fn graph_to_table(graph: &SimilarityGraph) -> RelResult<Table> {
 }
 
 /// The discretized multigraph as a `graph(node1, node2, multiplicity)`
-/// table over integer node ids (both directions, like [`graph_to_table`]).
+/// table over integer node ids (both directions, like [`graph_to_table`]),
+/// filled a column at a time.
 pub fn multigraph_to_table(graph: &MultiGraph) -> RelResult<Table> {
     let schema = Schema::of(&[
         ("node1", DataType::Int),
         ("node2", DataType::Int),
         ("multiplicity", DataType::Int),
     ]);
-    let mut builder = TableBuilder::with_capacity(schema, graph.edges().len() * 2);
+    let rows = graph.edges().len() * 2;
+    let (mut node1, mut node2, mut multiplicity) = (
+        Vec::with_capacity(rows),
+        Vec::with_capacity(rows),
+        Vec::with_capacity(rows),
+    );
     for &(a, b, k) in graph.edges() {
-        builder.push_row(vec![
-            Value::Int(a as i64),
-            Value::Int(b as i64),
-            Value::Int(k as i64),
-        ])?;
-        builder.push_row(vec![
-            Value::Int(b as i64),
-            Value::Int(a as i64),
-            Value::Int(k as i64),
-        ])?;
+        let (a, b, k) = (i64::from(a), i64::from(b), k as i64);
+        node1.extend([a, b]);
+        node2.extend([b, a]);
+        multiplicity.extend([k, k]);
     }
-    Ok(builder.finish())
+    Table::new(
+        schema,
+        vec![
+            Column::Int(node1),
+            Column::Int(node2),
+            Column::Int(multiplicity),
+        ],
+    )
 }
 
 /// A node→community assignment as the paper's
-/// `Communities(comm_name, query)` table over integer ids.
+/// `Communities(comm_name, query)` table over integer ids, filled a
+/// column at a time.
 pub fn assignment_to_table(assignment: &[NodeId]) -> RelResult<Table> {
     let schema = Schema::of(&[("comm_name", DataType::Int), ("query", DataType::Int)]);
-    let mut builder = TableBuilder::with_capacity(schema, assignment.len());
-    for (node, &comm) in assignment.iter().enumerate() {
-        builder.push_row(vec![Value::Int(comm as i64), Value::Int(node as i64)])?;
-    }
-    Ok(builder.finish())
+    let comm_name = assignment.iter().map(|&c| i64::from(c)).collect();
+    let query = (0..assignment.len() as i64).collect();
+    Table::new(schema, vec![Column::Int(comm_name), Column::Int(query)])
 }
 
 #[cfg(test)]
@@ -113,6 +119,43 @@ mod tests {
             back[row[1].as_int().unwrap() as usize] = row[0].as_int().unwrap() as NodeId;
         }
         assert_eq!(back, assignment);
+    }
+
+    #[test]
+    fn column_built_tables_equal_the_row_built_ones() {
+        let mg = MultiGraph::from_edges(4, vec![(0, 1, 4), (1, 3, 1), (2, 3, 7)]);
+        let mut rows = Vec::new();
+        for &(a, b, k) in mg.edges() {
+            let (a, b, k) = (
+                Value::Int(a.into()),
+                Value::Int(b.into()),
+                Value::Int(k as i64),
+            );
+            rows.push(vec![a.clone(), b.clone(), k.clone()]);
+            rows.push(vec![b, a, k]);
+        }
+        let t = multigraph_to_table(&mg).unwrap();
+        assert_eq!(t, Table::from_rows(t.schema().clone(), rows).unwrap());
+
+        let assignment: Vec<NodeId> = vec![2, 0, 2, 5];
+        let rows = assignment
+            .iter()
+            .enumerate()
+            .map(|(node, &c)| vec![Value::Int(c.into()), Value::Int(node as i64)])
+            .collect();
+        let t = assignment_to_table(&assignment).unwrap();
+        assert_eq!(t, Table::from_rows(t.schema().clone(), rows).unwrap());
+
+        let empty = multigraph_to_table(&MultiGraph::from_edges(0, Vec::new())).unwrap();
+        assert_eq!(
+            empty,
+            Table::from_rows(empty.schema().clone(), Vec::new()).unwrap()
+        );
+        let empty = assignment_to_table(&[]).unwrap();
+        assert_eq!(
+            empty,
+            Table::from_rows(empty.schema().clone(), Vec::new()).unwrap()
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! byte slice to a typed column, skipping the columns nobody asked for.
 //!
 //! A table carries no checksum of its own: every container that persists
-//! one seals it in a frame (`esharp_storage::atomic::read_frame`) or a
+//! one seals it in a frame (`esharp_storage::atomic::split_frame`) or a
 //! page CRC — the multi-table containers below, spill runs, heap pages
 //! and heap metadata — so a torn write, truncation, or silent single-bit
 //! flip is detected before a table is decoded instead of yielding a
@@ -34,7 +34,7 @@ use crate::error::{RelError, RelResult};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::DataType;
-use esharp_storage::atomic::{frame_header, read_frame};
+use esharp_storage::atomic::{frame_header, split_frame};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -325,8 +325,8 @@ pub fn decode_frames_exact(data: &[u8], expect: usize) -> RelResult<Vec<Table>> 
     let mut rest = data;
     let mut tables = Vec::with_capacity(expect);
     for _ in 0..expect {
-        let frame = read_frame(&mut rest).map_err(|e| err(e.to_string()))?;
-        tables.push(decode_table(&frame)?);
+        let frame = split_frame(&mut rest).map_err(|e| err(e.to_string()))?;
+        tables.push(decode_table(frame)?);
     }
     if !rest.is_empty() {
         return Err(err(format!("bytes after the last of {expect} frames")));

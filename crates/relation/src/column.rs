@@ -165,24 +165,6 @@ impl Column {
         }
     }
 
-    /// Keep only the rows where `mask` is true. `mask.len()` must equal
-    /// `self.len()`.
-    pub fn filter(&self, mask: &[bool]) -> Column {
-        debug_assert_eq!(mask.len(), self.len());
-        match self {
-            Column::Bool(v) => Column::Bool(filter_vec(v, mask)),
-            Column::Int(v) => Column::Int(filter_vec(v, mask)),
-            Column::Float(v) => Column::Float(filter_vec(v, mask)),
-            Column::Str(v) => Column::Str(
-                v.iter()
-                    .zip(mask)
-                    .filter(|(_, &keep)| keep)
-                    .map(|(s, _)| Arc::clone(s))
-                    .collect(),
-            ),
-        }
-    }
-
     /// Append all rows of `other` (same type required).
     pub fn extend_from(&mut self, other: &Column) -> RelResult<()> {
         match (self, other) {
@@ -236,14 +218,6 @@ impl Column {
     }
 }
 
-fn filter_vec<T: Copy>(v: &[T], mask: &[bool]) -> Vec<T> {
-    v.iter()
-        .zip(mask)
-        .filter(|(_, &keep)| keep)
-        .map(|(x, _)| *x)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,13 +238,9 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_filter() {
+    fn gather_picks_rows() {
         let c = Column::Int(vec![10, 20, 30, 40]);
         assert_eq!(c.gather(&[3, 0]), Column::Int(vec![40, 10]));
-        assert_eq!(
-            c.filter(&[true, false, true, false]),
-            Column::Int(vec![10, 30])
-        );
     }
 
     #[test]

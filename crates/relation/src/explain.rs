@@ -184,10 +184,31 @@ fn render_physical(
 /// plans: the per-operator cost table of a whole run. A scan that
 /// fetched pages counts as `scan (paged)` and an operator that spilled
 /// as `<kind> (spilled)`, so the cost of the memory bound stands apart.
+///
+/// A caller that runs the plans in a loop can also name the loop's own
+/// phases between them ([`OperatorTimes::add_phase`]) and give the loop's
+/// wall ([`OperatorTimes::set_wall`]); the table then ends with those
+/// phases, the `unattributed` rest and the `loop` wall.
 #[derive(Debug, Default, Clone)]
 pub struct OperatorTimes {
     /// `(kind, runs, summed self time)` in first-seen order.
     kinds: Vec<(String, u64, Duration)>,
+    /// `(phase, runs, summed wall)` in first-seen order.
+    phases: Vec<(String, u64, Duration)>,
+    /// The wall of the loop the operators and phases ran in.
+    wall: Option<Duration>,
+}
+
+/// Add one run of `spent` to the row named `name`, appending the row
+/// when it is new.
+fn add_row(rows: &mut Vec<(String, u64, Duration)>, name: &str, spent: Duration) {
+    match rows.iter_mut().find(|(k, ..)| k == name) {
+        Some((_, runs, total)) => {
+            *runs += 1;
+            *total += spent;
+        }
+        None => rows.push((name.to_string(), 1, spent)),
+    }
 }
 
 impl OperatorTimes {
@@ -202,32 +223,52 @@ impl OperatorTimes {
             } else {
                 plan.label().to_string()
             };
-            match self.kinds.iter_mut().find(|(k, ..)| *k == kind) {
-                Some((_, runs, total)) => {
-                    *runs += 1;
-                    *total += own;
-                }
-                None => self.kinds.push((kind, 1, own)),
-            }
+            add_row(&mut self.kinds, &kind, own);
         }
         for input in plan.inputs() {
             self.add(input, stats);
         }
     }
+
+    /// Add one run of a named phase of the caller's loop that took
+    /// `spent` outside every operator.
+    pub fn add_phase(&mut self, phase: &str, spent: Duration) {
+        add_row(&mut self.phases, phase, spent);
+    }
+
+    /// Set the wall of the loop the operators and phases ran in.
+    pub fn set_wall(&mut self, wall: Duration) {
+        self.wall = Some(wall);
+    }
 }
 
 impl std::fmt::Display for OperatorTimes {
-    /// One line per kind, the most expensive first, then the total.
+    /// One line per kind, the most expensive first, then the total; then,
+    /// when the loop was named, its phases, the unattributed rest and the
+    /// loop wall.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
         let mut rows = self.kinds.clone();
         rows.sort_by_key(|row| std::cmp::Reverse(row.2));
         writeln!(f, "{:<20} {:>6} {:>12}", "operator", "runs", "self ms")?;
         for (kind, runs, total) in &rows {
-            writeln!(f, "{kind:<20} {runs:>6} {:>12.3}", total.as_secs_f64() * 1e3)?;
+            writeln!(f, "{kind:<20} {runs:>6} {:>12.3}", ms(*total))?;
         }
         let total: Duration = rows.iter().map(|r| r.2).sum();
         let runs: u64 = rows.iter().map(|r| r.1).sum();
-        writeln!(f, "{:<20} {runs:>6} {:>12.3}", "total", total.as_secs_f64() * 1e3)
+        writeln!(f, "{:<20} {runs:>6} {:>12.3}", "total", ms(total))?;
+        for (phase, runs, spent) in &self.phases {
+            writeln!(f, "{phase:<20} {runs:>6} {:>12.3}", ms(*spent))?;
+        }
+        if let Some(wall) = self.wall {
+            // Negative when the rows overlap and add up to more than the
+            // loop.
+            let phases: Duration = self.phases.iter().map(|r| r.2).sum();
+            let rest = ms(wall) - ms(total) - ms(phases);
+            writeln!(f, "{:<20} {:>6} {rest:>12.3}", "unattributed", "")?;
+            writeln!(f, "{:<20} {:>6} {:>12.3}", "loop", "", ms(wall))?;
+        }
+        Ok(())
     }
 }
 

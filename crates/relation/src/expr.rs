@@ -285,13 +285,30 @@ impl CompiledExpr {
                 right,
             } => return logical(*op, left, right, table, sel, rows),
             CompiledExpr::Lit(v) => Column::repeat(v, rows),
+            CompiledExpr::Binary { op, left, right } if is_comparison(*op) => {
+                // A numeric literal is compared as a scalar, not as a
+                // column of copies.
+                let scalar = match (left.as_ref(), right.as_ref()) {
+                    (other, CompiledExpr::Lit(lit)) if is_number(lit) => Some((other, lit, false)),
+                    (CompiledExpr::Lit(lit), other) if is_number(lit) => Some((other, lit, true)),
+                    _ => None,
+                };
+                match scalar {
+                    Some((other, lit, flipped)) => {
+                        let col = other.eval_rows(table, sel, rows)?;
+                        compare_scalar(*op, &col, lit, flipped)
+                    }
+                    None => {
+                        let l = left.eval_rows(table, sel, rows)?;
+                        let r = right.eval_rows(table, sel, rows)?;
+                        compare(*op, &l, &r)
+                    }
+                }
+            }
             CompiledExpr::Binary { op, left, right } => {
                 let l = left.eval_rows(table, sel, rows)?;
                 let r = right.eval_rows(table, sel, rows)?;
-                match op {
-                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arithmetic(*op, &l, &r)?,
-                    _ => compare(*op, &l, &r),
-                }
+                arithmetic(*op, &l, &r)?
             }
             CompiledExpr::Not(inner) => {
                 let v = inner.eval_rows(table, sel, rows)?;
@@ -318,6 +335,22 @@ impl CompiledExpr {
             }
         };
         Ok(Arc::new(col))
+    }
+
+    /// The operands of this expression's top-level ANDs, left to right
+    /// (the expression itself when it is no AND), appended to `out`.
+    pub(crate) fn conjuncts<'a>(&'a self, out: &mut Vec<&'a CompiledExpr>) {
+        match self {
+            CompiledExpr::Binary {
+                op: BinOp::And,
+                left,
+                right,
+            } => {
+                left.conjuncts(out);
+                right.conjuncts(out);
+            }
+            other => out.push(other),
+        }
     }
 
     /// Every column position this expression reads, appended to `out`.
@@ -414,17 +447,35 @@ fn floats(col: &Column) -> Option<Cow<'_, [f64]>> {
     }
 }
 
-/// A comparison in [`Value`]'s total order. Equality agrees with the
-/// order on every pair of types, so one ordering test serves `=` too.
-fn compare(op: BinOp, l: &Column, r: &Column) -> Column {
-    let test = move |ord: Ordering| match op {
+/// True for the six comparison operators.
+fn is_comparison(op: BinOp) -> bool {
+    matches!(
+        op,
+        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
+    )
+}
+
+/// True for an INT or FLOAT value.
+fn is_number(v: &Value) -> bool {
+    matches!(v, Value::Int(_) | Value::Float(_))
+}
+
+/// Whether `op` holds between two values that order as `ord`.
+fn holds(op: BinOp, ord: Ordering) -> bool {
+    match op {
         BinOp::Eq => ord.is_eq(),
         BinOp::Ne => ord.is_ne(),
         BinOp::Lt => ord.is_lt(),
         BinOp::Le => ord.is_le(),
         BinOp::Gt => ord.is_gt(),
         _ => ord.is_ge(),
-    };
+    }
+}
+
+/// A comparison in [`Value`]'s total order. Equality agrees with the
+/// order on every pair of types, so one ordering test serves `=` too.
+fn compare(op: BinOp, l: &Column, r: &Column) -> Column {
+    let test = move |ord: Ordering| holds(op, ord);
     Column::Bool(match (l, r) {
         (Column::Int(a), Column::Int(b)) => zip(a, b, |x, y| test(x.cmp(y))),
         (Column::Str(a), Column::Str(b)) => zip(a, b, |x, y| test(x.cmp(y))),
@@ -434,6 +485,30 @@ fn compare(op: BinOp, l: &Column, r: &Column) -> Column {
             // Otherwise the types differ and order by type tag.
             _ => vec![test(type_tag(l.dtype()).cmp(&type_tag(r.dtype()))); l.len()],
         },
+    })
+}
+
+/// [`compare`] of each value of `col` against the numeric literal `lit`
+/// (`lit op col` when `flipped`), in the same order: INT against INT as
+/// integers, any other numeric pair through [`total_f64_cmp`] with the
+/// INT side widened, one value at a time.
+fn compare_scalar(op: BinOp, col: &Column, lit: &Value, flipped: bool) -> Column {
+    let test = move |ord: Ordering| holds(op, if flipped { ord.reverse() } else { ord });
+    Column::Bool(match (col, lit) {
+        (Column::Int(a), Value::Int(b)) => a.iter().map(|x| test(x.cmp(b))).collect(),
+        (Column::Int(a), Value::Float(b)) => a
+            .iter()
+            .map(|&x| test(total_f64_cmp(x as f64, *b)))
+            .collect(),
+        (Column::Float(a), Value::Int(b)) => {
+            let b = *b as f64;
+            a.iter().map(|&x| test(total_f64_cmp(x, b))).collect()
+        }
+        (Column::Float(a), Value::Float(b)) => {
+            a.iter().map(|&x| test(total_f64_cmp(x, *b))).collect()
+        }
+        // A BOOL or STR column against a number orders by type tag.
+        _ => vec![test(type_tag(col.dtype()).cmp(&type_tag(lit.data_type()))); col.len()],
     })
 }
 

@@ -11,18 +11,47 @@ use crate::value::DataType;
 use std::sync::Arc;
 
 /// Keep only the rows for which `predicate` evaluates to `true`.
+///
+/// The predicate's top-level AND conjuncts run in order over a selection
+/// vector: each is evaluated only on the rows every earlier conjunct
+/// accepted, as `A AND B` short-circuits row by row, and the surviving
+/// rows are gathered once at the end. A conjunct that errors on a row an
+/// earlier one rejected is never run on it.
 pub fn filter(input: &Table, predicate: &CompiledExpr) -> RelResult<Table> {
     if input.is_empty() {
         return Ok(input.clone());
     }
-    match predicate.eval_column(input, None)?.as_ref() {
-        Column::Bool(mask) => Ok(input.filter_rows(mask)),
-        other => Err(RelError::TypeMismatch {
-            expected: "BOOL".into(),
-            actual: other.dtype().to_string(),
-            context: "filter predicate".into(),
-        }),
+    let mut conjuncts = Vec::new();
+    predicate.conjuncts(&mut conjuncts);
+    // `None` while every row is still selected.
+    let mut sel: Option<Vec<usize>> = None;
+    for conjunct in conjuncts {
+        if sel.as_ref().is_some_and(Vec::is_empty) {
+            break;
+        }
+        let col = conjunct.eval_column(input, sel.as_deref())?;
+        let Column::Bool(mask) = col.as_ref() else {
+            return Err(RelError::TypeMismatch {
+                expected: "BOOL".into(),
+                actual: col.dtype().to_string(),
+                context: "filter predicate".into(),
+            });
+        };
+        sel = match sel {
+            None if mask.iter().all(|&keep| keep) => None,
+            None => Some((0..mask.len()).filter(|&i| mask[i]).collect()),
+            Some(rows) => Some(
+                rows.into_iter()
+                    .zip(mask)
+                    .filter_map(|(row, &keep)| keep.then_some(row))
+                    .collect(),
+            ),
+        };
     }
+    Ok(match sel {
+        None => input.clone(),
+        Some(rows) => input.gather(&rows),
+    })
 }
 
 /// One output column of a projection: a compiled expression, its output

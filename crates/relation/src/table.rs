@@ -129,18 +129,6 @@ impl Table {
         }
     }
 
-    /// Keep rows where `mask` is true.
-    pub fn filter_rows(&self, mask: &[bool]) -> Table {
-        Table {
-            schema: Arc::clone(&self.schema),
-            columns: self
-                .columns
-                .iter()
-                .map(|c| Arc::new(c.filter(mask)))
-                .collect(),
-        }
-    }
-
     /// Concatenate tables with identical schemas.
     pub fn concat(parts: &[Table]) -> RelResult<Table> {
         let Some(first) = parts.first() else {

@@ -1,6 +1,9 @@
 //! The column-at-a-time kernels against their row-at-a-time references
 //! (`esharp_relation::oracle`): vectorised expressions over random
-//! expression trees, typed-key hash joins, aggregates, distinct and sort,
+//! expression trees, comparisons with a numeric literal on either side,
+//! the filter's AND chains over a selection vector (a conjunct that
+//! errors only on rows an earlier one rejected passes), typed-key hash
+//! joins, aggregates, distinct and sort,
 //! and hash partitioning, over random tables of all four types with NaN,
 //! ±0.0, repeated floats and empty strings. Floats compare by bit
 //! pattern, so "equal" here means bit-identical.
@@ -276,6 +279,39 @@ fn agg_spec(rng: &mut StdRng, i: usize) -> AggSpec {
     }
 }
 
+/// The rows of `t` the row oracle keeps under `predicate`, or its error.
+fn oracle_filter(t: &Table, predicate: &CompiledExpr) -> Result<Table, RelError> {
+    let mut keep = Vec::new();
+    for (row, v) in predicate.eval_all(t)?.iter().enumerate() {
+        match v {
+            Value::Bool(true) => keep.push(row),
+            Value::Bool(false) => {}
+            other => return Err(RelError::Eval(format!("not a bool: {other}"))),
+        }
+    }
+    Ok(t.gather(&keep))
+}
+
+/// `i0 >= a AND i1 <> skip AND f0 <= 1e300 AND i0 / i1 > -100`: its last
+/// conjunct divides by `i1`, so it errors on any row with `i1 = 0` that
+/// reaches it; `skip = 0` rejects those rows first. Built left-deep, or
+/// right-deep when `right_deep`.
+fn division_chain(a: i64, skip: i64, right_deep: bool) -> Expr {
+    let [c1, c2, c3, c4] = [
+        Expr::col("i0").ge(Expr::lit(a)),
+        Expr::col("i1").binary(BinOp::Ne, Expr::lit(skip)),
+        Expr::col("f0").binary(BinOp::Le, Expr::lit(1e300)),
+        Expr::col("i0")
+            .binary(BinOp::Div, Expr::col("i1"))
+            .gt(Expr::lit(-100_i64)),
+    ];
+    if right_deep {
+        c1.and(c2.and(c3.and(c4)))
+    } else {
+        c1.and(c2).and(c3).and(c4)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -287,6 +323,68 @@ proptest! {
             let want = pick(&mut rng, &TYPES);
             let e = expr(&mut rng, want, 4);
             check_expression(&t, &e, &mut rng);
+        }
+    }
+
+    #[test]
+    fn and_chains_run_each_conjunct_on_the_surviving_rows(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // A row that passes the first and third conjuncts with `i1 = 0`,
+        // so the last conjunct has a zero divisor to reach.
+        let mut row: Vec<Value> = COLUMNS.iter().map(|&(_, t)| value(&mut rng, t)).collect();
+        row[0] = Value::Int(3);
+        row[1] = Value::Int(0);
+        row[2] = Value::Float(0.0);
+        let t = Table::concat(&[
+            table(&mut rng, 24),
+            Table::from_rows(schema(), vec![row]).unwrap(),
+        ])
+        .unwrap();
+        let a = rng.gen_range(-3i64..=3);
+        for right_deep in [false, true] {
+            // Guarded: the zero divisors are rejected before the division.
+            let guarded = division_chain(a, 0, right_deep).compile(t.schema(), &udfs()).unwrap();
+            let got = esharp_relation::ops::filter(&t, &guarded);
+            let want = oracle_filter(&t, &guarded);
+            match (&got, &want) {
+                (Ok(got), Ok(want)) => prop_assert!(same_table(got, want)),
+                _ => panic!("guarded chain: filter {got:?} vs oracle {want:?}"),
+            }
+            // Unguarded: the forced row reaches the division and fails it.
+            let unguarded = division_chain(a, 7, right_deep).compile(t.schema(), &udfs()).unwrap();
+            prop_assert!(esharp_relation::ops::filter(&t, &unguarded).is_err());
+            prop_assert!(oracle_filter(&t, &unguarded).is_err());
+        }
+    }
+
+    #[test]
+    fn literal_comparisons_match_the_row_oracle(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let t = table(&mut rng, 24);
+        let literals = [
+            Value::Int(rng.gen_range(-3i64..4)),
+            Value::Int(0),
+            Value::Float(1.5),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(f64::INFINITY),
+        ];
+        let ops = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
+        for column in ["i0", "f0", "s0", "b0"] {
+            for lit in &literals {
+                let op = pick(&mut rng, &ops);
+                let col = Expr::col(column);
+                check_expression(&t, &col.clone().binary(op, Expr::Lit(lit.clone())), &mut rng);
+                check_expression(&t, &Expr::Lit(lit.clone()).binary(op, col), &mut rng);
+            }
+        }
+        // A computed operand, as in `ModulGain(..) > 0`.
+        let sum = Expr::col("f0").binary(BinOp::Add, Expr::col("i1"));
+        for lit in &literals {
+            let op = pick(&mut rng, &ops);
+            check_expression(&t, &sum.clone().binary(op, Expr::Lit(lit.clone())), &mut rng);
         }
     }
 

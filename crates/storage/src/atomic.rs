@@ -13,9 +13,10 @@
 //!
 //! Every checksummed container seals its parts the same way, as frames of
 //! `len u64 LE | crc32 u32 LE | payload` ([`frame_header`] writes the
-//! header, [`read_frame`] checks it): the binfmt table containers (graph,
-//! domains, checkpoints, the corpus file's string section), spill runs and
-//! heap metadata. A truncation, a torn tail or a flipped bit anywhere in a
+//! header, [`read_frame`] checks it, and [`split_frame`] checks a frame
+//! already in memory without copying its payload): the binfmt table
+//! containers (graph, domains, checkpoints, the corpus file's string
+//! section), spill runs and heap metadata. A truncation, a torn tail or a flipped bit anywhere in a
 //! frame fails its read with `InvalidData`.
 //!
 //! Fault injection (`esharp-fault`) threads through [`atomic_write_with`]
@@ -169,28 +170,59 @@ pub fn frame_header(payload: &[u8]) -> [u8; FRAME_HEADER] {
 /// all `InvalidData` errors, never a panic or an abort. The payload is
 /// reserved up front, in one allocation.
 pub fn read_frame(src: &mut impl Read) -> io::Result<Vec<u8>> {
-    let invalid =
-        |msg: String| io::Error::new(io::ErrorKind::InvalidData, format!("sealed frame: {msg}"));
     let mut header = [0u8; FRAME_HEADER];
     src.read_exact(&mut header).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => invalid("truncated header".into()),
+        io::ErrorKind::UnexpectedEof => invalid_frame("truncated header".into()),
         _ => e,
     })?;
-    let [l0, l1, l2, l3, l4, l5, l6, l7, c0, c1, c2, c3] = header;
-    let len = u64::from_le_bytes([l0, l1, l2, l3, l4, l5, l6, l7]);
+    let len = frame_len(&header);
     let mut payload = Vec::new();
     usize::try_from(len)
         .ok()
         .and_then(|len| payload.try_reserve_exact(len).ok())
-        .ok_or_else(|| invalid(format!("no allocation holds a {len}-byte payload")))?;
+        .ok_or_else(|| invalid_frame(format!("no allocation holds a {len}-byte payload")))?;
     src.take(len).read_to_end(&mut payload)?;
-    if payload.len() as u64 != len {
-        return Err(invalid("truncated payload".into()));
-    }
-    if crc32(&payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
-        return Err(invalid("checksum mismatch".into()));
-    }
+    unseal(&header, &payload)?;
     Ok(payload)
+}
+
+/// Split one frame off the front of `src` and return its payload,
+/// borrowed from `src`: [`read_frame`] over bytes already in memory,
+/// without copying the payload. A short header or payload and a checksum
+/// mismatch are `InvalidData` errors, as there; on success `src` starts
+/// after the frame.
+pub fn split_frame<'a>(src: &mut &'a [u8]) -> io::Result<&'a [u8]> {
+    let (header, rest) = src
+        .split_first_chunk::<FRAME_HEADER>()
+        .ok_or_else(|| invalid_frame("truncated header".into()))?;
+    let take = usize::try_from(frame_len(header)).map_or(rest.len(), |len| len.min(rest.len()));
+    let (payload, rest) = rest.split_at(take);
+    unseal(header, payload)?;
+    *src = rest;
+    Ok(payload)
+}
+
+/// The payload length a frame header declares.
+fn frame_len(header: &[u8; FRAME_HEADER]) -> u64 {
+    let [l0, l1, l2, l3, l4, l5, l6, l7, ..] = *header;
+    u64::from_le_bytes([l0, l1, l2, l3, l4, l5, l6, l7])
+}
+
+/// Check that `payload` is the whole payload `header` seals: its length
+/// and its CRC, for both frame readers.
+fn unseal(header: &[u8; FRAME_HEADER], payload: &[u8]) -> io::Result<()> {
+    if payload.len() as u64 != frame_len(header) {
+        return Err(invalid_frame("truncated payload".into()));
+    }
+    let [.., c0, c1, c2, c3] = *header;
+    if crc32(payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
+        return Err(invalid_frame("checksum mismatch".into()));
+    }
+    Ok(())
+}
+
+fn invalid_frame(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("sealed frame: {msg}"))
 }
 
 #[cfg(test)]
@@ -335,12 +367,31 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_frames_read_like_copied_ones_and_reject_every_damage() {
+        fn split_two(mut buf: &[u8]) -> io::Result<(Vec<u8>, Vec<u8>)> {
+            let frames = (
+                split_frame(&mut buf)?.to_vec(),
+                split_frame(&mut buf)?.to_vec(),
+            );
+            match buf.is_empty() {
+                true => Ok(frames),
+                false => Err(io::Error::new(io::ErrorKind::InvalidData, "trailing bytes")),
+            }
+        }
+        let good = two_frames();
+        assert_eq!(split_two(&good).unwrap(), read_two(&good).unwrap());
+        assert_rejects_every_damage("borrowed sealed frames", &good, split_two);
+    }
+
+    #[test]
     fn hostile_lengths_error_without_aborting() {
         for len in [u64::MAX, 1 << 40] {
             let mut buf = len.to_le_bytes().to_vec();
             buf.extend_from_slice(&crc32(b"abc").to_le_bytes());
             buf.extend_from_slice(b"abc");
             let err = read_frame(&mut &buf[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{len}");
+            let err = split_frame(&mut &buf[..]).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{len}");
         }
     }

@@ -4,7 +4,7 @@
 //!
 //! * `<base>.heap` — a flat array of [`PAGE_SIZE`] slotted pages, each
 //!   sealed with its own CRC;
-//! * `<base>.meta` — one sealed frame ([`crate::atomic::read_frame`])
+//! * `<base>.meta` — one sealed frame ([`crate::atomic::split_frame`])
 //!   holding the metadata (page size, committed page count, record count,
 //!   opaque user metadata), written **last** through
 //!   [`crate::atomic::atomic_write`].
@@ -17,7 +17,7 @@
 //! the per-page CRC at read time; a data file shorter than the committed
 //! page count is rejected at open.
 
-use crate::atomic::{atomic_write, frame_header, read_frame};
+use crate::atomic::{atomic_write, frame_header, split_frame};
 use crate::page::{Page, PAGE_SIZE};
 use esharp_fault::{write_with_fault, FaultInjector};
 use parking_lot::Mutex;
@@ -106,11 +106,11 @@ impl HeapFile {
         let meta_path = with_suffix(base, ".meta");
         let meta_file = std::fs::read(&meta_path)?;
         let mut rest = &meta_file[..];
-        let meta = read_frame(&mut rest)?;
+        let meta = split_frame(&mut rest)?;
         if !rest.is_empty() {
             return Err(invalid("trailing bytes after the metadata frame"));
         }
-        let (pages, records, user_meta) = decode_meta(&meta)?;
+        let (pages, records, user_meta) = decode_meta(meta)?;
         let file = OpenOptions::new().read(true).write(true).open(&data_path)?;
         let len = file.metadata()?.len();
         if len < pages.saturating_mul(PAGE_SIZE as u64) {
@@ -186,16 +186,17 @@ impl HeapFile {
         self.state.lock().records += n;
     }
 
-    /// Read and verify page `no`.
+    /// Read page `no` into its own buffer and verify it there.
     pub fn read_page(&self, no: u64) -> io::Result<Page> {
         let mut state = self.state.lock();
         if no >= state.pages {
             return Err(invalid("page number out of range"));
         }
-        let mut buf = vec![0u8; PAGE_SIZE];
+        let mut image = vec![0u8; PAGE_SIZE].into_boxed_slice();
         state.file.seek(SeekFrom::Start(no * PAGE_SIZE as u64))?;
-        state.file.read_exact(&mut buf)?;
-        Page::from_bytes(&buf)
+        state.file.read_exact(&mut image)?;
+        drop(state);
+        Page::from_image(image)
     }
 
     /// Seal and write page `no` in place (the buffer pool's dirty-page

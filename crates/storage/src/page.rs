@@ -116,6 +116,13 @@ impl Page {
     /// mismatch, and any slot directory entry pointing outside the record
     /// area with `InvalidData`.
     pub fn from_bytes(bytes: &[u8]) -> io::Result<Page> {
+        Page::from_image(bytes.into())
+    }
+
+    /// [`Page::from_bytes`] over an image the page adopts as its own
+    /// buffer: the CRC and the slot directory are checked in place, and
+    /// nothing is copied.
+    pub(crate) fn from_image(bytes: Box<[u8]>) -> io::Result<Page> {
         if bytes.len() != PAGE_SIZE {
             return Err(invalid("wrong page length"));
         }
@@ -123,9 +130,7 @@ impl Page {
         if crc32(&bytes[4..]) != stored {
             return Err(invalid("checksum mismatch"));
         }
-        let page = Page {
-            bytes: bytes.to_vec().into_boxed_slice(),
-        };
+        let page = Page { bytes };
         // Structural sanity on top of the CRC: a page sealed by a buggy
         // writer must still be unable to make `record()` read out of
         // bounds.

@@ -13,7 +13,10 @@
 #   columnar the relation engine's column kernels against the row oracle
 #           (proptest_columnar) in release mode, so a result that depends
 #           on the optimisation level (a NaN's sign bit, say) fails here
-#           and not only in a release run
+#           and not only in a release run; this covers the filter's
+#           selection-vector path (AND chains whose later conjuncts run
+#           only on the rows earlier ones kept) and the comparisons with
+#           a numeric literal (NaN and -0.0 literals, either side)
 #   metamorphic the answer-preserving relations (tests/metamorphic.rs) in
 #           release mode over the Tiny testbed and `CorpusConfig::tiny`
 #           corpora: rebuilding from shuffled tweets, re-cutting into
