@@ -324,10 +324,10 @@ fn run_statement(
 ) -> RelResult<(Table, PhysicalPlan, Vec<StageStats>)> {
     ctx.history = std::mem::take(history);
     let plan = timed(times, "planning", || optimize(&plan_sql(sql, ctx)?, ctx))?;
-    let mark = timed(times, "plan history", || registry.snapshot().len());
+    let mark = timed(times, "plan history", || registry.len());
     let result = ctx.execute_physical(&plan)?;
     let run = timed(times, "plan history", || {
-        let run = registry.snapshot().split_off(mark);
+        let run = registry.since(mark);
         *history = PlanHistory::from_stats(&run);
         run
     });

@@ -104,12 +104,78 @@ struct ClickRows {
     start: Vec<usize>,
 }
 
+/// Node labels, and each node's raw components at `start[i]..start[i + 1]`
+/// for [`ClickRows::new`] to sort, merge and scale.
+type Grouped = (Vec<Arc<str>>, Vec<usize>, Vec<(UrlId, f64)>);
+
 impl ClickRows {
-    /// Node labels and rows. Nodes are numbered in first-appearance order
-    /// (records are sorted by term, so term-id order). The term → node
-    /// table is sized from the records themselves: `from_events` accepts
-    /// term ids the world never issued.
+    /// Node labels and rows. Nodes are numbered in first-appearance order,
+    /// which is term-id order for records sorted by term, as `from_events`
+    /// and `filter_min_support` hand them over.
     fn new(log: &AggregatedLog, world: &World) -> (Vec<Arc<str>>, ClickRows) {
+        let (labels, mut start, mut components) = if log.records.is_sorted_by_key(|r| r.term) {
+            Self::group_runs(log, world)
+        } else {
+            Self::group_by_counting(log, world)
+        };
+
+        // Merging duplicates only shortens rows, so each row moves left in
+        // place. The merge (stable, in record order), the norm and the
+        // division are the oracles' `ClickVector`'s, addition for addition.
+        let mut end = 0;
+        for node in 0..labels.len() {
+            let row = start[node]..start[node + 1];
+            let strictly_increasing = components[row.clone()].is_sorted_by(|a, b| a.0 < b.0);
+            let first = end;
+            if strictly_increasing && first == row.start {
+                // Nothing to merge and nowhere to move.
+                end = row.end;
+            } else {
+                if !strictly_increasing {
+                    components[row.clone()].sort_by_key(|&(url, _)| url);
+                }
+                for k in row {
+                    let (url, clicks) = components[k];
+                    if end > first && components[end - 1].0 == url {
+                        components[end - 1].1 += clicks;
+                    } else {
+                        components[end] = (url, clicks);
+                        end += 1;
+                    }
+                }
+            }
+            start[node] = first;
+            let row = &mut components[first..end];
+            let norm = row.iter().map(|&(_, x)| x * x).sum::<f64>().sqrt();
+            if norm > 0.0 {
+                row.iter_mut().for_each(|(_, x)| *x /= norm);
+            }
+        }
+        start[labels.len()] = end;
+        components.truncate(end);
+        (labels, ClickRows { components, start })
+    }
+
+    /// Records sorted by term already lie grouped: a node is a run of one
+    /// term, and its components are its records, in order.
+    fn group_runs(log: &AggregatedLog, world: &World) -> Grouped {
+        let mut labels: Vec<Arc<str>> = Vec::new();
+        let mut start = Vec::new();
+        for (k, record) in log.records.iter().enumerate() {
+            if k == 0 || log.records[k - 1].term != record.term {
+                labels.push(Arc::from(world.term_text(record.term)));
+                start.push(k);
+            }
+        }
+        start.push(log.records.len());
+        let components = log.records.iter().map(|r| (r.url, r.clicks as f64));
+        (labels, start, components.collect())
+    }
+
+    /// Records in any other order: a counting sort by node. The term →
+    /// node table is sized from the records themselves: `from_events`
+    /// accepts term ids the world never issued.
+    fn group_by_counting(log: &AggregatedLog, world: &World) -> Grouped {
         let num_terms = log.records.iter().map(|r| r.term as usize + 1).max();
         let mut node_of_term = vec![NodeId::MAX; num_terms.unwrap_or(0)];
         let mut labels: Vec<Arc<str>> = Vec::new();
@@ -133,36 +199,7 @@ impl ClickRows {
             components[*slot] = (record.url, record.clicks as f64);
             *slot += 1;
         }
-
-        // Merging duplicates only shortens rows, so each row moves left in
-        // place. The merge (stable, in record order), the norm and the
-        // division are the oracles' `ClickVector`'s, addition for addition.
-        let mut end = 0;
-        for node in 0..labels.len() {
-            let row = &mut components[start[node]..start[node + 1]];
-            if !row.is_sorted_by(|a, b| a.0 < b.0) {
-                row.sort_by_key(|&(url, _)| url);
-            }
-            let first = end;
-            for k in start[node]..start[node + 1] {
-                let (url, clicks) = components[k];
-                if end > first && components[end - 1].0 == url {
-                    components[end - 1].1 += clicks;
-                } else {
-                    components[end] = (url, clicks);
-                    end += 1;
-                }
-            }
-            start[node] = first;
-            let row = &mut components[first..end];
-            let norm = row.iter().map(|&(_, x)| x * x).sum::<f64>().sqrt();
-            if norm > 0.0 {
-                row.iter_mut().for_each(|(_, x)| *x /= norm);
-            }
-        }
-        start[labels.len()] = end;
-        components.truncate(end);
-        (labels, ClickRows { components, start })
+        (labels, start, components)
     }
 
     /// Positions of node `i`'s components.
@@ -591,14 +628,8 @@ mod tests {
         }
     }
 
-    /// Inputs `from_events` never produces, which the rows must merge and
-    /// sort themselves as `ClickVector::from_pairs` does: one `(term, url)`
-    /// split over two or three records, zero-click records (term 0 has
-    /// nothing else), and the records shuffled. Term 1's row is long enough
-    /// for an unstable sort to reorder equal URLs, and its split clicks
-    /// (`2⁵³` and ones) sum to different f64s in different orders.
-    #[test]
-    fn split_zero_click_and_shuffled_records_match_the_oracle() {
+    /// The records of the next test, shuffled; see there.
+    fn split_zero_click_and_shuffled_inputs() -> (World, AggregatedLog) {
         let terms = (0..24)
             .map(|i| TermInfo {
                 text: format!("t{i}"),
@@ -645,6 +676,18 @@ mod tests {
             term_totals: Vec::new(),
             raw_events: 0,
         };
+        (world, log)
+    }
+
+    /// Inputs `from_events` never produces, which the rows must merge and
+    /// sort themselves as `ClickVector::from_pairs` does: one `(term, url)`
+    /// split over two or three records, zero-click records (term 0 has
+    /// nothing else), and the records shuffled. Term 1's row is long enough
+    /// for an unstable sort to reorder equal URLs, and its split clicks
+    /// (`2⁵³` and ones) sum to different f64s in different orders.
+    #[test]
+    fn split_zero_click_and_shuffled_records_match_the_oracle() {
+        let (world, log) = split_zero_click_and_shuffled_inputs();
         for max_url_fanout in [3, 400] {
             let mut config = GraphConfig {
                 min_similarity: 0.01,
@@ -662,6 +705,73 @@ mod tests {
                     &format!("fanout={max_url_fanout} workers={workers}"),
                 );
             }
+        }
+    }
+
+    /// The previous test's records stably sorted by term alone: sorted by
+    /// term, rows go straight from the records, so the runs themselves
+    /// must hold their split duplicates, zero clicks and unsorted URLs.
+    /// In a second log terms 12 and up keep one record per URL in URL
+    /// order: rows that need no merge, which must still move left past
+    /// the rows earlier merges shortened.
+    #[test]
+    fn term_sorted_records_with_split_and_unsorted_urls_match_the_oracle() {
+        let (world, mut log) = split_zero_click_and_shuffled_inputs();
+        log.records.sort_by_key(|r| r.term);
+        let split = log
+            .records
+            .windows(2)
+            .any(|w| (w[0].term, w[0].url) == (w[1].term, w[1].url));
+        let unsorted = log
+            .records
+            .windows(2)
+            .any(|w| w[0].term == w[1].term && w[0].url > w[1].url);
+        assert!(split && unsorted && log.records.iter().any(|r| r.clicks == 0));
+        let mut merged_then_increasing = log.clone();
+        let mut seen = BTreeSet::new();
+        let records = &mut merged_then_increasing.records;
+        records.retain(|r| r.term < 12 || seen.insert((r.term, r.url)));
+        let tail = records.partition_point(|r| r.term < 12);
+        records[tail..].sort_by_key(|r| (r.term, r.url));
+        for log in [log, merged_then_increasing] {
+            for max_url_fanout in [3, 400] {
+                let mut config = GraphConfig {
+                    min_similarity: 0.01,
+                    max_url_fanout,
+                    workers: 1,
+                };
+                let oracle = build_graph_sorted(&log, &world, &config);
+                assert!(oracle.1.edges_kept > 10, "{:?}", oracle.1);
+                for workers in [1, 3] {
+                    config.workers = workers;
+                    assert_bit_identical(
+                        &build_graph(&log, &world, &config),
+                        &oracle,
+                        &format!("fanout={max_url_fanout} workers={workers}"),
+                    );
+                }
+            }
+        }
+    }
+
+    /// One run per term, but the terms descending: not sorted by term, so
+    /// the counting path numbers the nodes, in first-appearance order.
+    #[test]
+    fn descending_term_runs_take_the_counting_path_and_match_the_oracle() {
+        let (world, mut log) = build_inputs();
+        log.records.sort_by_key(|r| std::cmp::Reverse(r.term));
+        assert!(!log.records.is_sorted_by_key(|r| r.term));
+        let mut config = GraphConfig::default();
+        let oracle = build_graph_sorted(&log, &world, &config);
+        let first = world.term_text(log.records[0].term);
+        assert_eq!(&*oracle.0.labels()[0], first);
+        for workers in [1, 3] {
+            config.workers = workers;
+            assert_bit_identical(
+                &build_graph(&log, &world, &config),
+                &oracle,
+                &format!("workers={workers}"),
+            );
         }
     }
 

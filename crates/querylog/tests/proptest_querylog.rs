@@ -3,10 +3,39 @@
 
 use esharp_querylog::dist::{LogNormal, Zipf};
 use esharp_querylog::variants::{mint_variants, variant, ALL_KINDS};
-use esharp_querylog::{AggregatedLog, RawEvent};
+use esharp_querylog::{AggregatedLog, ClickRecord, RawEvent, TermId, UrlId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
+
+/// A term or URL id: small ones (at and past a small `num_terms`), the
+/// widest ones, or anything.
+fn wide_id() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..16, Just(u32::MAX), Just(u32::MAX - 1), any::<u32>()]
+}
+
+/// `(term, url)` event streams: heavy repeats over a few wide ids, many
+/// terms on one URL, one term over many URLs, and the empty stream.
+fn event_streams() -> impl Strategy<Value = Vec<(TermId, UrlId)>> {
+    let picks = prop::collection::vec((any::<usize>(), any::<usize>()), 0..400);
+    prop_oneof![
+        (
+            prop::collection::vec(wide_id(), 1..5),
+            prop::collection::vec(wide_id(), 1..5),
+            picks
+        )
+            .prop_map(|(terms, urls, picks)| {
+                let pick = |(i, j): (usize, usize)| (terms[i % terms.len()], urls[j % urls.len()]);
+                picks.into_iter().map(pick).collect()
+            }),
+        (wide_id(), prop::collection::vec(wide_id(), 0..200))
+            .prop_map(|(url, terms)| terms.into_iter().map(|t| (t, url)).collect()),
+        (wide_id(), prop::collection::vec(wide_id(), 0..200))
+            .prop_map(|(term, urls)| urls.into_iter().map(|u| (term, u)).collect()),
+        Just(Vec::new()),
+    ]
+}
 
 proptest! {
     #[test]
@@ -80,5 +109,26 @@ proptest! {
         }
         let kept = filtered.num_terms();
         prop_assert_eq!(kept + dropped, log.num_terms());
+    }
+
+    #[test]
+    fn aggregation_matches_an_ordered_map(events in event_streams(), num_terms in 0usize..24) {
+        let mut counts: BTreeMap<(TermId, UrlId), u64> = BTreeMap::new();
+        let mut term_totals = vec![0u64; num_terms];
+        for &(term, url) in &events {
+            *counts.entry((term, url)).or_insert(0) += 1;
+            if let Some(total) = term_totals.get_mut(term as usize) {
+                *total += 1;
+            }
+        }
+        let records: Vec<ClickRecord> = counts
+            .into_iter()
+            .map(|((term, url), clicks)| ClickRecord { term, url, clicks })
+            .collect();
+        let raw = events.iter().map(|&(term, url)| RawEvent { term, url });
+        let log = AggregatedLog::from_events(raw, num_terms);
+        prop_assert_eq!(log.records, records);
+        prop_assert_eq!(log.term_totals, term_totals);
+        prop_assert_eq!(log.raw_events, events.len() as u64);
     }
 }

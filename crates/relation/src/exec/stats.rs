@@ -118,6 +118,23 @@ impl StatsRegistry {
         self.inner.lock().clone()
     }
 
+    /// How many records the log holds: a mark for [`StatsRegistry::since`].
+    pub fn len(&self) -> usize {
+        self.inner.lock().len()
+    }
+
+    /// Whether the log holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.inner.lock().is_empty()
+    }
+
+    /// The records from `mark` on (`snapshot()[mark..]`), cloning only
+    /// those; empty when `mark` is at or past the end.
+    pub fn since(&self, mark: usize) -> Vec<StageStats> {
+        let log = self.inner.lock();
+        log[mark.min(log.len())..].to_vec()
+    }
+
     /// Drop all records.
     pub fn clear(&self) {
         self.inner.lock().clear();
@@ -135,5 +152,21 @@ mod tests {
         let shared = reg.clone();
         shared.record(StageStats::new("clustering", 4));
         assert_eq!(reg.snapshot().len(), 2);
+    }
+
+    #[test]
+    fn since_clones_the_tail_a_shared_clone_recorded() {
+        let reg = StatsRegistry::new();
+        assert!(reg.is_empty());
+        reg.record(StageStats::new("extraction", 4));
+        let mark = reg.len();
+        let shared = reg.clone();
+        shared.record(StageStats::new("clustering iteration 1", 2));
+        shared.record(StageStats::new("clustering iteration 2", 2));
+        assert_eq!(reg.len(), 3);
+        assert_eq!(reg.since(mark), reg.snapshot()[mark..]);
+        assert_eq!(reg.since(0), reg.snapshot());
+        assert!(reg.since(reg.len()).is_empty());
+        assert!(reg.since(reg.len() + 1).is_empty());
     }
 }

@@ -445,9 +445,9 @@ mod tests {
         let physical = optimize(&LogicalPlan::scan("t"), &ctx).unwrap();
         let mut hits = 0;
         for _ in 0..2 {
-            let mark = registry.snapshot().len();
+            let mark = registry.len();
             ctx.execute_physical(&physical).unwrap();
-            let text = explain_analyze(&physical, &registry.snapshot()[mark..]);
+            let text = explain_analyze(&physical, &registry.since(mark));
             let line = text.lines().find(|l| l.contains("SeqScan: t")).unwrap();
             assert_eq!(count_before(line, " pages ("), paged.page_count(), "{line}");
             let (h, m) = (count_before(line, " hits"), count_before(line, " misses"));
