@@ -5,11 +5,13 @@
 //! `author` / `mentions` / `retweet_of` through `&Tweet` is a dependent
 //! pointer chase per matched tweet. The columns hold the same three
 //! facts as `u32` arrays (mentions as CSR) plus the per-user totals that
-//! are the TS / MI / RI denominators, packed one row per user. They are
-//! derived in memory from the tweet table — like the handle index, they
-//! are never persisted — and only [`TweetColumns::push`] and
-//! [`TweetColumns::uncount`] ever change them, so they cannot drift from
-//! `Corpus::tweets()` (property-tested in `tests/proptest_columns.rs`).
+//! are the TS / MI / RI denominators, packed one row per user. A build
+//! counts them from the tweet table; the corpus file persists them (its
+//! author, retweet and mention sections and the per-user totals) and a
+//! load adopts them as they are, building each `Tweet` from them. After
+//! that only [`TweetColumns::push`] and [`TweetColumns::uncount`] ever
+//! change them, so they cannot drift from `Corpus::tweets()`
+//! (property-tested in `tests/proptest_columns.rs`).
 
 use crate::types::{Tweet, TweetId, UserId};
 
@@ -63,26 +65,25 @@ impl TweetColumns {
         columns
     }
 
-    /// Replace the counted totals with persisted ones (the binary load
-    /// paths: the file's totals stay authoritative, as they were before
-    /// the columns existed). The three slices are one entry per user.
-    pub(crate) fn with_totals(
-        mut self,
-        tweets: &[u64],
-        mentions: &[u64],
-        retweets: &[u64],
-    ) -> Self {
-        self.totals = tweets
-            .iter()
-            .zip(mentions)
-            .zip(retweets)
-            .map(|((&tweets, &mentions), &retweets)| UserTotals {
-                tweets,
-                mentions,
-                retweets,
-            })
-            .collect();
-        self
+    /// Adopt decoded columns as they are: the corpus file's author,
+    /// retweet and mention sections, and its persisted totals, which
+    /// stay authoritative (nothing recounts them). The caller has checked
+    /// that the rows agree in length, the mention CSR is well formed, and
+    /// `totals` has one row per user.
+    pub(crate) fn from_parts(
+        author: Vec<UserId>,
+        retweet_of: Vec<UserId>,
+        mention_offsets: Vec<u32>,
+        mention_ids: Vec<UserId>,
+        totals: Vec<UserTotals>,
+    ) -> TweetColumns {
+        TweetColumns {
+            author,
+            retweet_of,
+            mention_offsets,
+            mention_ids,
+            totals,
+        }
     }
 
     /// A totals row for a newly registered user.

@@ -48,7 +48,8 @@ pub struct Corpus {
     /// handle → user id.
     handle_index: HashMap<String, UserId>,
     /// What ranking reads of `tweets`, as flat arrays, plus the per-user
-    /// totals. Derived from `tweets` in memory, never persisted.
+    /// totals. Counted from `tweets` by a build, adopted from the file by
+    /// a load (which builds `tweets` from them).
     columns: TweetColumns,
     /// Tweets `[0, base_tweets)` are covered by the CSR postings; later
     /// ids live in `delta_postings`. Appended ids are always larger than

@@ -5,36 +5,50 @@
 //! header   magic "ESCF" | version u16 | reserved u16 (0)
 //!          num_users u32 | num_tweets u32 | num_tokens u32 | shards K u32
 //!          strings_len u64
-//!          section table, 1 + K entries:
+//!          section table, 5 + K entries:
 //!            row_start u32 | row_end u32 | arena_len u32 | crc u32
 //!          header_crc u32              (CRC32 of every header byte before it)
-//! strings  six sealed frames (`len u64 | crc32 u32 | table`, see
+//! strings  four sealed frames (`len u64 | crc32 u32 | table`, see
 //!          `esharp_storage::atomic::read_frame`): meta, users,
-//!          user_domains, tweets, tweet_mentions, symbols
-//! pad      0–3 zero bytes, so the u32 body starts 4-aligned
-//! body     1 + K sections of raw little-endian u32s, back to back: the
-//!          token CSR (rows = tweets) and then one postings CSR per shard
-//!          (rows = the shard's token range, offsets shard-local). A
-//!          section is its row_end - row_start + 1 offsets followed by its
-//!          arena_len ids; its table entry's crc covers exactly those bytes.
+//!          user_domains, symbols
+//! pad      0–3 zero bytes, so the body starts 4-aligned
+//! body     5 + K sections of raw little-endian words, back to back; each
+//!          table entry's crc covers exactly its section's bytes:
+//!          text        num_tweets + 1 u32 byte offsets, then the arena_len
+//!                      bytes of every tweet text (UTF-8), zero-padded to 4
+//!          author      num_tweets u32 user ids
+//!          retweet_of  num_tweets u32 user ids, `NO_RETWEET` for a tweet
+//!                      that is not a retweet
+//!          mentions    num_tweets + 1 offsets, then arena_len user ids
+//!          tokens      num_tweets + 1 offsets, then arena_len token ids
+//!          postings    one per shard: row_end - row_start + 1 offsets
+//!                      (rows = the shard's token range, offsets
+//!                      shard-local), then arena_len tweet ids
 //! ```
 //!
+//! The four tweet sections and the token section have rows `0 ..
+//! num_tweets`; author and retweet_of have no arena (arena_len 0).
+//!
 //! Every byte is covered by a checksum (the header's, a string frame's or
-//! a body section's) or must be zero (the pad), and the header fixes the
+//! a body section's) or must be zero (the pads), and the header fixes the
 //! file length, so truncation, a flipped bit anywhere, or trailing bytes
 //! fail at open with `InvalidData` — never at query time and never with a
 //! panic.
 //! Structural checks then cover what a well-formed checksum cannot vouch
-//! for: CSR offsets, id ranges and posting-list sortedness.
+//! for: CSR offsets, text offsets on character boundaries of a UTF-8
+//! arena, id ranges and posting-list sortedness.
 //!
 //! One reader decodes the file. [`Corpus::load`] reads the string
 //! section, decodes it into `String`s and frees it, then reads the body
-//! into one byte buffer; [`decode`] takes both from a slice already in
+//! one section at a time; [`decode`] takes both from a slice already in
 //! memory. Either way `assemble` checks each body section's checksum and
 //! decodes its little-endian run straight into the owned `Vec<u32>`
-//! arenas the corpus keeps.
+//! arenas the corpus keeps: the author, retweet and mention sections
+//! become the rank-side [`TweetColumns`] as they are (the persisted
+//! per-user totals beside them), and each `Tweet` is built from those
+//! columns and its slice of the text arena, so the two cannot disagree.
 
-use crate::columns::TweetColumns;
+use crate::columns::{TweetColumns, UserTotals, NO_RETWEET};
 use crate::corpus::Corpus;
 use crate::index::{check_csr, PostingsIndex, PostingsShard};
 use crate::intern::SymbolTable;
@@ -51,14 +65,24 @@ use std::sync::Arc;
 const MAGIC: &[u8; 4] = b"ESCF";
 /// File format revision. 1 was the eight-frame `corpus.bin` and the
 /// `corpus.manifest` directory layout, 2 had a string-section CRC in the
-/// header; none is readable any more.
-const VERSION: u16 = 3;
+/// header, 3 kept the tweet table in binfmt frames; none is readable any
+/// more.
+const VERSION: u16 = 4;
 /// Header bytes before the section table.
 const FIXED: usize = 32;
 /// Bytes per section-table entry.
 const ENTRY: usize = 16;
 /// Frames in the string section.
-const GLOBAL_FRAMES: usize = 6;
+const GLOBAL_FRAMES: usize = 4;
+/// Body sections before the postings shards: text, author, retweet_of,
+/// mentions and tokens, in file order.
+const TWEET_SECTIONS: [Shape; 5] = [
+    Shape::Text,
+    Shape::Column,
+    Shape::Column,
+    Shape::Csr,
+    Shape::Csr,
+];
 
 /// The load mode [`load_sharded`] takes. Both variants run the same
 /// loader, [`Corpus::load`], and give the same owned arenas: borrowing
@@ -96,6 +120,42 @@ fn to_usize(v: u64) -> io::Result<usize> {
     usize::try_from(v).map_err(|_| bad("larger than the address space"))
 }
 
+/// How a body section lays out its rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// Row offsets into a byte arena, zero-padded to 4 bytes.
+    Text,
+    /// One word per row, no arena.
+    Column,
+    /// Row offsets into an arena of words.
+    Csr,
+}
+
+/// One body section, as its table entry describes it.
+struct Section {
+    shape: Shape,
+    row_start: u32,
+    row_end: u32,
+    arena_len: u32,
+    crc: u32,
+}
+
+impl Section {
+    fn rows(&self) -> u64 {
+        u64::from(self.row_end.saturating_sub(self.row_start))
+    }
+
+    /// Bytes of the section in the body (always a multiple of 4).
+    fn len(&self) -> u64 {
+        let (rows, arena) = (self.rows(), u64::from(self.arena_len));
+        match self.shape {
+            Shape::Text => (rows + 1) * 4 + arena.next_multiple_of(4),
+            Shape::Column => rows * 4,
+            Shape::Csr => (rows + 1 + arena) * 4,
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Writing.
 // ---------------------------------------------------------------------
@@ -115,14 +175,14 @@ impl Corpus {
     }
 
     /// Open the corpus file at `path`. The string section is read,
-    /// decoded and freed before the body is read.
+    /// decoded and freed before the body is read, and the body is read
+    /// one section at a time.
     pub fn load(path: impl AsRef<Path>) -> io::Result<Corpus> {
         let mut file = std::fs::File::open(path)?;
         let len = file.metadata()?.len();
         let head = read_header(&mut file, len)?;
         let global = decode_strings(&read_vec(&mut file, head.body_at - head.head_len)?, &head)?;
-        let body = read_vec(&mut file, head.body_len)?;
-        assemble(&head, global, &body)
+        assemble(&head, global, |len| read_vec(&mut file, len).map(Cow::Owned))
     }
 }
 
@@ -143,11 +203,33 @@ pub fn encode(corpus: &Corpus, shards: usize) -> io::Result<Vec<u8>> {
     } else {
         Cow::Owned(current.resharded(shards))
     };
+    let tweets = corpus.tweets();
+    let columns = corpus.columns();
     let (token_offsets, token_ids) = corpus.token_arena_parts();
-    let mut sections = vec![(0, corpus.tweets().len() as u32, token_offsets, token_ids)];
+    let text_len: usize = tweets.iter().map(|t| t.text.len()).sum();
+    let text_len = u32::try_from(text_len)
+        .map_err(|_| io::Error::other("tweet texts exceed the 4 GiB a corpus file holds"))?;
+    let num_tweets = tweets.len() as u32;
+    let arenas = [text_len, 0, 0, columns.mention_ids().len() as u32, token_ids.len() as u32];
+    let mut sections: Vec<Section> = TWEET_SECTIONS
+        .iter()
+        .zip(arenas)
+        .map(|(&shape, arena_len)| Section {
+            shape,
+            row_start: 0,
+            row_end: num_tweets,
+            arena_len,
+            crc: 0,
+        })
+        .collect();
     for shard in index.shards() {
-        let (offsets, arena) = shard.parts();
-        sections.push((shard.token_start(), shard.token_end(), offsets, arena));
+        sections.push(Section {
+            shape: Shape::Csr,
+            row_start: shard.token_start(),
+            row_end: shard.token_end(),
+            arena_len: shard.parts().1.len() as u32,
+            crc: 0,
+        });
     }
 
     let head_len = FIXED + ENTRY * sections.len() + 4;
@@ -157,27 +239,42 @@ pub fn encode(corpus: &Corpus, shards: usize) -> io::Result<Vec<u8>> {
     out.extend_from_slice(&0u16.to_le_bytes());
     for count in [
         corpus.users().len(),
-        corpus.tweets().len(),
+        tweets.len(),
         corpus.num_tokens(),
-        sections.len() - 1,
+        sections.len() - TWEET_SECTIONS.len(),
     ] {
         out.extend_from_slice(&(count as u32).to_le_bytes());
     }
-    out.resize(head_len, 0); // patched below: strings_len and every crc
+    out.resize(head_len, 0); // patched below: strings_len and every entry
     encode_global(corpus, &mut out)?;
     let strings_len = (out.len() - head_len) as u64;
     out[24..32].copy_from_slice(&strings_len.to_le_bytes());
     out.resize(out.len().next_multiple_of(4), 0);
-    let body_len: usize = sections.iter().map(|s| (s.2.len() + s.3.len()) * 4).sum();
-    out.reserve_exact(body_len);
+    let body_len: u64 = sections.iter().map(Section::len).sum();
+    out.reserve_exact(to_usize(body_len)?);
 
-    for (i, &(row_start, row_end, offsets, arena)) in sections.iter().enumerate() {
-        let at = out.len();
+    // Each section's start in `out`, then the end of the last.
+    let mut starts = vec![out.len()];
+    put_text(&mut out, tweets);
+    starts.push(out.len());
+    for words in [columns.author(), columns.retweet_of()] {
+        put_u32s(&mut out, words);
+        starts.push(out.len());
+    }
+    let csrs = [
+        (columns.mention_offsets(), columns.mention_ids()),
+        (token_offsets, token_ids),
+    ];
+    let shards = index.shards().iter().map(PostingsShard::parts);
+    for (offsets, arena) in csrs.into_iter().chain(shards) {
         put_u32s(&mut out, offsets);
         put_u32s(&mut out, arena);
-        let crc = crc32(&out[at..]);
+        starts.push(out.len());
+    }
+    for (i, s) in sections.iter_mut().enumerate() {
+        s.crc = crc32(&out[starts[i]..starts[i + 1]]);
         let entry = FIXED + i * ENTRY;
-        for (j, v) in [row_start, row_end, arena.len() as u32, crc].into_iter().enumerate() {
+        for (j, v) in [s.row_start, s.row_end, s.arena_len, s.crc].into_iter().enumerate() {
             out[entry + 4 * j..entry + 4 * j + 4].copy_from_slice(&v.to_le_bytes());
         }
     }
@@ -195,9 +292,25 @@ fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
     }
 }
 
-/// Append the string section: the six frames that hold everything but
-/// the u32 arenas (users, tweet texts and mentions, symbol texts,
-/// per-user totals).
+/// Append the text section: the running byte offsets, every text, and
+/// the zero pad to a 4-byte boundary. The caller has checked that the
+/// texts fit u32 offsets.
+fn put_text(out: &mut Vec<u8>, tweets: &[Tweet]) {
+    let at = out.len();
+    out.resize(at + (tweets.len() + 1) * 4, 0);
+    let mut end = 0;
+    for (dst, t) in out[at + 4..].chunks_exact_mut(4).zip(tweets) {
+        end += t.text.len() as u32;
+        dst.copy_from_slice(&end.to_le_bytes());
+    }
+    for t in tweets {
+        out.extend_from_slice(t.text.as_bytes());
+    }
+    out.resize(out.len().next_multiple_of(4), 0);
+}
+
+/// Append the string section: the four frames that hold everything but
+/// the body's words (users, symbol texts, per-user totals).
 fn encode_global(corpus: &Corpus, out: &mut Vec<u8>) -> io::Result<()> {
     let rel = |e: esharp_relation::RelError| io::Error::other(e.to_string());
     let meta = Table::new(
@@ -258,39 +371,6 @@ fn encode_global(corpus: &Corpus, out: &mut Vec<u8>) -> io::Result<()> {
         vec![Column::Int(domains)],
     )
     .map_err(rel)?;
-
-    let tweets = corpus.tweets();
-    let mut mentions: Vec<i64> = Vec::new();
-    let mut mentions_end = Vec::with_capacity(tweets.len());
-    for t in tweets {
-        mentions.extend(t.mentions.iter().map(|&m| m as i64));
-        mentions_end.push(mentions.len() as i64);
-    }
-    let tweets_table = Table::new(
-        Schema::of(&[
-            ("author", DataType::Int),
-            ("text", DataType::Str),
-            ("retweet_of", DataType::Int),
-            ("mentions_end", DataType::Int),
-        ]),
-        vec![
-            Column::Int(tweets.iter().map(|t| t.author as i64).collect()),
-            Column::Str(tweets.iter().map(|t| t.text.as_str().into()).collect()),
-            Column::Int(
-                tweets
-                    .iter()
-                    .map(|t| t.retweet_of.map_or(-1, |u| u as i64))
-                    .collect(),
-            ),
-            Column::Int(mentions_end),
-        ],
-    )
-    .map_err(rel)?;
-    let tweet_mentions = Table::new(
-        Schema::of(&[("user", DataType::Int)]),
-        vec![Column::Int(mentions)],
-    )
-    .map_err(rel)?;
     let symbols = Table::new(
         Schema::of(&[("token", DataType::Str)]),
         vec![Column::Str(
@@ -301,17 +381,7 @@ fn encode_global(corpus: &Corpus, out: &mut Vec<u8>) -> io::Result<()> {
     )
     .map_err(rel)?;
 
-    encode_frames_into(
-        out,
-        &[
-            meta,
-            users_table,
-            user_domains,
-            tweets_table,
-            tweet_mentions,
-            symbols,
-        ],
-    );
+    encode_frames_into(out, &[meta, users_table, user_domains, symbols]);
     Ok(())
 }
 
@@ -329,7 +399,14 @@ pub fn load_sharded(path: impl AsRef<Path>, _mode: LoadMode) -> io::Result<Corpu
 pub fn decode(bytes: &[u8]) -> io::Result<Corpus> {
     let head = read_header(&mut &bytes[..], bytes.len() as u64)?;
     let global = decode_strings(&bytes[head.head_len..head.body_at], &head)?;
-    assemble(&head, global, &bytes[head.body_at..])
+    let mut rest = &bytes[head.body_at..];
+    assemble(&head, global, |len| {
+        let (section, tail) = rest
+            .split_at_checked(len)
+            .ok_or_else(|| bad("body shorter than its sections"))?;
+        rest = tail;
+        Ok(Cow::Borrowed(section))
+    })
 }
 
 /// Read exactly `len` bytes into a fresh vector. A length the allocator
@@ -349,38 +426,23 @@ fn read_vec(src: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// One body section, as its table entry describes it.
-struct Section {
-    row_start: u32,
-    row_end: u32,
-    arena_len: u32,
-    crc: u32,
-}
-
-impl Section {
-    /// Offsets (one per row, plus one) and arena, in u32s.
-    fn words(&self) -> u64 {
-        u64::from(self.row_end - self.row_start) + 1 + u64::from(self.arena_len)
-    }
-}
-
 struct Header {
     head_len: usize,
     num_users: u32,
     num_tweets: u32,
     num_tokens: u32,
     strings_len: usize,
-    /// The token section, then one section per postings shard.
+    /// The tweet and token sections, then one section per postings shard.
     sections: Vec<Section>,
     body_at: usize,
-    body_len: usize,
 }
 
 /// Read and check the header of a `len`-byte corpus file: magic and
 /// version, checksum, that the sections tile their row spaces, and that
 /// the layout it describes is exactly `len` bytes long.
 fn read_header(src: &mut impl Read, len: u64) -> io::Result<Header> {
-    if len < (FIXED + 2 * ENTRY + 4) as u64 {
+    let fixed_sections = TWEET_SECTIONS.len();
+    if len < (FIXED + (fixed_sections + 1) * ENTRY + 4) as u64 {
         if len >= 4 {
             let mut magic = [0u8; 4];
             src.read_exact(&mut magic)?;
@@ -396,7 +458,7 @@ fn read_header(src: &mut impl Read, len: u64) -> io::Result<Header> {
         return Err(stale());
     }
     let shards = u64::from(read_u32(&head, 20));
-    let head_len = FIXED as u64 + (shards + 1) * ENTRY as u64 + 4;
+    let head_len = FIXED as u64 + (shards + fixed_sections as u64) * ENTRY as u64 + 4;
     if shards == 0 || head_len > len {
         return Err(bad("truncated header or shard count out of range"));
     }
@@ -412,10 +474,11 @@ fn read_header(src: &mut impl Read, len: u64) -> io::Result<Header> {
 
     let num_tweets = read_u32(&head, 12);
     let num_tokens = read_u32(&head, 16);
-    let sections: Vec<Section> = (0..=shards as usize)
+    let sections: Vec<Section> = (0..fixed_sections + shards as usize)
         .map(|i| {
             let at = FIXED + i * ENTRY;
             Section {
+                shape: TWEET_SECTIONS.get(i).copied().unwrap_or(Shape::Csr),
                 row_start: read_u32(&head, at),
                 row_end: read_u32(&head, at + 4),
                 arena_len: read_u32(&head, at + 8),
@@ -423,11 +486,21 @@ fn read_header(src: &mut impl Read, len: u64) -> io::Result<Header> {
             }
         })
         .collect();
-    if sections[0].row_start != 0 || sections[0].row_end != num_tweets {
-        return Err(bad("token section does not cover the tweets"));
+    let (tweet_sections, postings) = sections.split_at(fixed_sections);
+    if tweet_sections
+        .iter()
+        .any(|s| s.row_start != 0 || s.row_end != num_tweets)
+    {
+        return Err(bad("a tweet section does not cover the tweets"));
+    }
+    if tweet_sections
+        .iter()
+        .any(|s| s.shape == Shape::Column && s.arena_len != 0)
+    {
+        return Err(bad("a column section claims an arena"));
     }
     let mut next = 0;
-    for s in &sections[1..] {
+    for s in postings {
         if s.row_start != next || s.row_end < s.row_start {
             return Err(bad("postings shards do not tile the token space"));
         }
@@ -441,7 +514,7 @@ fn read_header(src: &mut impl Read, len: u64) -> io::Result<Header> {
     let body_at = (head_len + strings_len.min(len)).next_multiple_of(4);
     let body_len = sections
         .iter()
-        .map(|s| s.words() * 4)
+        .map(Section::len)
         .fold(0, u64::saturating_add);
     let described = body_at.saturating_add(body_len);
     if strings_len > len || described != len {
@@ -457,7 +530,6 @@ fn read_header(src: &mut impl Read, len: u64) -> io::Result<Header> {
         strings_len: to_usize(strings_len)?,
         sections,
         body_at: to_usize(body_at)?,
-        body_len: to_usize(body_len)?,
     })
 }
 
@@ -479,32 +551,68 @@ fn decode_strings(strings: &[u8], head: &Header) -> io::Result<Global> {
     decode_global(frames, head)
 }
 
-/// Check each body section against its checksum, decode its
-/// little-endian runs into owned arenas, and assemble the corpus.
-fn assemble(head: &Header, global: Global, body: &[u8]) -> io::Result<Corpus> {
-    // The sections lie back to back from the start of the body.
-    let mut rest = body;
-    let mut next_section = |s: &Section| -> io::Result<(Vec<u32>, Vec<u32>)> {
-        let (bytes, tail) = rest
-            .split_at_checked(to_usize(s.words() * 4)?)
-            .ok_or_else(|| bad("body shorter than its sections"))?;
-        rest = tail;
-        if crc32(bytes) != s.crc {
+/// Take each body section in file order from `next` (which hands over
+/// the next `len` bytes), check it against its checksum and its
+/// structure, decode its little-endian runs into owned arenas, and
+/// assemble the corpus.
+fn assemble<'a>(
+    head: &Header,
+    global: Global,
+    mut next: impl FnMut(usize) -> io::Result<Cow<'a, [u8]>>,
+) -> io::Result<Corpus> {
+    let mut sections = head.sections.iter();
+    let mut next_section = || -> io::Result<(&Section, Cow<'a, [u8]>)> {
+        let s = sections.next().ok_or_else(|| bad("missing body section"))?;
+        let bytes = next(to_usize(s.len())?)?;
+        if crc32(&bytes) != s.crc {
             return Err(bad("body section checksum mismatch"));
         }
-        let (offsets, ids) = bytes.split_at((s.row_end - s.row_start) as usize * 4 + 4);
-        Ok((le_u32s(offsets), le_u32s(ids)))
+        Ok((s, bytes))
     };
-    let (token_offsets, token_ids) = next_section(&head.sections[0])?;
-    check_csr(&token_offsets, token_ids.len()).map_err(|e| bad(format!("tweet tokens: {e}")))?;
+    let (text_section, text_bytes) = next_section()?;
+    let (text_offsets, text) = text_arena(text_section, &text_bytes)?;
+    let author = le_u32s(&next_section()?.1);
+    let retweet_of = le_u32s(&next_section()?.1);
+    let (mention_offsets, mention_ids) = csr(next_section()?, "tweet mentions")?;
+    let num_users = head.num_users;
+    if author.iter().chain(&mention_ids).any(|&u| u >= num_users) {
+        return Err(bad("tweet author or mentioned user id out of range"));
+    }
+    if retweet_of.iter().any(|&u| u >= num_users && u != NO_RETWEET) {
+        return Err(bad("retweet_of user id out of range"));
+    }
+
+    let mut tweets = Vec::with_capacity(author.len());
+    for (i, ends) in text_offsets.windows(2).enumerate() {
+        let text = text
+            .get(ends[0] as usize..ends[1] as usize)
+            .ok_or_else(|| bad("tweet text offset not on a character boundary"))?;
+        let mentions = &mention_ids[mention_offsets[i] as usize..mention_offsets[i + 1] as usize];
+        tweets.push(Tweet {
+            id: i as TweetId,
+            author: author[i],
+            text: text.to_owned(),
+            mentions: mentions.to_vec(),
+            retweet_of: Some(retweet_of[i]).filter(|&u| u != NO_RETWEET),
+        });
+    }
+    drop(text_bytes);
+    // The persisted per-user totals stay authoritative: nothing recounts
+    // them from the columns.
+    let columns =
+        TweetColumns::from_parts(author, retweet_of, mention_offsets, mention_ids, global.totals);
+
+    let (token_offsets, token_ids) = csr(next_section()?, "tweet tokens")?;
     if token_ids.iter().any(|&t| t >= head.num_tokens) {
         return Err(bad("tweet token id out of range"));
     }
 
-    let mut shards = Vec::with_capacity(head.sections.len() - 1);
-    for s in &head.sections[1..] {
-        let (offsets, ids) = next_section(s)?;
-        let shard = PostingsShard::new(s.row_start, s.row_end, offsets, ids).map_err(bad)?;
+    let mut shards = Vec::with_capacity(head.sections.len() - TWEET_SECTIONS.len());
+    for _ in TWEET_SECTIONS.len()..head.sections.len() {
+        let (s, bytes) = next_section()?;
+        let (offsets, ids) = split_csr(s, &bytes)?;
+        let shard = PostingsShard::new(s.row_start, s.row_end, le_u32s(offsets), le_u32s(ids))
+            .map_err(bad)?;
         let (offsets, ids) = shard.parts();
         if offsets
             .windows(2)
@@ -519,21 +627,48 @@ fn assemble(head: &Header, global: Global, body: &[u8]) -> io::Result<Corpus> {
     }
     let postings = PostingsIndex::from_shards(shards).map_err(bad)?;
 
-    // The persisted per-user totals stay authoritative over the counted ones.
-    let columns = TweetColumns::from_tweets(global.users.len(), &global.tweets).with_totals(
-        &global.tweets_by_user,
-        &global.mentions_of_user,
-        &global.retweets_of_user,
-    );
     Ok(Corpus::from_parts(
         global.users,
-        global.tweets,
+        tweets,
         global.symbols,
         token_offsets,
         token_ids,
         postings,
         columns,
     ))
+}
+
+/// A CSR section's offsets and arena, as byte runs.
+fn split_csr<'b>(s: &Section, bytes: &'b [u8]) -> io::Result<(&'b [u8], &'b [u8])> {
+    bytes
+        .split_at_checked(to_usize(s.rows() * 4 + 4)?)
+        .ok_or_else(|| bad("section shorter than its offsets"))
+}
+
+/// A checked CSR section over the tweets, decoded.
+fn csr((s, bytes): (&Section, Cow<'_, [u8]>), what: &str) -> io::Result<(Vec<u32>, Vec<u32>)> {
+    let (offsets, ids) = split_csr(s, &bytes)?;
+    let (offsets, ids) = (le_u32s(offsets), le_u32s(ids));
+    check_csr(&offsets, ids.len()).map_err(|e| bad(format!("{what}: {e}")))?;
+    Ok((offsets, ids))
+}
+
+/// The text section's offsets and arena. The arena is checked as UTF-8
+/// once, its pad must be zero, and the offsets must run monotonically
+/// from 0 to its length; that each lies on a character boundary is
+/// checked as the texts are sliced out.
+fn text_arena<'b>(s: &Section, bytes: &'b [u8]) -> io::Result<(Vec<u32>, &'b str)> {
+    let (offsets, rest) = split_csr(s, bytes)?;
+    let (arena, pad) = rest
+        .split_at_checked(s.arena_len as usize)
+        .ok_or_else(|| bad("text section shorter than its arena"))?;
+    if pad.iter().any(|&b| b != 0) {
+        return Err(bad("nonzero pad after the text arena"));
+    }
+    let text = std::str::from_utf8(arena).map_err(|_| bad("tweet text arena is not UTF-8"))?;
+    let offsets = le_u32s(offsets);
+    check_csr(&offsets, arena.len()).map_err(|e| bad(format!("tweet texts: {e}")))?;
+    Ok((offsets, text))
 }
 
 fn le_u32s(bytes: &[u8]) -> Vec<u32> {
@@ -545,17 +680,14 @@ fn le_u32s(bytes: &[u8]) -> Vec<u32> {
 
 struct Global {
     users: Vec<User>,
-    tweets: Vec<Tweet>,
     symbols: SymbolTable,
-    tweets_by_user: Vec<u64>,
-    mentions_of_user: Vec<u64>,
-    retweets_of_user: Vec<u64>,
+    /// The persisted per-user totals, one row per user.
+    totals: Vec<UserTotals>,
 }
 
 fn decode_global(data: &[u8], head: &Header) -> io::Result<Global> {
     let frames = decode_frames_exact(data, GLOBAL_FRAMES).map_err(bad)?;
-    let [meta, users_t, user_domains, tweets_t, tweet_mentions, symbols_t]: [Table;
-        GLOBAL_FRAMES] = frames
+    let [meta, users_t, user_domains, symbols_t]: [Table; GLOBAL_FRAMES] = frames
         .try_into()
         .map_err(|_| bad("wrong frame count"))?;
 
@@ -575,7 +707,6 @@ fn decode_global(data: &[u8], head: &Header) -> io::Result<Global> {
         return Err(bad("string section disagrees with the header"));
     }
     let num_users = head.num_users as usize;
-    let num_tweets = head.num_tweets as usize;
 
     if users_t.num_rows() != num_users {
         return Err(bad("users frame row count disagrees with the header"));
@@ -609,46 +740,23 @@ fn decode_global(data: &[u8], head: &Header) -> io::Result<Global> {
             spam: spam[i],
         });
     }
-    let totals = |name: &str| -> io::Result<Vec<u64>> {
-        col_int(&users_t, name)?
-            .iter()
-            .map(|&v| checked_total(v, name))
-            .collect()
-    };
-    let tweets_by_user = totals("tweets_by")?;
-    let mentions_of_user = totals("mentions_of")?;
-    let retweets_of_user = totals("retweets_of")?;
-
-    if tweets_t.num_rows() != num_tweets {
-        return Err(bad("tweets frame row count disagrees with the header"));
-    }
-    let authors = col_int(&tweets_t, "author")?;
-    let texts = col_str(&tweets_t, "text")?;
-    let retweet_ofs = col_int(&tweets_t, "retweet_of")?;
-    let mention_arena = col_int(&tweet_mentions, "user")?;
-    let mention_offsets = ends_to_offsets(
-        col_int(&tweets_t, "mentions_end")?,
-        mention_arena.len(),
-        "tweet mentions",
-    )?;
-    let mut tweets = Vec::with_capacity(num_tweets);
-    for i in 0..num_tweets {
-        let mentions = mention_arena[mention_offsets[i] as usize..mention_offsets[i + 1] as usize]
-            .iter()
-            .map(|&u| checked_id(u, num_users, "mention user id"))
-            .collect::<io::Result<Vec<UserId>>>()?;
-        let retweet_of = match retweet_ofs[i] {
-            -1 => None,
-            id => Some(checked_id(id, num_users, "retweet_of user id")?),
-        };
-        tweets.push(Tweet {
-            id: i as TweetId,
-            author: checked_id(authors[i], num_users, "tweet author")?,
-            text: texts[i].to_string(),
-            mentions,
-            retweet_of,
-        });
-    }
+    let (tweets, mentions, retweets) = (
+        col_int(&users_t, "tweets_by")?,
+        col_int(&users_t, "mentions_of")?,
+        col_int(&users_t, "retweets_of")?,
+    );
+    let totals = tweets
+        .iter()
+        .zip(mentions)
+        .zip(retweets)
+        .map(|((&tweets, &mentions), &retweets)| {
+            Ok(UserTotals {
+                tweets: checked_total(tweets, "tweets_by")?,
+                mentions: checked_total(mentions, "mentions_of")?,
+                retweets: checked_total(retweets, "retweets_of")?,
+            })
+        })
+        .collect::<io::Result<Vec<UserTotals>>>()?;
 
     if symbols_t.num_rows() != head.num_tokens as usize {
         return Err(bad("symbols frame row count disagrees with the header"));
@@ -661,11 +769,8 @@ fn decode_global(data: &[u8], head: &Header) -> io::Result<Global> {
 
     Ok(Global {
         users,
-        tweets,
         symbols,
-        tweets_by_user,
-        mentions_of_user,
-        retweets_of_user,
+        totals,
     })
 }
 
@@ -820,13 +925,13 @@ mod tests {
         // A file cut after its token section lacks every postings section.
         let c = sample();
         let bytes = encode(&c, 3).unwrap();
-        let postings_words: u64 = read_header(&mut &bytes[..], bytes.len() as u64)
+        let postings_bytes: u64 = read_header(&mut &bytes[..], bytes.len() as u64)
             .unwrap()
-            .sections[1..]
+            .sections[TWEET_SECTIONS.len()..]
             .iter()
-            .map(Section::words)
+            .map(Section::len)
             .sum();
-        let cut = bytes.len() - postings_words as usize * 4;
+        let cut = bytes.len() - postings_bytes as usize;
         let err = decode(&bytes[..cut]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }

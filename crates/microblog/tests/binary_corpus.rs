@@ -6,12 +6,16 @@
 //! drive that contract mechanically over two corpora (a built one and one
 //! that went through appends, deletes and compaction), at one and three
 //! postings shards, from memory and from disk: every damage of the one
-//! corruption matrix (`esharp_fault::corrupt`), and files of the older
-//! formats.
+//! corruption matrix (`esharp_fault::corrupt`), files of the older
+//! formats, and files whose tweet sections are damaged in structure but
+//! sealed with recomputed checksums, which only the structural checks
+//! can catch.
 
 use esharp_fault::corrupt::{assert_rejects_damage_where, for_each_damage, Damage};
 use esharp_microblog::segio::{self, LoadMode};
 use esharp_microblog::{Corpus, Tweet, User};
+use esharp_storage::atomic::frame_header;
+use std::ops::Range;
 use std::io::ErrorKind;
 use std::path::PathBuf;
 
@@ -131,7 +135,7 @@ fn pad_len(bytes: &[u8]) -> usize {
     let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
     let shards = word(20);
     let strings_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-    let strings_end = 32 + 16 * (shards + 1) + 4 + strings_len;
+    let strings_end = 32 + 16 * (shards + 5) + 4 + strings_len;
     strings_end.next_multiple_of(4) - strings_end
 }
 
@@ -261,5 +265,216 @@ fn older_formats_fail_with_a_rebuild_hint() {
         let err = segio::decode(&bytes).expect_err(what);
         assert_eq!(err.kind(), ErrorKind::InvalidData, "{what}");
         assert!(err.to_string().contains("esharp build"), "{what}: {err}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile structure: each file below is damaged inside one tweet section
+// and then resealed (its section checksum and the header checksum
+// recomputed), so it passes every checksum and must be caught by the
+// structural checks.
+// ---------------------------------------------------------------------
+
+/// Body sections in file order before the postings shards.
+const TEXT: usize = 0;
+const AUTHOR: usize = 1;
+const RETWEET_OF: usize = 2;
+const MENTIONS: usize = 3;
+
+fn word(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+fn set_word(bytes: &mut [u8], at: usize, value: u32) {
+    bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+}
+
+/// Where a corpus file's header and body sections lie.
+struct Layout {
+    num_users: u32,
+    num_tweets: usize,
+    head_len: usize,
+    text_arena_len: usize,
+    /// Byte range of every body section, in file order.
+    sections: Vec<Range<usize>>,
+}
+
+impl Layout {
+    fn of(bytes: &[u8]) -> Layout {
+        let entries = 5 + word(bytes, 20) as usize;
+        let head_len = 32 + 16 * entries + 4;
+        let strings_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
+        let mut at = (head_len + strings_len).next_multiple_of(4);
+        let mut sections = Vec::new();
+        for i in 0..entries {
+            let entry = 32 + 16 * i;
+            let rows = (word(bytes, entry + 4) - word(bytes, entry)) as usize;
+            let arena = word(bytes, entry + 8) as usize;
+            let len = match i {
+                TEXT => (rows + 1) * 4 + arena.next_multiple_of(4),
+                AUTHOR | RETWEET_OF => rows * 4,
+                _ => (rows + 1 + arena) * 4,
+            };
+            sections.push(at..at + len);
+            at += len;
+        }
+        assert_eq!(at, bytes.len(), "the sections tile the body");
+        Layout {
+            num_users: word(bytes, 8),
+            num_tweets: word(bytes, 12) as usize,
+            head_len,
+            text_arena_len: word(bytes, 32 + 16 * TEXT + 8) as usize,
+            sections,
+        }
+    }
+
+    /// Byte position of word `i` of section `section`.
+    fn word_at(&self, section: usize, i: usize) -> usize {
+        self.sections[section].start + 4 * i
+    }
+
+    /// Byte position of the text arena.
+    fn arena_at(&self) -> usize {
+        self.word_at(TEXT, self.num_tweets + 1)
+    }
+
+    /// Recompute section `section`'s checksum and then the header's.
+    fn reseal(&self, bytes: &mut [u8], section: usize) {
+        let crc = |payload: &[u8]| frame_header(payload)[8..12].to_vec();
+        let at = 32 + 16 * section + 12;
+        let section_crc = crc(&bytes[self.sections[section].clone()]);
+        bytes[at..at + 4].copy_from_slice(&section_crc);
+        let crc_at = self.head_len - 4;
+        let header_crc = crc(&bytes[..crc_at]);
+        bytes[crc_at..self.head_len].copy_from_slice(&header_crc);
+    }
+}
+
+/// Damage section `section` of every fixture file with `edit` (which
+/// returns false where a file cannot carry that damage), reseal it, and
+/// check that loading it, from memory and from disk, fails with
+/// `InvalidData` naming `want`. At least one file must carry the damage.
+fn assert_resealed_rejected(
+    tag: &str,
+    section: usize,
+    want: &str,
+    edit: impl Fn(&mut [u8], &Layout) -> bool,
+) {
+    let dir = tmpdir(tag);
+    let path = dir.join("corpus.bin");
+    let mut damaged = 0;
+    for (name, mut bytes) in files() {
+        let layout = Layout::of(&bytes);
+        if !edit(&mut bytes, &layout) {
+            continue;
+        }
+        layout.reseal(&mut bytes, section);
+        std::fs::write(&path, &bytes).unwrap();
+        for (from, result) in [("memory", segio::decode(&bytes)), ("disk", Corpus::load(&path))] {
+            let err = result.err().unwrap_or_else(|| panic!("{name}: {tag} from {from} loaded"));
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{name}: {tag} from {from}");
+            assert!(err.to_string().contains(want), "{name}: {tag} from {from}: {err}");
+        }
+        damaged += 1;
+    }
+    assert!(damaged > 0, "{tag}: no fixture file can carry this damage");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The text of tweet `i`: its byte range in the file.
+fn text_range(bytes: &[u8], layout: &Layout, i: usize) -> Range<usize> {
+    let arena = layout.arena_at();
+    let (lo, hi) = (
+        word(bytes, layout.word_at(TEXT, i)) as usize,
+        word(bytes, layout.word_at(TEXT, i + 1)) as usize,
+    );
+    arena + lo..arena + hi
+}
+
+#[test]
+fn a_text_offset_inside_a_character_is_rejected() {
+    assert_resealed_rejected("mid_char", TEXT, "character boundary", |bytes, layout| {
+        let n = layout.num_tweets;
+        let Some((i, inside)) = (0..n).find_map(|i| {
+            let range = text_range(bytes, layout, i);
+            let text = std::str::from_utf8(&bytes[range.clone()]).unwrap();
+            let (at, c) = text.char_indices().find(|(_, c)| c.len_utf8() > 1)?;
+            Some((i, range.start - layout.arena_at() + at + c.len_utf8() - 1))
+        }) else {
+            return false;
+        };
+        // Move the boundary after tweet `i` into the character if there is
+        // a later tweet, else the one before it; either keeps the offsets
+        // monotone and the first and last offsets in place.
+        let row = if i + 1 < n { i + 1 } else { i };
+        set_word(bytes, layout.word_at(TEXT, row), inside as u32);
+        row > 0
+    });
+}
+
+#[test]
+fn descending_text_offsets_are_rejected() {
+    assert_resealed_rejected("descending", TEXT, "monotone", |bytes, layout| {
+        let next = word(bytes, layout.word_at(TEXT, 2));
+        set_word(bytes, layout.word_at(TEXT, 1), next + 1);
+        true
+    });
+}
+
+#[test]
+fn a_last_text_offset_short_of_the_arena_is_rejected() {
+    assert_resealed_rejected("last_offset", TEXT, "arena length", |bytes, layout| {
+        let last = layout.word_at(TEXT, layout.num_tweets);
+        set_word(bytes, last, layout.text_arena_len as u32 - 1);
+        true
+    });
+}
+
+#[test]
+fn invalid_utf8_in_the_text_arena_is_rejected() {
+    assert_resealed_rejected("utf8", TEXT, "not UTF-8", |bytes, layout| {
+        bytes[layout.arena_at() + layout.text_arena_len / 2] = 0xFF;
+        true
+    });
+}
+
+#[test]
+fn a_nonzero_text_arena_pad_is_rejected() {
+    assert_resealed_rejected("arena_pad", TEXT, "nonzero pad", |bytes, layout| {
+        if layout.text_arena_len % 4 == 0 {
+            return false;
+        }
+        bytes[layout.sections[TEXT].end - 1] = 1;
+        true
+    });
+}
+
+#[test]
+fn an_author_id_past_the_users_is_rejected() {
+    assert_resealed_rejected("author", AUTHOR, "out of range", |bytes, layout| {
+        set_word(bytes, layout.word_at(AUTHOR, layout.num_tweets - 1), layout.num_users);
+        true
+    });
+}
+
+#[test]
+fn a_mentioned_id_past_the_users_is_rejected() {
+    assert_resealed_rejected("mention", MENTIONS, "out of range", |bytes, layout| {
+        let arena = layout.word_at(MENTIONS, layout.num_tweets + 1);
+        if arena == layout.sections[MENTIONS].end {
+            return false;
+        }
+        set_word(bytes, arena, layout.num_users);
+        true
+    });
+}
+
+#[test]
+fn a_retweet_source_past_the_users_that_is_not_the_sentinel_is_rejected() {
+    for (tag, id) in [("retweet_first", 0), ("retweet_last", u32::MAX - 1)] {
+        assert_resealed_rejected(tag, RETWEET_OF, "out of range", |bytes, layout| {
+            set_word(bytes, layout.word_at(RETWEET_OF, 0), id.max(layout.num_users));
+            true
+        });
     }
 }

@@ -34,7 +34,7 @@ use crate::error::{RelError, RelResult};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::DataType;
-use esharp_storage::atomic::{frame_header, split_frame};
+use esharp_storage::atomic::{frame_header, split_frame, FRAME_HEADER};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -305,12 +305,16 @@ pub fn encode_frames(tables: &[Table]) -> Vec<u8> {
 }
 
 /// [`encode_frames`], appending to `out` (for containers that embed the
-/// frames after a header of their own).
+/// frames after a header of their own). Each table is encoded straight
+/// into `out` behind a reserved frame header, which is sealed once the
+/// table's length and bytes are known.
 pub fn encode_frames_into(out: &mut Vec<u8>, tables: &[Table]) {
     for table in tables {
-        let bytes = encode_table(table);
-        out.extend_from_slice(&frame_header(&bytes));
-        out.extend_from_slice(&bytes);
+        let at = out.len();
+        out.resize(at + FRAME_HEADER, 0);
+        encode_rows_into(table, 0..table.num_rows(), out);
+        let header = frame_header(&out[at + FRAME_HEADER..]);
+        out[at..at + FRAME_HEADER].copy_from_slice(&header);
     }
 }
 
@@ -456,6 +460,27 @@ mod tests {
     fn open_two_frames(image: &[u8]) -> std::io::Result<Vec<Table>> {
         decode_frames_exact(image, 2)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    }
+
+    #[test]
+    fn frames_encoded_in_place_match_the_two_step_encoding() {
+        // Each frame was once encoded into a table buffer of its own,
+        // then sealed and copied behind what `out` already held.
+        let tables = [
+            sample(),
+            Table::empty(Schema::of(&[("x", DataType::Int)])),
+            sample(),
+        ];
+        let mut two_step = b"prefix".to_vec();
+        for table in &tables {
+            let bytes = encode_table(table);
+            two_step.extend_from_slice(&frame_header(&bytes));
+            two_step.extend_from_slice(&bytes);
+        }
+        let mut in_place = b"prefix".to_vec();
+        encode_frames_into(&mut in_place, &tables);
+        assert_eq!(in_place, two_step);
+        assert_eq!(encode_frames(&tables), two_step[6..]);
     }
 
     #[test]
