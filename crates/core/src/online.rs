@@ -63,7 +63,7 @@ pub struct SearchOutcome {
     pub expansion_time: Duration,
     /// Time spent matching and ranking (`match_time + rank_time`).
     pub detection_time: Duration,
-    /// Time spent in postings intersection + k-way union.
+    /// Time spent in the postings walk: run intersection + run-wise union.
     #[serde(default)]
     pub match_time: Duration,
     /// Time spent in candidate collection, feature scoring and ranking.

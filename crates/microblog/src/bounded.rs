@@ -34,7 +34,7 @@
 //! shard and a counter, never as a torn-down caller.
 
 use crate::corpus::{Corpus, TermMatch};
-use crate::index::union_sorted;
+use crate::index::{union_runs, Run};
 use crate::types::{TokenId, TweetId};
 use esharp_fault::{Budget, Fault, FaultInjector, NoFaults, ShardBreakers, TickSource};
 use std::collections::HashMap;
@@ -210,9 +210,11 @@ impl Corpus {
     /// its matches are already in the union). The distinct terms some
     /// query keeps are grouped by home shard. Execute: each shard the breakers
     /// admit runs as one task on the shared pool — inline on the caller
-    /// when `workers <= 1` — and publishes its per-term match lists into
-    /// a first-answer-wins slot. Gather: each query's set is one k-way
-    /// union over the lists of its kept terms whose shard answered.
+    /// when `workers <= 1` — and publishes its per-term match lists (run
+    /// lists: a term's posting runs, or for a multi-token term their
+    /// run-against-run intersection) into a first-answer-wins slot.
+    /// Gather: each query's set is one run-wise union over the lists of
+    /// its kept terms whose shard answered, read back as sorted ids.
     pub fn match_expansions(
         &self,
         expansions: &[&[String]],
@@ -398,11 +400,11 @@ impl Corpus {
         let matched = kept
             .iter()
             .map(|terms| {
-                let lists: Vec<&[TweetId]> = terms
+                let lists: Vec<&[Run]> = terms
                     .iter()
                     .filter_map(|&term| memo[term].as_ref().map(TermMatch::as_slice))
                     .collect();
-                self.without_tombstones(union_sorted(&lists))
+                self.without_tombstones(union_runs(&lists))
             })
             .collect();
         let outcome = ShardOutcome {

@@ -1,7 +1,9 @@
 //! The corpus: users, tweets and the indexes the expert detector needs.
 
 use crate::columns::TweetColumns;
-use crate::index::{intersect, PostingsIndex};
+use crate::index::{
+    concat_runs, expand_into, intersect_runs, push_run, Postings, PostingsIndex, Run,
+};
 use crate::intern::SymbolTable;
 use crate::order::{permute, topic_order};
 use crate::tokenize::tokenize;
@@ -18,7 +20,7 @@ use std::collections::HashMap;
 /// * each tweet's interned tokens in a flat CSR arena
 ///   ([`Corpus::tweet_tokens`]),
 /// * a CSR token inverted index ([`PostingsIndex`]) for all-terms query
-///   matching (§3),
+///   matching (§3), every posting list a run list of adjacent ids,
 /// * the rank-side [`TweetColumns`]: author / retweet source / mentions
 ///   of every tweet as flat arrays, and per-user totals (#tweets,
 ///   #mentions received, #retweets received) — the denominators of the
@@ -43,7 +45,7 @@ pub struct Corpus {
     /// `token_ids[token_offsets[t] .. token_offsets[t + 1]]`.
     token_offsets: Vec<u32>,
     token_ids: Vec<TokenId>,
-    /// token id → sorted tweet ids containing it (base segment only).
+    /// token id → the runs of tweet ids containing it (base segment only).
     postings: PostingsIndex,
     /// handle → user id.
     handle_index: HashMap<String, UserId>,
@@ -58,8 +60,9 @@ pub struct Corpus {
     /// Tokens `[0, base_tokens)` have CSR posting lists; tokens interned
     /// by appends are delta-only until compaction.
     base_tokens: u32,
-    /// token id → sorted tweet ids appended since the last compaction.
-    delta_postings: HashMap<TokenId, Vec<TweetId>>,
+    /// token id → the runs of tweet ids appended since the last
+    /// compaction, in the base's run form.
+    delta_postings: HashMap<TokenId, Vec<Run>>,
     /// Sorted ids of logically deleted tweets (filtered from every match
     /// set; physically removed by compaction).
     tombstones: Vec<TweetId>,
@@ -168,14 +171,15 @@ impl Corpus {
         self.symbols.len()
     }
 
-    /// The sorted **base-segment** tweet ids containing `token`. Tweets
-    /// appended since the last compaction live in the delta segment and
-    /// are not visible here; the query path ([`Corpus::match_query`],
-    /// [`Corpus::match_expansions`]) merges both segments. Tokens first
-    /// interned by an append have no base list yet and return empty.
-    pub fn postings(&self, token: TokenId) -> &[TweetId] {
+    /// The **base-segment** posting list of `token`, in run form (its
+    /// `len` counts tweets). Tweets appended since the last compaction
+    /// live in the delta segment and are not visible here; the query path
+    /// ([`Corpus::match_query`], [`Corpus::match_expansions`]) merges both
+    /// segments. Tokens first interned by an append have no base list yet
+    /// and return empty.
+    pub fn postings(&self, token: TokenId) -> Postings<'_> {
         if token >= self.base_tokens {
-            return &[];
+            return Postings::default();
         }
         self.postings.postings(token)
     }
@@ -207,18 +211,14 @@ impl Corpus {
     }
 
     /// Tweets matching a query: the tweet must contain **all** the query's
-    /// tokens after lower-casing (§3). A sorted-postings intersection
-    /// starting from the rarest token; a single-token query borrows its
-    /// posting list and copies it only once, at the end.
+    /// tokens after lower-casing (§3). A run-list intersection starting
+    /// from the list with the fewest runs, expanded to ids at the end.
     pub fn match_query(&self, query: &str) -> Vec<TweetId> {
         let Some(tokens) = self.term_tokens(query) else {
             return Vec::new();
         };
-        let matched = match self.match_tokens(&tokens) {
-            TermMatch::Borrowed(list) => list.to_vec(),
-            TermMatch::Owned(list) => list,
-            TermMatch::Pooled(buf) => buf.take(),
-        };
+        let mut matched = Vec::new();
+        expand_into(self.match_tokens(&tokens).as_slice(), &mut matched);
         self.without_tombstones(matched)
     }
 
@@ -255,10 +255,10 @@ impl Corpus {
     }
 
     /// Tweets containing every token of `tokens` (a [`Corpus::term_tokens`]
-    /// set), tombstones not yet filtered: the posting list borrowed
-    /// outright when no intersection shrinks it (single-token terms — the
-    /// common case for expansion terms), else intersected from the rarest
-    /// list up.
+    /// set), tombstones not yet filtered, as a run list: the posting list
+    /// borrowed outright when no intersection shrinks it (single-token
+    /// terms — the common case for expansion terms), else intersected run
+    /// against run from the list with the fewest runs up.
     pub(crate) fn match_tokens(&self, tokens: &[TokenId]) -> TermMatch<'_> {
         let mut lists: Vec<TermMatch<'_>> =
             tokens.iter().map(|&id| self.merged_postings(id)).collect();
@@ -266,40 +266,35 @@ impl Corpus {
             0 => TermMatch::Owned(Vec::new()),
             1 => lists.remove(0),
             _ => {
-                let mut slices: Vec<&[TweetId]> =
-                    lists.iter().map(TermMatch::as_slice).collect();
+                let mut slices: Vec<&[Run]> = lists.iter().map(TermMatch::as_slice).collect();
                 slices.sort_by_key(|list| list.len());
-                let mut result = intersect(slices[0], slices[1]);
+                let mut result = intersect_runs(slices[0], slices[1]);
                 for list in &slices[2..] {
                     if result.is_empty() {
                         break;
                     }
-                    result = intersect(&result, list);
+                    result = intersect_runs(&result, list);
                 }
                 TermMatch::Owned(result)
             }
         }
     }
 
-    /// Base ++ delta posting list for one token. Every delta id is larger
-    /// than every base id, so simple concatenation is the k-way merge.
+    /// Base ++ delta run list for one token. Every delta id is larger
+    /// than every base id, so concatenation (coalescing the seam when the
+    /// last base run touches the first delta run) is the merge.
     /// When the token genuinely has both segments the concatenation lands
     /// in a pooled per-thread scratch buffer ([`PooledBuf`]) instead of a
     /// fresh allocation — the base+delta read overhead was partly this
     /// per-term, per-query `Vec`.
     fn merged_postings(&self, token: TokenId) -> TermMatch<'_> {
-        let base: &[TweetId] = if token < self.base_tokens {
-            self.postings.postings(token)
-        } else {
-            &[]
-        };
+        let base = self.postings(token).runs();
         match self.delta_postings.get(&token) {
             None => TermMatch::Borrowed(base),
             Some(delta) if base.is_empty() => TermMatch::Borrowed(delta),
             Some(delta) => {
                 let mut buf = PooledBuf::checkout(base.len() + delta.len());
-                buf.0.extend_from_slice(base);
-                buf.0.extend_from_slice(delta);
+                concat_runs(base, delta, &mut buf.0);
                 TermMatch::Pooled(buf)
             }
         }
@@ -348,7 +343,7 @@ impl Corpus {
         self.postings = self.postings.resharded(k);
     }
 
-    /// Payload bytes of each postings shard (offsets + arena), in shard
+    /// Payload bytes of each postings shard (offsets + run arena), in shard
     /// order — the raw series behind the skew metrics.
     pub fn shard_postings_bytes(&self) -> Vec<u64> {
         self.postings.shards().iter().map(|s| s.byte_size()).collect()
@@ -432,12 +427,10 @@ impl Corpus {
         for token in tokenize(&tweet.text) {
             let tok = self.symbols.intern(&token);
             self.token_ids.push(tok);
-            let list = self.delta_postings.entry(tok).or_default();
-            // Appended ids are monotonic, so dedup needs only a last-entry
-            // check and every delta list stays sorted by construction.
-            if list.last() != Some(&id) {
-                list.push(id);
-            }
+            // Appended ids are monotonic, so a repeated token merges into
+            // the run that already holds `id`, the next tweet's extends
+            // it, and every delta list stays a canonical run list.
+            push_run(self.delta_postings.entry(tok).or_default(), [id, 1]);
         }
         self.token_offsets.push(self.token_ids.len() as u32);
         self.tweets.push(tweet);
@@ -659,17 +652,17 @@ fn lay_out(
     (corpus, order)
 }
 
-/// A per-term match set: borrowed straight from the postings arena when
-/// no intersection shrank it, or held in a pooled scratch buffer when
-/// the base+delta concatenation had to materialize.
+/// A per-term match set as a run list: borrowed straight from the
+/// postings arena when no intersection shrank it, or held in a pooled
+/// scratch buffer when the base+delta concatenation had to materialize.
 pub(crate) enum TermMatch<'c> {
-    Borrowed(&'c [TweetId]),
-    Owned(Vec<TweetId>),
+    Borrowed(&'c [Run]),
+    Owned(Vec<Run>),
     Pooled(PooledBuf),
 }
 
 impl TermMatch<'_> {
-    pub(crate) fn as_slice(&self) -> &[TweetId] {
+    pub(crate) fn as_slice(&self) -> &[Run] {
         match self {
             TermMatch::Borrowed(list) => list,
             TermMatch::Owned(list) => list.as_slice(),
@@ -683,16 +676,16 @@ thread_local! {
     /// scatter-gather worker keeps its own pool). Checked out by
     /// [`Corpus::merged_postings`], returned on drop at the end of the
     /// query, so steady-state base+delta reads allocate nothing.
-    static UNION_BUFS: RefCell<Vec<Vec<TweetId>>> = const { RefCell::new(Vec::new()) };
+    static UNION_BUFS: RefCell<Vec<Vec<Run>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Cap on pooled buffers per thread: queries hold at most one buffer per
 /// delta-dirty term, and expansion sets are small.
 const MAX_POOLED_BUFS: usize = 32;
 
-/// A `Vec<TweetId>` borrowed from the thread-local pool; cleared and
+/// A `Vec<Run>` borrowed from the thread-local pool; cleared and
 /// returned on drop.
-pub(crate) struct PooledBuf(Vec<TweetId>);
+pub(crate) struct PooledBuf(Vec<Run>);
 
 impl PooledBuf {
     fn checkout(capacity: usize) -> PooledBuf {
@@ -702,12 +695,6 @@ impl PooledBuf {
         buf.clear();
         buf.reserve(capacity);
         PooledBuf(buf)
-    }
-
-    /// Keep the contents, returning nothing to the pool (the
-    /// `match_query` exit, where the caller owns the result).
-    fn take(mut self) -> Vec<TweetId> {
-        std::mem::take(&mut self.0)
     }
 }
 
@@ -852,7 +839,7 @@ mod tests {
         let go = c.token_id("go").unwrap();
         assert_eq!(c.tweet_tokens(id).iter().filter(|&&t| t == go).count(), 3);
         // … but the posting list holds the tweet once.
-        assert_eq!(c.postings(go), &[id]);
+        assert_eq!(c.postings(go).to_vec(), [id]);
     }
 
     #[test]
@@ -903,7 +890,7 @@ mod tests {
         assert_eq!(c.match_query("draft"), c.ids_of_texts(&[DRAFT, DRAFT_RT, steal]));
         // A brand-new token exists only in the delta segment.
         let steal_token = c.token_id("steal").unwrap();
-        assert_eq!(c.postings(steal_token), &[] as &[TweetId]);
+        assert!(c.postings(steal_token).is_empty());
         assert_eq!(c.match_query("steal"), vec![id]);
         // Totals updated in place.
         assert_eq!(c.tweets_by(0), 2);

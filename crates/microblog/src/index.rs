@@ -1,12 +1,23 @@
-//! Flat CSR postings index over interned tokens, sharded by token range.
+//! Run-form CSR postings index over interned tokens, sharded by token range.
 //!
 //! The string-keyed `HashMap<String, Vec<TweetId>>` index paid one hash +
 //! one pointer chase per query token and kept every posting list as its
-//! own allocation. Here postings live in contiguous `TweetId` arenas
-//! addressed by per-token offsets — CSR layout, like the PR 1 follower
-//! graph — so a token's list is one slice of one arena and the whole
-//! index serializes as flat columns (which is also what makes the binary
-//! corpus format an O(bytes) load).
+//! own allocation. Here postings live in contiguous word arenas addressed
+//! by per-token offsets — CSR layout, like the follower graph — so a
+//! token's list is one slice of one arena and the whole index serializes
+//! as flat columns (which is also what makes the binary corpus format an
+//! O(bytes) load).
+//!
+//! Every posting list has one form: a sequence of [`Run`]s of adjacent
+//! tweet ids, `[start, len]` in two words. Tweet ids are assigned in
+//! topic order (DESIGN.md "Tweet-id order"), so the tweets of one topic
+//! are one id range and a list is mostly long runs: matching intersects
+//! and unions run by run instead of id by id. A list is **canonical**:
+//! every run is non-empty, runs ascend, and two runs never overlap or
+//! touch (a gap of at least one id separates them), so one id set has
+//! exactly one run list and two lists are equal exactly when their sets
+//! are. Run ends are computed in `u64`: a run may end at the last `u32`
+//! id without its end wrapping.
 //!
 //! The index is **sharded**: tokens are partitioned into contiguous id
 //! ranges, each with its own (offsets, arena) pair — a
@@ -18,41 +29,74 @@
 //! holds it, every query result is bit-identical at any shard count.
 //! A shard owns its two columns as plain `Vec<u32>`s, whether it was
 //! built in memory or decoded from the corpus file.
-//!
-//! Intersections pick their algorithm by skew: near-equal list lengths use
-//! the linear merge, while a rare term against a head term gallops
-//! (exponential probe + binary search) through the long list, turning the
-//! `O(|a|+|b|)` scan into `O(|a| log |b|)`.
 
 use crate::types::{TokenId, TweetId};
+use std::cell::RefCell;
 
-/// When the longer list is at least this many times the shorter one,
-/// galloping beats the linear merge (the crossover is shallow; 16 is a
-/// conservative pick that also keeps the tests exercising both paths).
-const GALLOP_SKEW: usize = 16;
+/// A run of adjacent tweet ids, `[start, len]`: the ids `start ..
+/// start + len`. A run in a posting list has `len >= 1`.
+pub type Run = [TweetId; 2];
+
+/// One past the last id of `run`.
+fn end([start, len]: Run) -> u64 {
+    u64::from(start) + u64::from(len)
+}
+
+/// A posting list in run form (see the module docs): borrowed from a
+/// shard's arena, or from any canonical run list.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Postings<'a> {
+    runs: &'a [Run],
+}
+
+impl<'a> Postings<'a> {
+    /// The list's runs, ascending.
+    pub fn runs(self) -> &'a [Run] {
+        self.runs
+    }
+
+    /// Number of postings (ids), not of runs.
+    pub fn len(self) -> usize {
+        self.runs.iter().map(|&[_, len]| len as usize).sum()
+    }
+
+    /// Whether the list holds no id.
+    pub fn is_empty(self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// The ids, ascending.
+    pub fn to_vec(self) -> Vec<TweetId> {
+        let mut ids = Vec::with_capacity(self.len());
+        expand_into(self.runs, &mut ids);
+        ids
+    }
+}
 
 /// One contiguous token range of the postings index: token `t` (with
-/// `token_start <= t < token_end`) has its sorted, deduplicated tweet
-/// ids at `arena[offsets[t - token_start] .. offsets[t - token_start + 1]]`.
-/// Offsets are shard-local (they start at 0), so a shard is
-/// self-contained — exactly what one section of the corpus file persists.
+/// `token_start <= t < token_end`) has its run list in the words
+/// `arena[offsets[t - token_start] .. offsets[t - token_start + 1]]`.
+/// Offsets are shard-local (they start at 0) and count words, so a shard
+/// is self-contained — exactly what one section of the corpus file
+/// persists.
 #[derive(Debug, Clone)]
 pub struct PostingsShard {
     token_start: u32,
     token_end: u32,
     offsets: Vec<u32>,
-    arena: Vec<TweetId>,
+    arena: Vec<u32>,
 }
 
 impl PostingsShard {
-    /// Assemble a shard from its columns, validating the CSR invariants:
-    /// `offsets` has one entry per token in the range plus one, starts
-    /// at 0, is monotone and ends at the arena's length.
+    /// Assemble a shard from its columns, validating the CSR invariants
+    /// (`offsets` has one entry per token in the range plus one, starts
+    /// at 0, is monotone and ends at the arena's length) and that every
+    /// list is a canonical run list ([`check_runs`]).
     pub fn new(
         token_start: u32,
         token_end: u32,
         offsets: Vec<u32>,
-        arena: Vec<TweetId>,
+        arena: Vec<u32>,
     ) -> Result<PostingsShard, String> {
         if token_start > token_end {
             return Err(format!(
@@ -68,6 +112,9 @@ impl PostingsShard {
             ));
         }
         check_csr(&offsets, arena.len()).map_err(|e| format!("shard {e}"))?;
+        for w in offsets.windows(2) {
+            check_runs(&arena[w[0] as usize..w[1] as usize])?;
+        }
         Ok(PostingsShard {
             token_start,
             token_end,
@@ -86,18 +133,34 @@ impl PostingsShard {
         self.token_end
     }
 
-    /// The sorted posting list of `token` (which must be in range).
-    pub fn postings(&self, token: TokenId) -> &[TweetId] {
+    /// The posting list of `token` (which must be in range).
+    pub fn postings(&self, token: TokenId) -> Postings<'_> {
         let t = (token - self.token_start) as usize;
-        &self.arena[self.offsets[t] as usize..self.offsets[t + 1] as usize]
+        let words = &self.arena[self.offsets[t] as usize..self.offsets[t + 1] as usize];
+        // Every list spans an even number of words (checked by `new`,
+        // true by construction elsewhere), so nothing is left over.
+        Postings {
+            runs: words.as_chunks().0,
+        }
+    }
+
+    /// One past the last id any of the shard's lists holds (0 when every
+    /// list is empty).
+    pub(crate) fn id_end(&self) -> u64 {
+        self.offsets
+            .windows(2)
+            .filter(|w| w[0] < w[1])
+            .map(|w| end([self.arena[w[1] as usize - 2], self.arena[w[1] as usize - 1]]))
+            .max()
+            .unwrap_or(0)
     }
 
     /// The shard's flat columns: `(offsets, arena)`, offsets shard-local.
-    pub fn parts(&self) -> (&[u32], &[TweetId]) {
+    pub fn parts(&self) -> (&[u32], &[u32]) {
         (&self.offsets, &self.arena)
     }
 
-    /// Payload bytes of this shard (postings arena + offsets).
+    /// Payload bytes of this shard (run arena + offsets).
     pub fn byte_size(&self) -> u64 {
         (self.arena.len() as u64 + self.offsets.len() as u64) * 4
     }
@@ -116,45 +179,63 @@ impl PostingsIndex {
     /// if a different layout is wanted.
     ///
     /// `tweet_tokens` yields each tweet's interned tokens **in tweet id
-    /// order** (ids = iteration order), which keeps every posting list
-    /// sorted for free. Within-tweet duplicate tokens are dropped with a
-    /// `last_seen` sentinel — O(1) per token, no per-tweet set.
+    /// order** (ids = iteration order), which keeps every run list
+    /// ascending for free: a tweet extends its token's last run when that
+    /// run ends at the tweet, and starts a new one otherwise. Within-tweet
+    /// duplicate tokens are dropped with a `last_seen` sentinel — O(1)
+    /// per token, no per-tweet set.
     pub fn build<'a, I>(num_tokens: usize, tweet_tokens: I) -> PostingsIndex
     where
         I: Iterator<Item = &'a [TokenId]> + Clone,
     {
-        // Pass 1: posting-list lengths (deduplicated within each tweet).
-        let mut counts = vec![0u32; num_tokens];
-        let mut last_seen = vec![u32::MAX; num_tokens];
+        const NONE: u32 = u32::MAX;
+        // Whether `tweet` extends the run that `last` (the token's
+        // previous tweet) ends.
+        let extends = |last: u32, tweet: u32| last != NONE && last + 1 == tweet;
+        // Pass 1: words per token list (two per run).
+        let mut words = vec![0u32; num_tokens];
+        let mut last_seen = vec![NONE; num_tokens];
         for (tweet, tokens) in tweet_tokens.clone().enumerate() {
             let tweet = tweet as u32;
             for &t in tokens {
-                if last_seen[t as usize] != tweet {
+                let last = last_seen[t as usize];
+                if last != tweet {
+                    if !extends(last, tweet) {
+                        words[t as usize] += 2;
+                    }
                     last_seen[t as usize] = tweet;
-                    counts[t as usize] += 1;
                 }
             }
         }
-        // Prefix-sum into offsets; `cursor[t]` walks each token's slot.
+        // Prefix-sum into offsets; `cursor[t]` is one past the words
+        // token `t`'s list holds so far.
         let mut offsets = Vec::with_capacity(num_tokens + 1);
         let mut total = 0u32;
         offsets.push(0);
-        for &c in &counts {
-            total += c;
+        for &w in &words {
+            total += w;
             offsets.push(total);
         }
-        // Pass 2: scatter tweet ids into the arena.
-        let mut arena = vec![0 as TweetId; total as usize];
+        // Pass 2: write the runs.
+        let mut arena = vec![0u32; total as usize];
         let mut cursor: Vec<u32> = offsets[..num_tokens].to_vec();
-        last_seen.fill(u32::MAX);
+        last_seen.fill(NONE);
         for (tweet, tokens) in tweet_tokens.enumerate() {
             let tweet = tweet as u32;
             for &t in tokens {
-                if last_seen[t as usize] != tweet {
-                    last_seen[t as usize] = tweet;
-                    arena[cursor[t as usize] as usize] = tweet;
-                    cursor[t as usize] += 1;
+                let last = last_seen[t as usize];
+                if last == tweet {
+                    continue;
                 }
+                let at = cursor[t as usize] as usize;
+                if extends(last, tweet) {
+                    arena[at - 1] += 1;
+                } else {
+                    arena[at] = tweet;
+                    arena[at + 1] = 1;
+                    cursor[t as usize] += 2;
+                }
+                last_seen[t as usize] = tweet;
             }
         }
         PostingsIndex {
@@ -199,11 +280,11 @@ impl PostingsIndex {
             .sum();
         let mut shards = Vec::with_capacity(k);
         let mut offsets: Vec<u32> = vec![0];
-        let mut arena: Vec<TweetId> = Vec::new();
+        let mut arena: Vec<u32> = Vec::new();
         let mut token_start = 0u32;
-        let mut consumed = 0u64; // arena entries already assigned to finished shards
+        let mut consumed = 0u64; // arena words already assigned to finished shards
         for token in 0..num_tokens as u32 {
-            let list = self.postings(token);
+            let list = self.postings(token).runs().as_flattened();
             arena.extend_from_slice(list);
             offsets.push(arena.len() as u32);
             consumed += list.len() as u64;
@@ -259,19 +340,14 @@ impl PostingsIndex {
             .min(self.shards.len() - 1)
     }
 
-    /// The sorted posting list of `token`.
-    pub fn postings(&self, token: TokenId) -> &[TweetId] {
+    /// The posting list of `token`.
+    pub fn postings(&self, token: TokenId) -> Postings<'_> {
         // Single-shard is the overwhelmingly common in-process layout;
         // skip the boundary search entirely there.
         if self.shards.len() == 1 {
             return self.shards[0].postings(token);
         }
         self.shards[self.shard_of(token)].postings(token)
-    }
-
-    /// Total postings entries across all shards.
-    pub fn arena_len(&self) -> usize {
-        self.shards.iter().map(|s| s.arena.len()).sum()
     }
 }
 
@@ -290,131 +366,207 @@ pub(crate) fn check_csr(offsets: &[u32], arena_len: usize) -> Result<(), String>
     Ok(())
 }
 
-/// Intersect two sorted, deduplicated lists, galloping when skewed.
-pub fn intersect(a: &[TweetId], b: &[TweetId]) -> Vec<TweetId> {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut out = Vec::with_capacity(short.len());
-    if short.len() * GALLOP_SKEW < long.len() {
-        intersect_gallop(short, long, &mut out);
-    } else {
-        intersect_linear(short, long, &mut out);
+/// Check that the words of one list are a canonical run list: whole
+/// `[start, len]` pairs, every run non-empty and inside the `u32` id
+/// space, each starting past the end of the one before with at least one
+/// id between them.
+pub fn check_runs(words: &[u32]) -> Result<(), String> {
+    let (runs, rest) = words.as_chunks::<2>();
+    if !rest.is_empty() {
+        return Err("posting run cut off at the end of its list".to_string());
+    }
+    let mut prev_end: Option<u64> = None;
+    for &run in runs {
+        let (start, run_end) = (u64::from(run[0]), end(run));
+        if run[1] == 0 {
+            return Err("empty posting run".to_string());
+        }
+        if run_end > 1 << 32 {
+            return Err("posting run past the u32 id space".to_string());
+        }
+        match prev_end {
+            Some(prev) if start < prev => {
+                return Err("posting runs out of order or overlapping".to_string())
+            }
+            Some(prev) if start == prev => {
+                return Err("touching posting runs not coalesced".to_string())
+            }
+            _ => {}
+        }
+        prev_end = Some(run_end);
+    }
+    Ok(())
+}
+
+/// Append `run` to the ascending run list `runs`, merging it into the
+/// last run when the two overlap or touch. `run` must not start before
+/// the last run does.
+pub(crate) fn push_run(runs: &mut Vec<Run>, run: Run) {
+    if let Some(last) = runs.last_mut() {
+        let last_end = end(*last);
+        if u64::from(run[0]) <= last_end {
+            // Within the id space, so the merged length fits a `u32`
+            // unless one run were to cover all 2^32 ids.
+            last[1] = (last_end.max(end(run)) - u64::from(last[0])) as u32;
+            return;
+        }
+    }
+    runs.push(run);
+}
+
+/// `base` followed by `delta` into `out`, where every id of `delta` is
+/// above every id of `base` (a base segment and the delta appended after
+/// it): the two lists joined, their seam coalesced when the last base
+/// run touches the first delta run.
+pub fn concat_runs(base: &[Run], delta: &[Run], out: &mut Vec<Run>) {
+    out.clear();
+    out.extend_from_slice(base);
+    if let Some((&first, rest)) = delta.split_first() {
+        push_run(out, first);
+        out.extend_from_slice(rest);
+    }
+}
+
+/// The intersection of two canonical run lists, itself canonical: one
+/// pass over both, each pair of overlapping runs contributing their
+/// common part. Pieces cut from one run by the other's gaps keep those
+/// gaps between them, so no two pieces touch.
+pub fn intersect_runs(a: &[Run], b: &[Run]) -> Vec<Run> {
+    let mut out = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        let (x_end, y_end) = (end(x), end(y));
+        let lo = x[0].max(y[0]);
+        let hi = x_end.min(y_end);
+        if u64::from(lo) < hi {
+            out.push([lo, (hi - u64::from(lo)) as u32]);
+        }
+        // The run that ends first cannot meet anything later in the
+        // other list.
+        i += usize::from(x_end <= y_end);
+        j += usize::from(y_end <= x_end);
     }
     out
 }
 
-fn intersect_linear(a: &[TweetId], b: &[TweetId], out: &mut Vec<TweetId>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
+thread_local! {
+    /// The union's bitmap, one bit per id of the range it covers. Kept
+    /// all zero between unions (the read-back clears every word it
+    /// reads), so a union neither allocates nor clears it.
+    static UNION_BITS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// For each element of the short list, gallop through the long one:
-/// double a probe distance until we overshoot, then binary-search the
-/// bracketed window. The long-list cursor only moves forward, so the
-/// whole intersection is `O(|short| · log |long|)`.
-fn intersect_gallop(short: &[TweetId], long: &[TweetId], out: &mut Vec<TweetId>) {
-    let mut lo = 0usize;
-    for &x in short {
-        if lo >= long.len() {
-            break;
-        }
-        let mut step = 1usize;
-        let mut hi = lo;
-        while hi < long.len() && long[hi] < x {
-            lo = hi + 1;
-            hi += step;
-            step *= 2;
-        }
-        // Invariant: long[lo - 1] < x (if lo > 0) and long[hi] >= x (if in
-        // bounds), so x can only sit inside [lo, hi] — the probe position
-        // itself may hold the match, hence the inclusive upper bound.
-        let hi = (hi + 1).min(long.len());
-        match long[lo..hi].binary_search(&x) {
-            Ok(pos) => {
-                out.push(x);
-                lo += pos + 1;
-            }
-            Err(pos) => lo += pos,
-        }
-    }
-}
-
-/// Union of k sorted, deduplicated lists into a sorted, deduplicated
-/// result.
+/// The sorted, deduplicated ids in any of the canonical run lists
+/// `lists`: the match set one query hands to ranking.
 ///
-/// Sequential two-way merges, shortest list first, ping-ponging between
-/// two buffers sized for the worst case up front. Posting-list lengths
-/// on the expansion-union path are heavily skewed (a few hot tokens,
-/// many near-empty tails), so merging smallest-first keeps the
-/// accumulator tiny for most of the rounds — and the whole union costs
-/// exactly two allocations, where per-round merge buffers dominated the
-/// measured per-query match time.
-pub fn union_sorted(lists: &[&[TweetId]]) -> Vec<TweetId> {
-    let mut sorted: Vec<&[TweetId]> = lists.iter().copied().filter(|l| !l.is_empty()).collect();
-    match sorted.len() {
-        0 => return Vec::new(),
-        1 => return sorted[0].to_vec(),
-        _ => {}
+/// The runs are OR-ed into a bitmap over the id range the lists cover
+/// (each run sets its bits a word at a time), and the ids are read back
+/// in order, a full word as one range. The bitmap costs a word per 64
+/// ids of that range, so when the range holds fewer than 64 ids per
+/// posting (a few ids spread thin) the runs are sorted and merged
+/// instead. One list is expanded as it is.
+pub fn union_runs(lists: &[&[Run]]) -> Vec<TweetId> {
+    let mut nonempty = lists.iter().copied().filter(|list| !list.is_empty());
+    let (Some(first), second) = (nonempty.next(), nonempty.next()) else {
+        return Vec::new();
+    };
+    let Some(second) = second else {
+        return Postings { runs: first }.to_vec();
+    };
+    let (mut lo, mut hi, mut postings) = (u64::MAX, 0u64, 0usize);
+    for list in [first, second].into_iter().chain(nonempty) {
+        lo = lo.min(u64::from(list[0][0]));
+        hi = hi.max(end(list[list.len() - 1]));
+        postings += Postings { runs: list }.len();
     }
-    sorted.sort_unstable_by_key(|l| l.len());
-    let total: usize = sorted.iter().map(|l| l.len()).sum();
-    let mut acc: Vec<TweetId> = Vec::with_capacity(total);
-    let mut scratch: Vec<TweetId> = Vec::with_capacity(total);
-    merge_union_into(sorted[0], sorted[1], &mut acc);
-    for list in &sorted[2..] {
-        scratch.clear();
-        merge_union_into(&acc, list, &mut scratch);
-        std::mem::swap(&mut acc, &mut scratch);
+    let words = (hi - lo).div_ceil(64) as usize;
+    if words > postings {
+        let mut runs: Vec<Run> = lists.iter().flat_map(|list| list.iter().copied()).collect();
+        runs.sort_unstable_by_key(|&[start, _]| start);
+        let mut merged = Vec::with_capacity(runs.len());
+        for run in runs {
+            push_run(&mut merged, run);
+        }
+        return Postings { runs: &merged }.to_vec();
     }
-    acc
-}
-
-/// Merge two sorted, deduplicated lists into their sorted, deduplicated
-/// union, appended to `out`.
-fn merge_union_into(a: &[TweetId], b: &[TweetId], out: &mut Vec<TweetId>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
+    UNION_BITS.with(|cell| {
+        let mut bits = cell.take();
+        if bits.len() < words {
+            bits.resize(words, 0);
+        }
+        let bits_used = &mut bits[..words];
+        for &[start, len] in lists.iter().flat_map(|list| list.iter()) {
+            set_bits(bits_used, (u64::from(start) - lo) as usize, len as usize);
+        }
+        let mut ids = Vec::with_capacity(postings.min((hi - lo) as usize));
+        for (i, word) in bits_used.iter_mut().enumerate() {
+            let mut w = std::mem::take(word);
+            // Every set bit is an id of some run, so it fits a `u32`.
+            let base = (lo + 64 * i as u64) as TweetId;
+            if w == u64::MAX {
+                ids.extend(base..=base + 63);
+                continue;
             }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
+            while w != 0 {
+                ids.push(base + w.trailing_zeros());
+                w &= w - 1;
             }
         }
+        cell.replace(bits);
+        ids
+    })
+}
+
+/// Set bits `from .. from + len` of `bits`.
+fn set_bits(bits: &mut [u64], from: usize, len: usize) {
+    let to = from + len;
+    let (first, last) = (from / 64, (to - 1) / 64);
+    let head = u64::MAX << (from % 64);
+    let tail = u64::MAX >> (63 - (to - 1) % 64);
+    if first == last {
+        bits[first] |= head & tail;
+        return;
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    bits[first] |= head;
+    bits[first + 1..last].fill(u64::MAX);
+    bits[last] |= tail;
+}
+
+/// Append the ids of `runs` to `ids`, ascending.
+pub(crate) fn expand_into(runs: &[Run], ids: &mut Vec<TweetId>) {
+    for &[start, len] in runs {
+        // `len >= 1`, so the last id is `start + len - 1` and no end
+        // past the id space is ever formed.
+        ids.extend(start..=start + (len - 1));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn ids(list: Postings<'_>) -> Vec<TweetId> {
+        list.to_vec()
+    }
+
+    /// The canonical run list of sorted, deduplicated `ids`.
+    fn runs_of(ids: &[TweetId]) -> Vec<Run> {
+        let mut runs = Vec::new();
+        for &id in ids {
+            push_run(&mut runs, [id, 1]);
+        }
+        runs
+    }
+
     #[test]
     fn build_produces_sorted_deduped_lists() {
         // tweet 0: [0, 1, 0]  tweet 1: [1]  tweet 2: [0, 2]
         let tweets: Vec<Vec<TokenId>> = vec![vec![0, 1, 0], vec![1], vec![0, 2]];
         let idx = PostingsIndex::build(3, tweets.iter().map(|t| t.as_slice()));
-        assert_eq!(idx.postings(0), &[0, 2]);
-        assert_eq!(idx.postings(1), &[0, 1]);
-        assert_eq!(idx.postings(2), &[2]);
+        assert_eq!(ids(idx.postings(0)), [0, 2]);
+        assert_eq!(idx.postings(1).runs(), [[0, 2]], "adjacent ids are one run");
+        assert_eq!(ids(idx.postings(2)), [2]);
+        assert_eq!(idx.postings(0).len(), 2, "len counts postings, not runs");
         assert_eq!(idx.num_tokens(), 3);
         assert_eq!(idx.shard_count(), 1);
     }
@@ -448,7 +600,6 @@ mod tests {
                 assert!(sharded.shards()[s].token_start() <= t);
                 assert!(t < sharded.shards()[s].token_end());
             }
-            assert_eq!(sharded.arena_len(), idx.arena_len());
         }
     }
 
@@ -471,48 +622,64 @@ mod tests {
 
     #[test]
     fn shard_validation_rejects_bad_offsets() {
-        let ok = PostingsShard::new(0, 2, vec![0, 1, 2], vec![5, 7]);
+        let ok = PostingsShard::new(0, 2, vec![0, 2, 4], vec![5, 1, 7, 3]);
         assert!(ok.is_ok());
-        let wrong_len = PostingsShard::new(0, 2, vec![0, 2], vec![5, 7]);
+        let wrong_len = PostingsShard::new(0, 2, vec![0, 4], vec![5, 1, 7, 3]);
         assert!(wrong_len.is_err());
-        let not_monotone = PostingsShard::new(0, 2, vec![0, 2, 1], vec![5, 7]);
+        let not_monotone = PostingsShard::new(0, 2, vec![0, 4, 2], vec![5, 1, 7, 3]);
         assert!(not_monotone.is_err());
+        let cut_off = PostingsShard::new(0, 2, vec![0, 1, 4], vec![5, 1, 7, 3]);
+        assert!(cut_off.is_err());
     }
 
     #[test]
-    fn gallop_matches_linear_on_random_lists() {
+    fn run_checks_name_each_defect() {
+        let cases: [(&[u32], &str); 5] = [
+            (&[5, 2, 3, 1], "out of order"),
+            (&[5, 2, 6, 1], "overlapping"),
+            (&[5, 2, 7, 1], "not coalesced"),
+            (&[5, 0], "empty"),
+            (&[u32::MAX, 2], "past the u32 id space"),
+        ];
+        for (words, want) in cases {
+            let err = check_runs(words).unwrap_err();
+            assert!(err.contains(want), "{words:?}: {err}");
+        }
+        assert!(check_runs(&[5, 2, 8, 1, u32::MAX, 1]).is_ok());
+        assert!(check_runs(&[]).is_ok());
+    }
+
+    #[test]
+    fn run_intersection_matches_id_intersection() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..200 {
-            let short_len = rng.gen_range(0..8);
-            let long_len = rng.gen_range(0..400);
-            let mut short: Vec<TweetId> =
-                (0..short_len).map(|_| rng.gen_range(0..500)).collect();
-            let mut long: Vec<TweetId> =
-                (0..long_len).map(|_| rng.gen_range(0..500)).collect();
-            short.sort_unstable();
-            short.dedup();
-            long.sort_unstable();
-            long.dedup();
-            let mut linear = Vec::new();
-            intersect_linear(&short, &long, &mut linear);
-            let mut gallop = Vec::new();
-            intersect_gallop(&short, &long, &mut gallop);
-            assert_eq!(gallop, linear);
-            assert_eq!(intersect(&short, &long), linear);
-            assert_eq!(intersect(&long, &short), linear);
+            let mut list = |n: usize| {
+                let mut l: Vec<TweetId> = (0..rng.gen_range(0..n)).map(|_| rng.gen_range(0..120)).collect();
+                l.sort_unstable();
+                l.dedup();
+                l
+            };
+            let (a, b) = (list(8), list(100));
+            let reference: Vec<TweetId> = a.iter().copied().filter(|id| b.contains(id)).collect();
+            let (ra, rb) = (runs_of(&a), runs_of(&b));
+            for (x, y) in [(&ra, &rb), (&rb, &ra)] {
+                let both = intersect_runs(x, y);
+                assert_eq!(both, runs_of(&reference), "canonical");
+            }
         }
     }
 
     #[test]
     fn union_merges_and_dedups() {
-        let a: &[TweetId] = &[1, 3, 5];
-        let b: &[TweetId] = &[2, 3, 6];
-        let c: &[TweetId] = &[5];
-        assert_eq!(union_sorted(&[a, b, c]), vec![1, 2, 3, 5, 6]);
-        assert_eq!(union_sorted(&[a]), vec![1, 3, 5]);
-        assert_eq!(union_sorted(&[]), Vec::<TweetId>::new());
-        assert_eq!(union_sorted(&[&[], &[]]), Vec::<TweetId>::new());
+        let (a, b, c) = (runs_of(&[1, 3, 5]), runs_of(&[2, 3, 6]), runs_of(&[5]));
+        assert_eq!(union_runs(&[&a, &b, &c]), vec![1, 2, 3, 5, 6]);
+        assert_eq!(union_runs(&[&a]), vec![1, 3, 5]);
+        assert_eq!(union_runs(&[]), Vec::<TweetId>::new());
+        assert_eq!(union_runs(&[&[], &[]]), Vec::<TweetId>::new());
+        // Far apart: the sparse path.
+        let far = runs_of(&[u32::MAX - 1]);
+        assert_eq!(union_runs(&[&a, &far]), vec![1, 3, 5, u32::MAX - 1]);
     }
 
     #[test]
@@ -530,11 +697,12 @@ mod tests {
                     l
                 })
                 .collect();
-            let refs: Vec<&[TweetId]> = lists.iter().map(|l| l.as_slice()).collect();
+            let runs: Vec<Vec<Run>> = lists.iter().map(|l| runs_of(l)).collect();
+            let refs: Vec<&[Run]> = runs.iter().map(Vec::as_slice).collect();
             let mut reference: Vec<TweetId> = lists.concat();
             reference.sort_unstable();
             reference.dedup();
-            assert_eq!(union_sorted(&refs), reference);
+            assert_eq!(union_runs(&refs), reference);
         }
     }
 }

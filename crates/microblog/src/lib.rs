@@ -8,8 +8,9 @@
 //!
 //! * [`User`], [`Tweet`] — entities, with mention/retweet parsing.
 //! * [`Corpus`] — indexed corpus: interned tokens ([`SymbolTable`]),
-//!   flat CSR postings ([`PostingsIndex`]), conjunctive all-terms query
-//!   matching (§3) with k-way expansion unions, the rank-side
+//!   flat CSR postings ([`PostingsIndex`], each list a run list of
+//!   adjacent tweet ids), conjunctive all-terms query matching (§3) with
+//!   run-wise expansion unions, the rank-side
 //!   [`TweetColumns`] (flat author / retweet / mention arrays and the
 //!   per-user totals that are the TS/MI/RI denominators), persisted as
 //!   one checksummed corpus file ([`segio`], `corpus.bin`, zero-rebuild

@@ -23,7 +23,9 @@
 //!          tokens      num_tweets + 1 offsets, then arena_len token ids
 //!          postings    one per shard: row_end - row_start + 1 offsets
 //!                      (rows = the shard's token range, offsets
-//!                      shard-local), then arena_len tweet ids
+//!                      shard-local, counting words), then arena_len
+//!                      words: each token's posting list as runs of
+//!                      adjacent tweet ids, `start u32 | len u32` each
 //! ```
 //!
 //! The four tweet sections and the token section have rows `0 ..
@@ -36,7 +38,9 @@
 //! panic.
 //! Structural checks then cover what a well-formed checksum cannot vouch
 //! for: CSR offsets, text offsets on character boundaries of a UTF-8
-//! arena, id ranges and posting-list sortedness.
+//! arena, id ranges, and that every posting list is a canonical run
+//! list (whole runs, none empty, ascending, never overlapping or
+//! touching).
 //!
 //! One reader decodes the file. [`Corpus::load`] reads the string
 //! section, decodes it into `String`s and frees it, then reads the body
@@ -65,9 +69,9 @@ use std::sync::Arc;
 const MAGIC: &[u8; 4] = b"ESCF";
 /// File format revision. 1 was the eight-frame `corpus.bin` and the
 /// `corpus.manifest` directory layout, 2 had a string-section CRC in the
-/// header, 3 kept the tweet table in binfmt frames; none is readable any
-/// more.
-const VERSION: u16 = 4;
+/// header, 3 kept the tweet table in binfmt frames, 4 held each posting
+/// list as plain tweet ids; none is readable any more.
+const VERSION: u16 = 5;
 /// Header bytes before the section table.
 const FIXED: usize = 32;
 /// Bytes per section-table entry.
@@ -610,17 +614,10 @@ fn assemble<'a>(
     let mut shards = Vec::with_capacity(head.sections.len() - TWEET_SECTIONS.len());
     for _ in TWEET_SECTIONS.len()..head.sections.len() {
         let (s, bytes) = next_section()?;
-        let (offsets, ids) = split_csr(s, &bytes)?;
-        let shard = PostingsShard::new(s.row_start, s.row_end, le_u32s(offsets), le_u32s(ids))
+        let (offsets, runs) = split_csr(s, &bytes)?;
+        let shard = PostingsShard::new(s.row_start, s.row_end, le_u32s(offsets), le_u32s(runs))
             .map_err(bad)?;
-        let (offsets, ids) = shard.parts();
-        if offsets
-            .windows(2)
-            .any(|w| ids[w[0] as usize..w[1] as usize].windows(2).any(|p| p[0] >= p[1]))
-        {
-            return Err(bad("posting list not strictly sorted"));
-        }
-        if ids.iter().any(|&t| t >= head.num_tweets) {
+        if shard.id_end() > u64::from(head.num_tweets) {
             return Err(bad("posting tweet id out of range"));
         }
         shards.push(shard);

@@ -7,9 +7,9 @@
 //! that went through appends, deletes and compaction), at one and three
 //! postings shards, from memory and from disk: every damage of the one
 //! corruption matrix (`esharp_fault::corrupt`), files of the older
-//! formats, and files whose tweet sections are damaged in structure but
-//! sealed with recomputed checksums, which only the structural checks
-//! can catch.
+//! formats, and files whose tweet or postings sections are damaged in
+//! structure but sealed with recomputed checksums, which only the
+//! structural checks can catch.
 
 use esharp_fault::corrupt::{assert_rejects_damage_where, for_each_damage, Damage};
 use esharp_microblog::segio::{self, LoadMode};
@@ -360,14 +360,29 @@ fn assert_resealed_rejected(
     want: &str,
     edit: impl Fn(&mut [u8], &Layout) -> bool,
 ) {
+    assert_resealed_where(tag, want, false, |bytes, layout| {
+        edit(bytes, layout).then_some(section)
+    });
+}
+
+/// [`assert_resealed_rejected`] where `edit` picks the section it damaged
+/// (`None` where a file cannot carry the damage); with `every_file`, each
+/// fixture file must carry it.
+fn assert_resealed_where(
+    tag: &str,
+    want: &str,
+    every_file: bool,
+    edit: impl Fn(&mut [u8], &Layout) -> Option<usize>,
+) {
     let dir = tmpdir(tag);
     let path = dir.join("corpus.bin");
     let mut damaged = 0;
     for (name, mut bytes) in files() {
         let layout = Layout::of(&bytes);
-        if !edit(&mut bytes, &layout) {
+        let Some(section) = edit(&mut bytes, &layout) else {
+            assert!(!every_file, "{name}: cannot carry {tag}");
             continue;
-        }
+        };
         layout.reseal(&mut bytes, section);
         std::fs::write(&path, &bytes).unwrap();
         for (from, result) in [("memory", segio::decode(&bytes)), ("disk", Corpus::load(&path))] {
@@ -477,4 +492,157 @@ fn a_retweet_source_past_the_users_that_is_not_the_sentinel_is_rejected() {
             true
         });
     }
+}
+
+
+#[test]
+fn a_version_4_file_fails_with_a_rebuild_hint() {
+    // Version 4 held each posting list as plain tweet ids.
+    let mut bytes = segio::encode(&sample(), 1).unwrap();
+    bytes[4..6].copy_from_slice(&4u16.to_le_bytes());
+    let err = segio::decode(&bytes).expect_err("version 4");
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    assert!(err.to_string().contains("esharp build"), "{err}");
+}
+
+// ---------------------------------------------------------------------
+// Hostile postings: each file below has one posting list of one shard
+// damaged, its offsets or its `[start, len]` runs, and is resealed. Every
+// fixture file carries every damage, in whichever shard first can.
+// ---------------------------------------------------------------------
+
+/// The first postings section.
+const POSTINGS: usize = 5;
+
+/// Tokens (rows) of postings section `section`.
+fn rows(bytes: &[u8], section: usize) -> usize {
+    let entry = 32 + 16 * section;
+    (word(bytes, entry + 4) - word(bytes, entry)) as usize
+}
+
+/// The runs of (shard-local) token `t`'s list in postings section
+/// `section`: each run's byte position and `[start, len]`.
+fn runs_at(bytes: &[u8], layout: &Layout, section: usize, t: usize) -> Vec<(usize, [u32; 2])> {
+    let arena = layout.word_at(section, rows(bytes, section) + 1);
+    let (lo, hi) = (
+        word(bytes, layout.word_at(section, t)) as usize,
+        word(bytes, layout.word_at(section, t + 1)) as usize,
+    );
+    (lo..hi)
+        .step_by(2)
+        .map(|w| {
+            let at = arena + 4 * w;
+            (at, [word(bytes, at), word(bytes, at + 4)])
+        })
+        .collect()
+}
+
+/// Damage a posting list of every fixture file with `edit(bytes, layout,
+/// section)`, tried on each postings section in turn until it returns
+/// true (it changes nothing when it returns false), and check the load
+/// fails naming `want`.
+fn assert_postings_rejected(
+    tag: &str,
+    want: &str,
+    edit: impl Fn(&mut [u8], &Layout, usize) -> bool,
+) {
+    assert_resealed_where(tag, want, true, |bytes, layout| {
+        (POSTINGS..layout.sections.len()).find(|&section| edit(bytes, layout, section))
+    });
+}
+
+/// Hand token `t`'s list the first run of token `t + 1`'s (both in one
+/// shard and non-empty) by moving the offset between them, rewritten by
+/// `make` from the last run `t` had; `make` returns `None` where that run
+/// cannot take the damage.
+fn give_next_run(
+    bytes: &mut [u8],
+    layout: &Layout,
+    section: usize,
+    make: impl Fn([u32; 2]) -> Option<[u32; 2]>,
+) -> bool {
+    for t in 0..rows(bytes, section).saturating_sub(1) {
+        let (mine, next) = (runs_at(bytes, layout, section, t), runs_at(bytes, layout, section, t + 1));
+        let (Some(&(_, last)), Some(&(at, _))) = (mine.last(), next.first()) else {
+            continue;
+        };
+        let Some([start, len]) = make(last) else {
+            continue;
+        };
+        set_word(bytes, at, start);
+        set_word(bytes, at + 4, len);
+        let boundary = layout.word_at(section, t + 1);
+        set_word(bytes, boundary, word(bytes, boundary) + 2);
+        return true;
+    }
+    false
+}
+
+#[test]
+fn posting_runs_out_of_order_are_rejected() {
+    // A run wholly before the one it follows.
+    assert_postings_rejected("runs_order", "out of order", |bytes, layout, section| {
+        give_next_run(bytes, layout, section, |[start, _]| (start > 0).then(|| [start - 1, 1]))
+    });
+}
+
+#[test]
+fn overlapping_posting_runs_are_rejected() {
+    // A run repeating the last id of the one before.
+    assert_postings_rejected("runs_overlap", "overlapping", |bytes, layout, section| {
+        give_next_run(bytes, layout, section, |[start, len]| Some([start + len - 1, 1]))
+    });
+}
+
+#[test]
+fn touching_posting_runs_left_uncoalesced_are_rejected() {
+    // A run starting where the one before ends: one run written as two.
+    assert_postings_rejected("runs_touch", "not coalesced", |bytes, layout, section| {
+        let num_tweets = layout.num_tweets as u32;
+        give_next_run(bytes, layout, section, |[start, len]| {
+            (start + len < num_tweets).then(|| [start + len, 1])
+        })
+    });
+}
+
+#[test]
+fn a_zero_length_posting_run_is_rejected() {
+    assert_postings_rejected("runs_empty", "empty posting run", |bytes, layout, section| {
+        let Some((at, _)) = (0..rows(bytes, section))
+            .find_map(|t| runs_at(bytes, layout, section, t).first().copied())
+        else {
+            return false;
+        };
+        set_word(bytes, at + 4, 0);
+        true
+    });
+}
+
+#[test]
+fn a_posting_run_ending_past_the_tweets_is_rejected() {
+    assert_postings_rejected("runs_past", "out of range", |bytes, layout, section| {
+        let Some((at, [start, _])) = (0..rows(bytes, section))
+            .find_map(|t| runs_at(bytes, layout, section, t).last().copied())
+        else {
+            return false;
+        };
+        set_word(bytes, at + 4, layout.num_tweets as u32 + 1 - start);
+        true
+    });
+}
+
+#[test]
+fn a_posting_run_cut_off_at_the_end_of_its_list_is_rejected() {
+    // The offset after a non-empty list one word early: its last run
+    // loses its length word to the next list.
+    assert_postings_rejected("runs_cut", "cut off", |bytes, layout, section| {
+        let Some(t) = (0..rows(bytes, section).saturating_sub(1))
+            .find(|&t| !runs_at(bytes, layout, section, t).is_empty())
+        else {
+            return false;
+        };
+        let boundary = layout.word_at(section, t + 1);
+        set_word(bytes, boundary, word(bytes, boundary) - 1);
+        true
+    });
 }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 /// The pre-interning index semantics: `String`-keyed posting lists built
 /// by re-tokenizing every tweet, conjunctive match by pairwise
 /// intersection, union by flatten + sort + dedup. The interned corpus
-/// (token-id CSR postings, galloping intersect, k-way merge union) must
+/// (token-id CSR run lists, run intersection, run-wise union) must
 /// agree with this reference on every input.
 fn string_keyed_postings(tweets: &[Tweet]) -> std::collections::HashMap<String, Vec<u32>> {
     let mut postings: std::collections::HashMap<String, Vec<u32>> = Default::default();

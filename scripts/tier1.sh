@@ -24,6 +24,11 @@
 #           query and repeating a member of every domain (as written or
 #           in upper case) give every query the same top-k users and
 #           score bits
+#   runs    the run-form posting lists against a `BTreeSet` reference
+#           (proptest_runs) in release mode: a run's end, `start + len`,
+#           panics on overflow in the debug test build but wraps in
+#           release, so ids against `u32::MAX` must also be checked where
+#           a wrap would be silent
 #   flake   the flake budget: the test binaries of the virtual-clock and
 #           chaos suites (core's chaos_matrix, serve's proptest_chaos and
 #           chaos_smoke, microblog's `bounded` unit tests) run 100 times
@@ -79,6 +84,9 @@ cargo test -q --release -p esharp-relation --test proptest_columnar
 
 echo "== tier-1: metamorphic relations, release (shuffled tweets, any shard count, irrelevant growth, duplicate domain members ≡ same answers)"
 cargo test -q --release -p esharp-eval --test metamorphic
+
+echo "== tier-1: run-form postings ≡ BTreeSet reference, release (no run end wraps at u32::MAX)"
+cargo test -q --release -p esharp-microblog --test proptest_runs
 
 echo "== tier-1: flake budget (chaos suites 100x, ingest_smoke 25x)"
 # flake <rounds> <crate dir> <cargo test target args…> [-- <test filter>]
