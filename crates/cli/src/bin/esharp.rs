@@ -297,7 +297,7 @@ fn testbed(opts: &Options) -> Testbed {
         started.elapsed(),
         tb.world.num_domains(),
         tb.artifacts.graph.num_nodes(),
-        tb.corpus.tweets().len()
+        tb.corpus.tweet_count()
     );
     tb
 }
@@ -395,7 +395,7 @@ fn serve(opts: &Options) {
                 "corpus ready in {:.1?}: {} users · {} tweets · {} tokens",
                 started.elapsed(),
                 corpus.users().len(),
-                corpus.tweets().len(),
+                corpus.tweet_count(),
                 corpus.num_tokens()
             );
             let config = esharp_core::EsharpConfig::default();

@@ -73,7 +73,7 @@ fn main() {
         started.elapsed(),
         tb.world.num_domains(),
         tb.artifacts.graph.num_nodes(),
-        tb.corpus.tweets().len()
+        tb.corpus.tweet_count()
     );
 
     // Table 8 / Figure 8 share one expensive sweep.

@@ -164,7 +164,7 @@ mod tests {
     fn tiny_testbed_is_coherent() {
         let tb = Testbed::build(EvalScale::Tiny, 61);
         assert!(tb.artifacts.domains.len() > 1);
-        assert!(!tb.corpus.tweets().is_empty());
+        assert!(tb.corpus.tweet_count() > 0);
         let out = tb.esharp.search(&tb.corpus, "49ers");
         assert!(!out.expansion.is_empty());
     }

@@ -1,7 +1,9 @@
 //! The reference implementation the rank kernel is checked against: the
 //! pre-scratch detector, kept verbatim — per-query `HashMap`
-//! accumulation over `&Tweet` (it never reads the columns the kernel
-//! ranks from), allocating log + z-score columns, a full sort. The unit
+//! accumulation over owned `Tweet`s (`Corpus::tweet`, materialized from
+//! the rows the kernel ranks from; the microblog crate's
+//! `proptest_columns` checks those rows against a model built outside
+//! the corpus), allocating log + z-score columns, a full sort. The unit
 //! tests and the property suites (`tests/proptest_expert.rs`,
 //! `tests/alloc_free.rs`, the serve crate's `proptest_batch.rs`) pin the
 //! kernel to it bit for bit. Compiled only for tests and under the

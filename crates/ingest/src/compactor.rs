@@ -155,7 +155,7 @@ mod tests {
         assert!(!cycles.is_empty(), "backlog never compacted");
         assert!(cycles.iter().all(|&ok| ok), "a cycle failed: {cycles:?}");
         assert!(live.pending_ops() < 4);
-        assert_eq!(live.read().corpus().tweets().len(), 7);
+        assert_eq!(live.read().corpus().tweet_count(), 7);
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl std::fmt::Debug for LiveCorpus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let guard = self.read();
         f.debug_struct("LiveCorpus")
-            .field("tweets", &guard.corpus().tweets().len())
+            .field("tweets", &guard.corpus().tweet_count())
             .field("epoch", &guard.epoch())
             .field("pending_ops", &guard.pending_ops())
             .field("persistent", &self.persistence.is_some())
@@ -397,7 +397,7 @@ impl LiveCorpus {
             }
             (guard.corpus.clone(), guard.tail.len())
         };
-        let before_tweets = snapshot.tweets().len();
+        let before_tweets = snapshot.tweet_count();
         let before_tombstones = snapshot.tombstone_count();
 
         // Phase 2 — off-lock: compact, encode, persist the new base to a
@@ -495,7 +495,7 @@ impl LiveCorpus {
         guard.epoch += 1;
         guard.tail = new_tail;
         let epoch = guard.epoch;
-        let after_tweets = guard.corpus.tweets().len();
+        let after_tweets = guard.corpus.tweet_count();
         let tail_ops_replayed = guard.tail.len();
         let pause = pause_started.elapsed();
         drop(guard);
@@ -714,7 +714,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert_eq!(live.epoch(), 0);
-        assert_eq!(live.read().corpus().tweets().len(), 2);
+        assert_eq!(live.read().corpus().tweet_count(), 2);
     }
 
     #[test]
@@ -742,7 +742,7 @@ mod tests {
 
         let back = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).unwrap();
         let guard = back.read();
-        assert_eq!(guard.corpus().tweets().len(), 3);
+        assert_eq!(guard.corpus().tweet_count(), 3);
         assert!(guard.corpus().is_deleted(draft));
         assert_eq!(
             guard.corpus().match_query("pasta"),
@@ -776,7 +776,7 @@ mod tests {
 
         let back = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).unwrap();
         let guard = back.read();
-        assert_eq!(guard.corpus().tweets().len(), 2);
+        assert_eq!(guard.corpus().tweet_count(), 2);
         assert_eq!(guard.pending_ops(), 0, "oplog was reset by compaction");
         assert_eq!(
             guard.corpus().match_query("niners"),
@@ -824,7 +824,7 @@ mod tests {
         let err = live.apply(&append("lost")).unwrap_err(); // attempt 1: faulted
         assert!(err.to_string().contains("injected"));
         assert_eq!(live.epoch(), 1, "failed batch must not bump the epoch");
-        assert_eq!(live.read().corpus().tweets().len(), 3);
+        assert_eq!(live.read().corpus().tweet_count(), 3);
         assert_eq!(
             fs::metadata(dir.join("oplog")).unwrap().len(),
             log_len,
@@ -833,7 +833,7 @@ mod tests {
         // And the rolled-back log still replays cleanly.
         drop(live);
         let back = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).unwrap();
-        assert_eq!(back.read().corpus().tweets().len(), 3);
+        assert_eq!(back.read().corpus().tweet_count(), 3);
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -866,13 +866,13 @@ mod tests {
         drop(f);
         let back = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).unwrap();
         let guard = back.read();
-        assert_eq!(guard.corpus().tweets().len(), 3, "acked op survives");
+        assert_eq!(guard.corpus().tweet_count(), 3, "acked op survives");
         assert_eq!(guard.pending_ops(), 1, "torn tail dropped");
         drop(guard);
         drop(back);
         // The truncation healed the file: reopen is clean.
         let again = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).unwrap();
-        assert_eq!(again.read().corpus().tweets().len(), 3);
+        assert_eq!(again.read().corpus().tweet_count(), 3);
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -898,8 +898,9 @@ mod tests {
             let replayed = match LiveCorpus::open(&corpus, &oplog) {
                 Ok(live) => {
                     let guard = live.read();
+                    let corpus = guard.corpus();
                     let got: Vec<&str> =
-                        guard.corpus().tweets()[2..].iter().map(|t| t.text.as_str()).collect();
+                        (2..corpus.tweet_count() as u32).map(|id| corpus.text(id)).collect();
                     assert_eq!(got, texts[..got.len()], "{damage:?}");
                     assert_eq!(guard.pending_ops(), got.len(), "{damage:?}");
                     Some(got.len())
@@ -937,7 +938,7 @@ mod tests {
         fs::write(&pending, oplog_header(0xdeadbeef)).unwrap();
         let back = LiveCorpus::open(&corpus_path, &oplog_path).unwrap();
         assert!(!pending.exists(), "stale pending discarded");
-        assert_eq!(back.read().corpus().tweets().len(), 3, "old oplog replayed");
+        assert_eq!(back.read().corpus().tweet_count(), 3, "old oplog replayed");
         drop(back);
 
         // Roll forward: pending names the *current* base → it replaces
@@ -951,7 +952,7 @@ mod tests {
             0,
             "promoted (empty-tail) pending oplog replaced the old log"
         );
-        assert_eq!(fwd.read().corpus().tweets().len(), 2, "base without tail");
+        assert_eq!(fwd.read().corpus().tweet_count(), 2, "base without tail");
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -982,7 +983,7 @@ mod tests {
         assert_eq!(fs::read(dir.join("corpus.bin")).unwrap(), base_bytes);
         drop(live);
         let back = LiveCorpus::open(dir.join("corpus.bin"), dir.join("oplog")).unwrap();
-        assert_eq!(back.read().corpus().tweets().len(), 3);
+        assert_eq!(back.read().corpus().tweet_count(), 3);
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -249,11 +249,11 @@ impl<'c> BatchCheck<'c> {
                 Ok(())
             }
             IngestOp::Delete { id } => {
-                let total = self.corpus.tweets().len() + self.pending_appends;
+                let total = self.corpus.tweet_count() + self.pending_appends;
                 if (*id as usize) >= total {
                     return Err(format!("tweet {id} does not exist"));
                 }
-                if ((*id as usize) < self.corpus.tweets().len() && self.corpus.is_deleted(*id))
+                if ((*id as usize) < self.corpus.tweet_count() && self.corpus.is_deleted(*id))
                     || self.pending_deletes.contains(id)
                 {
                     return Err(format!("tweet {id} is already deleted"));

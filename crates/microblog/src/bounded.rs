@@ -536,9 +536,9 @@ mod tests {
         let mut terms = spread_terms(corpus, 2);
         let plain = |text: &str| text.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit());
         let mut pairs_per_shard = vec![0; corpus.shard_count()];
-        for tweet in corpus.tweets() {
+        for id in 0..corpus.tweet_count() as u32 {
             let tokens: Vec<&str> = corpus
-                .tweet_tokens(tweet.id)
+                .tweet_tokens(id)
                 .iter()
                 .map(|&id| corpus.token_text(id))
                 .filter(|text| plain(text))

@@ -1,17 +1,20 @@
-//! The rank-side tweet columns: what the expert detector reads per
-//! matched tweet, as flat arrays in tweet-id order (DESIGN.md §14).
+//! The tweet table: every tweet of a corpus as flat arrays in tweet-id
+//! order (DESIGN.md §14), the one place a corpus keeps its tweets.
 //!
-//! A [`Tweet`] owns a `String` and a heap `Vec` of mentions, so reading
-//! `author` / `mentions` / `retweet_of` through `&Tweet` is a dependent
-//! pointer chase per matched tweet. The columns hold the same three
-//! facts as `u32` arrays (mentions as CSR) plus the per-user totals that
-//! are the TS / MI / RI denominators, packed one row per user. A build
-//! counts them from the tweet table; the corpus file persists them (its
-//! author, retweet and mention sections and the per-user totals) and a
-//! load adopts them as they are, building each `Tweet` from them. After
-//! that only [`TweetColumns::push`] and [`TweetColumns::uncount`] ever
-//! change them, so they cannot drift from `Corpus::tweets()`
-//! (property-tested in `tests/proptest_columns.rs`).
+//! A row is its author, its retweet source and its mentions (CSR) as
+//! `u32` arrays, and its text as a slice of one UTF-8 arena with `u32`
+//! offsets, the layout of the corpus file's text section. Beside the
+//! rows sit the per-user totals that are the TS / MI / RI denominators,
+//! packed one row per user. Ranking reads a matched tweet's author,
+//! retweet source and mentions here without a pointer chase, and an
+//! owned [`Tweet`] is materialized from a row only when asked for.
+//!
+//! A build pushes its tweets in input order and gathers the rows in
+//! topic order ([`TweetColumns::gather`], which counts the totals); the
+//! corpus file persists the rows and the totals, and a load adopts them
+//! as they are. After that only [`TweetColumns::push`] and
+//! [`TweetColumns::uncount`] change them (checked against a plain
+//! `Vec<Tweet>` model in `tests/proptest_columns.rs`).
 
 use crate::types::{Tweet, TweetId, UserId};
 
@@ -30,7 +33,7 @@ pub struct UserTotals {
     pub retweets: u64,
 }
 
-/// Flat per-tweet columns and packed per-user totals.
+/// Flat per-tweet columns, the text arena and packed per-user totals.
 #[derive(Debug, Clone, Default)]
 pub struct TweetColumns {
     author: Vec<UserId>,
@@ -39,42 +42,45 @@ pub struct TweetColumns {
     /// mention_offsets[t + 1]]` (text order, duplicates kept).
     mention_offsets: Vec<u32>,
     mention_ids: Vec<UserId>,
+    /// Tweet `t`'s text is `text[text_offsets[t] .. text_offsets[t + 1]]`;
+    /// every offset lies on a character boundary.
+    text_offsets: Vec<u32>,
+    text: String,
     totals: Vec<UserTotals>,
 }
 
 impl TweetColumns {
-    /// Empty columns over `users` users, with room for `tweets` rows.
-    pub(crate) fn with_capacity(users: usize, tweets: usize) -> TweetColumns {
+    /// Empty columns over `users` users, with room for `tweets` rows and
+    /// `text_bytes` bytes of text.
+    pub(crate) fn with_capacity(users: usize, tweets: usize, text_bytes: usize) -> TweetColumns {
         let mut mention_offsets = Vec::with_capacity(tweets + 1);
         mention_offsets.push(0);
+        let mut text_offsets = Vec::with_capacity(tweets + 1);
+        text_offsets.push(0);
         TweetColumns {
             author: Vec::with_capacity(tweets),
             retweet_of: Vec::with_capacity(tweets),
             mention_offsets,
             mention_ids: Vec::new(),
+            text_offsets,
+            text: String::with_capacity(text_bytes),
             totals: vec![UserTotals::default(); users],
         }
     }
 
-    /// The columns of `tweets` in order, totals counted from them.
-    pub(crate) fn from_tweets(users: usize, tweets: &[Tweet]) -> TweetColumns {
-        let mut columns = TweetColumns::with_capacity(users, tweets.len());
-        for tweet in tweets {
-            columns.push(tweet);
-        }
-        columns
-    }
-
-    /// Adopt decoded columns as they are: the corpus file's author,
-    /// retweet and mention sections, and its persisted totals, which
-    /// stay authoritative (nothing recounts them). The caller has checked
-    /// that the rows agree in length, the mention CSR is well formed, and
-    /// `totals` has one row per user.
+    /// Adopt decoded columns as they are: the corpus file's text,
+    /// author, retweet and mention sections, and its persisted totals,
+    /// which stay authoritative (nothing recounts them). The caller has
+    /// checked that the rows agree in length, both CSRs are well formed,
+    /// every text offset lies on a character boundary, and `totals` has
+    /// one row per user.
     pub(crate) fn from_parts(
         author: Vec<UserId>,
         retweet_of: Vec<UserId>,
         mention_offsets: Vec<u32>,
         mention_ids: Vec<UserId>,
+        text_offsets: Vec<u32>,
+        text: String,
         totals: Vec<UserTotals>,
     ) -> TweetColumns {
         TweetColumns {
@@ -82,6 +88,8 @@ impl TweetColumns {
             retweet_of,
             mention_offsets,
             mention_ids,
+            text_offsets,
+            text,
             totals,
         }
     }
@@ -91,25 +99,44 @@ impl TweetColumns {
         self.totals.push(UserTotals::default());
     }
 
-    /// Append the row of the next tweet and count it into its users'
-    /// totals. Rows are positional: the caller pushes tweets in id order.
+    /// Append the row of the next tweet, its text to the arena, and count
+    /// it into its users' totals. Rows are positional: the caller pushes
+    /// tweets in id order, and keeps the arena within `u32` offsets.
     pub(crate) fn push(&mut self, tweet: &Tweet) {
-        debug_assert_eq!(
-            tweet.id as usize,
-            self.author.len(),
-            "tweet ids equal their index"
-        );
-        self.author.push(tweet.author);
-        self.retweet_of.push(tweet.retweet_of.unwrap_or(NO_RETWEET));
-        self.mention_ids.extend_from_slice(&tweet.mentions);
+        debug_assert_eq!(tweet.id as usize, self.len(), "tweet ids equal their index");
+        let retweet_of = tweet.retweet_of.unwrap_or(NO_RETWEET);
+        self.push_row(tweet.author, &tweet.text, &tweet.mentions, retweet_of);
+    }
+
+    fn push_row(&mut self, author: UserId, text: &str, mentions: &[UserId], retweet_of: UserId) {
+        self.text.push_str(text);
+        let end = u32::try_from(self.text.len())
+            .unwrap_or_else(|_| panic!("tweet texts exceed the 4 GiB a corpus holds"));
+        self.text_offsets.push(end);
+        self.author.push(author);
+        self.retweet_of.push(retweet_of);
+        self.mention_ids.extend_from_slice(mentions);
         self.mention_offsets.push(self.mention_ids.len() as u32);
-        self.totals[tweet.author as usize].tweets += 1;
-        for &mentioned in &tweet.mentions {
+        self.totals[author as usize].tweets += 1;
+        for &mentioned in mentions {
             self.totals[mentioned as usize].mentions += 1;
         }
-        if let Some(original) = tweet.retweet_of {
-            self.totals[original as usize].retweets += 1;
+        if retweet_of != NO_RETWEET {
+            self.totals[retweet_of as usize].retweets += 1;
         }
+    }
+
+    /// New columns over `users` users holding rows `rows` of these, in
+    /// that order (row `j` of the result is row `rows[j]` here), their
+    /// totals counted from those rows alone.
+    pub(crate) fn gather(&self, rows: &[u32], users: usize) -> TweetColumns {
+        let text_bytes = rows.iter().map(|&t| self.text(t).len()).sum();
+        let mut gathered = TweetColumns::with_capacity(users, rows.len(), text_bytes);
+        for &t in rows {
+            let (author, retweet_of) = (self.author[t as usize], self.retweet_of[t as usize]);
+            gathered.push_row(author, self.text(t), self.mentions(t), retweet_of);
+        }
+        gathered
     }
 
     /// Take tweet `id` back out of the totals (a tombstone: the row
@@ -127,6 +154,11 @@ impl TweetColumns {
             let retweets = &mut self.totals[self.retweet_of[t] as usize].retweets;
             *retweets = retweets.saturating_sub(1);
         }
+    }
+
+    /// Number of rows (tweets).
+    pub(crate) fn len(&self) -> usize {
+        self.author.len()
     }
 
     /// Author of every tweet, by tweet id.
@@ -161,6 +193,27 @@ impl TweetColumns {
     /// Mentioned users of all tweets, concatenated in tweet order.
     pub fn mention_ids(&self) -> &[UserId] {
         &self.mention_ids
+    }
+
+    /// The text of tweet `id`.
+    #[inline]
+    pub fn text(&self, id: TweetId) -> &str {
+        let (lo, hi) = (
+            self.text_offsets[id as usize],
+            self.text_offsets[id as usize + 1],
+        );
+        &self.text[lo as usize..hi as usize]
+    }
+
+    /// Byte offsets into [`TweetColumns::text_arena`], one more than
+    /// there are tweets.
+    pub fn text_offsets(&self) -> &[u32] {
+        &self.text_offsets
+    }
+
+    /// Every tweet text, concatenated in tweet order.
+    pub fn text_arena(&self) -> &str {
+        &self.text
     }
 
     /// Per-user totals, by user id.

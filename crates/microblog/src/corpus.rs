@@ -1,11 +1,11 @@
 //! The corpus: users, tweets and the indexes the expert detector needs.
 
-use crate::columns::TweetColumns;
+use crate::columns::{TweetColumns, NO_RETWEET};
 use crate::index::{
     concat_runs, expand_into, intersect_runs, push_run, Postings, PostingsIndex, Run,
 };
 use crate::intern::SymbolTable;
-use crate::order::{permute, topic_order};
+use crate::order::topic_order;
 use crate::tokenize::tokenize;
 use crate::types::{TokenId, Tweet, TweetId, User, UserId};
 use std::cell::RefCell;
@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 /// An indexed microblog corpus.
 ///
-/// Besides the raw tables, the corpus maintains:
+/// Besides the user table, the corpus maintains:
 /// * a corpus-wide symbol table interning every token to a dense
 ///   [`TokenId`] (tokens are interned once at build time; the online
 ///   path never hashes a tweet token again),
@@ -21,10 +21,12 @@ use std::collections::HashMap;
 ///   ([`Corpus::tweet_tokens`]),
 /// * a CSR token inverted index ([`PostingsIndex`]) for all-terms query
 ///   matching (§3), every posting list a run list of adjacent ids,
-/// * the rank-side [`TweetColumns`]: author / retweet source / mentions
-///   of every tweet as flat arrays, and per-user totals (#tweets,
-///   #mentions received, #retweets received) — the denominators of the
-///   TS / MI / RI features,
+/// * the tweet table, [`TweetColumns`]: author / retweet source /
+///   mentions of every tweet as flat arrays, every text in one arena, and
+///   per-user totals (#tweets, #mentions received, #retweets received) —
+///   the denominators of the TS / MI / RI features. It is the only copy
+///   of the tweets: [`Corpus::tweet`] and [`Corpus::tweets`] materialize
+///   owned [`Tweet`]s from it,
 /// * tweet ids in **topic order**, assigned by the build: tweets sharing
 ///   their rarest token are one run of adjacent ids, so a query's
 ///   matches and the columns ranking reads for them are contiguous,
@@ -38,7 +40,6 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Default)]
 pub struct Corpus {
     users: Vec<User>,
-    tweets: Vec<Tweet>,
     /// Token text ↔ dense id.
     symbols: SymbolTable,
     /// Tweet `t`'s tokens (in text order, duplicates kept) are
@@ -49,9 +50,8 @@ pub struct Corpus {
     postings: PostingsIndex,
     /// handle → user id.
     handle_index: HashMap<String, UserId>,
-    /// What ranking reads of `tweets`, as flat arrays, plus the per-user
-    /// totals. Counted from `tweets` by a build, adopted from the file by
-    /// a load (which builds `tweets` from them).
+    /// The tweet table and the per-user totals. Gathered in topic order
+    /// by a build, adopted from the file by a load.
     columns: TweetColumns,
     /// Tweets `[0, base_tweets)` are covered by the CSR postings; later
     /// ids live in `delta_postings`. Appended ids are always larger than
@@ -72,19 +72,23 @@ impl Corpus {
     /// Build an indexed corpus from users and tweets. On input, tweet and
     /// user ids must equal their indices. User ids are kept; tweet ids are
     /// not: the corpus assigns its own, in topic order (tweets sharing a
-    /// rare token get adjacent ids, see DESIGN.md "Tweet-id order"), and
-    /// rewrites [`Tweet::id`] to match, so `tweets()[i].id == i` holds
-    /// afterwards but the input tweet at index `i` may now have another
-    /// id. A tweet id is stable only within one corpus epoch: until the
-    /// next build or [`Corpus::compact`]. Rebuilding from a corpus's own
-    /// `tweets()` gives the same corpus. The same steps as the streaming
-    /// `CorpusBuilder`, over a tweet list already in memory.
+    /// rare token get adjacent ids, see DESIGN.md "Tweet-id order"), so
+    /// `tweets()[i].id == i` holds afterwards but the input tweet at
+    /// index `i` may now have another id. A tweet id is stable only within
+    /// one corpus epoch: until the next build or [`Corpus::compact`].
+    /// Rebuilding from a corpus's own `tweets()` gives the same corpus.
+    /// The same steps as the streaming `CorpusBuilder`, over a tweet list
+    /// already in memory.
+    ///
+    /// # Panics
+    ///
+    /// If the texts together exceed 4 GiB, the most the text arena's
+    /// `u32` offsets (and the corpus file) can address.
     pub fn new(users: Vec<User>, tweets: Vec<Tweet>) -> Corpus {
         let mut builder = CorpusBuilder::new(users);
         for tweet in &tweets {
-            builder.index(tweet);
+            builder.push_tweet(tweet);
         }
-        builder.tweets = tweets;
         builder.finish()
     }
 
@@ -94,7 +98,6 @@ impl Corpus {
     /// handle index and the base watermarks are derived here.
     pub(crate) fn from_parts(
         users: Vec<User>,
-        tweets: Vec<Tweet>,
         symbols: SymbolTable,
         token_offsets: Vec<u32>,
         token_ids: Vec<TokenId>,
@@ -103,10 +106,9 @@ impl Corpus {
     ) -> Corpus {
         Corpus {
             handle_index: users.iter().map(|u| (u.handle.clone(), u.id)).collect(),
-            base_tweets: tweets.len() as u32,
+            base_tweets: columns.len() as u32,
             base_tokens: symbols.len() as u32,
             users,
-            tweets,
             symbols,
             token_offsets,
             token_ids,
@@ -122,9 +124,20 @@ impl Corpus {
         &self.users
     }
 
-    /// All tweets.
-    pub fn tweets(&self) -> &[Tweet] {
-        &self.tweets
+    /// Every tweet, materialized in id order: allocates the whole tweet
+    /// table (a `String` and a mentions `Vec` per tweet). For tests and
+    /// tools that want owned tweets; the corpus itself keeps only the
+    /// columns ([`Corpus::columns`], [`Corpus::text`]).
+    pub fn tweets(&self) -> Vec<Tweet> {
+        (0..self.tweet_count() as TweetId)
+            .map(|id| self.tweet(id))
+            .collect()
+    }
+
+    /// Number of tweets, tombstoned ones included (ids run `0 ..
+    /// tweet_count()`).
+    pub fn tweet_count(&self) -> usize {
+        self.columns.len()
     }
 
     /// One user.
@@ -132,9 +145,21 @@ impl Corpus {
         &self.users[id as usize]
     }
 
-    /// One tweet.
-    pub fn tweet(&self, id: TweetId) -> &Tweet {
-        &self.tweets[id as usize]
+    /// One tweet, materialized from the columns.
+    pub fn tweet(&self, id: TweetId) -> Tweet {
+        let retweet_of = self.columns.retweet_of()[id as usize];
+        Tweet {
+            id,
+            author: self.columns.author()[id as usize],
+            text: self.text(id).to_owned(),
+            mentions: self.columns.mentions(id).to_vec(),
+            retweet_of: (retweet_of != NO_RETWEET).then_some(retweet_of),
+        }
+    }
+
+    /// The text of one tweet.
+    pub fn text(&self, id: TweetId) -> &str {
+        self.columns.text(id)
     }
 
     /// The ids of the tweets whose text is one of `texts`, ascending (the
@@ -142,10 +167,8 @@ impl Corpus {
     /// code that knows tweets by content names them through this. A
     /// linear scan.
     pub fn ids_of_texts(&self, texts: &[&str]) -> Vec<TweetId> {
-        self.tweets
-            .iter()
-            .filter(|t| texts.contains(&t.text.as_str()))
-            .map(|t| t.id)
+        (0..self.tweet_count() as TweetId)
+            .filter(|&id| texts.contains(&self.text(id)))
             .collect()
     }
 
@@ -204,7 +227,7 @@ impl Corpus {
         self.columns.totals()[user as usize].retweets
     }
 
-    /// The rank-side columns: author, retweet source and mentions of
+    /// The tweet table: author, retweet source, mentions and text of
     /// every tweet as flat arrays, and the packed per-user totals.
     pub fn columns(&self) -> &TweetColumns {
         &self.columns
@@ -362,7 +385,7 @@ impl Corpus {
 
     /// Approximate corpus payload size in bytes.
     pub fn byte_size(&self) -> u64 {
-        self.tweets.iter().map(|t| t.text.len() as u64).sum()
+        self.columns.text_arena().len() as u64
     }
 
     // ------------------------------------------------------------------
@@ -415,10 +438,13 @@ impl Corpus {
         let Some(&author_id) = self.handle_index.get(author) else {
             return Err(format!("unknown author handle {author:?}"));
         };
-        if self.tweets.len() >= u32::MAX as usize {
+        if self.tweet_count() >= u32::MAX as usize {
             return Err("tweet id space exhausted".to_string());
         }
-        let id = self.tweets.len() as TweetId;
+        if self.columns.text_arena().len() + text.len() > u32::MAX as usize {
+            return Err("tweet texts would exceed the 4 GiB a corpus holds".to_string());
+        }
+        let id = self.tweet_count() as TweetId;
         let tweet = {
             let handles = &self.handle_index;
             Tweet::parse(id, author_id, text, |h| handles.get(h).copied())
@@ -433,7 +459,6 @@ impl Corpus {
             push_run(self.delta_postings.entry(tok).or_default(), [id, 1]);
         }
         self.token_offsets.push(self.token_ids.len() as u32);
-        self.tweets.push(tweet);
         Ok(id)
     }
 
@@ -441,7 +466,7 @@ impl Corpus {
     /// set immediately and per-user totals drop as if it never existed.
     /// The bytes are reclaimed at the next [`Corpus::compact`].
     pub fn delete_tweet(&mut self, id: TweetId) -> Result<(), String> {
-        if (id as usize) >= self.tweets.len() {
+        if (id as usize) >= self.tweet_count() {
             return Err(format!("tweet {id} does not exist"));
         }
         let pos = match self.tombstones.binary_search(&id) {
@@ -457,7 +482,7 @@ impl Corpus {
     /// i.e. the corpus carries delta state the corpus file cannot
     /// represent until [`Corpus::compact`] folds it in.
     pub fn has_delta(&self) -> bool {
-        self.tweets.len() > self.base_tweets as usize || !self.tombstones.is_empty()
+        self.tweet_count() > self.base_tweets as usize || !self.tombstones.is_empty()
     }
 
     /// Logically deleted tweets awaiting physical removal.
@@ -467,7 +492,7 @@ impl Corpus {
 
     /// Tweets visible to queries (total minus tombstones).
     pub fn live_tweet_count(&self) -> usize {
-        self.tweets.len() - self.tombstones.len()
+        self.tweet_count() - self.tombstones.len()
     }
 
     /// Whether `id` is tombstoned.
@@ -477,7 +502,8 @@ impl Corpus {
 
     /// Fold the delta segment into a fresh base: drop tombstoned tweets
     /// and lay the survivors out anew in topic order, as a build does —
-    /// without re-tokenizing (the interned arenas are carried over). The
+    /// without re-tokenizing (the interned arenas are carried over) and
+    /// without materializing a `Tweet` (the rows are gathered). The
     /// result is bit-identical to `Corpus::new(users, surviving_tweets)`;
     /// every surviving tweet gets a new id, which is why an id is stable
     /// only between two compactions.
@@ -489,28 +515,24 @@ impl Corpus {
     /// tombstoned tweets) so callers holding ids minted before the
     /// compaction — e.g. queued deletes — can remap them.
     pub fn compact_with_map(&self) -> (Corpus, Vec<Option<TweetId>>) {
-        let live = self.live_tweet_count();
-        let mut survivors: Vec<Tweet> = Vec::with_capacity(live);
-        let mut token_offsets: Vec<u32> = Vec::with_capacity(live + 1);
+        let old_ids: Vec<TweetId> = (0..self.tweet_count() as TweetId)
+            .filter(|&id| !self.is_deleted(id))
+            .collect();
+        let mut token_offsets: Vec<u32> = Vec::with_capacity(old_ids.len() + 1);
         let mut token_ids: Vec<TokenId> = Vec::new();
         token_offsets.push(0);
-        for t in &self.tweets {
-            if self.is_deleted(t.id) {
-                continue;
-            }
-            token_ids.extend_from_slice(self.tweet_tokens(t.id));
+        for &id in &old_ids {
+            token_ids.extend_from_slice(self.tweet_tokens(id));
             token_offsets.push(token_ids.len() as u32);
-            survivors.push(t.clone());
         }
-        let old_ids: Vec<TweetId> = survivors.iter().map(|t| t.id).collect();
         let (mut compacted, order) = lay_out(
             self.users.clone(),
-            survivors,
+            &self.columns.gather(&old_ids, self.users.len()),
             self.symbols.texts(),
             &token_offsets,
             &token_ids,
         );
-        let mut map: Vec<Option<TweetId>> = vec![None; self.tweets.len()];
+        let mut map: Vec<Option<TweetId>> = vec![None; self.tweet_count()];
         for (new_id, &survivor) in order.iter().enumerate() {
             map[old_ids[survivor as usize] as usize] = Some(new_id as TweetId);
         }
@@ -527,12 +549,13 @@ impl Corpus {
 
 /// Incremental corpus construction, the one build path: a generator
 /// pushes each tweet as it is produced (tokenized and interned on the
-/// spot) instead of materializing the whole tweet list first and then
-/// re-walking it, and [`Corpus::new`] runs the same steps over a list
-/// already in memory, so for the same users and tweet sequence the two
-/// are bit-identical — the million-user synthetic scale is built this
-/// way, with peak memory the finished corpus plus what the layout holds
-/// while it runs (the input token arena and one 16-byte key per tweet).
+/// spot, its row appended to input-order columns) instead of
+/// materializing the whole tweet list first and then re-walking it, and
+/// [`Corpus::new`] runs the same steps over a list already in memory, so
+/// for the same users and tweet sequence the two are bit-identical — the
+/// million-user synthetic scale is built this way, with peak memory the
+/// finished corpus plus what the layout holds while it runs (the
+/// input-order columns and token arena, and one 16-byte key per tweet).
 ///
 /// Pushed tweets carry their input position as id (input ids equal their
 /// indices). [`CorpusBuilder::finish`] then assigns the corpus's own ids,
@@ -541,7 +564,8 @@ impl Corpus {
 /// build or compaction assigns them anew.
 pub(crate) struct CorpusBuilder {
     users: Vec<User>,
-    tweets: Vec<Tweet>,
+    /// The pushed tweets, in input order.
+    columns: TweetColumns,
     symbols: SymbolTable,
     token_offsets: Vec<u32>,
     token_ids: Vec<TokenId>,
@@ -551,8 +575,8 @@ impl CorpusBuilder {
     /// Start a build over a fixed user table (tweets stream in after).
     pub(crate) fn new(users: Vec<User>) -> CorpusBuilder {
         CorpusBuilder {
+            columns: TweetColumns::with_capacity(users.len(), 0, 0),
             users,
-            tweets: Vec::new(),
             symbols: SymbolTable::new(),
             token_offsets: vec![0],
             token_ids: Vec::new(),
@@ -566,22 +590,17 @@ impl CorpusBuilder {
 
     /// The id the next pushed tweet must carry: its input position.
     pub(crate) fn next_tweet_id(&self) -> TweetId {
-        self.tweets.len() as TweetId
+        self.columns.len() as TweetId
     }
 
-    /// Ingest one tweet: index it and retain it.
-    pub(crate) fn push_tweet(&mut self, tweet: Tweet) {
-        debug_assert_eq!(tweet.id, self.next_tweet_id());
-        self.index(&tweet);
-        self.tweets.push(tweet);
-    }
-
-    /// Tokenize and intern the next tweet's text into the CSR arena.
-    fn index(&mut self, tweet: &Tweet) {
+    /// Ingest one tweet: tokenize and intern its text into the CSR arena
+    /// and append its row to the columns.
+    pub(crate) fn push_tweet(&mut self, tweet: &Tweet) {
         for token in tokenize(&tweet.text) {
             self.token_ids.push(self.symbols.intern(&token));
         }
         self.token_offsets.push(self.token_ids.len() as u32);
+        self.columns.push(tweet);
     }
 
     /// Assign ids in topic order and assemble the corpus.
@@ -589,7 +608,7 @@ impl CorpusBuilder {
         let texts = self.symbols.texts();
         lay_out(
             self.users,
-            self.tweets,
+            &self.columns,
             texts,
             &self.token_offsets,
             &self.token_ids,
@@ -600,27 +619,28 @@ impl CorpusBuilder {
 
 /// Lay a tweet sequence out in topic order and assemble the corpus: the
 /// one place tweet ids are assigned ([`CorpusBuilder::finish`] and
-/// [`Corpus::compact_with_map`] both end here). Input tweet `i` has the
-/// tokens `token_ids[token_offsets[i] .. token_offsets[i + 1]]`, and
-/// input token `t` has the text `texts[t]`.
+/// [`Corpus::compact_with_map`] both end here). Input tweet `i` is row
+/// `i` of `columns` and has the tokens `token_ids[token_offsets[i] ..
+/// token_offsets[i + 1]]`, and input token `t` has the text `texts[t]`.
 ///
 /// New id `j` is input tweet [`topic_order`]`[j]`. Tokens are interned
 /// afresh in first appearance over the new order, and the token arena,
-/// the tweet table, the columns and the postings are laid out in it. How
-/// the input numbered its tokens never shows: every byte of the result is
-/// a function of the input tweets alone, in input order. A
-/// corpus's own tweet list is therefore a fixed point (rebuilding from
-/// `tweets()` gives the same bytes), and compaction equals a cold rebuild
-/// of the survivors. Returns the corpus and the order.
+/// the tweet table (rows and text arena, totals recounted) and the
+/// postings are laid out in it. How the input numbered its tokens never
+/// shows: every byte of the result is a function of the input tweets
+/// alone, in input order. A corpus's own tweet list is therefore a fixed
+/// point (rebuilding from `tweets()` gives the same bytes), and
+/// compaction equals a cold rebuild of the survivors. Returns the corpus
+/// and the order.
 fn lay_out(
     users: Vec<User>,
-    mut tweets: Vec<Tweet>,
+    columns: &TweetColumns,
     texts: &[Box<str>],
     token_offsets: &[u32],
     token_ids: &[TokenId],
 ) -> (Corpus, Vec<u32>) {
     let tokens_of = |i: usize| &token_ids[token_offsets[i] as usize..token_offsets[i + 1] as usize];
-    let order = topic_order(&tweets, texts, token_offsets, token_ids);
+    let order = topic_order(columns.author(), texts, token_offsets, token_ids);
 
     const UNMAPPED: TokenId = TokenId::MAX;
     let mut token_map = vec![UNMAPPED; texts.len()];
@@ -639,16 +659,12 @@ fn lay_out(
         offsets.push(ids.len() as u32);
     }
 
-    permute(&mut tweets, &order);
-    for (id, tweet) in tweets.iter_mut().enumerate() {
-        tweet.id = id as TweetId;
-    }
-    let columns = TweetColumns::from_tweets(users.len(), &tweets);
+    let columns = columns.gather(&order, users.len());
     let postings = PostingsIndex::build(
         symbols.len(),
         offsets.windows(2).map(|w| &ids[w[0] as usize..w[1] as usize]),
     );
-    let corpus = Corpus::from_parts(users, tweets, symbols, offsets, ids, postings, columns);
+    let corpus = Corpus::from_parts(users, symbols, offsets, ids, postings, columns);
     (corpus, order)
 }
 
@@ -774,7 +790,7 @@ mod tests {
     /// The key of every tweet, recomputed from the public API: its rarest
     /// and second-rarest distinct tokens by (document frequency, text).
     fn keys(c: &Corpus) -> Vec<(KeyToken<'_>, KeyToken<'_>)> {
-        (0..c.tweets().len() as TweetId)
+        (0..c.tweet_count() as TweetId)
             .map(|id| {
                 let mut ranked: Vec<KeyToken<'_>> = c
                     .tweet_tokens(id)
@@ -860,7 +876,7 @@ mod tests {
         c.save_binary(&path).unwrap();
         let back = Corpus::load(&path).unwrap();
         assert_eq!(back.users().len(), c.users().len());
-        assert_eq!(back.tweets().len(), c.tweets().len());
+        assert_eq!(back.tweet_count(), c.tweet_count());
         assert_eq!(back.match_query("49ers draft"), c.match_query("49ers draft"));
         assert_eq!(back.mentions_of(0), c.mentions_of(0));
         assert_eq!(back.user_by_handle("carol"), Some(2));
@@ -953,11 +969,10 @@ mod tests {
         // The reference: a from-scratch rebuild of the surviving tweets.
         let survivors: Vec<Tweet> = c
             .tweets()
-            .iter()
+            .into_iter()
             .filter(|t| !c.is_deleted(t.id))
             .enumerate()
-            .map(|(i, t)| {
-                let mut t = t.clone();
+            .map(|(i, mut t)| {
                 t.id = i as TweetId;
                 t
             })
@@ -997,7 +1012,7 @@ mod tests {
         // delete every seventh base tweet, append copies of a few tweets
         // by other authors, and delete one of the appended tweets.
         let mut c = generated(3);
-        let base = c.tweets().len() as TweetId;
+        let base = c.tweet_count() as TweetId;
         for id in (0..base).step_by(7) {
             c.delete_tweet(id).unwrap();
         }
@@ -1024,7 +1039,7 @@ mod tests {
     fn a_corpus_is_a_fixed_point_of_its_own_rebuild() {
         let c = generated(5);
         let bytes = encode(&c, 1).unwrap();
-        let rebuilt = Corpus::new(c.users().to_vec(), c.tweets().to_vec());
+        let rebuilt = Corpus::new(c.users().to_vec(), c.tweets());
         assert_eq!(encode(&rebuilt, 1).unwrap(), bytes, "rebuild from tweets()");
         assert_eq!(encode(&c.compact(), 1).unwrap(), bytes, "delta-free compaction");
     }

@@ -9,10 +9,11 @@
 //! instead of scattered over the corpus (DESIGN.md, "Tweet-id order").
 
 use crate::tokenize::tokenize;
-use crate::types::{TokenId, Tweet, UserId};
+use crate::types::{TokenId, UserId};
 use std::collections::{BTreeSet, HashMap};
 
-/// The topic order of a tweet sequence: input positions sorted by each
+/// The topic order of a tweet sequence (`authors[i]` wrote input tweet
+/// `i`): input positions sorted by each
 /// tweet's rarest token — least document frequency, ties by token text —
 /// then by its second-rarest distinct token, then by author, then by
 /// input position. A missing token sorts after every token, so a tweet
@@ -25,7 +26,7 @@ use std::collections::{BTreeSet, HashMap};
 /// columns rank gathers for them, are read in a few sequential sweeps
 /// instead of scattered over the corpus.
 pub(crate) fn topic_order(
-    tweets: &[Tweet],
+    authors: &[UserId],
     texts: &[Box<str>],
     token_offsets: &[u32],
     token_ids: &[TokenId],
@@ -35,7 +36,7 @@ pub(crate) fn topic_order(
     // tokens are ranked, `rank[t]` holds the last tweet that counted `t`.
     let mut df = vec![0u32; texts.len()];
     let mut rank = vec![u32::MAX; texts.len()];
-    for i in 0..tweets.len() {
+    for i in 0..authors.len() {
         for &t in tokens_of(i) {
             if rank[t as usize] != i as u32 {
                 rank[t as usize] = i as u32;
@@ -53,10 +54,10 @@ pub(crate) fn topic_order(
     for (r, &t) in by_rarity.iter().enumerate() {
         rank[t as usize] = r as u32;
     }
-    let mut keys: Vec<u128> = tweets
+    let mut keys: Vec<u128> = authors
         .iter()
         .enumerate()
-        .map(|(i, tweet)| {
+        .map(|(i, &author)| {
             // The two least ranks among the tweet's distinct tokens.
             let (mut first, mut second) = (u32::MAX, u32::MAX);
             for &t in tokens_of(i) {
@@ -70,30 +71,12 @@ pub(crate) fn topic_order(
             }
             (u128::from(first) << 96)
                 | (u128::from(second) << 64)
-                | (u128::from(tweet.author) << 32)
+                | (u128::from(author) << 32)
                 | i as u128
         })
         .collect();
     keys.sort_unstable();
     keys.into_iter().map(|key| key as u32).collect()
-}
-
-/// Reorder `items` in place so that `items[j]` is what was at
-/// `items[order[j]]` (`order` a permutation), following each cycle once.
-pub(crate) fn permute<T>(items: &mut [T], order: &[u32]) {
-    let mut placed = vec![false; items.len()];
-    for start in 0..items.len() {
-        let mut at = start;
-        while !placed[at] {
-            placed[at] = true;
-            let from = order[at] as usize;
-            if from == start {
-                break;
-            }
-            items.swap(at, from);
-            at = from;
-        }
-    }
 }
 
 /// The topic order computed the plain way, over token strings: the

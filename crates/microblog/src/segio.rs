@@ -47,16 +47,16 @@
 //! one section at a time; [`decode`] takes both from a slice already in
 //! memory. Either way `assemble` checks each body section's checksum and
 //! decodes its little-endian run straight into the owned `Vec<u32>`
-//! arenas the corpus keeps: the author, retweet and mention sections
-//! become the rank-side [`TweetColumns`] as they are (the persisted
-//! per-user totals beside them), and each `Tweet` is built from those
-//! columns and its slice of the text arena, so the two cannot disagree.
+//! arenas the corpus keeps. The text, author, retweet and mention
+//! sections become the corpus's one tweet table, [`TweetColumns`], as
+//! they are (the persisted per-user totals beside them): the validated
+//! text arena is kept with one copy at most, and no `Tweet` is built.
 
 use crate::columns::{TweetColumns, UserTotals, NO_RETWEET};
 use crate::corpus::Corpus;
 use crate::index::{check_csr, PostingsIndex, PostingsShard};
 use crate::intern::SymbolTable;
-use crate::types::{Tweet, TweetId, User, UserId};
+use crate::types::{User, UserId};
 use esharp_relation::binfmt::{decode_frames_exact, encode_frames_into};
 use esharp_relation::{Column, DataType, Schema, Table};
 use esharp_storage::atomic::{atomic_write, crc32};
@@ -207,14 +207,16 @@ pub fn encode(corpus: &Corpus, shards: usize) -> io::Result<Vec<u8>> {
     } else {
         Cow::Owned(current.resharded(shards))
     };
-    let tweets = corpus.tweets();
     let columns = corpus.columns();
     let (token_offsets, token_ids) = corpus.token_arena_parts();
-    let text_len: usize = tweets.iter().map(|t| t.text.len()).sum();
-    let text_len = u32::try_from(text_len)
-        .map_err(|_| io::Error::other("tweet texts exceed the 4 GiB a corpus file holds"))?;
-    let num_tweets = tweets.len() as u32;
-    let arenas = [text_len, 0, 0, columns.mention_ids().len() as u32, token_ids.len() as u32];
+    let num_tweets = corpus.tweet_count() as u32;
+    let arenas = [
+        columns.text_arena().len() as u32,
+        0,
+        0,
+        columns.mention_ids().len() as u32,
+        token_ids.len() as u32,
+    ];
     let mut sections: Vec<Section> = TWEET_SECTIONS
         .iter()
         .zip(arenas)
@@ -243,7 +245,7 @@ pub fn encode(corpus: &Corpus, shards: usize) -> io::Result<Vec<u8>> {
     out.extend_from_slice(&0u16.to_le_bytes());
     for count in [
         corpus.users().len(),
-        tweets.len(),
+        corpus.tweet_count(),
         corpus.num_tokens(),
         sections.len() - TWEET_SECTIONS.len(),
     ] {
@@ -259,7 +261,9 @@ pub fn encode(corpus: &Corpus, shards: usize) -> io::Result<Vec<u8>> {
 
     // Each section's start in `out`, then the end of the last.
     let mut starts = vec![out.len()];
-    put_text(&mut out, tweets);
+    put_u32s(&mut out, columns.text_offsets());
+    out.extend_from_slice(columns.text_arena().as_bytes());
+    out.resize(out.len().next_multiple_of(4), 0);
     starts.push(out.len());
     for words in [columns.author(), columns.retweet_of()] {
         put_u32s(&mut out, words);
@@ -296,23 +300,6 @@ fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
     }
 }
 
-/// Append the text section: the running byte offsets, every text, and
-/// the zero pad to a 4-byte boundary. The caller has checked that the
-/// texts fit u32 offsets.
-fn put_text(out: &mut Vec<u8>, tweets: &[Tweet]) {
-    let at = out.len();
-    out.resize(at + (tweets.len() + 1) * 4, 0);
-    let mut end = 0;
-    for (dst, t) in out[at + 4..].chunks_exact_mut(4).zip(tweets) {
-        end += t.text.len() as u32;
-        dst.copy_from_slice(&end.to_le_bytes());
-    }
-    for t in tweets {
-        out.extend_from_slice(t.text.as_bytes());
-    }
-    out.resize(out.len().next_multiple_of(4), 0);
-}
-
 /// Append the string section: the four frames that hold everything but
 /// the body's words (users, symbol texts, per-user totals).
 fn encode_global(corpus: &Corpus, out: &mut Vec<u8>) -> io::Result<()> {
@@ -329,7 +316,7 @@ fn encode_global(corpus: &Corpus, out: &mut Vec<u8>) -> io::Result<()> {
             Column::Int(vec![
                 VERSION as i64,
                 corpus.users().len() as i64,
-                corpus.tweets().len() as i64,
+                corpus.tweet_count() as i64,
                 corpus.num_tokens() as i64,
             ]),
         ],
@@ -573,8 +560,7 @@ fn assemble<'a>(
         }
         Ok((s, bytes))
     };
-    let (text_section, text_bytes) = next_section()?;
-    let (text_offsets, text) = text_arena(text_section, &text_bytes)?;
+    let (text_offsets, text) = text_arena(next_section()?)?;
     let author = le_u32s(&next_section()?.1);
     let retweet_of = le_u32s(&next_section()?.1);
     let (mention_offsets, mention_ids) = csr(next_section()?, "tweet mentions")?;
@@ -586,25 +572,17 @@ fn assemble<'a>(
         return Err(bad("retweet_of user id out of range"));
     }
 
-    let mut tweets = Vec::with_capacity(author.len());
-    for (i, ends) in text_offsets.windows(2).enumerate() {
-        let text = text
-            .get(ends[0] as usize..ends[1] as usize)
-            .ok_or_else(|| bad("tweet text offset not on a character boundary"))?;
-        let mentions = &mention_ids[mention_offsets[i] as usize..mention_offsets[i + 1] as usize];
-        tweets.push(Tweet {
-            id: i as TweetId,
-            author: author[i],
-            text: text.to_owned(),
-            mentions: mentions.to_vec(),
-            retweet_of: Some(retweet_of[i]).filter(|&u| u != NO_RETWEET),
-        });
-    }
-    drop(text_bytes);
     // The persisted per-user totals stay authoritative: nothing recounts
     // them from the columns.
-    let columns =
-        TweetColumns::from_parts(author, retweet_of, mention_offsets, mention_ids, global.totals);
+    let columns = TweetColumns::from_parts(
+        author,
+        retweet_of,
+        mention_offsets,
+        mention_ids,
+        text_offsets,
+        text,
+        global.totals,
+    );
 
     let (token_offsets, token_ids) = csr(next_section()?, "tweet tokens")?;
     if token_ids.iter().any(|&t| t >= head.num_tokens) {
@@ -626,7 +604,6 @@ fn assemble<'a>(
 
     Ok(Corpus::from_parts(
         global.users,
-        tweets,
         global.symbols,
         token_offsets,
         token_ids,
@@ -650,21 +627,35 @@ fn csr((s, bytes): (&Section, Cow<'_, [u8]>), what: &str) -> io::Result<(Vec<u32
     Ok((offsets, ids))
 }
 
-/// The text section's offsets and arena. The arena is checked as UTF-8
-/// once, its pad must be zero, and the offsets must run monotonically
-/// from 0 to its length; that each lies on a character boundary is
-/// checked as the texts are sliced out.
-fn text_arena<'b>(s: &Section, bytes: &'b [u8]) -> io::Result<(Vec<u32>, &'b str)> {
-    let (offsets, rest) = split_csr(s, bytes)?;
-    let (arena, pad) = rest
-        .split_at_checked(s.arena_len as usize)
+/// The text section's offsets and arena, the arena copied out of the
+/// section once (moved within it when the section is owned). Its pad
+/// must be zero, the arena must be UTF-8 (checked once), and the offsets
+/// must run monotonically from 0 to its length, each on a character
+/// boundary.
+fn text_arena((s, bytes): (&Section, Cow<'_, [u8]>)) -> io::Result<(Vec<u32>, String)> {
+    let (offsets, rest) = split_csr(s, &bytes)?;
+    let arena_at = offsets.len();
+    let arena_end = arena_at + s.arena_len as usize;
+    let pad = rest
+        .get(s.arena_len as usize..)
         .ok_or_else(|| bad("text section shorter than its arena"))?;
     if pad.iter().any(|&b| b != 0) {
         return Err(bad("nonzero pad after the text arena"));
     }
-    let text = std::str::from_utf8(arena).map_err(|_| bad("tweet text arena is not UTF-8"))?;
     let offsets = le_u32s(offsets);
-    check_csr(&offsets, arena.len()).map_err(|e| bad(format!("tweet texts: {e}")))?;
+    check_csr(&offsets, s.arena_len as usize).map_err(|e| bad(format!("tweet texts: {e}")))?;
+    let arena = match bytes {
+        Cow::Borrowed(section) => section[arena_at..arena_end].to_vec(),
+        Cow::Owned(mut section) => {
+            section.truncate(arena_end);
+            section.drain(..arena_at);
+            section
+        }
+    };
+    let text = String::from_utf8(arena).map_err(|_| bad("tweet text arena is not UTF-8"))?;
+    if !offsets.iter().all(|&o| text.is_char_boundary(o as usize)) {
+        return Err(bad("tweet text offset not on a character boundary"));
+    }
     Ok((offsets, text))
 }
 
@@ -828,7 +819,7 @@ fn checked_total(value: i64, what: &str) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::User;
+    use crate::types::Tweet;
 
     fn sample() -> Corpus {
         let users = vec![
@@ -885,13 +876,13 @@ mod tests {
             assert_eq!(encode(&back, k).unwrap(), encode(&zero_copy, k).unwrap());
             assert_eq!(back.shard_count(), k);
             assert_eq!(back.users().len(), c.users().len());
-            assert_eq!(back.tweets().len(), c.tweets().len());
+            assert_eq!(back.tweet_count(), c.tweet_count());
             assert_eq!(back.num_tokens(), c.num_tokens());
             for t in 0..c.num_tokens() as u32 {
                 assert_eq!(back.postings(t), c.postings(t));
                 assert_eq!(back.token_text(t), c.token_text(t));
             }
-            for id in 0..c.tweets().len() as u32 {
+            for id in 0..c.tweet_count() as u32 {
                 assert_eq!(back.tweet_tokens(id), c.tweet_tokens(id));
             }
             assert_eq!(

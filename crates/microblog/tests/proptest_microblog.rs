@@ -57,7 +57,7 @@ fn string_keyed_reference_agrees_on_fixed_corpus() {
         .map(|(i, t)| Tweet::parse(i as u32, 0, t.to_string(), |_| None))
         .collect();
     let corpus = Corpus::new(users, tweets);
-    let postings = string_keyed_postings(corpus.tweets());
+    let postings = string_keyed_postings(&corpus.tweets());
     for term in ["aa", "bb cc", "AA", "zz", "", "aa zz"] {
         assert_eq!(
             corpus.match_query(term),
@@ -232,7 +232,7 @@ proptest! {
         let corpus = Corpus::new(users, tweets);
         // The reference indexes the corpus's own tweet table: it assigns
         // the ids.
-        let postings = string_keyed_postings(corpus.tweets());
+        let postings = string_keyed_postings(&corpus.tweets());
         let words: Vec<String> = tweet_words.concat();
         let terms = with_variants(terms.iter().map(|w| w.join(" ")).collect(), &picks, &words);
 
@@ -279,10 +279,8 @@ proptest! {
             .into_iter()
             .map(|i| keyed[i])
             .collect();
-        let built: Vec<(u32, &str)> = corpus
-            .tweets()
-            .iter()
-            .map(|t| (t.author, t.text.as_str()))
+        let built: Vec<(u32, &str)> = (0..corpus.tweet_count() as u32)
+            .map(|id| (corpus.columns().author()[id as usize], corpus.text(id)))
             .collect();
         prop_assert_eq!(built, expected);
     }

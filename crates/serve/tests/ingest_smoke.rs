@@ -56,7 +56,7 @@ fn ingest_compact_search_roundtrip_with_durability() {
 
     let testbed = Testbed::build(EvalScale::Tiny, 77);
     let author = testbed.corpus.users()[0].handle.clone();
-    let base_tweets = testbed.corpus.tweets().len();
+    let base_tweets = testbed.corpus.tweet_count();
     let live = Arc::new(
         LiveCorpus::create(testbed.corpus, &corpus_path, &oplog_path).expect("persist base"),
     );

@@ -36,14 +36,14 @@
 #           test step left; the first failure stops the step and prints
 #           its round and output. A test that depends on thread order is
 #           a bug in the test or the code
-#   bench   the Criterion bench targets compile (not run)
 #   repo    the repo benchmark's smoke pass (benchmark/, its own package):
 #           every workload on tiny fixtures, every response checked
 #           byte-for-byte against in-process search — benchmark/ pins the
 #           match/search/rank entry points by name, so an API break or a
 #           body drift fails here and not in a full benchmark run
 #   clippy  workspace lints over every target (libraries, binaries,
-#           tests, benches, examples), warnings are errors
+#           tests, examples), warnings are errors; this also compiles
+#           every target
 #   doc     the workspace's rustdoc builds with warnings as errors, so a
 #           broken intra-doc link, or public docs linking a private
 #           item, fails here
@@ -112,9 +112,6 @@ flake 100 crates/serve -p esharp-serve --test proptest_chaos
 flake 100 crates/serve -p esharp-serve --test chaos_smoke
 flake 100 crates/microblog -p esharp-microblog --lib -- bounded::
 flake 25 crates/serve -p esharp-serve --test ingest_smoke
-
-echo "== tier-1: cargo bench --no-run"
-cargo bench --no-run
 
 echo "== tier-1: repo benchmark smoke (benchmark/ builds; served bodies ≡ in-process search)"
 bench_dir="$(mktemp -d)"
